@@ -45,7 +45,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _emit_error(exc: Exception, quiet: bool):
+def _emit_error(exc: Exception):
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     offset = getattr(exc, "offset", None)
     if offset is not None:
@@ -265,10 +265,10 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out, args)
     except (ConfigError, ExprError) as exc:
-        _emit_error(exc, args.quiet)
+        _emit_error(exc)
         return EXIT_CONFIG
     except DdeBranchError as exc:
-        _emit_error(exc, args.quiet)
+        _emit_error(exc)
         return EXIT_NUMERICAL
 
 

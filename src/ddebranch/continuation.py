@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .degree import degree_auto
-from .errors import InvalidParameterError
+from .errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from .fields import nu_field
 from .integrator import integrate
 from .poincare import TranslationConfig, _newton_fixed_point
@@ -116,13 +116,16 @@ class Branch:
 
 def _trivial_zeros(problem: CoupledProblem, origin: np.ndarray, domain: Optional[Box]):
     """Zeros of nu to measure triviality against: degree-module zeros over
-    the domain box when available, the branch origin otherwise."""
-    if domain is not None and domain.dim == problem.dim:
+    the domain box when available, the branch origin otherwise.
+
+    A planar box is skipped: its winding-number degree locates no zeros.
+    """
+    if domain is not None and domain.dim == problem.dim and domain.dim != 2:
         try:
             report = degree_auto(nu_field(problem), domain)
             if report.zeros:
                 return [np.array(z["point"]) for z in report.zeros]
-        except Exception:
+        except (AdmissibilityError, DegeneracyError):
             pass
     return [np.atleast_1d(origin)]
 

@@ -36,7 +36,7 @@ from .problem import (
     average_scalar,
     normalize_delay,
     simpson_weights,
-    _sample_periodic,
+    _sample_at,
 )
 
 _SIGMA_CELLS = 2048
@@ -83,7 +83,7 @@ def _zeta_grid(a: PeriodicFn1D, n_cells: int, c: Optional[float] = None):
     n2 = 2 * n_cells
     h2 = T / n2
     grid = np.linspace(0.0, T, n2 + 1)
-    avals = _sample_periodic(a, T, n2)
+    avals = _sample_at(a, grid)
     A = _cumulative_simpson(avals, h2)
     abar = A[-1] / T
     if abs(abar) < 1e-12:
@@ -127,7 +127,7 @@ def _zeta_periodic(a: PeriodicFn1D, n_cells: int):
     n2 = 2 * n_cells
     h2 = T / n2
     grid = np.linspace(0.0, T, n2 + 1)
-    avals = _sample_periodic(a, T, n2)
+    avals = _sample_at(a, grid)
     A = _cumulative_simpson(avals, h2)
     abar = A[-1] / T
     if abs(abar) < 1e-12:
@@ -152,9 +152,11 @@ def _zeta_periodic(a: PeriodicFn1D, n_cells: int):
 def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
     """Build the unique T-periodic sigma with a = sigma'/sigma - sigma.
 
-    sigma is represented on a grid of n_quad cells (with midpoints) and
-    evaluated through a periodic cubic spline, so evaluation inside RK4
-    inner loops stays O(1).
+    sigma is sampled on a grid of n_quad cells (with midpoints) and
+    interpolated by a periodic cubic spline (PeriodicFn1D.from_samples).  An
+    evaluation reduces t modulo T, bisects the grid for its cell and runs
+    Horner's rule on that cell's cubic, in pure Python for a scalar t (which
+    returns a float) and in one vectorised pass for an array t.
     """
     T = a.period
     grid, zeta, c0, abar = _zeta_periodic(a, n_quad)
@@ -252,8 +254,7 @@ def primitive_of(g, n: int = 128) -> Callable[[float], float]:
 
 
 def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
-    ts = np.linspace(0.0, gamma.period, n, endpoint=False)
-    vals = np.array([float(gamma(t)) for t in ts])
+    vals = _sample_at(gamma, np.linspace(0.0, gamma.period, n, endpoint=False))
     if np.min(np.abs(vals)) < 1e-12 or vals.max() * vals.min() < 0:
         raise InvalidParameterError("gamma must be nonvanishing (and sign-definite)")
 
@@ -287,7 +288,7 @@ def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = 1024) -> Callable[[floa
     _check_nonvanishing(gamma)
     w = simpson_weights(n_quad)
     ts = np.linspace(0.0, T, n_quad + 1)
-    gvals = np.array([float(gamma(t)) for t in ts])
+    gvals = _sample_at(gamma, ts)
 
     def wb(q: float) -> float:
         q = float(q)

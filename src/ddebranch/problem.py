@@ -12,6 +12,8 @@ delay r normalized into (0, T] at construction.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -70,25 +72,58 @@ class PeriodicFn1D:
         """Periodic cubic-spline interpolant through samples on [0, T].
 
         grid must cover one full period with grid[0] = 0 and grid[-1] = T;
-        values[0] and values[-1] must agree (periodic closure).
+        values[0] and values[-1] must agree (periodic closure).  The spline
+        is built once; evaluation runs on its piecewise coefficients (see
+        _periodic_cubic), not through SciPy.
         """
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
-        T = grid[-1] - grid[0]
+        T = float(grid[-1] - grid[0])
         vals = values.copy()
         vals[-1] = vals[0]
         spline = CubicSpline(grid, vals, bc_type="periodic")
-
-        def _eval(t, _spline=spline, _t0=grid[0], _T=T):
-            return _spline(_t0 + np.mod(np.asarray(t, dtype=float) - _t0, _T))
-
-        return cls(eval=lambda t: float(_eval(t)) if np.ndim(t) == 0 else _eval(t), period=T)
+        return cls(eval=_periodic_cubic(spline.x, spline.c, T), period=T)
 
 
-def _sample_periodic(fn, T: float, n: int) -> np.ndarray:
-    """Evaluate a scalar function of time on the Simpson grid, vectorizing
+def _periodic_cubic(x: np.ndarray, c: np.ndarray, T: float) -> Callable:
+    """Evaluator of the T-periodic piecewise cubic with breakpoints x and
+    coefficients c of shape (4, n), highest power first (SciPy's PPoly layout).
+
+    t is reduced into [x[0], x[0] + T], its interval found by bisection on x
+    (any grid), and the local cubic evaluated by Horner's rule.  A scalar t
+    runs in pure Python and returns a float; an array t takes the same steps
+    vectorised.  The tables are compact float64 arrays whose NumPy views
+    serve the vectorised path.
+    """
+    xs = array("d", x.tobytes())
+    c0, c1, c2, c3 = (array("d", row.tobytes()) for row in c)
+    xv = np.frombuffer(xs)
+    v0, v1, v2, v3 = (np.frombuffer(row) for row in (c0, c1, c2, c3))
+    t0 = xs[0]
+    last = len(xs) - 2
+
+    def scalar(t: float) -> float:
+        t = t0 + (t - t0) % T
+        i = bisect_right(xs, t) - 1
+        if i > last:
+            i = last
+        d = t - xs[i]
+        return ((c0[i] * d + c1[i]) * d + c2[i]) * d + c3[i]
+
+    def evaluate(t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return scalar(float(t))
+        t = t0 + np.mod(np.asarray(t, dtype=float) - t0, T)
+        i = np.minimum(np.searchsorted(xv, t, side="right") - 1, last)
+        d = t - xv[i]
+        return ((v0[i] * d + v1[i]) * d + v2[i]) * d + v3[i]
+
+    return evaluate
+
+
+def _sample_at(fn, ts: np.ndarray) -> np.ndarray:
+    """Evaluate a scalar function of time at the times ts, in one array call
     when the callable supports it."""
-    ts = np.linspace(0.0, T, n + 1)
     try:
         out = np.asarray(fn(ts), dtype=float)
         if out.shape == ts.shape:
@@ -112,7 +147,7 @@ def average_scalar(fn: PeriodicFn1D, n_quad: int = DEFAULT_N_QUAD) -> float:
     """Average of a periodic function over one period by composite Simpson."""
     T = fn.period
     w = simpson_weights(n_quad)
-    vals = _sample_periodic(fn, T, n_quad)
+    vals = _sample_at(fn, np.linspace(0.0, T, n_quad + 1))
     h = T / n_quad
     return float(np.dot(w, vals) * h / T)
 

@@ -1,6 +1,7 @@
 """Branch continuation in (lambda, history) space."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -9,19 +10,21 @@ import pytest
 from ddebranch import (
     Box,
     ContinuationConfig,
+    CoupledProblem,
     History,
     TranslationConfig,
     branch_to_pairs,
     continue_branch,
     translate,
 )
+from ddebranch import continuation
 from ddebranch.continuation import (
     TERMINATION_LAMBDA_MAX,
     TERMINATION_LEFT_DOMAIN,
 )
 from ddebranch.errors import InvalidParameterError
 
-from conftest import scalar_problem
+from conftest import TWO_PI, periodic, scalar_problem
 
 FAST = ContinuationConfig(h0=0.05, h_max=0.05, m=16, steps_per_delay=16)
 
@@ -116,6 +119,40 @@ class TestGenuineSolutions:
         b1 = continue_branch(prob, [0.0], 0.2, FAST)
         b2 = continue_branch(prob, [0.0], 0.2, FAST)
         assert b1.to_json() == b2.to_json()
+
+
+class TestTrivialZeros:
+    def test_planar_domain_makes_no_degree_call(self, monkeypatch):
+        # A planar box's winding-number degree locates no zeros, so the
+        # branch is measured against its origin without computing one.
+        prob = CoupledProblem(
+            dim_x=1,
+            dim_y=1,
+            f=lambda t, x, y, xd, yd: np.array([math.sin(yd[0]) + 0.5 * math.cos(t)]),
+            g=lambda x, y: x - y,
+            a=periodic(lambda t: -1.0 + 0.5 * math.sin(t)),
+            period=TWO_PI,
+            delay=1.0,
+            n_quad=64,
+        )
+        cfg = ContinuationConfig(
+            h0=0.05, h_max=0.05, m=8, steps_per_delay=8,
+            domain=Box(lower=[-2, -2], upper=[2, 2]),
+        )
+        reference = continue_branch(prob, [0.0, 0.0], 0.1, dataclasses.replace(cfg, domain=None))
+
+        calls = []
+
+        def no_degree(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("degree_auto was called")
+
+        monkeypatch.setattr(continuation, "degree_auto", no_degree)
+        branch = continue_branch(prob, [0.0, 0.0], 0.1, cfg)
+        assert calls == []
+        assert branch.termination == TERMINATION_LAMBDA_MAX
+        assert branch.points[-1].min_dist_to_trivial > 0.0
+        assert branch.to_json() == reference.to_json()
 
 
 class TestExports:

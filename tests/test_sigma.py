@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from ddebranch import (
     History,
@@ -80,6 +81,50 @@ class TestSigmaTransform:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,sigma"
         assert len(lines) == result.grid.size + 1
+
+
+def _sigma_samples():
+    result = sigma_transform(periodic(lambda t: -1.0 + 0.5 * math.sin(t)))
+    return result.grid, result.values
+
+
+def _uneven_samples():
+    rng = np.random.default_rng(7)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, TWO_PI, 61)), [TWO_PI]])
+    vals = np.exp(np.sin(grid)) - 3.0
+    vals[-1] = vals[0]
+    return grid, vals
+
+
+class TestPeriodicSplineKernel:
+    """from_samples against SciPy's own periodic spline as the oracle."""
+
+    @pytest.mark.parametrize("samples", [_sigma_samples, _uneven_samples])
+    def test_matches_scipy(self, samples):
+        grid, vals = samples()
+        T = grid[-1]
+        fn = PeriodicFn1D.from_samples(grid, vals)
+        oracle = CubicSpline(grid, vals, bc_type="periodic")
+        ts = np.concatenate([
+            grid,
+            0.5 * (grid[:-1] + grid[1:]),
+            [0.0, T, -1e-15],
+            np.random.default_rng(0).uniform(-3.0 * T, 3.0 * T, 2000),
+        ])
+        expected = oracle(ts)
+        tol = 1e-14 * np.max(np.abs(vals))
+        scalar = np.array([fn(float(t)) for t in ts])
+        vector = fn(ts)
+        assert np.max(np.abs(scalar - expected)) <= tol
+        assert np.max(np.abs(vector - expected)) <= tol
+        # Scalar and array inputs run the same arithmetic.
+        assert np.array_equal(scalar, vector)
+
+    def test_scalar_input_returns_float(self):
+        fn = PeriodicFn1D.from_samples(*_uneven_samples())
+        for t in (1.0, np.float64(-4.5), 2, np.array(0.3)):
+            assert type(fn(t)) is float
+        assert fn(np.array([0.3, 1.0])).shape == (2,)
 
 
 class TestVerifySigma:
