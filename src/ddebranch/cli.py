@@ -31,7 +31,7 @@ from .config import (
     _INTEGRATE_KEYS,
     _VERIFY_KEYS,
 )
-from .continuation import ContinuationConfig, branch_to_pairs, continue_branch
+from .continuation import ContinuationConfig, continue_branch
 from .degree import degree_1d, degree_2d_winding, degree_auto, degree_nd_jacobian
 from .errors import ConfigError, DdeBranchError, ExprError
 from .fields import nu_field
@@ -104,9 +104,11 @@ def _degree_field(config: dict, block: dict):
             f"degree: field has {len(exprs)} component(s) but {len(var_names)} variable(s)"
         )
 
-    def fn(z, _exprs=exprs, _names=var_names):
-        b = {name: float(v) for name, v in zip(_names, np.atleast_1d(z))}
-        return np.array([dsl.evaluate(e, b) for e in _exprs])
+    fns = [dsl.compile_expr(e) for e in exprs]
+
+    def fn(z):
+        env = dict(zip(var_names, np.atleast_1d(np.asarray(z, dtype=float))))
+        return np.array([f(env) for f in fns], dtype=float)
 
     return fn, len(var_names)
 
@@ -138,7 +140,7 @@ def cmd_degree(config: dict, out: Path, args) -> int:
         report = degree_nd_jacobian(fn, box, **kwargs)
     else:
         raise ConfigError(f"degree.method: unknown method {method!r}")
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     payload["config"] = config
     path = out / "degree.json"
     _write_json(path, payload)

@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as dsl
 from .errors import ConfigError, ExprError
 from .lienard import ScalarDelayProblem, SigmaResult
-from .problem import Box, CoupledProblem, PeriodicFn1D
+from .problem import BatchField, Box, CoupledProblem, PeriodicFn1D
 
 _TOP_KEYS = {"problem", "numerics", "integrate", "degree", "sigma", "verify_index", "branch"}
 _PROBLEM_KEYS = {"preset", "a", "phi", "alpha", "beta", "T", "r", "dims", "f", "g", "h"}
@@ -25,7 +25,7 @@ _NUMERICS_KEYS = {"n_quad", "steps_per_delay", "m", "newton_tol", "fd_step"}
 _INTEGRATE_KEYS = {"lambda", "mu", "t_end", "init", "resolution"}
 _DEGREE_KEYS = {"field", "exprs", "vars", "box", "method", "negate"}
 _VERIFY_KEYS = {"lambda", "box"}
-_BRANCH_KEYS = {"origin", "lambda_max", "h0", "h_min", "h_max", "max_points", "domain", "component"}
+_BRANCH_KEYS = {"origin", "lambda_max", "h0", "h_min", "h_max", "max_points", "domain"}
 _BOX_KEYS = {"lower", "upper"}
 
 
@@ -92,31 +92,41 @@ def _state_vars(k, s, with_time=True, with_delays=True):
     return names
 
 
-def _bindings(t, x, y, xd, yd):
-    b = {"t": t}
-    for i, v in enumerate(x):
-        b[f"x{i+1}"] = v
-    for j, v in enumerate(y):
-        b[f"y{j+1}"] = v
-    for i, v in enumerate(xd):
-        b[f"xd{i+1}"] = v
-    for j, v in enumerate(yd):
-        b[f"yd{j+1}"] = v
-    return b
+def _vector_field(exprs, k, s, with_time) -> BatchField:
+    """The field whose components are exprs, compiled once.
 
+    Its arguments are (t, x, y, xd, yd) when with_time (f and h), else
+    (x, y) (g).  Each state argument may carry a leading batch axis, and t
+    may be an array that broadcasts against it; the result has the batch
+    shape plus one axis of len(exprs) components.
+    """
+    fns = [dsl.compile_expr(e) for e in exprs]
+    used = set().union(*(e.free_vars() for e in exprs))
+    prefixes = ("x", "y", "xd", "yd") if with_time else ("x", "y")
+    # (state argument, column, variable name) of each variable in use.
+    binds = [
+        (arg, j, f"{p}{j + 1}")
+        for arg, (p, n) in enumerate(zip(prefixes, (k, s, k, s)))
+        for j in range(n)
+        if f"{p}{j + 1}" in used
+    ]
 
-def _vector_field_from_exprs(exprs, kind):
-    if kind == "f_or_h":
-        def fn(t, x, y, xd, yd, _exprs=exprs):
-            b = _bindings(t, x, y, xd, yd)
-            return np.array([dsl.evaluate(e, b) for e in _exprs])
-        return fn
-    # g(x, y)
-    def gn(x, y, _exprs=exprs):
-        b = _bindings(0.0, x, y, x, y)
-        del b["t"]
-        return np.array([dsl.evaluate(e, b) for e in _exprs])
-    return gn
+    def field(*args):
+        env = {}
+        if with_time:
+            t, *args = args
+            env["t"] = t
+        for arg, j, name in binds:
+            env[name] = np.asarray(args[arg], dtype=float)[..., j]
+        shape = np.shape(args[0])[:-1]
+        if with_time and np.ndim(t):
+            shape = np.broadcast_shapes(np.shape(t), shape)
+        out = np.empty(shape + (len(fns),))
+        for j, fn in enumerate(fns):
+            out[..., j] = fn(env)
+        return out
+
+    return BatchField(field)
 
 
 @dataclass(frozen=True)
@@ -153,11 +163,13 @@ def parse_numerics(config: dict) -> NumericsConfig:
 
 def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
     (e,) = _parse_exprs(source, {"t"}, path)
+    fn = dsl.compile_expr(e)
 
-    def ev(t, _e=e):
-        if np.ndim(t) > 0:
-            return np.array([dsl.evaluate(_e, {"t": float(ti)}) for ti in np.asarray(t).ravel()])
-        return dsl.evaluate(_e, {"t": float(t)})
+    def ev(t):
+        v = fn({"t": t})
+        if type(t) is float or np.shape(v) == np.shape(t):
+            return v
+        return np.full(np.shape(t), v)  # a constant expression
 
     return PeriodicFn1D(eval=ev, period=period)
 
@@ -198,9 +210,10 @@ def load_problem(config: dict) -> LoadedProblem:
         phi_src = block.get("phi", "sin(yd1)")
         a = _load_periodic_expr(a_src, T, "problem.a")
         (phi_e,) = _parse_exprs(phi_src, {"y1", "yd1"}, "problem.phi")
+        phi_fn = dsl.compile_expr(phi_e)
 
-        def phi(y, yd, _e=phi_e):
-            return dsl.evaluate(_e, {"y1": float(y), "yd1": float(yd)})
+        def phi(y, yd):
+            return phi_fn({"y1": y, "yd1": yd})
 
         from .presets import sunflower_setup
 
@@ -224,14 +237,14 @@ def load_problem(config: dict) -> LoadedProblem:
     g_exprs = _parse_exprs(_require(block, "g", "problem"), _state_vars(k, s, with_time=False, with_delays=False), "problem.g")
     if len(g_exprs) != s:
         raise ConfigError(f"problem.g: expected {s} component(s), got {len(g_exprs)}")
-    g = _vector_field_from_exprs(g_exprs, "g")
+    g = _vector_field(g_exprs, k, s, with_time=False)
 
     f = None
     if k > 0:
         f_exprs = _parse_exprs(_require(block, "f", "problem"), _state_vars(k, s), "problem.f")
         if len(f_exprs) != k:
             raise ConfigError(f"problem.f: expected {k} component(s), got {len(f_exprs)}")
-        f = _vector_field_from_exprs(f_exprs, "f_or_h")
+        f = _vector_field(f_exprs, k, s, with_time=True)
     elif "f" in block:
         raise ConfigError("problem.f: not allowed when k = 0")
 
@@ -240,7 +253,7 @@ def load_problem(config: dict) -> LoadedProblem:
         h_exprs = _parse_exprs(block["h"], _state_vars(k, s), "problem.h")
         if len(h_exprs) != s:
             raise ConfigError(f"problem.h: expected {s} component(s), got {len(h_exprs)}")
-        h = _vector_field_from_exprs(h_exprs, "f_or_h")
+        h = _vector_field(h_exprs, k, s, with_time=True)
 
     try:
         coupled = CoupledProblem(dim_x=k, dim_y=s, f=f, g=g, h=h, a=a, period=T, delay=r)

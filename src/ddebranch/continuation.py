@@ -261,6 +261,5 @@ def branch_to_pairs(branch: Branch, component: int, problem: CoupledProblem,
             problem, p.lam, 1.0, p.history, problem.period,
             steps_per_delay=cfg.steps_per_delay,
         )
-        vals = np.array([traj.eval(t)[component] for t in ts])
-        pairs.append((p.lam, vals))
+        pairs.append((p.lam, traj.eval(ts)[:, component]))
     return pairs

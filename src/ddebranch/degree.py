@@ -41,7 +41,7 @@ class DegreeReport:
     method: str
     zeros: Optional[List[dict]] = None
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         payload = {
             "degree": int(self.degree),
             "admissibility_margin": float(self.admissibility_margin),
@@ -55,7 +55,10 @@ class DegreeReport:
                 }
                 for z in self.zeros
             ]
-        return json.dumps(payload, allow_nan=False)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 def _as_scalar_field(fn):

@@ -12,13 +12,20 @@ Functions: sin, cos, exp, log, abs, sqrt (all unary).  '^' is
 right-associative and unary minus binds tighter than '^' on its left
 operand, so "-x^2" parses as -(x^2) and "2^3^2" as 2^(3^2).  There is no
 implicit multiplication.
+
+evaluate() walks the tree on floats and is the reference semantics.
+compile_expr() turns a parsed expression into a closure that takes floats
+(computed as evaluate does) or arrays (NumPy ufuncs), and raises on the
+same inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Mapping, Set, Union
+
+import numpy as np
 
 from .errors import ExprArityError, ExprEvalError, ExprNameError, ExprSyntaxError
 
@@ -261,6 +268,35 @@ def parse(source: str, allowed_vars) -> Expr:
     return Expr(root=root, allowed_vars=allowed)
 
 
+def _scalar_call(node: Call, x: float) -> float:
+    """A function node on a float, with the language's domain checks."""
+    fn = node.fn
+    x = float(x)
+    if fn == "log" and x <= 0.0:
+        raise ExprEvalError(f"log of nonpositive value {x!r}", node)
+    if fn == "sqrt" and x < 0.0:
+        raise ExprEvalError(f"sqrt of negative value {x!r}", node)
+    if fn in ("sin", "cos") and math.isinf(x):
+        raise ExprEvalError(f"{fn} of infinite value {x!r}", node)
+    try:
+        return float(FUNCTIONS[fn](x))
+    except OverflowError:
+        raise ExprEvalError(f"{fn} overflow at {x!r}", node) from None
+
+
+def _scalar_power(node: BinOp, lhs: float, rhs: float) -> float:
+    """lhs ^ rhs on floats, with the language's domain checks."""
+    lhs, rhs = float(lhs), float(rhs)
+    if lhs == 0.0 and rhs < 0.0:
+        raise ExprEvalError(f"zero to the negative power {rhs!r}", node)
+    if lhs < 0.0 and math.isfinite(lhs) and math.isfinite(rhs) and rhs != math.floor(rhs):
+        raise ExprEvalError(f"non-integer power of negative base {lhs!r}", node)
+    try:
+        return lhs ** rhs
+    except OverflowError:
+        raise ExprEvalError(f"power overflow at base {lhs!r}", node) from None
+
+
 def _eval_node(node: Node, bindings: Dict[str, float]) -> float:
     if isinstance(node, Num):
         return node.value
@@ -272,12 +308,7 @@ def _eval_node(node: Node, bindings: Dict[str, float]) -> float:
     if isinstance(node, Neg):
         return -_eval_node(node.operand, bindings)
     if isinstance(node, Call):
-        x = _eval_node(node.arg, bindings)
-        if node.fn == "log" and x <= 0.0:
-            raise ExprEvalError(f"log of nonpositive value {x!r}", node)
-        if node.fn == "sqrt" and x < 0.0:
-            raise ExprEvalError(f"sqrt of negative value {x!r}", node)
-        return float(FUNCTIONS[node.fn](x))
+        return _scalar_call(node, _eval_node(node.arg, bindings))
     # BinOp
     lhs = _eval_node(node.left, bindings)
     rhs = _eval_node(node.right, bindings)
@@ -290,18 +321,153 @@ def _eval_node(node: Node, bindings: Dict[str, float]) -> float:
         return lhs * rhs
     if op == "/":
         if rhs == 0.0:
-            raise ExprEvalError("division by zero", node)
+            raise ExprEvalError(f"division by zero: divisor {rhs!r}", node)
         return lhs / rhs
-    # '^'
-    try:
-        return float(lhs ** rhs)
-    except (OverflowError, ValueError) as exc:
-        raise ExprEvalError(f"power error: {exc}", node) from None
+    return _scalar_power(node, lhs, rhs)
 
 
 def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
-    """IEEE double evaluation of the AST under the given bindings."""
+    """IEEE double evaluation of the AST under the given bindings.
+
+    The reference tree walk.  Domain errors raise ExprEvalError naming the
+    node: log of x <= 0, sqrt of x < 0, sin or cos of an infinite value,
+    division by zero, zero to a negative power, a finite negative base to
+    a finite non-integer power, and exp or '^' overflowing from finite
+    operands.  Underflow and inf/nan from the other operations pass through.
+    """
     return _eval_node(e.root, bindings)
+
+
+# -- compilation to closures over NumPy ufuncs -------------------------------
+
+_UFUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+}
+
+
+def _fail_where(bad, value, message: str, node: Node):
+    """Raise ExprEvalError naming node if any element of bad is set,
+    reporting value at the first such element."""
+    if bad is False or not np.count_nonzero(bad):
+        return
+    if np.ndim(bad):
+        value = np.broadcast_to(value, np.shape(bad))[bad].flat[0]
+    raise ExprEvalError(f"{message} {float(value)!r}", node)
+
+
+def _array_call(node: Call, x: np.ndarray) -> np.ndarray:
+    """A function node on an array, with the checks of _scalar_call made
+    on every element."""
+    fn = node.fn
+    if fn == "log":
+        _fail_where(x <= 0.0, x, "log of nonpositive value", node)
+    elif fn == "sqrt":
+        _fail_where(x < 0.0, x, "sqrt of negative value", node)
+    elif fn in ("sin", "cos"):
+        _fail_where(np.isinf(x), x, f"{fn} of infinite value", node)
+    y = _UFUNCS[fn](x)
+    if fn == "exp":
+        over = np.isinf(y)
+        if np.count_nonzero(over):
+            _fail_where(over & np.isfinite(x), x, "exp overflow at", node)
+    return y
+
+
+def _array_power(node: BinOp, lhs, rhs) -> np.ndarray:
+    """lhs ^ rhs on arrays, with the checks of _scalar_power made on every
+    element."""
+    _fail_where((lhs == 0.0) & (rhs < 0.0), rhs, "zero to the negative power", node)
+    _fail_where(
+        (lhs < 0.0) & np.isfinite(lhs) & np.isfinite(rhs) & (np.floor(rhs) != rhs),
+        lhs, "non-integer power of negative base", node,
+    )
+    y = np.power(lhs, rhs)
+    over = np.isinf(y)
+    if np.count_nonzero(over):
+        _fail_where(over & np.isfinite(lhs) & np.isfinite(rhs), lhs, "power overflow at base", node)
+    return y
+
+
+def _compile(node: Node) -> Callable:
+    if isinstance(node, Num):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, Var):
+        name = node.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ExprEvalError(f"unbound variable '{name}'", node) from None
+
+        return var
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda env: -operand(env)
+    if isinstance(node, Call):
+        arg = _compile(node.arg)
+
+        def call(env):
+            x = arg(env)
+            return _scalar_call(node, x) if isinstance(x, float) else _array_call(node, x)
+
+        return call
+    left, right = _compile(node.left), _compile(node.right)
+    op = node.op
+    if op == "+":
+        return lambda env: left(env) + right(env)
+    if op == "-":
+        return lambda env: left(env) - right(env)
+    if op == "*":
+        return lambda env: left(env) * right(env)
+    if op == "/":
+        def divide(env):
+            lhs = left(env)
+            rhs = right(env)
+            _fail_where(rhs == 0.0, rhs, "division by zero: divisor", node)
+            return lhs / rhs
+
+        return divide
+
+    def power(env):
+        lhs = left(env)
+        rhs = right(env)
+        if isinstance(lhs, float) and isinstance(rhs, float):
+            return _scalar_power(node, lhs, rhs)
+        return _array_power(node, lhs, rhs)
+
+    return power
+
+
+def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
+    """Compile the AST once into a closure env -> value.
+
+    env maps each variable to a float or an array; arrays broadcast against
+    each other, and the value has their broadcast shape.  On floats the
+    closure computes what evaluate does, with the same math functions; on
+    arrays it uses NumPy ufuncs.  Either way it raises ExprEvalError naming
+    the node on the inputs where evaluate does (on arrays: if any element
+    is such an input), checking the arguments explicitly.  NumPy's
+    floating-point warnings are silenced, since the values they flag (inf,
+    nan, underflow to 0) are the ones evaluate returns without error.
+    """
+    run = _compile(e.root)
+
+    def compiled(env):
+        for v in env.values():
+            if type(v) is not float:
+                with np.errstate(all="ignore"):
+                    return run(env)
+        # Pure-float evaluation never reaches NumPy and cannot warn.
+        return run(env)
+
+    return compiled
 
 
 def pretty(e: Expr) -> str:

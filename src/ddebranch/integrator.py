@@ -29,6 +29,8 @@ class Trajectory:
     On [-r, 0] evaluation delegates to the initial history, reproducing its
     interpolant exactly; on [0, t_end] nodes carry the RK4 states and the
     right-hand-side slopes, interpolated by cubic Hermite polynomials.
+    states and slopes have shape (n_nodes, d), or (n_nodes, B, d) when init
+    is a batch of B histories.
     """
 
     init: History
@@ -43,53 +45,42 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
-
-    def _locate(self, t: float):
-        times = self.times
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(times) - 2)
-        dt = times[i + 1] - times[i]
-        u = (t - times[i]) / dt
-        if abs(u) < 1e-12:
-            u = 0.0
-        elif abs(u - 1.0) < 1e-12:
-            u = 1.0
-        return i, u, dt
+        return self.states.shape[-1]
 
     def eval(self, t):
         """Solution value at time t (scalar or array), t in [-r, t_end]."""
-        if np.ndim(t) > 0:
-            return np.array([self.eval(float(ti)) for ti in np.asarray(t).ravel()])
-        t = float(t)
-        if t < -self.init.delay - 1e-12:
-            raise InvalidParameterError(f"time {t} precedes the history interval")
-        if t <= 0.0:
-            return self.init.eval(max(t, -self.init.delay))
-        t = min(t, self.t_end)
-        i, u, dt = self._locate(t)
-        return _hermite_eval(
-            u, dt, self.states[i], self.slopes[i], self.states[i + 1], self.slopes[i + 1]
-        )
+        return self._dense(t, _hermite_eval, self.init.eval)
 
     def deriv(self, t):
-        """Time derivative of the interpolant at t."""
-        if np.ndim(t) > 0:
-            return np.array([self.deriv(float(ti)) for ti in np.asarray(t).ravel()])
-        t = float(t)
-        if t <= 0.0:
-            # One-sided: the history carries its own slopes.
-            h = self.init
-            dg = h.delay / h.m
-            s = (t + h.delay) / dg
-            i = int(min(max(np.floor(s + 1e-12), 0), h.m - 1))
-            u = s - i
-            return _hermite_deriv(u, dg, h.values[i], h.derivs[i], h.values[i + 1], h.derivs[i + 1])
-        t = min(t, self.t_end)
-        i, u, dt = self._locate(t)
-        return _hermite_deriv(
-            u, dt, self.states[i], self.slopes[i], self.states[i + 1], self.slopes[i + 1]
-        )
+        """Time derivative of the interpolant at t; one-sided (the history's
+        own slopes) for t <= 0."""
+        return self._dense(t, _hermite_deriv, self.init.deriv)
+
+    def _dense(self, t, kernel, history):
+        t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
+        r = self.init.delay
+        if np.any(ts < -r - 1e-12):
+            raise InvalidParameterError(f"time {float(ts.min())} precedes the history interval")
+        out = np.empty(ts.shape + self.states.shape[1:])
+        before = ts <= 0.0
+        if before.any():
+            out[before] = history(np.maximum(ts[before], -r))
+        after = ~before
+        if after.any():
+            times = self.times
+            tt = np.minimum(ts[after], self.t_end)
+            i = np.clip(np.searchsorted(times, tt, side="right") - 1, 0, len(times) - 2)
+            dt = times[i + 1] - times[i]
+            u = (tt - times[i]) / dt
+            u[np.abs(u) < 1e-12] = 0.0
+            u[np.abs(u - 1.0) < 1e-12] = 1.0
+            col = (-1,) + (1,) * (self.states.ndim - 1)
+            out[after] = kernel(
+                u.reshape(col), dt.reshape(col),
+                self.states[i], self.slopes[i], self.states[i + 1], self.slopes[i + 1],
+            )
+        return out if t.ndim else out[0]
 
     def to_csv(self, path, resolution: int = 400):
         """Write t, x1..xk, y1..ys samples at the requested resolution."""
@@ -100,43 +91,59 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for t in ts:
-                writer.writerow([f"{t:.12g}"] + [f"{v:.15g}" for v in self.eval(t)])
+            for t, row in zip(ts, self.eval(ts)):
+                writer.writerow([f"{t:.12g}"] + [f"{v:.15g}" for v in row])
 
 
 def _check_state(t: float, state: np.ndarray, domain: Optional[Box]):
-    norm = float(np.max(np.abs(state))) if state.size else 0.0
-    if not np.all(np.isfinite(state)) or norm > BLOWUP_THRESHOLD:
+    """Blowup and domain checks on one state, or on every row of a batch."""
+    norm = float(np.abs(state).max()) if state.size else 0.0
+    if not norm <= BLOWUP_THRESHOLD:  # also catches inf and nan
         raise BlowupError(t, norm, BLOWUP_THRESHOLD)
-    if domain is not None and not domain.contains(state):
-        raise DomainEscapeError(t, state.copy())
+    if domain is not None:
+        rows = np.atleast_2d(state)
+        outside = ~np.all((rows >= domain.lower) & (rows <= domain.upper), axis=1)
+        if outside.any():
+            raise DomainEscapeError(t, rows[outside][0])
 
 
 def _make_rhs(problem: CoupledProblem, lam: float, mu: float, wf=None) -> Callable:
+    """The coupled right-hand side on a (B, d) batch of states sharing t."""
     k = problem.dim_x
     a = problem.a
     abar = problem.abar
     if mu < 1.0 and k > 0 and wf is None:
         wf = make_wf(problem)
+    # RK4 stages come in pairs at one time (k2 and k3, k4 and the node
+    # slope), so a is evaluated once per distinct time.
+    last = [None, 0.0]
 
     def rhs(t, state, delayed):
-        x, y = state[:k], state[k:]
-        at = float(a(t))
+        x, y = state[:, :k], state[:, k:]
+        if t != last[0]:
+            last[0], last[1] = t, float(a(t))
+        at = last[1]
         dy = at * problem.eval_g(x, y)
         if lam != 0.0:
-            xd, yd = delayed[:k], delayed[k:]
+            xd, yd = delayed[:, :k], delayed[:, k:]
             if mu >= 1.0:
                 dx = lam * problem.eval_f(t, x, y, xd, yd)
-                dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
+                if problem.h is not None:
+                    dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
             else:
-                drive = (1.0 - mu) * (at / abar) * wf(x, y) if k > 0 else np.zeros(0)
+                if k > 0:
+                    w = np.array([wf(p, q) for p, q in zip(x, y)])
+                    drive = (1.0 - mu) * (at / abar) * w
+                else:
+                    drive = np.zeros((len(state), 0))
                 if mu > 0.0:
                     drive = mu * problem.eval_f(t, x, y, xd, yd) + drive
-                    dy = dy + lam * mu * problem.eval_h(t, x, y, xd, yd)
+                    if problem.h is not None:
+                        dy = dy + lam * mu * problem.eval_h(t, x, y, xd, yd)
                 dx = lam * drive
         else:
-            dx = np.zeros(k)
-        return np.concatenate([dx, dy])
+            dx = np.zeros((len(state), k))
+        return np.concatenate([dx, dy], axis=1)
 
     return rhs
 
@@ -157,6 +164,11 @@ def integrate(
     exactly on t_end.  When mu < 1 the averaged drive w_f enters the
     x-equation; pass a memoized wf (see fields.make_wf) to share its cache
     across repeated integrations.
+
+    init may be a batch of B histories (values of shape (m+1, B, d)): the
+    batch is integrated in one sweep as a (B, d) state array, each row
+    exactly as it would be alone, and a blowup or domain exit of any row
+    ends the sweep.  One history is the batch of one.
     """
     if lam < 0:
         raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
@@ -171,6 +183,8 @@ def integrate(
         raise InvalidParameterError(
             f"history covers [-{init.delay}, 0] but the problem delay is {r}"
         )
+    single = init.values.ndim == 2
+    batch = History(init.delay, init.values[:, None], init.derivs[:, None]) if single else init
     h = r / steps_per_delay
     rhs = _make_rhs(problem, lam, mu, wf=wf)
 
@@ -183,15 +197,15 @@ def integrate(
     times[: n_full + 1] = np.arange(n_full + 1) * h
     if has_partial:
         times[-1] = t_end
-    d = problem.dim
-    states = np.empty((n_nodes, d))
-    slopes = np.empty((n_nodes, d))
+    shape = (n_nodes,) + batch.values.shape[1:]
+    states = np.empty(shape)
+    slopes = np.empty(shape)
 
     filled = 0  # nodes with completed state/slope
 
     def past(tau: float) -> np.ndarray:
         if tau <= 1e-14:
-            return init.eval(max(tau, -r))
+            return batch.eval(max(tau, -r))
         s = tau / h
         i = int(np.floor(s + 1e-9))
         i = min(i, filled - 1)
@@ -200,15 +214,17 @@ def integrate(
             return states[i]
         return _hermite_eval(u, h, states[i], slopes[i], states[i + 1], slopes[i + 1])
 
-    state = init.terminal()
+    state = batch.terminal()
     _check_state(0.0, state, domain)
     states[0] = state
-    slopes[0] = rhs(0.0, state, init.eval(-r))
+    slopes[0] = rhs(0.0, state, batch.eval(-r))
     filled = 1
 
+    # Python floats: fields see a float time, the same value as the node.
+    node_times = times.tolist()
     for j in range(n_nodes - 1):
-        t0 = times[j]
-        dt = times[j + 1] - t0
+        t0 = node_times[j]
+        dt = node_times[j + 1] - t0
         y0 = states[j]
         k1 = slopes[j]
         delayed_half = past(t0 + 0.5 * dt - r)
@@ -216,12 +232,14 @@ def integrate(
         k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, delayed_half)
         k4 = rhs(t0 + dt, y0 + dt * k3, past(t0 + dt - r))
         y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t1 = times[j + 1]
+        t1 = node_times[j + 1]
         _check_state(t1, y1, domain)
         states[j + 1] = y1
         slopes[j + 1] = rhs(t1, y1, past(t1 - r))
         filled = j + 2
 
+    if single:
+        states, slopes = states[:, 0], slopes[:, 0]
     return Trajectory(init=init, times=times, states=states, slopes=slopes, dim_x=problem.dim_x)
 
 

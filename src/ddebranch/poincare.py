@@ -74,8 +74,10 @@ def translate(
     """Apply the translation operator: integrate to T and resample the
     solution on [T - r, T] onto the m-node history grid.
 
-    Integrator failures (blowup, domain escape) surface as
-    TranslationUndefinedError: the input lies outside the operator domain.
+    init may be a batch of histories (see integrate); the image is then the
+    batch of their images.  Integrator failures (blowup, domain escape)
+    surface as TranslationUndefinedError: the input lies outside the
+    operator domain.
     """
     T = problem.period
     r = problem.delay
@@ -87,16 +89,25 @@ def translate(
     except (BlowupError, DomainEscapeError) as exc:
         raise TranslationUndefinedError(str(exc)) from exc
     ts = T + np.linspace(-r, 0.0, cfg.m + 1)
-    values = np.array([traj.eval(t) for t in ts])
-    derivs = np.array([traj.deriv(t) for t in ts])
-    return History(delay=r, values=values, derivs=derivs)
+    return History(delay=r, values=traj.eval(ts), derivs=traj.deriv(ts))
 
 
-def _translate_values(problem, lam, mu, u_flat, cfg, domain, wf, dim):
-    m = cfg.m
-    init = History.from_values(u_flat.reshape(m + 1, dim), problem.delay)
+def _translate_values(problem, lam, mu, u, cfg, domain, wf, dim):
+    """translate on flattened node values: u has shape (n,), or (B, n) for
+    B inputs translated in one sweep."""
+    nodes = np.moveaxis(u.reshape(u.shape[:-1] + (cfg.m + 1, dim)), -2, 0)
+    init = History.from_values(nodes, problem.delay)
     out = translate(problem, lam, mu, init, cfg, domain=domain, wf=wf)
-    return out.values.ravel()
+    return np.moveaxis(out.values, 0, -2).reshape(u.shape)
+
+
+def _jacobian(problem, lam, mu, u, r0, cfg, domain, wf):
+    """Forward-difference Jacobian of R(u) = translate(u) - u at u, where
+    r0 = R(u).  All n perturbed inputs are translated in one batched sweep;
+    row j of `perturbed` is u + fd_step * e_j, column j of the result."""
+    perturbed = u + cfg.fd_step * np.eye(u.size)
+    images = _translate_values(problem, lam, mu, perturbed, cfg, domain, wf, problem.dim)
+    return ((images - perturbed - r0) / cfg.fd_step).T
 
 
 def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, wf=None,
@@ -109,21 +120,13 @@ def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, wf=None,
     happened without ever forming one, J_R is returned as None.
     """
     dim = problem.dim
-    n = u0.size
     u = u0.copy()
 
     def residual(vec):
         return _translate_values(problem, lam, mu, vec, cfg, domain, wf, dim) - vec
 
     def jacobian(vec, r0):
-        J = np.empty((n, n))
-        for j in range(n):
-            vp = vec.copy()
-            vp[j] += cfg.fd_step
-            J[:, j] = (
-                _translate_values(problem, lam, mu, vp, cfg, domain, wf, dim) - vp - r0
-            ) / cfg.fd_step
-        return J
+        return _jacobian(problem, lam, mu, vec, r0, cfg, domain, wf)
 
     try:
         res = residual(u)

@@ -133,6 +133,42 @@ def _sample_at(fn, ts: np.ndarray) -> np.ndarray:
     return np.array([float(fn(t)) for t in ts])
 
 
+class BatchField:
+    """A field callable that takes a leading batch axis in one call.
+
+    Wrapping fn declares that, given state arguments of shape (B, n_i)
+    (time stays shared), fn returns the B field values as a (B, k) array;
+    with 1-d states it returns shape (k,).  Fields built from config
+    expressions are BatchFields.  Any other callable is a single-state
+    field, evaluated one row at a time by eval_batch.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+def eval_batch(fn: Callable, t, *states) -> np.ndarray:
+    """Evaluate fn(t, *states), or fn(*states) when t is None.
+
+    The states have shape (n_i,) for one point, or (B, n_i) for a batch of
+    B points sharing t; the result has shape (k,) or (B, k).  A BatchField
+    takes the batch in one call; any other callable is called once per row.
+    """
+    lead = () if t is None else (t,)
+    if isinstance(fn, BatchField):
+        return np.asarray(fn(*lead, *states), dtype=float)
+    if getattr(states[0], "ndim", 1) < 2:
+        return np.asarray(fn(*lead, *states), dtype=float).reshape(-1)
+    return np.array(
+        [np.asarray(fn(*lead, *row), dtype=float).reshape(-1) for row in zip(*states)]
+    )
+
+
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights on n+1 equispaced nodes (n even)."""
     if n % 2 != 0 or n < 8:
@@ -209,7 +245,9 @@ def _hermite_deriv(u, dt, y0, d0, y1, d1):
 class History:
     """A sampled function on [-r, 0] with cubic Hermite interpolation.
 
-    values and derivs have shape (m+1, d); node j sits at -r + j*r/m.
+    values and derivs have shape (m+1, d); node j sits at -r + j*r/m.  A
+    batch of B histories on the same grid has shape (m+1, B, d), and every
+    method then works on all B at once.
     """
 
     delay: float
@@ -234,7 +272,7 @@ class History:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def grid(self) -> np.ndarray:
@@ -251,6 +289,7 @@ class History:
         """Build a history from node values alone; node slopes come from a
         not-a-knot cubic spline through the values (deterministic, so the
         discretized translation operator is a function of the values only).
+        values of shape (m+1, B, d) give a batch, splined in one call.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         m = values.shape[0] - 1
@@ -259,11 +298,9 @@ class History:
         derivs = spline(grid, 1)
         return cls(delay=delay, values=values, derivs=derivs)
 
-    def eval(self, theta):
-        """Interpolated value(s) at theta in [-r, 0]; exact at node points."""
-        theta = np.asarray(theta, dtype=float)
-        scalar = theta.ndim == 0
-        th = np.atleast_1d(theta)
+    def _segments(self, theta):
+        """Segment index i, local coordinate u and node spacing for theta."""
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
         dg = self.delay / self.m
         s = (th + self.delay) / dg
         # Snap queries that are a node point up to roundoff, so node values
@@ -271,12 +308,24 @@ class History:
         near = np.abs(s - np.round(s)) < 1e-9
         s = np.where(near, np.round(s), s)
         i = np.clip(np.floor(s).astype(int), 0, self.m - 1)
-        u = s - i
+        u = (s - i).reshape(s.shape + (1,) * (self.values.ndim - 1))
+        return i, u, dg
+
+    def eval(self, theta):
+        """Interpolated value(s) at theta in [-r, 0]; exact at node points."""
+        i, u, dg = self._segments(theta)
         y = _hermite_eval(
-            u[:, None], dg, self.values[i], self.derivs[i],
-            self.values[i + 1], self.derivs[i + 1],
+            u, dg, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1]
         )
-        return y[0] if scalar else y
+        return y if np.ndim(theta) else y[0]
+
+    def deriv(self, theta):
+        """Derivative of the interpolant at theta in [-r, 0]."""
+        i, u, dg = self._segments(theta)
+        y = _hermite_deriv(
+            u, dg, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1]
+        )
+        return y if np.ndim(theta) else y[0]
 
     def terminal(self) -> np.ndarray:
         """Value at theta = 0."""
@@ -291,7 +340,9 @@ class CoupledProblem:
     """The full parametrized delay system (fields, coefficient, period, delay).
 
     The delay is normalized into (0, T] at construction.  f and h may be
-    None when absent (k = 0, or no delayed perturbation of y).
+    None when absent (k = 0, or no delayed perturbation of y).  The fields
+    are evaluated through eval_batch: a BatchField takes a whole batch of
+    states in one call, any other callable one state at a time.
     """
 
     dim_x: int
@@ -356,17 +407,18 @@ class CoupledProblem:
         return self.dim_x + self.dim_y
 
     def eval_f(self, t, x, y, xd, yd) -> np.ndarray:
+        """f at one state (1-d arguments) or a batch of rows (see eval_batch)."""
         if self.f is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.f(t, x, y, xd, yd), dtype=float))
+            return np.zeros(np.shape(x)[:-1] + (0,))
+        return eval_batch(self.f, t, x, y, xd, yd)
 
     def eval_g(self, x, y) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.g(x, y), dtype=float))
+        return eval_batch(self.g, None, x, y)
 
     def eval_h(self, t, x, y, xd, yd) -> np.ndarray:
         if self.h is None:
-            return np.zeros(self.dim_y)
-        return np.atleast_1d(np.asarray(self.h(t, x, y, xd, yd), dtype=float))
+            return np.zeros(np.shape(y)[:-1] + (self.dim_y,))
+        return eval_batch(self.h, t, x, y, xd, yd)
 
     def split(self, state: np.ndarray):
         return state[: self.dim_x], state[self.dim_x:]

@@ -105,6 +105,21 @@ class TestDegree:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "AdmissibilityError"
 
+    def test_evaluation_error_exits_2_without_traceback(self, tmp_path, capsys):
+        # x^0.5 is undefined on the negative half of the interval.
+        code, _ = run(tmp_path, "degree", {
+            "degree": {
+                "field": "expr", "exprs": ["x^0.5 - 0.5"], "vars": ["x"],
+                "box": {"lower": [-1.0], "upper": [1.0]},
+            },
+        })
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "ExprEvalError"
+        assert "(x ^ 0.5)" in err["error"]["message"]
+
     def test_determinism(self, tmp_path):
         payload = {
             "degree": {
@@ -168,6 +183,17 @@ class TestBranch:
         assert payload["n_points"] == 3
         lines = (out / "branch.csv").read_text().strip().splitlines()
         assert lines[0].startswith("lambda,residual,sup_norm,min_dist_to_trivial,u0")
+
+
+    def test_component_key_rejected(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "branch", {
+            "problem": CUBIC_PROBLEM,
+            "branch": {"origin": [0.0], "lambda_max": 0.1, "component": 0},
+        })
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "unknown key(s) ['component']" in err["error"]["message"]
 
 
 class TestConfigValidation:

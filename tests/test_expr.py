@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ddebranch import expr as dsl
@@ -122,6 +123,50 @@ class TestErrors:
         e = dsl.parse("x + y", {"x", "y"})
         with pytest.raises(ExprEvalError):
             dsl.evaluate(e, {"x": 1.0})
+        with pytest.raises(ExprEvalError):
+            dsl.compile_expr(e)({"x": 1.0})
+
+    @pytest.mark.parametrize("source, bad", [
+        ("x^0.5", -1.0),        # negative base, non-integer power
+        ("x^(-1)", 0.0),        # zero to a negative power
+        ("exp(x)", 1000.0),     # overflow
+        ("sin(x)", math.inf),
+        ("cos(x)", -math.inf),
+        ("x^400", 10.0),        # power overflow
+    ])
+    def test_domain_error_names_the_node(self, source, bad):
+        e = dsl.parse(source, {"x"})
+        compiled = dsl.compile_expr(e)
+        calls = [
+            lambda: dsl.evaluate(e, {"x": bad}),
+            lambda: compiled({"x": bad}),
+            lambda: compiled({"x": np.array([0.5, bad, 0.25])}),
+        ]
+        for call in calls:
+            with pytest.raises(ExprEvalError) as exc:
+                call()
+            assert exc.value.node is e.root
+
+    @pytest.mark.parametrize("source", ["0^(-1)", "exp(1000)", "sin(1/0.5 + exp(800))"])
+    def test_constant_domain_errors(self, source):
+        e = dsl.parse(source, set())
+        with pytest.raises(ExprEvalError):
+            dsl.evaluate(e, {})
+        with pytest.raises(ExprEvalError):
+            dsl.compile_expr(e)({})
+
+    def test_underflow_is_not_an_error(self):
+        for source, x in [("exp(x)", -1000.0), ("x^2", 1e-200), ("2^x", -2000.0)]:
+            e = dsl.parse(source, {"x"})
+            assert dsl.evaluate(e, {"x": x}) == 0.0
+            assert dsl.compile_expr(e)({"x": x}) == 0.0
+            assert np.array_equal(dsl.compile_expr(e)({"x": np.array([x, x])}), [0.0, 0.0])
+
+    def test_nonfinite_results_without_domain_error_pass_through(self):
+        # inf and nan that evaluate returns silently are not errors either.
+        e = dsl.parse("x*x - x*x", {"x"})
+        assert math.isnan(dsl.evaluate(e, {"x": 1e200}))
+        assert np.isnan(dsl.compile_expr(e)({"x": np.array([1e200])})).all()
 
 
 def _random_node(rnd, depth):
@@ -140,12 +185,59 @@ def _random_node(rnd, depth):
     return BinOp(op, _random_node(rnd, depth - 1), _random_node(rnd, depth - 1))
 
 
+def _random_asts():
+    """The 100 random ASTs of the round-trip tests."""
+    rnd = random.Random(42)
+    return [_random_node(rnd, 4) for _ in range(100)]
+
+
+def _agree(got, want) -> bool:
+    """Equal to 1e-12 relative, with matching infinities and nans."""
+    if math.isnan(want) or math.isinf(want):
+        return got == want or (math.isnan(want) and math.isnan(got))
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestCompiled:
+    def test_matches_reference_on_random_asts(self):
+        # Each compiled closure against the tree walk, on floats and on a
+        # 1-d array of the same points; an input that raises in evaluate
+        # must raise in the closure too.
+        points = np.random.default_rng(0).uniform(-3.0, 3.0, size=(8, 3))
+        arrays = {name: points[:, i] for i, name in enumerate("abc")}
+        n_raised = 0
+        for root in _random_asts():
+            e = dsl.parse(str(root), {"a", "b", "c"})
+            compiled = dsl.compile_expr(e)
+            wants = []
+            for row in points:
+                env = {name: float(v) for name, v in zip("abc", row)}
+                try:
+                    want = dsl.evaluate(e, env)
+                except ExprEvalError:
+                    with pytest.raises(ExprEvalError):
+                        compiled(env)
+                    wants.append(None)
+                    continue
+                got = compiled(env)
+                assert _agree(float(got), want), (str(root), env, got, want)
+                wants.append(want)
+            if None in wants:
+                n_raised += 1
+                with pytest.raises(ExprEvalError):
+                    compiled(arrays)
+                continue
+            got = np.broadcast_to(compiled(arrays), (len(points),))
+            for g, w in zip(got, wants):
+                assert _agree(float(g), w), (str(root), g, w)
+        # The corpus exercises the error paths as well as the values.
+        assert 0 < n_raised < 50
+
+
 class TestRoundTrip:
     def test_pretty_print_round_trip(self):
-        rnd = random.Random(42)
         allowed = {"a", "b", "c"}
-        for _ in range(100):
-            root = _random_node(rnd, 4)
+        for root in _random_asts():
             printed = str(root)
             reparsed = dsl.parse(printed, allowed)
             assert reparsed.root == root

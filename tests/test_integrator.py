@@ -15,6 +15,7 @@ from ddebranch import (
     integrate,
 )
 from ddebranch.errors import BlowupError, DomainEscapeError, InvalidParameterError
+from ddebranch.problem import BatchField
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -115,6 +116,48 @@ class TestDenseOutput:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,y1"
         assert len(lines) == 12
+
+
+class TestBatch:
+    def _delay_problem(self, batch_field):
+        # x' = lam * sin(yd), y' = a(t) (x - y), as a row-by-row callable or
+        # as a field that takes the batch in one call.
+        def f(t, x, y, xd, yd):
+            return np.sin(yd)
+
+        return CoupledProblem(
+            dim_x=1, dim_y=1,
+            f=BatchField(f) if batch_field else f,
+            g=lambda x, y: x - y,
+            a=periodic(lambda t: -1.0 + 0.5 * math.sin(t)),
+            period=TWO_PI, delay=1.0,
+        )
+
+    @pytest.mark.parametrize("batch_field", [True, False])
+    def test_rows_match_single_runs(self, batch_field):
+        prob = self._delay_problem(batch_field)
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-0.5, 0.5, size=(9, 3, 2))
+        batch = History.from_values(values, 1.0)
+        traj = integrate(prob, 0.8, 1.0, batch, TWO_PI, steps_per_delay=8)
+        assert traj.states.shape == (len(traj.times), 3, 2)
+        ts = np.linspace(-1.0, TWO_PI, 23)
+        for b in range(3):
+            one = integrate(prob, 0.8, 1.0, History.from_values(values[:, b], 1.0), TWO_PI,
+                            steps_per_delay=8)
+            assert np.array_equal(traj.states[:, b], one.states)
+            assert np.array_equal(traj.slopes[:, b], one.slopes)
+            assert np.array_equal(traj.eval(ts)[:, b], one.eval(ts))
+            assert np.array_equal(traj.deriv(ts)[:, b], one.deriv(ts))
+
+    def test_one_escaping_row_stops_the_sweep(self):
+        prob = _exp_problem()
+        batch = History(1.0, np.tile([[1.0], [1.6]], (9, 1, 1)), np.zeros((9, 2, 1)))
+        with pytest.raises(DomainEscapeError) as exc:
+            integrate(prob, 0.0, 1.0, batch, 1.0, steps_per_delay=16,
+                      domain=Box(lower=[0.0], upper=[1.5]))
+        assert exc.value.t == 0.0
+        assert np.array_equal(exc.value.point, [1.6])
 
 
 class TestFailureModes:

@@ -16,8 +16,12 @@ from ddebranch import (
     translate,
     verify_index_identity,
 )
+from ddebranch import poincare
+from ddebranch.config import load_problem
 from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
-from ddebranch.poincare import index_report_json
+from ddebranch.fields import make_wf
+from ddebranch.poincare import _newton_fixed_point, _translate_values, index_report_json
+from ddebranch.problem import BatchField
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -170,3 +174,74 @@ class TestConfigValidation:
     def test_tolerance_positive(self):
         with pytest.raises(InvalidParameterError):
             TranslationConfig(newton_tol=0.0)
+
+
+def _column_loop_jacobian(problem, lam, mu, u, r0, cfg, domain, wf):
+    """Reference Jacobian: one translate per perturbed column."""
+    J = np.empty((u.size, u.size))
+    for j in range(u.size):
+        vp = u.copy()
+        vp[j] += cfg.fd_step
+        image = _translate_values(problem, lam, mu, vp, cfg, domain, wf, problem.dim)
+        J[:, j] = (image - vp - r0) / cfg.fd_step
+    return J
+
+
+def _forced_problem():
+    return load_problem({"problem": {
+        "dims": {"k": 1, "s": 1}, "T": TWO_PI, "r": 1.0,
+        "a": "-1 + 0.5*sin(t)", "f": ["sin(yd1) + 0.5*cos(t)"], "g": ["x1 - y1"],
+    }}).coupled
+
+
+def _wavy_history(m, scale=0.2):
+    theta = np.linspace(0.0, 1.0, m + 1)
+    return scale * np.column_stack([np.cos(3.0 * theta), np.sin(2.0 * theta) - 0.5]).ravel()
+
+
+class TestBatchedJacobian:
+    CFG8 = TranslationConfig(m=8, steps_per_delay=8)
+
+    def _assert_matches_column_loop(self, problem, lam, mu, u, wf_pair=(None, None)):
+        cfg = self.CFG8
+        r0 = _translate_values(problem, lam, mu, u, cfg, None, wf_pair[0], problem.dim) - u
+        J = poincare._jacobian(problem, lam, mu, u, r0, cfg, None, wf_pair[0])
+        J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg, None, wf_pair[1])
+        assert J.shape == (u.size, u.size)
+        assert np.max(np.abs(J - J_ref)) <= 1e-12 * max(1.0, np.max(np.abs(J_ref)))
+
+    def test_forced_dsl_problem(self):
+        problem = _forced_problem()
+        assert isinstance(problem.f, BatchField) and isinstance(problem.g, BatchField)
+        self._assert_matches_column_loop(problem, 0.7, 1.0, _wavy_history(8))
+
+    def test_sunflower_row_by_row_fields(self, sunflower):
+        problem = sunflower.coupled
+        assert not isinstance(problem.f, BatchField)
+        self._assert_matches_column_loop(problem, 0.5, 1.0, _wavy_history(8))
+
+    def test_mu_half(self, sunflower):
+        problem = sunflower.coupled
+        wfs = (make_wf(problem, n_quad=16), make_wf(problem, n_quad=16))
+        self._assert_matches_column_loop(problem, 1e-3, 0.5, _wavy_history(8, 0.05), wfs)
+
+    def test_domain_exit_of_one_column_fails_both(self, monkeypatch):
+        # y' = a(t)(y - y^3) decreases from 0.95, so the unperturbed input
+        # stays in the box; only the column that raises the terminal node
+        # by fd_step starts outside it.
+        prob = cubic_problem()
+        cfg = self.CFG8
+        box = Box(lower=[-1.0], upper=[0.95 + 0.1 * cfg.fd_step])
+        u0 = np.full(cfg.m + 1, 0.95)
+        r0 = _translate_values(prob, 0.0, 1.0, u0, cfg, box, None, 1) - u0
+        assert np.max(np.abs(r0)) > cfg.newton_tol
+        escaping = u0.copy()
+        escaping[-1] += cfg.fd_step
+        with pytest.raises(TranslationUndefinedError):
+            _translate_values(prob, 0.0, 1.0, escaping, cfg, box, None, 1)
+        for jacobian in (poincare._jacobian, _column_loop_jacobian):
+            with pytest.raises(TranslationUndefinedError):
+                jacobian(prob, 0.0, 1.0, u0, r0, cfg, box, None)
+        assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None
+        monkeypatch.setattr(poincare, "_jacobian", _column_loop_jacobian)
+        assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None
