@@ -32,7 +32,7 @@ from .config import (
     _VERIFY_KEYS,
 )
 from .continuation import ContinuationConfig, continue_branch
-from .degree import degree_1d, degree_2d_winding, degree_auto, degree_nd_jacobian
+from .degree import degree_1d, degree_2d_winding, degree_nd_jacobian
 from .errors import ConfigError, DdeBranchError, ExprError
 from .fields import nu_field
 from .integrator import integrate
@@ -113,6 +113,15 @@ def _degree_field(config: dict, block: dict):
     return fn, len(var_names)
 
 
+#: Each degree method: its call on a box, and the name of the resolution
+#: argument that --seed-grid sets.
+_DEGREE_METHODS = {
+    "sign-1d": (lambda fn, box, **kw: degree_1d(fn, (box.lower[0], box.upper[0]), **kw), "n_check"),
+    "winding-2d": (degree_2d_winding, "n_boundary"),
+    "jacobian-nd": (degree_nd_jacobian, "grid_per_axis"),
+}
+
+
 def cmd_degree(config: dict, out: Path, args) -> int:
     block = _require(config, "degree", "config")
     _check_keys(block, _DEGREE_KEYS, "degree")
@@ -124,22 +133,13 @@ def cmd_degree(config: dict, out: Path, args) -> int:
         base = fn
         fn = lambda z: -np.atleast_1d(np.asarray(base(z), dtype=float))
     method = block.get("method", "auto")
-    kwargs = {}
-    if args.seed_grid is not None:
-        if method in ("auto", "jacobian-nd") and dim > 2:
-            kwargs["grid_per_axis"] = args.seed_grid
-        elif dim == 1:
-            kwargs["n_check"] = args.seed_grid
     if method == "auto":
-        report = degree_auto(fn, box, **kwargs)
-    elif method == "sign-1d":
-        report = degree_1d(fn, (box.lower[0], box.upper[0]), **kwargs)
-    elif method == "winding-2d":
-        report = degree_2d_winding(fn, box)
-    elif method == "jacobian-nd":
-        report = degree_nd_jacobian(fn, box, **kwargs)
-    else:
+        method = {1: "sign-1d", 2: "winding-2d"}.get(dim, "jacobian-nd")
+    if method not in _DEGREE_METHODS:
         raise ConfigError(f"degree.method: unknown method {method!r}")
+    run, resolution = _DEGREE_METHODS[method]
+    kwargs = {} if args.seed_grid is None else {resolution: args.seed_grid}
+    report = run(fn, box, **kwargs)
     payload = report.to_dict()
     payload["config"] = config
     path = out / "degree.json"
@@ -185,7 +185,7 @@ def cmd_verify_index(config: dict, out: Path, args) -> int:
         m=num.m, steps_per_delay=num.steps_per_delay,
         newton_tol=num.newton_tol, fd_step=num.fd_step,
     )
-    report = verify_index_identity(loaded.coupled, lam, box, cfg, n_quad=num.n_quad)
+    report = verify_index_identity(loaded.coupled, lam, box, cfg)
     report["config"] = config
     path = out / "index_identity.json"
     _write_json(path, report)
@@ -253,9 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--seed-grid", type=int, default=None,
-                       help="seed/sample grid size for degree and index commands")
         p.add_argument("--quiet", action="store_true")
+        if name == "degree":
+            p.add_argument("--seed-grid", type=int, default=None,
+                           help="resolution of the degree method: n_check (sign-1d), "
+                           "n_boundary (winding-2d) or grid_per_axis (jacobian-nd)")
     return parser
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -175,7 +175,10 @@ def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
 
 
 def load_problem(config: dict) -> LoadedProblem:
+    """Resolve the problem block; the coupled problem averages with
+    numerics.n_quad cells."""
     block = _require(config, "problem", "config")
+    n_quad = parse_numerics(config).n_quad
     _check_keys(block, _PROBLEM_KEYS, "problem")
     preset = block.get("preset")
     if preset is not None and preset not in ("sunflower", "classic-sunflower"):
@@ -193,10 +196,11 @@ def load_problem(config: dict) -> LoadedProblem:
 
         try:
             setup, lam = classic_sunflower_setup(alpha, beta, r, T)
+            coupled = replace(setup.coupled, n_quad=n_quad)
         except Exception as exc:
             raise ConfigError(f"problem: {exc}") from exc
         return LoadedProblem(
-            coupled=setup.coupled, scalar=setup.scalar, sigma=setup.sigma,
+            coupled=coupled, scalar=setup.scalar, sigma=setup.sigma,
             a=setup.scalar.a, default_lambda=lam,
         )
 
@@ -219,10 +223,11 @@ def load_problem(config: dict) -> LoadedProblem:
 
         try:
             setup = sunflower_setup(a, phi, T, r)
+            coupled = replace(setup.coupled, n_quad=n_quad)
         except Exception as exc:
             raise ConfigError(f"problem: {exc}") from exc
         return LoadedProblem(
-            coupled=setup.coupled, scalar=setup.scalar, sigma=setup.sigma, a=a,
+            coupled=coupled, scalar=setup.scalar, sigma=setup.sigma, a=a,
         )
 
     # Explicit coupled problem.
@@ -256,7 +261,9 @@ def load_problem(config: dict) -> LoadedProblem:
         h = _vector_field(h_exprs, k, s, with_time=True)
 
     try:
-        coupled = CoupledProblem(dim_x=k, dim_y=s, f=f, g=g, h=h, a=a, period=T, delay=r)
+        coupled = CoupledProblem(
+            dim_x=k, dim_y=s, f=f, g=g, h=h, a=a, period=T, delay=r, n_quad=n_quad
+        )
     except ConfigError:
         raise
     except Exception as exc:

@@ -6,9 +6,11 @@ Three computation paths:
   sign-change scan plus bisection;
 * winding-2d: total winding of the field along the positively oriented box
   boundary, with automatic boundary refinement;
-* jacobian-nd: grid search for sign-change cells, Newton refinement with a
-  finite-difference Jacobian, degree as the sum of Jacobian determinant
-  signs over the refined zeros.
+* jacobian-nd: grid search for sign-change cells, refinement by the
+  package's one damped Newton (damped_newton, also the fixed-point solver
+  of the translation operator) with forward-difference Jacobians
+  (fd_jacobian), degree as the sum of Jacobian determinant signs over the
+  refined zeros.
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
 minimum sampled boundary norm is reported as admissibility_margin so callers
@@ -24,12 +26,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegeneracyError, InvalidParameterError, ResolutionError
+from .errors import (
+    AdmissibilityError,
+    DegeneracyError,
+    InvalidParameterError,
+    ResolutionError,
+    TranslationUndefinedError,
+)
 from .problem import Box
 
 _BOUNDARY_ZERO_TOL = 1e-14
 _MARGIN_MIN = 1e-10
 _MAX_BOUNDARY_SAMPLES = 2 ** 20
+_NEWTON_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -166,19 +175,75 @@ def degree_2d_winding(fn, box: Box, n_boundary: int = 1024) -> DegreeReport:
         n *= 2
 
 
-def _fd_jacobian(fn, z: np.ndarray, step: float) -> np.ndarray:
-    n = z.size
-    J = np.empty((n, n))
-    for j in range(n):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += step
-        zm[j] -= step
-        J[:, j] = (
-            np.atleast_1d(np.asarray(fn(zp), dtype=float))
-            - np.atleast_1d(np.asarray(fn(zm), dtype=float))
-        ) / (2.0 * step)
-    return J
+def fd_jacobian(F, u: np.ndarray, f0: np.ndarray, step: float) -> np.ndarray:
+    """Forward-difference Jacobian of F at u, where f0 is the image of u.
+
+    F maps a (B, n) array of points to the (B, n) array of their images, so
+    the n perturbed points u + step * e_j go through F in one call; row j of
+    the result becomes column j of the Jacobian.
+    """
+    perturbed = u + step * np.eye(u.size)
+    return ((F(perturbed) - f0) / step).T
+
+
+def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
+                  need_jacobian: bool):
+    """Damped Newton on residual(u) = 0 from u0, measured in the sup norm.
+
+    jacobian(u, r) is the Jacobian of the residual at u, where r is
+    residual(u).  It is reused while each step contracts the residual at
+    least tenfold and formed afresh otherwise.  A step is halved up to 10
+    times until the residual decreases; if none does, one full step with a
+    fresh Jacobian is tried before giving up.  A trial point whose residual
+    raises TranslationUndefinedError counts as not decreasing it; that error
+    anywhere else, or a singular Jacobian, is a failure.
+
+    Returns (u, residual_norm, J) once residual_norm <= tol, or None.  J is
+    the Jacobian last formed, at u or an earlier iterate; it is None when
+    need_jacobian is False and none was formed.
+    """
+
+    def size(r):
+        return float(np.linalg.norm(r, ord=np.inf))
+
+    u, J = u0.copy(), None
+    try:
+        res = residual(u)
+        for _ in range(max_iter):
+            rnorm = size(res)
+            if rnorm <= tol:
+                break
+            if J is None:
+                J = jacobian(u, res)
+            step = np.linalg.solve(J, -res)
+            alpha = 1.0
+            for _ in range(_NEWTON_HALVINGS):
+                try:
+                    res_new = residual(u + alpha * step)
+                    if size(res_new) < rnorm:
+                        break
+                except TranslationUndefinedError:
+                    pass
+                alpha *= 0.5
+            else:
+                J = jacobian(u, res)
+                step = np.linalg.solve(J, -res)
+                alpha = 1.0
+                res_new = residual(u + step)
+                if size(res_new) >= rnorm:
+                    return None
+            u = u + alpha * step
+            res = res_new
+            if size(res) > 0.1 * rnorm:
+                J = None
+        rnorm = size(res)
+        if rnorm > tol:
+            return None
+        if J is None and need_jacobian:
+            J = jacobian(u, res)
+    except (TranslationUndefinedError, np.linalg.LinAlgError):
+        return None
+    return u, rnorm, J
 
 
 def _boundary_samples(box: Box, per_axis: int) -> np.ndarray:
@@ -200,20 +265,25 @@ def degree_nd_jacobian(
     """Degree as the sum of Jacobian signs over Newton-refined zeros.
 
     Candidate cells are those of a uniform grid whose corner values change
-    sign in every component; each candidate seeds a damped Newton iteration
-    with a central-difference Jacobian.  Fails with DegeneracyError on a
+    sign in every component; each candidate seeds damped_newton with
+    forward-difference Jacobians, and each zero's sign comes from a fresh
+    Jacobian at the converged point.  Fails with DegeneracyError on a
     non-hyperbolic zero (fall back to the winding method when n = 2).
     """
     if grid_per_axis < 8:
         raise InvalidParameterError(f"grid_per_axis must be >= 8, got {grid_per_axis}")
     n = box.dim
     scale = box.scale
+    fd_step = 1e-6 * scale
+
+    def value(z):
+        return np.atleast_1d(np.asarray(fn(z), dtype=float))
+
+    def jacobian(z, f0):
+        return fd_jacobian(lambda rows: np.array([value(row) for row in rows]), z, f0, fd_step)
 
     bpts = _boundary_samples(box, grid_per_axis + 1)
-    bnorm = np.array(
-        [np.linalg.norm(np.atleast_1d(np.asarray(fn(p), dtype=float))) for p in bpts]
-    )
-    margin = float(bnorm.min())
+    margin = float(min(np.linalg.norm(value(p)) for p in bpts))
     if margin < _MARGIN_MIN:
         raise AdmissibilityError(
             f"field norm {margin:.2e} on the boundary sample grid is below {_MARGIN_MIN:.0e}"
@@ -223,12 +293,10 @@ def degree_nd_jacobian(
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_pts = np.stack(mesh, axis=-1)
     vals = np.empty(grid_pts.shape[:-1] + (n,))
-    it = np.ndindex(*grid_pts.shape[:-1])
-    for idx in it:
-        vals[idx] = np.atleast_1d(np.asarray(fn(grid_pts[idx]), dtype=float))
+    for idx in np.ndindex(*grid_pts.shape[:-1]):
+        vals[idx] = value(grid_pts[idx])
 
     corner_offsets = list(itertools.product((0, 1), repeat=n))
-    fd_step = 1e-6 * scale
     dedupe = 1e-6 * scale
     zeros: List[np.ndarray] = []
     signs: List[int] = []
@@ -240,36 +308,18 @@ def degree_nd_jacobian(
             corner_vals[:, j].min() <= 0.0 <= corner_vals[:, j].max() for j in range(n)
         ):
             continue
-        z = np.array(
+        z0 = np.array(
             [0.5 * (axes[i][cell[i]] + axes[i][cell[i] + 1]) for i in range(n)]
         )
-        res = np.atleast_1d(np.asarray(fn(z), dtype=float))
-        converged = False
-        for _ in range(60):
-            if np.linalg.norm(res) <= tol:
-                converged = True
-                break
-            J = _fd_jacobian(fn, z, fd_step)
-            try:
-                step = np.linalg.solve(J, -res)
-            except np.linalg.LinAlgError:
-                break
-            alpha = 1.0
-            base = np.linalg.norm(res)
-            for _ in range(25):
-                z_new = z + alpha * step
-                res_new = np.atleast_1d(np.asarray(fn(z_new), dtype=float))
-                if np.linalg.norm(res_new) < base:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            z, res = z_new, res_new
-        if not converged or not box.contains(z, tol=1e-9 * scale):
+        out = damped_newton(value, jacobian, z0, tol, 60, need_jacobian=False)
+        if out is None:
             continue
-        if any(np.linalg.norm(z - z0) < dedupe for z0 in zeros):
+        z = out[0]
+        if not box.contains(z, tol=1e-9 * scale):
             continue
-        J = _fd_jacobian(fn, z, fd_step)
+        if any(np.linalg.norm(z - zk) < dedupe for zk in zeros):
+            continue
+        J = jacobian(z, value(z))
         det = float(np.linalg.det(J))
         # Newton stops once |F| <= tol, so at a zero of odd local degree the
         # iterate can stall at |z - z*| ~ tol^(1/3) where det J is small but

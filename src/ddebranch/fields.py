@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroAverageError
-from .problem import CoupledProblem, simpson_weights
+from .problem import CoupledProblem, simpson_mean
 
 #: Cache size for the averaged-drive memo used inside the mu-homotopy.
 _WF_CACHE_MAX = 4096
@@ -47,16 +47,13 @@ def average_f(problem: CoupledProblem, p, q, n_quad: int = None) -> np.ndarray:
     if problem.dim_x == 0 or problem.f is None:
         return np.zeros(0)
     n = n_quad if n_quad is not None else problem.n_quad
-    T = problem.period
-    w = simpson_weights(n)
-    ts = np.linspace(0.0, T, n + 1)
+    ts = np.linspace(0.0, problem.period, n + 1)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     vals = np.empty((n + 1, problem.dim_x))
     for i, t in enumerate(ts):
         vals[i] = problem.eval_f(t, p, q, p, q)
-    h = T / n
-    return (w @ vals) * (h / T)
+    return simpson_mean(vals)
 
 
 def make_wf(problem: CoupledProblem, n_quad: int = None):

@@ -35,7 +35,7 @@ from .problem import (
     PeriodicFn1D,
     average_scalar,
     normalize_delay,
-    simpson_weights,
+    simpson_mean,
     _sample_at,
 )
 
@@ -158,7 +158,6 @@ def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
     Horner's rule on that cell's cubic, in pure Python for a scalar t (which
     returns a float) and in one vectorised pass for an array t.
     """
-    T = a.period
     grid, zeta, c0, abar = _zeta_periodic(a, n_quad)
     if np.min(np.abs(zeta)) < 1e-12:
         raise InvalidParameterError(
@@ -177,9 +176,7 @@ def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
         raise InvalidParameterError(
             "sigma is not sign-definite opposite to <a>; increase n_quad"
         )
-    w = simpson_weights(values.size - 1)
-    h = T / (values.size - 1)
-    avg_sigma = float(np.dot(w, values) * h / T)
+    avg_sigma = float(simpson_mean(values))
     if abs(avg_sigma + abar) > 1e-8 * (1.0 + abs(abar)):
         raise InvalidParameterError(
             f"<sigma> + <a> = {avg_sigma + abar:.2e} exceeds tolerance; increase n_quad"
@@ -245,10 +242,8 @@ def primitive_of(g, n: int = 128) -> Callable[[float], float]:
         y = float(y)
         if y == 0.0:
             return 0.0
-        w = simpson_weights(n)
         ts = np.linspace(0.0, y, n + 1)
-        vals = np.array([float(g(t)) for t in ts])
-        return float(np.dot(w, vals) * (y / n))
+        return y * float(simpson_mean(np.array([float(g(t)) for t in ts])))
 
     return G
 
@@ -286,14 +281,12 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
 def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = 1024) -> Callable[[float], float]:
     """The averaged scalar field q -> (1/T) integral f(t, q, q) / gamma(t) dt."""
     _check_nonvanishing(gamma)
-    w = simpson_weights(n_quad)
     ts = np.linspace(0.0, T, n_quad + 1)
     gvals = _sample_at(gamma, ts)
 
     def wb(q: float) -> float:
         q = float(q)
-        vals = np.array([float(f(t, q, q)) for t in ts]) / gvals
-        return float(np.dot(w, vals) * (T / n_quad) / T)
+        return float(simpson_mean(np.array([float(f(t, q, q)) for t in ts]) / gvals))
 
     return wb
 

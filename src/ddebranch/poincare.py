@@ -3,10 +3,12 @@ numerical verification of the index identity.
 
 The translation operator maps an initial history on [-r, 0] to the solution
 history on [T - r, T].  On the (m+1)-node discretization its fixed points
-are found by damped Newton on R(u) = translate(u) - u, and each hyperbolic
-fixed point carries the discrete index sign(det(I - DQ)), the
-finite-dimensional stand-in for the fixed point index of the compact
-operator.
+are found by the package's damped Newton (degree.damped_newton) on
+R(u) = translate(u) - u, with forward-difference Jacobians
+(degree.fd_jacobian) whose n perturbed inputs are translated in one batched
+sweep.  Each hyperbolic fixed point carries the discrete index
+sign(det(I - DQ)), the finite-dimensional stand-in for the fixed point
+index of the compact operator.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .degree import degree_auto
+from .degree import damped_newton, degree_auto, fd_jacobian
 from .errors import (
     BlowupError,
     DegeneracyError,
@@ -101,87 +103,27 @@ def _translate_values(problem, lam, mu, u, cfg, domain, wf, dim):
     return np.moveaxis(out.values, 0, -2).reshape(u.shape)
 
 
+def _residual(problem, lam, mu, u, cfg, domain, wf):
+    """R(u) = translate(u) - u on flattened node values, (n,) or (B, n)."""
+    return _translate_values(problem, lam, mu, u, cfg, domain, wf, problem.dim) - u
+
+
 def _jacobian(problem, lam, mu, u, r0, cfg, domain, wf):
-    """Forward-difference Jacobian of R(u) = translate(u) - u at u, where
-    r0 = R(u).  All n perturbed inputs are translated in one batched sweep;
-    row j of `perturbed` is u + fd_step * e_j, column j of the result."""
-    perturbed = u + cfg.fd_step * np.eye(u.size)
-    images = _translate_values(problem, lam, mu, perturbed, cfg, domain, wf, problem.dim)
-    return ((images - perturbed - r0) / cfg.fd_step).T
+    """Forward-difference Jacobian of R at u, where r0 = R(u); all n
+    perturbed inputs are translated in one batched sweep."""
+    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg, domain, wf)
+    return fd_jacobian(rows_residual, u, r0, cfg.fd_step)
 
 
 def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, wf=None,
                         need_jacobian=True):
-    """Damped Newton on R(u) = translate(u) - u.
-
-    Returns (u, residual_norm, J_R) on convergence, None on failure.  The
-    Jacobian is forward-difference and reused across iterations until the
-    residual stops contracting; when need_jacobian is False and convergence
-    happened without ever forming one, J_R is returned as None.
-    """
-    dim = problem.dim
-    u = u0.copy()
-
-    def residual(vec):
-        return _translate_values(problem, lam, mu, vec, cfg, domain, wf, dim) - vec
-
-    def jacobian(vec, r0):
-        return _jacobian(problem, lam, mu, vec, r0, cfg, domain, wf)
-
-    try:
-        res = residual(u)
-    except TranslationUndefinedError:
-        return None
-    J = None
-    for _ in range(cfg.newton_max_iter):
-        rnorm = float(np.linalg.norm(res, ord=np.inf))
-        if rnorm <= cfg.newton_tol:
-            if J is None and need_jacobian:
-                J = jacobian(u, res)
-            return u, rnorm, J
-        try:
-            if J is None:
-                J = jacobian(u, res)
-            step = np.linalg.solve(J, -res)
-        except (TranslationUndefinedError, np.linalg.LinAlgError):
-            return None
-        accepted = False
-        alpha = 1.0
-        for _ in range(10):
-            try:
-                res_new = residual(u + alpha * step)
-            except TranslationUndefinedError:
-                alpha *= 0.5
-                continue
-            if np.linalg.norm(res_new, ord=np.inf) < rnorm:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if J is not None and alpha < 1.0:
-                # Retry once with a fresh Jacobian before giving up.
-                try:
-                    J = jacobian(u, res)
-                    step = np.linalg.solve(J, -res)
-                    res_new = residual(u + step)
-                except (TranslationUndefinedError, np.linalg.LinAlgError):
-                    return None
-                if np.linalg.norm(res_new, ord=np.inf) >= rnorm:
-                    return None
-                alpha = 1.0
-            else:
-                return None
-        u = u + alpha * step
-        res = res_new
-        # Reuse the Jacobian while contraction is strong; refresh otherwise.
-        if np.linalg.norm(res, ord=np.inf) > 0.1 * rnorm:
-            J = None
-    rnorm = float(np.linalg.norm(res, ord=np.inf))
-    if rnorm <= cfg.newton_tol:
-        if J is None and need_jacobian:
-            J = jacobian(u, res)
-        return u, rnorm, J
-    return None
+    """damped_newton on R; returns (u, residual_norm, J_R) on convergence,
+    None on failure."""
+    return damped_newton(
+        lambda vec: _residual(problem, lam, mu, vec, cfg, domain, wf),
+        lambda vec, r0: _jacobian(problem, lam, mu, vec, r0, cfg, domain, wf),
+        u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian,
+    )
 
 
 def _record_from_solution(problem, u, rnorm, J_R, cfg) -> FixedPointRecord:
@@ -248,7 +190,6 @@ def verify_index_identity(
     lam: float,
     box: Box,
     cfg: TranslationConfig,
-    n_quad: int = None,
 ) -> dict:
     """Check ind(Q_T^lam, V) = sign(<a>)^s * deg(-nu, V) on the box V.
 
@@ -260,7 +201,7 @@ def verify_index_identity(
         raise InvalidParameterError(
             f"box dimension {box.dim} does not match problem dimension {problem.dim}"
         )
-    nu = nu_field(problem, n_quad)
+    nu = nu_field(problem)
     deg_report = degree_auto(nu.negated(), box)
     rhs = int(np.sign(problem.abar)) ** problem.dim_y * deg_report.degree
 

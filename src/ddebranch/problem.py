@@ -128,8 +128,8 @@ def _sample_at(fn, ts: np.ndarray) -> np.ndarray:
         out = np.asarray(fn(ts), dtype=float)
         if out.shape == ts.shape:
             return out
-    except Exception:
-        pass
+    except (TypeError, ValueError):
+        pass  # a scalar-only callable: math.sin raises TypeError, `if t < 1` ValueError
     return np.array([float(fn(t)) for t in ts])
 
 
@@ -169,23 +169,22 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
     )
 
 
-def simpson_weights(n: int) -> np.ndarray:
-    """Composite Simpson weights on n+1 equispaced nodes (n even)."""
+def simpson_mean(values: np.ndarray):
+    """Mean over an interval by composite Simpson, from samples at its n+1
+    equispaced nodes (n = len(values) - 1 cells, even and >= 8).  Trailing
+    axes of values are components, averaged separately."""
+    n = len(values) - 1
     if n % 2 != 0 or n < 8:
         raise InvalidParameterError(f"n_quad must be even and >= 8, got {n}")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    return (w / 3.0) @ values / n
 
 
 def average_scalar(fn: PeriodicFn1D, n_quad: int = DEFAULT_N_QUAD) -> float:
     """Average of a periodic function over one period by composite Simpson."""
-    T = fn.period
-    w = simpson_weights(n_quad)
-    vals = _sample_at(fn, np.linspace(0.0, T, n_quad + 1))
-    h = T / n_quad
-    return float(np.dot(w, vals) * h / T)
+    return float(simpson_mean(_sample_at(fn, np.linspace(0.0, fn.period, n_quad + 1))))
 
 
 @dataclass(frozen=True)

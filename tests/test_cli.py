@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ddebranch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from ddebranch.config import load_problem
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -132,6 +133,25 @@ class TestDegree:
         _, out2 = run(tmp_path, "degree", payload)
         assert (out2 / "degree.json").read_bytes() == first
 
+    def test_nu_field_uses_numerics_n_quad(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "degree", {
+            "problem": CUBIC_PROBLEM,
+            "numerics": {"n_quad": 7},
+            "degree": {"field": "nu", "box": {"lower": [-2.0], "upper": [2.0]}},
+        })
+        assert code == EXIT_CONFIG
+        assert "n_quad must be even and >= 8, got 7" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_seed_grid_sets_the_method_resolution(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "degree", {
+            "degree": {
+                "field": "expr", "exprs": ["q/sqrt(3)", "p - q"], "vars": ["p", "q"],
+                "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "method": "jacobian-nd",
+            },
+        }, extra=("--seed-grid", "4"))
+        assert code == EXIT_NUMERICAL
+        assert "grid_per_axis must be >= 8, got 4" in json.loads(capsys.readouterr().err)["error"]["message"]
+
 
 class TestSigma:
     def test_sunflower_preset(self, tmp_path):
@@ -165,6 +185,14 @@ class TestVerifyIndex:
         assert payload["pass"] is True
         assert payload["lhs_sum"] == payload["rhs"] == -1
         assert payload["config"]["verify_index"]["lambda"] == 1e-3
+
+    def test_seed_grid_not_accepted(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "verify-index", {
+                "problem": CUBIC_PROBLEM,
+                "verify_index": {"lambda": 1e-3, "box": {"lower": [-2.0], "upper": [2.0]}},
+            }, extra=("--seed-grid", "4"))
+        assert exc.value.code == 2
 
 
 class TestBranch:
@@ -239,3 +267,8 @@ class TestConfigValidation:
             "problem": {"preset": "classic-sunflower", "alpha": 6.0, "beta": 1.0, "r": 1.0},
         })
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("problem", [CUBIC_PROBLEM, {"preset": "sunflower"}])
+    def test_load_problem_reads_n_quad(self, problem):
+        loaded = load_problem({"problem": problem, "numerics": {"n_quad": 64}})
+        assert loaded.coupled.n_quad == 64

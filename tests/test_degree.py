@@ -15,6 +15,7 @@ from ddebranch import (
     nu_field,
     v_lambda_field,
 )
+from ddebranch.degree import damped_newton
 from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
@@ -92,6 +93,20 @@ class TestDegreeNdJacobian:
     def test_negated_identity_3d(self):
         assert degree_nd_jacobian(lambda z: -z, box([-1, -1, -1], [1, 1, 1])).degree == -1
 
+    def test_nonlinear_3d(self):
+        fn = lambda z: np.array([
+            math.sin(z[0]) + 0.3 * z[1],
+            z[1] - z[2] ** 3 + 0.2 * z[0],
+            z[2] - 0.5 * math.tanh(z[0]) - 0.1,
+        ])
+        report = degree_nd_jacobian(fn, box([-1, -1, -1], [1, 1, 1]))
+        assert report.degree == 1
+        assert len(report.zeros) == 1
+        (zero,) = report.zeros
+        assert np.allclose(zero["point"], [-3.1763076e-4, 1.0587692e-3, 9.9841185e-2], atol=1e-9)
+        assert np.max(np.abs(fn(np.array(zero["point"])))) <= 1e-10
+        assert zero["jacobian_sign"] == 1
+
     def test_sine_coupled_matches_winding(self):
         fn = lambda z: np.array([math.sin(z[1]) / math.sqrt(3.0), z[0] - z[1]])
         b = box([-1, -1], [1, 1])
@@ -106,6 +121,23 @@ class TestDegreeNdJacobian:
     def test_small_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             degree_nd_jacobian(lambda z: z, box([-1, -1], [1, 1]), grid_per_axis=4)
+
+
+class TestDampedNewton:
+    def test_fresh_jacobian_retry(self):
+        # The first Jacobian has the wrong sign, so no damped step decreases
+        # |u|; the one retry with a fresh Jacobian lands on the zero.
+        jacobians = iter([-np.eye(2), np.eye(2)])
+        out = damped_newton(lambda u: u, lambda u, r: next(jacobians), np.array([1.0, -0.5]),
+                            1e-12, 5, need_jacobian=False)
+        assert out is not None
+        assert np.array_equal(out[0], [0.0, 0.0])
+        assert out[1] == 0.0
+
+    def test_singular_jacobian_fails(self):
+        out = damped_newton(lambda u: u, lambda u, r: np.zeros((2, 2)), np.array([1.0, 1.0]),
+                            1e-12, 5, need_jacobian=False)
+        assert out is None
 
 
 class TestCrossMethod:

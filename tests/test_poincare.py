@@ -107,6 +107,16 @@ class TestFindFixedPoints:
         records = find_fixed_points(prob, 0.0, seeds, CFG)
         assert len(records) == 1
 
+    def test_jacobian_at_converged_seed_leaving_domain(self):
+        # y' = 0 fixes every constant history, so the seed has zero residual
+        # at once; the Jacobian formed there raises the terminal node by
+        # fd_step past the box edge, which makes the seed fail, not crash.
+        prob = scalar_problem(lambda y: 0.0)
+        cfg = TranslationConfig(m=8, steps_per_delay=8)
+        seed = History.constant([0.6], 1.0, m=8)
+        domain = Box(lower=[-1.0], upper=[0.6 + 1e-7])
+        assert find_fixed_points(prob, 0.0, [seed], cfg, domain=domain) == []
+
     def test_fixed_point_distance_shrinks_with_lambda(self):
         # With a perturbation h the fixed point moves off the nu-zero by
         # an O(lambda) amount.

@@ -1,10 +1,13 @@
 """Problem data model: delay normalization, quadrature, boxes, histories."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddebranch
 from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
 
@@ -65,6 +68,32 @@ class TestAverageScalar:
     def test_bad_quadrature_count(self, n):
         with pytest.raises(InvalidParameterError):
             average_scalar(PeriodicFn1D.constant(1.0, 1.0), n_quad=n)
+
+    def test_array_failure_is_not_swallowed(self):
+        # Only TypeError and ValueError mean "scalar-only callable"; any
+        # other error from the array call must surface.
+        def ev(t):
+            if np.ndim(t):
+                raise RuntimeError("broken array path")
+            return 1.0
+
+        with pytest.raises(RuntimeError, match="broken array path"):
+            average_scalar(periodic(ev))
+
+
+def test_no_silently_swallowed_broad_exceptions():
+    package = Path(ddebranch.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            broad = node.type is None or (
+                isinstance(node.type, ast.Name) and node.type.id in ("Exception", "BaseException")
+            )
+            if broad and all(isinstance(stmt, ast.Pass) for stmt in node.body):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 class TestPeriodicFn1D:
