@@ -113,12 +113,12 @@ def _degree_field(config: dict, block: dict):
     return fn, len(var_names)
 
 
-#: Each degree method: its call on a box, and the name of the resolution
-#: argument that --seed-grid sets.
+#: Each degree method: its call on a box, the name of the resolution
+#: argument that --seed-grid sets, and the box dimension it needs (None: any).
 _DEGREE_METHODS = {
-    "sign-1d": (lambda fn, box, **kw: degree_1d(fn, (box.lower[0], box.upper[0]), **kw), "n_check"),
-    "winding-2d": (degree_2d_winding, "n_boundary"),
-    "jacobian-nd": (degree_nd_jacobian, "grid_per_axis"),
+    "sign-1d": (lambda fn, box, **kw: degree_1d(fn, (box.lower[0], box.upper[0]), **kw), "n_check", 1),
+    "winding-2d": (degree_2d_winding, "n_boundary", 2),
+    "jacobian-nd": (degree_nd_jacobian, "grid_per_axis", None),
 }
 
 
@@ -137,7 +137,9 @@ def cmd_degree(config: dict, out: Path, args) -> int:
         method = {1: "sign-1d", 2: "winding-2d"}.get(dim, "jacobian-nd")
     if method not in _DEGREE_METHODS:
         raise ConfigError(f"degree.method: unknown method {method!r}")
-    run, resolution = _DEGREE_METHODS[method]
+    run, resolution, needs = _DEGREE_METHODS[method]
+    if needs not in (None, dim):
+        raise ConfigError(f"degree.method: {method!r} needs box dimension {needs}, got {dim}")
     kwargs = {} if args.seed_grid is None else {resolution: args.seed_grid}
     report = run(fn, box, **kwargs)
     payload = report.to_dict()

@@ -86,13 +86,15 @@ def _as_scalar_field(fn):
 def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
     """Degree of a scalar field on an interval from endpoint signs.
 
-    Interior zeros are located by scanning n_check subintervals for sign
-    changes and bisecting, purely to populate the report; the degree itself
+    Interior zeros are located by scanning n_check (>= 8) subintervals for
+    sign changes and bisecting, purely to populate the report; the degree itself
     is (sign f(b) - sign f(a)) / 2.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise InvalidParameterError(f"interval requires a < b, got ({a}, {b})")
+    if n_check < 8:
+        raise InvalidParameterError(f"n_check must be >= 8, got {n_check}")
     f = _as_scalar_field(fn)
     fa, fb = f(a), f(b)
     margin = min(abs(fa), abs(fb))
@@ -103,25 +105,24 @@ def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
     deg = (int(np.sign(fb)) - int(np.sign(fa))) // 2
 
     zeros = []
-    if n_check >= 2:
-        xs = np.linspace(a, b, n_check + 1)
-        vals = np.array([f(x) for x in xs])
-        for i in range(n_check):
-            v0, v1 = vals[i], vals[i + 1]
-            if v0 == 0.0 or v0 * v1 > 0.0:
-                continue
-            lo, hi, flo = xs[i], xs[i + 1], v0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            root = 0.5 * (lo + hi)
-            step = (b - a) * 1e-7
-            slope = (f(root + step) - f(root - step)) / (2.0 * step)
-            zeros.append({"point": [root], "jacobian_sign": int(np.sign(slope))})
+    xs = np.linspace(a, b, n_check + 1)
+    vals = np.array([f(x) for x in xs])
+    for i in range(n_check):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 == 0.0 or v0 * v1 > 0.0:
+            continue
+        lo, hi, flo = xs[i], xs[i + 1], v0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        root = 0.5 * (lo + hi)
+        step = (b - a) * 1e-7
+        slope = (f(root + step) - f(root - step)) / (2.0 * step)
+        zeros.append({"point": [root], "jacobian_sign": int(np.sign(slope))})
     return DegreeReport(degree=deg, admissibility_margin=margin, method="sign-1d", zeros=zeros)
 
 

@@ -4,7 +4,8 @@ steps, with cubic Hermite dense output.
 The step is h = r / steps_per_delay, so every delayed read lands inside an
 already-completed segment (or the initial history) and every multiple of r
 is a segment boundary, keeping the derivative discontinuities of the
-solution aligned with segment joints.
+solution aligned with segment joints.  Delayed reads and dense output use
+the package's one Hermite evaluator (problem._hermite) and its node snap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainEscapeError, InvalidParameterError
 from .fields import make_wf
-from .problem import Box, CoupledProblem, History, _hermite_deriv, _hermite_eval
+from .problem import Box, CoupledProblem, History, _hermite
 
 BLOWUP_THRESHOLD = 1e9
 
@@ -49,38 +50,24 @@ class Trajectory:
 
     def eval(self, t):
         """Solution value at time t (scalar or array), t in [-r, t_end]."""
-        return self._dense(t, _hermite_eval, self.init.eval)
+        return self._dense(t, False)
 
     def deriv(self, t):
         """Time derivative of the interpolant at t; one-sided (the history's
         own slopes) for t <= 0."""
-        return self._dense(t, _hermite_deriv, self.init.deriv)
+        return self._dense(t, True)
 
-    def _dense(self, t, kernel, history):
-        t = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(t)
-        r = self.init.delay
-        if np.any(ts < -r - 1e-12):
+    def _dense(self, t, deriv):
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts < -self.init.delay - 1e-12):
             raise InvalidParameterError(f"time {float(ts.min())} precedes the history interval")
         out = np.empty(ts.shape + self.states.shape[1:])
         before = ts <= 0.0
         if before.any():
-            out[before] = history(np.maximum(ts[before], -r))
-        after = ~before
-        if after.any():
-            times = self.times
-            tt = np.minimum(ts[after], self.t_end)
-            i = np.clip(np.searchsorted(times, tt, side="right") - 1, 0, len(times) - 2)
-            dt = times[i + 1] - times[i]
-            u = (tt - times[i]) / dt
-            u[np.abs(u) < 1e-12] = 0.0
-            u[np.abs(u - 1.0) < 1e-12] = 1.0
-            col = (-1,) + (1,) * (self.states.ndim - 1)
-            out[after] = kernel(
-                u.reshape(col), dt.reshape(col),
-                self.states[i], self.slopes[i], self.states[i + 1], self.slopes[i + 1],
-            )
-        return out if t.ndim else out[0]
+            out[before] = _hermite(self.init.grid, self.init.values, self.init.derivs, ts[before], deriv)
+        if not before.all():
+            out[~before] = _hermite(self.times, self.states, self.slopes, ts[~before], deriv)
+        return out
 
     def to_csv(self, path, resolution: int = 400):
         """Write t, x1..xk, y1..ys samples at the requested resolution."""
@@ -201,42 +188,33 @@ def integrate(
     states = np.empty(shape)
     slopes = np.empty(shape)
 
-    filled = 0  # nodes with completed state/slope
+    # Python floats: fields see a float time, the same value as the node.
+    node_times = times.tolist()
 
     def past(tau: float) -> np.ndarray:
-        if tau <= 1e-14:
-            return batch.eval(max(tau, -r))
-        s = tau / h
-        i = int(np.floor(s + 1e-9))
-        i = min(i, filled - 1)
-        u = s - i
-        if u < 1e-9:
-            return states[i]
-        return _hermite_eval(u, h, states[i], slopes[i], states[i + 1], slopes[i + 1])
+        if tau <= 0.0:
+            return batch.eval(tau)
+        return _hermite(node_times, states, slopes, tau)
 
     state = batch.terminal()
     _check_state(0.0, state, domain)
     states[0] = state
     slopes[0] = rhs(0.0, state, batch.eval(-r))
-    filled = 1
 
-    # Python floats: fields see a float time, the same value as the node.
-    node_times = times.tolist()
     for j in range(n_nodes - 1):
-        t0 = node_times[j]
-        dt = node_times[j + 1] - t0
+        t0, t1 = node_times[j], node_times[j + 1]
+        dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
         y0 = states[j]
         k1 = slopes[j]
         delayed_half = past(t0 + 0.5 * dt - r)
         k2 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k1, delayed_half)
         k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, delayed_half)
-        k4 = rhs(t0 + dt, y0 + dt * k3, past(t0 + dt - r))
+        delayed_end = past(t1 - r)
+        k4 = rhs(t1, y0 + dt * k3, delayed_end)
         y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t1 = node_times[j + 1]
         _check_state(t1, y1, domain)
         states[j + 1] = y1
-        slopes[j + 1] = rhs(t1, y1, past(t1 - r))
-        filled = j + 2
+        slopes[j + 1] = rhs(t1, y1, delayed_end)
 
     if single:
         states, slopes = states[:, 0], slopes[:, 0]

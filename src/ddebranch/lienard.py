@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -75,36 +75,6 @@ class SigmaResult:
             writer.writerow(["t", "sigma"])
             for t, v in zip(self.grid, self.values):
                 writer.writerow([f"{t:.12g}", f"{v:.15g}"])
-
-
-def _zeta_grid(a: PeriodicFn1D, n_cells: int, c: Optional[float] = None):
-    """zeta values on a grid with midpoints; returns (grid, zeta, c_used, abar)."""
-    T = a.period
-    n2 = 2 * n_cells
-    h2 = T / n2
-    grid = np.linspace(0.0, T, n2 + 1)
-    avals = _sample_at(a, grid)
-    A = _cumulative_simpson(avals, h2)
-    abar = A[-1] / T
-    if abs(abar) < 1e-12:
-        raise ZeroAverageError("sigma transform requires <a> != 0")
-    E = np.exp(A)
-    B = _cumulative_simpson(E, h2)
-    if c is None:
-        eTa = math.exp(-T * abar)
-        c = B[-1] * eTa / (eTa - 1.0)
-    zeta = np.exp(-A) * (c - B)
-    return grid, zeta, c, abar
-
-
-def zeta_endpoint_gap(a: PeriodicFn1D, c: float, n_quad: int = _SIGMA_CELLS) -> float:
-    """|zeta(0) - zeta(T)| for the candidate integration constant c.
-
-    Zero (up to quadrature error) only at the closed-form c0, reflecting the
-    uniqueness of the periodic solution.
-    """
-    _, zeta, _, _ = _zeta_grid(a, n_quad, c=c)
-    return float(abs(zeta[0] - zeta[-1]))
 
 
 def _zeta_periodic(a: PeriodicFn1D, n_cells: int):

@@ -15,6 +15,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -240,13 +241,49 @@ def _hermite_deriv(u, dt, y0, d0, y1, d1):
     return y0 * dh00 + d0 * dh10 + y1 * dh01 + d1 * dh11
 
 
+_NODE_SNAP = 1e-9  # a read this close to a node, in units of its segment, is at the node
+
+
+def _hermite(grid, values, derivs, t, deriv=False):
+    """Piecewise cubic Hermite interpolant, or with deriv its derivative, at t.
+
+    grid is any increasing sequence of nodes; values and derivs have shape
+    (len(grid), ...).  A t within _NODE_SNAP of a node reads that node's own
+    value (or slope) exactly, and a t outside the grid the nearer end node.
+    A scalar t bisects the grid and returns shape values.shape[1:]; an array
+    t returns t.shape + values.shape[1:].
+    """
+    kernel = _hermite_deriv if deriv else _hermite_eval
+    last = len(grid) - 2
+    if isinstance(t, float) or np.ndim(t) == 0:
+        t = float(t)
+        i = min(max(bisect_right(grid, t) - 1, 0), last)
+        g0 = float(grid[i])
+        dt = float(grid[i + 1]) - g0
+        u = (t - g0) / dt
+        if u < _NODE_SNAP or u > 1.0 - _NODE_SNAP:
+            return (derivs if deriv else values)[i if u < 0.5 else i + 1].copy()
+        return kernel(u, dt, values[i], derivs[i], values[i + 1], derivs[i + 1])
+    grid = np.asarray(grid, dtype=float)
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, last)
+    dt = grid[i + 1] - grid[i]
+    u = (t - grid[i]) / dt
+    u = np.where(u < _NODE_SNAP, 0.0, np.where(u > 1.0 - _NODE_SNAP, 1.0, u))
+    col = t.shape + (1,) * (values.ndim - 1)
+    return kernel(
+        u.reshape(col), dt.reshape(col), values[i], derivs[i], values[i + 1], derivs[i + 1]
+    )
+
+
 @dataclass(frozen=True)
 class History:
     """A sampled function on [-r, 0] with cubic Hermite interpolation.
 
     values and derivs have shape (m+1, d); node j sits at -r + j*r/m.  A
     batch of B histories on the same grid has shape (m+1, B, d), and every
-    method then works on all B at once.
+    method then works on all B at once.  Reads go through _hermite on the
+    node grid (built once): within 1e-9 node spacings, a node reads exactly.
     """
 
     delay: float
@@ -273,7 +310,7 @@ class History:
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
         return np.linspace(-self.delay, 0.0, self.m + 1)
 
@@ -297,34 +334,13 @@ class History:
         derivs = spline(grid, 1)
         return cls(delay=delay, values=values, derivs=derivs)
 
-    def _segments(self, theta):
-        """Segment index i, local coordinate u and node spacing for theta."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        dg = self.delay / self.m
-        s = (th + self.delay) / dg
-        # Snap queries that are a node point up to roundoff, so node values
-        # are reproduced exactly.
-        near = np.abs(s - np.round(s)) < 1e-9
-        s = np.where(near, np.round(s), s)
-        i = np.clip(np.floor(s).astype(int), 0, self.m - 1)
-        u = (s - i).reshape(s.shape + (1,) * (self.values.ndim - 1))
-        return i, u, dg
-
     def eval(self, theta):
         """Interpolated value(s) at theta in [-r, 0]; exact at node points."""
-        i, u, dg = self._segments(theta)
-        y = _hermite_eval(
-            u, dg, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1]
-        )
-        return y if np.ndim(theta) else y[0]
+        return _hermite(self.grid, self.values, self.derivs, theta)
 
     def deriv(self, theta):
         """Derivative of the interpolant at theta in [-r, 0]."""
-        i, u, dg = self._segments(theta)
-        y = _hermite_deriv(
-            u, dg, self.values[i], self.derivs[i], self.values[i + 1], self.derivs[i + 1]
-        )
-        return y if np.ndim(theta) else y[0]
+        return _hermite(self.grid, self.values, self.derivs, theta, deriv=True)
 
     def terminal(self) -> np.ndarray:
         """Value at theta = 0."""

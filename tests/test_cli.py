@@ -152,6 +152,35 @@ class TestDegree:
         assert code == EXIT_NUMERICAL
         assert "grid_per_axis must be >= 8, got 4" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    def test_seed_grid_floor_for_sign_1d(self, tmp_path, capsys):
+        # One scan cell would skip the zero scan and report no zeros of p - p^3.
+        code, _ = run(tmp_path, "degree", {
+            "degree": {
+                "field": "expr", "exprs": ["p - p^3"], "vars": ["p"],
+                "box": {"lower": [-2.0], "upper": [2.0]},
+            },
+        }, extra=("--seed-grid", "1"))
+        assert code == EXIT_NUMERICAL
+        assert "n_check must be >= 8, got 1" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize("method, exprs, vars_, lower, upper, needs, got", [
+        ("sign-1d", ["p - 0.3", "q + 0.2"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], 1, 2),
+        ("winding-2d", ["p - 0.3"], ["p"], [-1.0], [1.0], 2, 1),
+    ])
+    def test_method_box_dimension_mismatch_exits_2(
+        self, tmp_path, capsys, method, exprs, vars_, lower, upper, needs, got
+    ):
+        code, _ = run(tmp_path, "degree", {
+            "degree": {
+                "field": "expr", "exprs": exprs, "vars": vars_,
+                "box": {"lower": lower, "upper": upper}, "method": method,
+            },
+        })
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"'{method}' needs box dimension {needs}, got {got}" in err["message"]
+
 
 class TestSigma:
     def test_sunflower_preset(self, tmp_path):

@@ -100,6 +100,17 @@ class TestDenseOutput:
         t = float(traj.times[mid])
         assert np.allclose(traj.deriv(t), traj.slopes[mid], atol=1e-12)
 
+    def test_read_near_a_node_returns_its_state(self):
+        prob = _exp_problem()
+        init = History.constant([1.0], 1.0, m=8)
+        traj = integrate(prob, 0.0, 1.0, init, 2.0, steps_per_delay=16)
+        h = float(traj.times[1] - traj.times[0])
+        for i in (5, 20):
+            for t in (float(traj.times[i]) - 1e-10 * h, float(traj.times[i]) + 1e-10 * h):
+                assert np.array_equal(traj.eval(t), traj.states[i])
+                assert np.array_equal(traj.eval(np.array([t]))[0], traj.states[i])
+                assert np.array_equal(traj.deriv(t), traj.slopes[i])
+
     def test_before_history_rejected(self):
         prob = _exp_problem()
         init = History.constant([1.0], 1.0, m=8)

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import ddebranch
 from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
+from ddebranch.problem import _hermite
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -166,6 +168,46 @@ class TestHistory:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
             History(delay=1.0, values=np.zeros((9, 1)), derivs=np.zeros((9, 2)))
+
+
+class TestHermite:
+    """The one piecewise-cubic Hermite evaluator, against SciPy's, on an
+    uneven grid with (batch, component) trailing axes."""
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(11)
+        grid = np.cumsum(rng.uniform(0.05, 1.0, 12)) - 3.0
+        return grid, rng.standard_normal((12, 3, 2)), rng.standard_normal((12, 3, 2))
+
+    def test_matches_scipy(self, data):
+        grid, values, derivs = data
+        ts = np.random.default_rng(12).uniform(grid[0], grid[-1], 500)
+        spline = CubicHermiteSpline(grid, values, derivs)
+        for deriv, want in ((False, spline(ts)), (True, spline(ts, 1))):
+            got = _hermite(grid, values, derivs, ts, deriv)
+            assert got.shape == (500, 3, 2)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_nodes_and_near_nodes_read_the_node(self, data):
+        grid, values, derivs = data
+        h = np.diff(grid)
+        for j, g in enumerate(grid):
+            left, right = h[max(j - 1, 0)], h[min(j, len(h) - 1)]
+            for t in (g, g - 1e-10 * left, g + 1e-10 * right):
+                for deriv, want in ((False, values[j]), (True, derivs[j])):
+                    assert np.array_equal(_hermite(grid, values, derivs, float(t), deriv), want)
+                    got = _hermite(grid, values, derivs, np.array([t]), deriv)
+                    assert np.array_equal(got[0], want)
+
+    def test_scalar_bit_equal_to_array(self, data):
+        grid, values, derivs = data
+        ts = np.concatenate([grid, np.random.default_rng(13).uniform(grid[0], grid[-1], 200)])
+        for deriv in (False, True):
+            rows = _hermite(grid, values, derivs, ts, deriv)
+            for t, row in zip(ts, rows):
+                got = _hermite(grid, values, derivs, float(t), deriv)
+                assert got.tobytes() == row.tobytes()
 
 
 class TestCoupledProblem:

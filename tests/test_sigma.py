@@ -1,6 +1,7 @@
 """Sigma transformation and the Lienard-plane reduction."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -19,9 +20,43 @@ from ddebranch import (
     wbar,
 )
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.lienard import ScalarDelayProblem, primitive_of, zeta_endpoint_gap
+from ddebranch.lienard import _SIGMA_CELLS, ScalarDelayProblem, _cumulative_simpson, primitive_of
+from ddebranch.problem import _sample_at
 
 from conftest import TWO_PI, periodic
+
+
+# Oracle of test_uniqueness_of_integration_constant: zeta by forward
+# quadrature for any candidate constant c, independent of the stable
+# evaluation in lienard._zeta_periodic.
+def _zeta_grid(a: PeriodicFn1D, n_cells: int, c: Optional[float] = None):
+    """zeta values on a grid with midpoints; returns (grid, zeta, c_used, abar)."""
+    T = a.period
+    n2 = 2 * n_cells
+    h2 = T / n2
+    grid = np.linspace(0.0, T, n2 + 1)
+    avals = _sample_at(a, grid)
+    A = _cumulative_simpson(avals, h2)
+    abar = A[-1] / T
+    if abs(abar) < 1e-12:
+        raise ZeroAverageError("sigma transform requires <a> != 0")
+    E = np.exp(A)
+    B = _cumulative_simpson(E, h2)
+    if c is None:
+        eTa = math.exp(-T * abar)
+        c = B[-1] * eTa / (eTa - 1.0)
+    zeta = np.exp(-A) * (c - B)
+    return grid, zeta, c, abar
+
+
+def zeta_endpoint_gap(a: PeriodicFn1D, c: float, n_quad: int = _SIGMA_CELLS) -> float:
+    """|zeta(0) - zeta(T)| for the candidate integration constant c.
+
+    Zero (up to quadrature error) only at the closed-form c0, reflecting the
+    uniqueness of the periodic solution.
+    """
+    _, zeta, _, _ = _zeta_grid(a, n_quad, c=c)
+    return float(abs(zeta[0] - zeta[-1]))
 
 
 def _a_from_gamma():
