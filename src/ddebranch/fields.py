@@ -6,6 +6,9 @@ statement verified by the rest of the package:
     w_f(p, q) = (1/T) * integral_0^T f(t, p, q, p, q) dt
     nu(p, q)  = (w_f(p, q), g(p, q))
     v_lam     = ((lam/<a>) * w_f, lam * g)
+
+w_f takes one f call on n_quad + 1 times against a batch of points: cheap
+for a BatchField f, (n_quad + 1) calls per point for any other callable.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import numpy as np
 
 from .errors import ZeroAverageError
 from .problem import CoupledProblem, simpson_mean
-
-#: Cache size for the averaged-drive memo used inside the mu-homotopy.
-_WF_CACHE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -43,42 +43,25 @@ class FieldHandle:
 
 
 def average_f(problem: CoupledProblem, p, q, n_quad: int = None) -> np.ndarray:
-    """Componentwise Simpson average of t -> f(t, p, q, p, q) over one period."""
-    if problem.dim_x == 0 or problem.f is None:
-        return np.zeros(0)
-    n = n_quad if n_quad is not None else problem.n_quad
-    ts = np.linspace(0.0, problem.period, n + 1)
+    """Componentwise Simpson average of t -> f(t, p, q, p, q) over one period.
+
+    p and q are one point, shapes (k,) and (s,), or a batch of B points,
+    shapes (B, k) and (B, s); the result has shape (k,) or (B, k).  f is
+    called once, on the quadrature times as a column against the batch.
+    """
     p = np.atleast_1d(np.asarray(p, dtype=float))
+    if problem.dim_x == 0 or problem.f is None:
+        return np.zeros(p.shape[:-1] + (0,))
+    n = n_quad if n_quad is not None else problem.n_quad
+    ts = np.linspace(0.0, problem.period, n + 1).reshape((n + 1,) + (1,) * (p.ndim - 1))
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    vals = np.empty((n + 1, problem.dim_x))
-    for i, t in enumerate(ts):
-        vals[i] = problem.eval_f(t, p, q, p, q)
-    return simpson_mean(vals)
+    return simpson_mean(problem.eval_f(ts, p, q, p, q))
 
 
 def make_wf(problem: CoupledProblem, n_quad: int = None):
-    """Memoized w_f evaluator for use inside RK4 inner loops.
-
-    Keys round (p, q) to 1e-12 so repeated stage evaluations at essentially
-    identical states hit the cache; the cache is evicted FIFO at 4096 entries.
-    """
-    cache = {}
-
-    def wf(p, q):
-        key = (
-            tuple(np.round(np.atleast_1d(p), 12)),
-            tuple(np.round(np.atleast_1d(q), 12)),
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        val = average_f(problem, p, q, n_quad)
-        if len(cache) >= _WF_CACHE_MAX:
-            cache.pop(next(iter(cache)))
-        cache[key] = val
-        return val
-
-    return wf
+    """The averaged drive (p, q) -> w_f(p, q) of the mu-homotopy, on one
+    point or a batch (see average_f); it keeps no state."""
+    return lambda p, q: average_f(problem, p, q, n_quad)
 
 
 def nu_field(problem: CoupledProblem, n_quad: int = None) -> FieldHandle:

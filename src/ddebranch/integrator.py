@@ -94,13 +94,12 @@ def _check_state(t: float, state: np.ndarray, domain: Optional[Box]):
             raise DomainEscapeError(t, rows[outside][0])
 
 
-def _make_rhs(problem: CoupledProblem, lam: float, mu: float, wf=None) -> Callable:
+def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
     """The coupled right-hand side on a (B, d) batch of states sharing t."""
     k = problem.dim_x
     a = problem.a
     abar = problem.abar
-    if mu < 1.0 and k > 0 and wf is None:
-        wf = make_wf(problem)
+    wf = make_wf(problem) if mu < 1.0 else None
     # RK4 stages come in pairs at one time (k2 and k3, k4 and the node
     # slope), so a is evaluated once per distinct time.
     last = [None, 0.0]
@@ -118,11 +117,7 @@ def _make_rhs(problem: CoupledProblem, lam: float, mu: float, wf=None) -> Callab
                 if problem.h is not None:
                     dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
             else:
-                if k > 0:
-                    w = np.array([wf(p, q) for p, q in zip(x, y)])
-                    drive = (1.0 - mu) * (at / abar) * w
-                else:
-                    drive = np.zeros((len(state), 0))
+                drive = (1.0 - mu) * (at / abar) * wf(x, y)
                 if mu > 0.0:
                     drive = mu * problem.eval_f(t, x, y, xd, yd) + drive
                     if problem.h is not None:
@@ -143,14 +138,13 @@ def integrate(
     t_end: float,
     steps_per_delay: int = 32,
     domain: Optional[Box] = None,
-    wf=None,
 ) -> Trajectory:
     """Integrate the coupled system forward from a history by RK4 steps.
 
     Fixed step h = r / steps_per_delay; the final step is shortened to land
-    exactly on t_end.  When mu < 1 the averaged drive w_f enters the
-    x-equation; pass a memoized wf (see fields.make_wf) to share its cache
-    across repeated integrations.
+    exactly on t_end.  When mu < 1 the averaged drive w_f (fields.make_wf)
+    enters the x-equation, evaluated for the whole batch in one call per
+    stage.
 
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
@@ -173,7 +167,7 @@ def integrate(
     single = init.values.ndim == 2
     batch = History(init.delay, init.values[:, None], init.derivs[:, None]) if single else init
     h = r / steps_per_delay
-    rhs = _make_rhs(problem, lam, mu, wf=wf)
+    rhs = _make_rhs(problem, lam, mu)
 
     n_full = int(np.floor(t_end / h + 1e-9))
     partial = t_end - n_full * h

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ZeroAverageError
 from .problem import (
+    BatchField,
     CoupledProblem,
     PeriodicFn1D,
     average_scalar,
@@ -213,7 +214,7 @@ def primitive_of(g, n: int = 128) -> Callable[[float], float]:
         if y == 0.0:
             return 0.0
         ts = np.linspace(0.0, y, n + 1)
-        return y * float(simpson_mean(np.array([float(g(t)) for t in ts])))
+        return y * float(simpson_mean(_sample_at(g, ts)))
 
     return G
 
@@ -225,22 +226,23 @@ def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
 
 
 def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProblem:
-    """Rewrite the scalar equation as the planar coupled system (k = s = 1)."""
+    """Rewrite the scalar equation as the planar coupled system (k = s = 1),
+    whose f and g are BatchFields calling f, G and gamma through _sample_at."""
     _check_nonvanishing(gamma)
     f = sdp.f
     G = sdp.G
 
     def f_c(t, x, y, xd, yd):
-        return np.array([f(t, float(y[0]), float(yd[0])) / float(gamma(t))])
+        return (_sample_at(f, t, y[..., 0], yd[..., 0]) / _sample_at(gamma, t))[..., None]
 
     def g_c(x, y):
-        return np.array([float(x[0]) - float(G(y[0]))])
+        return (x[..., 0] - _sample_at(G, y[..., 0]))[..., None]
 
     return CoupledProblem(
         dim_x=1,
         dim_y=1,
-        f=f_c,
-        g=g_c,
+        f=BatchField(f_c),
+        g=BatchField(g_c),
         h=None,
         a=gamma,
         period=sdp.period,
@@ -256,7 +258,7 @@ def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = 1024) -> Callable[[floa
 
     def wb(q: float) -> float:
         q = float(q)
-        return float(simpson_mean(np.array([float(f(t, q, q)) for t in ts]) / gvals))
+        return float(simpson_mean(_sample_at(f, ts, q, q) / gvals))
 
     return wb
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     TranslationUndefinedError,
 )
-from .fields import make_wf, nu_field
+from .fields import nu_field
 from .integrator import integrate
 from .problem import Box, CoupledProblem, History
 
@@ -71,7 +71,6 @@ def translate(
     init: History,
     cfg: TranslationConfig,
     domain: Optional[Box] = None,
-    wf=None,
 ) -> History:
     """Apply the translation operator: integrate to T and resample the
     solution on [T - r, T] onto the m-node history grid.
@@ -86,7 +85,7 @@ def translate(
     try:
         traj = integrate(
             problem, lam, mu, init, T,
-            steps_per_delay=cfg.steps_per_delay, domain=domain, wf=wf,
+            steps_per_delay=cfg.steps_per_delay, domain=domain,
         )
     except (BlowupError, DomainEscapeError) as exc:
         raise TranslationUndefinedError(str(exc)) from exc
@@ -94,34 +93,33 @@ def translate(
     return History(delay=r, values=traj.eval(ts), derivs=traj.deriv(ts))
 
 
-def _translate_values(problem, lam, mu, u, cfg, domain, wf, dim):
+def _translate_values(problem, lam, mu, u, cfg, domain, dim):
     """translate on flattened node values: u has shape (n,), or (B, n) for
     B inputs translated in one sweep."""
     nodes = np.moveaxis(u.reshape(u.shape[:-1] + (cfg.m + 1, dim)), -2, 0)
     init = History.from_values(nodes, problem.delay)
-    out = translate(problem, lam, mu, init, cfg, domain=domain, wf=wf)
+    out = translate(problem, lam, mu, init, cfg, domain=domain)
     return np.moveaxis(out.values, 0, -2).reshape(u.shape)
 
 
-def _residual(problem, lam, mu, u, cfg, domain, wf):
+def _residual(problem, lam, mu, u, cfg, domain):
     """R(u) = translate(u) - u on flattened node values, (n,) or (B, n)."""
-    return _translate_values(problem, lam, mu, u, cfg, domain, wf, problem.dim) - u
+    return _translate_values(problem, lam, mu, u, cfg, domain, problem.dim) - u
 
 
-def _jacobian(problem, lam, mu, u, r0, cfg, domain, wf):
+def _jacobian(problem, lam, mu, u, r0, cfg, domain):
     """Forward-difference Jacobian of R at u, where r0 = R(u); all n
     perturbed inputs are translated in one batched sweep."""
-    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg, domain, wf)
+    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg, domain)
     return fd_jacobian(rows_residual, u, r0, cfg.fd_step)
 
 
-def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, wf=None,
-                        need_jacobian=True):
+def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, need_jacobian=True):
     """damped_newton on R; returns (u, residual_norm, J_R) on convergence,
     None on failure."""
     return damped_newton(
-        lambda vec: _residual(problem, lam, mu, vec, cfg, domain, wf),
-        lambda vec, r0: _jacobian(problem, lam, mu, vec, r0, cfg, domain, wf),
+        lambda vec: _residual(problem, lam, mu, vec, cfg, domain),
+        lambda vec, r0: _jacobian(problem, lam, mu, vec, r0, cfg, domain),
         u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian,
     )
 
@@ -153,14 +151,13 @@ def find_fixed_points(
 ) -> List[FixedPointRecord]:
     """Newton-refine each seed history into a fixed point of the translation
     operator; deduplicate and return records sorted deterministically."""
-    wf = make_wf(problem) if (mu < 1.0 and problem.dim_x > 0) else None
     solutions = []
     for seed in seeds:
         if seed.m != cfg.m:
             raise InvalidParameterError(
                 f"seed discretization m={seed.m} does not match cfg.m={cfg.m}"
             )
-        out = _newton_fixed_point(problem, lam, mu, seed.values.ravel(), cfg, domain=domain, wf=wf)
+        out = _newton_fixed_point(problem, lam, mu, seed.values.ravel(), cfg, domain=domain)
         if out is None:
             continue
         solutions.append(out)

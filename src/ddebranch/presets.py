@@ -10,9 +10,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .lienard import ScalarDelayProblem, SigmaResult, lienard_reduce, sigma_transform
@@ -41,10 +42,10 @@ def sunflower_setup(
     return SunflowerSetup(scalar=scalar, sigma=sig, coupled=coupled)
 
 
-def default_sunflower(period: float = 2.0 * math.pi, delay: float = 1.0) -> SunflowerSetup:
+def default_sunflower(period: float = 2.0 * np.pi, delay: float = 1.0) -> SunflowerSetup:
     """The suite's reference instance: a(t) = -1 + 0.5 sin t, phi = sin(yd)."""
-    a = PeriodicFn1D(eval=lambda t: -1.0 + 0.5 * math.sin(t), period=period)
-    return sunflower_setup(a, lambda y, yd: math.sin(yd), period, delay)
+    a = PeriodicFn1D(eval=lambda t: -1.0 + 0.5 * np.sin(t), period=period)
+    return sunflower_setup(a, lambda y, yd: np.sin(yd), period, delay)
 
 
 def classic_sunflower_setup(
@@ -66,5 +67,5 @@ def classic_sunflower_setup(
     if a0 == 0.0:
         raise InvalidParameterError("alpha must be nonzero (<a> != 0 required)")
     a = PeriodicFn1D.constant(a0, period)
-    setup = sunflower_setup(a, lambda y, yd: math.sin(yd), period, delay)
+    setup = sunflower_setup(a, lambda y, yd: np.sin(yd), period, delay)
     return setup, lam

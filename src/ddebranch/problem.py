@@ -11,6 +11,7 @@ delay r normalized into (0, T] at construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from bisect import bisect_right
@@ -122,26 +123,31 @@ def _periodic_cubic(x: np.ndarray, c: np.ndarray, T: float) -> Callable:
     return evaluate
 
 
-def _sample_at(fn, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function of time at the times ts, in one array call
-    when the callable supports it."""
+def _sample_at(fn, *args) -> np.ndarray:
+    """Evaluate a scalar function at the broadcast of its arguments: in one
+    array call (a result that ignores an argument is broadcast), or element
+    by element on Python floats for a callable that only takes scalars."""
+    shape = np.broadcast(*args).shape
     try:
-        out = np.asarray(fn(ts), dtype=float)
-        if out.shape == ts.shape:
-            return out
+        out = np.asarray(fn(*args), dtype=float)
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
     except (TypeError, ValueError):
-        pass  # a scalar-only callable: math.sin raises TypeError, `if t < 1` ValueError
-    return np.array([float(fn(t)) for t in ts])
+        pass  # on arrays math.sin raises TypeError, `if t < 1` ValueError
+    columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    points = itertools.starmap(fn, zip(*columns))
+    return np.fromiter(points, dtype=float, count=math.prod(shape)).reshape(shape)
 
 
 class BatchField:
     """A field callable that takes a leading batch axis in one call.
 
-    Wrapping fn declares that, given state arguments of shape (B, n_i)
-    (time stays shared), fn returns the B field values as a (B, k) array;
-    with 1-d states it returns shape (k,).  Fields built from config
-    expressions are BatchFields.  Any other callable is a single-state
-    field, evaluated one row at a time by eval_batch.
+    Wrapping fn declares that, given states of shape (B, n_i) and a time t
+    that is a float or an array broadcasting against the batch axes (as
+    the (n_quad+1, 1) times of average_f), fn returns the values with the
+    broadcast batch shape plus one axis of k components: (k,) for 1-d
+    states at a float t.  Config expressions, the Lienard-reduced fields
+    and hence the presets are BatchFields.  Any other callable is a
+    single-state field, evaluated per (time, row) pair by eval_batch.
     """
 
     __slots__ = ("fn",)
@@ -157,30 +163,45 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
     """Evaluate fn(t, *states), or fn(*states) when t is None.
 
     The states have shape (n_i,) for one point, or (B, n_i) for a batch of
-    B points sharing t; the result has shape (k,) or (B, k).  A BatchField
-    takes the batch in one call; any other callable is called once per row.
+    B points; t is a float, or an array that broadcasts against the batch
+    axes.  The result has the broadcast batch shape plus one component
+    axis.  A BatchField takes it all in one call; any other callable is
+    called once per (time, row) pair.
     """
     lead = () if t is None else (t,)
     if isinstance(fn, BatchField):
-        return np.asarray(fn(*lead, *states), dtype=float)
-    if getattr(states[0], "ndim", 1) < 2:
+        out = np.asarray(fn(*lead, *states), dtype=float)
+        if isinstance(t, np.ndarray) and out.ndim <= t.ndim:  # a field that ignores t
+            out = np.broadcast_to(out, np.broadcast_shapes(t.shape, out.shape[:-1]) + out.shape[-1:])
+        return out
+    shape = states[0].shape[:-1]
+    if isinstance(t, np.ndarray) and t.ndim:
+        shape = np.broadcast_shapes(t.shape, shape)
+    if not shape:
         return np.asarray(fn(*lead, *states), dtype=float).reshape(-1)
-    return np.array(
-        [np.asarray(fn(*lead, *row), dtype=float).reshape(-1) for row in zip(*states)]
-    )
+    n = math.prod(shape)
+    rows = [np.broadcast_to(s, shape + s.shape[-1:]).reshape(n, s.shape[-1]) for s in states]
+    if t is not None:
+        rows.insert(0, np.broadcast_to(t, shape).ravel() if np.ndim(t) else itertools.repeat(t))
+    out = np.array([np.asarray(fn(*args), dtype=float).reshape(-1) for args in zip(*rows)])
+    return out.reshape(shape + out.shape[1:])
 
 
 def simpson_mean(values: np.ndarray):
     """Mean over an interval by composite Simpson, from samples at its n+1
     equispaced nodes (n = len(values) - 1 cells, even and >= 8).  Trailing
-    axes of values are components, averaged separately."""
+    axes of values are components, averaged separately; in an (n+1, B, k)
+    batch each is summed on its own, so its mean does not depend on B."""
     n = len(values) - 1
     if n % 2 != 0 or n < 8:
         raise InvalidParameterError(f"n_quad must be even and >= 8, got {n}")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return (w / 3.0) @ values / n
+    if np.ndim(values) <= 2:
+        return (w / 3.0) @ values / n
+    rows = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    return (rows * (w / 3.0)).sum(axis=-1) / n
 
 
 def average_scalar(fn: PeriodicFn1D, n_quad: int = DEFAULT_N_QUAD) -> float:

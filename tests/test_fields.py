@@ -14,6 +14,11 @@ from ddebranch import (
     v_lambda_field,
 )
 
+from ddebranch.config import load_problem
+from ddebranch.lienard import ScalarDelayProblem, lienard_reduce, primitive_of, sigma_transform
+from ddebranch.presets import default_sunflower
+from ddebranch.problem import simpson_mean
+
 from conftest import TWO_PI, box, periodic
 
 
@@ -68,15 +73,72 @@ class TestAverageF:
         assert average_f(prob, np.zeros(0), [1.0]).size == 0
 
 
-class TestMemoizedWf:
+class TestMakeWf:
     def test_matches_direct_average(self):
         prob = coupled(_ex_f)
         wf = make_wf(prob)
         for q in (0.2, -0.7, 1.5):
             direct = average_f(prob, [0.1], [q])
             assert np.allclose(wf([0.1], [q]), direct, atol=1e-14)
-            # Second call hits the cache and must return the same values.
-            assert np.allclose(wf([0.1], [q]), direct, atol=1e-14)
+            # The evaluator keeps no state: a repeated call recomputes.
+            assert np.array_equal(wf([0.1], [q]), wf([0.1], [q]))
+
+
+def _scalar_loop_average(problem, p, q, n_quad):
+    """Reference w_f: one eval_f per quadrature time at one point."""
+    ts = np.linspace(0.0, problem.period, n_quad + 1)
+    return simpson_mean(np.array([problem.eval_f(float(t), p, q, p, q) for t in ts]))
+
+
+def _forced_dsl_problem():
+    return load_problem({"problem": {
+        "dims": {"k": 1, "s": 1}, "T": TWO_PI, "r": 1.0,
+        "a": "-1 + 0.5*sin(t)", "f": ["sin(yd1) + 0.5*cos(t)"], "g": ["x1 - y1"],
+    }}).coupled
+
+
+def _scalar_only_lienard_problem():
+    # math.sin rejects arrays and primitive_of's G takes one float, so the
+    # reduced fields fall back to element-wise calls.
+    a = periodic(lambda t: -1.0 + 0.4 * math.sin(t))
+    g = lambda y: 1.0 + y * y
+    sdp = ScalarDelayProblem(a=a, f=lambda t, y, yd: math.sin(yd) + 0.3 * math.cos(t),
+                             period=TWO_PI, delay=1.0, G=primitive_of(g), g=g)
+    return lienard_reduce(sdp, sigma_transform(a, 256).sigma)
+
+
+BATCH_CASES = {
+    "forced-dsl": _forced_dsl_problem,
+    "default-sunflower": lambda: default_sunflower().coupled,
+    "scalar-only-lienard": _scalar_only_lienard_problem,
+    "plain-callable": lambda: coupled(_ex_f),
+}
+
+
+class TestBatchedAverage:
+    N_QUAD = 64
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    @pytest.mark.parametrize("B", [None, 1, 5])
+    def test_matches_scalar_loop(self, name, B):
+        prob = BATCH_CASES[name]()
+        rng = np.random.default_rng(4)
+        P = rng.uniform(-1.0, 1.0, size=(5, 1))
+        Q = rng.uniform(-1.0, 1.0, size=(5, 1))
+        if B is None:
+            got = np.array([average_f(prob, p, q, self.N_QUAD) for p, q in zip(P, Q)])
+        else:
+            got = average_f(prob, P[:B], Q[:B], self.N_QUAD)
+        assert got.shape == (len(P) if B is None else B, 1)
+        want = np.array([_scalar_loop_average(prob, p, q, self.N_QUAD) for p, q in zip(P, Q)])
+        np.testing.assert_allclose(got, want[: len(got)], rtol=1e-13, atol=1e-15)
+
+    def test_batched_g_matches_rows(self):
+        prob = _scalar_only_lienard_problem()
+        X = np.array([[0.3], [-0.2], [0.9]])
+        Y = np.array([[0.5], [0.1], [-0.7]])
+        rows = np.array([prob.eval_g(x, y) for x, y in zip(X, Y)])
+        assert np.array_equal(prob.eval_g(X, Y), rows)
 
 
 class TestNuField:

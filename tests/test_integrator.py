@@ -1,5 +1,6 @@
 """Method-of-steps RK4 integrator and the delay-free flows."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -144,22 +145,35 @@ class TestBatch:
             period=TWO_PI, delay=1.0,
         )
 
-    @pytest.mark.parametrize("batch_field", [True, False])
-    def test_rows_match_single_runs(self, batch_field):
-        prob = self._delay_problem(batch_field)
+    @staticmethod
+    def _assert_rows_match_single_runs(prob, mu):
         rng = np.random.default_rng(3)
         values = rng.uniform(-0.5, 0.5, size=(9, 3, 2))
         batch = History.from_values(values, 1.0)
-        traj = integrate(prob, 0.8, 1.0, batch, TWO_PI, steps_per_delay=8)
+        traj = integrate(prob, 0.8, mu, batch, TWO_PI, steps_per_delay=8)
         assert traj.states.shape == (len(traj.times), 3, 2)
         ts = np.linspace(-1.0, TWO_PI, 23)
         for b in range(3):
-            one = integrate(prob, 0.8, 1.0, History.from_values(values[:, b], 1.0), TWO_PI,
+            one = integrate(prob, 0.8, mu, History.from_values(values[:, b], 1.0), TWO_PI,
                             steps_per_delay=8)
             assert np.array_equal(traj.states[:, b], one.states)
             assert np.array_equal(traj.slopes[:, b], one.slopes)
             assert np.array_equal(traj.eval(ts)[:, b], one.eval(ts))
             assert np.array_equal(traj.deriv(ts)[:, b], one.deriv(ts))
+
+    @pytest.mark.parametrize("batch_field", [True, False])
+    def test_rows_match_single_runs(self, batch_field):
+        self._assert_rows_match_single_runs(self._delay_problem(batch_field), 1.0)
+
+    @pytest.mark.parametrize("batch_field", [True, False])
+    def test_mu_half_rows_match_single_runs(self, batch_field):
+        # The averaged drive of all rows is one average_f call per stage.
+        prob = dataclasses.replace(self._delay_problem(batch_field), n_quad=16)
+        self._assert_rows_match_single_runs(prob, 0.5)
+
+    def test_mu_half_sunflower_rows_match_single_runs(self, sunflower):
+        prob = dataclasses.replace(sunflower.coupled, n_quad=64)
+        self._assert_rows_match_single_runs(prob, 0.5)
 
     def test_one_escaping_row_stops_the_sweep(self):
         prob = _exp_problem()

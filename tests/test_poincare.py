@@ -1,5 +1,6 @@
 """Translation operator, fixed points, discrete index, index identity."""
 
+import dataclasses
 import json
 import math
 
@@ -19,7 +20,6 @@ from ddebranch import (
 from ddebranch import poincare
 from ddebranch.config import load_problem
 from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
-from ddebranch.fields import make_wf
 from ddebranch.poincare import _newton_fixed_point, _translate_values, index_report_json
 from ddebranch.problem import BatchField
 
@@ -186,13 +186,13 @@ class TestConfigValidation:
             TranslationConfig(newton_tol=0.0)
 
 
-def _column_loop_jacobian(problem, lam, mu, u, r0, cfg, domain, wf):
+def _column_loop_jacobian(problem, lam, mu, u, r0, cfg, domain):
     """Reference Jacobian: one translate per perturbed column."""
     J = np.empty((u.size, u.size))
     for j in range(u.size):
         vp = u.copy()
         vp[j] += cfg.fd_step
-        image = _translate_values(problem, lam, mu, vp, cfg, domain, wf, problem.dim)
+        image = _translate_values(problem, lam, mu, vp, cfg, domain, problem.dim)
         J[:, j] = (image - vp - r0) / cfg.fd_step
     return J
 
@@ -212,11 +212,11 @@ def _wavy_history(m, scale=0.2):
 class TestBatchedJacobian:
     CFG8 = TranslationConfig(m=8, steps_per_delay=8)
 
-    def _assert_matches_column_loop(self, problem, lam, mu, u, wf_pair=(None, None)):
+    def _assert_matches_column_loop(self, problem, lam, mu, u):
         cfg = self.CFG8
-        r0 = _translate_values(problem, lam, mu, u, cfg, None, wf_pair[0], problem.dim) - u
-        J = poincare._jacobian(problem, lam, mu, u, r0, cfg, None, wf_pair[0])
-        J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg, None, wf_pair[1])
+        r0 = _translate_values(problem, lam, mu, u, cfg, None, problem.dim) - u
+        J = poincare._jacobian(problem, lam, mu, u, r0, cfg, None)
+        J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg, None)
         assert J.shape == (u.size, u.size)
         assert np.max(np.abs(J - J_ref)) <= 1e-12 * max(1.0, np.max(np.abs(J_ref)))
 
@@ -225,15 +225,26 @@ class TestBatchedJacobian:
         assert isinstance(problem.f, BatchField) and isinstance(problem.g, BatchField)
         self._assert_matches_column_loop(problem, 0.7, 1.0, _wavy_history(8))
 
-    def test_sunflower_row_by_row_fields(self, sunflower):
+    def test_sunflower_batch_fields(self, sunflower):
         problem = sunflower.coupled
+        assert isinstance(problem.f, BatchField) and isinstance(problem.g, BatchField)
+        self._assert_matches_column_loop(problem, 0.5, 1.0, _wavy_history(8))
+
+    def test_sunflower_row_by_row_fields(self, sunflower):
+        # The reduced sunflower system written as plain single-state callables.
+        sigma = sunflower.sigma.sigma
+        problem = CoupledProblem(
+            dim_x=1, dim_y=1,
+            f=lambda t, x, y, xd, yd: np.array([math.sin(yd[0]) / sigma(t)]),
+            g=lambda x, y: np.array([x[0] - y[0]]),
+            a=sigma, period=TWO_PI, delay=1.0,
+        )
         assert not isinstance(problem.f, BatchField)
         self._assert_matches_column_loop(problem, 0.5, 1.0, _wavy_history(8))
 
     def test_mu_half(self, sunflower):
-        problem = sunflower.coupled
-        wfs = (make_wf(problem, n_quad=16), make_wf(problem, n_quad=16))
-        self._assert_matches_column_loop(problem, 1e-3, 0.5, _wavy_history(8, 0.05), wfs)
+        problem = dataclasses.replace(sunflower.coupled, n_quad=16)
+        self._assert_matches_column_loop(problem, 1e-3, 0.5, _wavy_history(8, 0.05))
 
     def test_domain_exit_of_one_column_fails_both(self, monkeypatch):
         # y' = a(t)(y - y^3) decreases from 0.95, so the unperturbed input
@@ -243,15 +254,15 @@ class TestBatchedJacobian:
         cfg = self.CFG8
         box = Box(lower=[-1.0], upper=[0.95 + 0.1 * cfg.fd_step])
         u0 = np.full(cfg.m + 1, 0.95)
-        r0 = _translate_values(prob, 0.0, 1.0, u0, cfg, box, None, 1) - u0
+        r0 = _translate_values(prob, 0.0, 1.0, u0, cfg, box, 1) - u0
         assert np.max(np.abs(r0)) > cfg.newton_tol
         escaping = u0.copy()
         escaping[-1] += cfg.fd_step
         with pytest.raises(TranslationUndefinedError):
-            _translate_values(prob, 0.0, 1.0, escaping, cfg, box, None, 1)
+            _translate_values(prob, 0.0, 1.0, escaping, cfg, box, 1)
         for jacobian in (poincare._jacobian, _column_loop_jacobian):
             with pytest.raises(TranslationUndefinedError):
-                jacobian(prob, 0.0, 1.0, u0, r0, cfg, box, None)
+                jacobian(prob, 0.0, 1.0, u0, r0, cfg, box)
         assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None
         monkeypatch.setattr(poincare, "_jacobian", _column_loop_jacobian)
         assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None

@@ -11,7 +11,7 @@ from scipy.interpolate import CubicHermiteSpline
 import ddebranch
 from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.problem import _hermite
+from ddebranch.problem import _hermite, _sample_at, simpson_mean
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -81,6 +81,54 @@ class TestAverageScalar:
 
         with pytest.raises(RuntimeError, match="broken array path"):
             average_scalar(periodic(ev))
+
+
+def _simpson_weights(n):
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w / 3.0
+
+
+class TestSimpsonMean:
+    def test_one_and_two_axes_keep_the_weight_product(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((65, 3))
+        w = _simpson_weights(64)
+        assert np.array_equal(simpson_mean(values), w @ values / 64)
+        assert simpson_mean(values[:, 1]) == w @ values[:, 1] / 64
+
+    def test_three_axes_match_per_column_means(self):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((129, 5, 2)) * np.exp(3.0 * rng.standard_normal((5, 2)))
+        got = simpson_mean(values)
+        assert got.shape == (5, 2)
+        want = np.array([[simpson_mean(values[:, b, c]) for c in range(2)] for b in range(5)])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_three_axes_column_does_not_depend_on_batch_size(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((129, 6, 1)) * np.exp(3.0 * rng.standard_normal((6, 1)))
+        full = simpson_mean(values)
+        for b in range(6):
+            assert np.array_equal(simpson_mean(values[:, b:b + 1]), full[b:b + 1])
+            assert np.array_equal(simpson_mean(values[:, : b + 1]), full[: b + 1])
+
+
+class TestSampleAt:
+    def test_scalar_only_callable_broadcasts_elementwise(self):
+        ts = np.linspace(0.0, 1.0, 4)[:, None]
+        ys = np.array([0.5, -1.0, 2.0])
+        got = _sample_at(lambda t, y: math.sin(y) * t if t < 0.5 else y, ts, ys)
+        want = np.array([[math.sin(y) * t if t < 0.5 else y for y in ys] for t in ts[:, 0]])
+        assert got.shape == (4, 3)
+        assert np.array_equal(got, want)
+
+    def test_result_ignoring_an_argument_is_broadcast(self):
+        ts = np.linspace(0.0, 1.0, 4)[:, None]
+        ys = np.array([0.5, -1.0, 2.0])
+        got = _sample_at(lambda t, y: np.sin(y), ts, ys)
+        assert np.array_equal(got, np.tile(np.sin(ys), (4, 1)))
 
 
 def test_no_silently_swallowed_broad_exceptions():
