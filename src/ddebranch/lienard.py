@@ -46,16 +46,15 @@ _SIGMA_CELLS = 2048
 def _cumulative_simpson(values: np.ndarray, h2: float) -> np.ndarray:
     """Cumulative integral on a grid with midpoints (2M+1 values, spacing h2).
 
-    Even indices advance by classical Simpson over one cell; odd indices use
-    the half-cell quadratic rule.  Both are fourth order.
+    Even indices accumulate classical Simpson over the cells; each odd index
+    adds the half-cell quadratic rule to the even entry before it.  Both are
+    fourth order.
     """
-    n = values.size
-    out = np.empty(n)
+    y0, y1, y2 = values[:-2:2], values[1:-1:2], values[2::2]
+    out = np.empty(values.size)
     out[0] = 0.0
-    y = values
-    for j in range(0, n - 2, 2):
-        out[j + 1] = out[j] + (h2 / 12.0) * (5.0 * y[j] + 8.0 * y[j + 1] - y[j + 2])
-        out[j + 2] = out[j] + (h2 / 3.0) * (y[j] + 4.0 * y[j + 1] + y[j + 2])
+    np.cumsum((h2 / 3.0) * (y0 + 4.0 * y1 + y2), out=out[2::2])
+    out[1::2] = out[:-1:2] + (h2 / 12.0) * (5.0 * y0 + 8.0 * y1 - y2)
     return out
 
 
@@ -124,7 +123,8 @@ def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
     """Build the unique T-periodic sigma with a = sigma'/sigma - sigma.
 
     sigma is sampled on a grid of n_quad cells (with midpoints) and
-    interpolated by a periodic cubic spline (PeriodicFn1D.from_samples).  An
+    interpolated by a periodic cubic spline, whose node slopes come from one
+    O(n) cyclic tridiagonal sweep (PeriodicFn1D.from_samples).  An
     evaluation reduces t modulo T, bisects the grid for its cell and runs
     Horner's rule on that cell's cubic, in pure Python for a scalar t (which
     returns a float) and in one vectorised pass for an array t.
@@ -231,9 +231,18 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     _check_nonvanishing(gamma)
     f = sdp.f
     G = sdp.G
+    # RK4 stages come in pairs at one float time, so gamma is read once per
+    # distinct time; an array of times (average_f) is sampled in one call.
+    last = [None, 0.0]
 
     def f_c(t, x, y, xd, yd):
-        return (_sample_at(f, t, y[..., 0], yd[..., 0]) / _sample_at(gamma, t))[..., None]
+        if isinstance(t, float):
+            if t != last[0]:
+                last[0], last[1] = t, float(gamma(t))
+            gt = last[1]
+        else:
+            gt = _sample_at(gamma, t)
+        return (_sample_at(f, t, y[..., 0], yd[..., 0]) / gt)[..., None]
 
     def g_c(x, y):
         return (x[..., 0] - _sample_at(G, y[..., 0]))[..., None]

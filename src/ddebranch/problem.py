@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameterError, ZeroAverageError
 
@@ -71,25 +70,74 @@ class PeriodicFn1D:
 
     @classmethod
     def from_samples(cls, grid: np.ndarray, values: np.ndarray) -> "PeriodicFn1D":
-        """Periodic cubic-spline interpolant through samples on [0, T].
+        """Periodic cubic-spline interpolant through samples over one period.
 
-        grid must cover one full period with grid[0] = 0 and grid[-1] = T;
-        values[0] and values[-1] must agree (periodic closure).  The spline
-        is built once; evaluation runs on its piecewise coefficients (see
-        _periodic_cubic), not through SciPy.
+        grid is any increasing sequence of at least 3 nodes covering one
+        full period, grid[-1] - grid[0] = T; values[-1] is replaced by
+        values[0] (periodic closure).  The node slopes solve the cyclic
+        tridiagonal system of a C^2 periodic spline (_periodic_slopes); the
+        cubics are built once and evaluated by _periodic_cubic.
         """
         grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        T = float(grid[-1] - grid[0])
-        vals = values.copy()
+        if grid.size < 3:
+            raise InvalidParameterError(f"a periodic spline needs at least 3 nodes, got {grid.size}")
+        vals = np.array(values, dtype=float)
         vals[-1] = vals[0]
-        spline = CubicSpline(grid, vals, bc_type="periodic")
-        return cls(eval=_periodic_cubic(spline.x, spline.c, T), period=T)
+        T = float(grid[-1] - grid[0])
+        dx = np.diff(grid)
+        delta = np.diff(vals) / dx
+        s = np.array(_periodic_slopes(dx.tolist(), delta.tolist()))
+        s1 = np.roll(s, -1)
+        c = np.stack([(s + s1 - 2.0 * delta) / dx**2, (3.0 * delta - 2.0 * s - s1) / dx, s, vals[:-1]])
+        return cls(eval=_periodic_cubic(grid, c, T), period=T)
+
+
+def _periodic_slopes(dx: list, delta: list) -> list:
+    """Node slopes s_0..s_{N-1} of the periodic cubic spline with interval
+    lengths dx and secant slopes delta (N intervals, s_N = s_0).
+
+    Row i of the cyclic tridiagonal system, indices mod N, is
+
+        dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+            = 3 (dx_i delta_{i-1} + dx_{i-1} delta_i).
+
+    The corners are split off by Sherman-Morrison, and the remaining
+    tridiagonal system is solved by one Thomas sweep against two right-hand
+    sides, in O(N) on Python floats.
+    """
+    n = len(dx)
+    sub = dx  # coefficient of s_{i-1}; row 0 holds it in the top-right corner
+    sup = [dx[i - 1] for i in range(n)]  # of s_{i+1}; row n-1 in the bottom-left
+    diag = [2.0 * (dx[i - 1] + dx[i]) for i in range(n)]
+    rhs = [3.0 * (dx[i] * delta[i - 1] + dx[i - 1] * delta[i]) for i in range(n)]
+    # A = A' + u v^T with u = (gamma, 0, .., sup_{n-1}), v = (1, 0, .., sub_0 / gamma).
+    gamma = -diag[0]
+    ratio = sub[0] / gamma
+    diag[0] -= gamma
+    diag[-1] -= sup[-1] * ratio
+    u = [0.0] * n
+    u[0], u[-1] = gamma, sup[-1]
+    # Thomas on A' x = rhs and A' z = u at once.
+    cp = [0.0] * n
+    x = [0.0] * n
+    z = [0.0] * n
+    cprev = xprev = zprev = 0.0
+    for i in range(n):
+        a = sub[i] if i else 0.0
+        w = diag[i] - a * cprev
+        cprev = cp[i] = sup[i] / w
+        xprev = x[i] = (rhs[i] - a * xprev) / w
+        zprev = z[i] = (u[i] - a * zprev) / w
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+        z[i] -= cp[i] * z[i + 1]
+    factor = (x[0] + ratio * x[-1]) / (1.0 + z[0] + ratio * z[-1])
+    return [xi - factor * zi for xi, zi in zip(x, z)]
 
 
 def _periodic_cubic(x: np.ndarray, c: np.ndarray, T: float) -> Callable:
     """Evaluator of the T-periodic piecewise cubic with breakpoints x and
-    coefficients c of shape (4, n), highest power first (SciPy's PPoly layout).
+    coefficients c of shape (4, n), highest power first.
 
     t is reduced into [x[0], x[0] + T], its interval found by bisection on x
     (any grid), and the local cubic evaluated by Horner's rule.  A scalar t
@@ -297,6 +345,13 @@ def _hermite(grid, values, derivs, t, deriv=False):
     )
 
 
+def _check_history_grid(delay: float, n_nodes: int):
+    if delay <= 0:
+        raise InvalidParameterError(f"delay must be positive, got {delay}")
+    if n_nodes < 9:
+        raise InvalidParameterError("history needs at least m = 8 (9 nodes)")
+
+
 @dataclass(frozen=True)
 class History:
     """A sampled function on [-r, 0] with cubic Hermite interpolation.
@@ -316,12 +371,9 @@ class History:
         derivs = np.atleast_2d(np.asarray(self.derivs, dtype=float))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
-        if self.delay <= 0:
-            raise InvalidParameterError(f"delay must be positive, got {self.delay}")
+        _check_history_grid(self.delay, values.shape[0])
         if values.shape != derivs.shape:
             raise InvalidParameterError("values and derivs must have the same shape")
-        if values.shape[0] < 9:
-            raise InvalidParameterError("history needs at least m = 8 (9 nodes)")
 
     @property
     def m(self) -> int:
@@ -343,16 +395,30 @@ class History:
 
     @classmethod
     def from_values(cls, values: np.ndarray, delay: float) -> "History":
-        """Build a history from node values alone; node slopes come from a
-        not-a-knot cubic spline through the values (deterministic, so the
-        discretized translation operator is a function of the values only).
-        values of shape (m+1, B, d) give a batch, splined in one call.
+        """Build a history from node values alone; node slopes are those of
+        the not-a-knot cubic spline through the values (deterministic, so
+        the discretized translation operator is a function of the values
+        only).  values of shape (m+1, B, d) give a batch.
+
+        On the uniform grid, in units of the spacing h = delay/m, the slopes
+        solve s_{i-1} + 4 s_i + s_{i+1} = 3 (D_{i-1} + D_i) at interior nodes
+        (D_i = (v_{i+1} - v_i)/h) and s_0 + 2 s_1 = (5 D_0 + D_1)/2 with its
+        mirror image at the ends: one dense solve against all B*d columns.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
+        _check_history_grid(delay, values.shape[0])
         m = values.shape[0] - 1
-        grid = np.linspace(-delay, 0.0, m + 1)
-        spline = CubicSpline(grid, values, axis=0)
-        derivs = spline(grid, 1)
+        delta = np.diff(values, axis=0).reshape(m, -1) / (delay / m)
+        A = np.zeros((m + 1, m + 1))
+        i = np.arange(1, m)
+        A[i, i - 1] = A[i, i + 1] = 1.0
+        A[i, i] = 4.0
+        A[0, :2] = A[m, m:m - 2:-1] = 1.0, 2.0
+        b = np.empty((m + 1, delta.shape[1]))
+        b[1:m] = 3.0 * (delta[:-1] + delta[1:])
+        b[0] = 0.5 * (5.0 * delta[0] + delta[1])
+        b[m] = 0.5 * (5.0 * delta[-1] + delta[-2])
+        derivs = np.linalg.solve(A, b).reshape(values.shape)
         return cls(delay=delay, values=values, derivs=derivs)
 
     def eval(self, theta):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import ddebranch
 from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
@@ -163,6 +163,10 @@ class TestPeriodicFn1D:
         with pytest.raises(InvalidParameterError):
             PeriodicFn1D(eval=lambda t: 0.0, period=0.0)
 
+    def test_from_samples_needs_three_nodes(self):
+        with pytest.raises(InvalidParameterError):
+            PeriodicFn1D.from_samples([0.0, 1.0], [2.0, 2.0])
+
 
 class TestBox:
     def test_basic_queries(self):
@@ -216,6 +220,28 @@ class TestHistory:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
             History(delay=1.0, values=np.zeros((9, 1)), derivs=np.zeros((9, 2)))
+
+    @pytest.mark.parametrize("m", [8, 16, 33])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_slopes_match_scipy_not_a_knot(self, m, batch):
+        values = np.random.default_rng(m).standard_normal((m + 1,) + batch + (2,))
+        hist = History.from_values(values, delay=0.7)
+        want = CubicSpline(hist.grid, values, axis=0)(hist.grid, 1)
+        assert hist.derivs.shape == values.shape
+        assert np.max(np.abs(hist.derivs - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_slopes_reproduce_a_cubic(self):
+        # A not-a-knot spline through a cubic's node values is that cubic.
+        grid = np.linspace(-1.3, 0.0, 13)
+        poly = np.polynomial.Polynomial([0.4, -1.1, 2.5, 1.7])
+        hist = History.from_values(np.column_stack([poly(grid), -poly(grid)]), delay=1.3)
+        slopes = poly.deriv()(grid)
+        assert np.max(np.abs(hist.derivs - np.column_stack([slopes, -slopes]))) <= 1e-12
+
+    @pytest.mark.parametrize("nodes, delay", [(8, 1.0), (9, 0.0)])
+    def test_from_values_rejects_bad_grid(self, nodes, delay):
+        with pytest.raises(InvalidParameterError):
+            History.from_values(np.zeros((nodes, 1)), delay=delay)
 
 
 class TestHermite:

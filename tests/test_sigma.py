@@ -123,18 +123,26 @@ def _sigma_samples():
     return result.grid, result.values
 
 
-def _uneven_samples():
+def _uneven_samples(n_inner=61):
     rng = np.random.default_rng(7)
-    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, TWO_PI, 61)), [TWO_PI]])
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, TWO_PI, n_inner)), [TWO_PI]])
     vals = np.exp(np.sin(grid)) - 3.0
     vals[-1] = vals[0]
     return grid, vals
 
 
+def _coarse_samples():
+    return _uneven_samples(n_inner=7)
+
+
+def _three_samples():
+    return _uneven_samples(n_inner=1)
+
+
 class TestPeriodicSplineKernel:
     """from_samples against SciPy's own periodic spline as the oracle."""
 
-    @pytest.mark.parametrize("samples", [_sigma_samples, _uneven_samples])
+    @pytest.mark.parametrize("samples", [_sigma_samples, _uneven_samples, _coarse_samples, _three_samples])
     def test_matches_scipy(self, samples):
         grid, vals = samples()
         T = grid[-1]
