@@ -34,7 +34,7 @@ from .config import (
 from .continuation import ContinuationConfig, continue_branch
 from .degree import degree_1d, degree_2d_winding, degree_nd_jacobian
 from .errors import ConfigError, DdeBranchError, ExprError
-from .fields import nu_field
+from .fields import FieldHandle, nu_field
 from .integrator import integrate
 from .lienard import sigma_transform
 from .poincare import TranslationConfig, verify_index_identity
@@ -130,8 +130,11 @@ def cmd_degree(config: dict, out: Path, args) -> int:
     if box.dim != dim:
         raise ConfigError(f"degree.box: dimension {box.dim} does not match field dimension {dim}")
     if block.get("negate", False):
-        base = fn
-        fn = lambda z: -np.atleast_1d(np.asarray(base(z), dtype=float))
+        if isinstance(fn, FieldHandle):
+            fn = fn.negated()  # still one call per sample set
+        else:
+            base = fn
+            fn = lambda z: -np.atleast_1d(np.asarray(base(z), dtype=float))
     method = block.get("method", "auto")
     if method == "auto":
         method = {1: "sign-1d", 2: "winding-2d"}.get(dim, "jacobian-nd")

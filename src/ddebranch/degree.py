@@ -7,10 +7,16 @@ Three computation paths:
 * winding-2d: total winding of the field along the positively oriented box
   boundary, with automatic boundary refinement;
 * jacobian-nd: grid search for sign-change cells, refinement by the
-  package's one damped Newton (damped_newton, also the fixed-point solver
-  of the translation operator) with forward-difference Jacobians
-  (fd_jacobian), degree as the sum of Jacobian determinant signs over the
-  refined zeros.
+  package's one damped Newton (newton_steps, driven by damped_newton here
+  and by the lockstep fixed-point solver of the translation operator) with
+  forward-difference Jacobians (fd_jacobian), degree as the sum of Jacobian
+  determinant signs over the refined zeros.
+
+A field is a FieldHandle or any other callable.  A FieldHandle is
+evaluated on a whole (N, n) array of points at once, so each sample set
+(the winding boundary, the jacobian-nd boundary and grid, the sign-1d
+scan, the points of a finite-difference Jacobian) costs one call; any
+other callable is called once per point.
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
 minimum sampled boundary norm is reported as admissibility_margin so callers
@@ -33,6 +39,7 @@ from .errors import (
     ResolutionError,
     TranslationUndefinedError,
 )
+from .fields import FieldHandle
 from .problem import Box
 
 _BOUNDARY_ZERO_TOL = 1e-14
@@ -70,6 +77,14 @@ class DegreeReport:
         return json.dumps(self.to_dict(), allow_nan=False)
 
 
+def _sample(fn, points: np.ndarray) -> np.ndarray:
+    """Values of fn at the rows of points, (N, n) -> (N, n): one call for a
+    FieldHandle, one call per row for any other callable."""
+    if isinstance(fn, FieldHandle):
+        return fn(points)
+    return np.array([np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in points])
+
+
 def _as_scalar_field(fn):
     """Accept both scalar->scalar fields and 1-d vector fields."""
 
@@ -96,7 +111,12 @@ def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
     if n_check < 8:
         raise InvalidParameterError(f"n_check must be >= 8, got {n_check}")
     f = _as_scalar_field(fn)
-    fa, fb = f(a), f(b)
+    xs = np.linspace(a, b, n_check + 1)
+    if isinstance(fn, FieldHandle):
+        vals = fn(xs[:, None])[:, 0]
+    else:
+        vals = np.array([f(x) for x in xs])
+    fa, fb = float(vals[0]), float(vals[-1])  # linspace keeps both ends exact
     margin = min(abs(fa), abs(fb))
     if margin <= _BOUNDARY_ZERO_TOL:
         raise AdmissibilityError(
@@ -105,8 +125,6 @@ def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
     deg = (int(np.sign(fb)) - int(np.sign(fa))) // 2
 
     zeros = []
-    xs = np.linspace(a, b, n_check + 1)
-    vals = np.array([f(x) for x in xs])
     for i in range(n_check):
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0 or v0 * v1 > 0.0:
@@ -152,7 +170,7 @@ def degree_2d_winding(fn, box: Box, n_boundary: int = 1024) -> DegreeReport:
     n = n_boundary
     while True:
         pts = _boundary_loop(box, n)
-        vals = np.array([np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in pts])
+        vals = _sample(fn, pts)
         norms = np.hypot(vals[:, 0], vals[:, 1])
         margin = float(norms.min())
         if margin < _MARGIN_MIN:
@@ -176,32 +194,40 @@ def degree_2d_winding(fn, box: Box, n_boundary: int = 1024) -> DegreeReport:
         n *= 2
 
 
+def fd_points(u: np.ndarray, step: float) -> np.ndarray:
+    """The n points u + step * e_j, as rows, at which fd_jacobian evaluates F."""
+    return u + step * np.eye(u.size)
+
+
 def fd_jacobian(F, u: np.ndarray, f0: np.ndarray, step: float) -> np.ndarray:
     """Forward-difference Jacobian of F at u, where f0 is the image of u.
 
     F maps a (B, n) array of points to the (B, n) array of their images, so
-    the n perturbed points u + step * e_j go through F in one call; row j of
-    the result becomes column j of the Jacobian.
+    the n points fd_points(u, step) go through F in one call; row j of the
+    result becomes column j of the Jacobian.
     """
-    perturbed = u + step * np.eye(u.size)
-    return ((F(perturbed) - f0) / step).T
+    return ((F(fd_points(u, step)) - f0) / step).T
 
 
-def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
-                  need_jacobian: bool):
-    """Damped Newton on residual(u) = 0 from u0, measured in the sup norm.
+def newton_steps(u0: np.ndarray, tol: float, max_iter: int, need_jacobian: bool):
+    """Damped Newton on a residual R(u) = 0 from u0, as a generator that
+    asks for the values it needs; residual norms are sup norms.
 
-    jacobian(u, r) is the Jacobian of the residual at u, where r is
-    residual(u).  It is reused while each step contracts the residual at
-    least tenfold and formed afresh otherwise.  A step is halved up to 10
+    It yields ("residual", u), to be sent R(u), and ("jacobian", u, r), to
+    be sent the Jacobian of R at u, where r is R(u).  A request whose value
+    is undefined gets TranslationUndefinedError thrown in instead.  The
+    Jacobian is reused while each step contracts the residual at least
+    tenfold and requested afresh otherwise.  A step is halved up to 10
     times until the residual decreases; if none does, one full step with a
     fresh Jacobian is tried before giving up.  A trial point whose residual
-    raises TranslationUndefinedError counts as not decreasing it; that error
-    anywhere else, or a singular Jacobian, is a failure.
+    is undefined counts as not decreasing it; an undefined value anywhere
+    else, or a singular Jacobian, is a failure.
 
-    Returns (u, residual_norm, J) once residual_norm <= tol, or None.  J is
-    the Jacobian last formed, at u or an earlier iterate; it is None when
-    need_jacobian is False and none was formed.
+    The generator returns (u, residual_norm, J) once residual_norm <= tol,
+    or None.  J is the Jacobian last formed, at u or an earlier iterate;
+    it is None when need_jacobian is False and none was formed.  Since it
+    only asks for values, one driver can advance many solves at once
+    (poincare._solve_lockstep); damped_newton drives one with callables.
     """
 
     def size(r):
@@ -209,28 +235,28 @@ def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
 
     u, J = u0.copy(), None
     try:
-        res = residual(u)
+        res = yield ("residual", u)
         for _ in range(max_iter):
             rnorm = size(res)
             if rnorm <= tol:
                 break
             if J is None:
-                J = jacobian(u, res)
+                J = yield ("jacobian", u, res)
             step = np.linalg.solve(J, -res)
             alpha = 1.0
             for _ in range(_NEWTON_HALVINGS):
                 try:
-                    res_new = residual(u + alpha * step)
+                    res_new = yield ("residual", u + alpha * step)
                     if size(res_new) < rnorm:
                         break
                 except TranslationUndefinedError:
                     pass
                 alpha *= 0.5
             else:
-                J = jacobian(u, res)
+                J = yield ("jacobian", u, res)
                 step = np.linalg.solve(J, -res)
                 alpha = 1.0
-                res_new = residual(u + step)
+                res_new = yield ("residual", u + step)
                 if size(res_new) >= rnorm:
                     return None
             u = u + alpha * step
@@ -241,10 +267,33 @@ def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
         if rnorm > tol:
             return None
         if J is None and need_jacobian:
-            J = jacobian(u, res)
+            J = yield ("jacobian", u, res)
     except (TranslationUndefinedError, np.linalg.LinAlgError):
         return None
     return u, rnorm, J
+
+
+def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
+                  need_jacobian: bool):
+    """newton_steps on residual(u) = 0 from u0, driven by callables.
+
+    residual(u) answers each residual request and jacobian(u, r) each
+    Jacobian request; a TranslationUndefinedError either raises is thrown
+    into the solve.  Returns what newton_steps returns: (u, residual_norm,
+    J) on convergence, None on failure.
+    """
+    steps = newton_steps(u0, tol, max_iter, need_jacobian)
+    try:
+        request = next(steps)
+        while True:
+            try:
+                value = residual(request[1]) if request[0] == "residual" else jacobian(*request[1:])
+            except TranslationUndefinedError as exc:
+                request = steps.throw(exc)
+            else:
+                request = steps.send(value)
+    except StopIteration as stop:
+        return stop.value
 
 
 def _boundary_samples(box: Box, per_axis: int) -> np.ndarray:
@@ -268,8 +317,11 @@ def degree_nd_jacobian(
     Candidate cells are those of a uniform grid whose corner values change
     sign in every component; each candidate seeds damped_newton with
     forward-difference Jacobians, and each zero's sign comes from a fresh
-    Jacobian at the converged point.  Fails with DegeneracyError on a
-    non-hyperbolic zero (fall back to the winding method when n = 2).
+    Jacobian at the converged point.  A FieldHandle is sampled on the
+    boundary, on the grid and at the points of each Jacobian in one call
+    each; Newton's residuals are single-point calls.  Fails with
+    DegeneracyError on a non-hyperbolic zero (fall back to the winding
+    method when n = 2).
     """
     if grid_per_axis < 8:
         raise InvalidParameterError(f"grid_per_axis must be >= 8, got {grid_per_axis}")
@@ -281,10 +333,10 @@ def degree_nd_jacobian(
         return np.atleast_1d(np.asarray(fn(z), dtype=float))
 
     def jacobian(z, f0):
-        return fd_jacobian(lambda rows: np.array([value(row) for row in rows]), z, f0, fd_step)
+        return fd_jacobian(lambda rows: _sample(fn, rows), z, f0, fd_step)
 
     bpts = _boundary_samples(box, grid_per_axis + 1)
-    margin = float(min(np.linalg.norm(value(p)) for p in bpts))
+    margin = float(min(np.linalg.norm(v) for v in _sample(fn, bpts)))
     if margin < _MARGIN_MIN:
         raise AdmissibilityError(
             f"field norm {margin:.2e} on the boundary sample grid is below {_MARGIN_MIN:.0e}"
@@ -293,9 +345,7 @@ def degree_nd_jacobian(
     axes = [np.linspace(box.lower[i], box.upper[i], grid_per_axis + 1) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_pts = np.stack(mesh, axis=-1)
-    vals = np.empty(grid_pts.shape[:-1] + (n,))
-    for idx in np.ndindex(*grid_pts.shape[:-1]):
-        vals[idx] = value(grid_pts[idx])
+    vals = _sample(fn, grid_pts.reshape(-1, n)).reshape(grid_pts.shape)
 
     corner_offsets = list(itertools.product((0, 1), repeat=n))
     dedupe = 1e-6 * scale

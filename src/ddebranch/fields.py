@@ -9,6 +9,8 @@ statement verified by the rest of the package:
 
 w_f takes one f call on n_quad + 1 times against a batch of points: cheap
 for a BatchField f, (n_quad + 1) calls per point for any other callable.
+nu and v_lam are FieldHandles, so a batch of N points costs one w_f and
+one g call.
 """
 
 from __future__ import annotations
@@ -18,26 +20,40 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ZeroAverageError
+from .errors import InvalidParameterError, ZeroAverageError
 from .problem import CoupledProblem, simpson_mean
 
 
 @dataclass(frozen=True)
 class FieldHandle:
-    """An evaluable vector field R^n -> R^n."""
+    """A vector field R^n -> R^n, evaluated a batch of points at a time.
+
+    eval takes an (N, n) array of points and returns the (N, n) array of
+    their values.  Calling the handle on such an array makes one eval call;
+    calling it on one point of shape (n,) evaluates the batch of one and
+    returns shape (n,).  An eval whose result has another shape than its
+    input (a per-point eval handed a batch) raises InvalidParameterError.
+    """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __call__(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.atleast_1d(np.asarray(self.eval(z), dtype=float))
+        z = np.asarray(z, dtype=float)
+        points = np.atleast_2d(z)
+        out = np.asarray(self.eval(points), dtype=float)
+        if out.shape != points.shape:
+            raise InvalidParameterError(
+                f"field eval returned shape {out.shape} for points of shape {points.shape}; "
+                "a FieldHandle eval maps (N, n) points to (N, n) values"
+            )
+        return out if z.ndim > 1 else out[0]
 
     def negated(self) -> "FieldHandle":
         return FieldHandle(
             dim=self.dim,
-            eval=lambda z, _e=self.eval: -np.atleast_1d(np.asarray(_e(z), dtype=float)),
+            eval=lambda z, _e=self.eval: -np.asarray(_e(z), dtype=float),
             name=f"-({self.name})" if self.name else "",
         )
 
@@ -69,8 +85,8 @@ def nu_field(problem: CoupledProblem, n_quad: int = None) -> FieldHandle:
     k = problem.dim_x
 
     def ev(z):
-        p, q = z[:k], z[k:]
-        return np.concatenate([average_f(problem, p, q, n_quad), problem.eval_g(p, q)])
+        p, q = z[..., :k], z[..., k:]
+        return np.concatenate([average_f(problem, p, q, n_quad), problem.eval_g(p, q)], axis=-1)
 
     return FieldHandle(dim=problem.dim, eval=ev, name="nu")
 
@@ -85,9 +101,9 @@ def v_lambda_field(problem: CoupledProblem, lam: float, n_quad: int = None) -> F
     c = lam / problem.abar
 
     def ev(z):
-        p, q = z[:k], z[k:]
+        p, q = z[..., :k], z[..., k:]
         return np.concatenate(
-            [c * average_f(problem, p, q, n_quad), lam * problem.eval_g(p, q)]
+            [c * average_f(problem, p, q, n_quad), lam * problem.eval_g(p, q)], axis=-1
         )
 
     return FieldHandle(dim=problem.dim, eval=ev, name=f"v_lambda({lam})")

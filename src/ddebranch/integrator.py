@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BlowupError, DomainEscapeError, InvalidParameterError
 from .fields import make_wf
-from .problem import Box, CoupledProblem, History, _hermite
+from .problem import (Box, CoupledProblem, History, _hermite, _hermite_array, _hermite_deriv,
+                      _hermite_eval)
 
 BLOWUP_THRESHOLD = 1e9
 
@@ -50,24 +51,30 @@ class Trajectory:
 
     def eval(self, t):
         """Solution value at time t (scalar or array), t in [-r, t_end]."""
-        return self._dense(t, False)
+        return self._dense(t, (_hermite_eval,))[0]
 
     def deriv(self, t):
         """Time derivative of the interpolant at t; one-sided (the history's
         own slopes) for t <= 0."""
-        return self._dense(t, True)
+        return self._dense(t, (_hermite_deriv,))[0]
 
-    def _dense(self, t, deriv):
+    def eval_with_deriv(self, t):
+        """(eval(t), deriv(t)), read from one segment lookup."""
+        return self._dense(t, (_hermite_eval, _hermite_deriv))
+
+    def _dense(self, t, kernels):
         ts = np.asarray(t, dtype=float)
         if np.any(ts < -self.init.delay - 1e-12):
             raise InvalidParameterError(f"time {float(ts.min())} precedes the history interval")
-        out = np.empty(ts.shape + self.states.shape[1:])
+        outs = [np.empty(ts.shape + self.states.shape[1:]) for _ in kernels]
         before = ts <= 0.0
-        if before.any():
-            out[before] = _hermite(self.init.grid, self.init.values, self.init.derivs, ts[before], deriv)
-        if not before.all():
-            out[~before] = _hermite(self.times, self.states, self.slopes, ts[~before], deriv)
-        return out
+        pieces = ((before, self.init.grid, self.init.values, self.init.derivs),
+                  (~before, self.times, self.states, self.slopes))
+        for mask, grid, values, derivs in pieces:
+            if mask.any():
+                for out, part in zip(outs, _hermite_array(grid, values, derivs, ts[mask], kernels)):
+                    out[mask] = part
+        return outs
 
     def to_csv(self, path, resolution: int = 400):
         """Write t, x1..xk, y1..ys samples at the requested resolution."""

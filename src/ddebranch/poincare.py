@@ -3,12 +3,13 @@ numerical verification of the index identity.
 
 The translation operator maps an initial history on [-r, 0] to the solution
 history on [T - r, T].  On the (m+1)-node discretization its fixed points
-are found by the package's damped Newton (degree.damped_newton) on
+are found by the package's damped Newton (degree.newton_steps) on
 R(u) = translate(u) - u, with forward-difference Jacobians
-(degree.fd_jacobian) whose n perturbed inputs are translated in one batched
-sweep.  Each hyperbolic fixed point carries the discrete index
-sign(det(I - DQ)), the finite-dimensional stand-in for the fixed point
-index of the compact operator.
+(degree.fd_jacobian).  _solve_lockstep advances any number of such solves
+together: each round, the residuals and Jacobian points that all of them
+ask for are translated in one batched sweep.  Each hyperbolic fixed point
+carries the discrete index sign(det(I - DQ)), the finite-dimensional
+stand-in for the fixed point index of the compact operator.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .degree import damped_newton, degree_auto, fd_jacobian
+from .degree import degree_auto, fd_jacobian, fd_points, newton_steps
 from .errors import (
     BlowupError,
     DegeneracyError,
@@ -89,8 +90,8 @@ def translate(
         )
     except (BlowupError, DomainEscapeError) as exc:
         raise TranslationUndefinedError(str(exc)) from exc
-    ts = T + np.linspace(-r, 0.0, cfg.m + 1)
-    return History(delay=r, values=traj.eval(ts), derivs=traj.deriv(ts))
+    values, derivs = traj.eval_with_deriv(T + np.linspace(-r, 0.0, cfg.m + 1))
+    return History(delay=r, values=values, derivs=derivs)
 
 
 def _translate_values(problem, lam, mu, u, cfg, domain, dim):
@@ -107,21 +108,59 @@ def _residual(problem, lam, mu, u, cfg, domain):
     return _translate_values(problem, lam, mu, u, cfg, domain, problem.dim) - u
 
 
-def _jacobian(problem, lam, mu, u, r0, cfg, domain):
-    """Forward-difference Jacobian of R at u, where r0 = R(u); all n
-    perturbed inputs are translated in one batched sweep."""
-    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg, domain)
-    return fd_jacobian(rows_residual, u, r0, cfg.fd_step)
+def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None, need_jacobian=True):
+    """newton_steps on R from each flattened seed in seeds, all advanced in
+    lockstep; returns one (u, residual_norm, J_R) or None per seed.
+
+    Each round, every unfinished solve's request becomes rows: the row u
+    for a residual, the n rows fd_points(u, fd_step) for a Jacobian.  All
+    rows go through one _residual sweep, and each solve gets its own slice
+    back (a Jacobian by fd_jacobian's quotient).  The rows of a sweep do not
+    interact, so each solve runs exactly the arithmetic it runs alone.  A
+    sweep of several solves that raises TranslationUndefinedError is rerun
+    one solve at a time, so that the error reaches just the solves whose
+    own rows raise it.
+    """
+
+    def sweep(rows):
+        try:
+            return _residual(problem, lam, mu, rows, cfg, domain)
+        except TranslationUndefinedError as exc:
+            return exc
+
+    solves = [newton_steps(u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian)
+              for u0 in seeds]
+    results = [None] * len(solves)
+    requests = {i: next(solve) for i, solve in enumerate(solves)}
+    while requests:
+        blocks = [req[1][None] if req[0] == "residual" else fd_points(req[1], cfg.fd_step)
+                  for req in requests.values()]
+        merged = sweep(np.vstack(blocks))
+        if not isinstance(merged, TranslationUndefinedError):
+            answers = np.split(merged, np.cumsum([len(b) for b in blocks])[:-1])
+        elif len(blocks) == 1:
+            answers = [merged]
+        else:
+            answers = [sweep(b) for b in blocks]
+        for (i, req), answer in zip(list(requests.items()), answers):
+            try:
+                if isinstance(answer, TranslationUndefinedError):
+                    requests[i] = solves[i].throw(answer)
+                elif req[0] == "residual":
+                    requests[i] = solves[i].send(answer[0])
+                else:
+                    J = fd_jacobian(lambda points: answer, req[1], req[2], cfg.fd_step)
+                    requests[i] = solves[i].send(J)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del requests[i]
+    return results
 
 
 def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, need_jacobian=True):
-    """damped_newton on R; returns (u, residual_norm, J_R) on convergence,
-    None on failure."""
-    return damped_newton(
-        lambda vec: _residual(problem, lam, mu, vec, cfg, domain),
-        lambda vec, r0: _jacobian(problem, lam, mu, vec, r0, cfg, domain),
-        u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian,
-    )
+    """One damped Newton solve of R from u0 (a lockstep solve of one seed);
+    returns (u, residual_norm, J_R) on convergence, None on failure."""
+    return _solve_lockstep(problem, lam, mu, [u0], cfg, domain, need_jacobian)[0]
 
 
 def _record_from_solution(problem, u, rnorm, J_R, cfg) -> FixedPointRecord:
@@ -150,17 +189,19 @@ def find_fixed_points(
     domain: Optional[Box] = None,
 ) -> List[FixedPointRecord]:
     """Newton-refine each seed history into a fixed point of the translation
-    operator; deduplicate and return records sorted deterministically."""
-    solutions = []
+    operator; deduplicate and return records sorted deterministically.
+
+    The seeds are solved in lockstep (_solve_lockstep): each Newton round
+    of all of them costs one integrator sweep, and each seed's result is
+    the one it would get alone.
+    """
     for seed in seeds:
         if seed.m != cfg.m:
             raise InvalidParameterError(
                 f"seed discretization m={seed.m} does not match cfg.m={cfg.m}"
             )
-        out = _newton_fixed_point(problem, lam, mu, seed.values.ravel(), cfg, domain=domain)
-        if out is None:
-            continue
-        solutions.append(out)
+    outs = _solve_lockstep(problem, lam, mu, [seed.values.ravel() for seed in seeds], cfg, domain)
+    solutions = [out for out in outs if out is not None]
 
     # Deterministic order, then dedupe by sup distance of node values.
     solutions.sort(key=lambda s: tuple(np.round(s[0], 10)))

@@ -320,29 +320,40 @@ def _hermite(grid, values, derivs, t, deriv=False):
     (len(grid), ...).  A t within _NODE_SNAP of a node reads that node's own
     value (or slope) exactly, and a t outside the grid the nearer end node.
     A scalar t bisects the grid and returns shape values.shape[1:]; an array
-    t returns t.shape + values.shape[1:].
+    t returns t.shape + values.shape[1:] (see _hermite_array).
     """
     kernel = _hermite_deriv if deriv else _hermite_eval
-    last = len(grid) - 2
     if isinstance(t, float) or np.ndim(t) == 0:
         t = float(t)
-        i = min(max(bisect_right(grid, t) - 1, 0), last)
+        i = min(max(bisect_right(grid, t) - 1, 0), len(grid) - 2)
         g0 = float(grid[i])
         dt = float(grid[i + 1]) - g0
         u = (t - g0) / dt
         if u < _NODE_SNAP or u > 1.0 - _NODE_SNAP:
             return (derivs if deriv else values)[i if u < 0.5 else i + 1].copy()
         return kernel(u, dt, values[i], derivs[i], values[i + 1], derivs[i + 1])
+    return _hermite_array(grid, values, derivs, t, (kernel,))[0]
+
+
+def _hermite_array(grid, values, derivs, t, kernels):
+    """_hermite at an array t for each of kernels (_hermite_eval for values,
+    _hermite_deriv for slopes), from one segment lookup; returns a list."""
     grid = np.asarray(grid, dtype=float)
     t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, last)
+    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
     dt = grid[i + 1] - grid[i]
     u = (t - grid[i]) / dt
     u = np.where(u < _NODE_SNAP, 0.0, np.where(u > 1.0 - _NODE_SNAP, 1.0, u))
     col = t.shape + (1,) * (values.ndim - 1)
-    return kernel(
-        u.reshape(col), dt.reshape(col), values[i], derivs[i], values[i + 1], derivs[i + 1]
-    )
+    segment = (u.reshape(col), dt.reshape(col), values[i], derivs[i], values[i + 1], derivs[i + 1])
+    return [kernel(*segment) for kernel in kernels]
+
+
+def _node_array(values) -> np.ndarray:
+    """History node values as a float array of at least two axes: 1-d
+    values are the nodes of a scalar history, shape (m+1, 1)."""
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else np.atleast_2d(values)
 
 
 def _check_history_grid(delay: float, n_nodes: int):
@@ -356,9 +367,10 @@ def _check_history_grid(delay: float, n_nodes: int):
 class History:
     """A sampled function on [-r, 0] with cubic Hermite interpolation.
 
-    values and derivs have shape (m+1, d); node j sits at -r + j*r/m.  A
-    batch of B histories on the same grid has shape (m+1, B, d), and every
-    method then works on all B at once.  Reads go through _hermite on the
+    values and derivs have shape (m+1, d), or (m+1,) for a scalar history
+    (stored as (m+1, 1)); node j sits at -r + j*r/m.  A batch of B
+    histories on the same grid has shape (m+1, B, d), and every method
+    then works on all B at once.  Reads go through _hermite on the
     node grid (built once): within 1e-9 node spacings, a node reads exactly.
     """
 
@@ -367,8 +379,8 @@ class History:
     derivs: np.ndarray
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        derivs = np.atleast_2d(np.asarray(self.derivs, dtype=float))
+        values = _node_array(self.values)
+        derivs = _node_array(self.derivs)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
         _check_history_grid(self.delay, values.shape[0])
@@ -398,14 +410,15 @@ class History:
         """Build a history from node values alone; node slopes are those of
         the not-a-knot cubic spline through the values (deterministic, so
         the discretized translation operator is a function of the values
-        only).  values of shape (m+1, B, d) give a batch.
+        only).  values of shape (m+1,) give a scalar history, (m+1, B, d)
+        a batch.
 
         On the uniform grid, in units of the spacing h = delay/m, the slopes
         solve s_{i-1} + 4 s_i + s_{i+1} = 3 (D_{i-1} + D_i) at interior nodes
         (D_i = (v_{i+1} - v_i)/h) and s_0 + 2 s_1 = (5 D_0 + D_1)/2 with its
         mirror image at the ends: one dense solve against all B*d columns.
         """
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        values = _node_array(values)
         _check_history_grid(delay, values.shape[0])
         m = values.shape[0] - 1
         delta = np.diff(values, axis=0).reshape(m, -1) / (delay / m)

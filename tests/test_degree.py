@@ -1,5 +1,6 @@
 """Brouwer degree computations: all three methods and their cross-checks."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from ddebranch import (
     Box,
+    FieldHandle,
     degree_1d,
     degree_2d_winding,
     degree_auto,
@@ -211,3 +213,71 @@ class TestReportSerialization:
         report = degree_2d_winding(lambda z: z, box([-1, -1], [1, 1]))
         payload = json.loads(report.to_json())
         assert "zeros" not in payload
+
+
+def _zero_signs(report):
+    return sorted((round(z["point"][0], 6), z["jacobian_sign"]) for z in report.zeros or [])
+
+
+def _spiral_3d(Z):
+    x, y, z = Z[:, 0], Z[:, 1], Z[:, 2]
+    return np.column_stack([np.sin(x) + 0.3 * y, y - z ** 3 + 0.2 * x, z - 0.5 * np.tanh(x) - 0.1])
+
+
+class TestFieldHandleBatch:
+    """A FieldHandle is sampled a whole array at a time; the degree and the
+    zeros' signs must match the same field called point by point."""
+
+    def _cubic_nu(self):
+        prob = CoupledProblem(
+            dim_x=0, dim_y=1, g=lambda x, y: y - y ** 3,
+            a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0,
+        )
+        return nu_field(prob, n_quad=16)
+
+    def _sunflower_nu(self, sunflower):
+        return nu_field(dataclasses.replace(sunflower.coupled, n_quad=64)).negated()
+
+    def _assert_same(self, method, handle, *args):
+        batched = method(handle, *args)
+        pointwise = method(lambda z: handle(z), *args)
+        assert batched.degree == pointwise.degree
+        assert _zero_signs(batched) == _zero_signs(pointwise)
+        return batched
+
+    def test_sign_1d(self):
+        report = self._assert_same(degree_1d, self._cubic_nu(), (-2.0, 2.0))
+        assert report.degree == -1 and len(report.zeros) == 3
+
+    def test_winding_2d(self, sunflower):
+        nu = self._sunflower_nu(sunflower)
+        report = self._assert_same(degree_2d_winding, nu, box([-1, -1], [1, 1]))
+        assert report.degree == -1
+
+    def test_jacobian_nd(self, sunflower):
+        nu = self._sunflower_nu(sunflower)
+        report = self._assert_same(degree_nd_jacobian, nu, box([-1, -1], [1, 1]), 8)
+        assert report.degree == -1 and len(report.zeros) == 1
+        spiral = FieldHandle(dim=3, eval=_spiral_3d)
+        report = self._assert_same(degree_nd_jacobian, spiral, box([-1, -1, -1], [1, 1, 1]))
+        assert report.degree == 1
+
+    def test_one_call_per_sample_set(self):
+        calls = []
+
+        def ev(Z):
+            calls.append(len(Z))
+            return Z - Z ** 3
+
+        degree_1d(FieldHandle(dim=1, eval=ev), (-2.0, 2.0), n_check=64)
+        assert calls[0] == 65
+        calls.clear()
+        degree_2d_winding(FieldHandle(dim=2, eval=lambda Z: ev(Z) + [0.1, 0.2]), box([-1, -1], [1, 1]))
+        assert calls == [1024]
+
+    def test_per_point_eval_rejected(self):
+        field = FieldHandle(dim=2, eval=lambda z: np.array([z[1], z[0] - z[1]]))
+        with pytest.raises(InvalidParameterError):
+            degree_2d_winding(field, box([-1, -1], [1, 1]))
+        with pytest.raises(InvalidParameterError):
+            degree_nd_jacobian(field, box([-1, -1], [1, 1]))

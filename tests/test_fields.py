@@ -1,5 +1,6 @@
 """Averaged field w_f and the finite-dimensional fields nu and v_lambda."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ddebranch import (
     CoupledProblem,
+    FieldHandle,
     PeriodicFn1D,
     average_f,
     make_wf,
@@ -15,6 +17,7 @@ from ddebranch import (
 )
 
 from ddebranch.config import load_problem
+from ddebranch.errors import InvalidParameterError
 from ddebranch.lienard import ScalarDelayProblem, lienard_reduce, primitive_of, sigma_transform
 from ddebranch.presets import default_sunflower
 from ddebranch.problem import simpson_mean
@@ -190,3 +193,33 @@ class TestVLambdaField:
         # (lam/<a>) w_f = (2/-1)*0.3, lam*g = 2*(0.5-0.3)
         assert float(out[0]) == pytest.approx(-0.6, abs=1e-12)
         assert float(out[1]) == pytest.approx(0.4, abs=1e-12)
+
+
+class TestFieldHandleBatch:
+    """nu and v_lambda take an (N, n) array of points in one call."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_batch_matches_per_point_rows(self, name):
+        prob = dataclasses.replace(BATCH_CASES[name](), n_quad=64)
+        Z = np.random.default_rng(7).uniform(-1.0, 1.0, size=(6, 2))
+        lam = 0.7
+        c = lam / prob.abar
+        for field, scale in ((nu_field(prob), (1.0, 1.0)), (v_lambda_field(prob, lam), (c, lam))):
+            got = field(Z)
+            assert got.shape == Z.shape
+            # Reference rows on one-point arrays, where simpson_mean takes its
+            # 2-d path; the batch takes the 3-d one, so they may round apart.
+            want = np.array([
+                np.concatenate([scale[0] * average_f(prob, z[:1], z[1:]),
+                                scale[1] * prob.eval_g(z[:1], z[1:])])
+                for z in Z
+            ])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+            # A point read alone is the batch of one, so it is the batch's row.
+            for z, row in zip(Z, got):
+                assert field(z).tobytes() == row.tobytes()
+
+    def test_per_point_eval_rejected(self):
+        field = FieldHandle(dim=2, eval=lambda z: np.array([z[1], z[0] - z[1]]))
+        with pytest.raises(InvalidParameterError):
+            field(np.zeros((5, 2)))

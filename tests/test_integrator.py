@@ -112,6 +112,15 @@ class TestDenseOutput:
                 assert np.array_equal(traj.eval(np.array([t]))[0], traj.states[i])
                 assert np.array_equal(traj.deriv(t), traj.slopes[i])
 
+    def test_eval_with_deriv_matches_eval_and_deriv(self):
+        values = np.random.default_rng(6).standard_normal((17, 1))
+        traj = integrate(_exp_problem(), 0.0, 1.0, History.from_values(values, delay=1.0), 2.0,
+                         steps_per_delay=16)
+        ts = np.linspace(-1.0, 2.0, 53)
+        got_values, got_slopes = traj.eval_with_deriv(ts)
+        assert got_values.tobytes() == traj.eval(ts).tobytes()
+        assert got_slopes.tobytes() == traj.deriv(ts).tobytes()
+
     def test_before_history_rejected(self):
         prob = _exp_problem()
         init = History.constant([1.0], 1.0, m=8)

@@ -19,8 +19,9 @@ from ddebranch import (
 )
 from ddebranch import poincare
 from ddebranch.config import load_problem
+from ddebranch.degree import damped_newton, fd_jacobian
 from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
-from ddebranch.poincare import _newton_fixed_point, _translate_values, index_report_json
+from ddebranch.poincare import _newton_fixed_point, _residual, _translate_values, index_report_json
 from ddebranch.problem import BatchField
 
 from conftest import TWO_PI, periodic, scalar_problem
@@ -186,6 +187,13 @@ class TestConfigValidation:
             TranslationConfig(newton_tol=0.0)
 
 
+def _batched_jacobian(problem, lam, mu, u, r0, cfg, domain):
+    """The Jacobian of R as the lockstep solver forms it: the n perturbed
+    inputs translated as rows of one sweep."""
+    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg, domain)
+    return fd_jacobian(rows_residual, u, r0, cfg.fd_step)
+
+
 def _column_loop_jacobian(problem, lam, mu, u, r0, cfg, domain):
     """Reference Jacobian: one translate per perturbed column."""
     J = np.empty((u.size, u.size))
@@ -215,7 +223,7 @@ class TestBatchedJacobian:
     def _assert_matches_column_loop(self, problem, lam, mu, u):
         cfg = self.CFG8
         r0 = _translate_values(problem, lam, mu, u, cfg, None, problem.dim) - u
-        J = poincare._jacobian(problem, lam, mu, u, r0, cfg, None)
+        J = _batched_jacobian(problem, lam, mu, u, r0, cfg, None)
         J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg, None)
         assert J.shape == (u.size, u.size)
         assert np.max(np.abs(J - J_ref)) <= 1e-12 * max(1.0, np.max(np.abs(J_ref)))
@@ -246,7 +254,7 @@ class TestBatchedJacobian:
         problem = dataclasses.replace(sunflower.coupled, n_quad=16)
         self._assert_matches_column_loop(problem, 1e-3, 0.5, _wavy_history(8, 0.05))
 
-    def test_domain_exit_of_one_column_fails_both(self, monkeypatch):
+    def test_domain_exit_of_one_column_fails_both(self):
         # y' = a(t)(y - y^3) decreases from 0.95, so the unperturbed input
         # stays in the box; only the column that raises the terminal node
         # by fd_step starts outside it.
@@ -260,9 +268,131 @@ class TestBatchedJacobian:
         escaping[-1] += cfg.fd_step
         with pytest.raises(TranslationUndefinedError):
             _translate_values(prob, 0.0, 1.0, escaping, cfg, box, 1)
-        for jacobian in (poincare._jacobian, _column_loop_jacobian):
+        for jacobian in (_batched_jacobian, _column_loop_jacobian):
             with pytest.raises(TranslationUndefinedError):
                 jacobian(prob, 0.0, 1.0, u0, r0, cfg, box)
         assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None
-        monkeypatch.setattr(poincare, "_jacobian", _column_loop_jacobian)
-        assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None
+        assert damped_newton(
+            lambda u: _residual(prob, 0.0, 1.0, u, cfg, box),
+            lambda u, r: _column_loop_jacobian(prob, 0.0, 1.0, u, r, cfg, box),
+            u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian=True,
+        ) is None
+
+
+def _solve_each_alone(problem, lam, mu, seeds, cfg, domain=None, need_jacobian=True):
+    """Reference for poincare._solve_lockstep: one damped_newton per seed,
+    its residuals unbatched and its Jacobians one sweep each."""
+    return [
+        damped_newton(
+            lambda u: _residual(problem, lam, mu, u, cfg, domain),
+            lambda u, r: _batched_jacobian(problem, lam, mu, u, r, cfg, domain),
+            u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian,
+        )
+        for u0 in seeds
+    ]
+
+
+def _solution_key(out):
+    if out is None:
+        return None
+    u, rnorm, J = out
+    return u.tobytes(), repr(rnorm), J.tobytes()
+
+
+def _record_key(rec):
+    return (rec.history.values.tobytes(), rec.history.derivs.tobytes(),
+            repr(rec.residual), rec.index, repr(rec.eigen_margin))
+
+
+class TestLockstep:
+    """find_fixed_points solves its seeds in lockstep; each seed must end
+    exactly where a solve of it alone ends."""
+
+    CFG8 = TranslationConfig(m=8, steps_per_delay=8)
+
+    def _assert_matches_alone(self, monkeypatch, problem, lam, seeds, mu=1.0, domain=None):
+        """find_fixed_points in lockstep, then with each seed solved alone:
+        the per-seed solutions and the records must be the same bits."""
+        solutions = {}
+
+        def run(name, solve):
+            def recorded(*args, **kwargs):
+                solutions[name] = solve(*args, **kwargs)
+                return solutions[name]
+
+            monkeypatch.setattr(poincare, "_solve_lockstep", recorded)
+            return find_fixed_points(problem, lam, seeds, self.CFG8, mu=mu, domain=domain)
+
+        records = run("lockstep", poincare._solve_lockstep)
+        want = run("alone", _solve_each_alone)
+        assert len(solutions["lockstep"]) == len(seeds)
+        assert ([_solution_key(o) for o in solutions["lockstep"]]
+                == [_solution_key(o) for o in solutions["alone"]])
+        assert repr(records) == repr(want)
+        assert [_record_key(r) for r in records] == [_record_key(r) for r in want]
+        return solutions["lockstep"]
+
+    def _sunflower_seeds(self, problem):
+        points = [(0.0, 0.0), (0.4, -0.3), (-0.5, 0.5), (0.9, 0.9)]
+        seeds = [History.constant(p, problem.delay, m=8) for p in points]
+        wavy = _wavy_history(8).reshape(9, 2)
+        return seeds + [History.from_values(wavy, problem.delay)]
+
+    def test_sunflower_mu_one(self, monkeypatch, sunflower):
+        problem = dataclasses.replace(sunflower.coupled, n_quad=64)
+        out = self._assert_matches_alone(monkeypatch, problem, 0.5, self._sunflower_seeds(problem))
+        assert sum(o is not None for o in out) >= 2
+
+    def test_sunflower_mu_half(self, monkeypatch, sunflower):
+        problem = dataclasses.replace(sunflower.coupled, n_quad=64)
+        out = self._assert_matches_alone(
+            monkeypatch, problem, 1e-2, self._sunflower_seeds(problem), mu=0.5
+        )
+        assert sum(o is not None for o in out) >= 2
+
+    def test_forced_dsl_problem(self, monkeypatch):
+        problem = _forced_problem()
+        seeds = [History.from_values(_wavy_history(8, scale).reshape(9, 2), problem.delay)
+                 for scale in (0.0, 0.2)]
+        seeds.append(History.constant([0.3, -0.2], problem.delay, m=8))
+        out = self._assert_matches_alone(monkeypatch, problem, 0.7, seeds)
+        assert all(o is not None for o in out)
+
+    def test_trial_step_leaving_domain_next_to_converging_seed(self, monkeypatch):
+        # With a slow drive y' = -0.05 (y - y^3), the first full Newton step
+        # from y = 0.6 overshoots the box; the merged sweep of that trial
+        # and the other seed's raises, and each is rerun alone.
+        prob = scalar_problem(lambda y: y - y ** 3, a_fn=lambda t: -0.05)
+        box = Box(lower=[-1.5], upper=[1.5])
+        seeds = [History.constant([v], 1.0, m=8) for v in (0.6, 0.1)]
+        sweeps = []
+        residual = poincare._residual
+
+        def logged(*args):
+            try:
+                out = residual(*args)
+            except TranslationUndefinedError:
+                sweeps.append((len(args[3]), "undefined"))
+                raise
+            sweeps.append((len(args[3]), "ok"))
+            return out
+
+        monkeypatch.setattr(poincare, "_residual", logged)
+        flat = [seed.values.ravel() for seed in seeds]
+        out = poincare._solve_lockstep(prob, 0.0, 1.0, flat, self.CFG8, box)
+        assert sweeps[2:5] == [(2, "undefined"), (1, "undefined"), (1, "ok")]
+        assert all(o is not None for o in out)
+        monkeypatch.undo()
+        self._assert_matches_alone(monkeypatch, prob, 0.0, seeds, domain=box)
+
+    def test_singular_jacobian_next_to_converging_seed(self, monkeypatch):
+        # g vanishes for y >= 2, so there the image of a history is the
+        # constant of its terminal value (the period 4 is a whole number of
+        # steps, so the image is read at nodes, exactly): the residual's
+        # row at the terminal node vanishes identically.
+        prob = scalar_problem(lambda y: y - y ** 3 if y < 2.0 else 0.0,
+                              a_fn=lambda t: -0.05, period=4.0)
+        singular = History.from_values(3.0 + 0.1 * np.sin(np.arange(9.0)), 1.0)
+        seeds = [singular, History.constant([0.6], 1.0, m=8)]
+        out = self._assert_matches_alone(monkeypatch, prob, 0.0, seeds)
+        assert out[0] is None and out[1] is not None

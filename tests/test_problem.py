@@ -11,7 +11,8 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 import ddebranch
 from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.problem import _hermite, _sample_at, simpson_mean
+from ddebranch.problem import (_hermite, _hermite_array, _hermite_deriv, _hermite_eval, _sample_at,
+                               simpson_mean)
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -238,6 +239,16 @@ class TestHistory:
         slopes = poly.deriv()(grid)
         assert np.max(np.abs(hist.derivs - np.column_stack([slopes, -slopes]))) <= 1e-12
 
+    def test_one_dimensional_values_are_a_scalar_history(self):
+        values = np.sin(np.linspace(0.0, 2.0, 17))
+        column = History.from_values(values[:, None], delay=0.7)
+        for hist in (History.from_values(values, delay=0.7),
+                     History(delay=0.7, values=values, derivs=column.derivs[:, 0])):
+            assert hist.values.shape == hist.derivs.shape == (17, 1)
+            assert hist.m == 16 and hist.dim == 1
+            assert hist.values.tobytes() == column.values.tobytes()
+            assert hist.derivs.tobytes() == column.derivs.tobytes()
+
     @pytest.mark.parametrize("nodes, delay", [(8, 1.0), (9, 0.0)])
     def test_from_values_rejects_bad_grid(self, nodes, delay):
         with pytest.raises(InvalidParameterError):
@@ -282,6 +293,14 @@ class TestHermite:
             for t, row in zip(ts, rows):
                 got = _hermite(grid, values, derivs, float(t), deriv)
                 assert got.tobytes() == row.tobytes()
+
+
+    def test_one_lookup_reads_values_and_slopes(self, data):
+        grid, values, derivs = data
+        ts = np.concatenate([grid, np.random.default_rng(14).uniform(grid[0], grid[-1], 200)])
+        both = _hermite_array(grid, values, derivs, ts, (_hermite_eval, _hermite_deriv))
+        for deriv, got in zip((False, True), both):
+            assert got.tobytes() == _hermite(grid, values, derivs, ts, deriv).tobytes()
 
 
 class TestCoupledProblem:
