@@ -106,11 +106,11 @@ def _degree_field(config: dict, block: dict):
 
     fns = [dsl.compile_expr(e) for e in exprs]
 
-    def fn(z):
-        env = dict(zip(var_names, np.atleast_1d(np.asarray(z, dtype=float))))
-        return np.array([f(env) for f in fns], dtype=float)
+    def ev(Z):
+        env = {name: Z[:, j] for j, name in enumerate(var_names)}
+        return np.stack([np.broadcast_to(f(env), Z.shape[:1]) for f in fns], axis=-1)
 
-    return fn, len(var_names)
+    return FieldHandle(dim=len(var_names), eval=ev, name="expr"), len(var_names)
 
 
 #: Each degree method: its call on a box, the name of the resolution
@@ -130,11 +130,7 @@ def cmd_degree(config: dict, out: Path, args) -> int:
     if box.dim != dim:
         raise ConfigError(f"degree.box: dimension {box.dim} does not match field dimension {dim}")
     if block.get("negate", False):
-        if isinstance(fn, FieldHandle):
-            fn = fn.negated()  # still one call per sample set
-        else:
-            base = fn
-            fn = lambda z: -np.atleast_1d(np.asarray(base(z), dtype=float))
+        fn = fn.negated()
     method = block.get("method", "auto")
     if method == "auto":
         method = {1: "sign-1d", 2: "winding-2d"}.get(dim, "jacobian-nd")

@@ -202,9 +202,7 @@ def continue_branch(
         # The corrector integrates unconstrained; the domain box is checked
         # against the converged history below so an exit is reported as
         # left_domain rather than as a Newton failure.
-        out = _newton_fixed_point(
-            problem, lam_next, 1.0, u_pred, tcfg, need_jacobian=False,
-        )
+        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, tcfg)
         if out is None:
             if len(points) == 1 and h <= cfg.h_min * (1 + 1e-12):
                 termination = TERMINATION_NEWTON

@@ -7,10 +7,14 @@ Three computation paths:
 * winding-2d: total winding of the field along the positively oriented box
   boundary, with automatic boundary refinement;
 * jacobian-nd: grid search for sign-change cells, refinement by the
-  package's one damped Newton (newton_steps, driven by damped_newton here
-  and by the lockstep fixed-point solver of the translation operator) with
-  forward-difference Jacobians (fd_jacobian), degree as the sum of Jacobian
-  determinant signs over the refined zeros.
+  package's one damped Newton, degree as the sum of Jacobian determinant
+  signs over the refined zeros.
+
+The damped Newton (newton_steps) asks for one thing at each point it
+visits: the residual together with its forward-difference Jacobian
+(fd_jacobian), so every iterate steps with the Jacobian at itself.
+damped_newton drives it with callables here; the lockstep fixed-point
+solver of the translation operator drives it with batched sweeps.
 
 A field is a FieldHandle or any other callable.  A FieldHandle is
 evaluated on a whole (N, n) array of points at once, so each sample set
@@ -209,89 +213,75 @@ def fd_jacobian(F, u: np.ndarray, f0: np.ndarray, step: float) -> np.ndarray:
     return ((F(fd_points(u, step)) - f0) / step).T
 
 
-def newton_steps(u0: np.ndarray, tol: float, max_iter: int, need_jacobian: bool):
+def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
     """Damped Newton on a residual R(u) = 0 from u0, as a generator that
     asks for the values it needs; residual norms are sup norms.
 
-    It yields ("residual", u), to be sent R(u), and ("jacobian", u, r), to
-    be sent the Jacobian of R at u, where r is R(u).  A request whose value
-    is undefined gets TranslationUndefinedError thrown in instead.  The
-    Jacobian is reused while each step contracts the residual at least
-    tenfold and requested afresh otherwise.  A step is halved up to 10
-    times until the residual decreases; if none does, one full step with a
-    fresh Jacobian is tried before giving up.  A trial point whose residual
-    is undefined counts as not decreasing it; an undefined value anywhere
-    else, or a singular Jacobian, is a failure.
+    Every request is a point u, to be sent the pair (R(u), J(u)) with J the
+    Jacobian of R at u; a point where either is undefined gets
+    TranslationUndefinedError thrown in instead.  Each iterate takes the
+    full step solve(J, -R) at its own Jacobian, halved up to 10 times until
+    the residual decreases; the first trial that decreases it becomes the
+    next iterate, together with the pair it was sent.  A trial point whose
+    pair is undefined counts as not decreasing the residual.  No decreasing
+    trial, an undefined starting point or a singular Jacobian is a failure.
 
     The generator returns (u, residual_norm, J) once residual_norm <= tol,
-    or None.  J is the Jacobian last formed, at u or an earlier iterate;
-    it is None when need_jacobian is False and none was formed.  Since it
-    only asks for values, one driver can advance many solves at once
-    (poincare._solve_lockstep); damped_newton drives one with callables.
+    with J the Jacobian at u, or None.  Since it only asks for values, one
+    driver can advance many solves at once (poincare._solve_lockstep);
+    damped_newton drives one with callables.
     """
 
     def size(r):
         return float(np.linalg.norm(r, ord=np.inf))
 
-    u, J = u0.copy(), None
+    u = u0.copy()
     try:
-        res = yield ("residual", u)
+        res, J = yield u
         for _ in range(max_iter):
             rnorm = size(res)
             if rnorm <= tol:
                 break
-            if J is None:
-                J = yield ("jacobian", u, res)
             step = np.linalg.solve(J, -res)
             alpha = 1.0
             for _ in range(_NEWTON_HALVINGS):
+                trial = u + alpha * step
                 try:
-                    res_new = yield ("residual", u + alpha * step)
+                    res_new, J_new = yield trial
                     if size(res_new) < rnorm:
                         break
                 except TranslationUndefinedError:
                     pass
                 alpha *= 0.5
             else:
-                J = yield ("jacobian", u, res)
-                step = np.linalg.solve(J, -res)
-                alpha = 1.0
-                res_new = yield ("residual", u + step)
-                if size(res_new) >= rnorm:
-                    return None
-            u = u + alpha * step
-            res = res_new
-            if size(res) > 0.1 * rnorm:
-                J = None
+                return None
+            u, res, J = trial, res_new, J_new
         rnorm = size(res)
-        if rnorm > tol:
-            return None
-        if J is None and need_jacobian:
-            J = yield ("jacobian", u, res)
     except (TranslationUndefinedError, np.linalg.LinAlgError):
         return None
-    return u, rnorm, J
+    return (u, rnorm, J) if rnorm <= tol else None
 
 
-def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
-                  need_jacobian: bool):
+def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int):
     """newton_steps on residual(u) = 0 from u0, driven by callables.
 
-    residual(u) answers each residual request and jacobian(u, r) each
-    Jacobian request; a TranslationUndefinedError either raises is thrown
-    into the solve.  Returns what newton_steps returns: (u, residual_norm,
-    J) on convergence, None on failure.
+    Each request u is answered with r = residual(u) and then jacobian(u, r);
+    a TranslationUndefinedError either raises is thrown into the solve.
+    Returns what newton_steps returns: (u, residual_norm, J) on
+    convergence, with J = jacobian(u, residual(u)) at the returned u, and
+    None on failure.
     """
-    steps = newton_steps(u0, tol, max_iter, need_jacobian)
+    steps = newton_steps(u0, tol, max_iter)
     try:
-        request = next(steps)
+        u = next(steps)
         while True:
             try:
-                value = residual(request[1]) if request[0] == "residual" else jacobian(*request[1:])
+                r = residual(u)
+                J = jacobian(u, r)
             except TranslationUndefinedError as exc:
-                request = steps.throw(exc)
+                u = steps.throw(exc)
             else:
-                request = steps.send(value)
+                u = steps.send((r, J))
     except StopIteration as stop:
         return stop.value
 
@@ -316,12 +306,12 @@ def degree_nd_jacobian(
 
     Candidate cells are those of a uniform grid whose corner values change
     sign in every component; each candidate seeds damped_newton with
-    forward-difference Jacobians, and each zero's sign comes from a fresh
-    Jacobian at the converged point.  A FieldHandle is sampled on the
-    boundary, on the grid and at the points of each Jacobian in one call
-    each; Newton's residuals are single-point calls.  Fails with
-    DegeneracyError on a non-hyperbolic zero (fall back to the winding
-    method when n = 2).
+    forward-difference Jacobians, and each zero's sign comes from the
+    Jacobian damped_newton returns, the one at the converged point.  A
+    FieldHandle is sampled on the boundary, on the grid and at the points
+    of each Jacobian in one call each; Newton's residuals are single-point
+    calls.  Fails with DegeneracyError on a non-hyperbolic zero (fall back
+    to the winding method when n = 2).
     """
     if grid_per_axis < 8:
         raise InvalidParameterError(f"grid_per_axis must be >= 8, got {grid_per_axis}")
@@ -362,15 +352,14 @@ def degree_nd_jacobian(
         z0 = np.array(
             [0.5 * (axes[i][cell[i]] + axes[i][cell[i] + 1]) for i in range(n)]
         )
-        out = damped_newton(value, jacobian, z0, tol, 60, need_jacobian=False)
+        out = damped_newton(value, jacobian, z0, tol, 60)
         if out is None:
             continue
-        z = out[0]
+        z, _, J = out
         if not box.contains(z, tol=1e-9 * scale):
             continue
         if any(np.linalg.norm(z - zk) < dedupe for zk in zeros):
             continue
-        J = jacobian(z, value(z))
         det = float(np.linalg.det(J))
         # Newton stops once |F| <= tol, so at a zero of odd local degree the
         # iterate can stall at |z - z*| ~ tol^(1/3) where det J is small but

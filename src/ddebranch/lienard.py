@@ -181,6 +181,16 @@ def verify_sigma(a: PeriodicFn1D, sigma, n_check: int = 256) -> float:
 
 
 @dataclass(frozen=True)
+class _Autonomous:
+    """The perturbation f(t, y, yd) = phi(y, yd), which ignores t."""
+
+    phi: Callable[[float, float], float]
+
+    def __call__(self, t, y, yd):
+        return self.phi(y, yd)
+
+
+@dataclass(frozen=True)
 class ScalarDelayProblem:
     """The scalar second-order delay equation y'' = a y' + lam f(t, y, yd).
 
@@ -203,7 +213,7 @@ class ScalarDelayProblem:
     @classmethod
     def from_phi(cls, a: PeriodicFn1D, phi, period: float, delay: float) -> "ScalarDelayProblem":
         """Autonomous perturbation phi(y, yd), the sunflower-like shape."""
-        return cls(a=a, f=lambda t, y, yd: phi(y, yd), period=period, delay=delay)
+        return cls(a=a, f=_Autonomous(phi), period=period, delay=delay)
 
 
 def primitive_of(g, n: int = 128) -> Callable[[float], float]:
@@ -227,10 +237,20 @@ def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
 
 def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProblem:
     """Rewrite the scalar equation as the planar coupled system (k = s = 1),
-    whose f and g are BatchFields calling f, G and gamma through _sample_at."""
+    whose f and g are BatchFields calling f, G and gamma through _sample_at.
+
+    An autonomous perturbation phi(y, yd) (ScalarDelayProblem.from_phi) is
+    called once per state row and divided by gamma on the time grid by
+    broadcasting, not called once per (time, row) pair.
+    """
     _check_nonvanishing(gamma)
     f = sdp.f
     G = sdp.G
+    if isinstance(f, _Autonomous):
+        phi = f.phi
+        drive = lambda t, y, yd: _sample_at(phi, y, yd)
+    else:
+        drive = lambda t, y, yd: _sample_at(f, t, y, yd)
     # RK4 stages come in pairs at one float time, so gamma is read once per
     # distinct time; an array of times (average_f) is sampled in one call.
     last = [None, 0.0]
@@ -242,7 +262,7 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
             gt = last[1]
         else:
             gt = _sample_at(gamma, t)
-        return (_sample_at(f, t, y[..., 0], yd[..., 0]) / gt)[..., None]
+        return (drive(t, y[..., 0], yd[..., 0]) / gt)[..., None]
 
     def g_c(x, y):
         return (x[..., 0] - _sample_at(G, y[..., 0]))[..., None]

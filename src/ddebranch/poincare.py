@@ -4,12 +4,13 @@ numerical verification of the index identity.
 The translation operator maps an initial history on [-r, 0] to the solution
 history on [T - r, T].  On the (m+1)-node discretization its fixed points
 are found by the package's damped Newton (degree.newton_steps) on
-R(u) = translate(u) - u, with forward-difference Jacobians
-(degree.fd_jacobian).  _solve_lockstep advances any number of such solves
-together: each round, the residuals and Jacobian points that all of them
-ask for are translated in one batched sweep.  Each hyperbolic fixed point
-carries the discrete index sign(det(I - DQ)), the finite-dimensional
-stand-in for the fixed point index of the compact operator.
+R(u) = translate(u) - u: full Newton, with the forward-difference Jacobian
+(degree.fd_jacobian) at every iterate.  _solve_lockstep advances any
+number of such solves together: each round, every solve's point and its
+n Jacobian points are translated in one batched sweep of all solves.  Each
+hyperbolic fixed point carries the discrete index sign(det(I - DQ)), the
+finite-dimensional stand-in for the fixed point index of the compact
+operator, taken from the Jacobian at the converged point.
 """
 
 from __future__ import annotations
@@ -108,18 +109,19 @@ def _residual(problem, lam, mu, u, cfg, domain):
     return _translate_values(problem, lam, mu, u, cfg, domain, problem.dim) - u
 
 
-def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None, need_jacobian=True):
+def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None):
     """newton_steps on R from each flattened seed in seeds, all advanced in
     lockstep; returns one (u, residual_norm, J_R) or None per seed.
 
-    Each round, every unfinished solve's request becomes rows: the row u
-    for a residual, the n rows fd_points(u, fd_step) for a Jacobian.  All
-    rows go through one _residual sweep, and each solve gets its own slice
-    back (a Jacobian by fd_jacobian's quotient).  The rows of a sweep do not
-    interact, so each solve runs exactly the arithmetic it runs alone.  A
-    sweep of several solves that raises TranslationUndefinedError is rerun
-    one solve at a time, so that the error reaches just the solves whose
-    own rows raise it.
+    Each round, every unfinished solve's request u becomes one block of
+    1 + n rows, u and then fd_points(u, fd_step).  All blocks go through
+    one _residual sweep; each solve is answered with its block's first row
+    as R(u) and fd_jacobian's quotient on the other rows as J_R(u).  The
+    rows of a sweep do not interact, so each solve runs exactly the
+    arithmetic it runs alone.  A sweep of several solves that raises
+    TranslationUndefinedError is rerun one block at a time, so that the
+    error reaches just the solves whose own rows raise it: a block is
+    undefined when any of its rows is, a Jacobian row included.
     """
 
     def sweep(rows):
@@ -128,39 +130,36 @@ def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None, need_jacobian=Tru
         except TranslationUndefinedError as exc:
             return exc
 
-    solves = [newton_steps(u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian)
-              for u0 in seeds]
+    solves = [newton_steps(u0, cfg.newton_tol, cfg.newton_max_iter) for u0 in seeds]
     results = [None] * len(solves)
     requests = {i: next(solve) for i, solve in enumerate(solves)}
     while requests:
-        blocks = [req[1][None] if req[0] == "residual" else fd_points(req[1], cfg.fd_step)
-                  for req in requests.values()]
+        blocks = [np.vstack([u, fd_points(u, cfg.fd_step)]) for u in requests.values()]
         merged = sweep(np.vstack(blocks))
         if not isinstance(merged, TranslationUndefinedError):
-            answers = np.split(merged, np.cumsum([len(b) for b in blocks])[:-1])
+            answers = np.split(merged, len(blocks))
         elif len(blocks) == 1:
             answers = [merged]
         else:
             answers = [sweep(b) for b in blocks]
-        for (i, req), answer in zip(list(requests.items()), answers):
+        for (i, u), answer in zip(list(requests.items()), answers):
             try:
                 if isinstance(answer, TranslationUndefinedError):
                     requests[i] = solves[i].throw(answer)
-                elif req[0] == "residual":
-                    requests[i] = solves[i].send(answer[0])
                 else:
-                    J = fd_jacobian(lambda points: answer, req[1], req[2], cfg.fd_step)
-                    requests[i] = solves[i].send(J)
+                    J = fd_jacobian(lambda points: answer[1:], u, answer[0], cfg.fd_step)
+                    requests[i] = solves[i].send((answer[0], J))
             except StopIteration as stop:
                 results[i] = stop.value
                 del requests[i]
     return results
 
 
-def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None, need_jacobian=True):
+def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None):
     """One damped Newton solve of R from u0 (a lockstep solve of one seed);
-    returns (u, residual_norm, J_R) on convergence, None on failure."""
-    return _solve_lockstep(problem, lam, mu, [u0], cfg, domain, need_jacobian)[0]
+    returns (u, residual_norm, J_R) on convergence, J_R the Jacobian at u,
+    and None on failure."""
+    return _solve_lockstep(problem, lam, mu, [u0], cfg, domain)[0]
 
 
 def _record_from_solution(problem, u, rnorm, J_R, cfg) -> FixedPointRecord:

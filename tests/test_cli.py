@@ -95,6 +95,25 @@ class TestDegree:
         payload = json.loads((out / "degree.json").read_text())
         assert payload["degree"] == 1
 
+    @pytest.mark.parametrize("exprs, vars_, lower, upper, method, degree", [
+        # Negation keeps the degree of a planar field and flips it in 3-d.
+        (["q/sqrt(3)", "p - q"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], "auto", -1),
+        (["p", "q", "r - 0.25"], ["p", "q", "r"], [-1.0] * 3, [1.0] * 3, "auto", -1),
+        # A constant component is broadcast over the batch of points.
+        (["p - q", "1"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], "auto", 0),
+        (["0.5", "p - q"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], "jacobian-nd", 0),
+    ])
+    def test_negated_and_constant_components(self, tmp_path, exprs, vars_, lower, upper,
+                                             method, degree):
+        code, out = run(tmp_path, "degree", {
+            "degree": {
+                "field": "expr", "exprs": exprs, "vars": vars_, "negate": True,
+                "box": {"lower": lower, "upper": upper}, "method": method,
+            },
+        })
+        assert code == EXIT_OK
+        assert json.loads((out / "degree.json").read_text())["degree"] == degree
+
     def test_boundary_zero_exits_3(self, tmp_path, capsys):
         code, _ = run(tmp_path, "degree", {
             "degree": {

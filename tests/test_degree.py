@@ -17,7 +17,7 @@ from ddebranch import (
     nu_field,
     v_lambda_field,
 )
-from ddebranch.degree import damped_newton
+from ddebranch.degree import damped_newton, fd_jacobian
 from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
@@ -126,19 +126,46 @@ class TestDegreeNdJacobian:
 
 
 class TestDampedNewton:
-    def test_fresh_jacobian_retry(self):
-        # The first Jacobian has the wrong sign, so no damped step decreases
-        # |u|; the one retry with a fresh Jacobian lands on the zero.
-        jacobians = iter([-np.eye(2), np.eye(2)])
-        out = damped_newton(lambda u: u, lambda u, r: next(jacobians), np.array([1.0, -0.5]),
-                            1e-12, 5, need_jacobian=False)
+    def test_no_retry_after_the_halvings(self):
+        # On u -> u with the wrong-sign J = -I every damped step moves away
+        # from the zero: the start and its 10 halved trials are requested,
+        # then the solve gives up.  With J = I it lands on the zero and
+        # returns the Jacobian formed there.
+        start = np.array([1.0, -0.5])
+        requests = []
+
+        def residual(u):
+            requests.append(u.copy())
+            return u
+
+        assert damped_newton(residual, lambda u, r: -np.eye(2), start, 1e-12, 5) is None
+        assert len(requests) == 11
+
+        formed = []
+
+        def jacobian(u, r):
+            formed.append((u.copy(), np.eye(2)))
+            return formed[-1][1]
+
+        out = damped_newton(lambda u: u, jacobian, start, 1e-12, 5)
         assert out is not None
-        assert np.array_equal(out[0], [0.0, 0.0])
-        assert out[1] == 0.0
+        u, rnorm, J = out
+        assert np.array_equal(u, [0.0, 0.0])
+        assert rnorm == 0.0
+        assert np.array_equal(formed[-1][0], u) and J is formed[-1][1]
+
+    def test_jacobian_bit_equal_to_fd_jacobian_at_returned_point(self):
+        field = lambda z: np.array([math.sin(z[1]) / math.sqrt(3.0), z[0] - z[1] + 0.1])
+        rows = lambda points: np.array([field(p) for p in points])
+        jacobian = lambda u, r: fd_jacobian(rows, u, r, 1e-6)
+        out = damped_newton(field, jacobian, np.array([0.3, 0.2]), 1e-10, 60)
+        assert out is not None
+        u, _, J = out
+        assert np.array_equal(J, fd_jacobian(rows, u, field(u), 1e-6))
 
     def test_singular_jacobian_fails(self):
         out = damped_newton(lambda u: u, lambda u, r: np.zeros((2, 2)), np.array([1.0, 1.0]),
-                            1e-12, 5, need_jacobian=False)
+                            1e-12, 5)
         assert out is None
 
 

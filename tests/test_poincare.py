@@ -9,16 +9,19 @@ import pytest
 
 from ddebranch import (
     Box,
+    ContinuationConfig,
     CoupledProblem,
     History,
     PeriodicFn1D,
     TranslationConfig,
+    continue_branch,
     find_fixed_points,
     translate,
     verify_index_identity,
 )
 from ddebranch import poincare
 from ddebranch.config import load_problem
+from ddebranch.continuation import TERMINATION_LAMBDA_MAX
 from ddebranch.degree import damped_newton, fd_jacobian
 from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
 from ddebranch.poincare import _newton_fixed_point, _residual, _translate_values, index_report_json
@@ -275,18 +278,18 @@ class TestBatchedJacobian:
         assert damped_newton(
             lambda u: _residual(prob, 0.0, 1.0, u, cfg, box),
             lambda u, r: _column_loop_jacobian(prob, 0.0, 1.0, u, r, cfg, box),
-            u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian=True,
+            u0, cfg.newton_tol, cfg.newton_max_iter,
         ) is None
 
 
-def _solve_each_alone(problem, lam, mu, seeds, cfg, domain=None, need_jacobian=True):
+def _solve_each_alone(problem, lam, mu, seeds, cfg, domain=None):
     """Reference for poincare._solve_lockstep: one damped_newton per seed,
     its residuals unbatched and its Jacobians one sweep each."""
     return [
         damped_newton(
             lambda u: _residual(problem, lam, mu, u, cfg, domain),
             lambda u, r: _batched_jacobian(problem, lam, mu, u, r, cfg, domain),
-            u0, cfg.newton_tol, cfg.newton_max_iter, need_jacobian,
+            u0, cfg.newton_tol, cfg.newton_max_iter,
         )
         for u0 in seeds
     ]
@@ -380,7 +383,7 @@ class TestLockstep:
         monkeypatch.setattr(poincare, "_residual", logged)
         flat = [seed.values.ravel() for seed in seeds]
         out = poincare._solve_lockstep(prob, 0.0, 1.0, flat, self.CFG8, box)
-        assert sweeps[2:5] == [(2, "undefined"), (1, "undefined"), (1, "ok")]
+        assert sweeps[1:4] == [(20, "undefined"), (10, "undefined"), (10, "ok")]
         assert all(o is not None for o in out)
         monkeypatch.undo()
         self._assert_matches_alone(monkeypatch, prob, 0.0, seeds, domain=box)
@@ -396,3 +399,59 @@ class TestLockstep:
         seeds = [singular, History.constant([0.6], 1.0, m=8)]
         out = self._assert_matches_alone(monkeypatch, prob, 0.0, seeds)
         assert out[0] is None and out[1] is not None
+
+
+def _count_sweeps(monkeypatch):
+    """Count the _residual sweeps of the solves that follow."""
+    sweeps = []
+    residual = poincare._residual
+
+    def counted(*args):
+        sweeps.append(len(args[3]))
+        return residual(*args)
+
+    monkeypatch.setattr(poincare, "_residual", counted)
+    return sweeps
+
+
+class TestNewtonWork:
+    """Each Newton request is one point answered with its residual and its
+    Jacobian from one sweep: the returned Jacobian is the one at the
+    returned point, and a solve takes few sweeps."""
+
+    CFG8 = TranslationConfig(m=8, steps_per_delay=8)
+
+    def test_jacobian_bit_equal_to_separate_sweep_at_returned_point(self):
+        problem = _forced_problem()
+        cfg = self.CFG8
+        u0 = _wavy_history(8, 0.2)
+        out = _newton_fixed_point(problem, 0.7, 1.0, u0, cfg)
+        assert out is not None
+        u, rnorm, J = out
+        r = _residual(problem, 0.7, 1.0, u, cfg, None)
+        assert rnorm == float(np.max(np.abs(r)))
+        assert np.array_equal(J, _batched_jacobian(problem, 0.7, 1.0, u, r, cfg, None))
+
+    def test_forced_branch_sweeps(self, monkeypatch):
+        # The forced branch of the benchmark (amplitude 0.5) at m = 8.
+        problem = _forced_problem()
+        ccfg = ContinuationConfig(h0=0.05, h_max=0.1, m=8, steps_per_delay=8)
+        sweeps = _count_sweeps(monkeypatch)
+        branch = continue_branch(problem, [0.0, 0.0], 1.0, ccfg)
+        assert branch.termination == TERMINATION_LAMBDA_MAX
+        assert len(branch.points) == 12
+        assert len(sweeps) <= 45
+
+    def test_verify_index_lattice_sweeps(self, monkeypatch):
+        # The nine lattice seeds of the sunflower's verify-index box.
+        problem = load_problem({
+            "problem": {"preset": "sunflower", "a": "-1 + 0.5*sin(t)"},
+            "numerics": {"n_quad": 64},
+        }).coupled
+        box = Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        seeds = [History.constant(p, problem.delay, m=8) for p in poincare._lattice_points(box)]
+        assert len(seeds) == 9
+        sweeps = _count_sweeps(monkeypatch)
+        records = find_fixed_points(problem, 1e-3, seeds, self.CFG8)
+        assert len(records) >= 1
+        assert len(sweeps) <= 5
