@@ -166,8 +166,10 @@ def cmd_sigma(config: dict, out: Path, args) -> int:
         "c0": result.c0,
         "sign": result.sign,
         "avg_sigma": result.avg_sigma,
-        "config": config,
     }
+    if loaded.default_lambda is not None:
+        payload["lambda"] = loaded.default_lambda
+    payload["config"] = config
     json_path = out / "sigma.json"
     _write_json(json_path, payload)
     if not args.quiet:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import ConfigError, ExprError
-from .lienard import ScalarDelayProblem, SigmaResult
+from .lienard import SigmaResult
 from .problem import BatchField, Box, CoupledProblem, PeriodicFn1D
 
 _TOP_KEYS = {"problem", "numerics", "integrate", "degree", "sigma", "verify_index", "branch"}
@@ -140,11 +140,11 @@ class NumericsConfig:
 
 @dataclass(frozen=True)
 class LoadedProblem:
-    """A problem resolved from config: the coupled system, plus the scalar
-    equation and sigma transform when it came from a sunflower preset."""
+    """A problem resolved from config: the coupled system, plus the sigma
+    transform when it came from a sunflower preset and the parameter value
+    lam = -beta/r when it came from the classic-sunflower preset."""
 
     coupled: CoupledProblem
-    scalar: Optional[ScalarDelayProblem] = None
     sigma: Optional[SigmaResult] = None
     a: Optional[PeriodicFn1D] = None
     default_lambda: Optional[float] = None
@@ -200,8 +200,7 @@ def load_problem(config: dict) -> LoadedProblem:
         except Exception as exc:
             raise ConfigError(f"problem: {exc}") from exc
         return LoadedProblem(
-            coupled=coupled, scalar=setup.scalar, sigma=setup.sigma,
-            a=setup.scalar.a, default_lambda=lam,
+            coupled=coupled, sigma=setup.sigma, a=setup.scalar.a, default_lambda=lam,
         )
 
     if preset == "sunflower":
@@ -226,9 +225,7 @@ def load_problem(config: dict) -> LoadedProblem:
             coupled = replace(setup.coupled, n_quad=n_quad)
         except Exception as exc:
             raise ConfigError(f"problem: {exc}") from exc
-        return LoadedProblem(
-            coupled=coupled, scalar=setup.scalar, sigma=setup.sigma, a=a,
-        )
+        return LoadedProblem(coupled=coupled, sigma=setup.sigma, a=a)
 
     # Explicit coupled problem.
     dims = _require(block, "dims", "problem")

@@ -29,7 +29,6 @@ TERMINATION_LAMBDA_MAX = "reached_lambda_max"
 TERMINATION_BLOWUP = "norm_blowup"
 TERMINATION_NEWTON = "newton_failure"
 TERMINATION_LEFT_DOMAIN = "left_domain"
-TERMINATION_CLOSED_LOOP = "closed_loop"
 TERMINATION_MAX_POINTS = "max_points"
 
 _SUP_NORM_BLOWUP = 1e6

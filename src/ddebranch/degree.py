@@ -3,24 +3,22 @@
 Three computation paths:
 
 * sign-1d: endpoint signs on an interval, with interior zeros located by a
-  sign-change scan plus bisection;
+  sign-change scan plus bisection of all brackets together;
 * winding-2d: total winding of the field along the positively oriented box
   boundary, with automatic boundary refinement;
-* jacobian-nd: grid search for sign-change cells, refinement by the
-  package's one damped Newton, degree as the sum of Jacobian determinant
-  signs over the refined zeros.
+* jacobian-nd: grid search for sign-change cells, refinement of all
+  candidates by the package's one lockstep Newton, degree as the sum of
+  Jacobian determinant signs over the refined zeros.
 
-The damped Newton (newton_steps) asks for one thing at each point it
-visits: the residual together with its forward-difference Jacobian
-(fd_jacobian), so every iterate steps with the Jacobian at itself.
-damped_newton drives it with callables here; the lockstep fixed-point
-solver of the translation operator drives it with batched sweeps.
+Every method turns its field into a FieldHandle once, at entry
+(_as_handle: any other callable is called once per point), and then
+evaluates it only on (N, n) point sets.
 
-A field is a FieldHandle or any other callable.  A FieldHandle is
-evaluated on a whole (N, n) array of points at once, so each sample set
-(the winding boundary, the jacobian-nd boundary and grid, the sign-1d
-scan, the points of a finite-difference Jacobian) costs one call; any
-other callable is called once per point.
+The damped Newton (newton_steps) asks at each point it visits for the
+residual and its forward-difference Jacobian (fd_jacobian), so every
+iterate steps with the Jacobian at itself.  newton_lockstep answers any
+number of solves with one batched call per round; it refines jacobian-nd's
+zeros and the translation operator's fixed points (poincare).
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
 minimum sampled boundary norm is reported as admissibility_margin so callers
@@ -44,7 +42,7 @@ from .errors import (
     TranslationUndefinedError,
 )
 from .fields import FieldHandle
-from .problem import Box
+from .problem import Box, eval_batch
 
 _BOUNDARY_ZERO_TOL = 1e-14
 _MARGIN_MIN = 1e-10
@@ -81,45 +79,44 @@ class DegreeReport:
         return json.dumps(self.to_dict(), allow_nan=False)
 
 
-def _sample(fn, points: np.ndarray) -> np.ndarray:
-    """Values of fn at the rows of points, (N, n) -> (N, n): one call for a
-    FieldHandle, one call per row for any other callable."""
+def _as_handle(fn, dim: int) -> FieldHandle:
+    """fn as a FieldHandle on R^dim: a FieldHandle as it is, any other
+    callable called on each (dim,) row of a point set.  In one dimension fn
+    gets the row's float first, the row on TypeError or IndexError."""
     if isinstance(fn, FieldHandle):
-        return fn(points)
-    return np.array([np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in points])
+        return fn
+    point = fn
+    if dim == 1:
+        def point(z):
+            try:
+                return fn(z[0])
+            except (TypeError, IndexError):
+                return fn(z)
 
-
-def _as_scalar_field(fn):
-    """Accept both scalar->scalar fields and 1-d vector fields."""
-
-    def f(x):
-        try:
-            v = fn(x)
-        except (TypeError, IndexError):
-            v = fn(np.array([x]))
-        return float(np.atleast_1d(np.asarray(v, dtype=float))[0])
-
-    return f
+    return FieldHandle(dim=dim, eval=lambda Z: eval_batch(point, None, Z))
 
 
 def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
     """Degree of a scalar field on an interval from endpoint signs.
 
-    Interior zeros are located by scanning n_check (>= 8) subintervals for
-    sign changes and bisecting, purely to populate the report; the degree itself
-    is (sign f(b) - sign f(a)) / 2.
+    The degree is (sign f(b) - sign f(a)) / 2; the interior zeros only
+    populate the report.  One call scans n_check + 1 (n_check >= 8) points
+    for sign changes; the K brackets are bisected together in 80 calls of
+    K points, and one call of 2K points gives the central-difference
+    slopes.  A scan without sign change makes no further call.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise InvalidParameterError(f"interval requires a < b, got ({a}, {b})")
     if n_check < 8:
         raise InvalidParameterError(f"n_check must be >= 8, got {n_check}")
-    f = _as_scalar_field(fn)
+    field = _as_handle(fn, 1)
+
+    def f(x):
+        return field(x[:, None])[:, 0]
+
     xs = np.linspace(a, b, n_check + 1)
-    if isinstance(fn, FieldHandle):
-        vals = fn(xs[:, None])[:, 0]
-    else:
-        vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     fa, fb = float(vals[0]), float(vals[-1])  # linspace keeps both ends exact
     margin = min(abs(fa), abs(fb))
     if margin <= _BOUNDARY_ZERO_TOL:
@@ -128,23 +125,24 @@ def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
         )
     deg = (int(np.sign(fb)) - int(np.sign(fa))) // 2
 
+    v0, v1 = vals[:-1], vals[1:]
+    (cells,) = np.nonzero(~((v0 == 0.0) | (v0 * v1 > 0.0)))
     zeros = []
-    for i in range(n_check):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0 or v0 * v1 > 0.0:
-            continue
-        lo, hi, flo = xs[i], xs[i + 1], v0
+    if cells.size:
+        lo, hi, flo = xs[cells], xs[cells + 1], v0[cells]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             fm = f(mid)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
+            left = flo * fm <= 0.0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            flo = np.where(left, flo, fm)
+        roots = 0.5 * (lo + hi)
         step = (b - a) * 1e-7
-        slope = (f(root + step) - f(root - step)) / (2.0 * step)
-        zeros.append({"point": [root], "jacobian_sign": int(np.sign(slope))})
+        ends = f(np.concatenate([roots + step, roots - step])).reshape(2, -1)
+        slopes = (ends[0] - ends[1]) / (2.0 * step)
+        zeros = [{"point": [root], "jacobian_sign": int(np.sign(slope))}
+                 for root, slope in zip(roots, slopes)]
     return DegreeReport(degree=deg, admissibility_margin=margin, method="sign-1d", zeros=zeros)
 
 
@@ -171,10 +169,11 @@ def degree_2d_winding(fn, box: Box, n_boundary: int = 1024) -> DegreeReport:
         raise InvalidParameterError(f"winding method needs a planar box, got dim {box.dim}")
     if n_boundary < 256:
         raise InvalidParameterError(f"n_boundary must be >= 256, got {n_boundary}")
+    field = _as_handle(fn, 2)
     n = n_boundary
     while True:
         pts = _boundary_loop(box, n)
-        vals = _sample(fn, pts)
+        vals = field(pts)
         norms = np.hypot(vals[:, 0], vals[:, 1])
         margin = float(norms.min())
         if margin < _MARGIN_MIN:
@@ -228,8 +227,8 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
 
     The generator returns (u, residual_norm, J) once residual_norm <= tol,
     with J the Jacobian at u, or None.  Since it only asks for values, one
-    driver can advance many solves at once (poincare._solve_lockstep);
-    damped_newton drives one with callables.
+    driver can advance many solves at once (newton_lockstep); damped_newton
+    drives one with callables.
     """
 
     def size(r):
@@ -286,6 +285,52 @@ def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int)
         return stop.value
 
 
+def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):
+    """newton_steps on F(u) = 0 from each seed in seeds, all advanced in
+    lockstep; returns one (u, residual_norm, J) or None per seed.
+
+    F maps (B, n) points to their (B, n) residuals.  Each round, every
+    unfinished solve's request u is one block of 1 + n rows, u and
+    fd_points(u, fd_step); all blocks go through one F call, and each solve
+    is answered with its first row as F(u) and fd_jacobian's quotient on
+    the others as J(u).  If F treats rows independently, each solve runs
+    the arithmetic it runs alone.  A call of several blocks that raises
+    TranslationUndefinedError is rerun block by block, so that the error
+    reaches just the solves whose own rows (Jacobian rows included) raise
+    it.
+    """
+
+    def sweep(rows):
+        try:
+            return F(rows)
+        except TranslationUndefinedError as exc:
+            return exc
+
+    solves = [newton_steps(u0, tol, max_iter) for u0 in seeds]
+    results = [None] * len(solves)
+    requests = {i: next(solve) for i, solve in enumerate(solves)}
+    while requests:
+        blocks = [np.vstack([u, fd_points(u, fd_step)]) for u in requests.values()]
+        merged = sweep(np.vstack(blocks))
+        if not isinstance(merged, TranslationUndefinedError):
+            answers = np.split(merged, len(blocks))
+        elif len(blocks) == 1:
+            answers = [merged]
+        else:
+            answers = [sweep(b) for b in blocks]
+        for (i, u), answer in zip(list(requests.items()), answers):
+            try:
+                if isinstance(answer, TranslationUndefinedError):
+                    requests[i] = solves[i].throw(answer)
+                else:
+                    J = fd_jacobian(lambda points: answer[1:], u, answer[0], fd_step)
+                    requests[i] = solves[i].send((answer[0], J))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del requests[i]
+    return results
+
+
 def _boundary_samples(box: Box, per_axis: int) -> np.ndarray:
     """Sample grid on all faces of an n-dimensional box."""
     n = box.dim
@@ -304,55 +349,46 @@ def degree_nd_jacobian(
 ) -> DegreeReport:
     """Degree as the sum of Jacobian signs over Newton-refined zeros.
 
-    Candidate cells are those of a uniform grid whose corner values change
-    sign in every component; each candidate seeds damped_newton with
-    forward-difference Jacobians, and each zero's sign comes from the
-    Jacobian damped_newton returns, the one at the converged point.  A
-    FieldHandle is sampled on the boundary, on the grid and at the points
-    of each Jacobian in one call each; Newton's residuals are single-point
-    calls.  Fails with DegeneracyError on a non-hyperbolic zero (fall back
-    to the winding method when n = 2).
+    The field is sampled in one call each on the boundary faces and on a
+    grid of grid_per_axis cells per axis.  A candidate cell's 2^n corner
+    values (shifted slices of the grid values) take both signs, or touch 0,
+    in every component.  newton_lockstep refines all candidates' centres
+    together, one call per round.  In cell order, a zero outside the box
+    or within 1e-6 * scale of a kept one is dropped; a kept zero's sign is
+    that of det J at the converged point.  Fails with DegeneracyError on a
+    non-hyperbolic zero (fall back to the winding method when n = 2).
     """
     if grid_per_axis < 8:
         raise InvalidParameterError(f"grid_per_axis must be >= 8, got {grid_per_axis}")
     n = box.dim
     scale = box.scale
-    fd_step = 1e-6 * scale
-
-    def value(z):
-        return np.atleast_1d(np.asarray(fn(z), dtype=float))
-
-    def jacobian(z, f0):
-        return fd_jacobian(lambda rows: _sample(fn, rows), z, f0, fd_step)
+    field = _as_handle(fn, n)
 
     bpts = _boundary_samples(box, grid_per_axis + 1)
-    margin = float(min(np.linalg.norm(v) for v in _sample(fn, bpts)))
+    margin = float(min(np.linalg.norm(v) for v in field(bpts)))
     if margin < _MARGIN_MIN:
         raise AdmissibilityError(
             f"field norm {margin:.2e} on the boundary sample grid is below {_MARGIN_MIN:.0e}"
         )
 
     axes = [np.linspace(box.lower[i], box.upper[i], grid_per_axis + 1) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.stack(mesh, axis=-1)
-    vals = _sample(fn, grid_pts.reshape(-1, n)).reshape(grid_pts.shape)
+    grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = field(grid_pts.reshape(-1, n)).reshape(grid_pts.shape)
 
-    corner_offsets = list(itertools.product((0, 1), repeat=n))
+    corners = np.stack([
+        vals[tuple(slice(o, o + grid_per_axis) for o in offset)]
+        for offset in itertools.product((0, 1), repeat=n)
+    ])
+    straddles = (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+    cells = np.argwhere(straddles.all(axis=-1))
+    centres = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
+    seeds = np.column_stack([centres[i][cells[:, i]] for i in range(n)])
+    outs = newton_lockstep(field, seeds, 1e-6 * scale, tol, 60)
+
     dedupe = 1e-6 * scale
     zeros: List[np.ndarray] = []
     signs: List[int] = []
-
-    for cell in np.ndindex(*([grid_per_axis] * n)):
-        corner_vals = np.array([vals[tuple(c + o for c, o in zip(cell, off))] for off in corner_offsets])
-        # Candidate cell: every component takes both signs (or touches 0).
-        if not all(
-            corner_vals[:, j].min() <= 0.0 <= corner_vals[:, j].max() for j in range(n)
-        ):
-            continue
-        z0 = np.array(
-            [0.5 * (axes[i][cell[i]] + axes[i][cell[i] + 1]) for i in range(n)]
-        )
-        out = damped_newton(value, jacobian, z0, tol, 60)
+    for out in outs:
         if out is None:
             continue
         z, _, J = out

@@ -3,14 +3,14 @@ numerical verification of the index identity.
 
 The translation operator maps an initial history on [-r, 0] to the solution
 history on [T - r, T].  On the (m+1)-node discretization its fixed points
-are found by the package's damped Newton (degree.newton_steps) on
-R(u) = translate(u) - u: full Newton, with the forward-difference Jacobian
-(degree.fd_jacobian) at every iterate.  _solve_lockstep advances any
-number of such solves together: each round, every solve's point and its
-n Jacobian points are translated in one batched sweep of all solves.  Each
-hyperbolic fixed point carries the discrete index sign(det(I - DQ)), the
-finite-dimensional stand-in for the fixed point index of the compact
-operator, taken from the Jacobian at the converged point.
+are found by the package's one lockstep Newton (degree.newton_lockstep) on
+R(u) = translate(u) - u: full damped Newton, with the forward-difference
+Jacobian at every iterate.  _solve_lockstep binds it to _residual, so each
+round of all seeds' solves, every point with its n Jacobian points, is one
+batched integrator sweep.  Each hyperbolic fixed point carries the discrete
+index sign(det(I - DQ)), the finite-dimensional stand-in for the fixed
+point index of the compact operator, taken from the Jacobian at the
+converged point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .degree import degree_auto, fd_jacobian, fd_points, newton_steps
+from .degree import degree_auto, newton_lockstep
 from .errors import (
     BlowupError,
     DegeneracyError,
@@ -110,49 +110,13 @@ def _residual(problem, lam, mu, u, cfg, domain):
 
 
 def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None):
-    """newton_steps on R from each flattened seed in seeds, all advanced in
-    lockstep; returns one (u, residual_norm, J_R) or None per seed.
-
-    Each round, every unfinished solve's request u becomes one block of
-    1 + n rows, u and then fd_points(u, fd_step).  All blocks go through
-    one _residual sweep; each solve is answered with its block's first row
-    as R(u) and fd_jacobian's quotient on the other rows as J_R(u).  The
-    rows of a sweep do not interact, so each solve runs exactly the
-    arithmetic it runs alone.  A sweep of several solves that raises
-    TranslationUndefinedError is rerun one block at a time, so that the
-    error reaches just the solves whose own rows raise it: a block is
-    undefined when any of its rows is, a Jacobian row included.
-    """
-
-    def sweep(rows):
-        try:
-            return _residual(problem, lam, mu, rows, cfg, domain)
-        except TranslationUndefinedError as exc:
-            return exc
-
-    solves = [newton_steps(u0, cfg.newton_tol, cfg.newton_max_iter) for u0 in seeds]
-    results = [None] * len(solves)
-    requests = {i: next(solve) for i, solve in enumerate(solves)}
-    while requests:
-        blocks = [np.vstack([u, fd_points(u, cfg.fd_step)]) for u in requests.values()]
-        merged = sweep(np.vstack(blocks))
-        if not isinstance(merged, TranslationUndefinedError):
-            answers = np.split(merged, len(blocks))
-        elif len(blocks) == 1:
-            answers = [merged]
-        else:
-            answers = [sweep(b) for b in blocks]
-        for (i, u), answer in zip(list(requests.items()), answers):
-            try:
-                if isinstance(answer, TranslationUndefinedError):
-                    requests[i] = solves[i].throw(answer)
-                else:
-                    J = fd_jacobian(lambda points: answer[1:], u, answer[0], cfg.fd_step)
-                    requests[i] = solves[i].send((answer[0], J))
-            except StopIteration as stop:
-                results[i] = stop.value
-                del requests[i]
-    return results
+    """newton_lockstep on R from each flattened seed: one (u, residual_norm,
+    J_R) or None per seed.  A Newton round of all seeds is one _residual
+    sweep, whose rows do not interact, so each seed ends as it would alone."""
+    return newton_lockstep(
+        lambda rows: _residual(problem, lam, mu, rows, cfg, domain),
+        seeds, cfg.fd_step, cfg.newton_tol, cfg.newton_max_iter,
+    )
 
 
 def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None):

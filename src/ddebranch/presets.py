@@ -58,11 +58,11 @@ def classic_sunflower_setup(
     """
     if delay <= 0:
         raise InvalidParameterError(f"delay must be positive, got {delay}")
-    lam = -beta / delay
-    if lam < 0:
+    if beta > 0:
         raise InvalidParameterError(
-            f"classic sunflower requires beta <= 0 (lam = -beta/r = {lam} < 0)"
+            f"classic sunflower requires beta <= 0 (lam = -beta/r = {-beta / delay} < 0)"
         )
+    lam = abs(beta) / delay  # not -beta / delay, which reads -0.0 at beta = 0
     a0 = -alpha / delay
     if a0 == 0.0:
         raise InvalidParameterError("alpha must be nonzero (<a> != 0 required)")

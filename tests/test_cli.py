@@ -310,6 +310,22 @@ class TestConfigValidation:
         # a = -alpha/r = -6, so <sigma> = 6.
         assert abs(payload["avg_sigma"] - 6.0) < 1e-6
 
+    def test_classic_sunflower_reports_lambda(self, tmp_path):
+        # lam = -beta/r is the preset's parameter value; plain sunflower has none.
+        code, out = run(tmp_path, "sigma", {
+            "problem": {"preset": "classic-sunflower", "alpha": 6.0, "beta": -1.0, "r": 2.0},
+        })
+        assert code == EXIT_OK
+        assert json.loads((out / "sigma.json").read_text())["lambda"] == 0.5
+        code, out = run(tmp_path, "sigma", {
+            "problem": {"preset": "classic-sunflower", "alpha": 6.0, "beta": 0.0, "r": 2.0},
+        })
+        assert code == EXIT_OK
+        assert '"lambda": 0.0,' in (out / "sigma.json").read_text()
+        code, out = run(tmp_path, "sigma", {"problem": {"preset": "sunflower"}})
+        assert code == EXIT_OK
+        assert "lambda" not in json.loads((out / "sigma.json").read_text())
+
     def test_positive_beta_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "sigma", {
             "problem": {"preset": "classic-sunflower", "alpha": 6.0, "beta": 1.0, "r": 1.0},

@@ -1,6 +1,7 @@
 """Brouwer degree computations: all three methods and their cross-checks."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -17,7 +18,7 @@ from ddebranch import (
     nu_field,
     v_lambda_field,
 )
-from ddebranch.degree import damped_newton, fd_jacobian
+from ddebranch.degree import DegreeReport, _boundary_samples, damped_newton, fd_jacobian
 from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
@@ -298,6 +299,12 @@ class TestFieldHandleBatch:
 
         degree_1d(FieldHandle(dim=1, eval=ev), (-2.0, 2.0), n_check=64)
         assert calls[0] == 65
+        # Then the 3 brackets are bisected together and their slopes taken.
+        assert calls[1:] == [3] * 80 + [6]
+        calls.clear()
+        # No sign change: the scan is the only call.
+        degree_1d(FieldHandle(dim=1, eval=lambda Z: ev(Z) + 10.0), (-2.0, 2.0), n_check=64)
+        assert calls == [65]
         calls.clear()
         degree_2d_winding(FieldHandle(dim=2, eval=lambda Z: ev(Z) + [0.1, 0.2]), box([-1, -1], [1, 1]))
         assert calls == [1024]
@@ -308,3 +315,136 @@ class TestFieldHandleBatch:
             degree_2d_winding(field, box([-1, -1], [1, 1]))
         with pytest.raises(InvalidParameterError):
             degree_nd_jacobian(field, box([-1, -1], [1, 1]))
+
+
+def _degree_1d_bracket_by_bracket(fn, interval, n_check=256):
+    """Reference for degree_1d: every point its own call, each sign-change
+    bracket bisected on its own."""
+
+    def f(x):
+        try:
+            v = fn(x)
+        except (TypeError, IndexError):
+            v = fn(np.array([x]))
+        return float(np.atleast_1d(np.asarray(v, dtype=float))[0])
+
+    a, b = float(interval[0]), float(interval[1])
+    xs = np.linspace(a, b, n_check + 1)
+    vals = np.array([f(x) for x in xs])
+    zeros = []
+    for i in range(n_check):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 == 0.0 or v0 * v1 > 0.0:
+            continue
+        lo, hi, flo = xs[i], xs[i + 1], v0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        root = 0.5 * (lo + hi)
+        step = (b - a) * 1e-7
+        slope = (f(root + step) - f(root - step)) / (2.0 * step)
+        zeros.append({"point": [root], "jacobian_sign": int(np.sign(slope))})
+    degree = (int(np.sign(vals[-1])) - int(np.sign(vals[0]))) // 2
+    margin = min(abs(vals[0]), abs(vals[-1]))
+    return DegreeReport(degree=degree, admissibility_margin=margin, method="sign-1d", zeros=zeros)
+
+
+def _degree_nd_cell_by_cell(fn, b, grid_per_axis=16, tol=1e-10):
+    """Reference for degree_nd_jacobian on fields with hyperbolic zeros:
+    every point its own call, each candidate cell refined on its own by
+    damped_newton."""
+    n, scale = b.dim, b.scale
+    value = lambda z: np.atleast_1d(np.asarray(fn(z), dtype=float))
+    rows = lambda points: np.array([value(p) for p in points])
+    jacobian = lambda z, f0: fd_jacobian(rows, z, f0, 1e-6 * scale)
+    margin = float(min(np.linalg.norm(v) for v in rows(_boundary_samples(b, grid_per_axis + 1))))
+    axes = [np.linspace(b.lower[i], b.upper[i], grid_per_axis + 1) for i in range(n)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = rows(grid.reshape(-1, n)).reshape(grid.shape)
+    zeros = []
+    for cell in np.ndindex(*([grid_per_axis] * n)):
+        corners = np.array([vals[tuple(c + o for c, o in zip(cell, offset))]
+                            for offset in itertools.product((0, 1), repeat=n)])
+        if not all(corners[:, j].min() <= 0.0 <= corners[:, j].max() for j in range(n)):
+            continue
+        z0 = np.array([0.5 * (axes[i][cell[i]] + axes[i][cell[i] + 1]) for i in range(n)])
+        out = damped_newton(value, jacobian, z0, tol, 60)
+        if out is None or not b.contains(out[0], tol=1e-9 * scale):
+            continue
+        z, _, J = out
+        if any(np.linalg.norm(z - np.array(k["point"])) < 1e-6 * scale for k in zeros):
+            continue
+        zeros.append({"point": z.tolist(), "jacobian_sign": int(np.sign(np.linalg.det(J)))})
+    return DegreeReport(degree=sum(k["jacobian_sign"] for k in zeros), admissibility_margin=margin,
+                        method="jacobian-nd", zeros=zeros)
+
+
+def _counting(handle):
+    """handle with a log of the number of points of each eval call."""
+    calls = []
+
+    def ev(Z):
+        calls.append(len(Z))
+        return handle.eval(Z)
+
+    return FieldHandle(dim=handle.dim, eval=ev), calls
+
+
+def _cubic_nu():
+    return nu_field(CoupledProblem(
+        dim_x=0, dim_y=1, g=lambda x, y: y - y ** 3,
+        a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0,
+    ))
+
+
+def _sunflower_neg_nu(sunflower):
+    return nu_field(dataclasses.replace(sunflower.coupled, n_quad=64)).negated()
+
+
+_SPIRAL = FieldHandle(dim=3, eval=_spiral_3d)
+_CUBE = box([-1, -1, -1], [1, 1, 1])
+_SQUARE = box([-1, -1], [1, 1])
+
+
+class TestBatchedRefinement:
+    """degree_1d bisects all its brackets together and degree_nd_jacobian
+    refines all its candidate cells in lockstep: the reports are the bits
+    of the point-by-point references above, from a few calls."""
+
+    @pytest.mark.parametrize("name, interval", [
+        ("cubic-nu", (-2.0, 2.0)),
+        ("sin", (-1.0, 1.0)),
+        ("sin", (-2.0, 7.0)),
+    ])
+    def test_sign_1d_matches_bracket_by_bracket(self, name, interval):
+        fn = _cubic_nu() if name == "cubic-nu" else math.sin
+        report = degree_1d(fn, interval)
+        assert report.zeros
+        assert report.to_json() == _degree_1d_bracket_by_bracket(fn, interval).to_json()
+
+    @pytest.mark.parametrize("name", ["sunflower-nu", "spiral-handle", "spiral-callable", "identity"])
+    def test_jacobian_nd_matches_cell_by_cell(self, sunflower, name):
+        fn, b = {
+            "sunflower-nu": (_sunflower_neg_nu(sunflower), _SQUARE),
+            "spiral-handle": (_SPIRAL, _CUBE),
+            "spiral-callable": (lambda z: _spiral_3d(np.atleast_2d(z))[0], _CUBE),
+            "identity": (lambda z: z, _CUBE),
+        }[name]
+        report = degree_nd_jacobian(fn, b)
+        assert report.zeros
+        assert report.to_json() == _degree_nd_cell_by_cell(fn, b).to_json()
+
+    def test_call_counts(self, sunflower):
+        field, calls = _counting(_cubic_nu())
+        assert degree_1d(field, (-2.0, 2.0)).degree == -1
+        assert len(calls) <= 82
+        field, calls = _counting(_sunflower_neg_nu(sunflower))
+        assert degree_nd_jacobian(field, _SQUARE, 16).degree == -1
+        assert len(calls) <= 5
+        field, calls = _counting(_SPIRAL)
+        assert degree_nd_jacobian(field, _CUBE).degree == 1
+        assert len(calls) <= 6
