@@ -49,6 +49,7 @@ class ContinuationConfig:
     def __post_init__(self):
         if not 0 < self.h_min <= self.h0 <= self.h_max:
             raise InvalidParameterError("need 0 < h_min <= h0 <= h_max")
+        self.translation()  # the translation settings' own checks
 
     def translation(self) -> TranslationConfig:
         return TranslationConfig(

@@ -18,7 +18,8 @@ The damped Newton (newton_steps) asks at each point it visits for the
 residual and its forward-difference Jacobian (fd_jacobian), so every
 iterate steps with the Jacobian at itself.  newton_lockstep answers any
 number of solves with one batched call per round; it refines jacobian-nd's
-zeros and the translation operator's fixed points (poincare).
+zeros and the translation operator's fixed points (poincare), and it is the
+package's one Newton driver.
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
 minimum sampled boundary norm is reported as admissibility_margin so callers
@@ -227,8 +228,8 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
 
     The generator returns (u, residual_norm, J) once residual_norm <= tol,
     with J the Jacobian at u, or None.  Since it only asks for values, one
-    driver can advance many solves at once (newton_lockstep); damped_newton
-    drives one with callables.
+    driver advances any number of solves at once: newton_lockstep, the
+    package's only driver.
     """
 
     def size(r):
@@ -259,30 +260,6 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
     except (TranslationUndefinedError, np.linalg.LinAlgError):
         return None
     return (u, rnorm, J) if rnorm <= tol else None
-
-
-def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int):
-    """newton_steps on residual(u) = 0 from u0, driven by callables.
-
-    Each request u is answered with r = residual(u) and then jacobian(u, r);
-    a TranslationUndefinedError either raises is thrown into the solve.
-    Returns what newton_steps returns: (u, residual_norm, J) on
-    convergence, with J = jacobian(u, residual(u)) at the returned u, and
-    None on failure.
-    """
-    steps = newton_steps(u0, tol, max_iter)
-    try:
-        u = next(steps)
-        while True:
-            try:
-                r = residual(u)
-                J = jacobian(u, r)
-            except TranslationUndefinedError as exc:
-                u = steps.throw(exc)
-            else:
-                u = steps.send((r, J))
-    except StopIteration as stop:
-        return stop.value
 
 
 def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):

@@ -13,10 +13,11 @@ right-associative and unary minus binds tighter than '^' on its left
 operand, so "-x^2" parses as -(x^2) and "2^3^2" as 2^(3^2).  There is no
 implicit multiplication.
 
-evaluate() walks the tree on floats and is the reference semantics.
-compile_expr() turns a parsed expression into a closure that takes floats
-(computed as evaluate does) or arrays (NumPy ufuncs), and raises on the
-same inputs.
+compile_expr() is the one evaluator: it turns a parsed expression into a
+closure that takes floats (Python math) or arrays (NumPy ufuncs) and
+raises ExprEvalError naming the node on the same inputs either way.
+evaluate() is that closure on float bindings.  The test suite keeps a tree
+walk over the AST as the reference the closures are checked against.
 """
 
 from __future__ import annotations
@@ -297,47 +298,6 @@ def _scalar_power(node: BinOp, lhs: float, rhs: float) -> float:
         raise ExprEvalError(f"power overflow at base {lhs!r}", node) from None
 
 
-def _eval_node(node: Node, bindings: Dict[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(bindings[node.name])
-        except KeyError:
-            raise ExprEvalError(f"unbound variable '{node.name}'", node) from None
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, bindings)
-    if isinstance(node, Call):
-        return _scalar_call(node, _eval_node(node.arg, bindings))
-    # BinOp
-    lhs = _eval_node(node.left, bindings)
-    rhs = _eval_node(node.right, bindings)
-    op = node.op
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        if rhs == 0.0:
-            raise ExprEvalError(f"division by zero: divisor {rhs!r}", node)
-        return lhs / rhs
-    return _scalar_power(node, lhs, rhs)
-
-
-def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
-    """IEEE double evaluation of the AST under the given bindings.
-
-    The reference tree walk.  Domain errors raise ExprEvalError naming the
-    node: log of x <= 0, sqrt of x < 0, sin or cos of an infinite value,
-    division by zero, zero to a negative power, a finite negative base to
-    a finite non-integer power, and exp or '^' overflowing from finite
-    operands.  Underflow and inf/nan from the other operations pass through.
-    """
-    return _eval_node(e.root, bindings)
-
-
 # -- compilation to closures over NumPy ufuncs -------------------------------
 
 _UFUNCS = {
@@ -450,12 +410,15 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
 
     env maps each variable to a float or an array; arrays broadcast against
     each other, and the value has their broadcast shape.  On floats the
-    closure computes what evaluate does, with the same math functions; on
-    arrays it uses NumPy ufuncs.  Either way it raises ExprEvalError naming
-    the node on the inputs where evaluate does (on arrays: if any element
-    is such an input), checking the arguments explicitly.  NumPy's
-    floating-point warnings are silenced, since the values they flag (inf,
-    nan, underflow to 0) are the ones evaluate returns without error.
+    closure uses the math functions of FUNCTIONS; on arrays, NumPy ufuncs.
+    Domain errors raise ExprEvalError naming the node: log of x <= 0, sqrt
+    of x < 0, sin or cos of an infinite value, division by zero, zero to a
+    negative power, a finite negative base to a finite non-integer power,
+    and exp or '^' overflowing from finite operands (on arrays: if any
+    element is such an input), checked on the arguments explicitly.
+    Underflow and inf/nan from the other operations pass through, so
+    NumPy's floating-point warnings, which flag just those values, are
+    silenced.
     """
     run = _compile(e.root)
 
@@ -468,6 +431,12 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
         return run(env)
 
     return compiled
+
+
+def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
+    """IEEE double evaluation of e under the given bindings, each cast to
+    float: compile_expr's closure on floats, with its ExprEvalErrors."""
+    return compile_expr(e)({name: float(v) for name, v in bindings.items()})
 
 
 def pretty(e: Expr) -> str:

@@ -6,20 +6,25 @@ already-completed segment (or the initial history) and every multiple of r
 is a segment boundary, keeping the derivative discontinuities of the
 solution aligned with segment joints.  Delayed reads and dense output use
 the package's one Hermite evaluator (problem._hermite) and its node snap.
+
+integrate holds the package's one RK4 loop.  The delay-free flows
+(flow_unperturbed, flow_averaged) are integrate at lambda = 0 from the
+constant history at each point, and take a batch of points as one sweep.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BlowupError, DomainEscapeError, InvalidParameterError
 from .fields import make_wf
-from .problem import (Box, CoupledProblem, History, _hermite, _hermite_array, _hermite_deriv,
-                      _hermite_eval)
+from .problem import (Box, CoupledProblem, History, PeriodicFn1D, _hermite, _hermite_array,
+                      _hermite_deriv, _hermite_eval)
 
 BLOWUP_THRESHOLD = 1e9
 
@@ -222,35 +227,28 @@ def integrate(
     return Trajectory(init=init, times=times, states=states, slopes=slopes, dim_x=problem.dim_x)
 
 
-def _flow(problem: CoupledProblem, point, t: float, coeff, n_steps: int) -> np.ndarray:
-    k = problem.dim_x
-    state = np.atleast_1d(np.asarray(point, dtype=float)).copy()
-    if t == 0.0:
-        return state
-    dt = t / n_steps
-
-    def rhs(tt, z):
-        x, y = z[:k], z[k:]
-        return np.concatenate([np.zeros(k), coeff(tt) * problem.eval_g(x, y)])
-
-    tt = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(tt, state)
-        k2 = rhs(tt + 0.5 * dt, state + 0.5 * dt * k1)
-        k3 = rhs(tt + 0.5 * dt, state + 0.5 * dt * k2)
-        k4 = rhs(tt + dt, state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tt += dt
-        _check_state(tt, state, None)
-    return state
-
-
 def flow_unperturbed(problem: CoupledProblem, point, t: float, n_steps: int = 2048) -> np.ndarray:
-    """Flow of x' = 0, y' = a(t) g(x, y) from a constant initial point."""
-    return _flow(problem, point, t, lambda tt: float(problem.a(tt)), n_steps)
+    """Flow of x' = 0, y' = a(t) g(x, y) from a point (d,) or from each row
+    of a batch (N, d): integrate at lambda = 0 from the constant history at
+    each point, all rows in one sweep, with a step of at most t / n_steps."""
+    if n_steps < 1:
+        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
+    if t < 0:
+        raise InvalidParameterError(f"t must be >= 0, got {t}")
+    points = np.atleast_1d(np.asarray(point, dtype=float))
+    if t == 0.0:
+        return points.copy()
+    r = problem.delay
+    # At lambda = 0 no delayed value enters the right-hand side, so the
+    # coarsest history grid (m = 8) serves.
+    values = np.broadcast_to(points, (9,) + points.shape).copy()
+    init = History(delay=r, values=values, derivs=np.zeros_like(values))
+    steps_per_delay = max(8, math.ceil(n_steps * r / t))
+    return integrate(problem, 0.0, 1.0, init, t, steps_per_delay).states[-1]
 
 
 def flow_averaged(problem: CoupledProblem, point, t: float, n_steps: int = 2048) -> np.ndarray:
-    """Flow of x' = 0, y' = <a> g(x, y); coincides with flow_unperturbed at t = T."""
-    abar = problem.abar
-    return _flow(problem, point, t, lambda tt: abar, n_steps)
+    """Flow of x' = 0, y' = <a> g(x, y): flow_unperturbed on the problem
+    with a replaced by the constant <a>.  The two coincide at t = T."""
+    averaged = replace(problem, a=PeriodicFn1D.constant(problem.abar, problem.period))
+    return flow_unperturbed(averaged, point, t, n_steps)

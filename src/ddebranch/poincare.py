@@ -50,6 +50,12 @@ class TranslationConfig:
             raise InvalidParameterError(f"m must be >= 8, got {self.m}")
         if self.newton_tol <= 0:
             raise InvalidParameterError("newton_tol must be positive")
+        if self.fd_step <= 0:
+            raise InvalidParameterError(f"fd_step must be positive, got {self.fd_step}")
+        if self.newton_max_iter < 1:
+            raise InvalidParameterError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
+        if self.steps_per_delay < 8:
+            raise InvalidParameterError(f"steps_per_delay must be >= 8, got {self.steps_per_delay}")
 
 
 @dataclass(frozen=True)

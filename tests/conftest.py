@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ddebranch import Box, CoupledProblem, PeriodicFn1D
+from ddebranch.degree import newton_steps
+from ddebranch.errors import TranslationUndefinedError
 from ddebranch.presets import SunflowerSetup, default_sunflower
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +40,31 @@ def scalar_problem(g_scalar, a_fn=None, period=TWO_PI, delay=1.0, h=None) -> Cou
 def sunflower() -> SunflowerSetup:
     """The reference sunflower instance: a = -1 + 0.5 sin t, phi = sin(yd)."""
     return default_sunflower()
+
+
+def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int):
+    """newton_steps on residual(u) = 0 from u0, driven one solve at a time
+    by callables: the reference for the package's lockstep driver.
+
+    Each request u is answered with r = residual(u) and then jacobian(u, r);
+    a TranslationUndefinedError either raises is thrown into the solve.
+    Returns what newton_steps returns: (u, residual_norm, J) on
+    convergence, with J = jacobian(u, residual(u)) at the returned u, and
+    None on failure.
+    """
+    steps = newton_steps(u0, tol, max_iter)
+    try:
+        u = next(steps)
+        while True:
+            try:
+                r = residual(u)
+                J = jacobian(u, r)
+            except TranslationUndefinedError as exc:
+                u = steps.throw(exc)
+            else:
+                u = steps.send((r, J))
+    except StopIteration as stop:
+        return stop.value
 
 
 def box(lower, upper) -> Box:

@@ -18,11 +18,11 @@ from ddebranch import (
     nu_field,
     v_lambda_field,
 )
-from ddebranch.degree import DegreeReport, _boundary_samples, damped_newton, fd_jacobian
+from ddebranch.degree import DegreeReport, _boundary_samples, fd_jacobian
 from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
-from conftest import SUITE_FIELDS, TWO_PI, box
+from conftest import SUITE_FIELDS, TWO_PI, box, damped_newton
 
 
 class TestDegree1D:

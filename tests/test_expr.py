@@ -191,6 +191,36 @@ def _random_asts():
     return [_random_node(rnd, 4) for _ in range(100)]
 
 
+def _tree_walk(node, bindings):
+    """The reference semantics: the AST walked on floats, with the
+    language's scalar domain checks."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return float(bindings[node.name])
+        except KeyError:
+            raise ExprEvalError(f"unbound variable '{node.name}'", node) from None
+    if isinstance(node, Neg):
+        return -_tree_walk(node.operand, bindings)
+    if isinstance(node, Call):
+        return dsl._scalar_call(node, _tree_walk(node.arg, bindings))
+    lhs = _tree_walk(node.left, bindings)
+    rhs = _tree_walk(node.right, bindings)
+    op = node.op
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    if op == "/":
+        if rhs == 0.0:
+            raise ExprEvalError(f"division by zero: divisor {rhs!r}", node)
+        return lhs / rhs
+    return dsl._scalar_power(node, lhs, rhs)
+
+
 def _agree(got, want) -> bool:
     """Equal to 1e-12 relative, with matching infinities and nans."""
     if math.isnan(want) or math.isinf(want):
@@ -201,7 +231,7 @@ def _agree(got, want) -> bool:
 class TestCompiled:
     def test_matches_reference_on_random_asts(self):
         # Each compiled closure against the tree walk, on floats and on a
-        # 1-d array of the same points; an input that raises in evaluate
+        # 1-d array of the same points; an input that raises in the walk
         # must raise in the closure too.
         points = np.random.default_rng(0).uniform(-3.0, 3.0, size=(8, 3))
         arrays = {name: points[:, i] for i, name in enumerate("abc")}
@@ -213,7 +243,7 @@ class TestCompiled:
             for row in points:
                 env = {name: float(v) for name, v in zip("abc", row)}
                 try:
-                    want = dsl.evaluate(e, env)
+                    want = _tree_walk(e.root, env)
                 except ExprEvalError:
                     with pytest.raises(ExprEvalError):
                         compiled(env)

@@ -248,10 +248,9 @@ class TestFlows:
         ]
         rng = np.random.default_rng(17)
         for prob in pairs:
-            for _ in range(3):
-                p = rng.uniform(-0.5, 0.5, size=1)
-                d = np.max(np.abs(flow_unperturbed(prob, p, TWO_PI) - flow_averaged(prob, p, TWO_PI)))
-                assert d <= 1e-6
+            points = rng.uniform(-0.5, 0.5, size=(3, 1))
+            d = np.max(np.abs(flow_unperturbed(prob, points, TWO_PI) - flow_averaged(prob, points, TWO_PI)))
+            assert d <= 1e-6
 
     def test_no_coincidence_at_interior_times(self):
         # The two flows genuinely differ before one full period has elapsed.
@@ -259,3 +258,47 @@ class TestFlows:
         d = abs(float(flow_unperturbed(prob, [0.0], math.pi)[0])
                 - float(flow_averaged(prob, [0.0], math.pi)[0]))
         assert d > 0.1
+
+
+class TestFlowBatches:
+    """The flows take one point (d,) or a batch (N, d), run as one sweep."""
+
+    def _rotation(self):
+        return CoupledProblem(
+            dim_x=0, dim_y=2,
+            g=lambda x, y: np.array([-y[1], y[0]]),
+            a=periodic(lambda t: 1.0 + 0.5 * math.cos(t)),
+            period=TWO_PI, delay=1.0,
+        )
+
+    def test_batch_equals_per_point_calls(self):
+        prob = self._rotation()
+        points = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4, 2))
+        for flow in (flow_unperturbed, flow_averaged):
+            batch = flow(prob, points, 2.5, n_steps=256)
+            assert batch.shape == points.shape
+            for row, p in zip(batch, points):
+                assert np.array_equal(row, flow(prob, p, 2.5, n_steps=256))
+
+    def test_constant_field_every_row(self):
+        prob = scalar_problem(lambda y: 1.0, a_fn=lambda t: math.sin(t) + 2.0)
+        points = np.zeros((3, 1))
+        for flow in (flow_unperturbed, flow_averaged):
+            out = flow(prob, points, TWO_PI)
+            assert out.shape == (3, 1)
+            assert np.allclose(out, 4.0 * math.pi, atol=1e-8)
+
+    def test_zero_time_returns_input(self):
+        prob = self._rotation()
+        points = np.array([[0.1, -0.2], [0.3, 0.4]])
+        for flow in (flow_unperturbed, flow_averaged):
+            assert np.array_equal(flow(prob, points, 0.0), points)
+            assert np.array_equal(flow(prob, points[0], 0.0), points[0])
+
+    def test_invalid_time_and_steps_raise(self):
+        prob = self._rotation()
+        for flow in (flow_unperturbed, flow_averaged):
+            with pytest.raises(InvalidParameterError):
+                flow(prob, [0.1, 0.2], -1.0)
+            with pytest.raises(InvalidParameterError):
+                flow(prob, [0.1, 0.2], 1.0, n_steps=0)

@@ -22,12 +22,12 @@ from ddebranch import (
 from ddebranch import poincare
 from ddebranch.config import load_problem
 from ddebranch.continuation import TERMINATION_LAMBDA_MAX
-from ddebranch.degree import damped_newton, fd_jacobian
+from ddebranch.degree import fd_jacobian
 from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
 from ddebranch.poincare import _newton_fixed_point, _residual, _translate_values, index_report_json
 from ddebranch.problem import BatchField
 
-from conftest import TWO_PI, periodic, scalar_problem
+from conftest import TWO_PI, damped_newton, periodic, scalar_problem
 
 CFG = TranslationConfig(m=16, steps_per_delay=16)
 
@@ -188,6 +188,19 @@ class TestConfigValidation:
     def test_tolerance_positive(self):
         with pytest.raises(InvalidParameterError):
             TranslationConfig(newton_tol=0.0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("fd_step", 0.0),
+        ("fd_step", -1e-6),
+        ("newton_max_iter", 0),
+        ("steps_per_delay", 7),
+    ])
+    def test_rejected_values_name_the_field(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=field):
+            TranslationConfig(**{field: bad})
+        if field != "newton_max_iter":
+            with pytest.raises(InvalidParameterError, match=field):
+                ContinuationConfig(**{field: bad})
 
 
 def _batched_jacobian(problem, lam, mu, u, r0, cfg, domain):
