@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,25 +18,27 @@ import numpy as np
 from . import expr as dsl
 from .config import (
     _check_keys,
+    _integer,
     _number,
+    _numbers,
     _parse_box,
     _parse_exprs,
     _require,
+    continuation_config,
     load_config,
     load_problem,
-    parse_numerics,
-    _BRANCH_KEYS,
+    translation_config,
     _DEGREE_KEYS,
     _INTEGRATE_KEYS,
     _VERIFY_KEYS,
 )
-from .continuation import ContinuationConfig, continue_branch
-from .degree import degree_1d, degree_2d_winding, degree_nd_jacobian
+from .continuation import continue_branch
+from .degree import DEGREE_METHODS, auto_method
 from .errors import ConfigError, DdeBranchError, ExprError
 from .fields import FieldHandle, nu_field
 from .integrator import integrate
 from .lienard import sigma_transform
-from .poincare import TranslationConfig, verify_index_identity
+from .poincare import verify_index_identity
 from .problem import History
 
 EXIT_OK = 0
@@ -65,21 +66,14 @@ def cmd_integrate(config: dict, out: Path, args) -> int:
     lam = _number(block, "lambda", "integrate", default=0.0)
     mu = _number(block, "mu", "integrate", default=1.0)
     t_end = _number(block, "t_end", "integrate", positive=True)
-    resolution = int(_number(block, "resolution", "integrate", default=400, positive=True))
-    loaded = load_problem(config)
-    problem = loaded.coupled
-    num = parse_numerics(config)
-    init_spec = block.get("init", 0.0)
-    if isinstance(init_spec, (int, float)):
-        point = np.full(problem.dim, float(init_spec))
-    else:
-        point = np.asarray(init_spec, dtype=float)
-        if point.size != problem.dim:
-            raise ConfigError(
-                f"integrate.init: expected {problem.dim} value(s), got {point.size}"
-            )
-    init = History.constant(point, problem.delay, m=num.m)
-    traj = integrate(problem, lam, mu, init, t_end, steps_per_delay=num.steps_per_delay)
+    resolution = _integer(block, "resolution", "integrate", default=400, positive=True)
+    problem = load_problem(config).coupled
+    cfg = translation_config(config)
+    point = _numbers(block.get("init", 0.0), "integrate.init")
+    if point.ndim and point.size != problem.dim:
+        raise ConfigError(f"integrate.init: expected {problem.dim} value(s), got {point.size}")
+    init = History.constant(np.full(problem.dim, point), problem.delay, m=cfg.m)
+    traj = integrate(problem, lam, mu, init, t_end, steps_per_delay=cfg.steps_per_delay)
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path, resolution=resolution)
     if not args.quiet:
@@ -113,15 +107,6 @@ def _degree_field(config: dict, block: dict):
     return FieldHandle(dim=len(var_names), eval=ev, name="expr"), len(var_names)
 
 
-#: Each degree method: its call on a box, the name of the resolution
-#: argument that --seed-grid sets, and the box dimension it needs (None: any).
-_DEGREE_METHODS = {
-    "sign-1d": (lambda fn, box, **kw: degree_1d(fn, (box.lower[0], box.upper[0]), **kw), "n_check", 1),
-    "winding-2d": (degree_2d_winding, "n_boundary", 2),
-    "jacobian-nd": (degree_nd_jacobian, "grid_per_axis", None),
-}
-
-
 def cmd_degree(config: dict, out: Path, args) -> int:
     block = _require(config, "degree", "config")
     _check_keys(block, _DEGREE_KEYS, "degree")
@@ -129,14 +114,17 @@ def cmd_degree(config: dict, out: Path, args) -> int:
     box = _parse_box(_require(block, "box", "degree"), "degree.box")
     if box.dim != dim:
         raise ConfigError(f"degree.box: dimension {box.dim} does not match field dimension {dim}")
-    if block.get("negate", False):
+    negate = block.get("negate", False)
+    if not isinstance(negate, bool):
+        raise ConfigError(f"degree.negate: expected true or false, got {negate!r}")
+    if negate:
         fn = fn.negated()
     method = block.get("method", "auto")
     if method == "auto":
-        method = {1: "sign-1d", 2: "winding-2d"}.get(dim, "jacobian-nd")
-    if method not in _DEGREE_METHODS:
+        method = auto_method(dim)
+    if method not in DEGREE_METHODS:
         raise ConfigError(f"degree.method: unknown method {method!r}")
-    run, resolution, needs = _DEGREE_METHODS[method]
+    run, resolution, needs = DEGREE_METHODS[method]
     if needs not in (None, dim):
         raise ConfigError(f"degree.method: {method!r} needs box dimension {needs}, got {dim}")
     kwargs = {} if args.seed_grid is None else {resolution: args.seed_grid}
@@ -183,12 +171,7 @@ def cmd_verify_index(config: dict, out: Path, args) -> int:
     lam = _number(block, "lambda", "verify_index", positive=True)
     box = _parse_box(_require(block, "box", "verify_index"), "verify_index.box")
     loaded = load_problem(config)
-    num = parse_numerics(config)
-    cfg = TranslationConfig(
-        m=num.m, steps_per_delay=num.steps_per_delay,
-        newton_tol=num.newton_tol, fd_step=num.fd_step,
-    )
-    report = verify_index_identity(loaded.coupled, lam, box, cfg)
+    report = verify_index_identity(loaded.coupled, lam, box, translation_config(config))
     report["config"] = config
     path = out / "index_identity.json"
     _write_json(path, report)
@@ -200,27 +183,11 @@ def cmd_verify_index(config: dict, out: Path, args) -> int:
 
 def cmd_branch(config: dict, out: Path, args) -> int:
     block = _require(config, "branch", "config")
-    _check_keys(block, _BRANCH_KEYS, "branch")
+    cfg = continuation_config(config)
     loaded = load_problem(config)
-    problem = loaded.coupled
-    num = parse_numerics(config)
-    origin = np.asarray(_require(block, "origin", "branch"), dtype=float)
+    origin = _numbers(_require(block, "origin", "branch"), "branch.origin")
     lambda_max = _number(block, "lambda_max", "branch")
-    domain = None
-    if "domain" in block:
-        domain = _parse_box(block["domain"], "branch.domain")
-    ccfg = ContinuationConfig(
-        h0=_number(block, "h0", "branch", default=0.05, positive=True),
-        h_min=_number(block, "h_min", "branch", default=1e-6, positive=True),
-        h_max=_number(block, "h_max", "branch", default=0.25, positive=True),
-        newton_tol=num.newton_tol,
-        max_points=int(_number(block, "max_points", "branch", default=200, positive=True)),
-        m=num.m,
-        steps_per_delay=num.steps_per_delay,
-        fd_step=num.fd_step,
-        domain=domain,
-    )
-    branch = continue_branch(problem, origin, lambda_max, ccfg)
+    branch = continue_branch(loaded.coupled, origin, lambda_max, cfg)
     csv_path = out / "branch.csv"
     branch.to_csv(csv_path)
     payload = branch.to_json_dict()

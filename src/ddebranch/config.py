@@ -9,23 +9,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import expr as dsl
-from .errors import ConfigError, ExprError
+from .continuation import ContinuationConfig
+from .errors import ConfigError, ExprError, InvalidParameterError
 from .lienard import SigmaResult
-from .problem import BatchField, Box, CoupledProblem, PeriodicFn1D
+from .poincare import TranslationConfig
+from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D
 
 _TOP_KEYS = {"problem", "numerics", "integrate", "degree", "sigma", "verify_index", "branch"}
 _PROBLEM_KEYS = {"preset", "a", "phi", "alpha", "beta", "T", "r", "dims", "f", "g", "h"}
-_NUMERICS_KEYS = {"n_quad", "steps_per_delay", "m", "newton_tol", "fd_step"}
 _INTEGRATE_KEYS = {"lambda", "mu", "t_end", "init", "resolution"}
 _DEGREE_KEYS = {"field", "exprs", "vars", "box", "method", "negate"}
 _VERIFY_KEYS = {"lambda", "box"}
-_BRANCH_KEYS = {"origin", "lambda_max", "h0", "h_min", "h_max", "max_points", "domain"}
 _BOX_KEYS = {"lower", "upper"}
 
 
@@ -56,14 +56,25 @@ def _number(obj, key, path, default=None, positive=False):
     return float(v)
 
 
+def _integer(obj, key, path, default=None, positive=False):
+    v = _number(obj, key, path, default, positive)
+    if not float(v).is_integer():
+        raise ConfigError(f"{path}.{key}: expected an integer, got {obj[key]!r}")
+    return int(v)
+
+
+def _numbers(v, path) -> np.ndarray:
+    """A number or a list of numbers, as a float array."""
+    items = v if isinstance(v, list) else [v]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        raise ConfigError(f"{path}: expected a number or a list of numbers, got {v!r}")
+    return np.asarray(v, dtype=float)
+
+
 def _parse_box(obj, path) -> Box:
     _check_keys(obj, _BOX_KEYS, path)
-    lower = _require(obj, "lower", path)
-    upper = _require(obj, "upper", path)
-    try:
-        return Box(lower=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float))
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    bounds = {key: _numbers(_require(obj, key, path), f"{path}.{key}") for key in ("lower", "upper")}
+    return _settings(Box, obj, path, {}, **bounds)
 
 
 def _parse_exprs(sources, allowed, path):
@@ -130,15 +141,6 @@ def _vector_field(exprs, k, s, with_time) -> BatchField:
 
 
 @dataclass(frozen=True)
-class NumericsConfig:
-    n_quad: int = 1024
-    steps_per_delay: int = 32
-    m: int = 32
-    newton_tol: float = 1e-9
-    fd_step: float = 1e-6
-
-
-@dataclass(frozen=True)
 class LoadedProblem:
     """A problem resolved from config: the coupled system, plus the sigma
     transform when it came from a sunflower preset and the parameter value
@@ -150,15 +152,43 @@ class LoadedProblem:
     default_lambda: Optional[float] = None
 
 
-def parse_numerics(config: dict) -> NumericsConfig:
+#: The settings each block may set, with the reader of each one's type.
+_TRANSLATION_SETTINGS = {"m": _integer, "steps_per_delay": _integer,
+                         "newton_tol": _number, "fd_step": _number}
+_STEP_SETTINGS = {"h0": _number, "h_min": _number, "h_max": _number, "max_points": _integer,
+                  "domain": lambda block, key, path: _parse_box(block[key], f"{path}.{key}")}
+_NUMERICS_KEYS = {"n_quad"} | set(_TRANSLATION_SETTINGS)
+_BRANCH_KEYS = {"origin", "lambda_max"} | set(_STEP_SETTINGS)
+
+
+def _numerics_block(config: dict) -> dict:
     block = config.get("numerics", {})
     _check_keys(block, _NUMERICS_KEYS, "numerics")
-    n_quad = int(_number(block, "n_quad", "numerics", default=1024))
-    spd = int(_number(block, "steps_per_delay", "numerics", default=32))
-    m = int(_number(block, "m", "numerics", default=32))
-    tol = _number(block, "newton_tol", "numerics", default=1e-9, positive=True)
-    fd = _number(block, "fd_step", "numerics", default=1e-6, positive=True)
-    return NumericsConfig(n_quad=n_quad, steps_per_delay=spd, m=m, newton_tol=tol, fd_step=fd)
+    return block
+
+
+def _settings(cls, block, path, readers, **given):
+    """cls from the keys of readers that block sets, plus given; cls's own
+    defaults fill the rest, and a value it rejects is a ConfigError."""
+    given.update((key, read(block, key, path)) for key, read in readers.items() if key in block)
+    try:
+        return cls(**given)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def translation_config(config: dict) -> TranslationConfig:
+    """The numerics block's translation settings."""
+    return _settings(TranslationConfig, _numerics_block(config), "numerics", _TRANSLATION_SETTINGS)
+
+
+def continuation_config(config: dict) -> ContinuationConfig:
+    """The branch block's step settings over translation_config(config), so
+    a branch the config gives no m runs at TranslationConfig's default."""
+    block = config.get("branch", {})
+    _check_keys(block, _BRANCH_KEYS, "branch")
+    return _settings(ContinuationConfig, block, "branch", _STEP_SETTINGS,
+                     **asdict(translation_config(config)))
 
 
 def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
@@ -178,7 +208,7 @@ def load_problem(config: dict) -> LoadedProblem:
     """Resolve the problem block; the coupled problem averages with
     numerics.n_quad cells."""
     block = _require(config, "problem", "config")
-    n_quad = parse_numerics(config).n_quad
+    n_quad = _integer(_numerics_block(config), "n_quad", "numerics", default=DEFAULT_N_QUAD)
     _check_keys(block, _PROBLEM_KEYS, "problem")
     preset = block.get("preset")
     if preset is not None and preset not in ("sunflower", "classic-sunflower"):
@@ -230,8 +260,8 @@ def load_problem(config: dict) -> LoadedProblem:
     # Explicit coupled problem.
     dims = _require(block, "dims", "problem")
     _check_keys(dims, {"k", "s"}, "problem.dims")
-    k = int(_number(dims, "k", "problem.dims"))
-    s = int(_number(dims, "s", "problem.dims"))
+    k = _integer(dims, "k", "problem.dims")
+    s = _integer(dims, "s", "problem.dims")
     T = _number(block, "T", "problem", positive=True)
     r = _number(block, "r", "problem", positive=True)
     a = _load_periodic_expr(_require(block, "a", "problem"), T, "problem.a")

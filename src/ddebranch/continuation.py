@@ -35,29 +35,23 @@ _SUP_NORM_BLOWUP = 1e6
 
 
 @dataclass(frozen=True)
-class ContinuationConfig:
+class ContinuationConfig(TranslationConfig):
+    """The step settings of the tracer; as a TranslationConfig (m defaults
+    to 16 here) it is the setting of every corrector solve."""
+
+    m: int = 16
     h0: float = 0.05
     h_min: float = 1e-6
     h_max: float = 0.25
-    newton_tol: float = 1e-9
     max_points: int = 200
-    m: int = 16
-    steps_per_delay: int = 32
-    fd_step: float = 1e-6
     domain: Optional[Box] = None
 
     def __post_init__(self):
         if not 0 < self.h_min <= self.h0 <= self.h_max:
             raise InvalidParameterError("need 0 < h_min <= h0 <= h_max")
-        self.translation()  # the translation settings' own checks
-
-    def translation(self) -> TranslationConfig:
-        return TranslationConfig(
-            m=self.m,
-            steps_per_delay=self.steps_per_delay,
-            newton_tol=self.newton_tol,
-            fd_step=self.fd_step,
-        )
+        if self.max_points < 1:
+            raise InvalidParameterError(f"max_points must be >= 1, got {self.max_points}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -160,7 +154,6 @@ def continue_branch(
         raise InvalidParameterError(
             f"origin is not a zero of nu (|nu| = {nu0:.2e} > 1e-8)"
         )
-    tcfg = cfg.translation()
     zeros = _trivial_zeros(problem, origin, cfg.domain)
     dim = problem.dim
 
@@ -177,13 +170,10 @@ def continue_branch(
     if lambda_max <= 0:
         return Branch(points=points, origin=origin, termination=TERMINATION_LAMBDA_MAX)
 
-    state_domain = None
-    if cfg.domain is not None:
-        if cfg.domain.dim != dim:
-            raise InvalidParameterError(
-                f"domain box dimension {cfg.domain.dim} does not match problem dimension {dim}"
-            )
-        state_domain = cfg.domain
+    if cfg.domain is not None and cfg.domain.dim != dim:
+        raise InvalidParameterError(
+            f"domain box dimension {cfg.domain.dim} does not match problem dimension {dim}"
+        )
 
     lam = 0.0
     h = cfg.h0
@@ -202,7 +192,7 @@ def continue_branch(
         # The corrector integrates unconstrained; the domain box is checked
         # against the converged history below so an exit is reported as
         # left_domain rather than as a Newton failure.
-        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, tcfg)
+        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg)
         if out is None:
             if len(points) == 1 and h <= cfg.h_min * (1 + 1e-12):
                 termination = TERMINATION_NEWTON
@@ -218,8 +208,8 @@ def continue_branch(
         if sup_norm > _SUP_NORM_BLOWUP:
             termination = TERMINATION_BLOWUP
             break
-        if state_domain is not None and not all(
-            state_domain.contains(v) for v in hist.values
+        if cfg.domain is not None and not all(
+            cfg.domain.contains(v) for v in hist.values
         ):
             termination = TERMINATION_LEFT_DOMAIN
             break

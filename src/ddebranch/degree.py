@@ -342,7 +342,8 @@ def degree_nd_jacobian(
     field = _as_handle(fn, n)
 
     bpts = _boundary_samples(box, grid_per_axis + 1)
-    margin = float(min(np.linalg.norm(v) for v in field(bpts)))
+    bvals = field(bpts)
+    margin = float(np.sqrt((bvals[:, None, :] @ bvals[:, :, None])[:, 0, 0]).min())
     if margin < _MARGIN_MIN:
         raise AdmissibilityError(
             f"field norm {margin:.2e} on the boundary sample grid is below {_MARGIN_MIN:.0e}"
@@ -396,10 +397,21 @@ def degree_nd_jacobian(
     )
 
 
+#: Each degree method by name: its call on a box, the keyword of its
+#: resolution, and the box dimension it needs (None: any).
+DEGREE_METHODS = {
+    "sign-1d": (lambda fn, box, **kw: degree_1d(fn, (box.lower[0], box.upper[0]), **kw), "n_check", 1),
+    "winding-2d": (degree_2d_winding, "n_boundary", 2),
+    "jacobian-nd": (degree_nd_jacobian, "grid_per_axis", None),
+}
+
+
+def auto_method(dim: int) -> str:
+    """The first method in DEGREE_METHODS that takes dimension dim."""
+    return next(name for name, (_, _, needs) in DEGREE_METHODS.items() if needs in (dim, None))
+
+
 def degree_auto(fn, box: Box, **kwargs) -> DegreeReport:
     """Dispatch on dimension: 1 -> sign-1d, 2 -> winding-2d, else jacobian-nd."""
-    if box.dim == 1:
-        return degree_1d(fn, (box.lower[0], box.upper[0]), **kwargs)
-    if box.dim == 2:
-        return degree_2d_winding(fn, box, **kwargs)
-    return degree_nd_jacobian(fn, box, **kwargs)
+    run, _, _ = DEGREE_METHODS[auto_method(box.dim)]
+    return run(fn, box, **kwargs)

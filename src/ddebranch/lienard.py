@@ -194,8 +194,9 @@ class _Autonomous:
 class ScalarDelayProblem:
     """The scalar second-order delay equation y'' = a y' + lam f(t, y, yd).
 
-    G is the primitive of the damping shape g used by the Lienard reduction;
-    the default G(y) = y (g = 1) matches the sunflower-like equation.
+    G is the primitive, with G(0) = 0, of the damping shape g that the
+    Lienard reduction uses; primitive_of(g) builds it.  The default G(y) = y
+    (g = 1) matches the sunflower-like equation.
     """
 
     a: PeriodicFn1D
@@ -203,7 +204,6 @@ class ScalarDelayProblem:
     period: float
     delay: float
     G: Callable[[float], float] = staticmethod(lambda y: y)
-    g: Callable[[float], float] = staticmethod(lambda y: 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "delay", normalize_delay(self.delay, self.period))

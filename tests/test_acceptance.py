@@ -167,7 +167,7 @@ class TestAcceptance:
         assert len(branch.points) >= 20
         # Every point is a genuine periodic solution: one further period of
         # integration moves the history by at most 1e-7.
-        tcfg = cfg.translation()
+        tcfg = cfg
         drift = 0.0
         for p in branch.points:
             out = translate(prob, p.lam, 1.0, p.history, tcfg)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from ddebranch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from ddebranch.config import load_problem
+from ddebranch.config import continuation_config, load_problem
+from ddebranch.continuation import ContinuationConfig
+from ddebranch.poincare import TranslationConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -26,6 +28,17 @@ CUBIC_PROBLEM = {
     "r": 1.0,
     "a": "-1 + 0.5*sin(t)",
     "g": "y1 - y1^3",
+}
+
+CUBIC_BRANCH = {"origin": [0.0], "lambda_max": 0.1}
+
+#: One valid block per command on CUBIC_PROBLEM; a test overrides some.
+CUBIC_RUNS = {
+    "problem": CUBIC_PROBLEM,
+    "integrate": {"t_end": 1.0},
+    "degree": {"field": "nu", "box": {"lower": [-2.0], "upper": [2.0]}},
+    "verify_index": {"lambda": 1e-3, "box": {"lower": [-2.0], "upper": [2.0]}},
+    "branch": CUBIC_BRANCH,
 }
 
 
@@ -336,3 +349,52 @@ class TestConfigValidation:
     def test_load_problem_reads_n_quad(self, problem):
         loaded = load_problem({"problem": problem, "numerics": {"n_quad": 64}})
         assert loaded.coupled.n_quad == 64
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("integrate", {"numerics": {"m": 8.9}}, "numerics.m"),
+        ("integrate", {"numerics": {"steps_per_delay": 16.5}}, "numerics.steps_per_delay"),
+        ("integrate", {"numerics": {"n_quad": 64.5}}, "numerics.n_quad"),
+        ("integrate", {"integrate": {"t_end": 1.0, "resolution": 50.5}}, "integrate.resolution"),
+        ("integrate", {"integrate": {"t_end": 1.0, "init": ["a"]}}, "integrate.init"),
+        ("integrate", {"problem": dict(CUBIC_PROBLEM, dims={"k": 0.5, "s": 1})}, "problem.dims.k"),
+        ("integrate", {"problem": dict(CUBIC_PROBLEM, dims={"k": 0, "s": 1.5})}, "problem.dims.s"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, max_points=2.7)}, "branch.max_points"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, origin=["a"])}, "branch.origin"),
+        ("degree", {"degree": dict(CUBIC_RUNS["degree"], negate="no")}, "degree.negate"),
+    ])
+    def test_wrong_typed_value_exits_2_naming_the_key(self, tmp_path, capsys, command,
+                                                       override, key):
+        code, _ = run(tmp_path, command, {**CUBIC_RUNS, **override})
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith(f"{key}: expected")
+
+    @pytest.mark.parametrize("command, override, message", [
+        ("integrate", {"numerics": {"m": 4}}, "numerics: m must be >= 8, got 4"),
+        ("verify-index", {"numerics": {"steps_per_delay": 4}},
+         "numerics: steps_per_delay must be >= 8, got 4"),
+        ("branch", {"numerics": {"fd_step": -1e-6}}, "numerics: fd_step must be positive"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, h0=0.5, h_max=0.25)},
+         "branch: need 0 < h_min <= h0 <= h_max"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, max_points=0)},
+         "branch: max_points must be >= 1, got 0"),
+    ])
+    def test_rejected_setting_exits_2_naming_the_block(self, tmp_path, capsys, command,
+                                                       override, message):
+        code, _ = run(tmp_path, command, {**CUBIC_RUNS, **override})
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith(message)
+
+    def test_branch_defaults_to_the_translation_settings(self):
+        # A library ContinuationConfig defaults to m = 16; a CLI branch whose
+        # numerics block sets no m runs at TranslationConfig's m.
+        assert continuation_config({"branch": CUBIC_BRANCH}) == ContinuationConfig(
+            m=TranslationConfig().m
+        )
+        assert continuation_config({"branch": dict(CUBIC_BRANCH, h0=0.1, max_points=9.0),
+                                    "numerics": {"m": 12}}) == ContinuationConfig(
+            m=12, h0=0.1, max_points=9
+        )

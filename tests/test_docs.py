@@ -1,7 +1,11 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and its defaults are the code's."""
 
 import re
 from pathlib import Path
+
+from ddebranch.continuation import ContinuationConfig
+from ddebranch.poincare import TranslationConfig
+from ddebranch.problem import DEFAULT_N_QUAD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +15,21 @@ def test_library_use_example_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert "reached_lambda_max" in capsys.readouterr().out
+
+
+def test_stated_defaults_match_the_settings_classes():
+    # Each numerics and branch step setting states its default once, and
+    # that default is the one its settings class holds.
+    text = README.read_text()
+    numerics = text.split("`numerics` keys", 1)[1].split("Per-command blocks:", 1)[0]
+    branch = text.split("* `branch`:", 1)[1].split("### Expression language", 1)[0]
+    stated = re.findall(r"`(\w+)`\s+\([^()]*?\bdefault ([^,;)\s]+)[^()]*\)", numerics + branch)
+    assert {key: float(value) for key, value in stated} == {
+        "n_quad": DEFAULT_N_QUAD,
+        **{key: getattr(TranslationConfig, key)
+           for key in ("m", "steps_per_delay", "newton_tol", "fd_step")},
+        **{key: getattr(ContinuationConfig, key) for key in ("h0", "h_min", "h_max", "max_points")},
+    }
+    assert len(stated) == len(dict(stated))
+    library_m = re.search(r"`ContinuationConfig`\s+defaults\s+to\s+`m = (\d+)`", numerics)
+    assert int(library_m.group(1)) == ContinuationConfig.m

@@ -106,7 +106,7 @@ def _scalar_only_lienard_problem():
     a = periodic(lambda t: -1.0 + 0.4 * math.sin(t))
     g = lambda y: 1.0 + y * y
     sdp = ScalarDelayProblem(a=a, f=lambda t, y, yd: math.sin(yd) + 0.3 * math.cos(t),
-                             period=TWO_PI, delay=1.0, G=primitive_of(g), g=g)
+                             period=TWO_PI, delay=1.0, G=primitive_of(g))
     return lienard_reduce(sdp, sigma_transform(a, 256).sigma)
 
 
