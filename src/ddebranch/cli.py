@@ -98,12 +98,7 @@ def _degree_field(config: dict, block: dict):
             f"degree: field has {len(exprs)} component(s) but {len(var_names)} variable(s)"
         )
 
-    fns = [dsl.compile_expr(e) for e in exprs]
-
-    def ev(Z):
-        env = {name: Z[:, j] for j, name in enumerate(var_names)}
-        return np.stack([np.broadcast_to(f(env), Z.shape[:1]) for f in fns], axis=-1)
-
+    ev = dsl.compile_function(exprs, [var_names])
     return FieldHandle(dim=len(var_names), eval=ev, name="expr"), len(var_names)
 
 

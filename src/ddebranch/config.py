@@ -104,40 +104,15 @@ def _state_vars(k, s, with_time=True, with_delays=True):
 
 
 def _vector_field(exprs, k, s, with_time) -> BatchField:
-    """The field whose components are exprs, compiled once.
+    """The field whose components are exprs, compiled into one function.
 
     Its arguments are (t, x, y, xd, yd) when with_time (f and h), else
     (x, y) (g).  Each state argument may carry a leading batch axis, and t
     may be an array that broadcasts against it; the result has the batch
     shape plus one axis of len(exprs) components.
     """
-    fns = [dsl.compile_expr(e) for e in exprs]
-    used = set().union(*(e.free_vars() for e in exprs))
-    prefixes = ("x", "y", "xd", "yd") if with_time else ("x", "y")
-    # (state argument, column, variable name) of each variable in use.
-    binds = [
-        (arg, j, f"{p}{j + 1}")
-        for arg, (p, n) in enumerate(zip(prefixes, (k, s, k, s)))
-        for j in range(n)
-        if f"{p}{j + 1}" in used
-    ]
-
-    def field(*args):
-        env = {}
-        if with_time:
-            t, *args = args
-            env["t"] = t
-        for arg, j, name in binds:
-            env[name] = np.asarray(args[arg], dtype=float)[..., j]
-        shape = np.shape(args[0])[:-1]
-        if with_time and np.ndim(t):
-            shape = np.broadcast_shapes(np.shape(t), shape)
-        out = np.empty(shape + (len(fns),))
-        for j, fn in enumerate(fns):
-            out[..., j] = fn(env)
-        return out
-
-    return BatchField(field)
+    states = [[f"{p}{j + 1}" for j in range(n)] for p, n in zip(("x", "y", "xd", "yd"), (k, s, k, s))]
+    return BatchField(dsl.compile_function(exprs, ["t", *states] if with_time else states[:2]))
 
 
 @dataclass(frozen=True)
@@ -193,10 +168,10 @@ def continuation_config(config: dict) -> ContinuationConfig:
 
 def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
     (e,) = _parse_exprs(source, {"t"}, path)
-    fn = dsl.compile_expr(e)
+    fn = dsl.compile_function(e, ["t"])
 
     def ev(t):
-        v = fn({"t": t})
+        v = fn(t)
         if type(t) is float or np.shape(v) == np.shape(t):
             return v
         return np.full(np.shape(t), v)  # a constant expression
@@ -243,11 +218,7 @@ def load_problem(config: dict) -> LoadedProblem:
         phi_src = block.get("phi", "sin(yd1)")
         a = _load_periodic_expr(a_src, T, "problem.a")
         (phi_e,) = _parse_exprs(phi_src, {"y1", "yd1"}, "problem.phi")
-        phi_fn = dsl.compile_expr(phi_e)
-
-        def phi(y, yd):
-            return phi_fn({"y1": y, "yd1": yd})
-
+        phi = dsl.compile_function(phi_e, ["y1", "yd1"])
         from .presets import sunflower_setup
 
         try:
@@ -298,10 +269,14 @@ def load_problem(config: dict) -> LoadedProblem:
     return LoadedProblem(coupled=coupled, a=a)
 
 
+def _reject_constant(name):
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -13,18 +13,21 @@ right-associative and unary minus binds tighter than '^' on its left
 operand, so "-x^2" parses as -(x^2) and "2^3^2" as 2^(3^2).  There is no
 implicit multiplication.
 
-compile_expr() is the one evaluator: it turns a parsed expression into a
-closure that takes floats (Python math) or arrays (NumPy ufuncs) and
-raises ExprEvalError naming the node on the same inputs either way.
-evaluate() is that closure on float bindings.  The test suite keeps a tree
-walk over the AST as the reference the closures are checked against.
+compile_function() is the one evaluator: it compiles a list of parsed
+expressions into one generated Python function, built from the AST alone,
+that takes floats (Python math) or arrays (NumPy ufuncs) and raises
+ExprEvalError naming the node on the same inputs either way.
+compile_expr() is that function called with an env mapping, and
+evaluate() is compile_expr on float bindings.  The test suite keeps a tree
+walk over the AST as the reference the generated functions are checked
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Mapping, Set, Union
+from typing import Callable, Dict, FrozenSet, Mapping, Sequence, Set, Union
 
 import numpy as np
 
@@ -298,7 +301,7 @@ def _scalar_power(node: BinOp, lhs: float, rhs: float) -> float:
         raise ExprEvalError(f"power overflow at base {lhs!r}", node) from None
 
 
-# -- compilation to closures over NumPy ufuncs -------------------------------
+# -- compilation to one generated function over NumPy ufuncs ------------------
 
 _UFUNCS = {
     "sin": np.sin,
@@ -353,64 +356,102 @@ def _array_power(node: BinOp, lhs, rhs) -> np.ndarray:
     return y
 
 
-def _compile(node: Node) -> Callable:
-    if isinstance(node, Num):
-        value = node.value
-        return lambda env: value
+#: What generated code calls, by the names it calls them.
+_RUNTIME = {
+    "asarray": np.asarray, "empty": np.empty, "ndim": np.ndim,
+    "broadcast_shapes": np.broadcast_shapes, "fail_where": _fail_where,
+    "scalar_call": _scalar_call, "array_call": _array_call,
+    "scalar_power": _scalar_power, "array_power": _array_power,
+}
+
+
+def _emit(node: Node, names: Dict[str, str], ns: dict, lines: list) -> str:
+    """Append to lines the statements computing node; return the name of
+    its value.  names maps each variable to its local, and ns gains every
+    constant (k<i>) and operation node (n<i>) the statements refer to."""
     if isinstance(node, Var):
-        name = node.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise ExprEvalError(f"unbound variable '{name}'", node) from None
-
-        return var
+        return names[node.name]
+    i = len(ns)
+    if isinstance(node, Num):
+        ns[f"k{i}"] = node.value
+        return f"k{i}"
+    ns[f"n{i}"] = node
+    v = f"v{i}"
     if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda env: -operand(env)
-    if isinstance(node, Call):
-        arg = _compile(node.arg)
+        lines.append(f"{v} = -{_emit(node.operand, names, ns, lines)}")
+    elif isinstance(node, Call):
+        x = _emit(node.arg, names, ns, lines)
+        lines.append(f"{v} = scalar_call(n{i}, {x}) if isinstance({x}, float) else array_call(n{i}, {x})")
+    else:
+        lhs = _emit(node.left, names, ns, lines)
+        rhs = _emit(node.right, names, ns, lines)
+        op = node.op if node.op in ("+", "-", "*", "/") else "^"
+        if op == "^":
+            lines.append(f"{v} = scalar_power(n{i}, {lhs}, {rhs}) if isinstance({lhs}, float) "
+                         f"and isinstance({rhs}, float) else array_power(n{i}, {lhs}, {rhs})")
+        else:
+            if op == "/":
+                lines.append(f"fail_where({rhs} == 0.0, {rhs}, 'division by zero: divisor', n{i})")
+            lines.append(f"{v} = {lhs} {op} {rhs}")
+    return v
 
-        def call(env):
-            x = arg(env)
-            return _scalar_call(node, x) if isinstance(x, float) else _array_call(node, x)
 
-        return call
-    left, right = _compile(node.left), _compile(node.right)
-    op = node.op
-    if op == "+":
-        return lambda env: left(env) + right(env)
-    if op == "-":
-        return lambda env: left(env) - right(env)
-    if op == "*":
-        return lambda env: left(env) * right(env)
-    if op == "/":
-        def divide(env):
-            lhs = left(env)
-            rhs = right(env)
-            _fail_where(rhs == 0.0, rhs, "division by zero: divisor", node)
-            return lhs / rhs
+def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Callable:
+    """Compile expressions once into one generated Python function of args.
 
-        return divide
+    Each entry of args is a variable name, bound to that argument, or a
+    list of names, bound to the columns [..., j] of that argument: a state
+    array, maybe with leading batch axes.  Given one Expr the function
+    returns its value; given a list, an array of the batch shape of the
+    first state argument, broadcast against any array name argument, plus
+    one axis of len(exprs) components.
 
-    def power(env):
-        lhs = left(env)
-        rhs = right(env)
-        if isinstance(lhs, float) and isinstance(rhs, float):
-            return _scalar_power(node, lhs, rhs)
-        return _array_power(node, lhs, rhs)
-
-    return power
+    Values are as compile_expr describes; every expression is evaluated
+    under one np.errstate.  The source is built from the AST alone: the
+    locals are generated names, and the constants, nodes and functions it
+    uses are bound by name in the function's globals.
+    """
+    roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
+    used: Set[str] = set()
+    for root in roots:
+        _collect_vars(root, used)
+    ns = dict(_RUNTIME)
+    params = [f"a{i}" for i in range(len(args))]
+    head, names, states, scalars = [], {}, [], []
+    for a, arg in zip(params, args):
+        if isinstance(arg, str):
+            names[arg] = a
+            scalars.append(a)
+            continue
+        states.append(a)
+        head.append(f"{a} = asarray({a}, dtype=float)")
+        for j, name in enumerate(arg):
+            if name in used:
+                names[name] = f"{a}c{j}"
+                head.append(f"{a}c{j} = {a}[..., {j}]")
+    body = []
+    values = [_emit(root, names, ns, body) for root in roots]
+    if isinstance(exprs, Expr):
+        tail = [f"return {values[0]}"]
+    else:
+        tail = [f"batch = {states[0]}.shape[:-1]"]
+        for a in scalars:
+            tail += [f"if type({a}) is not float and ndim({a}):",
+                     f"    batch = broadcast_shapes(asarray({a}).shape, batch)"]
+        tail.append(f"out = empty(batch + ({len(values)},))")
+        tail += [f"out[..., {j}] = {v}" for j, v in enumerate(values)]
+        tail.append("return out")
+    source = "\n".join([f"def fn({', '.join(params)}):", *("    " + line for line in head + body + tail)])
+    exec(compile(source, "<ddebranch.expr>", "exec"), ns)
+    return np.errstate(all="ignore")(ns["fn"])
 
 
 def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
-    """Compile the AST once into a closure env -> value.
+    """Compile the AST once into a function env -> value (compile_function).
 
     env maps each variable to a float or an array; arrays broadcast against
     each other, and the value has their broadcast shape.  On floats the
-    closure uses the math functions of FUNCTIONS; on arrays, NumPy ufuncs.
+    function uses the math functions of FUNCTIONS; on arrays, NumPy ufuncs.
     Domain errors raise ExprEvalError naming the node: log of x <= 0, sqrt
     of x < 0, sin or cos of an infinite value, division by zero, zero to a
     negative power, a finite negative base to a finite non-integer power,
@@ -418,24 +459,24 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
     element is such an input), checked on the arguments explicitly.
     Underflow and inf/nan from the other operations pass through, so
     NumPy's floating-point warnings, which flag just those values, are
-    silenced.
+    silenced.  A variable env lacks is an ExprEvalError too.
     """
-    run = _compile(e.root)
+    names = sorted(e.free_vars())
+    fn = compile_function(e, names)
 
     def compiled(env):
-        for v in env.values():
-            if type(v) is not float:
-                with np.errstate(all="ignore"):
-                    return run(env)
-        # Pure-float evaluation never reaches NumPy and cannot warn.
-        return run(env)
+        try:
+            values = [env[name] for name in names]
+        except KeyError as exc:
+            raise ExprEvalError(f"unbound variable '{exc.args[0]}'", Var(exc.args[0])) from None
+        return fn(*values)
 
     return compiled
 
 
 def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
     """IEEE double evaluation of e under the given bindings, each cast to
-    float: compile_expr's closure on floats, with its ExprEvalErrors."""
+    float: compile_expr's function on floats, with its ExprEvalErrors."""
     return compile_expr(e)({name: float(v) for name, v in bindings.items()})
 
 

@@ -197,7 +197,9 @@ def integrate(
     # Python floats: fields see a float time, the same value as the node.
     node_times = times.tolist()
 
-    def past(tau: float) -> np.ndarray:
+    def past(tau: float) -> Optional[np.ndarray]:
+        if lam == 0.0:  # the right-hand side reads no delayed value
+            return None
         if tau <= 0.0:
             return batch.eval(tau)
         return _hermite(node_times, states, slopes, tau)
@@ -205,7 +207,7 @@ def integrate(
     state = batch.terminal()
     _check_state(0.0, state, domain)
     states[0] = state
-    slopes[0] = rhs(0.0, state, batch.eval(-r))
+    slopes[0] = rhs(0.0, state, past(-r))
 
     for j in range(n_nodes - 1):
         t0, t1 = node_times[j], node_times[j + 1]

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ZeroAverageError
 from .problem import (
+    DEFAULT_N_QUAD,
     BatchField,
     CoupledProblem,
     PeriodicFn1D,
@@ -279,7 +280,7 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     )
 
 
-def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = 1024) -> Callable[[float], float]:
+def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = DEFAULT_N_QUAD) -> Callable[[float], float]:
     """The averaged scalar field q -> (1/T) integral f(t, q, q) / gamma(t) dt."""
     _check_nonvanishing(gamma)
     ts = np.linspace(0.0, T, n_quad + 1)

@@ -218,7 +218,7 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
     """
     lead = () if t is None else (t,)
     if isinstance(fn, BatchField):
-        out = np.asarray(fn(*lead, *states), dtype=float)
+        out = np.asarray(fn.fn(*lead, *states), dtype=float)
         if isinstance(t, np.ndarray) and out.ndim <= t.ndim:  # a field that ignores t
             out = np.broadcast_to(out, np.broadcast_shapes(t.shape, out.shape[:-1]) + out.shape[-1:])
         return out
@@ -228,7 +228,8 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
     if not shape:
         return np.asarray(fn(*lead, *states), dtype=float).reshape(-1)
     n = math.prod(shape)
-    rows = [np.broadcast_to(s, shape + s.shape[-1:]).reshape(n, s.shape[-1]) for s in states]
+    full = [s if s.shape[:-1] == shape else np.broadcast_to(s, shape + s.shape[-1:]) for s in states]
+    rows = [s.reshape(n, s.shape[-1]) for s in full]
     if t is not None:
         rows.insert(0, np.broadcast_to(t, shape).ravel() if np.ndim(t) else itertools.repeat(t))
     out = np.array([np.asarray(fn(*args), dtype=float).reshape(-1) for args in zip(*rows)])

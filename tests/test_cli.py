@@ -1,13 +1,18 @@
 """Command-line front end: configs, artifacts, exit codes."""
 
 import json
+import math
 
 import pytest
 
 from ddebranch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from ddebranch.config import continuation_config, load_problem
 from ddebranch.continuation import ContinuationConfig
+from ddebranch.errors import ExprEvalError
+from ddebranch.expr import Call, Var
+from ddebranch.integrator import integrate
 from ddebranch.poincare import TranslationConfig
+from ddebranch.problem import History
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -285,6 +290,32 @@ class TestBranch:
         assert "unknown key(s) ['component']" in err["error"]["message"]
 
 
+#: y' = a(t) < 0 carries y1 from 0.5 through 0 within one period, where
+#: the log in f fails.
+LOG_PROBLEM = dict(CUBIC_PROBLEM, dims={"k": 1, "s": 1}, f="x1 + log(y1)", g="1")
+
+
+class TestExpressionErrorInASweep:
+    def test_library_error_names_the_node(self):
+        problem = load_problem({"problem": LOG_PROBLEM}).coupled
+        init = History.constant([0.0, 0.5], problem.delay, m=8)
+        with pytest.raises(ExprEvalError) as exc:
+            integrate(problem, 0.5, 1.0, init, 6.283185307179586, steps_per_delay=8)
+        assert exc.value.node == Call("log", Var("y1"))
+        assert str(exc.value).startswith("log of nonpositive value -")
+        assert str(exc.value).endswith(" in 'log(y1)'")
+
+    def test_cli_exits_2_with_the_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "integrate", {
+            "problem": LOG_PROBLEM,
+            "integrate": {"lambda": 0.5, "t_end": 6.283185307179586, "init": [0.0, 0.5]},
+        })
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ExprEvalError"
+        assert err["message"].endswith(" in 'log(y1)'")
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         code, _ = run(tmp_path, "sigma", {
@@ -305,6 +336,19 @@ class TestConfigValidation:
         path.write_text("{not json")
         code = main(["sigma", "--config", str(path), "--quiet"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, constant", [
+        ("newton_tol", "NaN"), ("fd_step", "Infinity"), ("newton_tol", "-Infinity"),
+    ])
+    def test_non_json_constant_exits_2_before_running(self, tmp_path, capsys, key, constant):
+        # json.dumps writes float("nan") as NaN, and so on: not JSON numbers.
+        value = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}[constant]
+        code, out = run(tmp_path, "branch", {**CUBIC_RUNS, "numerics": {key: value}})
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert constant in err["message"]
+        assert not (out / "branch.json").exists()
 
     def test_wrong_variable_for_slot(self, tmp_path, capsys):
         # g may not reference t.

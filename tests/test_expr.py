@@ -230,9 +230,9 @@ def _agree(got, want) -> bool:
 
 class TestCompiled:
     def test_matches_reference_on_random_asts(self):
-        # Each compiled closure against the tree walk, on floats and on a
+        # Each compiled function against the tree walk, on floats and on a
         # 1-d array of the same points; an input that raises in the walk
-        # must raise in the closure too.
+        # must raise in the function too.
         points = np.random.default_rng(0).uniform(-3.0, 3.0, size=(8, 3))
         arrays = {name: points[:, i] for i, name in enumerate("abc")}
         n_raised = 0
@@ -262,6 +262,39 @@ class TestCompiled:
                 assert _agree(float(g), w), (str(root), g, w)
         # The corpus exercises the error paths as well as the values.
         assert 0 < n_raised < 50
+        # Four ASTs at a time as one function of (t, [a, b, c]) over the
+        # (8, 3) batch, every other one times t: at a float t, and at a
+        # (2, 1) array t that broadcasts against the batch axis.
+        roots = _random_asts()
+        n_raised = 0
+        for i in range(0, len(roots), 4):
+            sources = [f"t*({r})" if j % 2 else str(r) for j, r in enumerate(roots[i:i + 4])]
+            exprs = [dsl.parse(src, {"a", "b", "c", "t"}) for src in sources]
+            fn = dsl.compile_function(exprs, ["t", ["a", "b", "c"]])
+            for t in (0.7, np.array([[0.7], [-1.3]])):
+                ts = np.broadcast_to(t, (1, len(points)) if np.ndim(t) == 0 else (2, len(points)))
+                try:
+                    wants = [[[_tree_walk(e.root, {"t": tk, **dict(zip("abc", row))}) for e in exprs]
+                              for tk, row in zip(t_row, points)] for t_row in ts]
+                except ExprEvalError:
+                    n_raised += 1
+                    with pytest.raises(ExprEvalError):
+                        fn(t, points)
+                    continue
+                got = fn(t, points)
+                assert got.shape == np.shape(t)[:1] + (len(points), len(exprs))
+                for g, w in zip(np.reshape(got, (-1, len(exprs))), np.reshape(wants, (-1, len(exprs)))):
+                    assert all(_agree(float(gj), wj) for gj, wj in zip(g, w)), (sources, t, g, w)
+        assert 0 < n_raised < 50  # of 25 functions at two times each
+
+    def test_inf_and_pi_constants(self):
+        # 1e999 parses to inf, which the function binds by name.
+        for x, want in [(2.0, math.inf), (-1.0, -math.inf)]:
+            assert ev("1e999*x", x=x) == want
+            e = dsl.parse("1e999*x", {"x"})
+            assert np.array_equal(dsl.compile_expr(e)({"x": np.array([x, x])}), [want, want])
+        assert math.isnan(ev("1e999*x", x=0.0))
+        assert ev("2*pi*x", x=0.5) == math.pi
 
 
 class TestRoundTrip:
