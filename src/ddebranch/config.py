@@ -169,10 +169,13 @@ def continuation_config(config: dict) -> ContinuationConfig:
 def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
     (e,) = _parse_exprs(source, {"t"}, path)
     fn = dsl.compile_function(e, ["t"])
+    bare = fn.__wrapped__  # the same function outside np.errstate
 
     def ev(t):
+        if type(t) is float:  # pure Python arithmetic: no NumPy state to set
+            return bare(t)
         v = fn(t)
-        if type(t) is float or np.shape(v) == np.shape(t):
+        if np.shape(v) == np.shape(t):
             return v
         return np.full(np.shape(t), v)  # a constant expression
 

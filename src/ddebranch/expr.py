@@ -407,9 +407,11 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     one axis of len(exprs) components.
 
     Values are as compile_expr describes; every expression is evaluated
-    under one np.errstate.  The source is built from the AST alone: the
-    locals are generated names, and the constants, nodes and functions it
-    uses are bound by name in the function's globals.
+    under one np.errstate.  The returned function's __wrapped__ is the
+    bare generated function, for callers that pass only Python floats,
+    whose arithmetic never reaches NumPy.  The source is built from the
+    AST alone: the locals are generated names, and the constants, nodes
+    and functions it uses are bound by name in the function's globals.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
     used: Set[str] = set()

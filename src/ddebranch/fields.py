@@ -9,6 +9,9 @@ statement verified by the rest of the package:
 
 w_f takes one f call on n_quad + 1 times against a batch of points: cheap
 for a BatchField f, (n_quad + 1) calls per point for any other callable.
+The quadrature times and Simpson weights are built once per (period,
+n_quad) and shared by every call; the mu < 1 right-hand side makes one
+w_f call per RK4 stage through make_wf.
 nu and v_lam are FieldHandles, so a batch of N points costs one w_f and
 one g call.
 """
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, ZeroAverageError
-from .problem import CoupledProblem, simpson_mean
+from .problem import CoupledProblem, quadrature_times, simpson_mean
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,14 @@ def average_f(problem: CoupledProblem, p, q, n_quad: int = None) -> np.ndarray:
     p and q are one point, shapes (k,) and (s,), or a batch of B points,
     shapes (B, k) and (B, s); the result has shape (k,) or (B, k).  f is
     called once, on the quadrature times as a column against the batch.
+    The times and the Simpson weights are built once per (period, n_quad)
+    (problem.quadrature_times), so a bad n_quad raises before f is called.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if problem.dim_x == 0 or problem.f is None:
         return np.zeros(p.shape[:-1] + (0,))
     n = n_quad if n_quad is not None else problem.n_quad
-    ts = np.linspace(0.0, problem.period, n + 1).reshape((n + 1,) + (1,) * (p.ndim - 1))
+    ts = quadrature_times(problem.period, n).reshape((n + 1,) + (1,) * (p.ndim - 1))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     return simpson_mean(problem.eval_f(ts, p, q, p, q))
 

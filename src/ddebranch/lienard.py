@@ -37,6 +37,7 @@ from .problem import (
     PeriodicFn1D,
     average_scalar,
     normalize_delay,
+    quadrature_times,
     simpson_mean,
     _sample_at,
 )
@@ -242,7 +243,9 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
 
     An autonomous perturbation phi(y, yd) (ScalarDelayProblem.from_phi) is
     called once per state row and divided by gamma on the time grid by
-    broadcasting, not called once per (time, row) pair.
+    broadcasting, not called once per (time, row) pair.  f reads gamma once
+    per distinct time, and once per distinct array of times: the mu < 1
+    averaged drive samples it on the quadrature grid once, not per stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
@@ -252,9 +255,13 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
         drive = lambda t, y, yd: _sample_at(phi, y, yd)
     else:
         drive = lambda t, y, yd: _sample_at(f, t, y, yd)
-    # RK4 stages come in pairs at one float time, so gamma is read once per
-    # distinct time; an array of times (average_f) is sampled in one call.
+    # RK4 stages come in pairs at one float time, and every averaged-drive
+    # stage passes average_f's one array of quadrature times, so gamma is
+    # read once per distinct float time and once per distinct time array.
+    # An array is matched by its dtype, shape and bytes, kept as a private
+    # copy: the caller's array may have been written to since.
     last = [None, 0.0]
+    grid = [(None, None)]  # (key of the last time array, gamma on it)
 
     def f_c(t, x, y, xd, yd):
         if isinstance(t, float):
@@ -262,7 +269,11 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
                 last[0], last[1] = t, float(gamma(t))
             gt = last[1]
         else:
-            gt = _sample_at(gamma, t)
+            t = np.asarray(t)
+            key = (t.dtype, t.shape, t.tobytes())
+            if key != grid[0][0]:
+                grid[0] = (key, _sample_at(gamma, t))
+            gt = grid[0][1]
         return (drive(t, y[..., 0], yd[..., 0]) / gt)[..., None]
 
     def g_c(x, y):
@@ -283,7 +294,7 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
 def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = DEFAULT_N_QUAD) -> Callable[[float], float]:
     """The averaged scalar field q -> (1/T) integral f(t, q, q) / gamma(t) dt."""
     _check_nonvanishing(gamma)
-    ts = np.linspace(0.0, T, n_quad + 1)
+    ts = quadrature_times(T, n_quad)
     gvals = _sample_at(gamma, ts)
 
     def wb(q: float) -> float:

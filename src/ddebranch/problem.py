@@ -16,7 +16,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -181,7 +181,8 @@ def _sample_at(fn, *args) -> np.ndarray:
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
     except (TypeError, ValueError):
         pass  # on arrays math.sin raises TypeError, `if t < 1` ValueError
-    columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    full = [a if isinstance(a, np.ndarray) and a.shape == shape else np.broadcast_to(a, shape) for a in args]
+    columns = [a.ravel().tolist() for a in full]
     points = itertools.starmap(fn, zip(*columns))
     return np.fromiter(points, dtype=float, count=math.prod(shape)).reshape(shape)
 
@@ -236,26 +237,49 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
     return out.reshape(shape + out.shape[1:])
 
 
-def simpson_mean(values: np.ndarray):
-    """Mean over an interval by composite Simpson, from samples at its n+1
-    equispaced nodes (n = len(values) - 1 cells, even and >= 8).  Trailing
-    axes of values are components, averaged separately; in an (n+1, B, k)
-    batch each is summed on its own, so its mean does not depend on B."""
-    n = len(values) - 1
+@lru_cache(maxsize=16)
+def _simpson_rule(n: int) -> np.ndarray:
+    """The composite Simpson weights over n equispaced cells (n even and
+    >= 8), divided by 3: built once per n, read-only."""
     if n % 2 != 0 or n < 8:
         raise InvalidParameterError(f"n_quad must be even and >= 8, got {n}")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
+    w = w / 3.0
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=16)
+def quadrature_times(period: float, n: int) -> np.ndarray:
+    """The n+1 Simpson nodes np.linspace(0, period, n + 1) of a period
+    average: built once per (period, n), read-only.  A bad n raises
+    InvalidParameterError here, before any field is sampled."""
+    _simpson_rule(n)
+    ts = np.linspace(0.0, period, n + 1)
+    ts.flags.writeable = False
+    return ts
+
+
+def simpson_mean(values: np.ndarray):
+    """Mean over an interval by composite Simpson, from samples at its n+1
+    equispaced nodes (n = len(values) - 1 cells, even and >= 8), with the
+    weights of _simpson_rule, built once per n.  Trailing axes of values
+    are components, averaged separately; in an (n+1, B, k) batch each is
+    summed on its own, so its mean does not depend on B."""
+    n = len(values) - 1
+    w = _simpson_rule(n)
     if np.ndim(values) <= 2:
-        return (w / 3.0) @ values / n
+        return w @ values / n
     rows = np.ascontiguousarray(np.moveaxis(values, 0, -1))
-    return (rows * (w / 3.0)).sum(axis=-1) / n
+    return (rows * w).sum(axis=-1) / n
 
 
 def average_scalar(fn: PeriodicFn1D, n_quad: int = DEFAULT_N_QUAD) -> float:
-    """Average of a periodic function over one period by composite Simpson."""
-    return float(simpson_mean(_sample_at(fn, np.linspace(0.0, fn.period, n_quad + 1))))
+    """Average of a periodic function over one period by composite Simpson,
+    on the cached quadrature_times."""
+    return float(simpson_mean(_sample_at(fn, quadrature_times(fn.period, n_quad))))
 
 
 @dataclass(frozen=True)

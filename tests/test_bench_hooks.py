@@ -1,8 +1,11 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
 must a right-hand side that stops counting its field calls, or that makes
-many more Python calls per RK4 sweep of the benchmark's forced problem."""
+many more Python calls per RK4 sweep of the benchmark's forced problem, or
+an averaged drive that rebuilds its quadrature grid or re-reads gamma on
+it at every stage of the benchmark's mu < 1 sweep."""
 
+import dataclasses
 import importlib.util
 import math
 import os
@@ -13,8 +16,10 @@ import numpy as np
 
 # Every module Tracer.install imports, so that it loads none of its own.
 from ddebranch import config, continuation, degree, expr, fields, integrator, lienard, poincare  # noqa: F401
+from ddebranch import presets
 from ddebranch.fields import FieldHandle
-from ddebranch.problem import CoupledProblem, History
+from ddebranch.lienard import lienard_reduce
+from ddebranch.problem import CoupledProblem, History, PeriodicFn1D
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,6 +40,28 @@ def _forced_sweep():
     values = np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 2))
     init = History.from_values(values, problem.delay)
     return (problem, 0.5, 1.0, init, 2.0 * math.pi), {"steps_per_delay": 8}
+
+
+def _homotopy_sweep(gamma_calls):
+    """One RK4 sweep at mu = 0.5 of the seed-0 sunflower-homotopy problem
+    (amplitude, period, delay, lambda and n_quad from the workload) over a
+    batch of 19 random histories, as integrate's arguments.  Its sigma is
+    wrapped so that gamma_calls gets the ndim of every time it is read at."""
+    params, _ = _load("workloads").make_inputs("sunflower-homotopy", 0)
+    b, T = params["b"], params["T"]
+    a = PeriodicFn1D(eval=lambda t: -1.0 + b * math.sin(t), period=T)
+    setup = presets.sunflower_setup(a, lambda y, yd: math.sin(yd), T, params["r"])
+    sigma = setup.sigma.sigma
+
+    def counted(t):
+        gamma_calls.append(np.ndim(t))
+        return sigma.eval(t)
+
+    gamma = PeriodicFn1D(eval=counted, period=T)
+    problem = dataclasses.replace(lienard_reduce(setup.scalar, gamma), n_quad=params["n_quad"])
+    values = np.random.default_rng(0).uniform(-0.3, 0.3, (params["m"] + 1, 19, 2))
+    init = History.from_values(values, problem.delay)
+    return (problem, params["lambda"], params["mu"], init, T), {"steps_per_delay": params["steps_per_delay"]}
 
 
 def _bindings():
@@ -101,3 +128,25 @@ def test_sweep_makes_at_most_3200_python_calls():
     finally:
         sys.setprofile(None)
     assert len(calls) <= 3200
+
+
+def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):
+    # Every mu < 1 stage averages f on the same quadrature times: 205
+    # stages, each of which read gamma on the grid and built it anew.
+    gamma_calls = []
+    args, kwargs = _homotopy_sweep(gamma_calls)
+    problem = args[0]
+    linspace = np.linspace
+    grids = []
+
+    def counted_linspace(start, stop, num=50, **kw):
+        if (start, stop, num) == (0.0, problem.period, problem.n_quad + 1):
+            grids.append(num)
+        return linspace(start, stop, num, **kw)
+
+    monkeypatch.setattr(np, "linspace", counted_linspace)
+    gamma_calls.clear()
+    integrator.integrate(*args, **kwargs)
+    assert gamma_calls.count(0) > 0  # the f calls at float stage times
+    assert sum(1 for ndim in gamma_calls if ndim) <= 1
+    assert len(grids) <= 1

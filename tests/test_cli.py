@@ -3,16 +3,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ddebranch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from ddebranch.config import continuation_config, load_problem
+from ddebranch.config import _load_periodic_expr, continuation_config, load_problem
 from ddebranch.continuation import ContinuationConfig
 from ddebranch.errors import ExprEvalError
-from ddebranch.expr import Call, Var
+from ddebranch.expr import Call, Var, compile_function, parse
 from ddebranch.integrator import integrate
 from ddebranch.poincare import TranslationConfig
 from ddebranch.problem import History
+
+from conftest import TWO_PI
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -314,6 +317,31 @@ class TestExpressionErrorInASweep:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ExprEvalError"
         assert err["message"].endswith(" in 'log(y1)'")
+
+
+class TestPeriodicCoefficient:
+    """problem.a runs its generated function bare at a Python float t and
+    under np.errstate at any other t."""
+
+    def test_values_keep_their_bits(self):
+        source = "-1 + 0.5*sin(t) + exp(cos(2*t))/3"
+        a = _load_periodic_expr(source, TWO_PI, "problem.a")
+        reference = compile_function(parse(source, {"t"}), ["t"])
+        for t in (0.0, 0.3, 2.5, 7.0):
+            got = a(t)
+            assert type(got) is float and got == reference(t)
+            assert a(np.float64(t)) == reference(np.float64(t))
+        ts = np.linspace(-1.0, 8.0, 37)
+        assert a(ts).tobytes() == reference(ts).tobytes()
+        assert a(ts[:, None]).tobytes() == reference(ts[:, None]).tobytes()
+
+    def test_numpy_overflow_stays_silent(self):
+        # Under the suite's warnings-as-errors setting, an overflow warning
+        # from NumPy arithmetic would raise.
+        a = _load_periodic_expr("t*1e300*1e300 - 1", TWO_PI, "problem.a")
+        assert a(1.0) == math.inf
+        assert a(np.float64(1.0)) == math.inf
+        assert a(np.array([0.0, 1.0])).tolist() == [-1.0, math.inf]
 
 
 class TestConfigValidation:

@@ -68,6 +68,19 @@ class TestAverageF:
             want = c1 * average_f(coupled(f1), p, q) + c2 * average_f(coupled(f2), p, q)
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_bad_n_quad_raises_before_f_is_called(self):
+        calls = []
+
+        def f(t, x, y, xd, yd):
+            calls.append(t)
+            return np.array([y[0]])
+
+        prob = coupled(f)
+        calls.clear()  # the construction's periodicity check samples f
+        with pytest.raises(InvalidParameterError, match="n_quad must be even and >= 8, got 7"):
+            average_f(prob, [0.3], [0.5], 7)
+        assert calls == []
+
     def test_k_zero_gives_empty(self):
         prob = CoupledProblem(
             dim_x=0, dim_y=1, g=lambda x, y: y,

@@ -12,7 +12,7 @@ import ddebranch
 from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
 from ddebranch.problem import (_hermite, _hermite_array, _hermite_deriv, _hermite_eval, _sample_at,
-                               simpson_mean)
+                               _simpson_rule, quadrature_times, simpson_mean)
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -91,6 +91,33 @@ def _simpson_weights(n):
     return w / 3.0
 
 
+class TestQuadratureCache:
+    def test_rule_and_times_are_built_once_and_read_only(self):
+        w, ts = _simpson_rule(64), quadrature_times(TWO_PI, 64)
+        assert _simpson_rule(64) is w and quadrature_times(TWO_PI, 64) is ts
+        for cached in (w, ts, ts.reshape(65, 1)):
+            with pytest.raises(ValueError):
+                cached[1] = 0.0
+
+    def test_rule_and_times_keep_their_bits(self):
+        for period, n in ((TWO_PI, 64), (1.0, 128), (2.5, 1024)):
+            assert np.array_equal(_simpson_rule(n), _simpson_weights(n))
+            ts = quadrature_times(period, n)
+            assert ts.tobytes() == np.linspace(0.0, period, n + 1).tobytes()
+
+    def test_bad_n_quad_raises_before_a_is_sampled(self):
+        calls = []
+
+        def a(t):
+            calls.append(t)
+            return -1.0 + 0.0 * np.asarray(t)
+
+        with pytest.raises(InvalidParameterError, match="n_quad must be even and >= 8, got 7"):
+            CoupledProblem(dim_x=0, dim_y=1, g=lambda x, y: y, a=periodic(a), period=TWO_PI,
+                           delay=1.0, n_quad=7)
+        assert calls == []
+
+
 class TestSimpsonMean:
     def test_one_and_two_axes_keep_the_weight_product(self):
         rng = np.random.default_rng(5)
@@ -116,20 +143,32 @@ class TestSimpsonMean:
             assert np.array_equal(simpson_mean(values[:, : b + 1]), full[: b + 1])
 
 
+def _sample_inputs():
+    """(t, y) argument pairs for _sample_at: a column against a row, a
+    Python float beside an array, and arrays that already have the
+    broadcast shape (each alone, and both)."""
+    ts = np.linspace(0.0, 1.0, 4)[:, None]
+    ys = np.array([0.5, -1.0, 2.0])
+    full_t, full_y = np.broadcast_arrays(ts, ys)
+    return [(ts, ys), (0.25, ys), (0.75, full_y), (full_t.copy(), ys),
+            (full_t.copy(), full_y.copy()), (ts, full_y.copy())]
+
+
 class TestSampleAt:
     def test_scalar_only_callable_broadcasts_elementwise(self):
-        ts = np.linspace(0.0, 1.0, 4)[:, None]
-        ys = np.array([0.5, -1.0, 2.0])
-        got = _sample_at(lambda t, y: math.sin(y) * t if t < 0.5 else y, ts, ys)
-        want = np.array([[math.sin(y) * t if t < 0.5 else y for y in ys] for t in ts[:, 0]])
-        assert got.shape == (4, 3)
-        assert np.array_equal(got, want)
+        fn = lambda t, y: math.sin(y) * t if t < 0.5 else y
+        for ts, ys in _sample_inputs():
+            shape = np.broadcast_shapes(np.shape(ts), np.shape(ys))
+            got = _sample_at(fn, ts, ys)
+            want = np.array([fn(float(t), float(y)) for t, y in np.broadcast(ts, ys)]).reshape(shape)
+            assert got.shape == shape
+            assert np.array_equal(got, want)
 
     def test_result_ignoring_an_argument_is_broadcast(self):
-        ts = np.linspace(0.0, 1.0, 4)[:, None]
-        ys = np.array([0.5, -1.0, 2.0])
-        got = _sample_at(lambda t, y: np.sin(y), ts, ys)
-        assert np.array_equal(got, np.tile(np.sin(ys), (4, 1)))
+        for ts, ys in _sample_inputs():
+            got = _sample_at(lambda t, y: np.sin(y), ts, ys)
+            shape = np.broadcast_shapes(np.shape(ts), np.shape(ys))
+            assert np.array_equal(got, np.broadcast_to(np.sin(ys), shape))
 
 
 def test_no_silently_swallowed_broad_exceptions():

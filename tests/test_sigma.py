@@ -21,7 +21,7 @@ from ddebranch import (
 )
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
 from ddebranch.lienard import _SIGMA_CELLS, ScalarDelayProblem, _cumulative_simpson, primitive_of
-from ddebranch.problem import _sample_at
+from ddebranch.problem import _sample_at, quadrature_times
 
 from conftest import TWO_PI, periodic
 
@@ -269,6 +269,24 @@ class TestLienardReduction:
         sdp, _ = self._setup()
         with pytest.raises(InvalidParameterError):
             lienard_reduce(sdp, periodic(math.sin))
+
+    def test_f_reads_gamma_afresh_on_every_new_time_array(self):
+        # f keeps gamma on the last array of times; a new grid, a grid of
+        # the same shape with other values, and an array written to in
+        # place since the last call must each be read afresh.
+        sdp, sigma = self._setup()
+        prob = lienard_reduce(sdp, sigma)
+        y = np.array([[0.3], [-0.7], [1.1]])
+        yd = np.array([[0.5], [0.2], [-0.4]])
+        moving = np.linspace(0.0, TWO_PI, 65)[:, None] + 0.1
+        grids = [quadrature_times(TWO_PI, 64).reshape(65, 1), np.linspace(0.0, TWO_PI, 129)[:, None],
+                 quadrature_times(TWO_PI, 64).reshape(65, 1) + 0.1, 1.5, moving, moving]
+        for i, t in enumerate(grids):
+            if i == len(grids) - 1:
+                moving *= 0.5
+            got = prob.eval_f(t, y, y, yd, yd)
+            want = (_sample_at(sdp.f.phi, y[:, 0], yd[:, 0]) / _sample_at(sigma, t))[..., None]
+            assert got.tobytes() == want.tobytes(), i
 
     def test_round_trip_residual(self):
         sdp, sigma = self._setup()
