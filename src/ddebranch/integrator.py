@@ -107,20 +107,20 @@ def _check_state(t: float, state: np.ndarray, domain: Optional[Box]):
 
 
 def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
-    """The coupled right-hand side on a (B, d) batch of states sharing t."""
+    """The coupled right-hand side on a (B, d) batch of states sharing t.
+
+    t is a Python float, so the coefficient a (a PeriodicFn1D, which
+    remembers its last float time) is evaluated once per distinct time
+    although RK4 stages come in pairs at one time (k2 and k3, k4 and the
+    node slope)."""
     k = problem.dim_x
     a = problem.a
     abar = problem.abar
     wf = make_wf(problem) if mu < 1.0 else None
-    # RK4 stages come in pairs at one time (k2 and k3, k4 and the node
-    # slope), so a is evaluated once per distinct time.
-    last = [None, 0.0]
 
     def rhs(t, state, delayed):
         x, y = state[:, :k], state[:, k:]
-        if t != last[0]:
-            last[0], last[1] = t, float(a(t))
-        at = last[1]
+        at = float(a(t))
         dy = at * problem.eval_g(x, y)
         if lam != 0.0:
             xd, yd = delayed[:, :k], delayed[:, k:]

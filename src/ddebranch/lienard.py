@@ -39,6 +39,9 @@ from .problem import (
     normalize_delay,
     quadrature_times,
     simpson_mean,
+    _hermite,
+    _hermite_array,
+    _hermite_eval,
     _sample_at,
 )
 
@@ -82,10 +85,11 @@ class SigmaResult:
 def _zeta_periodic(a: PeriodicFn1D, n_cells: int):
     """The unique periodic solution of zeta' = -zeta*a - 1, evaluated stably.
 
-    The closed form e^{-A(t)}(c0 - B(t)) cancels catastrophically once
-    T*|<a>| approaches log(1/eps) (~36): c0 - B(t) shrinks below the
-    roundoff of c0 while e^{-A(t)} explodes.  For <a> < 0 the bounded
-    solution is instead
+    a is sampled once, on a grid of n_cells cells with midpoints; returns
+    (grid, the samples of a, zeta, c0, <a>).  The closed form
+    e^{-A(t)}(c0 - B(t)) cancels catastrophically once T*|<a>| approaches
+    log(1/eps) (~36): c0 - B(t) shrinks below the roundoff of c0 while
+    e^{-A(t)} explodes.  For <a> < 0 the bounded solution is instead
 
         zeta(t) = integral_t^inf e^{A(s) - A(t)} ds
                 = e^{-A(t)} * [ (B(T) - B(t)) + e^{T<a>} B(t) ] / (1 - e^{T<a>}),
@@ -93,45 +97,63 @@ def _zeta_periodic(a: PeriodicFn1D, n_cells: int):
     with B(T) - B(t) accumulated backward from T as a sum of positive cell
     integrals, so every quantity keeps small relative error.  The <a> > 0
     case reduces to this one through the reflection zeta_a(t) =
-    -zeta_atilde(-t) with atilde(t) = -a(-t).
+    -zeta_atilde(T - t) with atilde(t) = -a(T - t), whose samples are the
+    reversed, negated samples of a.
     """
     T = a.period
     n2 = 2 * n_cells
-    h2 = T / n2
     grid = np.linspace(0.0, T, n2 + 1)
     avals = _sample_at(a, grid)
+    zeta, c0, abar = _zeta_from_samples(avals, T, T / n2)
+    return grid, avals, zeta, c0, abar
+
+
+def _zeta_from_samples(avals: np.ndarray, T: float, h2: float):
+    """(zeta, c0, <a>) from the samples of a on _zeta_periodic's grid."""
     A = _cumulative_simpson(avals, h2)
     abar = A[-1] / T
     if abs(abar) < 1e-12:
         raise ZeroAverageError("sigma transform requires <a> != 0")
     if abar > 0:
-        reflected = PeriodicFn1D(
-            eval=lambda t, _a=a, _T=T: -float(_a(_T - t)), period=T
-        )
-        _, zeta_r, _, _ = _zeta_periodic(reflected, n_cells)
-        zeta = -zeta_r[::-1].copy()
-        return grid, zeta, float(zeta[0]), abar
+        zeta_r, _, _ = _zeta_from_samples(-avals[::-1], T, h2)
+        zeta = -zeta_r[::-1]
+        return zeta, float(zeta[0]), abar
     E = np.exp(A)
     B = _cumulative_simpson(E, h2)
     # Backward cumulative of e^A: tail[k] = integral over [t_k, T].
     tail = _cumulative_simpson(E[::-1], h2)[::-1]
     eTa = math.exp(T * abar)
     zeta = np.exp(-A) * (tail + eTa * B) / (1.0 - eTa)
-    c0 = B[-1] / (1.0 - eTa)
-    return grid, zeta, float(c0), abar
+    return zeta, float(B[-1] / (1.0 - eTa)), abar
+
+
+def _periodic_hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> PeriodicFn1D:
+    """The periodic cubic Hermite interpolant of node values and slopes on
+    grid (grid[0] = 0, grid[-1] = T): t is reduced into [0, T] and read by
+    problem._hermite, with its node snap.  A scalar t bisects a list copy of
+    the grid and returns a float; an array t goes through _hermite_array."""
+    T = float(grid[-1])
+    nodes = grid.tolist()
+
+    def evaluate(t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return float(_hermite(nodes, values, slopes, float(t) % T))
+        t = np.mod(np.asarray(t, dtype=float), T)
+        return _hermite_array(grid, values, slopes, t, (_hermite_eval,))[0]
+
+    return PeriodicFn1D(eval=evaluate, period=T)
 
 
 def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
     """Build the unique T-periodic sigma with a = sigma'/sigma - sigma.
 
-    sigma is sampled on a grid of n_quad cells (with midpoints) and
-    interpolated by a periodic cubic spline, whose node slopes come from one
-    O(n) cyclic tridiagonal sweep (PeriodicFn1D.from_samples).  An
-    evaluation reduces t modulo T, bisects the grid for its cell and runs
-    Horner's rule on that cell's cubic, in pure Python for a scalar t (which
-    returns a float) and in one vectorised pass for an array t.
+    sigma is sampled on a grid of n_quad cells (with midpoints) as 1/zeta.
+    Its node slopes need no solve: the identity itself gives
+    sigma' = sigma (a + sigma) from the samples of a that built zeta.  sigma
+    is read by the package's one Hermite evaluator (problem._hermite) and
+    its node snap, like a history, with t reduced modulo T.
     """
-    grid, zeta, c0, abar = _zeta_periodic(a, n_quad)
+    grid, avals, zeta, c0, abar = _zeta_periodic(a, n_quad)
     if np.min(np.abs(zeta)) < 1e-12:
         raise InvalidParameterError(
             "zeta vanishes on the grid; increase n_quad or check the coefficient"
@@ -155,12 +177,14 @@ def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
             f"<sigma> + <a> = {avg_sigma + abar:.2e} exceeds tolerance; increase n_quad"
         )
 
-    # Close the sample loop exactly before building the periodic spline.
+    # Close the sample loop exactly, values and slopes alike.
     closed = values.copy()
     closed[-1] = closed[0]
-    sigma = PeriodicFn1D.from_samples(grid, closed)
+    slopes = closed * (avals + closed)
+    slopes[-1] = slopes[0]
     return SigmaResult(
-        sigma=sigma, c0=c0, sign=sign, avg_sigma=avg_sigma, grid=grid, values=closed
+        sigma=_periodic_hermite(grid, closed, slopes), c0=c0, sign=sign, avg_sigma=avg_sigma,
+        grid=grid, values=closed,
     )
 
 
@@ -243,9 +267,12 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
 
     An autonomous perturbation phi(y, yd) (ScalarDelayProblem.from_phi) is
     called once per state row and divided by gamma on the time grid by
-    broadcasting, not called once per (time, row) pair.  f reads gamma once
-    per distinct time, and once per distinct array of times: the mu < 1
-    averaged drive samples it on the quadrature grid once, not per stage.
+    broadcasting, not called once per (time, row) pair.  gamma is also the
+    reduced problem's coefficient a, and one PeriodicFn1D remembers its last
+    float time, so the right-hand side and f together read it once per
+    distinct stage time.  f keeps gamma on the last array of times, so the
+    mu < 1 averaged drive samples it on the quadrature grid once, not per
+    stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
@@ -255,19 +282,14 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
         drive = lambda t, y, yd: _sample_at(phi, y, yd)
     else:
         drive = lambda t, y, yd: _sample_at(f, t, y, yd)
-    # RK4 stages come in pairs at one float time, and every averaged-drive
-    # stage passes average_f's one array of quadrature times, so gamma is
-    # read once per distinct float time and once per distinct time array.
-    # An array is matched by its dtype, shape and bytes, kept as a private
-    # copy: the caller's array may have been written to since.
-    last = [None, 0.0]
+    # Every averaged-drive stage passes average_f's one array of quadrature
+    # times.  An array is matched by its dtype, shape and bytes, kept as a
+    # private copy: the caller's array may have been written to since.
     grid = [(None, None)]  # (key of the last time array, gamma on it)
 
     def f_c(t, x, y, xd, yd):
         if isinstance(t, float):
-            if t != last[0]:
-                last[0], last[1] = t, float(gamma(t))
-            gt = last[1]
+            gt = float(gamma(t))
         else:
             t = np.asarray(t)
             key = (t.dtype, t.shape, t.tobytes())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -52,123 +51,34 @@ def normalize_delay(r: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class PeriodicFn1D:
-    """A real-valued T-periodic function of time."""
+    """A real-valued T-periodic function of time.
+
+    A call at a Python float t remembers that t and its value, so repeated
+    reads at one time evaluate once: RK4 stages come in pairs at one time,
+    and a Lienard problem reads its coefficient a, which is the gamma its
+    f divides by, in both the y-equation and f.  Any other t (np.float64,
+    arrays) calls eval directly.
+    """
 
     eval: Callable[[float], float]
     period: float
+    _last: list = field(init=False, repr=False, compare=False, default_factory=lambda: [None, 0.0])
 
     def __post_init__(self):
         if self.period <= 0:
             raise InvalidParameterError(f"period must be positive, got {self.period}")
 
     def __call__(self, t):
+        if type(t) is float:
+            last = self._last
+            if t != last[0]:
+                last[0], last[1] = t, self.eval(t)
+            return last[1]
         return self.eval(t)
 
     @classmethod
     def constant(cls, value: float, period: float) -> "PeriodicFn1D":
         return cls(eval=lambda t, _v=float(value): _v * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else _v, period=period)
-
-    @classmethod
-    def from_samples(cls, grid: np.ndarray, values: np.ndarray) -> "PeriodicFn1D":
-        """Periodic cubic-spline interpolant through samples over one period.
-
-        grid is any increasing sequence of at least 3 nodes covering one
-        full period, grid[-1] - grid[0] = T; values[-1] is replaced by
-        values[0] (periodic closure).  The node slopes solve the cyclic
-        tridiagonal system of a C^2 periodic spline (_periodic_slopes); the
-        cubics are built once and evaluated by _periodic_cubic.
-        """
-        grid = np.asarray(grid, dtype=float)
-        if grid.size < 3:
-            raise InvalidParameterError(f"a periodic spline needs at least 3 nodes, got {grid.size}")
-        vals = np.array(values, dtype=float)
-        vals[-1] = vals[0]
-        T = float(grid[-1] - grid[0])
-        dx = np.diff(grid)
-        delta = np.diff(vals) / dx
-        s = np.array(_periodic_slopes(dx.tolist(), delta.tolist()))
-        s1 = np.roll(s, -1)
-        c = np.stack([(s + s1 - 2.0 * delta) / dx**2, (3.0 * delta - 2.0 * s - s1) / dx, s, vals[:-1]])
-        return cls(eval=_periodic_cubic(grid, c, T), period=T)
-
-
-def _periodic_slopes(dx: list, delta: list) -> list:
-    """Node slopes s_0..s_{N-1} of the periodic cubic spline with interval
-    lengths dx and secant slopes delta (N intervals, s_N = s_0).
-
-    Row i of the cyclic tridiagonal system, indices mod N, is
-
-        dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
-            = 3 (dx_i delta_{i-1} + dx_{i-1} delta_i).
-
-    The corners are split off by Sherman-Morrison, and the remaining
-    tridiagonal system is solved by one Thomas sweep against two right-hand
-    sides, in O(N) on Python floats.
-    """
-    n = len(dx)
-    sub = dx  # coefficient of s_{i-1}; row 0 holds it in the top-right corner
-    sup = [dx[i - 1] for i in range(n)]  # of s_{i+1}; row n-1 in the bottom-left
-    diag = [2.0 * (dx[i - 1] + dx[i]) for i in range(n)]
-    rhs = [3.0 * (dx[i] * delta[i - 1] + dx[i - 1] * delta[i]) for i in range(n)]
-    # A = A' + u v^T with u = (gamma, 0, .., sup_{n-1}), v = (1, 0, .., sub_0 / gamma).
-    gamma = -diag[0]
-    ratio = sub[0] / gamma
-    diag[0] -= gamma
-    diag[-1] -= sup[-1] * ratio
-    u = [0.0] * n
-    u[0], u[-1] = gamma, sup[-1]
-    # Thomas on A' x = rhs and A' z = u at once.
-    cp = [0.0] * n
-    x = [0.0] * n
-    z = [0.0] * n
-    cprev = xprev = zprev = 0.0
-    for i in range(n):
-        a = sub[i] if i else 0.0
-        w = diag[i] - a * cprev
-        cprev = cp[i] = sup[i] / w
-        xprev = x[i] = (rhs[i] - a * xprev) / w
-        zprev = z[i] = (u[i] - a * zprev) / w
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-        z[i] -= cp[i] * z[i + 1]
-    factor = (x[0] + ratio * x[-1]) / (1.0 + z[0] + ratio * z[-1])
-    return [xi - factor * zi for xi, zi in zip(x, z)]
-
-
-def _periodic_cubic(x: np.ndarray, c: np.ndarray, T: float) -> Callable:
-    """Evaluator of the T-periodic piecewise cubic with breakpoints x and
-    coefficients c of shape (4, n), highest power first.
-
-    t is reduced into [x[0], x[0] + T], its interval found by bisection on x
-    (any grid), and the local cubic evaluated by Horner's rule.  A scalar t
-    runs in pure Python and returns a float; an array t takes the same steps
-    vectorised.  The tables are compact float64 arrays whose NumPy views
-    serve the vectorised path.
-    """
-    xs = array("d", x.tobytes())
-    c0, c1, c2, c3 = (array("d", row.tobytes()) for row in c)
-    xv = np.frombuffer(xs)
-    v0, v1, v2, v3 = (np.frombuffer(row) for row in (c0, c1, c2, c3))
-    t0 = xs[0]
-    last = len(xs) - 2
-
-    def scalar(t: float) -> float:
-        t = t0 + (t - t0) % T
-        i = bisect_right(xs, t) - 1
-        if i > last:
-            i = last
-        d = t - xs[i]
-        return ((c0[i] * d + c1[i]) * d + c2[i]) * d + c3[i]
-
-    def evaluate(t):
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return scalar(float(t))
-        t = t0 + np.mod(np.asarray(t, dtype=float) - t0, T)
-        i = np.minimum(np.searchsorted(xv, t, side="right") - 1, last)
-        d = t - xv[i]
-        return ((v0[i] * d + v1[i]) * d + v2[i]) * d + v3[i]
-
-    return evaluate
 
 
 def _sample_at(fn, *args) -> np.ndarray:

@@ -186,26 +186,58 @@ def test_no_silently_swallowed_broad_exceptions():
     assert offenders == []
 
 
+def test_one_hermite_evaluator():
+    # Every piecewise-cubic read (histories, trajectories, sigma) goes
+    # through problem._hermite and problem._hermite_array; no other
+    # function looks up a segment itself.
+    package = Path(ddebranch.__file__).parent
+    allowed = {("problem.py", "_hermite"), ("problem.py", "_hermite_array")}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                if name in ("bisect_right", "searchsorted") and (path.name, func.name) not in allowed:
+                    offenders.append(f"{path.name}:{func.name}:{node.lineno}")
+    assert offenders == []
+
+
 class TestPeriodicFn1D:
     def test_periodicity(self):
         fn = periodic(lambda t: math.cos(3 * t) - 0.2 * math.sin(t))
         for t in np.linspace(0, TWO_PI, 23):
             assert fn(t + TWO_PI) == pytest.approx(fn(t), abs=1e-12)
 
-    def test_from_samples_reproduces_smooth_function(self):
-        grid = np.linspace(0.0, TWO_PI, 257)
-        vals = np.sin(grid) + 2.0
-        fn = PeriodicFn1D.from_samples(grid, vals)
-        for t in np.linspace(0, 3 * TWO_PI, 50):
-            assert float(fn(t)) == pytest.approx(math.sin(t) + 2.0, abs=1e-8)
-
     def test_nonpositive_period(self):
         with pytest.raises(InvalidParameterError):
             PeriodicFn1D(eval=lambda t: 0.0, period=0.0)
 
-    def test_from_samples_needs_three_nodes(self):
-        with pytest.raises(InvalidParameterError):
-            PeriodicFn1D.from_samples([0.0, 1.0], [2.0, 2.0])
+    def test_remembers_the_last_python_float_time(self):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return np.cos(t)
+
+        fn = periodic(counted)
+        assert fn(0.5) == fn(0.5) == math.cos(0.5)
+        assert calls == [0.5]
+        fn(0.25)
+        assert fn(0.5) == math.cos(0.5)
+        assert calls == [0.5, 0.25, 0.5]
+        # np.float64 and arrays always call eval, and leave the memo alone.
+        fn(np.float64(0.5))
+        assert np.array_equal(fn(np.array([0.5, 1.0])), np.cos([0.5, 1.0]))
+        fn(0.5)
+        assert len(calls) == 5
+        # The memo takes no part in equality or hashing.
+        assert fn == periodic(counted) and hash(fn) == hash(periodic(counted))
 
 
 class TestBox:

@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from ddebranch import (
     History,
@@ -74,8 +74,8 @@ class TestSigmaTransform:
 
     def test_recovers_known_gamma(self):
         result = sigma_transform(_a_from_gamma())
-        for t in np.linspace(0, TWO_PI, 64, endpoint=False):
-            assert float(result.sigma(t)) == pytest.approx(math.sin(t) + 2.0, abs=1e-7)
+        for t in np.linspace(-TWO_PI, 3.0 * TWO_PI, 256, endpoint=False):
+            assert float(result.sigma(t)) == pytest.approx(math.sin(t) + 2.0, abs=1e-9)
 
     def test_sign_definite_and_average(self):
         a = periodic(lambda t: -1.0 + 0.5 * math.sin(t))
@@ -118,56 +118,86 @@ class TestSigmaTransform:
         assert len(lines) == result.grid.size + 1
 
 
-def _sigma_samples():
-    result = sigma_transform(periodic(lambda t: -1.0 + 0.5 * math.sin(t)))
-    return result.grid, result.values
+# Coefficients of sigma's three shapes: <a> < 0 (the sunflower
+# workload's), <a> > 0 (sigma < 0, built through the reflection) and
+# constant a (sigma constant, every node slope 0).
+_COEFFICIENTS = {
+    "negative": lambda t: -1.0 + 0.5 * np.sin(t),
+    "positive": lambda t: 2.0 + np.cos(t),
+    "constant": lambda t: -2.0 + 0.0 * t,
+}
 
 
-def _uneven_samples(n_inner=61):
-    rng = np.random.default_rng(7)
-    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, TWO_PI, n_inner)), [TWO_PI]])
-    vals = np.exp(np.sin(grid)) - 3.0
-    vals[-1] = vals[0]
-    return grid, vals
+def _sigma_of(name):
+    a = periodic(_COEFFICIENTS[name])
+    return a, sigma_transform(a)
 
 
-def _coarse_samples():
-    return _uneven_samples(n_inner=7)
+def _read_times(T, grid):
+    return np.concatenate([
+        grid,
+        0.5 * (grid[:-1] + grid[1:]),
+        [0.0, T, -1e-15],
+        np.random.default_rng(0).uniform(-3.0 * T, 3.0 * T, 2000),
+    ])
 
 
-def _three_samples():
-    return _uneven_samples(n_inner=1)
+class TestSigmaInterpolant:
+    """sigma is the periodic cubic Hermite interpolant of its samples with
+    the node slopes sigma (a + sigma) of the identity a = sigma'/sigma - sigma."""
 
-
-class TestPeriodicSplineKernel:
-    """from_samples against SciPy's own periodic spline as the oracle."""
-
-    @pytest.mark.parametrize("samples", [_sigma_samples, _uneven_samples, _coarse_samples, _three_samples])
-    def test_matches_scipy(self, samples):
-        grid, vals = samples()
+    @pytest.mark.parametrize("name", sorted(_COEFFICIENTS))
+    def test_matches_scipy_hermite_on_reduced_time(self, name):
+        a, result = _sigma_of(name)
+        grid, values = result.grid, result.values
         T = grid[-1]
-        fn = PeriodicFn1D.from_samples(grid, vals)
-        oracle = CubicSpline(grid, vals, bc_type="periodic")
-        ts = np.concatenate([
-            grid,
-            0.5 * (grid[:-1] + grid[1:]),
-            [0.0, T, -1e-15],
-            np.random.default_rng(0).uniform(-3.0 * T, 3.0 * T, 2000),
-        ])
-        expected = oracle(ts)
-        tol = 1e-14 * np.max(np.abs(vals))
-        scalar = np.array([fn(float(t)) for t in ts])
-        vector = fn(ts)
+        slopes = values * (_sample_at(a, grid) + values)
+        slopes[-1] = slopes[0]
+        oracle = CubicHermiteSpline(grid, values, slopes)
+        ts = _read_times(T, grid)
+        expected = oracle(np.mod(ts, T))
+        tol = 1e-14 * np.max(np.abs(values))
+        scalar = np.array([result.sigma(float(t)) for t in ts])
+        vector = result.sigma(ts)
         assert np.max(np.abs(scalar - expected)) <= tol
         assert np.max(np.abs(vector - expected)) <= tol
         # Scalar and array inputs run the same arithmetic.
         assert np.array_equal(scalar, vector)
 
+    @pytest.mark.parametrize("name", sorted(_COEFFICIENTS))
+    def test_differs_from_periodic_spline_by_roundoff(self, name):
+        # The slopes of the identity replace the C^2 periodic spline's
+        # solved slopes at no cost in accuracy.
+        _, result = _sigma_of(name)
+        grid, values = result.grid, result.values
+        T = grid[-1]
+        oracle = CubicSpline(grid, values, bc_type="periodic")
+        ts = _read_times(T, grid)
+        assert np.max(np.abs(result.sigma(ts) - oracle(ts))) <= 1e-13 * np.max(np.abs(values))
+
     def test_scalar_input_returns_float(self):
-        fn = PeriodicFn1D.from_samples(*_uneven_samples())
+        _, result = _sigma_of("negative")
         for t in (1.0, np.float64(-4.5), 2, np.array(0.3)):
-            assert type(fn(t)) is float
-        assert fn(np.array([0.3, 1.0])).shape == (2,)
+            assert type(result.sigma(t)) is float
+        assert result.sigma(np.array([0.3, 1.0])).shape == (2,)
+
+    def test_positive_average_samples_a_once(self):
+        # The reflection atilde(t) = -a(T - t) reuses the samples of a; the
+        # oracle builds sigma of the reflected function itself (<atilde> < 0)
+        # and maps it back: sigma_a(t) = -sigma_atilde(T - t).
+        calls = []
+
+        def counted(t):
+            calls.append(np.ndim(t))
+            return _COEFFICIENTS["positive"](t)
+
+        a = periodic(counted)
+        result = sigma_transform(a)
+        assert calls == [1]
+        reflected = sigma_transform(periodic(lambda t: -_COEFFICIENTS["positive"](TWO_PI - t)))
+        want = -reflected.values[::-1]
+        assert np.max(np.abs(result.values - want)) <= 1e-13 * np.max(np.abs(want))
+        assert result.c0 == pytest.approx(1.0 / want[0], rel=1e-13)
 
 
 class TestVerifySigma:
