@@ -3,7 +3,7 @@ differential equations: integration, averaged fields, Brouwer degree, the
 discretized translation-operator index, the sigma/Lienard reduction of
 sunflower-like equations, and branch continuation."""
 
-from .continuation import Branch, BranchPoint, ContinuationConfig, branch_to_pairs, continue_branch
+from .continuation import Branch, BranchPoint, ContinuationConfig, continue_branch
 from .degree import DegreeReport, degree_1d, degree_2d_winding, degree_auto, degree_nd_jacobian
 from .fields import FieldHandle, average_f, make_wf, nu_field, v_lambda_field
 from .integrator import Trajectory, flow_averaged, flow_unperturbed, integrate
@@ -11,10 +11,8 @@ from .lienard import (
     ScalarDelayProblem,
     SigmaResult,
     lienard_reduce,
-    lienard_residual,
     sigma_transform,
     verify_sigma,
-    wbar,
 )
 from .poincare import (
     FixedPointRecord,
@@ -51,7 +49,6 @@ __all__ = [
     "TranslationConfig",
     "average_f",
     "average_scalar",
-    "branch_to_pairs",
     "continue_branch",
     "degree_1d",
     "degree_2d_winding",
@@ -62,7 +59,6 @@ __all__ = [
     "flow_unperturbed",
     "integrate",
     "lienard_reduce",
-    "lienard_residual",
     "make_wf",
     "normalize_delay",
     "nu_field",
@@ -71,5 +67,4 @@ __all__ = [
     "v_lambda_field",
     "verify_index_identity",
     "verify_sigma",
-    "wbar",
 ]

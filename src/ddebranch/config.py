@@ -19,7 +19,7 @@ from .continuation import ContinuationConfig
 from .errors import ConfigError, ExprError, InvalidParameterError
 from .lienard import SigmaResult
 from .poincare import TranslationConfig
-from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D
+from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D, state_columns
 
 _TOP_KEYS = {"problem", "numerics", "integrate", "degree", "sigma", "verify_index", "branch"}
 _PROBLEM_KEYS = {"preset", "a", "phi", "alpha", "beta", "T", "r", "dims", "f", "g", "h"}
@@ -92,15 +92,8 @@ def _parse_exprs(sources, allowed, path):
 
 
 def _state_vars(k, s, with_time=True, with_delays=True):
-    names = set()
-    if with_time:
-        names.add("t")
-    names |= {f"x{i+1}" for i in range(k)}
-    names |= {f"y{j+1}" for j in range(s)}
-    if with_delays:
-        names |= {f"xd{i+1}" for i in range(k)}
-        names |= {f"yd{j+1}" for j in range(s)}
-    return names
+    x, y, xd, yd = state_columns(k, s)
+    return set(x + y + (xd + yd if with_delays else []) + (["t"] if with_time else []))
 
 
 def _vector_field(exprs, k, s, with_time) -> BatchField:
@@ -111,8 +104,8 @@ def _vector_field(exprs, k, s, with_time) -> BatchField:
     may be an array that broadcasts against it; the result has the batch
     shape plus one axis of len(exprs) components.
     """
-    states = [[f"{p}{j + 1}" for j in range(n)] for p, n in zip(("x", "y", "xd", "yd"), (k, s, k, s))]
-    return BatchField(dsl.compile_function(exprs, ["t", *states] if with_time else states[:2]))
+    states = state_columns(k, s)
+    return BatchField(dsl.compile_function(exprs, ["t", *states] if with_time else states[:2]), exprs)
 
 
 @dataclass(frozen=True)

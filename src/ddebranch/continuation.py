@@ -21,7 +21,6 @@ import numpy as np
 from .degree import degree_auto
 from .errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from .fields import nu_field
-from .integrator import integrate
 from .poincare import TranslationConfig, _newton_fixed_point
 from .problem import Box, CoupledProblem, History
 
@@ -229,25 +228,3 @@ def continue_branch(
             break
         h = min(2.0 * h, cfg.h_max, lambda_max - lam)
     return Branch(points=points, origin=origin, termination=termination)
-
-
-def branch_to_pairs(branch: Branch, component: int, problem: CoupledProblem,
-                    cfg: ContinuationConfig = ContinuationConfig(),
-                    n_samples: int = 201):
-    """Project each branch point onto one scalar component, re-integrating
-    once to sample the full period [0, T]."""
-    if not branch.points:
-        raise InvalidParameterError("branch is empty")
-    if not 0 <= component < problem.dim:
-        raise InvalidParameterError(
-            f"component {component} out of range for dimension {problem.dim}"
-        )
-    pairs = []
-    ts = np.linspace(0.0, problem.period, n_samples)
-    for p in branch.points:
-        traj = integrate(
-            problem, p.lam, 1.0, p.history, problem.period,
-            steps_per_delay=cfg.steps_per_delay,
-        )
-        pairs.append((p.lam, traj.eval(ts)[:, component]))
-    return pairs

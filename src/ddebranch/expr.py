@@ -408,10 +408,12 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
 
     Values are as compile_expr describes; every expression is evaluated
     under one np.errstate.  The returned function's __wrapped__ is the
-    bare generated function, for callers that pass only Python floats,
-    whose arithmetic never reaches NumPy.  The source is built from the
-    AST alone: the locals are generated names, and the constants, nodes
-    and functions it uses are bound by name in the function's globals.
+    bare generated function, for callers whose arithmetic never reaches
+    NumPy (Python floats only) or that run under an errstate of their own
+    (problem.compile_stage, called inside an integrator sweep).  The
+    source is built from the AST alone: the locals are generated names,
+    and the constants, nodes and functions it uses are bound by name in
+    the function's globals.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
     used: Set[str] = set()

@@ -4,8 +4,10 @@ steps, with cubic Hermite dense output.
 The step is h = r / steps_per_delay, so every delayed read lands inside an
 already-completed segment (or the initial history) and every multiple of r
 is a segment boundary, keeping the derivative discontinuities of the
-solution aligned with segment joints.  Delayed reads and dense output use
-the package's one Hermite evaluator (problem._hermite) and its node snap.
+solution aligned with segment joints.  So the delayed reads of a whole
+delay interval lie on the history or on finished nodes, and are read in
+one call at its start.  Delayed reads and dense output use the package's
+one Hermite evaluator (problem._hermite_array) and its node snap.
 
 integrate holds the package's one RK4 loop.  The delay-free flows
 (flow_unperturbed, flow_averaged) are integrate at lambda = 0 from the
@@ -23,8 +25,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainEscapeError, InvalidParameterError
 from .fields import make_wf
-from .problem import (Box, CoupledProblem, History, PeriodicFn1D, _hermite, _hermite_array,
-                      _hermite_deriv, _hermite_eval)
+from .problem import Box, CoupledProblem, History, PeriodicFn1D, _hermite_array, _hermite_deriv, _hermite_eval
 
 BLOWUP_THRESHOLD = 1e9
 
@@ -109,12 +110,22 @@ def _check_state(t: float, state: np.ndarray, domain: Optional[Box]):
 def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
     """The coupled right-hand side on a (B, d) batch of states sharing t.
 
+    At lambda != 0 and mu = 1, a problem whose fields all come from the DSL
+    is one call of its generated stage (CoupledProblem.stage) per RK4
+    stage.  Otherwise the fields are evaluated one by one through
+    eval_batch: the only path for Python callables, for mu < 1 and for
+    lambda = 0.
+
     t is a Python float, so the coefficient a (a PeriodicFn1D, which
     remembers its last float time) is evaluated once per distinct time
     although RK4 stages come in pairs at one time (k2 and k3, k4 and the
     node slope)."""
-    k = problem.dim_x
     a = problem.a
+    stage = problem.stage if lam != 0.0 and mu >= 1.0 else None
+    if stage is not None:
+        lam = float(lam)
+        return lambda t, state, delayed: stage(t, float(a(t)), lam, state, delayed)
+    k = problem.dim_x
     abar = problem.abar
     wf = make_wf(problem) if mu < 1.0 else None
 
@@ -162,6 +173,12 @@ def integrate(
     batch is integrated in one sweep as a (B, d) state array, each row
     exactly as it would be alone, and a blowup or domain exit of any row
     ends the sweep.  One history is the batch of one.
+
+    The delayed values of steps j .. j + steps_per_delay - 1 are read in
+    one _hermite_array call at every j that is a multiple of
+    steps_per_delay.  The sweep runs under one np.errstate: NumPy's
+    floating-point warnings are silenced, and a state that is inf, nan or
+    above BLOWUP_THRESHOLD raises BlowupError.
     """
     if lam < 0:
         raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
@@ -196,33 +213,44 @@ def integrate(
 
     # Python floats: fields see a float time, the same value as the node.
     node_times = times.tolist()
+    # The delayed read times: tau[0] = -r for the slope at node 0, then the
+    # midpoint and the end of step j at tau[2j + 1] and tau[2j + 2].
+    n_steps = n_nodes - 1
+    tau = np.empty(2 * n_steps + 1)
+    tau[0] = -r
+    tau[1::2] = times[:-1] + 0.5 * np.diff(times) - r
+    tau[2::2] = times[1:] - r
+    no_reads = [None] * (2 * steps_per_delay + 1)
 
-    def past(tau: float) -> Optional[np.ndarray]:
+    def read(j: int):
+        """The delayed values at tau[2j : 2j + 2 steps_per_delay + 1], read
+        from the history at j = 0 and from nodes 0 .. j after."""
         if lam == 0.0:  # the right-hand side reads no delayed value
-            return None
-        if tau <= 0.0:
-            return batch.eval(tau)
-        return _hermite(node_times, states, slopes, tau)
+            return no_reads
+        nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
+        return _hermite_array(*nodes, tau[2 * j:2 * (j + steps_per_delay) + 1], (_hermite_eval,))[0]
 
-    state = batch.terminal()
-    _check_state(0.0, state, domain)
-    states[0] = state
-    slopes[0] = rhs(0.0, state, past(-r))
-
-    for j in range(n_nodes - 1):
-        t0, t1 = node_times[j], node_times[j + 1]
-        dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
-        y0 = states[j]
-        k1 = slopes[j]
-        delayed_half = past(t0 + 0.5 * dt - r)
-        k2 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k1, delayed_half)
-        k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, delayed_half)
-        delayed_end = past(t1 - r)
-        k4 = rhs(t1, y0 + dt * k3, delayed_end)
-        y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_state(t1, y1, domain)
-        states[j + 1] = y1
-        slopes[j + 1] = rhs(t1, y1, delayed_end)
+    with np.errstate(all="ignore"):
+        state = batch.terminal()
+        _check_state(0.0, state, domain)
+        states[0] = state
+        delayed = read(0)
+        slopes[0] = rhs(0.0, state, delayed[0])
+        for j in range(n_steps):
+            i = 2 * (j % steps_per_delay)
+            if i == 0 and j:
+                delayed = read(j)
+            t0, t1 = node_times[j], node_times[j + 1]
+            dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
+            y0 = states[j]
+            k1 = slopes[j]
+            k2 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k1, delayed[i + 1])
+            k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, delayed[i + 1])
+            k4 = rhs(t1, y0 + dt * k3, delayed[i + 2])
+            y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _check_state(t1, y1, domain)
+            states[j + 1] = y1
+            slopes[j + 1] = rhs(t1, y1, delayed[i + 2])
 
     if single:
         states, slopes = states[:, 0], slopes[:, 0]

@@ -16,7 +16,6 @@ converged point.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -239,7 +238,3 @@ def verify_index_identity(
         "n_fixed_points": len(inside),
         "fixed_point_residuals": [rec.residual for rec in inside],
     }
-
-
-def index_report_json(report: dict) -> str:
-    return json.dumps(report, allow_nan=False)

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import expr as dsl
 from .errors import InvalidParameterError, ZeroAverageError
 
 DEFAULT_N_QUAD = 1024
@@ -107,15 +108,42 @@ class BatchField:
     states at a float t.  Config expressions, the Lienard-reduced fields
     and hence the presets are BatchFields.  Any other callable is a
     single-state field, evaluated per (time, row) pair by eval_batch.
+    exprs are the DSL expressions fn was compiled from (None when fn is
+    a Python callable): a problem whose fields all carry them compiles
+    its whole right-hand side into one stage (CoupledProblem.stage).
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "exprs")
 
-    def __init__(self, fn: Callable):
+    def __init__(self, fn: Callable, exprs=None):
         self.fn = fn
+        self.exprs = exprs
 
     def __call__(self, *args):
         return self.fn(*args)
+
+
+def state_columns(k: int, s: int):
+    """The DSL's component names of x, y, xd and yd, one list each."""
+    return [[f"{p}{j + 1}" for j in range(n)] for p, n in zip(("x", "y", "xd", "yd"), (k, s, k, s))]
+
+
+def compile_stage(k: int, s: int, f, g, h=None) -> Callable:
+    """The right-hand side at mu = 1 from the expressions of f (k of them,
+    or None when k = 0), g and h (s each; h may be None), as one bare
+    generated function stage(t, at, lam, state, delayed) of the (..., d)
+    states and delayed states: its components are lam * f_i and
+    at * g_j (+ lam * h_j), the operations eval_f, eval_g and eval_h and
+    their combination make, in that order (f's errors before g's).  The
+    DSL cannot name at or lam, so they clash with no field variable."""
+    at, lam = dsl.Var("at"), dsl.Var("lam")
+    parts = [dsl.BinOp("*", lam, e.root) for e in f or ()]
+    for j, e in enumerate(g):
+        part = dsl.BinOp("*", at, e.root)
+        parts.append(part if h is None else dsl.BinOp("+", part, dsl.BinOp("*", lam, h[j].root)))
+    x, y, xd, yd = state_columns(k, s)
+    exprs = [dsl.Expr(part, frozenset()) for part in parts]
+    return dsl.compile_function(exprs, ["t", "at", "lam", x + y, xd + yd]).__wrapped__
 
 
 def eval_batch(fn: Callable, t, *states) -> np.ndarray:
@@ -272,16 +300,25 @@ def _hermite(grid, values, derivs, t, deriv=False):
 
 def _hermite_array(grid, values, derivs, t, kernels):
     """_hermite at an array t for each of kernels (_hermite_eval for values,
-    _hermite_deriv for slopes), from one segment lookup; returns a list."""
+    _hermite_deriv for slopes), from one segment lookup; returns a list.
+    As in _hermite, a t that snaps to a node reads that node's value (or
+    slope) itself, and only the other times evaluate the cubic."""
     grid = np.asarray(grid, dtype=float)
     t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
-    dt = grid[i + 1] - grid[i]
-    u = (t - grid[i]) / dt
-    u = np.where(u < _NODE_SNAP, 0.0, np.where(u > 1.0 - _NODE_SNAP, 1.0, u))
-    col = t.shape + (1,) * (values.ndim - 1)
-    segment = (u.reshape(col), dt.reshape(col), values[i], derivs[i], values[i + 1], derivs[i + 1])
-    return [kernel(*segment) for kernel in kernels]
+    ts = t.reshape(-1)
+    i = np.searchsorted(grid[1:-1], ts, side="right")  # the segment; an end one outside the grid
+    g0 = grid[i]
+    dt = grid[i + 1] - g0
+    u = (ts - g0) / dt
+    outs = [(derivs if kernel is _hermite_deriv else values)[i + (u > 0.5)] for kernel in kernels]
+    inner = np.flatnonzero(~((u < _NODE_SNAP) | (u > 1.0 - _NODE_SNAP)))  # not snapped; a nan t too
+    if len(inner):
+        i = i[inner]
+        col = (len(i),) + (1,) * (values.ndim - 1)
+        segment = (u[inner].reshape(col), dt[inner].reshape(col), values[i], derivs[i], values[i + 1], derivs[i + 1])
+        for out, kernel in zip(outs, kernels):
+            out[inner] = kernel(*segment)
+    return [out.reshape(t.shape + values.shape[1:]) for out in outs]
 
 
 def _node_array(values) -> np.ndarray:
@@ -455,6 +492,15 @@ class CoupledProblem:
     @property
     def dim(self) -> int:
         return self.dim_x + self.dim_y
+
+    @cached_property
+    def stage(self) -> Optional[Callable]:
+        """compile_stage of this problem's own fields, built on first use;
+        None unless every field present is a BatchField with exprs."""
+        fields = (self.f, self.g, self.h)
+        if any(fn is not None and getattr(fn, "exprs", None) is None for fn in fields):
+            return None
+        return compile_stage(self.dim_x, self.dim_y, *(fn and fn.exprs for fn in fields))
 
     def eval_f(self, t, x, y, xd, yd) -> np.ndarray:
         """f at one state (1-d arguments) or a batch of rows (see eval_batch)."""

@@ -22,7 +22,6 @@ from ddebranch import (
     flow_averaged,
     flow_unperturbed,
     integrate,
-    lienard_residual,
     normalize_delay,
     sigma_transform,
     translate,
@@ -32,6 +31,7 @@ from ddebranch import (
 from ddebranch.poincare import _newton_fixed_point
 
 from conftest import SUITE_FIELDS, TWO_PI, box, periodic, scalar_problem
+from test_sigma import lienard_residual
 
 SQRT3 = math.sqrt(3.0)
 

@@ -1,10 +1,11 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
-must a right-hand side that stops counting its field calls, or that makes
-many more Python calls per RK4 sweep of the benchmark's forced problem, or
-an averaged drive that rebuilds its quadrature grid or re-reads gamma on
-it at every stage of the benchmark's mu < 1 sweep, or that reads gamma
-more than once per float stage time."""
+must a field-by-field right-hand side that stops counting its field calls,
+a DSL problem's sweep that stops making one call of its compiled stage per
+RK4 stage, or that makes many more Python calls per sweep of the
+benchmark's forced problem, or an averaged drive that rebuilds its
+quadrature grid or re-reads gamma on it at every stage of the benchmark's
+mu < 1 sweep, or that reads gamma more than once per float stage time."""
 
 import dataclasses
 import importlib.util
@@ -97,23 +98,49 @@ def test_tracer_installs_and_restores_every_patch():
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_traced_sweep_counts_one_f_and_one_g_call_per_stage():
-    args, kwargs = _forced_sweep()
+def _traced_sweep(args, kwargs):
     tracer = _load("spans").Tracer()
     try:
         tracer.install()
         integrator.integrate(*args, **kwargs)
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def test_traced_callable_sweep_counts_one_f_and_one_g_call_per_stage():
+    # The sunflower problem's fields are Python callables, so its mu = 1
+    # sweep evaluates them one by one through CoupledProblem.eval_f and
+    # eval_g, the methods the tracer counts.
+    args, kwargs = _homotopy_sweep([])
+    tracer = _traced_sweep((*args[:2], 1.0, *args[3:]), kwargs)
     assert tracer.counts["problem.eval_f"] == 205
     assert tracer.counts["problem.eval_g"] == 205
     assert tracer.metrics()["problem.rhs_evals"] == 410
 
 
-def test_sweep_makes_at_most_3200_python_calls():
-    # Python calls outside NumPy in one sweep after a warm-up; the
-    # right-hand side's field calls are most of them (6 383 when each
-    # field walked a closure tree per component).
+def test_traced_forced_sweep_makes_one_stage_call_per_stage():
+    # Every field of the forced problem comes from the DSL: each stage is
+    # one call of the problem's compiled stage and no field call.
+    args, kwargs = _forced_sweep()
+    problem = args[0]
+    stage, calls = problem.stage, []
+
+    def counted(*stage_args):
+        calls.append(stage_args[0])
+        return stage(*stage_args)
+
+    vars(problem)["stage"] = counted
+    tracer = _traced_sweep(args, kwargs)
+    assert len(calls) == 205
+    assert tracer.counts["problem.eval_f"] == tracer.counts["problem.eval_g"] == 0
+
+
+def test_sweep_makes_at_most_1700_python_calls():
+    # Python calls outside NumPy in one sweep after a warm-up: 6 383 when
+    # each field walked a closure tree per component, 2 895 with one
+    # generated function per field, two field calls per stage and a
+    # scalar delayed read per step.
     args, kwargs = _forced_sweep()
     integrator.integrate(*args, **kwargs)
     numpy_dir = os.path.dirname(np.__file__)
@@ -128,7 +155,7 @@ def test_sweep_makes_at_most_3200_python_calls():
         integrator.integrate(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    assert len(calls) <= 3200
+    assert len(calls) <= 1700
 
 
 def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):

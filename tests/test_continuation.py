@@ -13,7 +13,6 @@ from ddebranch import (
     CoupledProblem,
     History,
     TranslationConfig,
-    branch_to_pairs,
     continue_branch,
     translate,
 )
@@ -176,15 +175,3 @@ class TestExports:
         assert payload["termination"] == TERMINATION_LAMBDA_MAX
         assert payload["n_points"] == len(branch.points)
         assert payload["origin"] == [0.0]
-
-    def test_branch_to_pairs_trivial_is_constant(self):
-        prob, branch = self._branch()
-        pairs = branch_to_pairs(branch, 0, prob, FAST, n_samples=21)
-        assert len(pairs) == len(branch.points)
-        for lam, vals in pairs:
-            assert np.max(np.abs(vals)) <= 1e-9
-
-    def test_component_out_of_range(self):
-        prob, branch = self._branch()
-        with pytest.raises(InvalidParameterError):
-            branch_to_pairs(branch, 3, prob, FAST)

@@ -14,6 +14,7 @@ from ddebranch.errors import (
     ExprSyntaxError,
 )
 from ddebranch.expr import BinOp, Call, Neg, Num, Var
+from ddebranch.problem import compile_stage, state_columns
 
 
 def ev(source, allowed=(), **bindings):
@@ -191,6 +192,19 @@ def _random_asts():
     return [_random_node(rnd, 4) for _ in range(100)]
 
 
+def _rename(node, names):
+    """node with each variable a renamed names[a]."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, Neg):
+        return Neg(_rename(node.operand, names))
+    if isinstance(node, Call):
+        return Call(node.fn, _rename(node.arg, names))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _rename(node.left, names), _rename(node.right, names))
+    return node
+
+
 def _tree_walk(node, bindings):
     """The reference semantics: the AST walked on floats, with the
     language's scalar domain checks."""
@@ -286,6 +300,53 @@ class TestCompiled:
                 for g, w in zip(np.reshape(got, (-1, len(exprs))), np.reshape(wants, (-1, len(exprs)))):
                     assert all(_agree(float(gj), wj) for gj, wj in zip(g, w)), (sources, t, g, w)
         assert 0 < n_raised < 50  # of 25 functions at two times each
+
+    def test_stage_matches_field_path_on_random_asts(self):
+        # compile_stage of random f, g and h (k = s = 1) against the fields
+        # compiled one by one and combined as lam * f and at * g (+ lam * h):
+        # equal bit for bit, or raising ExprEvalError naming the same node.
+        # The field path evaluates g before f and the stage f before g, so
+        # where both raise the stage names f's node.
+        x, y, xd, yd = state_columns(1, 1)
+        renames = ({"a": "xd1", "b": "y1", "c": "t"}, {"a": "x1", "b": "y1", "c": "x1"},
+                   {"a": "yd1", "b": "x1", "c": "t"})
+        rng = np.random.default_rng(1)
+        state, delayed = rng.uniform(-3.0, 3.0, (2, 8, 2))
+        t, at, lam = 0.7, -1.3, 0.45
+        args = (t, state[:, :1], state[:, 1:], delayed[:, :1], delayed[:, 1:])
+
+        def attempt(fn, *fn_args):
+            try:
+                return fn(*fn_args), None
+            except ExprEvalError as exc:
+                return None, exc.node
+
+        roots = _random_asts()
+        outcomes = {"equal": 0, "same node": 0, "f before g": 0}
+        for i in range(len(roots) - 2):
+            f, g, h = ([dsl.parse(str(_rename(root, names)), set(names.values()))]
+                       for root, names in zip(roots[i:i + 3], renames))
+            (fv, f_node), (hv, h_node) = (attempt(dsl.compile_function(e, ["t", x, y, xd, yd]), *args)
+                                          for e in (f, h))
+            gv, g_node = attempt(dsl.compile_function(g, [x, y]), *args[1:3])
+            for with_h in (False, True):
+                stage = compile_stage(1, 1, f, g, h if with_h else None)
+                field_nodes = [g_node, f_node] + [h_node] * with_h
+                field_node = next((n for n in field_nodes if n is not None), None)
+                with np.errstate(all="ignore"):  # as inside a sweep
+                    got, stage_node = attempt(stage, t, at, lam, state, delayed)
+                    if field_node is None:
+                        want = np.concatenate([lam * fv, at * gv + lam * hv if with_h else at * gv], axis=1)
+                if field_node is None:
+                    assert stage_node is None and got.tobytes() == want.tobytes()
+                    outcomes["equal"] += 1
+                elif f_node is not None and g_node is not None:
+                    assert stage_node is f_node
+                    outcomes["f before g"] += 1
+                else:
+                    assert stage_node is field_node
+                    outcomes["same node"] += 1
+        assert all(outcomes.values()), outcomes
 
     def test_inf_and_pi_constants(self):
         # 1e999 parses to inf, which the function binds by name.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from ddebranch import (
     integrate,
 )
 from ddebranch.errors import BlowupError, DomainEscapeError, InvalidParameterError
-from ddebranch.problem import BatchField
+from ddebranch.config import load_problem
+from ddebranch.problem import BatchField, _hermite
 
 from conftest import TWO_PI, periodic, scalar_problem
 
@@ -202,6 +204,19 @@ class TestFailureModes:
         with pytest.raises(BlowupError):
             integrate(prob, 0.0, 1.0, init, 40.0, steps_per_delay=16)
 
+    def test_overflow_is_a_blowup_and_warns_nothing(self):
+        # y' = -(y - y^3) + lam from y = 1e5: y**3 overflows in the field
+        # within the first step, and the sweep reports it as a blowup.
+        prob = CoupledProblem(
+            dim_x=0, dim_y=1, g=lambda x, y: y - y ** 3, h=lambda t, x, y, xd, yd: np.ones(1),
+            a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowupError):
+                integrate(prob, 1.0, 1.0, History.constant([1e5], 1.0, m=8), TWO_PI, steps_per_delay=8)
+        assert caught == []
+
     def test_domain_escape(self):
         prob = _exp_problem()
         init = History.constant([1.0], 1.0, m=8)
@@ -302,3 +317,100 @@ class TestFlowBatches:
                 flow(prob, [0.1, 0.2], -1.0)
             with pytest.raises(InvalidParameterError):
                 flow(prob, [0.1, 0.2], 1.0, n_steps=0)
+
+
+def _reference_integrate(problem, lam, init, t_end, steps_per_delay):
+    """The RK4 sweep at mu = 1 as the package once ran it: f, g and h
+    evaluated one by one through eval_batch, and each delayed value read
+    at its own time by a scalar _hermite call, from the history for
+    tau <= 0 and from the finished nodes otherwise.  Returns (states,
+    slopes)."""
+    k = problem.dim_x
+    single = init.values.ndim == 2
+    batch = History(init.delay, init.values[:, None], init.derivs[:, None]) if single else init
+    r = problem.delay
+    h = r / steps_per_delay
+
+    def rhs(t, state, delayed):
+        x, y = state[:, :k], state[:, k:]
+        at = float(problem.a(t))
+        dy = at * problem.eval_g(x, y)
+        if lam == 0.0:
+            return np.concatenate([np.zeros((len(state), k)), dy], axis=1)
+        xd, yd = delayed[:, :k], delayed[:, k:]
+        dx = lam * problem.eval_f(t, x, y, xd, yd)
+        if problem.h is not None:
+            dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
+        return np.concatenate([dx, dy], axis=1)
+
+    n_full = int(np.floor(t_end / h + 1e-9))
+    has_partial = t_end - n_full * h > 1e-12 * max(1.0, t_end)
+    times = np.arange(n_full + 1 + has_partial) * h
+    if has_partial:
+        times[-1] = t_end
+    states = np.empty(times.shape + batch.values.shape[1:])
+    slopes = np.empty_like(states)
+    node_times = times.tolist()
+
+    def past(tau):
+        if tau <= 0.0:
+            return batch.eval(tau)
+        return _hermite(node_times, states, slopes, tau)
+
+    states[0] = batch.terminal()
+    slopes[0] = rhs(0.0, states[0], past(-r))
+    for j in range(len(times) - 1):
+        t0, t1 = node_times[j], node_times[j + 1]
+        dt = t1 - t0
+        y0, k1 = states[j], slopes[j]
+        half = past(t0 + 0.5 * dt - r)
+        k2 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k1, half)
+        k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, half)
+        end = past(t1 - r)
+        k4 = rhs(t1, y0 + dt * k3, end)
+        states[j + 1] = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        slopes[j + 1] = rhs(t1, states[j + 1], end)
+    if single:
+        return states[:, 0], slopes[:, 0]
+    return states, slopes
+
+
+def _dsl_problem(k, s, f, g, h=None, r=1.0):
+    block = {"dims": {"k": k, "s": s}, "T": TWO_PI, "r": r, "a": "-1 + 0.5*sin(t)", "g": g}
+    block.update({key: v for key, v in (("f", f), ("h", h)) if v is not None})
+    return load_problem({"problem": block}).coupled
+
+
+_FORCED = (1, 1, ["sin(yd1) + 0.5*cos(t)"], ["x1 - y1"])
+
+
+class TestAgainstScalarReads:
+    """The sweep's states and slopes are bit for bit those of the
+    reference loop: the compiled stage and the per-interval reads change
+    no bit of the arithmetic."""
+
+    CASES = {
+        "forced": (lambda: _dsl_problem(*_FORCED), 0.5, 8),
+        "forced-lambda-0": (lambda: _dsl_problem(*_FORCED), 0.0, 8),
+        "with-h": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
+                                        ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 8),
+        "k0-s2": (lambda: _dsl_problem(0, 2, None, ["y2", "-y1 - 0.1*y2^3"],
+                                       ["0", "sin(yd1) + 0.2*cos(t)"]), 0.6, 8),
+        "r-equals-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI), 0.5, 8),
+        "r-above-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI + 1.0), 0.5, 8),
+        "spd-9": (lambda: _dsl_problem(*_FORCED), 0.5, 9),
+        "callable": (lambda: TestBatch()._delay_problem(False), 0.8, 8),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_bit_identical(self, case, rows):
+        make, lam, spd = self.CASES[case]
+        prob = make()
+        assert (prob.stage is None) == (case == "callable")
+        shape = (13, prob.dim) if rows is None else (13, rows, prob.dim)
+        init = History.from_values(np.random.default_rng(11).uniform(-0.5, 0.5, shape), prob.delay)
+        traj = integrate(prob, lam, 1.0, init, TWO_PI, steps_per_delay=spd)
+        states, slopes = _reference_integrate(prob, lam, init, TWO_PI, spd)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.slopes.tobytes() == slopes.tobytes()

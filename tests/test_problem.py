@@ -356,6 +356,16 @@ class TestHermite:
                     got = _hermite(grid, values, derivs, np.array([t]), deriv)
                     assert np.array_equal(got[0], want)
 
+    def test_array_node_read_copies_the_node(self, data):
+        # As the scalar read does: the cubic at u = 0 would add a +0.0 slope
+        # term to a -0.0 node value and return +0.0.
+        grid, values, derivs = data
+        values, derivs = values.copy(), np.zeros_like(derivs)
+        values[4] = -0.0
+        for ts in (grid[3:6], grid[3:6] + 1e-12):
+            got = _hermite_array(grid, values, derivs, ts, (_hermite_eval,))[0]
+            assert got.tobytes() == values[3:6].tobytes()
+
     def test_scalar_bit_equal_to_array(self, data):
         grid, values, derivs = data
         ts = np.concatenate([grid, np.random.default_rng(13).uniform(grid[0], grid[-1], 200)])
@@ -372,6 +382,11 @@ class TestHermite:
         both = _hermite_array(grid, values, derivs, ts, (_hermite_eval, _hermite_deriv))
         for deriv, got in zip((False, True), both):
             assert got.tobytes() == _hermite(grid, values, derivs, ts, deriv).tobytes()
+        # A 0-d t reads one row of shape values.shape[1:], the same bits.
+        for k in (0, 5, 20):
+            one = _hermite_array(grid, values, derivs, np.array(ts[k]), (_hermite_eval, _hermite_deriv))
+            assert [got.shape for got in one] == [(3, 2), (3, 2)]
+            assert all(got.tobytes() == row[k].tobytes() for got, row in zip(one, both))
 
 
 class TestCoupledProblem:

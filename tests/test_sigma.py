@@ -1,7 +1,7 @@
 """Sigma transformation and the Lienard-plane reduction."""
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -13,17 +13,81 @@ from ddebranch import (
     average_scalar,
     integrate,
     lienard_reduce,
-    lienard_residual,
     nu_field,
     sigma_transform,
     verify_sigma,
-    wbar,
 )
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.lienard import _SIGMA_CELLS, ScalarDelayProblem, _cumulative_simpson, primitive_of
-from ddebranch.problem import _sample_at, quadrature_times
+from ddebranch.lienard import (_SIGMA_CELLS, ScalarDelayProblem, _check_nonvanishing, _cumulative_simpson,
+                               primitive_of)
+from ddebranch.problem import DEFAULT_N_QUAD, _sample_at, quadrature_times, simpson_mean
 
 from conftest import TWO_PI, periodic
+
+
+# Oracles of TestWbar, TestLienardReduction and the acceptance suite's
+# Lienard round trip: the averaged scalar field and the residual of the
+# second-order equation along a reduced trajectory.
+def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = DEFAULT_N_QUAD) -> Callable[[float], float]:
+    """The averaged scalar field q -> (1/T) integral f(t, q, q) / gamma(t) dt."""
+    _check_nonvanishing(gamma)
+    ts = quadrature_times(T, n_quad)
+    gvals = _sample_at(gamma, ts)
+
+    def wb(q: float) -> float:
+        q = float(q)
+        return float(simpson_mean(_sample_at(f, ts, q, q) / gvals))
+
+    return wb
+
+
+def lienard_residual(traj, sdp: ScalarDelayProblem, gamma: PeriodicFn1D, lam: float, n_skip: int = 2) -> float:
+    """Sup residual of y'' = a(t) y' + lam f(t, y, y(t-r)) along a trajectory
+    of the reduced planar system, over one period.
+
+    y'' comes from a fourth-order centered difference of y' = (x - G(y)) *
+    gamma(t) at the RK4 nodes.  Nodes whose stencil straddles a delay
+    breakpoint (a multiple of r, where the third derivative jumps) are
+    skipped: the difference quotient loses its order there while the
+    equation itself still holds.
+    """
+    times = traj.times
+    r = sdp.delay
+    T = sdp.period
+    h = times[1] - times[0]
+    # Restrict to the uniform part of the grid inside (0, T].
+    n_uniform = times.size - 1
+    while n_uniform >= 1 and abs((times[n_uniform] - times[n_uniform - 1]) - h) > 1e-12 * h:
+        n_uniform -= 1
+    states = traj.states
+    ydot = np.array(
+        [
+            (states[i, 0] - float(sdp.G(states[i, 1]))) * float(gamma(times[i]))
+            for i in range(n_uniform + 1)
+        ]
+    )
+    worst = 0.0
+    for i in range(2, n_uniform - 1):
+        t = times[i]
+        if t > T + 1e-12:
+            break
+        # Skip stencils touching a breakpoint t = j*r.
+        near_break = False
+        for off in range(-n_skip, n_skip + 1):
+            tt = times[min(max(i + off, 0), n_uniform)]
+            if abs(tt / r - round(tt / r)) < 1e-9:
+                near_break = True
+                break
+        if near_break:
+            continue
+        yddot = (-ydot[i + 2] + 8.0 * ydot[i + 1] - 8.0 * ydot[i - 1] + ydot[i - 2]) / (
+            12.0 * h
+        )
+        y = states[i, 1]
+        yd = traj.eval(t - r)[1]
+        rhs = float(sdp.a(t)) * ydot[i] + lam * float(sdp.f(t, y, yd))
+        worst = max(worst, abs(yddot - rhs))
+    return worst
 
 
 # Oracle of test_uniqueness_of_integration_constant: zeta by forward
