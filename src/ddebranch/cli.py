@@ -84,6 +84,9 @@ def cmd_integrate(config: dict, out: Path, args) -> int:
 def _degree_field(config: dict, block: dict):
     kind = block.get("field", "expr")
     if kind == "nu":
+        for key in ("exprs", "vars"):
+            if key in block:
+                raise ConfigError(f"degree.{key}: not allowed with field 'nu'")
         loaded = load_problem(config)
         field = nu_field(loaded.coupled)
         return field, field.dim
@@ -99,7 +102,7 @@ def _degree_field(config: dict, block: dict):
         )
 
     ev = dsl.compile_function(exprs, [var_names])
-    return FieldHandle(dim=len(var_names), eval=ev, name="expr"), len(var_names)
+    return FieldHandle(dim=len(var_names), eval=ev), len(var_names)
 
 
 def cmd_degree(config: dict, out: Path, args) -> int:
@@ -137,12 +140,7 @@ def cmd_sigma(config: dict, out: Path, args) -> int:
     block = config.get("sigma", {})
     _check_keys(block, set(), "sigma")
     loaded = load_problem(config)
-    if loaded.sigma is not None:
-        result = loaded.sigma
-    else:
-        if loaded.a is None:
-            raise ConfigError("sigma: the problem block must provide a coefficient a")
-        result = sigma_transform(loaded.a)
+    result = loaded.sigma if loaded.sigma is not None else sigma_transform(loaded.a)
     csv_path = out / "sigma.csv"
     result.to_csv(csv_path)
     payload = {

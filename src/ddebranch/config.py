@@ -22,7 +22,13 @@ from .poincare import TranslationConfig
 from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D, state_columns
 
 _TOP_KEYS = {"problem", "numerics", "integrate", "degree", "sigma", "verify_index", "branch"}
-_PROBLEM_KEYS = {"preset", "a", "phi", "alpha", "beta", "T", "r", "dims", "f", "g", "h"}
+#: The problem keys, besides "preset", of each preset (None: an explicit problem).
+_PRESET_KEYS = {
+    "classic-sunflower": {"T", "r", "alpha", "beta"},
+    "sunflower": {"T", "r", "a", "phi"},
+    None: {"T", "r", "a", "dims", "f", "g", "h"},
+}
+_PROBLEM_KEYS = {"preset"}.union(*_PRESET_KEYS.values())
 _INTEGRATE_KEYS = {"lambda", "mu", "t_end", "init", "resolution"}
 _DEGREE_KEYS = {"field", "exprs", "vars", "box", "method", "negate"}
 _VERIFY_KEYS = {"lambda", "box"}
@@ -110,13 +116,13 @@ def _vector_field(exprs, k, s, with_time) -> BatchField:
 
 @dataclass(frozen=True)
 class LoadedProblem:
-    """A problem resolved from config: the coupled system, plus the sigma
-    transform when it came from a sunflower preset and the parameter value
-    lam = -beta/r when it came from the classic-sunflower preset."""
+    """A problem resolved from config: the coupled system, its coefficient
+    a, and the sigma transform of a sunflower preset and the parameter value
+    lam = -beta/r of the classic-sunflower preset."""
 
     coupled: CoupledProblem
+    a: PeriodicFn1D
     sigma: Optional[SigmaResult] = None
-    a: Optional[PeriodicFn1D] = None
     default_lambda: Optional[float] = None
 
 
@@ -184,11 +190,12 @@ def load_problem(config: dict) -> LoadedProblem:
     preset = block.get("preset")
     if preset is not None and preset not in ("sunflower", "classic-sunflower"):
         raise ConfigError(f"problem.preset: unknown preset {preset!r}")
+    extra = sorted(set(block) - _PRESET_KEYS[preset] - {"preset"})
+    if extra:
+        where = f"with the {preset} preset" if preset else "without a preset"
+        raise ConfigError(f"problem.{extra[0]}: not allowed {where}")
 
     if preset == "classic-sunflower":
-        for key in ("a", "phi", "dims", "f", "g", "h"):
-            if key in block:
-                raise ConfigError(f"problem.{key}: not allowed with the classic-sunflower preset")
         T = _number(block, "T", "problem", default=2.0 * math.pi, positive=True)
         r = _number(block, "r", "problem", positive=True)
         alpha = _number(block, "alpha", "problem")
@@ -205,9 +212,6 @@ def load_problem(config: dict) -> LoadedProblem:
         )
 
     if preset == "sunflower":
-        for key in ("dims", "f", "g", "h", "alpha", "beta"):
-            if key in block:
-                raise ConfigError(f"problem.{key}: not allowed with the sunflower preset")
         T = _number(block, "T", "problem", default=2.0 * math.pi, positive=True)
         r = _number(block, "r", "problem", default=1.0, positive=True)
         a_src = block.get("a", "-1 + 0.5*sin(t)")

@@ -193,9 +193,6 @@ def continue_branch(
         # left_domain rather than as a Newton failure.
         out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg)
         if out is None:
-            if len(points) == 1 and h <= cfg.h_min * (1 + 1e-12):
-                termination = TERMINATION_NEWTON
-                break
             if h > cfg.h_min:
                 h = max(0.5 * h, cfg.h_min)
                 continue

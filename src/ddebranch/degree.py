@@ -15,11 +15,12 @@ Every method turns its field into a FieldHandle once, at entry
 evaluates it only on (N, n) point sets.
 
 The damped Newton (newton_steps) asks at each point it visits for the
-residual and its forward-difference Jacobian (fd_jacobian), so every
-iterate steps with the Jacobian at itself.  newton_lockstep answers any
-number of solves with one batched call per round; it refines jacobian-nd's
-zeros and the translation operator's fixed points (poincare), and it is the
-package's one Newton driver.
+residual and its Jacobian, so every iterate steps with the Jacobian at
+itself.  newton_lockstep answers any number of solves with one batched call
+per round and forms each Jacobian itself, as the forward-difference quotient
+of that call's rows: it is the package's one Newton driver and its one
+Jacobian site, and it refines jacobian-nd's zeros and the translation
+operator's fixed points (poincare).
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
 minimum sampled boundary norm is reported as admissibility_margin so callers
@@ -49,6 +50,7 @@ _BOUNDARY_ZERO_TOL = 1e-14
 _MARGIN_MIN = 1e-10
 _MAX_BOUNDARY_SAMPLES = 2 ** 20
 _NEWTON_HALVINGS = 10
+_NEWTON_TOL = 1e-10  # jacobian-nd's sup-norm residual for a refined zero
 
 
 @dataclass(frozen=True)
@@ -198,21 +200,6 @@ def degree_2d_winding(fn, box: Box, n_boundary: int = 1024) -> DegreeReport:
         n *= 2
 
 
-def fd_points(u: np.ndarray, step: float) -> np.ndarray:
-    """The n points u + step * e_j, as rows, at which fd_jacobian evaluates F."""
-    return u + step * np.eye(u.size)
-
-
-def fd_jacobian(F, u: np.ndarray, f0: np.ndarray, step: float) -> np.ndarray:
-    """Forward-difference Jacobian of F at u, where f0 is the image of u.
-
-    F maps a (B, n) array of points to the (B, n) array of their images, so
-    the n points fd_points(u, step) go through F in one call; row j of the
-    result becomes column j of the Jacobian.
-    """
-    return ((F(fd_points(u, step)) - f0) / step).T
-
-
 def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
     """Damped Newton on a residual R(u) = 0 from u0, as a generator that
     asks for the values it needs; residual norms are sup norms.
@@ -267,10 +254,11 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):
     lockstep; returns one (u, residual_norm, J) or None per seed.
 
     F maps (B, n) points to their (B, n) residuals.  Each round, every
-    unfinished solve's request u is one block of 1 + n rows, u and
-    fd_points(u, fd_step); all blocks go through one F call, and each solve
-    is answered with its first row as F(u) and fd_jacobian's quotient on
-    the others as J(u).  If F treats rows independently, each solve runs
+    unfinished solve's request u is one block of 1 + n rows, u and the
+    points u + fd_step * e_j; all blocks go through one F call, and each
+    solve is answered with its first row as F(u) and the forward-difference
+    quotient of the others, (F(u + fd_step * e_j) - F(u)) / fd_step as
+    column j, as J(u).  If F treats rows independently, each solve runs
     the arithmetic it runs alone.  A call of several blocks that raises
     TranslationUndefinedError is rerun block by block, so that the error
     reaches just the solves whose own rows (Jacobian rows included) raise
@@ -287,7 +275,7 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):
     results = [None] * len(solves)
     requests = {i: next(solve) for i, solve in enumerate(solves)}
     while requests:
-        blocks = [np.vstack([u, fd_points(u, fd_step)]) for u in requests.values()]
+        blocks = [np.vstack([u, u + fd_step * np.eye(u.size)]) for u in requests.values()]
         merged = sweep(np.vstack(blocks))
         if not isinstance(merged, TranslationUndefinedError):
             answers = np.split(merged, len(blocks))
@@ -295,12 +283,12 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):
             answers = [merged]
         else:
             answers = [sweep(b) for b in blocks]
-        for (i, u), answer in zip(list(requests.items()), answers):
+        for i, answer in zip(list(requests), answers):
             try:
                 if isinstance(answer, TranslationUndefinedError):
                     requests[i] = solves[i].throw(answer)
                 else:
-                    J = fd_jacobian(lambda points: answer[1:], u, answer[0], fd_step)
+                    J = ((answer[1:] - answer[0]) / fd_step).T
                     requests[i] = solves[i].send((answer[0], J))
             except StopIteration as stop:
                 results[i] = stop.value
@@ -321,9 +309,7 @@ def _boundary_samples(box: Box, per_axis: int) -> np.ndarray:
     return np.vstack(pts)
 
 
-def degree_nd_jacobian(
-    fn, box: Box, grid_per_axis: int = 16, tol: float = 1e-10
-) -> DegreeReport:
+def degree_nd_jacobian(fn, box: Box, grid_per_axis: int = 16) -> DegreeReport:
     """Degree as the sum of Jacobian signs over Newton-refined zeros.
 
     The field is sampled in one call each on the boundary faces and on a
@@ -361,7 +347,7 @@ def degree_nd_jacobian(
     cells = np.argwhere(straddles.all(axis=-1))
     centres = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
     seeds = np.column_stack([centres[i][cells[:, i]] for i in range(n)])
-    outs = newton_lockstep(field, seeds, 1e-6 * scale, tol, 60)
+    outs = newton_lockstep(field, seeds, 1e-6 * scale, _NEWTON_TOL, 60)
 
     dedupe = 1e-6 * scale
     zeros: List[np.ndarray] = []
@@ -375,9 +361,9 @@ def degree_nd_jacobian(
         if any(np.linalg.norm(z - zk) < dedupe for zk in zeros):
             continue
         det = float(np.linalg.det(J))
-        # Newton stops once |F| <= tol, so at a zero of odd local degree the
-        # iterate can stall at |z - z*| ~ tol^(1/3) where det J is small but
-        # not yet at roundoff; the threshold must sit well above that.
+        # Newton stops once |F| <= _NEWTON_TOL, so at a zero of odd local degree
+        # the iterate can stall at |z - z*| ~ _NEWTON_TOL^(1/3) where det J is
+        # small but not yet at roundoff; the threshold must sit well above that.
         if abs(det) < 1e-5 * scale:
             raise DegeneracyError(
                 f"non-hyperbolic zero at {z.tolist()} (|det J| = {abs(det):.2e}); "

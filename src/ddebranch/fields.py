@@ -7,13 +7,15 @@ statement verified by the rest of the package:
     nu(p, q)  = (w_f(p, q), g(p, q))
     v_lam     = ((lam/<a>) * w_f, lam * g)
 
-w_f takes one f call on n_quad + 1 times against a batch of points: cheap
-for a BatchField f, (n_quad + 1) calls per point for any other callable.
-The quadrature times and Simpson weights are built once per (period,
-n_quad) and shared by every call; the mu < 1 right-hand side makes one
-w_f call per RK4 stage through make_wf.
-nu and v_lam are FieldHandles, so a batch of N points costs one w_f and
-one g call.
+Every average takes problem.n_quad Simpson cells: the problem is the one
+home of that setting, and dataclasses.replace(problem, n_quad=...) changes
+it.  w_f takes one f call on n_quad + 1 times against a batch of points:
+cheap for a BatchField f, (n_quad + 1) calls per point for any other
+callable.  The quadrature times and Simpson weights are built once per
+(period, n_quad) and shared by every call; the mu < 1 right-hand side makes
+one w_f call per RK4 stage through make_wf.  nu and v_lam (nu scaled per
+component) are FieldHandles, so a batch of N points costs one w_f and one
+g call.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class FieldHandle:
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -57,58 +58,51 @@ class FieldHandle:
         return FieldHandle(
             dim=self.dim,
             eval=lambda z, _e=self.eval: -np.asarray(_e(z), dtype=float),
-            name=f"-({self.name})" if self.name else "",
         )
 
 
-def average_f(problem: CoupledProblem, p, q, n_quad: int = None) -> np.ndarray:
+def average_f(problem: CoupledProblem, p, q) -> np.ndarray:
     """Componentwise Simpson average of t -> f(t, p, q, p, q) over one period.
 
     p and q are one point, shapes (k,) and (s,), or a batch of B points,
     shapes (B, k) and (B, s); the result has shape (k,) or (B, k).  f is
     called once, on the quadrature times as a column against the batch.
-    The times and the Simpson weights are built once per (period, n_quad)
-    (problem.quadrature_times), so a bad n_quad raises before f is called.
+    The times and the Simpson weights are built once per (period,
+    problem.n_quad) (problem.quadrature_times).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if problem.dim_x == 0 or problem.f is None:
         return np.zeros(p.shape[:-1] + (0,))
-    n = n_quad if n_quad is not None else problem.n_quad
+    n = problem.n_quad
     ts = quadrature_times(problem.period, n).reshape((n + 1,) + (1,) * (p.ndim - 1))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     return simpson_mean(problem.eval_f(ts, p, q, p, q))
 
 
-def make_wf(problem: CoupledProblem, n_quad: int = None):
+def make_wf(problem: CoupledProblem):
     """The averaged drive (p, q) -> w_f(p, q) of the mu-homotopy, on one
     point or a batch (see average_f); it keeps no state."""
-    return lambda p, q: average_f(problem, p, q, n_quad)
+    return lambda p, q: average_f(problem, p, q)
 
 
-def nu_field(problem: CoupledProblem, n_quad: int = None) -> FieldHandle:
+def nu_field(problem: CoupledProblem) -> FieldHandle:
     """The field nu(p, q) = (w_f(p, q), g(p, q)) on R^(k+s)."""
     k = problem.dim_x
 
     def ev(z):
         p, q = z[..., :k], z[..., k:]
-        return np.concatenate([average_f(problem, p, q, n_quad), problem.eval_g(p, q)], axis=-1)
+        return np.concatenate([average_f(problem, p, q), problem.eval_g(p, q)], axis=-1)
 
-    return FieldHandle(dim=problem.dim, eval=ev, name="nu")
+    return FieldHandle(dim=problem.dim, eval=ev)
 
 
-def v_lambda_field(problem: CoupledProblem, lam: float, n_quad: int = None) -> FieldHandle:
-    """The scaled field ((lam/<a>) * w_f, lam * g), used for degree cross-checks."""
+def v_lambda_field(problem: CoupledProblem, lam: float) -> FieldHandle:
+    """The scaled field ((lam/<a>) * w_f, lam * g) of the degree
+    cross-checks: nu's values times lam/<a> (w_f) and lam (g) per component."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if abs(problem.abar) < 1e-12:
         raise ZeroAverageError("v_lambda requires <a> != 0")
-    k = problem.dim_x
-    c = lam / problem.abar
-
-    def ev(z):
-        p, q = z[..., :k], z[..., k:]
-        return np.concatenate(
-            [c * average_f(problem, p, q, n_quad), lam * problem.eval_g(p, q)], axis=-1
-        )
-
-    return FieldHandle(dim=problem.dim, eval=ev, name=f"v_lambda({lam})")
+    nu = nu_field(problem)
+    scale = np.repeat([lam / problem.abar, lam], [problem.dim_x, problem.dim_y])
+    return FieldHandle(dim=problem.dim, eval=lambda z: nu.eval(z) * scale)

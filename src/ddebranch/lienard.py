@@ -142,19 +142,20 @@ def _periodic_hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) 
     return PeriodicFn1D(eval=evaluate, period=T)
 
 
-def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
+def sigma_transform(a: PeriodicFn1D, n_cells: int = _SIGMA_CELLS) -> SigmaResult:
     """Build the unique T-periodic sigma with a = sigma'/sigma - sigma.
 
-    sigma is sampled on a grid of n_quad cells (with midpoints) as 1/zeta.
+    sigma is sampled as 1/zeta on its own grid of n_cells cells (with
+    midpoints), not the problem's n_quad; the CLI and the presets use 2048.
     Its node slopes need no solve: the identity itself gives
     sigma' = sigma (a + sigma) from the samples of a that built zeta.  sigma
     is read by the package's one Hermite evaluator (problem._hermite) and
     its node snap, like a history, with t reduced modulo T.
     """
-    grid, avals, zeta, c0, abar = _zeta_periodic(a, n_quad)
+    grid, avals, zeta, c0, abar = _zeta_periodic(a, n_cells)
     if np.min(np.abs(zeta)) < 1e-12:
         raise InvalidParameterError(
-            "zeta vanishes on the grid; increase n_quad or check the coefficient"
+            "zeta vanishes on the grid; increase n_cells or check the coefficient"
         )
     values = 1.0 / zeta
     sign = -int(np.sign(abar))
@@ -163,16 +164,16 @@ def sigma_transform(a: PeriodicFn1D, n_quad: int = _SIGMA_CELLS) -> SigmaResult:
     max_sigma = float(np.max(np.abs(values)))
     if gap > 1e-8 * max_sigma:
         raise InvalidParameterError(
-            f"sigma periodicity gap {gap:.2e} exceeds tolerance; increase n_quad"
+            f"sigma periodicity gap {gap:.2e} exceeds tolerance; increase n_cells"
         )
     if not np.all(values * sign > 0):
         raise InvalidParameterError(
-            "sigma is not sign-definite opposite to <a>; increase n_quad"
+            "sigma is not sign-definite opposite to <a>; increase n_cells"
         )
     avg_sigma = float(simpson_mean(values))
     if abs(avg_sigma + abar) > 1e-8 * (1.0 + abs(abar)):
         raise InvalidParameterError(
-            f"<sigma> + <a> = {avg_sigma + abar:.2e} exceeds tolerance; increase n_quad"
+            f"<sigma> + <a> = {avg_sigma + abar:.2e} exceeds tolerance; increase n_cells"
         )
 
     # Close the sample loop exactly, values and slopes alike.

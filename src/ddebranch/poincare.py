@@ -5,12 +5,13 @@ The translation operator maps an initial history on [-r, 0] to the solution
 history on [T - r, T].  On the (m+1)-node discretization its fixed points
 are found by the package's one lockstep Newton (degree.newton_lockstep) on
 R(u) = translate(u) - u: full damped Newton, with the forward-difference
-Jacobian at every iterate.  _solve_lockstep binds it to _residual, so each
-round of all seeds' solves, every point with its n Jacobian points, is one
-batched integrator sweep.  Each hyperbolic fixed point carries the discrete
-index sign(det(I - DQ)), the finite-dimensional stand-in for the fixed
-point index of the compact operator, taken from the Jacobian at the
-converged point.
+Jacobian that newton_lockstep forms at every iterate.  _residual is the one
+function between a Newton request and an integrator sweep, so each round of
+all seeds' solves, every point with its n Jacobian points, is one batched
+sweep.  Each hyperbolic fixed point carries the discrete index
+sign(det(I - DQ)), the finite-dimensional stand-in for the fixed point
+index of the compact operator, taken from the Jacobian at the converged
+point.
 """
 
 from __future__ import annotations
@@ -100,18 +101,13 @@ def translate(
     return History(delay=r, values=values, derivs=derivs)
 
 
-def _translate_values(problem, lam, mu, u, cfg, domain, dim):
-    """translate on flattened node values: u has shape (n,), or (B, n) for
-    B inputs translated in one sweep."""
-    nodes = np.moveaxis(u.reshape(u.shape[:-1] + (cfg.m + 1, dim)), -2, 0)
+def _residual(problem, lam, mu, u, cfg, domain):
+    """R(u) = translate(u) - u on flattened node values: u has shape (n,),
+    or (B, n) for B inputs translated in one sweep."""
+    nodes = np.moveaxis(u.reshape(u.shape[:-1] + (cfg.m + 1, problem.dim)), -2, 0)
     init = History.from_values(nodes, problem.delay)
     out = translate(problem, lam, mu, init, cfg, domain=domain)
-    return np.moveaxis(out.values, 0, -2).reshape(u.shape)
-
-
-def _residual(problem, lam, mu, u, cfg, domain):
-    """R(u) = translate(u) - u on flattened node values, (n,) or (B, n)."""
-    return _translate_values(problem, lam, mu, u, cfg, domain, problem.dim) - u
+    return np.moveaxis(out.values, 0, -2).reshape(u.shape) - u
 
 
 def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None):

@@ -410,10 +410,6 @@ class History:
         """Interpolated value(s) at theta in [-r, 0]; exact at node points."""
         return _hermite(self.grid, self.values, self.derivs, theta)
 
-    def deriv(self, theta):
-        """Derivative of the interpolant at theta in [-r, 0]."""
-        return _hermite(self.grid, self.values, self.derivs, theta, deriv=True)
-
     def terminal(self) -> np.ndarray:
         """Value at theta = 0."""
         return self.values[-1].copy()

@@ -42,6 +42,17 @@ def sunflower() -> SunflowerSetup:
     return default_sunflower()
 
 
+def fd_jacobian(F, u: np.ndarray, f0: np.ndarray, step: float) -> np.ndarray:
+    """Forward-difference Jacobian of F at u, where f0 is the image of u:
+    the reference for the quotient newton_lockstep forms.
+
+    F maps a (B, n) array of points to the (B, n) array of their images, so
+    the n points u + step * e_j go through F in one call; row j of the
+    result becomes column j of the Jacobian.
+    """
+    return ((F(u + step * np.eye(u.size)) - f0) / step).T
+
+
 def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int):
     """newton_steps on residual(u) = 0 from u0, driven one solve at a time
     by callables: the reference for the package's lockstep driver.

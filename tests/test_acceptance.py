@@ -90,10 +90,10 @@ class TestAcceptance:
             dim_x=1, dim_y=1,
             f=lambda t, x, y, xd, yd: np.array([y[0]]),
             g=lambda x, y: np.array([x[0] - y[0]]),
-            a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0,
+            a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0, n_quad=16,
         )
         degs = {
-            lam: degree_2d_winding(v_lambda_field(prob, lam, n_quad=16).negated(), b2).degree
+            lam: degree_2d_winding(v_lambda_field(prob, lam).negated(), b2).degree
             for lam in (0.1, 1.0, 10.0)
         }
         assert degs[0.1] == degs[1.0] == degs[10.0]

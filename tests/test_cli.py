@@ -460,6 +460,26 @@ class TestConfigValidation:
         assert err["type"] == "ConfigError"
         assert err["message"].startswith(message)
 
+    @pytest.mark.parametrize("command, override, message", [
+        ("integrate", {"problem": dict(CUBIC_PROBLEM, phi="sin(yd1)")},
+         "problem.phi: not allowed without a preset"),
+        ("integrate", {"problem": dict(CUBIC_PROBLEM, alpha=6.0)},
+         "problem.alpha: not allowed without a preset"),
+        ("integrate", {"problem": dict(CUBIC_PROBLEM, beta=-1.0)},
+         "problem.beta: not allowed without a preset"),
+        ("degree", {"degree": dict(CUBIC_RUNS["degree"], exprs=["bogus"])},
+         "degree.exprs: not allowed with field 'nu'"),
+        ("degree", {"degree": dict(CUBIC_RUNS["degree"], vars=7)},
+         "degree.vars: not allowed with field 'nu'"),
+    ])
+    def test_key_the_run_would_ignore_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                         override, message):
+        code, out = run(tmp_path, command, {**CUBIC_RUNS, **override})
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ConfigError", "message": message}
+        assert not out.exists() or not any(out.iterdir())
+
     def test_branch_defaults_to_the_translation_settings(self):
         # A library ContinuationConfig defaults to m = 16; a CLI branch whose
         # numerics block sets no m runs at TranslationConfig's m.

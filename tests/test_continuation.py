@@ -12,14 +12,17 @@ from ddebranch import (
     ContinuationConfig,
     CoupledProblem,
     History,
+    PeriodicFn1D,
     TranslationConfig,
     continue_branch,
     translate,
 )
 from ddebranch import continuation
 from ddebranch.continuation import (
+    TERMINATION_BLOWUP,
     TERMINATION_LAMBDA_MAX,
     TERMINATION_LEFT_DOMAIN,
+    TERMINATION_NEWTON,
 )
 from ddebranch.errors import InvalidParameterError
 
@@ -50,6 +53,49 @@ class TestTrivialBranches:
         prob = scalar_problem(lambda y: y - y ** 3)
         branch = continue_branch(prob, [1.0], 0.0, FAST)
         assert np.allclose(branch.points[0].history.values, 1.0)
+
+
+def _unit_drive_problem(g):
+    """y' = -g(y) + lam: k = 0, a = -1, h = 1, so the constant solutions
+    solve g(y) = lam."""
+    return CoupledProblem(
+        dim_x=0, dim_y=1, g=g, h=lambda t, x, y, xd, yd: np.ones(1),
+        a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0, n_quad=16,
+    )
+
+
+class TestTerminations:
+    def test_fold_ends_in_newton_failure_after_halving_to_h_min(self):
+        # y - y^3 = lam folds at lam* = 2/(3 sqrt 3) = 0.3849: the step to
+        # 0.4 fails and halves to 0.35; from there 0.45 and 0.40 fail, and
+        # the second failure is at h_min.
+        prob = _unit_drive_problem(lambda x, y: y - y ** 3)
+        cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
+        branch = continue_branch(prob, [0.0], 1.0, cfg)
+        assert branch.termination == TERMINATION_NEWTON
+        np.testing.assert_allclose(branch.lambdas(), [0.0, 0.1, 0.2, 0.3, 0.35], rtol=1e-14)
+        for p in branch.points[1:]:
+            assert p.residual <= cfg.newton_tol
+            # The constant solution below the fold.
+            y = p.history.values[0, 0]
+            assert y - y ** 3 == pytest.approx(p.lam, abs=1e-8)
+
+    def test_first_step_failing_at_h_min_keeps_the_origin_alone(self):
+        prob = _unit_drive_problem(lambda x, y: y - y ** 3)
+        cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.5, h_max=0.5, h_min=0.5)
+        branch = continue_branch(prob, [0.0], 1.0, cfg)
+        assert branch.termination == TERMINATION_NEWTON
+        assert branch.lambdas().tolist() == [0.0]
+
+    def test_sup_norm_above_1e6_ends_in_norm_blowup(self):
+        # g = y puts the constant solution at y* = lam: 4e5 and 8e5 are
+        # kept, and 1.2e6 is past the blowup bound.
+        prob = _unit_drive_problem(lambda x, y: y)
+        cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=4e5, h_max=4e5, h_min=1.0)
+        branch = continue_branch(prob, [0.0], 2e6, cfg)
+        assert branch.termination == TERMINATION_BLOWUP
+        assert branch.lambdas().tolist() == [0.0, 4e5, 8e5]
+        np.testing.assert_allclose([p.sup_norm for p in branch.points], [0.0, 4e5, 8e5], rtol=1e-12)
 
 
 class TestValidation:

@@ -18,11 +18,11 @@ from ddebranch import (
     nu_field,
     v_lambda_field,
 )
-from ddebranch.degree import DegreeReport, _boundary_samples, fd_jacobian
+from ddebranch.degree import DegreeReport, _boundary_samples
 from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
-from conftest import SUITE_FIELDS, TWO_PI, box, damped_newton
+from conftest import SUITE_FIELDS, TWO_PI, box, damped_newton, fd_jacobian
 
 
 class TestDegree1D:
@@ -211,19 +211,19 @@ class TestVLambdaInvariance:
         )
 
     def test_scaling_invariance(self):
-        prob = self._problem()
+        prob = dataclasses.replace(self._problem(), n_quad=16)
         b = box([-1, -1], [1, 1])
         degs = [
-            degree_2d_winding(v_lambda_field(prob, lam, n_quad=16).negated(), b).degree
+            degree_2d_winding(v_lambda_field(prob, lam).negated(), b).degree
             for lam in (0.1, 1.0, 10.0)
         ]
         assert degs[0] == degs[1] == degs[2]
 
     def test_sign_relation_to_nu(self):
-        prob = self._problem()
+        prob = dataclasses.replace(self._problem(), n_quad=16)
         b = box([-1, -1], [1, 1])
-        deg_v1 = degree_2d_winding(v_lambda_field(prob, 1.0, n_quad=16).negated(), b).degree
-        deg_nu = degree_2d_winding(nu_field(prob, n_quad=16).negated(), b).degree
+        deg_v1 = degree_2d_winding(v_lambda_field(prob, 1.0).negated(), b).degree
+        deg_nu = degree_2d_winding(nu_field(prob).negated(), b).degree
         # deg(-v_1) = sign(<a>)^k * deg(-nu) with k = 1 and <a> = -1 here.
         assert deg_v1 == int(np.sign(prob.abar)) ** prob.dim_x * deg_nu
 
@@ -261,7 +261,7 @@ class TestFieldHandleBatch:
             dim_x=0, dim_y=1, g=lambda x, y: y - y ** 3,
             a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0,
         )
-        return nu_field(prob, n_quad=16)
+        return nu_field(dataclasses.replace(prob, n_quad=16))
 
     def _sunflower_nu(self, sunflower):
         return nu_field(dataclasses.replace(sunflower.coupled, n_quad=64)).negated()

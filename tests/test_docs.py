@@ -1,8 +1,11 @@
-"""The README's examples run as written, and its defaults are the code's."""
+"""The README's examples run as written, its defaults are the code's, and
+the code it names exists."""
 
+import importlib
 import re
 from pathlib import Path
 
+import ddebranch
 from ddebranch.continuation import ContinuationConfig
 from ddebranch.poincare import TranslationConfig
 from ddebranch.problem import DEFAULT_N_QUAD
@@ -33,3 +36,24 @@ def test_stated_defaults_match_the_settings_classes():
     assert len(stated) == len(dict(stated))
     library_m = re.search(r"`ContinuationConfig`\s+defaults\s+to\s+`m = (\d+)`", numerics)
     assert int(library_m.group(1)) == ContinuationConfig.m
+
+
+def test_code_references_resolve():
+    # Every `mod.name` or `ddebranch.mod.name` whose mod is a ddebranch
+    # module names an attribute that module has; `degree.json` and other
+    # file names are not references.
+    package = Path(ddebranch.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    refs = re.findall(r"`(?:ddebranch\.)?([a-z_]+)\.([A-Za-z_][\w.]*)`", README.read_text())
+    checked, missing = 0, []
+    for mod, dotted in refs:
+        if mod not in modules or dotted.rsplit(".", 1)[-1] in ("json", "csv"):
+            continue
+        obj = importlib.import_module(f"ddebranch.{mod}")
+        for name in dotted.split("."):
+            obj = getattr(obj, name, None)
+        checked += 1
+        if obj is None:
+            missing.append(f"{mod}.{dotted}")
+    assert checked >= 5
+    assert missing == []

@@ -78,7 +78,7 @@ class TestAverageF:
         prob = coupled(f)
         calls.clear()  # the construction's periodicity check samples f
         with pytest.raises(InvalidParameterError, match="n_quad must be even and >= 8, got 7"):
-            average_f(prob, [0.3], [0.5], 7)
+            dataclasses.replace(prob, n_quad=7)
         assert calls == []
 
     def test_k_zero_gives_empty(self):
@@ -137,14 +137,14 @@ class TestBatchedAverage:
     @pytest.mark.parametrize("name", sorted(BATCH_CASES))
     @pytest.mark.parametrize("B", [None, 1, 5])
     def test_matches_scalar_loop(self, name, B):
-        prob = BATCH_CASES[name]()
+        prob = dataclasses.replace(BATCH_CASES[name](), n_quad=self.N_QUAD)
         rng = np.random.default_rng(4)
         P = rng.uniform(-1.0, 1.0, size=(5, 1))
         Q = rng.uniform(-1.0, 1.0, size=(5, 1))
         if B is None:
-            got = np.array([average_f(prob, p, q, self.N_QUAD) for p, q in zip(P, Q)])
+            got = np.array([average_f(prob, p, q) for p, q in zip(P, Q)])
         else:
-            got = average_f(prob, P[:B], Q[:B], self.N_QUAD)
+            got = average_f(prob, P[:B], Q[:B])
         assert got.shape == (len(P) if B is None else B, 1)
         want = np.array([_scalar_loop_average(prob, p, q, self.N_QUAD) for p, q in zip(P, Q)])
         np.testing.assert_allclose(got, want[: len(got)], rtol=1e-13, atol=1e-15)
@@ -176,7 +176,7 @@ class TestNuField:
         from ddebranch import degree_nd_jacobian
 
         prob = coupled(_ex_f)
-        nu = nu_field(prob, 64)
+        nu = nu_field(dataclasses.replace(prob, n_quad=64))
         report = degree_nd_jacobian(nu, box([-1, -1], [1, 1]), grid_per_axis=8)
         assert report.zeros
         for z in report.zeros:
@@ -201,7 +201,7 @@ class TestVLambdaField:
 
     def test_scaling_structure(self):
         prob = coupled(lambda t, x, y, xd, yd: np.array([y[0]]), a_fn=lambda t: -1.0)
-        v = v_lambda_field(prob, 2.0, n_quad=16)
+        v = v_lambda_field(dataclasses.replace(prob, n_quad=16), 2.0)
         out = v([0.5, 0.3])
         # (lam/<a>) w_f = (2/-1)*0.3, lam*g = 2*(0.5-0.3)
         assert float(out[0]) == pytest.approx(-0.6, abs=1e-12)

@@ -22,12 +22,11 @@ from ddebranch import (
 from ddebranch import poincare
 from ddebranch.config import load_problem
 from ddebranch.continuation import TERMINATION_LAMBDA_MAX
-from ddebranch.degree import fd_jacobian
 from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
-from ddebranch.poincare import _newton_fixed_point, _residual, _translate_values
+from ddebranch.poincare import _newton_fixed_point, _residual
 from ddebranch.problem import BatchField
 
-from conftest import TWO_PI, damped_newton, periodic, scalar_problem
+from conftest import TWO_PI, damped_newton, fd_jacobian, periodic, scalar_problem
 
 CFG = TranslationConfig(m=16, steps_per_delay=16)
 
@@ -216,8 +215,7 @@ def _column_loop_jacobian(problem, lam, mu, u, r0, cfg, domain):
     for j in range(u.size):
         vp = u.copy()
         vp[j] += cfg.fd_step
-        image = _translate_values(problem, lam, mu, vp, cfg, domain, problem.dim)
-        J[:, j] = (image - vp - r0) / cfg.fd_step
+        J[:, j] = (_residual(problem, lam, mu, vp, cfg, domain) - r0) / cfg.fd_step
     return J
 
 
@@ -238,7 +236,7 @@ class TestBatchedJacobian:
 
     def _assert_matches_column_loop(self, problem, lam, mu, u):
         cfg = self.CFG8
-        r0 = _translate_values(problem, lam, mu, u, cfg, None, problem.dim) - u
+        r0 = _residual(problem, lam, mu, u, cfg, None)
         J = _batched_jacobian(problem, lam, mu, u, r0, cfg, None)
         J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg, None)
         assert J.shape == (u.size, u.size)
@@ -278,12 +276,12 @@ class TestBatchedJacobian:
         cfg = self.CFG8
         box = Box(lower=[-1.0], upper=[0.95 + 0.1 * cfg.fd_step])
         u0 = np.full(cfg.m + 1, 0.95)
-        r0 = _translate_values(prob, 0.0, 1.0, u0, cfg, box, 1) - u0
+        r0 = _residual(prob, 0.0, 1.0, u0, cfg, box)
         assert np.max(np.abs(r0)) > cfg.newton_tol
         escaping = u0.copy()
         escaping[-1] += cfg.fd_step
         with pytest.raises(TranslationUndefinedError):
-            _translate_values(prob, 0.0, 1.0, escaping, cfg, box, 1)
+            _residual(prob, 0.0, 1.0, escaping, cfg, box)
         for jacobian in (_batched_jacobian, _column_loop_jacobian):
             with pytest.raises(TranslationUndefinedError):
                 jacobian(prob, 0.0, 1.0, u0, r0, cfg, box)

@@ -1,5 +1,6 @@
 """Sigma transformation and the Lienard-plane reduction."""
 
+import dataclasses
 import math
 from typing import Callable, Optional
 
@@ -113,13 +114,13 @@ def _zeta_grid(a: PeriodicFn1D, n_cells: int, c: Optional[float] = None):
     return grid, zeta, c, abar
 
 
-def zeta_endpoint_gap(a: PeriodicFn1D, c: float, n_quad: int = _SIGMA_CELLS) -> float:
+def zeta_endpoint_gap(a: PeriodicFn1D, c: float, n_cells: int = _SIGMA_CELLS) -> float:
     """|zeta(0) - zeta(T)| for the candidate integration constant c.
 
     Zero (up to quadrature error) only at the closed-form c0, reflecting the
     uniqueness of the periodic solution.
     """
-    _, zeta, _, _ = _zeta_grid(a, n_quad, c=c)
+    _, zeta, _, _ = _zeta_grid(a, n_cells, c=c)
     return float(abs(zeta[0] - zeta[-1]))
 
 
@@ -343,7 +344,7 @@ class TestLienardReduction:
         sdp, sigma = self._setup()
         prob = lienard_reduce(sdp, sigma)
         wb = wbar(sdp.f, sigma, TWO_PI)
-        nu = nu_field(prob, n_quad=512)
+        nu = nu_field(dataclasses.replace(prob, n_quad=512))
         for q in (0.4, -0.8):
             out = nu([q, q])
             assert float(out[0]) == pytest.approx(wb(q), abs=1e-6)
