@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as dsl
 from .continuation import ContinuationConfig
-from .errors import ConfigError, ExprError, InvalidParameterError
+from .errors import ConfigError, DdeBranchError, ExprError, InvalidParameterError
 from .lienard import SigmaResult
 from .poincare import TranslationConfig
 from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D, state_columns
@@ -205,7 +205,7 @@ def load_problem(config: dict) -> LoadedProblem:
         try:
             setup, lam = classic_sunflower_setup(alpha, beta, r, T)
             coupled = replace(setup.coupled, n_quad=n_quad)
-        except Exception as exc:
+        except DdeBranchError as exc:
             raise ConfigError(f"problem: {exc}") from exc
         return LoadedProblem(
             coupled=coupled, sigma=setup.sigma, a=setup.scalar.a, default_lambda=lam,
@@ -224,7 +224,7 @@ def load_problem(config: dict) -> LoadedProblem:
         try:
             setup = sunflower_setup(a, phi, T, r)
             coupled = replace(setup.coupled, n_quad=n_quad)
-        except Exception as exc:
+        except DdeBranchError as exc:
             raise ConfigError(f"problem: {exc}") from exc
         return LoadedProblem(coupled=coupled, sigma=setup.sigma, a=a)
 
@@ -264,7 +264,7 @@ def load_problem(config: dict) -> LoadedProblem:
         )
     except ConfigError:
         raise
-    except Exception as exc:
+    except DdeBranchError as exc:
         raise ConfigError(f"problem: {exc}") from exc
     return LoadedProblem(coupled=coupled, a=a)
 

@@ -204,9 +204,7 @@ def continue_branch(
         if sup_norm > _SUP_NORM_BLOWUP:
             termination = TERMINATION_BLOWUP
             break
-        if cfg.domain is not None and not all(
-            cfg.domain.contains(v) for v in hist.values
-        ):
+        if cfg.domain is not None and not cfg.domain.contains(hist.values):
             termination = TERMINATION_LEFT_DOMAIN
             break
         u_prev, lam_prev = u_last, lam

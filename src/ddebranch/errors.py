@@ -25,15 +25,6 @@ class BlowupError(DdeBranchError):
         )
 
 
-class DomainEscapeError(DdeBranchError):
-    """The trajectory left the user-declared box constraint."""
-
-    def __init__(self, t, point):
-        self.t = t
-        self.point = point
-        super().__init__(f"trajectory left the declared domain at t={t:.6g}")
-
-
 class AdmissibilityError(DdeBranchError):
     """The field vanishes (or nearly vanishes) on the region boundary."""
 
@@ -47,7 +38,8 @@ class ResolutionError(DdeBranchError):
 
 
 class TranslationUndefinedError(DdeBranchError):
-    """The translation operator is undefined for this input (blowup/escape)."""
+    """The translation operator is undefined for this input (its sweep blew
+    up or a field failed to evaluate)."""
 
 
 class ExprError(DdeBranchError):

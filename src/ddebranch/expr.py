@@ -122,6 +122,9 @@ def _collect_vars(node: Node, out: Set[str]):
         _collect_vars(node.arg, out)
 
 
+_DIGITS = "0123456789"  # str.isdigit also takes non-ASCII digits, which float() rejects
+
+
 def _tokenize(source: str):
     """Yield (kind, text, offset) tokens; kinds: num, name, op, lparen, rparen."""
     tokens = []
@@ -131,10 +134,10 @@ def _tokenize(source: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j] in _DIGITS or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     seen_dot = True
                 j += 1
@@ -142,9 +145,9 @@ def _tokenize(source: str):
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             tokens.append(("num", source[i:j], i))
             i = j

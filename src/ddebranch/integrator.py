@@ -19,15 +19,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError, DomainEscapeError, InvalidParameterError
+from .errors import BlowupError, InvalidParameterError
 from .fields import make_wf
-from .problem import Box, CoupledProblem, History, PeriodicFn1D, _hermite_array, _hermite_deriv, _hermite_eval
+from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _hermite_deriv, _hermite_eval
 
 BLOWUP_THRESHOLD = 1e9
+#: The flows take a step of at most t / FLOW_STEPS.
+FLOW_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,11 @@ class Trajectory:
                 writer.writerow([f"{t:.12g}"] + [f"{v:.15g}" for v in row])
 
 
-def _check_state(t: float, state: np.ndarray, domain: Optional[Box]):
-    """Blowup and domain checks on one state, or on every row of a batch."""
+def _check_state(t: float, state: np.ndarray):
+    """Blowup check on one state, or on every row of a batch."""
     norm = float(np.abs(state).max()) if state.size else 0.0
     if not norm <= BLOWUP_THRESHOLD:  # also catches inf and nan
         raise BlowupError(t, norm, BLOWUP_THRESHOLD)
-    if domain is not None:
-        rows = np.atleast_2d(state)
-        outside = ~np.all((rows >= domain.lower) & (rows <= domain.upper), axis=1)
-        if outside.any():
-            raise DomainEscapeError(t, rows[outside][0])
 
 
 def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
@@ -159,8 +156,7 @@ def integrate(
     mu: float,
     init: History,
     t_end: float,
-    steps_per_delay: int = 32,
-    domain: Optional[Box] = None,
+    steps_per_delay: int,
 ) -> Trajectory:
     """Integrate the coupled system forward from a history by RK4 steps.
 
@@ -171,8 +167,8 @@ def integrate(
 
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
-    exactly as it would be alone, and a blowup or domain exit of any row
-    ends the sweep.  One history is the batch of one.
+    exactly as it would be alone, and a blowup of any row ends the sweep.
+    One history is the batch of one.
 
     The delayed values of steps j .. j + steps_per_delay - 1 are read in
     one _hermite_array call at every j that is a multiple of
@@ -232,7 +228,7 @@ def integrate(
 
     with np.errstate(all="ignore"):
         state = batch.terminal()
-        _check_state(0.0, state, domain)
+        _check_state(0.0, state)
         states[0] = state
         delayed = read(0)
         slopes[0] = rhs(0.0, state, delayed[0])
@@ -248,7 +244,7 @@ def integrate(
             k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, delayed[i + 1])
             k4 = rhs(t1, y0 + dt * k3, delayed[i + 2])
             y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_state(t1, y1, domain)
+            _check_state(t1, y1)
             states[j + 1] = y1
             slopes[j + 1] = rhs(t1, y1, delayed[i + 2])
 
@@ -257,12 +253,10 @@ def integrate(
     return Trajectory(init=init, times=times, states=states, slopes=slopes, dim_x=problem.dim_x)
 
 
-def flow_unperturbed(problem: CoupledProblem, point, t: float, n_steps: int = 2048) -> np.ndarray:
+def flow_unperturbed(problem: CoupledProblem, point, t: float) -> np.ndarray:
     """Flow of x' = 0, y' = a(t) g(x, y) from a point (d,) or from each row
     of a batch (N, d): integrate at lambda = 0 from the constant history at
-    each point, all rows in one sweep, with a step of at most t / n_steps."""
-    if n_steps < 1:
-        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
+    each point, all rows in one sweep, with a step of at most t / FLOW_STEPS."""
     if t < 0:
         raise InvalidParameterError(f"t must be >= 0, got {t}")
     points = np.atleast_1d(np.asarray(point, dtype=float))
@@ -273,12 +267,12 @@ def flow_unperturbed(problem: CoupledProblem, point, t: float, n_steps: int = 20
     # coarsest history grid (m = 8) serves.
     values = np.broadcast_to(points, (9,) + points.shape).copy()
     init = History(delay=r, values=values, derivs=np.zeros_like(values))
-    steps_per_delay = max(8, math.ceil(n_steps * r / t))
+    steps_per_delay = max(8, math.ceil(FLOW_STEPS * r / t))
     return integrate(problem, 0.0, 1.0, init, t, steps_per_delay).states[-1]
 
 
-def flow_averaged(problem: CoupledProblem, point, t: float, n_steps: int = 2048) -> np.ndarray:
+def flow_averaged(problem: CoupledProblem, point, t: float) -> np.ndarray:
     """Flow of x' = 0, y' = <a> g(x, y): flow_unperturbed on the problem
     with a replaced by the constant <a>.  The two coincide at t = T."""
     averaged = replace(problem, a=PeriodicFn1D.constant(problem.abar, problem.period))
-    return flow_unperturbed(averaged, point, t, n_steps)
+    return flow_unperturbed(averaged, point, t)

@@ -26,13 +26,16 @@ from .degree import degree_auto, newton_lockstep
 from .errors import (
     BlowupError,
     DegeneracyError,
-    DomainEscapeError,
+    ExprEvalError,
     InvalidParameterError,
     TranslationUndefinedError,
 )
 from .fields import nu_field
 from .integrator import integrate
 from .problem import Box, CoupledProblem, History
+
+#: The iteration cap of every Newton solve of R.
+_NEWTON_MAX_ITER = 25
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class TranslationConfig:
     m: int = 32
     steps_per_delay: int = 32
     newton_tol: float = 1e-9
-    newton_max_iter: int = 25
     fd_step: float = 1e-6
 
     def __post_init__(self):
@@ -52,8 +54,6 @@ class TranslationConfig:
             raise InvalidParameterError("newton_tol must be positive")
         if self.fd_step <= 0:
             raise InvalidParameterError(f"fd_step must be positive, got {self.fd_step}")
-        if self.newton_max_iter < 1:
-            raise InvalidParameterError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
         if self.steps_per_delay < 8:
             raise InvalidParameterError(f"steps_per_delay must be >= 8, got {self.steps_per_delay}")
 
@@ -78,53 +78,50 @@ def translate(
     mu: float,
     init: History,
     cfg: TranslationConfig,
-    domain: Optional[Box] = None,
 ) -> History:
     """Apply the translation operator: integrate to T and resample the
     solution on [T - r, T] onto the m-node history grid.
 
     init may be a batch of histories (see integrate); the image is then the
-    batch of their images.  Integrator failures (blowup, domain escape)
-    surface as TranslationUndefinedError: the input lies outside the
-    operator domain.
+    batch of their images.  A sweep that blows up, or whose fields fail to
+    evaluate (an ExprEvalError of the DSL, an ArithmeticError such as a
+    float overflow of a Python callable), raises TranslationUndefinedError:
+    the input lies outside the operator's domain.
     """
     T = problem.period
     r = problem.delay
     try:
-        traj = integrate(
-            problem, lam, mu, init, T,
-            steps_per_delay=cfg.steps_per_delay, domain=domain,
-        )
-    except (BlowupError, DomainEscapeError) as exc:
+        traj = integrate(problem, lam, mu, init, T, cfg.steps_per_delay)
+    except (BlowupError, ExprEvalError, ArithmeticError) as exc:
         raise TranslationUndefinedError(str(exc)) from exc
     values, derivs = traj.eval_with_deriv(T + np.linspace(-r, 0.0, cfg.m + 1))
     return History(delay=r, values=values, derivs=derivs)
 
 
-def _residual(problem, lam, mu, u, cfg, domain):
+def _residual(problem, lam, mu, u, cfg):
     """R(u) = translate(u) - u on flattened node values: u has shape (n,),
     or (B, n) for B inputs translated in one sweep."""
     nodes = np.moveaxis(u.reshape(u.shape[:-1] + (cfg.m + 1, problem.dim)), -2, 0)
     init = History.from_values(nodes, problem.delay)
-    out = translate(problem, lam, mu, init, cfg, domain=domain)
+    out = translate(problem, lam, mu, init, cfg)
     return np.moveaxis(out.values, 0, -2).reshape(u.shape) - u
 
 
-def _solve_lockstep(problem, lam, mu, seeds, cfg, domain=None):
+def _solve_lockstep(problem, lam, mu, seeds, cfg):
     """newton_lockstep on R from each flattened seed: one (u, residual_norm,
     J_R) or None per seed.  A Newton round of all seeds is one _residual
     sweep, whose rows do not interact, so each seed ends as it would alone."""
     return newton_lockstep(
-        lambda rows: _residual(problem, lam, mu, rows, cfg, domain),
-        seeds, cfg.fd_step, cfg.newton_tol, cfg.newton_max_iter,
+        lambda rows: _residual(problem, lam, mu, rows, cfg),
+        seeds, cfg.fd_step, cfg.newton_tol, _NEWTON_MAX_ITER,
     )
 
 
-def _newton_fixed_point(problem, lam, mu, u0, cfg, domain=None):
+def _newton_fixed_point(problem, lam, mu, u0, cfg):
     """One damped Newton solve of R from u0 (a lockstep solve of one seed);
     returns (u, residual_norm, J_R) on convergence, J_R the Jacobian at u,
     and None on failure."""
-    return _solve_lockstep(problem, lam, mu, [u0], cfg, domain)[0]
+    return _solve_lockstep(problem, lam, mu, [u0], cfg)[0]
 
 
 def _record_from_solution(problem, u, rnorm, J_R, cfg) -> FixedPointRecord:
@@ -150,7 +147,6 @@ def find_fixed_points(
     seeds: List[History],
     cfg: TranslationConfig,
     mu: float = 1.0,
-    domain: Optional[Box] = None,
 ) -> List[FixedPointRecord]:
     """Newton-refine each seed history into a fixed point of the translation
     operator; deduplicate and return records sorted deterministically.
@@ -164,7 +160,7 @@ def find_fixed_points(
             raise InvalidParameterError(
                 f"seed discretization m={seed.m} does not match cfg.m={cfg.m}"
             )
-    outs = _solve_lockstep(problem, lam, mu, [seed.values.ravel() for seed in seeds], cfg, domain)
+    outs = _solve_lockstep(problem, lam, mu, [seed.values.ravel() for seed in seeds], cfg)
     solutions = [out for out in outs if out is not None]
 
     # Deterministic order, then dedupe by sup distance of node values.
@@ -214,11 +210,8 @@ def verify_index_identity(
     for point in _lattice_points(box):
         seeds.append(History.constant(point, problem.delay, m=cfg.m))
 
-    records = find_fixed_points(problem, lam, seeds, cfg, domain=None)
-    inside = [
-        rec for rec in records
-        if all(box.contains(v) for v in rec.history.values)
-    ]
+    records = find_fixed_points(problem, lam, seeds, cfg)
+    inside = [rec for rec in records if box.contains(rec.history.values)]
     if any(rec.degenerate for rec in inside):
         raise DegeneracyError(
             "a fixed point in V is non-hyperbolic on this discretization; "

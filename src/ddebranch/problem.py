@@ -246,6 +246,8 @@ class Box:
         return float(np.max(self.upper - self.lower))
 
     def contains(self, point, tol: float = 0.0) -> bool:
+        """Whether point (d,), or every row of an (n, d) array, lies in
+        the box widened by tol."""
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
@@ -372,7 +374,7 @@ class History:
         return np.linspace(-self.delay, 0.0, self.m + 1)
 
     @classmethod
-    def constant(cls, point, delay: float, m: int = 32) -> "History":
+    def constant(cls, point, delay: float, m: int) -> "History":
         point = np.atleast_1d(np.asarray(point, dtype=float))
         values = np.tile(point, (m + 1, 1))
         return cls(delay=delay, values=values, derivs=np.zeros_like(values))

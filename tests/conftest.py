@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddebranch import Box, CoupledProblem, PeriodicFn1D
+from ddebranch.config import load_problem
 from ddebranch.degree import newton_steps
 from ddebranch.errors import TranslationUndefinedError
 from ddebranch.presets import SunflowerSetup, default_sunflower
@@ -34,6 +35,33 @@ def scalar_problem(g_scalar, a_fn=None, period=TWO_PI, delay=1.0, h=None) -> Cou
         delay=delay,
         h=h,
     )
+
+
+def unit_drive_problem(g) -> CoupledProblem:
+    """y' = -g(y) + lam: k = 0, a = -1, h = 1, so the constant solutions
+    solve g(y) = lam."""
+    return CoupledProblem(
+        dim_x=0, dim_y=1, g=g, h=lambda t, x, y, xd, yd: np.ones(1),
+        a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0, n_quad=16,
+    )
+
+
+#: unit_drive_problem(y - y^3) as a config problem block.
+FOLD_PROBLEM = {"dims": {"k": 0, "s": 1}, "T": TWO_PI, "r": 1.0, "a": "-1",
+                "g": ["y1 - y1^3"], "h": ["1"]}
+
+
+def fold_problem(form: str) -> CoupledProblem:
+    """unit_drive_problem with g = y - y^3, whose constant solutions fold
+    at lam = 2/(3 sqrt 3), in one of three forms that fail differently
+    where y^3 overflows: NumPy arithmetic ("numpy": inf, so the sweep blows
+    up), Python floats ("float": OverflowError) or the DSL ("dsl":
+    ExprEvalError)."""
+    if form == "numpy":
+        return unit_drive_problem(lambda x, y: y - y ** 3)
+    if form == "float":
+        return unit_drive_problem(lambda x, y: [float(y[0]) - float(y[0]) ** 3])
+    return load_problem({"problem": FOLD_PROBLEM, "numerics": {"n_quad": 16}}).coupled
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ a DSL problem's sweep that stops making one call of its compiled stage per
 RK4 stage, or that makes many more Python calls per sweep of the
 benchmark's forced problem, or an averaged drive that rebuilds its
 quadrature grid or re-reads gamma on it at every stage of the benchmark's
-mu < 1 sweep, or that reads gamma more than once per float stage time."""
+mu < 1 sweep, or that reads gamma more than once per float stage time.
+And every workload, at the full size the benchmark runs, must pass its own
+output check."""
 
 import dataclasses
 import importlib.util
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # Every module Tracer.install imports, so that it loads none of its own.
 from ddebranch import config, continuation, degree, expr, fields, integrator, lienard, poincare  # noqa: F401
@@ -181,3 +184,15 @@ def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):
     assert 0 < gamma_calls.count(0) <= 103
     assert sum(1 for ndim in gamma_calls if ndim) <= 1
     assert len(grids) <= 1
+
+
+@pytest.mark.parametrize("workload", _load("workloads").WORKLOADS)
+def test_workload_passes_its_check_at_full_size(workload, tmp_path):
+    # The pins only the benchmark checked before: 12 branch points and the
+    # final sup_norm of the forced branch, the sunflower index identity and
+    # the homotopy's fixed point and its index.
+    workloads = _load("workloads")
+    params, expect = workloads.make_inputs(workload, 0)
+    config_path = workloads.prepare(params, tmp_path)
+    output, problem, _ = workloads.solve(params, config_path, tmp_path)
+    assert workloads.check(workload, params, expect, problem, output, tmp_path) is None

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ddebranch import presets
 from ddebranch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from ddebranch.config import _load_periodic_expr, continuation_config, load_problem
 from ddebranch.continuation import ContinuationConfig
@@ -15,7 +16,7 @@ from ddebranch.integrator import integrate
 from ddebranch.poincare import TranslationConfig
 from ddebranch.problem import History
 
-from conftest import TWO_PI
+from conftest import FOLD_PROBLEM, TWO_PI
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -161,6 +162,20 @@ class TestDegree:
         assert err["error"]["type"] == "ExprEvalError"
         assert "(x ^ 0.5)" in err["error"]["message"]
 
+    def test_non_ascii_digit_exits_2_without_traceback(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "degree", {
+            "degree": {
+                "field": "expr", "exprs": ["p - 2\u00b2"], "vars": ["p"],
+                "box": {"lower": [-5.0], "upper": [5.0]},
+            },
+        })
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "unexpected character '\u00b2' (at offset 5)" in err["message"]
+
     def test_determinism(self, tmp_path):
         payload = {
             "degree": {
@@ -281,6 +296,20 @@ class TestBranch:
         lines = (out / "branch.csv").read_text().strip().splitlines()
         assert lines[0].startswith("lambda,residual,sup_norm,min_dist_to_trivial,u0")
 
+    def test_fold_exits_0_ending_in_newton_failure(self, tmp_path, capsys):
+        # Trials past the fold overflow y1^3 in the DSL: undefined points
+        # of the translation operator, not a config error.
+        code, out = run(tmp_path, "branch", {
+            "problem": FOLD_PROBLEM,
+            "numerics": {"m": 8, "steps_per_delay": 8},
+            "branch": {"origin": [0.0], "lambda_max": 1.0, "h0": 0.1, "h_max": 0.1, "h_min": 0.05},
+        })
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        payload = json.loads((out / "branch.json").read_text())
+        assert payload["termination"] == "newton_failure"
+        np.testing.assert_allclose([p["lambda"] for p in payload["points"]],
+                                   [0.0, 0.1, 0.2, 0.3, 0.35], rtol=1e-14)
 
     def test_component_key_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "branch", {
@@ -416,6 +445,16 @@ class TestConfigValidation:
             "problem": {"preset": "classic-sunflower", "alpha": 6.0, "beta": 1.0, "r": 1.0},
         })
         assert code == EXIT_CONFIG
+
+    def test_package_defect_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # Only the package's own errors become config errors; a bug such as
+        # a TypeError in a preset's set-up must surface as itself.
+        def broken(*args):
+            raise TypeError("defect in the preset set-up")
+
+        monkeypatch.setattr(presets, "sunflower_setup", broken)
+        with pytest.raises(TypeError, match="defect in the preset set-up"):
+            run(tmp_path, "sigma", {"problem": {"preset": "sunflower"}})
 
     @pytest.mark.parametrize("problem", [CUBIC_PROBLEM, {"preset": "sunflower"}])
     def test_load_problem_reads_n_quad(self, problem):

@@ -12,7 +12,6 @@ from ddebranch import (
     ContinuationConfig,
     CoupledProblem,
     History,
-    PeriodicFn1D,
     TranslationConfig,
     continue_branch,
     translate,
@@ -26,7 +25,7 @@ from ddebranch.continuation import (
 )
 from ddebranch.errors import InvalidParameterError
 
-from conftest import TWO_PI, periodic, scalar_problem
+from conftest import TWO_PI, fold_problem, periodic, scalar_problem, unit_drive_problem
 
 FAST = ContinuationConfig(h0=0.05, h_max=0.05, m=16, steps_per_delay=16)
 
@@ -55,21 +54,14 @@ class TestTrivialBranches:
         assert np.allclose(branch.points[0].history.values, 1.0)
 
 
-def _unit_drive_problem(g):
-    """y' = -g(y) + lam: k = 0, a = -1, h = 1, so the constant solutions
-    solve g(y) = lam."""
-    return CoupledProblem(
-        dim_x=0, dim_y=1, g=g, h=lambda t, x, y, xd, yd: np.ones(1),
-        a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0, n_quad=16,
-    )
-
-
 class TestTerminations:
-    def test_fold_ends_in_newton_failure_after_halving_to_h_min(self):
+    @pytest.mark.parametrize("form", ["numpy", "float", "dsl"])
+    def test_fold_ends_in_newton_failure_after_halving_to_h_min(self, form):
         # y - y^3 = lam folds at lam* = 2/(3 sqrt 3) = 0.3849: the step to
         # 0.4 fails and halves to 0.35; from there 0.45 and 0.40 fail, and
-        # the second failure is at h_min.
-        prob = _unit_drive_problem(lambda x, y: y - y ** 3)
+        # the second failure is at h_min.  Trials past the fold overflow
+        # y^3, which ends their sweeps however g is written.
+        prob = fold_problem(form)
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
         branch = continue_branch(prob, [0.0], 1.0, cfg)
         assert branch.termination == TERMINATION_NEWTON
@@ -81,7 +73,7 @@ class TestTerminations:
             assert y - y ** 3 == pytest.approx(p.lam, abs=1e-8)
 
     def test_first_step_failing_at_h_min_keeps_the_origin_alone(self):
-        prob = _unit_drive_problem(lambda x, y: y - y ** 3)
+        prob = unit_drive_problem(lambda x, y: y - y ** 3)
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.5, h_max=0.5, h_min=0.5)
         branch = continue_branch(prob, [0.0], 1.0, cfg)
         assert branch.termination == TERMINATION_NEWTON
@@ -90,7 +82,7 @@ class TestTerminations:
     def test_sup_norm_above_1e6_ends_in_norm_blowup(self):
         # g = y puts the constant solution at y* = lam: 4e5 and 8e5 are
         # kept, and 1.2e6 is past the blowup bound.
-        prob = _unit_drive_problem(lambda x, y: y)
+        prob = unit_drive_problem(lambda x, y: y)
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=4e5, h_max=4e5, h_min=1.0)
         branch = continue_branch(prob, [0.0], 2e6, cfg)
         assert branch.termination == TERMINATION_BLOWUP

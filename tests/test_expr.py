@@ -78,6 +78,17 @@ class TestErrors:
             dsl.parse("1 + @", set())
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize("source, offset, char", [
+        # str.isdigit takes both; float() rejects the first and reads the
+        # second as 3.
+        ("p - 2\u00b2", 5, "\u00b2"),
+        ("x + \u0663", 4, "\u0663"),
+    ])
+    def test_non_ascii_digit_is_unexpected(self, source, offset, char):
+        with pytest.raises(ExprSyntaxError, match=f"unexpected character {char!r}") as exc:
+            dsl.parse(source, {"p", "x"})
+        assert exc.value.offset == offset
+
     def test_unbalanced_paren(self):
         with pytest.raises(ExprSyntaxError):
             dsl.parse("sin(x", {"x"})

@@ -20,15 +20,26 @@ from ddebranch import (
     verify_index_identity,
 )
 from ddebranch import poincare
-from ddebranch.config import load_problem
+from ddebranch.config import _TRANSLATION_SETTINGS, load_problem
 from ddebranch.continuation import TERMINATION_LAMBDA_MAX
-from ddebranch.errors import DegeneracyError, InvalidParameterError, TranslationUndefinedError
+from ddebranch.errors import (
+    DegeneracyError,
+    ExprEvalError,
+    InvalidParameterError,
+    TranslationUndefinedError,
+)
 from ddebranch.poincare import _newton_fixed_point, _residual
 from ddebranch.problem import BatchField
 
-from conftest import TWO_PI, damped_newton, fd_jacobian, periodic, scalar_problem
+from conftest import TWO_PI, damped_newton, fd_jacobian, fold_problem, periodic, scalar_problem
 
 CFG = TranslationConfig(m=16, steps_per_delay=16)
+
+
+def _undefined_above(edge, g):
+    """g(y) for y <= edge; above it a float division by zero, an
+    ArithmeticError, so that translate is undefined there."""
+    return lambda y: g(y) if y <= edge else 1.0 / 0.0
 
 
 def cubic_problem():
@@ -70,6 +81,16 @@ class TestTranslate:
         with pytest.raises(TranslationUndefinedError):
             translate(prob, 0.0, 1.0, init, CFG)
 
+    @pytest.mark.parametrize("form, cause", [("float", OverflowError), ("dsl", ExprEvalError)])
+    def test_field_error_surfaces_as_undefined(self, form, cause):
+        # From y = 1e5, y^3 overflows within the first RK4 step: an
+        # OverflowError on Python floats and an ExprEvalError in the DSL.
+        prob = fold_problem(form)
+        init = History.constant([1e5], 1.0, m=16)
+        with pytest.raises(TranslationUndefinedError) as exc:
+            translate(prob, 1.0, 1.0, init, CFG)
+        assert isinstance(exc.value.__cause__, cause)
+
 
 class TestFindFixedPoints:
     def test_constant_histories_at_nu_zeros(self):
@@ -110,15 +131,15 @@ class TestFindFixedPoints:
         records = find_fixed_points(prob, 0.0, seeds, CFG)
         assert len(records) == 1
 
-    def test_jacobian_at_converged_seed_leaving_domain(self):
+    def test_jacobian_at_converged_seed_undefined(self):
         # y' = 0 fixes every constant history, so the seed has zero residual
         # at once; the Jacobian formed there raises the terminal node by
-        # fd_step past the box edge, which makes the seed fail, not crash.
-        prob = scalar_problem(lambda y: 0.0)
+        # fd_step to where g is undefined, which makes the seed fail, not
+        # crash.
+        prob = scalar_problem(_undefined_above(0.6 + 1e-7, lambda y: 0.0))
         cfg = TranslationConfig(m=8, steps_per_delay=8)
         seed = History.constant([0.6], 1.0, m=8)
-        domain = Box(lower=[-1.0], upper=[0.6 + 1e-7])
-        assert find_fixed_points(prob, 0.0, [seed], cfg, domain=domain) == []
+        assert find_fixed_points(prob, 0.0, [seed], cfg) == []
 
     def test_fixed_point_distance_shrinks_with_lambda(self):
         # With a perturbation h the fixed point moves off the nu-zero by
@@ -191,31 +212,34 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, bad", [
         ("fd_step", 0.0),
         ("fd_step", -1e-6),
-        ("newton_max_iter", 0),
         ("steps_per_delay", 7),
     ])
     def test_rejected_values_name_the_field(self, field, bad):
         with pytest.raises(InvalidParameterError, match=field):
             TranslationConfig(**{field: bad})
-        if field != "newton_max_iter":
-            with pytest.raises(InvalidParameterError, match=field):
-                ContinuationConfig(**{field: bad})
+        with pytest.raises(InvalidParameterError, match=field):
+            ContinuationConfig(**{field: bad})
+
+    def test_every_setting_is_a_numerics_key(self):
+        names = [f.name for f in dataclasses.fields(TranslationConfig)]
+        assert names == ["m", "steps_per_delay", "newton_tol", "fd_step"]
+        assert names == list(_TRANSLATION_SETTINGS)
 
 
-def _batched_jacobian(problem, lam, mu, u, r0, cfg, domain):
+def _batched_jacobian(problem, lam, mu, u, r0, cfg):
     """The Jacobian of R as the lockstep solver forms it: the n perturbed
     inputs translated as rows of one sweep."""
-    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg, domain)
+    rows_residual = lambda rows: _residual(problem, lam, mu, rows, cfg)
     return fd_jacobian(rows_residual, u, r0, cfg.fd_step)
 
 
-def _column_loop_jacobian(problem, lam, mu, u, r0, cfg, domain):
+def _column_loop_jacobian(problem, lam, mu, u, r0, cfg):
     """Reference Jacobian: one translate per perturbed column."""
     J = np.empty((u.size, u.size))
     for j in range(u.size):
         vp = u.copy()
         vp[j] += cfg.fd_step
-        J[:, j] = (_residual(problem, lam, mu, vp, cfg, domain) - r0) / cfg.fd_step
+        J[:, j] = (_residual(problem, lam, mu, vp, cfg) - r0) / cfg.fd_step
     return J
 
 
@@ -236,9 +260,9 @@ class TestBatchedJacobian:
 
     def _assert_matches_column_loop(self, problem, lam, mu, u):
         cfg = self.CFG8
-        r0 = _residual(problem, lam, mu, u, cfg, None)
-        J = _batched_jacobian(problem, lam, mu, u, r0, cfg, None)
-        J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg, None)
+        r0 = _residual(problem, lam, mu, u, cfg)
+        J = _batched_jacobian(problem, lam, mu, u, r0, cfg)
+        J_ref = _column_loop_jacobian(problem, lam, mu, u, r0, cfg)
         assert J.shape == (u.size, u.size)
         assert np.max(np.abs(J - J_ref)) <= 1e-12 * max(1.0, np.max(np.abs(J_ref)))
 
@@ -268,39 +292,38 @@ class TestBatchedJacobian:
         problem = dataclasses.replace(sunflower.coupled, n_quad=16)
         self._assert_matches_column_loop(problem, 1e-3, 0.5, _wavy_history(8, 0.05))
 
-    def test_domain_exit_of_one_column_fails_both(self):
-        # y' = a(t)(y - y^3) decreases from 0.95, so the unperturbed input
-        # stays in the box; only the column that raises the terminal node
-        # by fd_step starts outside it.
-        prob = cubic_problem()
+    def test_undefined_column_fails_both(self):
+        # y' = a(t)(y - y^3) decreases from 0.95, so g is defined on the
+        # unperturbed sweep; only the column that raises the terminal node
+        # by fd_step starts where g is undefined.
         cfg = self.CFG8
-        box = Box(lower=[-1.0], upper=[0.95 + 0.1 * cfg.fd_step])
+        prob = scalar_problem(_undefined_above(0.95 + 0.1 * cfg.fd_step, lambda y: y - y ** 3))
         u0 = np.full(cfg.m + 1, 0.95)
-        r0 = _residual(prob, 0.0, 1.0, u0, cfg, box)
+        r0 = _residual(prob, 0.0, 1.0, u0, cfg)
         assert np.max(np.abs(r0)) > cfg.newton_tol
-        escaping = u0.copy()
-        escaping[-1] += cfg.fd_step
+        raised = u0.copy()
+        raised[-1] += cfg.fd_step
         with pytest.raises(TranslationUndefinedError):
-            _residual(prob, 0.0, 1.0, escaping, cfg, box)
+            _residual(prob, 0.0, 1.0, raised, cfg)
         for jacobian in (_batched_jacobian, _column_loop_jacobian):
             with pytest.raises(TranslationUndefinedError):
-                jacobian(prob, 0.0, 1.0, u0, r0, cfg, box)
-        assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg, domain=box) is None
+                jacobian(prob, 0.0, 1.0, u0, r0, cfg)
+        assert _newton_fixed_point(prob, 0.0, 1.0, u0, cfg) is None
         assert damped_newton(
-            lambda u: _residual(prob, 0.0, 1.0, u, cfg, box),
-            lambda u, r: _column_loop_jacobian(prob, 0.0, 1.0, u, r, cfg, box),
-            u0, cfg.newton_tol, cfg.newton_max_iter,
+            lambda u: _residual(prob, 0.0, 1.0, u, cfg),
+            lambda u, r: _column_loop_jacobian(prob, 0.0, 1.0, u, r, cfg),
+            u0, cfg.newton_tol, poincare._NEWTON_MAX_ITER,
         ) is None
 
 
-def _solve_each_alone(problem, lam, mu, seeds, cfg, domain=None):
+def _solve_each_alone(problem, lam, mu, seeds, cfg):
     """Reference for poincare._solve_lockstep: one damped_newton per seed,
     its residuals unbatched and its Jacobians one sweep each."""
     return [
         damped_newton(
-            lambda u: _residual(problem, lam, mu, u, cfg, domain),
-            lambda u, r: _batched_jacobian(problem, lam, mu, u, r, cfg, domain),
-            u0, cfg.newton_tol, cfg.newton_max_iter,
+            lambda u: _residual(problem, lam, mu, u, cfg),
+            lambda u, r: _batched_jacobian(problem, lam, mu, u, r, cfg),
+            u0, cfg.newton_tol, poincare._NEWTON_MAX_ITER,
         )
         for u0 in seeds
     ]
@@ -324,7 +347,7 @@ class TestLockstep:
 
     CFG8 = TranslationConfig(m=8, steps_per_delay=8)
 
-    def _assert_matches_alone(self, monkeypatch, problem, lam, seeds, mu=1.0, domain=None):
+    def _assert_matches_alone(self, monkeypatch, problem, lam, seeds, mu=1.0):
         """find_fixed_points in lockstep, then with each seed solved alone:
         the per-seed solutions and the records must be the same bits."""
         solutions = {}
@@ -335,7 +358,7 @@ class TestLockstep:
                 return solutions[name]
 
             monkeypatch.setattr(poincare, "_solve_lockstep", recorded)
-            return find_fixed_points(problem, lam, seeds, self.CFG8, mu=mu, domain=domain)
+            return find_fixed_points(problem, lam, seeds, self.CFG8, mu=mu)
 
         records = run("lockstep", poincare._solve_lockstep)
         want = run("alone", _solve_each_alone)
@@ -372,12 +395,12 @@ class TestLockstep:
         out = self._assert_matches_alone(monkeypatch, problem, 0.7, seeds)
         assert all(o is not None for o in out)
 
-    def test_trial_step_leaving_domain_next_to_converging_seed(self, monkeypatch):
+    def test_trial_step_blowing_up_next_to_converging_seed(self, monkeypatch):
         # With a slow drive y' = -0.05 (y - y^3), the first full Newton step
-        # from y = 0.6 overshoots the box; the merged sweep of that trial
-        # and the other seed's raises, and each is rerun alone.
+        # from y = 0.6 overshoots to where the sweep blows up; the merged
+        # sweep of that trial and the other seed's raises, and each is
+        # rerun alone.
         prob = scalar_problem(lambda y: y - y ** 3, a_fn=lambda t: -0.05)
-        box = Box(lower=[-1.5], upper=[1.5])
         seeds = [History.constant([v], 1.0, m=8) for v in (0.6, 0.1)]
         sweeps = []
         residual = poincare._residual
@@ -393,11 +416,11 @@ class TestLockstep:
 
         monkeypatch.setattr(poincare, "_residual", logged)
         flat = [seed.values.ravel() for seed in seeds]
-        out = poincare._solve_lockstep(prob, 0.0, 1.0, flat, self.CFG8, box)
+        out = poincare._solve_lockstep(prob, 0.0, 1.0, flat, self.CFG8)
         assert sweeps[1:4] == [(20, "undefined"), (10, "undefined"), (10, "ok")]
         assert all(o is not None for o in out)
         monkeypatch.undo()
-        self._assert_matches_alone(monkeypatch, prob, 0.0, seeds, domain=box)
+        self._assert_matches_alone(monkeypatch, prob, 0.0, seeds)
 
     def test_singular_jacobian_next_to_converging_seed(self, monkeypatch):
         # g vanishes for y >= 2, so there the image of a history is the
@@ -439,9 +462,9 @@ class TestNewtonWork:
         out = _newton_fixed_point(problem, 0.7, 1.0, u0, cfg)
         assert out is not None
         u, rnorm, J = out
-        r = _residual(problem, 0.7, 1.0, u, cfg, None)
+        r = _residual(problem, 0.7, 1.0, u, cfg)
         assert rnorm == float(np.max(np.abs(r)))
-        assert np.array_equal(J, _batched_jacobian(problem, 0.7, 1.0, u, r, cfg, None))
+        assert np.array_equal(J, _batched_jacobian(problem, 0.7, 1.0, u, r, cfg))
 
     def test_forced_branch_sweeps(self, monkeypatch):
         # The forced branch of the benchmark (amplitude 0.5) at m = 8.

@@ -250,6 +250,20 @@ class TestBox:
         assert not b.contains([1.5, 1.0])
         assert b.contains([1.0 + 1e-9, 1.0], tol=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    def test_history_values_are_tested_row_by_row(self, tol):
+        # An (m+1, d) array of node values is inside when every row is,
+        # as the loop over rows that contains replaced decided.
+        b = Box(lower=[-1.0, 0.0], upper=[1.0, 2.0])
+        inside = np.column_stack([np.linspace(-0.9, 0.9, 9), np.linspace(0.1, 1.9, 9)])
+        on_edge = inside.copy()
+        on_edge[4] = [1.0 + 0.5e-8, 2.0]
+        outside = inside.copy()
+        outside[7] = [0.5, 2.5]
+        for values, want in ((inside, True), (on_edge, tol > 0), (outside, False)):
+            assert b.contains(values, tol=tol) is want
+            assert all(b.contains(v, tol=tol) for v in values) is want
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidParameterError):
             Box(lower=[0.0], upper=[0.0])
