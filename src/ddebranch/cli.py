@@ -60,6 +60,11 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _check_dim(got: int, dim: int, key: str):
+    if got != dim:
+        raise ConfigError(f"{key}: dimension {got} does not match problem dimension {dim}")
+
+
 def cmd_integrate(config: dict, out: Path, args) -> int:
     block = _require(config, "integrate", "config")
     _check_keys(block, _INTEGRATE_KEYS, "integrate")
@@ -164,6 +169,7 @@ def cmd_verify_index(config: dict, out: Path, args) -> int:
     lam = _number(block, "lambda", "verify_index", positive=True)
     box = _parse_box(_require(block, "box", "verify_index"), "verify_index.box")
     loaded = load_problem(config)
+    _check_dim(box.dim, loaded.coupled.dim, "verify_index.box")
     report = verify_index_identity(loaded.coupled, lam, box, translation_config(config))
     report["config"] = config
     path = out / "index_identity.json"
@@ -179,6 +185,9 @@ def cmd_branch(config: dict, out: Path, args) -> int:
     cfg = continuation_config(config)
     loaded = load_problem(config)
     origin = _numbers(_require(block, "origin", "branch"), "branch.origin")
+    _check_dim(origin.size, loaded.coupled.dim, "branch.origin")
+    if cfg.domain is not None:
+        _check_dim(cfg.domain.dim, loaded.coupled.dim, "branch.domain")
     lambda_max = _number(block, "lambda_max", "branch")
     branch = continue_branch(loaded.coupled, origin, lambda_max, cfg)
     csv_path = out / "branch.csv"

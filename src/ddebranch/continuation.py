@@ -113,7 +113,7 @@ def _trivial_zeros(problem: CoupledProblem, origin: np.ndarray, domain: Optional
 
     A planar box is skipped: its winding-number degree locates no zeros.
     """
-    if domain is not None and domain.dim == problem.dim and domain.dim != 2:
+    if domain is not None and domain.dim != 2:
         try:
             report = degree_auto(nu_field(problem), domain)
             if report.zeros:
@@ -143,9 +143,12 @@ def continue_branch(
     existence theorems only back branches from nonzero-degree zeros.
     """
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
-    if origin.size != problem.dim:
+    dim = problem.dim
+    if origin.size != dim:
+        raise InvalidParameterError(f"origin has dimension {origin.size}, problem has {dim}")
+    if cfg.domain is not None and cfg.domain.dim != dim:
         raise InvalidParameterError(
-            f"origin has dimension {origin.size}, problem has {problem.dim}"
+            f"domain box dimension {cfg.domain.dim} does not match problem dimension {dim}"
         )
     nu = nu_field(problem)
     nu0 = float(np.max(np.abs(nu(origin))))
@@ -154,7 +157,6 @@ def continue_branch(
             f"origin is not a zero of nu (|nu| = {nu0:.2e} > 1e-8)"
         )
     zeros = _trivial_zeros(problem, origin, cfg.domain)
-    dim = problem.dim
 
     hist0 = History.constant(origin, problem.delay, m=cfg.m)
     points = [
@@ -168,11 +170,6 @@ def continue_branch(
     ]
     if lambda_max <= 0:
         return Branch(points=points, origin=origin, termination=TERMINATION_LAMBDA_MAX)
-
-    if cfg.domain is not None and cfg.domain.dim != dim:
-        raise InvalidParameterError(
-            f"domain box dimension {cfg.domain.dim} does not match problem dimension {dim}"
-        )
 
     lam = 0.0
     h = cfg.h0

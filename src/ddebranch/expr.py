@@ -99,6 +99,7 @@ class Expr:
     allowed_vars: FrozenSet[str]
 
     def __str__(self):
+        """Fully parenthesized rendering; parse(str(e)) reproduces the AST."""
         return str(self.root)
 
     def free_vars(self) -> Set[str]:
@@ -485,8 +486,3 @@ def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
     """IEEE double evaluation of e under the given bindings, each cast to
     float: compile_expr's function on floats, with its ExprEvalErrors."""
     return compile_expr(e)({name: float(v) for name, v in bindings.items()})
-
-
-def pretty(e: Expr) -> str:
-    """Fully parenthesized rendering; parse(pretty(e)) reproduces the AST."""
-    return str(e.root)

@@ -100,7 +100,7 @@ def v_lambda_field(problem: CoupledProblem, lam: float) -> FieldHandle:
     """The scaled field ((lam/<a>) * w_f, lam * g) of the degree
     cross-checks: nu's values times lam/<a> (w_f) and lam (g) per component."""
     if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise InvalidParameterError(f"lambda must be positive, got {lam}")
     if abs(problem.abar) < 1e-12:
         raise ZeroAverageError("v_lambda requires <a> != 0")
     nu = nu_field(problem)

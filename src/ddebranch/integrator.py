@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BlowupError, InvalidParameterError
 from .fields import make_wf
-from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _hermite_deriv, _hermite_eval
+from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array
 
 BLOWUP_THRESHOLD = 1e9
 #: The flows take a step of at most t / FLOW_STEPS.
@@ -59,30 +59,16 @@ class Trajectory:
 
     def eval(self, t):
         """Solution value at time t (scalar or array), t in [-r, t_end]."""
-        return self._dense(t, (_hermite_eval,))[0]
-
-    def deriv(self, t):
-        """Time derivative of the interpolant at t; one-sided (the history's
-        own slopes) for t <= 0."""
-        return self._dense(t, (_hermite_deriv,))[0]
-
-    def eval_with_deriv(self, t):
-        """(eval(t), deriv(t)), read from one segment lookup."""
-        return self._dense(t, (_hermite_eval, _hermite_deriv))
-
-    def _dense(self, t, kernels):
         ts = np.asarray(t, dtype=float)
         if np.any(ts < -self.init.delay - 1e-12):
             raise InvalidParameterError(f"time {float(ts.min())} precedes the history interval")
-        outs = [np.empty(ts.shape + self.states.shape[1:]) for _ in kernels]
-        before = ts <= 0.0
-        pieces = ((before, self.init.grid, self.init.values, self.init.derivs),
-                  (~before, self.times, self.states, self.slopes))
-        for mask, grid, values, derivs in pieces:
-            if mask.any():
-                for out, part in zip(outs, _hermite_array(grid, values, derivs, ts[mask], kernels)):
-                    out[mask] = part
-        return outs
+        out = np.empty(ts.shape + self.states.shape[1:])
+        before, init = ts <= 0.0, self.init
+        if before.any():
+            out[before] = _hermite_array(init.grid, init.values, init.derivs, ts[before])
+        if not before.all():
+            out[~before] = _hermite_array(self.times, self.states, self.slopes, ts[~before])
+        return out
 
     def to_csv(self, path, resolution: int = 400):
         """Write t, x1..xk, y1..ys samples at the requested resolution."""
@@ -190,7 +176,7 @@ def integrate(
             f"history covers [-{init.delay}, 0] but the problem delay is {r}"
         )
     single = init.values.ndim == 2
-    batch = History(init.delay, init.values[:, None], init.derivs[:, None]) if single else init
+    batch = History(init.delay, init.values[:, None]) if single else init
     h = r / steps_per_delay
     rhs = _make_rhs(problem, lam, mu)
 
@@ -224,7 +210,7 @@ def integrate(
         if lam == 0.0:  # the right-hand side reads no delayed value
             return no_reads
         nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
-        return _hermite_array(*nodes, tau[2 * j:2 * (j + steps_per_delay) + 1], (_hermite_eval,))[0]
+        return _hermite_array(*nodes, tau[2 * j:2 * (j + steps_per_delay) + 1])
 
     with np.errstate(all="ignore"):
         state = batch.terminal()
@@ -265,8 +251,7 @@ def flow_unperturbed(problem: CoupledProblem, point, t: float) -> np.ndarray:
     r = problem.delay
     # At lambda = 0 no delayed value enters the right-hand side, so the
     # coarsest history grid (m = 8) serves.
-    values = np.broadcast_to(points, (9,) + points.shape).copy()
-    init = History(delay=r, values=values, derivs=np.zeros_like(values))
+    init = History(r, np.broadcast_to(points, (9,) + points.shape).copy())
     steps_per_delay = max(8, math.ceil(FLOW_STEPS * r / t))
     return integrate(problem, 0.0, 1.0, init, t, steps_per_delay).states[-1]
 

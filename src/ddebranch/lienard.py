@@ -39,7 +39,6 @@ from .problem import (
     simpson_mean,
     _hermite,
     _hermite_array,
-    _hermite_eval,
     _sample_at,
 )
 
@@ -137,7 +136,7 @@ def _periodic_hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) 
         if isinstance(t, float) or np.ndim(t) == 0:
             return float(_hermite(nodes, values, slopes, float(t) % T))
         t = np.mod(np.asarray(t, dtype=float), T)
-        return _hermite_array(grid, values, slopes, t, (_hermite_eval,))[0]
+        return _hermite_array(grid, values, slopes, t)
 
     return PeriodicFn1D(eval=evaluate, period=T)
 

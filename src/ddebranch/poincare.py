@@ -94,8 +94,7 @@ def translate(
         traj = integrate(problem, lam, mu, init, T, cfg.steps_per_delay)
     except (BlowupError, ExprEvalError, ArithmeticError) as exc:
         raise TranslationUndefinedError(str(exc)) from exc
-    values, derivs = traj.eval_with_deriv(T + np.linspace(-r, 0.0, cfg.m + 1))
-    return History(delay=r, values=values, derivs=derivs)
+    return History(r, traj.eval(T + np.linspace(-r, 0.0, cfg.m + 1)))
 
 
 def _residual(problem, lam, mu, u, cfg):

@@ -251,9 +251,6 @@ class Box:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
 
 def _hermite_eval(u, dt, y0, d0, y1, d1):
     """Cubic Hermite value on one segment; u in [0,1], dt segment length."""
@@ -266,28 +263,18 @@ def _hermite_eval(u, dt, y0, d0, y1, d1):
     return y0 * h00 + d0 * (dt * h10) + y1 * h01 + d1 * (dt * h11)
 
 
-def _hermite_deriv(u, dt, y0, d0, y1, d1):
-    u2 = u * u
-    dh00 = (6.0 * u2 - 6.0 * u) / dt
-    dh10 = 3.0 * u2 - 4.0 * u + 1.0
-    dh01 = (-6.0 * u2 + 6.0 * u) / dt
-    dh11 = 3.0 * u2 - 2.0 * u
-    return y0 * dh00 + d0 * dh10 + y1 * dh01 + d1 * dh11
-
-
 _NODE_SNAP = 1e-9  # a read this close to a node, in units of its segment, is at the node
 
 
-def _hermite(grid, values, derivs, t, deriv=False):
-    """Piecewise cubic Hermite interpolant, or with deriv its derivative, at t.
+def _hermite(grid, values, derivs, t):
+    """Piecewise cubic Hermite interpolant of node values and slopes at t.
 
     grid is any increasing sequence of nodes; values and derivs have shape
     (len(grid), ...).  A t within _NODE_SNAP of a node reads that node's own
-    value (or slope) exactly, and a t outside the grid the nearer end node.
-    A scalar t bisects the grid and returns shape values.shape[1:]; an array
-    t returns t.shape + values.shape[1:] (see _hermite_array).
+    value exactly, and a t outside the grid the nearer end node.  A scalar
+    t bisects the grid and returns shape values.shape[1:]; an array t
+    returns t.shape + values.shape[1:] (see _hermite_array).
     """
-    kernel = _hermite_deriv if deriv else _hermite_eval
     if isinstance(t, float) or np.ndim(t) == 0:
         t = float(t)
         i = min(max(bisect_right(grid, t) - 1, 0), len(grid) - 2)
@@ -295,16 +282,15 @@ def _hermite(grid, values, derivs, t, deriv=False):
         dt = float(grid[i + 1]) - g0
         u = (t - g0) / dt
         if u < _NODE_SNAP or u > 1.0 - _NODE_SNAP:
-            return (derivs if deriv else values)[i if u < 0.5 else i + 1].copy()
-        return kernel(u, dt, values[i], derivs[i], values[i + 1], derivs[i + 1])
-    return _hermite_array(grid, values, derivs, t, (kernel,))[0]
+            return values[i if u < 0.5 else i + 1].copy()
+        return _hermite_eval(u, dt, values[i], derivs[i], values[i + 1], derivs[i + 1])
+    return _hermite_array(grid, values, derivs, t)
 
 
-def _hermite_array(grid, values, derivs, t, kernels):
-    """_hermite at an array t for each of kernels (_hermite_eval for values,
-    _hermite_deriv for slopes), from one segment lookup; returns a list.
-    As in _hermite, a t that snaps to a node reads that node's value (or
-    slope) itself, and only the other times evaluate the cubic."""
+def _hermite_array(grid, values, derivs, t):
+    """_hermite at an array t, from one segment lookup.  As in _hermite, a
+    t that snaps to a node reads that node's value itself, and only the
+    other times evaluate the cubic."""
     grid = np.asarray(grid, dtype=float)
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
@@ -312,15 +298,14 @@ def _hermite_array(grid, values, derivs, t, kernels):
     g0 = grid[i]
     dt = grid[i + 1] - g0
     u = (ts - g0) / dt
-    outs = [(derivs if kernel is _hermite_deriv else values)[i + (u > 0.5)] for kernel in kernels]
+    out = values[i + (u > 0.5)]
     inner = np.flatnonzero(~((u < _NODE_SNAP) | (u > 1.0 - _NODE_SNAP)))  # not snapped; a nan t too
     if len(inner):
         i = i[inner]
         col = (len(i),) + (1,) * (values.ndim - 1)
-        segment = (u[inner].reshape(col), dt[inner].reshape(col), values[i], derivs[i], values[i + 1], derivs[i + 1])
-        for out, kernel in zip(outs, kernels):
-            out[inner] = kernel(*segment)
-    return [out.reshape(t.shape + values.shape[1:]) for out in outs]
+        out[inner] = _hermite_eval(u[inner].reshape(col), dt[inner].reshape(col),
+                                   values[i], derivs[i], values[i + 1], derivs[i + 1])
+    return out.reshape(t.shape + values.shape[1:])
 
 
 def _node_array(values) -> np.ndarray:
@@ -330,36 +315,52 @@ def _node_array(values) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else np.atleast_2d(values)
 
 
-def _check_history_grid(delay: float, n_nodes: int):
-    if delay <= 0:
-        raise InvalidParameterError(f"delay must be positive, got {delay}")
-    if n_nodes < 9:
-        raise InvalidParameterError("history needs at least m = 8 (9 nodes)")
+def _not_a_knot_slopes(history: "History") -> np.ndarray:
+    """A history's node slopes (History.derivs): those of the not-a-knot
+    cubic spline through its node values.
+
+    On the uniform grid, in units of the spacing h = delay/m, the slopes
+    solve s_{i-1} + 4 s_i + s_{i+1} = 3 (D_{i-1} + D_i) at interior nodes
+    (D_i = (v_{i+1} - v_i)/h) and s_0 + 2 s_1 = (5 D_0 + D_1)/2 with its
+    mirror image at the ends: one dense solve against all B*d columns.
+    """
+    values, m = history.values, history.m
+    delta = np.diff(values, axis=0).reshape(m, -1) / (history.delay / m)
+    A = np.zeros((m + 1, m + 1))
+    i = np.arange(1, m)
+    A[i, i - 1] = A[i, i + 1] = 1.0
+    A[i, i] = 4.0
+    A[0, :2] = A[m, m:m - 2:-1] = 1.0, 2.0
+    b = np.empty((m + 1, delta.shape[1]))
+    b[1:m] = 3.0 * (delta[:-1] + delta[1:])
+    b[0] = 0.5 * (5.0 * delta[0] + delta[1])
+    b[m] = 0.5 * (5.0 * delta[-1] + delta[-2])
+    return np.linalg.solve(A, b).reshape(values.shape)
 
 
 @dataclass(frozen=True)
 class History:
     """A sampled function on [-r, 0] with cubic Hermite interpolation.
 
-    values and derivs have shape (m+1, d), or (m+1,) for a scalar history
-    (stored as (m+1, 1)); node j sits at -r + j*r/m.  A batch of B
-    histories on the same grid has shape (m+1, B, d), and every method
-    then works on all B at once.  Reads go through _hermite on the
-    node grid (built once): within 1e-9 node spacings, a node reads exactly.
+    values has shape (m+1, d), or (m+1,) for a scalar history (stored as
+    (m+1, 1)); node j sits at -r + j*r/m.  A batch of B histories on the
+    same grid has shape (m+1, B, d), and every method then works on all B
+    at once.  A history is its node values: the node slopes (derivs) are
+    derived from them, so the discretized translation operator is a
+    function of the values only.  Reads go through _hermite on the node
+    grid (built once): within 1e-9 node spacings, a node reads exactly.
     """
 
     delay: float
     values: np.ndarray
-    derivs: np.ndarray
 
     def __post_init__(self):
         values = _node_array(self.values)
-        derivs = _node_array(self.derivs)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "derivs", derivs)
-        _check_history_grid(self.delay, values.shape[0])
-        if values.shape != derivs.shape:
-            raise InvalidParameterError("values and derivs must have the same shape")
+        if self.delay <= 0:
+            raise InvalidParameterError(f"delay must be positive, got {self.delay}")
+        if values.shape[0] < 9:
+            raise InvalidParameterError("history needs at least m = 8 (9 nodes)")
 
     @property
     def m(self) -> int:
@@ -373,40 +374,17 @@ class History:
     def grid(self) -> np.ndarray:
         return np.linspace(-self.delay, 0.0, self.m + 1)
 
+    derivs = cached_property(_not_a_knot_slopes)
+
     @classmethod
     def constant(cls, point, delay: float, m: int) -> "History":
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        values = np.tile(point, (m + 1, 1))
-        return cls(delay=delay, values=values, derivs=np.zeros_like(values))
+        return cls(delay, np.tile(np.atleast_1d(np.asarray(point, dtype=float)), (m + 1, 1)))
 
     @classmethod
     def from_values(cls, values: np.ndarray, delay: float) -> "History":
-        """Build a history from node values alone; node slopes are those of
-        the not-a-knot cubic spline through the values (deterministic, so
-        the discretized translation operator is a function of the values
-        only).  values of shape (m+1,) give a scalar history, (m+1, B, d)
-        a batch.
-
-        On the uniform grid, in units of the spacing h = delay/m, the slopes
-        solve s_{i-1} + 4 s_i + s_{i+1} = 3 (D_{i-1} + D_i) at interior nodes
-        (D_i = (v_{i+1} - v_i)/h) and s_0 + 2 s_1 = (5 D_0 + D_1)/2 with its
-        mirror image at the ends: one dense solve against all B*d columns.
-        """
-        values = _node_array(values)
-        _check_history_grid(delay, values.shape[0])
-        m = values.shape[0] - 1
-        delta = np.diff(values, axis=0).reshape(m, -1) / (delay / m)
-        A = np.zeros((m + 1, m + 1))
-        i = np.arange(1, m)
-        A[i, i - 1] = A[i, i + 1] = 1.0
-        A[i, i] = 4.0
-        A[0, :2] = A[m, m:m - 2:-1] = 1.0, 2.0
-        b = np.empty((m + 1, delta.shape[1]))
-        b[1:m] = 3.0 * (delta[:-1] + delta[1:])
-        b[0] = 0.5 * (5.0 * delta[0] + delta[1])
-        b[m] = 0.5 * (5.0 * delta[-1] + delta[-2])
-        derivs = np.linalg.solve(A, b).reshape(values.shape)
-        return cls(delay=delay, values=values, derivs=derivs)
+        """The history with these node values: (m+1,) gives a scalar
+        history, (m+1, B, d) a batch."""
+        return cls(delay, values)
 
     def eval(self, theta):
         """Interpolated value(s) at theta in [-r, 0]; exact at node points."""
@@ -513,6 +491,3 @@ class CoupledProblem:
         if self.h is None:
             return np.zeros(np.shape(y)[:-1] + (self.dim_y,))
         return eval_batch(self.h, t, x, y, xd, yd)
-
-    def split(self, state: np.ndarray):
-        return state[: self.dim_x], state[self.dim_x:]

@@ -41,6 +41,9 @@ CUBIC_PROBLEM = {
 
 CUBIC_BRANCH = {"origin": [0.0], "lambda_max": 0.1}
 
+BOX_2D = {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]}
+BOX_3D = {"lower": [-2.0] * 3, "upper": [2.0] * 3}
+
 #: One valid block per command on CUBIC_PROBLEM; a test overrides some.
 CUBIC_RUNS = {
     "problem": CUBIC_PROBLEM,
@@ -490,6 +493,14 @@ class TestConfigValidation:
          "branch: need 0 < h_min <= h0 <= h_max"),
         ("branch", {"branch": dict(CUBIC_BRANCH, max_points=0)},
          "branch: max_points must be >= 1, got 0"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, origin=[0.0, 0.0])},
+         "branch.origin: dimension 2 does not match problem dimension 1"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, domain=BOX_2D)},
+         "branch.domain: dimension 2 does not match problem dimension 1"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, lambda_max=0, domain=BOX_3D)},
+         "branch.domain: dimension 3 does not match problem dimension 1"),
+        ("verify-index", {"verify_index": dict(CUBIC_RUNS["verify_index"], box=BOX_2D)},
+         "verify_index.box: dimension 2 does not match problem dimension 1"),
     ])
     def test_rejected_setting_exits_2_naming_the_block(self, tmp_path, capsys, command,
                                                        override, message):

@@ -108,10 +108,12 @@ class TestValidation:
             ContinuationConfig(h0=1e-7, h_min=1e-6)
 
     def test_domain_dimension_checked(self):
+        # Also by the branch that ends at its origin (lambda_max = 0).
         prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)
         cfg = ContinuationConfig(domain=Box(lower=[-1, -1], upper=[1, 1]))
-        with pytest.raises(InvalidParameterError):
-            continue_branch(prob, [0.0], 1.0, cfg)
+        for lambda_max in (1.0, 0.0):
+            with pytest.raises(InvalidParameterError, match="domain box dimension 2"):
+                continue_branch(prob, [0.0], lambda_max, cfg)
 
 
 class TestTermination:

@@ -19,7 +19,7 @@ from ddebranch import (
     v_lambda_field,
 )
 from ddebranch.degree import DegreeReport, _boundary_samples
-from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError
+from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError, ResolutionError
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
 from conftest import SUITE_FIELDS, TWO_PI, box, damped_newton, fd_jacobian
@@ -84,6 +84,31 @@ class TestDegree2DWinding:
     def test_wrong_dimension(self):
         with pytest.raises(InvalidParameterError):
             degree_2d_winding(lambda z: z, box([-1], [1]))
+
+    @staticmethod
+    def _shifted_identity(z0, sizes):
+        """z - z0, recording how many boundary points each call carries."""
+        def eval(points):
+            sizes.append(len(points))
+            return points - z0
+        return FieldHandle(dim=2, eval=eval)
+
+    def test_zero_near_the_boundary_doubles_the_samples(self):
+        # The zero sits 1e-3 inside the right side: the angle of z - z0
+        # turns by nearly pi between two samples there until their spacing
+        # is below 2e-3, which takes 4 096 points.
+        sizes = []
+        fn = self._shifted_identity(np.array([0.999, 0.3]), sizes)
+        report = degree_2d_winding(fn, box([-1, -1], [1, 1]), n_boundary=256)
+        assert report.degree == 1
+        assert sizes == [256, 512, 1024, 2048, 4096]
+
+    def test_refinement_stops_at_its_cap(self):
+        sizes = []
+        fn = self._shifted_identity(np.array([1.0 - 1e-7, 0.3]), sizes)
+        with pytest.raises(ResolutionError):
+            degree_2d_winding(fn, box([-1, -1], [1, 1]), n_boundary=256)
+        assert sizes == [2 ** k for k in range(8, 21)]
 
 
 class TestDegreeNdJacobian:

@@ -1,6 +1,7 @@
 """The README's examples run as written, its defaults are the code's, and
 the code it names exists."""
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -41,10 +42,12 @@ def test_stated_defaults_match_the_settings_classes():
 def test_code_references_resolve():
     # Every `mod.name` or `ddebranch.mod.name` whose mod is a ddebranch
     # module names an attribute that module has; `degree.json` and other
-    # file names are not references.
+    # file names are not references.  Every `Class.member` whose class
+    # ddebranch exports names an attribute or a dataclass field of it.
+    text = README.read_text()
     package = Path(ddebranch.__file__).parent
     modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
-    refs = re.findall(r"`(?:ddebranch\.)?([a-z_]+)\.([A-Za-z_][\w.]*)`", README.read_text())
+    refs = re.findall(r"`(?:ddebranch\.)?([a-z_]+)\.([A-Za-z_][\w.]*)`", text)
     checked, missing = 0, []
     for mod, dotted in refs:
         if mod not in modules or dotted.rsplit(".", 1)[-1] in ("json", "csv"):
@@ -56,4 +59,14 @@ def test_code_references_resolve():
         if obj is None:
             missing.append(f"{mod}.{dotted}")
     assert checked >= 5
+    members = 0
+    for cls_name, member in re.findall(r"`(?:ddebranch\.)?([A-Z]\w*)\.([A-Za-z_]\w*)`", text):
+        cls = getattr(ddebranch, cls_name, None)
+        if not isinstance(cls, type):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        members += 1
+        if member not in fields and not hasattr(cls, member):
+            missing.append(f"{cls_name}.{member}")
+    assert members >= 2
     assert missing == []

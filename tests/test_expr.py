@@ -376,7 +376,7 @@ class TestRoundTrip:
             printed = str(root)
             reparsed = dsl.parse(printed, allowed)
             assert reparsed.root == root
-            assert dsl.pretty(reparsed) == printed
+            assert str(reparsed) == printed
 
     def test_golden_corpus_matches_closed_form(self):
         cases = [

@@ -194,10 +194,10 @@ class TestVLambdaField:
 
     def test_rejects_nonpositive_lambda(self):
         prob = coupled(_ex_f)
-        with pytest.raises(ValueError):
-            v_lambda_field(prob, 0.0)
-        with pytest.raises(ValueError):
-            v_lambda_field(prob, -1.0)
+        for lam in (0.0, -1.0):
+            with pytest.raises(InvalidParameterError, match="lambda must be positive"):
+                v_lambda_field(prob, lam)
+        assert issubclass(InvalidParameterError, ValueError)  # callers catching ValueError still do
 
     def test_scaling_structure(self):
         prob = coupled(lambda t, x, y, xd, yd: np.array([y[0]]), a_fn=lambda t: -1.0)

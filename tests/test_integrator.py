@@ -94,14 +94,6 @@ class TestDenseOutput:
         for theta in np.linspace(-1.0, 0.0, 37):
             assert np.array_equal(traj.eval(theta), init.eval(theta))
 
-    def test_deriv_matches_slopes_at_nodes(self):
-        prob = _exp_problem()
-        init = History.constant([1.0], 1.0, m=8)
-        traj = integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=16)
-        mid = len(traj.times) // 2
-        t = float(traj.times[mid])
-        assert np.allclose(traj.deriv(t), traj.slopes[mid], atol=1e-12)
-
     def test_read_near_a_node_returns_its_state(self):
         prob = _exp_problem()
         init = History.constant([1.0], 1.0, m=8)
@@ -111,16 +103,6 @@ class TestDenseOutput:
             for t in (float(traj.times[i]) - 1e-10 * h, float(traj.times[i]) + 1e-10 * h):
                 assert np.array_equal(traj.eval(t), traj.states[i])
                 assert np.array_equal(traj.eval(np.array([t]))[0], traj.states[i])
-                assert np.array_equal(traj.deriv(t), traj.slopes[i])
-
-    def test_eval_with_deriv_matches_eval_and_deriv(self):
-        values = np.random.default_rng(6).standard_normal((17, 1))
-        traj = integrate(_exp_problem(), 0.0, 1.0, History.from_values(values, delay=1.0), 2.0,
-                         steps_per_delay=16)
-        ts = np.linspace(-1.0, 2.0, 53)
-        got_values, got_slopes = traj.eval_with_deriv(ts)
-        assert got_values.tobytes() == traj.eval(ts).tobytes()
-        assert got_slopes.tobytes() == traj.deriv(ts).tobytes()
 
     def test_before_history_rejected(self):
         prob = _exp_problem()
@@ -169,7 +151,6 @@ class TestBatch:
             assert np.array_equal(traj.states[:, b], one.states)
             assert np.array_equal(traj.slopes[:, b], one.slopes)
             assert np.array_equal(traj.eval(ts)[:, b], one.eval(ts))
-            assert np.array_equal(traj.deriv(ts)[:, b], one.deriv(ts))
 
     @pytest.mark.parametrize("batch_field", [True, False])
     def test_rows_match_single_runs(self, batch_field):
@@ -187,7 +168,7 @@ class TestBatch:
 
     def test_one_blowing_up_row_stops_the_sweep(self):
         prob = _exp_problem()
-        batch = History(1.0, np.tile([[1.0], [2e9]], (9, 1, 1)), np.zeros((9, 2, 1)))
+        batch = History(1.0, np.tile([[1.0], [2e9]], (9, 1, 1)))
         with pytest.raises(BlowupError) as exc:
             integrate(prob, 0.0, 1.0, batch, 1.0, steps_per_delay=16)
         assert exc.value.t == 0.0
@@ -316,7 +297,7 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay):
     slopes)."""
     k = problem.dim_x
     single = init.values.ndim == 2
-    batch = History(init.delay, init.values[:, None], init.derivs[:, None]) if single else init
+    batch = History(init.delay, init.values[:, None]) if single else init
     r = problem.delay
     h = r / steps_per_delay
 

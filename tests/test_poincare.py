@@ -167,6 +167,25 @@ class TestMuHomotopy:
             assert len(records) == 1
             assert all(window.contains(v) for v in records[0].history.values)
 
+    def test_h_enters_scaled_by_mu(self):
+        # f ignores t and the delay and a is constant, so the averaged drive
+        # is f itself and only h's weight mu * lam differs between the two.
+        def problem(h_scale):
+            return CoupledProblem(
+                dim_x=1, dim_y=1,
+                f=lambda t, x, y, xd, yd: np.sin(y),
+                g=lambda x, y: x - y,
+                h=lambda t, x, y, xd, yd: h_scale * (math.cos(t) + yd),
+                a=PeriodicFn1D.constant(-1.0, TWO_PI),
+                period=TWO_PI, delay=1.0, n_quad=16,
+            )
+
+        cfg = TranslationConfig(m=8, steps_per_delay=8)
+        init = History.constant([0.2, 0.4], 1.0, m=8)
+        half_mu = translate(problem(1.0), 0.5, 0.5, init, cfg)
+        half_h = translate(problem(0.5), 0.5, 1.0, init, cfg)
+        assert half_mu.sup_distance(half_h) <= 1e-12
+
 
 class TestIndexIdentity:
     def test_cubic_identity(self):
