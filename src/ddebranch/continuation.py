@@ -68,9 +68,6 @@ class Branch:
     origin: np.ndarray
     termination: str
 
-    def lambdas(self) -> np.ndarray:
-        return np.array([p.lam for p in self.points])
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

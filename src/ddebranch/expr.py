@@ -111,16 +111,20 @@ class Expr:
         return evaluate(self, bindings)
 
 
-def _collect_vars(node: Node, out: Set[str]):
+def _collect_vars(node: Node, out: Set[str], bound=()):
+    """Add to out the variables node reads outside the subtrees whose ids
+    are in bound."""
+    if id(node) in bound:
+        return
     if isinstance(node, Var):
         out.add(node.name)
     elif isinstance(node, Neg):
-        _collect_vars(node.operand, out)
+        _collect_vars(node.operand, out, bound)
     elif isinstance(node, BinOp):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
+        _collect_vars(node.left, out, bound)
+        _collect_vars(node.right, out, bound)
     elif isinstance(node, Call):
-        _collect_vars(node.arg, out)
+        _collect_vars(node.arg, out, bound)
 
 
 _DIGITS = "0123456789"  # str.isdigit also takes non-ASCII digits, which float() rejects
@@ -369,10 +373,14 @@ _RUNTIME = {
 }
 
 
-def _emit(node: Node, names: Dict[str, str], ns: dict, lines: list) -> str:
+def _emit(node: Node, names: Dict[Union[str, int], str], ns: dict, lines: list) -> str:
     """Append to lines the statements computing node; return the name of
-    its value.  names maps each variable to its local, and ns gains every
-    constant (k<i>) and operation node (n<i>) the statements refer to."""
+    its value.  names maps each variable to its local, and the id of each
+    subtree given as an argument column to that column's local (a subtree
+    so bound is read, not computed); ns gains every constant (k<i>) and
+    operation node (n<i>) the statements refer to."""
+    if id(node) in names:
+        return names[id(node)]
     if isinstance(node, Var):
         return names[node.name]
     i = len(ns)
@@ -405,10 +413,13 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
 
     Each entry of args is a variable name, bound to that argument, or a
     list of names, bound to the columns [..., j] of that argument: a state
-    array, maybe with leading batch axes.  Given one Expr the function
-    returns its value; given a list, an array of the batch shape of the
-    first state argument, broadcast against any array name argument, plus
-    one axis of len(exprs) components.
+    array, maybe with leading batch axes.  Such a list may also hold nodes
+    of the expressions: each is substituted, by identity, with its column,
+    which holds that subtree's value computed beforehand (see
+    problem.compile_stage), and is neither computed nor checked again.
+    Given one Expr the function returns its value; given a list, an array
+    of the batch shape of the first state argument, broadcast against any
+    array name argument, plus one axis of len(exprs) components.
 
     Values are as compile_expr describes; every expression is evaluated
     under one np.errstate.  The returned function's __wrapped__ is the
@@ -420,9 +431,10 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     the function's globals.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
+    bound = {id(col) for arg in args if not isinstance(arg, str) for col in arg if not isinstance(col, str)}
     used: Set[str] = set()
     for root in roots:
-        _collect_vars(root, used)
+        _collect_vars(root, used, bound)
     ns = dict(_RUNTIME)
     params = [f"a{i}" for i in range(len(args))]
     head, names, states, scalars = [], {}, [], []
@@ -433,9 +445,9 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
             continue
         states.append(a)
         head.append(f"{a} = asarray({a}, dtype=float)")
-        for j, name in enumerate(arg):
-            if name in used:
-                names[name] = f"{a}c{j}"
+        for j, col in enumerate(arg):
+            if not isinstance(col, str) or col in used:
+                names[col if isinstance(col, str) else id(col)] = f"{a}c{j}"
                 head.append(f"{a}c{j} = {a}[..., {j}]")
     body = []
     values = [_emit(root, names, ns, body) for root in roots]

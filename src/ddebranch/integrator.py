@@ -6,7 +6,9 @@ already-completed segment (or the initial history) and every multiple of r
 is a segment boundary, keeping the derivative discontinuities of the
 solution aligned with segment joints.  So the delayed reads of a whole
 delay interval lie on the history or on finished nodes, and are read in
-one call at its start.  Delayed reads and dense output use the package's
+one call at its start; the part of a DSL right-hand side that reads no
+current state is evaluated on them there, once per interval
+(problem.compile_stage).  Delayed reads and dense output use the package's
 one Hermite evaluator (problem._hermite_array) and its node snap.
 
 integrate holds the package's one RK4 loop.  The delay-free flows
@@ -19,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -58,10 +59,13 @@ class Trajectory:
         return self.states.shape[-1]
 
     def eval(self, t):
-        """Solution value at time t (scalar or array), t in [-r, t_end]."""
+        """Solution value at time t (scalar or array), t in [-r, t_end];
+        a time outside it raises InvalidParameterError."""
         ts = np.asarray(t, dtype=float)
         if np.any(ts < -self.init.delay - 1e-12):
             raise InvalidParameterError(f"time {float(ts.min())} precedes the history interval")
+        if np.any(ts > self.t_end + 1e-12 * max(1.0, self.t_end)):
+            raise InvalidParameterError(f"time {float(ts.max())} is past the trajectory's end {self.t_end}")
         out = np.empty(ts.shape + self.states.shape[1:])
         before, init = ts <= 0.0, self.init
         if before.any():
@@ -90,14 +94,18 @@ def _check_state(t: float, state: np.ndarray):
         raise BlowupError(t, norm, BLOWUP_THRESHOLD)
 
 
-def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
-    """The coupled right-hand side on a (B, d) batch of states sharing t.
+def _make_rhs(problem: CoupledProblem, lam: float, mu: float):
+    """(prepare, rhs): rhs(t, state, delayed) is the coupled right-hand
+    side on a (B, d) batch of states sharing t, and prepare(ts, block),
+    when not None, turns a delay interval's (R, B, d) block of delayed
+    states at its (R, 1) stage times into the block whose rows rhs reads.
 
     At lambda != 0 and mu = 1, a problem whose fields all come from the DSL
-    is one call of its generated stage (CoupledProblem.stage) per RK4
-    stage.  Otherwise the fields are evaluated one by one through
-    eval_batch: the only path for Python callables, for mu < 1 and for
-    lambda = 0.
+    runs its generated stage (CoupledProblem.stage): prepare evaluates the
+    state-free subtrees of the whole interval in one call, and each RK4
+    stage is one call of the step.  Otherwise prepare is None and the
+    fields are evaluated one by one through eval_batch: the only path for
+    Python callables, for mu < 1 and for lambda = 0.
 
     t is a Python float, so the coefficient a (a PeriodicFn1D, which
     remembers its last float time) is evaluated once per distinct time
@@ -106,8 +114,10 @@ def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
     a = problem.a
     stage = problem.stage if lam != 0.0 and mu >= 1.0 else None
     if stage is not None:
+        interval, step = stage
         lam = float(lam)
-        return lambda t, state, delayed: stage(t, float(a(t)), lam, state, delayed)
+        prepare = None if interval is None else (lambda ts, block: interval(ts, lam, block))
+        return prepare, lambda t, state, delayed: step(t, float(a(t)), lam, state, delayed)
     k = problem.dim_x
     abar = problem.abar
     wf = make_wf(problem) if mu < 1.0 else None
@@ -133,7 +143,7 @@ def _make_rhs(problem: CoupledProblem, lam: float, mu: float) -> Callable:
             dx = np.zeros((len(state), k))
         return np.concatenate([dx, dy], axis=1)
 
-    return rhs
+    return None, rhs
 
 
 def integrate(
@@ -158,7 +168,11 @@ def integrate(
 
     The delayed values of steps j .. j + steps_per_delay - 1 are read in
     one _hermite_array call at every j that is a multiple of
-    steps_per_delay.  The sweep runs under one np.errstate: NumPy's
+    steps_per_delay, and the right-hand side's state-free part is
+    evaluated on them there, once per delay interval (_make_rhs's
+    prepare), at the stage times t0 + 0.5*dt and t1 of the loop's own
+    arithmetic.  So a domain error of that part is raised at the start of
+    its interval.  The sweep runs under one np.errstate: NumPy's
     floating-point warnings are silenced, and a state that is inf, nan or
     above BLOWUP_THRESHOLD raises BlowupError.
     """
@@ -178,7 +192,7 @@ def integrate(
     single = init.values.ndim == 2
     batch = History(init.delay, init.values[:, None]) if single else init
     h = r / steps_per_delay
-    rhs = _make_rhs(problem, lam, mu)
+    prepare, rhs = _make_rhs(problem, lam, mu)
 
     n_full = int(np.floor(t_end / h + 1e-9))
     partial = t_end - n_full * h
@@ -195,22 +209,26 @@ def integrate(
 
     # Python floats: fields see a float time, the same value as the node.
     node_times = times.tolist()
-    # The delayed read times: tau[0] = -r for the slope at node 0, then the
-    # midpoint and the end of step j at tau[2j + 1] and tau[2j + 2].
+    # The stage times: 0 for the slope at node 0, then the midpoint and the
+    # end of step j at stage_t[2j + 1] and stage_t[2j + 2]; the delayed
+    # reads are at tau = stage_t - r.
     n_steps = n_nodes - 1
-    tau = np.empty(2 * n_steps + 1)
-    tau[0] = -r
-    tau[1::2] = times[:-1] + 0.5 * np.diff(times) - r
-    tau[2::2] = times[1:] - r
+    stage_t = np.empty(2 * n_steps + 1)
+    stage_t[0::2] = times
+    stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
+    tau = stage_t - r
     no_reads = [None] * (2 * steps_per_delay + 1)
 
     def read(j: int):
-        """The delayed values at tau[2j : 2j + 2 steps_per_delay + 1], read
-        from the history at j = 0 and from nodes 0 .. j after."""
+        """The rows rhs reads at stage_t[2j : 2j + 2 steps_per_delay + 1]:
+        the delayed values there, read from the history at j = 0 and from
+        nodes 0 .. j after, prepared when the right-hand side prepares."""
         if lam == 0.0:  # the right-hand side reads no delayed value
             return no_reads
+        rows = slice(2 * j, 2 * (j + steps_per_delay) + 1)
         nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
-        return _hermite_array(*nodes, tau[2 * j:2 * (j + steps_per_delay) + 1])
+        block = _hermite_array(*nodes, tau[rows])
+        return block if prepare is None else prepare(stage_t[rows, None], block)
 
     with np.errstate(all="ignore"):
         state = batch.terminal()

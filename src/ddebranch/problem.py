@@ -110,7 +110,7 @@ class BatchField:
     single-state field, evaluated per (time, row) pair by eval_batch.
     exprs are the DSL expressions fn was compiled from (None when fn is
     a Python callable): a problem whose fields all carry them compiles
-    its whole right-hand side into one stage (CoupledProblem.stage).
+    its whole right-hand side into a compiled stage (CoupledProblem.stage).
     """
 
     __slots__ = ("fn", "exprs")
@@ -128,22 +128,54 @@ def state_columns(k: int, s: int):
     return [[f"{p}{j + 1}" for j in range(n)] for p, n in zip(("x", "y", "xd", "yd"), (k, s, k, s))]
 
 
-def compile_stage(k: int, s: int, f, g, h=None) -> Callable:
+def _state_free_subtrees(node, free, out: list):
+    """Append to out, left to right, the maximal subtrees of node that are
+    operations reading no variable outside free."""
+    if isinstance(node, (dsl.Num, dsl.Var)):
+        return
+    if dsl.Expr(node, frozenset()).free_vars() <= free:
+        out.append(node)
+    elif isinstance(node, dsl.BinOp):
+        _state_free_subtrees(node.left, free, out)
+        _state_free_subtrees(node.right, free, out)
+    else:
+        _state_free_subtrees(node.operand if isinstance(node, dsl.Neg) else node.arg, free, out)
+
+
+def compile_stage(k: int, s: int, f, g, h=None):
     """The right-hand side at mu = 1 from the expressions of f (k of them,
-    or None when k = 0), g and h (s each; h may be None), as one bare
-    generated function stage(t, at, lam, state, delayed) of the (..., d)
-    states and delayed states: its components are lam * f_i and
-    at * g_j (+ lam * h_j), the operations eval_f, eval_g and eval_h and
-    their combination make, in that order (f's errors before g's).  The
-    DSL cannot name at or lam, so they clash with no field variable."""
+    or None when k = 0), g and h (s each; h may be None), split by the
+    method of steps into two bare generated functions (interval, step).
+
+    Its components are lam * f_i and at * g_j (+ lam * h_j), the
+    operations eval_f, eval_g and eval_h and their combination make.
+    Every maximal subtree of them that reads no x, y or at (only t, xd,
+    yd and lam), such as sin(yd1) + 0.5*cos(t), is hoisted:
+    interval(t, lam, delayed) evaluates them all at once on a delay
+    interval's block of stage times and delayed states, (R, 1) and
+    (R, B, d), and returns that block with one column appended per
+    subtree.  step(t, at, lam, state, row) computes the components of a
+    (B, d) state from one row of it, reading each hoisted subtree from
+    its column.  interval is None when nothing is hoisted, and step then
+    takes the delayed states themselves.  A domain error is raised by
+    the first failing hoisted node, else by f's nodes before g's and g's
+    before h's.  The DSL cannot name at or lam, so they clash with no
+    field variable."""
     at, lam = dsl.Var("at"), dsl.Var("lam")
     parts = [dsl.BinOp("*", lam, e.root) for e in f or ()]
     for j, e in enumerate(g):
         part = dsl.BinOp("*", at, e.root)
         parts.append(part if h is None else dsl.BinOp("+", part, dsl.BinOp("*", lam, h[j].root)))
     x, y, xd, yd = state_columns(k, s)
-    exprs = [dsl.Expr(part, frozenset()) for part in parts]
-    return dsl.compile_function(exprs, ["t", "at", "lam", x + y, xd + yd]).__wrapped__
+    hoisted = []
+    for part in parts:
+        _state_free_subtrees(part, {"t", "lam", *xd, *yd}, hoisted)
+    step = dsl.compile_function([dsl.Expr(part, frozenset()) for part in parts],
+                                ["t", "at", "lam", x + y, xd + yd + hoisted]).__wrapped__
+    if not hoisted:
+        return None, step
+    columns = [dsl.Expr(node, frozenset()) for node in [dsl.Var(v) for v in xd + yd] + hoisted]
+    return dsl.compile_function(columns, ["t", "lam", xd + yd]).__wrapped__, step
 
 
 def eval_batch(fn: Callable, t, *states) -> np.ndarray:
@@ -347,8 +379,9 @@ class History:
     same grid has shape (m+1, B, d), and every method then works on all B
     at once.  A history is its node values: the node slopes (derivs) are
     derived from them, so the discretized translation operator is a
-    function of the values only.  Reads go through _hermite on the node
-    grid (built once): within 1e-9 node spacings, a node reads exactly.
+    function of the values only.  Reads go through _hermite_array on the
+    node grid (built once): within 1e-9 node spacings, a node reads
+    exactly.
     """
 
     delay: float
@@ -386,16 +419,9 @@ class History:
         history, (m+1, B, d) a batch."""
         return cls(delay, values)
 
-    def eval(self, theta):
-        """Interpolated value(s) at theta in [-r, 0]; exact at node points."""
-        return _hermite(self.grid, self.values, self.derivs, theta)
-
     def terminal(self) -> np.ndarray:
         """Value at theta = 0."""
         return self.values[-1].copy()
-
-    def sup_distance(self, other: "History") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
 
 
 @dataclass(frozen=True)
@@ -470,9 +496,10 @@ class CoupledProblem:
         return self.dim_x + self.dim_y
 
     @cached_property
-    def stage(self) -> Optional[Callable]:
-        """compile_stage of this problem's own fields, built on first use;
-        None unless every field present is a BatchField with exprs."""
+    def stage(self) -> Optional[tuple]:
+        """compile_stage of this problem's own fields, (interval, step),
+        built on first use; None unless every field present is a
+        BatchField with exprs."""
         fields = (self.f, self.g, self.h)
         if any(fn is not None and getattr(fn, "exprs", None) is None for fn in fields):
             return None

@@ -12,6 +12,7 @@ from ddebranch.config import load_problem
 from ddebranch.degree import newton_steps
 from ddebranch.errors import TranslationUndefinedError
 from ddebranch.presets import SunflowerSetup, default_sunflower
+from ddebranch.problem import _hermite
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,6 +36,22 @@ def scalar_problem(g_scalar, a_fn=None, period=TWO_PI, delay=1.0, h=None) -> Cou
         delay=delay,
         h=h,
     )
+
+
+def history_at(history, theta):
+    """A history's interpolant at theta (a float or an array) in [-r, 0],
+    read by the package's Hermite evaluator: exact at the nodes."""
+    return _hermite(history.grid, history.values, history.derivs, theta)
+
+
+def sup_distance(h1, h2) -> float:
+    """The largest difference of two histories' node values."""
+    return float(np.max(np.abs(h1.values - h2.values)))
+
+
+def lambdas(branch) -> np.ndarray:
+    """The lambda of every point of a branch."""
+    return np.array([p.lam for p in branch.points])
 
 
 def unit_drive_problem(g) -> CoupledProblem:

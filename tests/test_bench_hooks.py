@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
 must a field-by-field right-hand side that stops counting its field calls,
-a DSL problem's sweep that stops making one call of its compiled stage per
-RK4 stage, or that makes many more Python calls per sweep of the
+a DSL problem's sweep that stops making one call of its compiled stage's
+step part per RK4 stage and one of its interval part per delay interval,
+or that makes many more Python calls per sweep of the
 benchmark's forced problem, or an averaged drive that rebuilds its
 quadrature grid or re-reads gamma on it at every stage of the benchmark's
 mu < 1 sweep, or that reads gamma more than once per float stage time.
@@ -124,26 +125,32 @@ def test_traced_callable_sweep_counts_one_f_and_one_g_call_per_stage():
 
 def test_traced_forced_sweep_makes_one_stage_call_per_stage():
     # Every field of the forced problem comes from the DSL: each stage is
-    # one call of the problem's compiled stage and no field call.
+    # one call of the step part of the problem's compiled stage and no
+    # field call, and its state-free part is one call of the interval
+    # part per delay interval: 7 for 51 steps of 8 per interval.
     args, kwargs = _forced_sweep()
     problem = args[0]
-    stage, calls = problem.stage, []
+    calls = {"interval": [], "step": []}
 
-    def counted(*stage_args):
-        calls.append(stage_args[0])
-        return stage(*stage_args)
+    def counted(name, fn):
+        def call(*stage_args):
+            calls[name].append(stage_args[0])
+            return fn(*stage_args)
+        return call
 
-    vars(problem)["stage"] = counted
+    vars(problem)["stage"] = tuple(counted(name, fn) for name, fn in zip(calls, problem.stage))
     tracer = _traced_sweep(args, kwargs)
-    assert len(calls) == 205
+    assert len(calls["step"]) == 205
+    assert len(calls["interval"]) == 7
     assert tracer.counts["problem.eval_f"] == tracer.counts["problem.eval_g"] == 0
 
 
-def test_sweep_makes_at_most_1700_python_calls():
+def test_sweep_makes_at_most_1100_python_calls():
     # Python calls outside NumPy in one sweep after a warm-up: 6 383 when
     # each field walked a closure tree per component, 2 895 with one
     # generated function per field, two field calls per stage and a
-    # scalar delayed read per step.
+    # scalar delayed read per step, 1 616 with one stage call per stage
+    # that evaluated sin(yd1) and cos(t) each time.
     args, kwargs = _forced_sweep()
     integrator.integrate(*args, **kwargs)
     numpy_dir = os.path.dirname(np.__file__)
@@ -158,7 +165,7 @@ def test_sweep_makes_at_most_1700_python_calls():
         integrator.integrate(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    assert len(calls) <= 1700
+    assert len(calls) <= 1100
 
 
 def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):

@@ -16,7 +16,7 @@ from ddebranch.integrator import integrate
 from ddebranch.poincare import TranslationConfig
 from ddebranch.problem import History
 
-from conftest import FOLD_PROBLEM, TWO_PI
+from conftest import FOLD_PROBLEM, TWO_PI, history_at
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -328,6 +328,7 @@ class TestBranch:
 #: y' = a(t) < 0 carries y1 from 0.5 through 0 within one period, where
 #: the log in f fails.
 LOG_PROBLEM = dict(CUBIC_PROBLEM, dims={"k": 1, "s": 1}, f="x1 + log(y1)", g="1")
+SQRT_PROBLEM = dict(CUBIC_PROBLEM, dims={"k": 1, "s": 1}, a="1", f="sqrt(yd1)", g="-1")
 
 
 class TestExpressionErrorInASweep:
@@ -349,6 +350,37 @@ class TestExpressionErrorInASweep:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ExprEvalError"
         assert err["message"].endswith(" in 'log(y1)'")
+
+    def test_state_free_error_names_its_node(self):
+        # f = sqrt(yd1) reads only the delayed state, so a sweep evaluates
+        # it on a whole delay interval at once.  The history's yd1 falls
+        # through 0 at -r/2, so the first stage that reads a negative value
+        # is the midpoint of step 4 (tau = -0.4375): the error names the
+        # user's own node with the value read there, as when each stage
+        # evaluated f on its own.
+        problem = load_problem({"problem": SQRT_PROBLEM}).coupled
+        grid = np.linspace(-1.0, 0.0, 9)
+        init = History(1.0, np.column_stack([np.zeros(9), -(grid + 0.5)]))
+        with pytest.raises(ExprEvalError) as exc:
+            integrate(problem, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
+        node = problem.f.exprs[0].root
+        assert node == Call("sqrt", Var("yd1")) and exc.value.node is node
+        first_bad = float(history_at(init, -0.4375)[1])
+        assert first_bad < 0.0 and float(history_at(init, -0.5)[1]) == 0.0
+        assert str(exc.value) == f"sqrt of negative value {first_bad!r} in 'sqrt(yd1)'"
+
+    def test_cli_exits_2_with_a_state_free_error(self, tmp_path, capsys):
+        # From the constant history y1 = 0.5, y1 = 0.5 - t, so yd1 turns
+        # negative at t = 1.5, in the second delay interval.
+        code, _ = run(tmp_path, "integrate", {
+            "problem": SQRT_PROBLEM,
+            "integrate": {"lambda": 0.5, "t_end": TWO_PI, "init": [0.0, 0.5]},
+        })
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ExprEvalError"
+        assert err["message"].startswith("sqrt of negative value -")
+        assert err["message"].endswith(" in 'sqrt(yd1)'")
 
 
 class TestPeriodicCoefficient:

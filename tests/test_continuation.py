@@ -25,7 +25,7 @@ from ddebranch.continuation import (
 )
 from ddebranch.errors import InvalidParameterError
 
-from conftest import TWO_PI, fold_problem, periodic, scalar_problem, unit_drive_problem
+from conftest import TWO_PI, fold_problem, lambdas, periodic, scalar_problem, sup_distance, unit_drive_problem
 
 FAST = ContinuationConfig(h0=0.05, h_max=0.05, m=16, steps_per_delay=16)
 
@@ -36,7 +36,7 @@ class TestTrivialBranches:
         prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)
         branch = continue_branch(prob, [0.0], 0.3, FAST)
         assert branch.termination == TERMINATION_LAMBDA_MAX
-        assert branch.lambdas()[-1] == pytest.approx(0.3)
+        assert lambdas(branch)[-1] == pytest.approx(0.3)
         for p in branch.points:
             assert p.min_dist_to_trivial <= 1e-10
             assert p.sup_norm <= 1e-10
@@ -65,7 +65,7 @@ class TestTerminations:
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
         branch = continue_branch(prob, [0.0], 1.0, cfg)
         assert branch.termination == TERMINATION_NEWTON
-        np.testing.assert_allclose(branch.lambdas(), [0.0, 0.1, 0.2, 0.3, 0.35], rtol=1e-14)
+        np.testing.assert_allclose(lambdas(branch), [0.0, 0.1, 0.2, 0.3, 0.35], rtol=1e-14)
         for p in branch.points[1:]:
             assert p.residual <= cfg.newton_tol
             # The constant solution below the fold.
@@ -77,7 +77,7 @@ class TestTerminations:
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.5, h_max=0.5, h_min=0.5)
         branch = continue_branch(prob, [0.0], 1.0, cfg)
         assert branch.termination == TERMINATION_NEWTON
-        assert branch.lambdas().tolist() == [0.0]
+        assert lambdas(branch).tolist() == [0.0]
 
     def test_sup_norm_above_1e6_ends_in_norm_blowup(self):
         # g = y puts the constant solution at y* = lam: 4e5 and 8e5 are
@@ -86,7 +86,7 @@ class TestTerminations:
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=4e5, h_max=4e5, h_min=1.0)
         branch = continue_branch(prob, [0.0], 2e6, cfg)
         assert branch.termination == TERMINATION_BLOWUP
-        assert branch.lambdas().tolist() == [0.0, 4e5, 8e5]
+        assert lambdas(branch).tolist() == [0.0, 4e5, 8e5]
         np.testing.assert_allclose([p.sup_norm for p in branch.points], [0.0, 4e5, 8e5], rtol=1e-12)
 
 
@@ -151,7 +151,7 @@ class TestGenuineSolutions:
         tcfg = TranslationConfig(m=16, steps_per_delay=16)
         for p in branch.points:
             out = translate(prob, p.lam, 1.0, p.history, tcfg)
-            assert p.history.sup_distance(out) <= 10 * FAST.newton_tol
+            assert sup_distance(p.history, out) <= 10 * FAST.newton_tol
 
     def test_determinism(self):
         prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)

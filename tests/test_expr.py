@@ -313,17 +313,22 @@ class TestCompiled:
         assert 0 < n_raised < 50  # of 25 functions at two times each
 
     def test_stage_matches_field_path_on_random_asts(self):
-        # compile_stage of random f, g and h (k = s = 1) against the fields
-        # compiled one by one and combined as lam * f and at * g (+ lam * h):
-        # equal bit for bit, or raising ExprEvalError naming the same node.
-        # The field path evaluates g before f and the stage f before g, so
-        # where both raise the stage names f's node.
+        # compile_stage of random f, g and h (k = s = 1), its interval part
+        # on a one-row block and then its step part, against the fields
+        # compiled one by one and combined as lam * f and at * g (+ lam * h),
+        # all at one (1, 1) array t: equal bit for bit, or raising
+        # ExprEvalError naming the node the stage's order makes first.  The
+        # interval part evaluates the maximal subtrees reading only t, xd1
+        # and yd1 (of f, then g, then h), so one of those that fails is
+        # named first, by the interval part; then the step part names f's
+        # node before g's and g's before h's, while the field path
+        # evaluates g before f.
         x, y, xd, yd = state_columns(1, 1)
         renames = ({"a": "xd1", "b": "y1", "c": "t"}, {"a": "x1", "b": "y1", "c": "x1"},
                    {"a": "yd1", "b": "x1", "c": "t"})
         rng = np.random.default_rng(1)
         state, delayed = rng.uniform(-3.0, 3.0, (2, 8, 2))
-        t, at, lam = 0.7, -1.3, 0.45
+        t, at, lam = np.array([[0.7]]), -1.3, 0.45
         args = (t, state[:, :1], state[:, 1:], delayed[:, :1], delayed[:, 1:])
 
         def attempt(fn, *fn_args):
@@ -332,30 +337,62 @@ class TestCompiled:
             except ExprEvalError as exc:
                 return None, exc.node
 
+        def state_free(node):
+            # The maximal operation subtrees reading only t, xd1 and yd1.
+            if isinstance(node, (Num, Var)):
+                return []
+            if dsl.Expr(node, frozenset()).free_vars() <= {"t", "xd1", "yd1"}:
+                return [node]
+            kids = (node.left, node.right) if isinstance(node, BinOp) else (
+                (node.operand,) if isinstance(node, Neg) else (node.arg,))
+            return [sub for kid in kids for sub in state_free(kid)]
+
+        def first_hoisted_error(exprs):
+            for e in exprs:
+                for sub in state_free(e.root):
+                    fn = dsl.compile_function(dsl.Expr(sub, frozenset()), ["t", xd + yd])
+                    node = attempt(fn, t, delayed[None])[1]
+                    if node is not None:
+                        return node
+            return None
+
         roots = _random_asts()
-        outcomes = {"equal": 0, "same node": 0, "f before g": 0}
-        for i in range(len(roots) - 2):
-            f, g, h = ([dsl.parse(str(_rename(root, names)), set(names.values()))]
-                       for root, names in zip(roots[i:i + 3], renames))
+        sources = [[str(_rename(root, names)) for root, names in zip(roots[i:i + 3], renames)]
+                   for i in range(len(roots) - 2)]
+        # The corpus has no f and g that both fail outside the state-free
+        # subtrees; this one does.
+        sources.append(["sqrt(y1 - 9)", "log(x1 - 9)", "yd1 - t"])
+        outcomes = {"equal": 0, "hoisted": 0, "hoisted before a field's first": 0,
+                    "f before g": 0, "same node": 0}
+        for triple in sources:
+            f, g, h = ([dsl.parse(src, set(names.values()))] for src, names in zip(triple, renames))
             (fv, f_node), (hv, h_node) = (attempt(dsl.compile_function(e, ["t", x, y, xd, yd]), *args)
                                           for e in (f, h))
             gv, g_node = attempt(dsl.compile_function(g, [x, y]), *args[1:3])
             for with_h in (False, True):
-                stage = compile_stage(1, 1, f, g, h if with_h else None)
-                field_nodes = [g_node, f_node] + [h_node] * with_h
-                field_node = next((n for n in field_nodes if n is not None), None)
+                interval, step = compile_stage(1, 1, f, g, h if with_h else None)
+                hoisted_node = first_hoisted_error(f + g + h * with_h)
+                field_nodes = [f_node, g_node] + [h_node] * with_h
+                want_node = hoisted_node or next((n for n in field_nodes if n is not None), None)
                 with np.errstate(all="ignore"):  # as inside a sweep
-                    got, stage_node = attempt(stage, t, at, lam, state, delayed)
-                    if field_node is None:
-                        want = np.concatenate([lam * fv, at * gv + lam * hv if with_h else at * gv], axis=1)
-                if field_node is None:
-                    assert stage_node is None and got.tobytes() == want.tobytes()
+                    block, stage_node = (delayed[None], None) if interval is None else attempt(
+                        interval, t, lam, delayed[None])
+                    in_interval = stage_node is not None
+                    if not in_interval:
+                        got, stage_node = attempt(step, t, at, lam, state, block[0])
+                    if want_node is None:
+                        want = np.concatenate([lam * fv, at * gv[None] + lam * hv if with_h else at * gv[None]],
+                                              axis=-1)
+                assert stage_node is want_node and in_interval == (hoisted_node is not None)
+                if want_node is None:
+                    assert got.tobytes() == want.tobytes()
                     outcomes["equal"] += 1
+                elif hoisted_node is not None:
+                    first_field = next(n for n in [g_node, f_node, h_node] if n is not None)
+                    outcomes["hoisted" if first_field is hoisted_node else "hoisted before a field's first"] += 1
                 elif f_node is not None and g_node is not None:
-                    assert stage_node is f_node
                     outcomes["f before g"] += 1
                 else:
-                    assert stage_node is field_node
                     outcomes["same node"] += 1
         assert all(outcomes.values()), outcomes
 

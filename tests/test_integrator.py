@@ -19,7 +19,7 @@ from ddebranch.errors import BlowupError, InvalidParameterError
 from ddebranch.config import load_problem
 from ddebranch.problem import BatchField, _hermite
 
-from conftest import TWO_PI, periodic, scalar_problem
+from conftest import TWO_PI, history_at, periodic, scalar_problem
 
 
 def _exp_problem():
@@ -92,7 +92,7 @@ class TestDenseOutput:
         prob = _exp_problem()
         traj = integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=16)
         for theta in np.linspace(-1.0, 0.0, 37):
-            assert np.array_equal(traj.eval(theta), init.eval(theta))
+            assert np.array_equal(traj.eval(theta), history_at(init, theta))
 
     def test_read_near_a_node_returns_its_state(self):
         prob = _exp_problem()
@@ -110,6 +110,15 @@ class TestDenseOutput:
         traj = integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=16)
         with pytest.raises(InvalidParameterError):
             traj.eval(-1.5)
+
+    def test_after_end_rejected(self):
+        prob = _exp_problem()
+        init = History.constant([1.0], 1.0, m=8)
+        traj = integrate(prob, 0.0, 1.0, init, 2.0, steps_per_delay=16)
+        assert np.array_equal(traj.eval(2.0 + 1e-13), traj.states[-1])
+        for t in (50.0, 2.0 + 1e-9, np.array([0.5, 2.5])):
+            with pytest.raises(InvalidParameterError, match="past the trajectory's end"):
+                traj.eval(t)
 
     def test_csv_export(self, tmp_path):
         prob = _exp_problem()
@@ -324,7 +333,7 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay):
 
     def past(tau):
         if tau <= 0.0:
-            return batch.eval(tau)
+            return history_at(batch, tau)
         return _hermite(node_times, states, slopes, tau)
 
     states[0] = batch.terminal()

@@ -14,7 +14,7 @@ from ddebranch.errors import InvalidParameterError, ZeroAverageError
 from ddebranch.problem import (_hermite, _hermite_array, _sample_at,
                                _simpson_rule, quadrature_times, simpson_mean)
 
-from conftest import TWO_PI, periodic, scalar_problem
+from conftest import TWO_PI, history_at, periodic, scalar_problem
 
 
 class TestNormalizeDelay:
@@ -276,13 +276,13 @@ class TestHistory:
         values = rng.standard_normal((17, 2))
         hist = History.from_values(values, delay=0.7)
         for j, theta in enumerate(hist.grid):
-            assert np.array_equal(hist.eval(theta), values[j])
+            assert np.array_equal(history_at(hist, theta), values[j])
 
     def test_constant_history(self):
         hist = History.constant([1.0, -2.0], delay=1.0, m=16)
         assert hist.m == 16
         assert np.array_equal(hist.terminal(), [1.0, -2.0])
-        assert np.array_equal(hist.eval(-0.37), [1.0, -2.0])
+        assert np.array_equal(history_at(hist, -0.37), [1.0, -2.0])
 
     def test_interpolation_accuracy(self):
         # Cubic interpolation of a smooth function on 33 nodes.
@@ -291,16 +291,11 @@ class TestHistory:
         hist = History.from_values(values, delay=1.0)
         for theta in np.linspace(-1.0, 0.0, 101):
             exact = np.array([math.sin(3 * theta), math.cos(2 * theta)])
-            assert np.max(np.abs(hist.eval(theta) - exact)) < 1e-5
+            assert np.max(np.abs(history_at(hist, theta) - exact)) < 1e-5
 
     def test_minimum_resolution(self):
         with pytest.raises(InvalidParameterError):
             History.constant([0.0], delay=1.0, m=7)
-
-    def test_sup_distance(self):
-        h1 = History.constant([0.0], delay=1.0, m=8)
-        h2 = History.constant([0.25], delay=1.0, m=8)
-        assert h1.sup_distance(h2) == 0.25
 
     @pytest.mark.parametrize("m", [8, 16, 33])
     @pytest.mark.parametrize("batch", [(), (5,)])
