@@ -166,17 +166,16 @@ def continuation_config(config: dict) -> ContinuationConfig:
 
 
 def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
+    """The coefficient a from its DSL source: a float at a scalar t, else
+    an array of t's shape (a constant expression is broadcast)."""
     (e,) = _parse_exprs(source, {"t"}, path)
     fn = dsl.compile_function(e, ["t"])
-    bare = fn.__wrapped__  # the same function outside np.errstate
 
     def ev(t):
-        if type(t) is float:  # pure Python arithmetic: no NumPy state to set
-            return bare(t)
         v = fn(t)
-        if np.shape(v) == np.shape(t):
-            return v
-        return np.full(np.shape(t), v)  # a constant expression
+        if np.ndim(t) == 0:
+            return float(v)
+        return v if np.shape(v) == np.shape(t) else np.full(np.shape(t), v)
 
     return PeriodicFn1D(eval=ev, period=period)
 

@@ -15,12 +15,12 @@ implicit multiplication.
 
 compile_function() is the one evaluator: it compiles a list of parsed
 expressions into one generated Python function, built from the AST alone,
-that takes floats (Python math) or arrays (NumPy ufuncs) and raises
-ExprEvalError naming the node on the same inputs either way.
+that evaluates every function and '^' by the NumPy ufuncs of FUNCTIONS,
+on floats and arrays alike, and raises ExprEvalError naming the node.
 compile_expr() is that function called with an env mapping, and
 evaluate() is compile_expr on float bindings.  The test suite keeps a tree
-walk over the AST as the reference the generated functions are checked
-against.
+walk over the AST, on Python's math functions, as the reference the
+generated functions are checked against.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ import numpy as np
 from .errors import ExprArityError, ExprEvalError, ExprNameError, ExprSyntaxError
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
 }
 
 CONSTANTS = {"pi": math.pi}
@@ -280,45 +280,7 @@ def parse(source: str, allowed_vars) -> Expr:
     return Expr(root=root, allowed_vars=allowed)
 
 
-def _scalar_call(node: Call, x: float) -> float:
-    """A function node on a float, with the language's domain checks."""
-    fn = node.fn
-    x = float(x)
-    if fn == "log" and x <= 0.0:
-        raise ExprEvalError(f"log of nonpositive value {x!r}", node)
-    if fn == "sqrt" and x < 0.0:
-        raise ExprEvalError(f"sqrt of negative value {x!r}", node)
-    if fn in ("sin", "cos") and math.isinf(x):
-        raise ExprEvalError(f"{fn} of infinite value {x!r}", node)
-    try:
-        return float(FUNCTIONS[fn](x))
-    except OverflowError:
-        raise ExprEvalError(f"{fn} overflow at {x!r}", node) from None
-
-
-def _scalar_power(node: BinOp, lhs: float, rhs: float) -> float:
-    """lhs ^ rhs on floats, with the language's domain checks."""
-    lhs, rhs = float(lhs), float(rhs)
-    if lhs == 0.0 and rhs < 0.0:
-        raise ExprEvalError(f"zero to the negative power {rhs!r}", node)
-    if lhs < 0.0 and math.isfinite(lhs) and math.isfinite(rhs) and rhs != math.floor(rhs):
-        raise ExprEvalError(f"non-integer power of negative base {lhs!r}", node)
-    try:
-        return lhs ** rhs
-    except OverflowError:
-        raise ExprEvalError(f"power overflow at base {lhs!r}", node) from None
-
-
 # -- compilation to one generated function over NumPy ufuncs ------------------
-
-_UFUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-}
 
 
 def _fail_where(bad, value, message: str, node: Node):
@@ -331,9 +293,9 @@ def _fail_where(bad, value, message: str, node: Node):
     raise ExprEvalError(f"{message} {float(value)!r}", node)
 
 
-def _array_call(node: Call, x: np.ndarray) -> np.ndarray:
-    """A function node on an array, with the checks of _scalar_call made
-    on every element."""
+def _call(node: Call, x):
+    """A function node on an array or a float, with the language's domain
+    checks made on every element."""
     fn = node.fn
     if fn == "log":
         _fail_where(x <= 0.0, x, "log of nonpositive value", node)
@@ -341,7 +303,7 @@ def _array_call(node: Call, x: np.ndarray) -> np.ndarray:
         _fail_where(x < 0.0, x, "sqrt of negative value", node)
     elif fn in ("sin", "cos"):
         _fail_where(np.isinf(x), x, f"{fn} of infinite value", node)
-    y = _UFUNCS[fn](x)
+    y = FUNCTIONS[fn](x)
     if fn == "exp":
         over = np.isinf(y)
         if np.count_nonzero(over):
@@ -349,9 +311,9 @@ def _array_call(node: Call, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _array_power(node: BinOp, lhs, rhs) -> np.ndarray:
-    """lhs ^ rhs on arrays, with the checks of _scalar_power made on every
-    element."""
+def _power(node: BinOp, lhs, rhs):
+    """lhs ^ rhs on arrays or floats, with the language's domain checks
+    made on every element."""
     _fail_where((lhs == 0.0) & (rhs < 0.0), rhs, "zero to the negative power", node)
     _fail_where(
         (lhs < 0.0) & np.isfinite(lhs) & np.isfinite(rhs) & (np.floor(rhs) != rhs),
@@ -368,8 +330,7 @@ def _array_power(node: BinOp, lhs, rhs) -> np.ndarray:
 _RUNTIME = {
     "asarray": np.asarray, "empty": np.empty, "ndim": np.ndim,
     "broadcast_shapes": np.broadcast_shapes, "fail_where": _fail_where,
-    "scalar_call": _scalar_call, "array_call": _array_call,
-    "scalar_power": _scalar_power, "array_power": _array_power,
+    "call": _call, "power": _power,
 }
 
 
@@ -393,14 +354,13 @@ def _emit(node: Node, names: Dict[Union[str, int], str], ns: dict, lines: list) 
         lines.append(f"{v} = -{_emit(node.operand, names, ns, lines)}")
     elif isinstance(node, Call):
         x = _emit(node.arg, names, ns, lines)
-        lines.append(f"{v} = scalar_call(n{i}, {x}) if isinstance({x}, float) else array_call(n{i}, {x})")
+        lines.append(f"{v} = call(n{i}, {x})")
     else:
         lhs = _emit(node.left, names, ns, lines)
         rhs = _emit(node.right, names, ns, lines)
         op = node.op if node.op in ("+", "-", "*", "/") else "^"
         if op == "^":
-            lines.append(f"{v} = scalar_power(n{i}, {lhs}, {rhs}) if isinstance({lhs}, float) "
-                         f"and isinstance({rhs}, float) else array_power(n{i}, {lhs}, {rhs})")
+            lines.append(f"{v} = power(n{i}, {lhs}, {rhs})")
         else:
             if op == "/":
                 lines.append(f"fail_where({rhs} == 0.0, {rhs}, 'division by zero: divisor', n{i})")
@@ -423,12 +383,11 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
 
     Values are as compile_expr describes; every expression is evaluated
     under one np.errstate.  The returned function's __wrapped__ is the
-    bare generated function, for callers whose arithmetic never reaches
-    NumPy (Python floats only) or that run under an errstate of their own
-    (problem.compile_stage, called inside an integrator sweep).  The
-    source is built from the AST alone: the locals are generated names,
-    and the constants, nodes and functions it uses are bound by name in
-    the function's globals.
+    bare generated function, for callers that run under an errstate of
+    their own (problem.compile_stage, called inside an integrator sweep).
+    The source is built from the AST alone: the locals are generated
+    names, and the constants, nodes and functions it uses are bound by
+    name in the function's globals.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
     bound = {id(col) for arg in args if not isinstance(arg, str) for col in arg if not isinstance(col, str)}
@@ -470,10 +429,11 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
     """Compile the AST once into a function env -> value (compile_function).
 
     env maps each variable to a float or an array; arrays broadcast against
-    each other, and the value has their broadcast shape.  On floats the
-    function uses the math functions of FUNCTIONS; on arrays, NumPy ufuncs.
-    Domain errors raise ExprEvalError naming the node: log of x <= 0, sqrt
-    of x < 0, sin or cos of an infinite value, division by zero, zero to a
+    each other, and the value has their broadcast shape.  Functions and '^'
+    are the NumPy ufuncs of FUNCTIONS on floats and arrays alike, so a
+    float and the same value in an array give the same bits.  Domain
+    errors raise ExprEvalError naming the node: log of x <= 0, sqrt of
+    x < 0, sin or cos of an infinite value, division by zero, zero to a
     negative power, a finite negative base to a finite non-integer power,
     and exp or '^' overflowing from finite operands (on arrays: if any
     element is such an input), checked on the arguments explicitly.
@@ -496,5 +456,6 @@ def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
 
 def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
     """IEEE double evaluation of e under the given bindings, each cast to
-    float: compile_expr's function on floats, with its ExprEvalErrors."""
-    return compile_expr(e)({name: float(v) for name, v in bindings.items()})
+    float: compile_expr's function on floats, with its ExprEvalErrors, as
+    a float."""
+    return float(compile_expr(e)({name: float(v) for name, v in bindings.items()}))

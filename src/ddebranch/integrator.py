@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BlowupError, InvalidParameterError
 from .fields import make_wf
-from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array
+from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _sample_at
 
 BLOWUP_THRESHOLD = 1e9
 #: The flows take a step of at most t / FLOW_STEPS.
@@ -95,36 +95,31 @@ def _check_state(t: float, state: np.ndarray):
 
 
 def _make_rhs(problem: CoupledProblem, lam: float, mu: float):
-    """(prepare, rhs): rhs(t, state, delayed) is the coupled right-hand
-    side on a (B, d) batch of states sharing t, and prepare(ts, block),
-    when not None, turns a delay interval's (R, B, d) block of delayed
-    states at its (R, 1) stage times into the block whose rows rhs reads.
+    """(prepare, rhs): rhs(t, at, state, delayed) is the coupled
+    right-hand side on a (B, d) batch of states sharing t, at the value
+    at of the coefficient a there, and prepare(ts, block), when not None,
+    turns a delay interval's (R, B, d) block of delayed states at its
+    (R, 1) stage times into the block whose rows rhs reads.
 
     At lambda != 0 and mu = 1, a problem whose fields all come from the DSL
     runs its generated stage (CoupledProblem.stage): prepare evaluates the
     state-free subtrees of the whole interval in one call, and each RK4
     stage is one call of the step.  Otherwise prepare is None and the
     fields are evaluated one by one through eval_batch: the only path for
-    Python callables, for mu < 1 and for lambda = 0.
-
-    t is a Python float, so the coefficient a (a PeriodicFn1D, which
-    remembers its last float time) is evaluated once per distinct time
-    although RK4 stages come in pairs at one time (k2 and k3, k4 and the
-    node slope)."""
-    a = problem.a
+    Python callables, for mu < 1 and for lambda = 0.  Neither reads a:
+    integrate reads it once per sweep."""
     stage = problem.stage if lam != 0.0 and mu >= 1.0 else None
     if stage is not None:
         interval, step = stage
         lam = float(lam)
         prepare = None if interval is None else (lambda ts, block: interval(ts, lam, block))
-        return prepare, lambda t, state, delayed: step(t, float(a(t)), lam, state, delayed)
+        return prepare, lambda t, at, state, delayed: step(t, at, lam, state, delayed)
     k = problem.dim_x
     abar = problem.abar
     wf = make_wf(problem) if mu < 1.0 else None
 
-    def rhs(t, state, delayed):
+    def rhs(t, at, state, delayed):
         x, y = state[:, :k], state[:, k:]
-        at = float(a(t))
         dy = at * problem.eval_g(x, y)
         if lam != 0.0:
             xd, yd = delayed[:, :k], delayed[:, k:]
@@ -172,9 +167,11 @@ def integrate(
     evaluated on them there, once per delay interval (_make_rhs's
     prepare), at the stage times t0 + 0.5*dt and t1 of the loop's own
     arithmetic.  So a domain error of that part is raised at the start of
-    its interval.  The sweep runs under one np.errstate: NumPy's
-    floating-point warnings are silenced, and a state that is inf, nan or
-    above BLOWUP_THRESHOLD raises BlowupError.
+    its interval.  The coefficient a, which reads t alone, is read once
+    per sweep, in one _sample_at call on every stage time, and each stage
+    gets its value as a Python float.  The sweep runs under one
+    np.errstate: NumPy's floating-point warnings are silenced, and a state
+    that is inf, nan or above BLOWUP_THRESHOLD raises BlowupError.
     """
     if lam < 0:
         raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
@@ -210,14 +207,14 @@ def integrate(
     # Python floats: fields see a float time, the same value as the node.
     node_times = times.tolist()
     # The stage times: 0 for the slope at node 0, then the midpoint and the
-    # end of step j at stage_t[2j + 1] and stage_t[2j + 2]; the delayed
-    # reads are at tau = stage_t - r.
+    # end of step j at stage_t[2j + 1] and stage_t[2j + 2].  a is read at
+    # them, and the delayed values at tau = stage_t - r.
     n_steps = n_nodes - 1
     stage_t = np.empty(2 * n_steps + 1)
     stage_t[0::2] = times
     stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
     tau = stage_t - r
-    no_reads = [None] * (2 * steps_per_delay + 1)
+    no_reads = [None] * len(stage_t)  # as many rows as the sweep reads
 
     def read(j: int):
         """The rows rhs reads at stage_t[2j : 2j + 2 steps_per_delay + 1]:
@@ -231,26 +228,28 @@ def integrate(
         return block if prepare is None else prepare(stage_t[rows, None], block)
 
     with np.errstate(all="ignore"):
+        at = _sample_at(problem.a, stage_t).tolist()  # a at every stage time
         state = batch.terminal()
         _check_state(0.0, state)
         states[0] = state
         delayed = read(0)
-        slopes[0] = rhs(0.0, state, delayed[0])
+        slopes[0] = rhs(0.0, at[0], state, delayed[0])
         for j in range(n_steps):
             i = 2 * (j % steps_per_delay)
             if i == 0 and j:
                 delayed = read(j)
             t0, t1 = node_times[j], node_times[j + 1]
             dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
+            a_half, a_end = at[2 * j + 1], at[2 * j + 2]
             y0 = states[j]
             k1 = slopes[j]
-            k2 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k1, delayed[i + 1])
-            k3 = rhs(t0 + 0.5 * dt, y0 + 0.5 * dt * k2, delayed[i + 1])
-            k4 = rhs(t1, y0 + dt * k3, delayed[i + 2])
+            k2 = rhs(t0 + 0.5 * dt, a_half, y0 + 0.5 * dt * k1, delayed[i + 1])
+            k3 = rhs(t0 + 0.5 * dt, a_half, y0 + 0.5 * dt * k2, delayed[i + 1])
+            k4 = rhs(t1, a_end, y0 + dt * k3, delayed[i + 2])
             y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _check_state(t1, y1)
             states[j + 1] = y1
-            slopes[j + 1] = rhs(t1, y1, delayed[i + 2])
+            slopes[j + 1] = rhs(t1, a_end, y1, delayed[i + 2])
 
     if single:
         states, slopes = states[:, 0], slopes[:, 0]

@@ -187,21 +187,20 @@ def sigma_transform(a: PeriodicFn1D, n_cells: int = _SIGMA_CELLS) -> SigmaResult
 
 
 def verify_sigma(a: PeriodicFn1D, sigma, n_check: int = 256) -> float:
-    """Max residual of a - sigma'/sigma + sigma over n_check sample times.
+    """Max residual of a - sigma'/sigma + sigma over n_check sample times,
+    each function read on arrays of them through _sample_at.
 
     sigma' is taken by centered differences with step T / 2^16.
     """
     T = a.period
     step = T / 2 ** 16
     ts = np.linspace(0.0, T, n_check, endpoint=False)
-    worst = 0.0
-    for t in ts:
-        s = float(sigma(t))
-        if abs(s) < 1e-14:
-            raise InvalidParameterError(f"sigma vanishes at t={t:.6g}")
-        sdot = (float(sigma(t + step)) - float(sigma(t - step))) / (2.0 * step)
-        worst = max(worst, abs(float(a(t)) - sdot / s + s))
-    return worst
+    s = _sample_at(sigma, ts)
+    zeros = np.flatnonzero(np.abs(s) < 1e-14)
+    if len(zeros):
+        raise InvalidParameterError(f"sigma vanishes at t={ts[zeros[0]]:.6g}")
+    sdot = (_sample_at(sigma, ts + step) - _sample_at(sigma, ts - step)) / (2.0 * step)
+    return float(np.max(np.abs(_sample_at(a, ts) - sdot / s + s)))
 
 
 @dataclass(frozen=True)
@@ -266,11 +265,11 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     An autonomous perturbation phi(y, yd) (ScalarDelayProblem.from_phi) is
     called once per state row and divided by gamma on the time grid by
     broadcasting, not called once per (time, row) pair.  gamma is also the
-    reduced problem's coefficient a, and one PeriodicFn1D remembers its last
-    float time, so the right-hand side and f together read it once per
-    distinct stage time.  f keeps gamma on the last array of times, so the
-    mu < 1 averaged drive samples it on the quadrature grid once, not per
-    stage.
+    reduced problem's coefficient a, which integrate reads on its own.  f
+    keeps gamma at the last float time, so it reads gamma once per distinct
+    RK4 stage time although stages come in pairs at one time (k2 and k3,
+    k4 and the node slope), and on the last array of times, so the mu < 1
+    averaged drive samples it on the quadrature grid once, not per stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
@@ -280,20 +279,24 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
         drive = lambda t, y, yd: _sample_at(phi, y, yd)
     else:
         drive = lambda t, y, yd: _sample_at(f, t, y, yd)
-    # Every averaged-drive stage passes average_f's one array of quadrature
-    # times.  An array is matched by its dtype, shape and bytes, kept as a
-    # private copy: the caller's array may have been written to since.
-    grid = [(None, None)]  # (key of the last time array, gamma on it)
+    # (time, gamma there) for the last float time and the last array of
+    # times.  Every averaged-drive stage passes average_f's one array of
+    # quadrature times.  An array is matched by its dtype, shape and bytes,
+    # kept as a private copy: the caller's array may have been written to
+    # since.
+    last = [(None, None), (None, None)]
 
     def f_c(t, x, y, xd, yd):
         if isinstance(t, float):
-            gt = float(gamma(t))
+            if t != last[0][0]:
+                last[0] = (t, float(gamma(t)))
+            gt = last[0][1]
         else:
             t = np.asarray(t)
             key = (t.dtype, t.shape, t.tobytes())
-            if key != grid[0][0]:
-                grid[0] = (key, _sample_at(gamma, t))
-            gt = grid[0][1]
+            if key != last[1][0]:
+                last[1] = (key, _sample_at(gamma, t))
+            gt = last[1][1]
         return (drive(t, y[..., 0], yd[..., 0]) / gt)[..., None]
 
     def g_c(x, y):

@@ -52,29 +52,17 @@ def normalize_delay(r: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class PeriodicFn1D:
-    """A real-valued T-periodic function of time.
-
-    A call at a Python float t remembers that t and its value, so repeated
-    reads at one time evaluate once: RK4 stages come in pairs at one time,
-    and a Lienard problem reads its coefficient a, which is the gamma its
-    f divides by, in both the y-equation and f.  Any other t (np.float64,
-    arrays) calls eval directly.
-    """
+    """A real-valued T-periodic function of time: a call is a call of
+    eval, at a float or an array t."""
 
     eval: Callable[[float], float]
     period: float
-    _last: list = field(init=False, repr=False, compare=False, default_factory=lambda: [None, 0.0])
 
     def __post_init__(self):
         if self.period <= 0:
             raise InvalidParameterError(f"period must be positive, got {self.period}")
 
     def __call__(self, t):
-        if type(t) is float:
-            last = self._last
-            if t != last[0]:
-                last[0], last[1] = t, self.eval(t)
-            return last[1]
         return self.eval(t)
 
     @classmethod
@@ -470,26 +458,23 @@ class CoupledProblem:
         self._check_time_periodicity()
 
     def _check_time_periodicity(self):
-        """Cheap construction-time guard: spot-check that f, h and a are
-        T-periodic in t at a fixed probe state.  Not a proof."""
+        """Cheap construction-time guard: spot-check that a, f and h are
+        T-periodic in t at a fixed probe state, each read in one call on
+        the sample times and those times plus T.  Not a proof."""
         T = self.period
         ts = np.linspace(0.0, T, _PERIODICITY_SAMPLES, endpoint=False)
-        xp = 0.5 * np.ones(self.dim_x)
-        yp = 0.5 * np.ones(self.dim_y)
-        for t in ts:
-            if abs(float(self.a(t + T)) - float(self.a(t))) > _PERIODICITY_TOL:
-                raise InvalidParameterError(
-                    f"coefficient a is not {T}-periodic (mismatch at t={t:.4g})"
-                )
-            for name, fn in (("f", self.f), ("h", self.h)):
-                if fn is None:
-                    continue
-                v0 = np.atleast_1d(np.asarray(fn(t, xp, yp, xp, yp), dtype=float))
-                v1 = np.atleast_1d(np.asarray(fn(t + T, xp, yp, xp, yp), dtype=float))
-                if np.max(np.abs(v1 - v0)) > _PERIODICITY_TOL:
-                    raise InvalidParameterError(
-                        f"field {name} is not {T}-periodic in t (mismatch at t={t:.4g})"
-                    )
+        both = np.concatenate([ts, ts + T])
+        p, q = 0.5 * np.ones(self.dim_x), 0.5 * np.ones(self.dim_y)
+        reads = {f"coefficient a is not {T}-periodic": _sample_at(self.a, both)[:, None]}
+        for name, fn, ev in (("f", self.f, self.eval_f), ("h", self.h, self.eval_h)):
+            if fn is not None:
+                reads[f"field {name} is not {T}-periodic in t"] = ev(both, p, q, p, q)
+        n = len(ts)
+        bad = np.array([(np.abs(v[n:] - v[:n]) > _PERIODICITY_TOL).any(axis=1) for v in reads.values()])
+        if bad.any():
+            i = np.flatnonzero(bad.any(axis=0))[0]  # the first mismatching time, then a, f, h
+            message = list(reads)[np.flatnonzero(bad[:, i])[0]]
+            raise InvalidParameterError(f"{message} (mismatch at t={ts[i]:.4g})")
 
     @property
     def dim(self) -> int:

@@ -384,8 +384,9 @@ class TestExpressionErrorInASweep:
 
 
 class TestPeriodicCoefficient:
-    """problem.a runs its generated function bare at a Python float t and
-    under np.errstate at any other t."""
+    """problem.a runs its generated function under np.errstate at any t,
+    and returns a float at a scalar t and an array at an array t, with the
+    same bits either way."""
 
     def test_values_keep_their_bits(self):
         source = "-1 + 0.5*sin(t) + exp(cos(2*t))/3"
@@ -398,6 +399,13 @@ class TestPeriodicCoefficient:
         ts = np.linspace(-1.0, 8.0, 37)
         assert a(ts).tobytes() == reference(ts).tobytes()
         assert a(ts[:, None]).tobytes() == reference(ts[:, None]).tobytes()
+
+    def test_float_reads_match_the_array_read(self):
+        # The integrator reads a on the array of stage times; a read at one
+        # float time must give the same bits, exp included.
+        a = _load_periodic_expr("-1 + 0.3*exp(cos(t))", TWO_PI, "problem.a")
+        ts = np.linspace(0.0, TWO_PI, 1001)
+        assert np.array([a(t) for t in ts.tolist()]).tobytes() == a(ts).tobytes()
 
     def test_numpy_overflow_stays_silent(self):
         # Under the suite's warnings-as-errors setting, an overflow warning

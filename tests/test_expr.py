@@ -216,6 +216,47 @@ def _rename(node, names):
     return node
 
 
+#: The tree walk's functions: Python's math, not the NumPy ufuncs of the
+#: generated functions.
+FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "abs": abs,
+    "sqrt": math.sqrt,
+}
+
+
+def _scalar_call(node: Call, x: float) -> float:
+    """A function node on a float, with the language's domain checks."""
+    fn = node.fn
+    x = float(x)
+    if fn == "log" and x <= 0.0:
+        raise ExprEvalError(f"log of nonpositive value {x!r}", node)
+    if fn == "sqrt" and x < 0.0:
+        raise ExprEvalError(f"sqrt of negative value {x!r}", node)
+    if fn in ("sin", "cos") and math.isinf(x):
+        raise ExprEvalError(f"{fn} of infinite value {x!r}", node)
+    try:
+        return float(FUNCTIONS[fn](x))
+    except OverflowError:
+        raise ExprEvalError(f"{fn} overflow at {x!r}", node) from None
+
+
+def _scalar_power(node: BinOp, lhs: float, rhs: float) -> float:
+    """lhs ^ rhs on floats, with the language's domain checks."""
+    lhs, rhs = float(lhs), float(rhs)
+    if lhs == 0.0 and rhs < 0.0:
+        raise ExprEvalError(f"zero to the negative power {rhs!r}", node)
+    if lhs < 0.0 and math.isfinite(lhs) and math.isfinite(rhs) and rhs != math.floor(rhs):
+        raise ExprEvalError(f"non-integer power of negative base {lhs!r}", node)
+    try:
+        return lhs ** rhs
+    except OverflowError:
+        raise ExprEvalError(f"power overflow at base {lhs!r}", node) from None
+
+
 def _tree_walk(node, bindings):
     """The reference semantics: the AST walked on floats, with the
     language's scalar domain checks."""
@@ -229,7 +270,7 @@ def _tree_walk(node, bindings):
     if isinstance(node, Neg):
         return -_tree_walk(node.operand, bindings)
     if isinstance(node, Call):
-        return dsl._scalar_call(node, _tree_walk(node.arg, bindings))
+        return _scalar_call(node, _tree_walk(node.arg, bindings))
     lhs = _tree_walk(node.left, bindings)
     rhs = _tree_walk(node.right, bindings)
     op = node.op
@@ -243,7 +284,7 @@ def _tree_walk(node, bindings):
         if rhs == 0.0:
             raise ExprEvalError(f"division by zero: divisor {rhs!r}", node)
         return lhs / rhs
-    return dsl._scalar_power(node, lhs, rhs)
+    return _scalar_power(node, lhs, rhs)
 
 
 def _agree(got, want) -> bool:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -255,6 +256,21 @@ class TestFlows:
                 - float(flow_averaged(prob, [0.0], math.pi)[0]))
         assert d > 0.1
 
+    def test_short_flow_allocates_nothing_per_delay_step(self):
+        # A flow over t takes FLOW_STEPS steps of t / FLOW_STEPS, so its
+        # steps_per_delay grows as r / t; at t = 1e-3 it is about 2 million.
+        # Nothing the sweep allocates may be sized by it (31 MiB when the
+        # lambda = 0 sweep held a list of 2 steps_per_delay + 1 rows).
+        prob = scalar_problem(lambda y: y - y ** 3)
+        flow_unperturbed(prob, [0.3], 1e-3)
+        tracemalloc.start()
+        try:
+            flow_unperturbed(prob, [0.3], 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
 
 class TestFlowBatches:
     """The flows take one point (d,) or a batch (N, d), run as one sweep."""
@@ -354,8 +370,8 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay):
     return states, slopes
 
 
-def _dsl_problem(k, s, f, g, h=None, r=1.0):
-    block = {"dims": {"k": k, "s": s}, "T": TWO_PI, "r": r, "a": "-1 + 0.5*sin(t)", "g": g}
+def _dsl_problem(k, s, f, g, h=None, r=1.0, a="-1 + 0.5*sin(t)"):
+    block = {"dims": {"k": k, "s": s}, "T": TWO_PI, "r": r, "a": a, "g": g}
     block.update({key: v for key, v in (("f", f), ("h", h)) if v is not None})
     return load_problem({"problem": block}).coupled
 
@@ -365,8 +381,8 @@ _FORCED = (1, 1, ["sin(yd1) + 0.5*cos(t)"], ["x1 - y1"])
 
 class TestAgainstScalarReads:
     """The sweep's states and slopes are bit for bit those of the
-    reference loop: the compiled stage and the per-interval reads change
-    no bit of the arithmetic."""
+    reference loop: the compiled stage, the per-interval reads and the
+    one read of a per sweep change no bit of the arithmetic."""
 
     CASES = {
         "forced": (lambda: _dsl_problem(*_FORCED), 0.5, 8),
@@ -378,6 +394,7 @@ class TestAgainstScalarReads:
         "r-equals-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI), 0.5, 8),
         "r-above-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI + 1.0), 0.5, 8),
         "spd-9": (lambda: _dsl_problem(*_FORCED), 0.5, 9),
+        "a-with-exp": (lambda: _dsl_problem(*_FORCED, a="-1 + 0.3*exp(cos(t))"), 0.5, 8),
         "callable": (lambda: TestBatch()._delay_problem(False), 0.8, 8),
     }
 

@@ -218,27 +218,6 @@ class TestPeriodicFn1D:
         with pytest.raises(InvalidParameterError):
             PeriodicFn1D(eval=lambda t: 0.0, period=0.0)
 
-    def test_remembers_the_last_python_float_time(self):
-        calls = []
-
-        def counted(t):
-            calls.append(t)
-            return np.cos(t)
-
-        fn = periodic(counted)
-        assert fn(0.5) == fn(0.5) == math.cos(0.5)
-        assert calls == [0.5]
-        fn(0.25)
-        assert fn(0.5) == math.cos(0.5)
-        assert calls == [0.5, 0.25, 0.5]
-        # np.float64 and arrays always call eval, and leave the memo alone.
-        fn(np.float64(0.5))
-        assert np.array_equal(fn(np.array([0.5, 1.0])), np.cos([0.5, 1.0]))
-        fn(0.5)
-        assert len(calls) == 5
-        # The memo takes no part in equality or hashing.
-        assert fn == periodic(counted) and hash(fn) == hash(periodic(counted))
-
 
 class TestBox:
     def test_basic_queries(self):
@@ -415,6 +394,19 @@ class TestCoupledProblem:
                 g=lambda x, y: y,
                 a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0,
             )
+
+    def test_periodicity_mismatch_names_its_first_time(self):
+        # a mismatches from t = 3 on, f from t = 1 on: the first mismatching
+        # sample time, k T/17, is 9 T/17 for a alone and 3 T/17 with f.
+        a = periodic(lambda t: -1.0 + (0.5 if t > TWO_PI + 3.0 else 0.0))
+        fs = {"periodic": lambda t, x, y, xd, yd: np.array([math.sin(t)]),
+              "late": lambda t, x, y, xd, yd: np.array([max(t - TWO_PI - 1.0, 0.0)])}
+        for f, message in (("periodic", "coefficient a is not {}-periodic (mismatch at t=3.326)"),
+                           ("late", "field f is not {}-periodic in t (mismatch at t=1.109)")):
+            with pytest.raises(InvalidParameterError) as exc:
+                CoupledProblem(dim_x=1, dim_y=1, f=fs[f], g=lambda x, y: y, a=a,
+                               period=TWO_PI, delay=1.0)
+            assert str(exc.value) == message.format(TWO_PI)
 
     def test_k_zero_has_empty_f(self):
         prob = scalar_problem(lambda y: y)

@@ -284,8 +284,13 @@ class TestVerifySigma:
         assert verify_sigma(a, result.sigma) <= 1e-6
 
     def test_vanishing_sigma_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            verify_sigma(PeriodicFn1D.constant(-2.0, TWO_PI), math.sin)
+        # Float-only sigmas, read element by element: the first sample time
+        # where sigma vanishes is named, 0 for sin and pi for sin on (0, T).
+        a = PeriodicFn1D.constant(-2.0, TWO_PI)
+        with pytest.raises(InvalidParameterError, match=r"^sigma vanishes at t=0$"):
+            verify_sigma(a, math.sin)
+        with pytest.raises(InvalidParameterError, match=r"^sigma vanishes at t=3\.14159$"):
+            verify_sigma(a, lambda t: math.sin(t) if t > 0.0 else 1.0)
 
 
 class TestWbar:
