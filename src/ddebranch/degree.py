@@ -44,7 +44,7 @@ from .errors import (
     TranslationUndefinedError,
 )
 from .fields import FieldHandle
-from .problem import Box, eval_batch
+from .problem import Box, _per_row
 
 _BOUNDARY_ZERO_TOL = 1e-14
 _MARGIN_MIN = 1e-10
@@ -84,8 +84,8 @@ class DegreeReport:
 
 def _as_handle(fn, dim: int) -> FieldHandle:
     """fn as a FieldHandle on R^dim: a FieldHandle as it is, any other
-    callable called on each (dim,) row of a point set.  In one dimension fn
-    gets the row's float first, the row on TypeError or IndexError."""
+    callable called on each (dim,) row by the fields' loop, _per_row.  In 1-d
+    fn gets the row's float first, the row on TypeError or IndexError."""
     if isinstance(fn, FieldHandle):
         return fn
     point = fn
@@ -96,7 +96,7 @@ def _as_handle(fn, dim: int) -> FieldHandle:
             except (TypeError, IndexError):
                 return fn(z)
 
-    return FieldHandle(dim=dim, eval=lambda Z: eval_batch(point, None, Z))
+    return FieldHandle(dim=dim, eval=_per_row(point, timed=False))
 
 
 def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:

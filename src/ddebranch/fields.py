@@ -10,12 +10,12 @@ statement verified by the rest of the package:
 Every average takes problem.n_quad Simpson cells: the problem is the one
 home of that setting, and dataclasses.replace(problem, n_quad=...) changes
 it.  w_f takes one f call on n_quad + 1 times against a batch of points:
-cheap for a BatchField f, (n_quad + 1) calls per point for any other
-callable.  The quadrature times and Simpson weights are built once per
-(period, n_quad) and shared by every call; the mu < 1 right-hand side makes
-one w_f call per RK4 stage through make_wf.  nu and v_lam (nu scaled per
-component) are FieldHandles, so a batch of N points costs one w_f and one
-g call.
+cheap for an f that takes a batch, (n_quad + 1) calls per point for one
+that the problem calls row by row.  The quadrature times and Simpson
+weights are built once per (period, n_quad) and shared by every call; the
+mu < 1 right-hand side makes one w_f call per RK4 stage through make_wf.
+nu and v_lam (nu scaled per component) are FieldHandles, so a batch of N
+points costs one w_f and one g call.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -104,16 +105,15 @@ def _make_rhs(problem: CoupledProblem, lam: float, mu: float):
     At lambda != 0 and mu = 1, a problem whose fields all come from the DSL
     runs its generated stage (CoupledProblem.stage): prepare evaluates the
     state-free subtrees of the whole interval in one call, and each RK4
-    stage is one call of the step.  Otherwise prepare is None and the
-    fields are evaluated one by one through eval_batch: the only path for
-    Python callables, for mu < 1 and for lambda = 0.  Neither reads a:
-    integrate reads it once per sweep."""
+    stage is one call of the step, both with lam bound by partial.
+    Otherwise prepare is None and the fields are evaluated one by one
+    through eval_batch: the only path for Python callables, for mu < 1
+    and for lambda = 0.  Neither reads a: integrate reads it once."""
     stage = problem.stage if lam != 0.0 and mu >= 1.0 else None
     if stage is not None:
         interval, step = stage
         lam = float(lam)
-        prepare = None if interval is None else (lambda ts, block: interval(ts, lam, block))
-        return prepare, lambda t, at, state, delayed: step(t, at, lam, state, delayed)
+        return None if interval is None else partial(interval, lam), partial(step, lam)
     k = problem.dim_x
     abar = problem.abar
     wf = make_wf(problem) if mu < 1.0 else None

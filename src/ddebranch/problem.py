@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -87,18 +88,18 @@ def _sample_at(fn, *args) -> np.ndarray:
 
 
 class BatchField:
-    """A field callable that takes a leading batch axis in one call.
+    """Declares that the field callable fn takes a leading batch axis.
 
-    Wrapping fn declares that, given states of shape (B, n_i) and a time t
-    that is a float or an array broadcasting against the batch axes (as
-    the (n_quad+1, 1) times of average_f), fn returns the values with the
-    broadcast batch shape plus one axis of k components: (k,) for 1-d
-    states at a float t.  Config expressions, the Lienard-reduced fields
-    and hence the presets are BatchFields.  Any other callable is a
-    single-state field, evaluated per (time, row) pair by eval_batch.
-    exprs are the DSL expressions fn was compiled from (None when fn is
-    a Python callable): a problem whose fields all carry them compiles
-    its whole right-hand side into a compiled stage (CoupledProblem.stage).
+    Given states of shape (B, n_i) and a time t that is a float or an array
+    broadcasting against the batch axes (as the (n_quad+1, 1) times of
+    average_f), fn returns the values with the broadcast batch shape plus
+    one axis of k components: (k,) for 1-d states at a float t.  Every
+    CoupledProblem field is one (see _as_batch_field); the DSL and the
+    Lienard reduction (hence the presets) build theirs as BatchFields,
+    which skips the probe.  exprs are the DSL expressions fn was compiled
+    from (None when fn is a Python callable): a problem whose fields all
+    carry them compiles its whole right-hand side into a compiled stage
+    (CoupledProblem.stage).
     """
 
     __slots__ = ("fn", "exprs")
@@ -106,9 +107,6 @@ class BatchField:
     def __init__(self, fn: Callable, exprs=None):
         self.fn = fn
         self.exprs = exprs
-
-    def __call__(self, *args):
-        return self.fn(*args)
 
 
 def state_columns(k: int, s: int):
@@ -139,10 +137,10 @@ def compile_stage(k: int, s: int, f, g, h=None):
     operations eval_f, eval_g and eval_h and their combination make.
     Every maximal subtree of them that reads no x, y or at (only t, xd,
     yd and lam), such as sin(yd1) + 0.5*cos(t), is hoisted:
-    interval(t, lam, delayed) evaluates them all at once on a delay
+    interval(lam, t, delayed) evaluates them all at once on a delay
     interval's block of stage times and delayed states, (R, 1) and
     (R, B, d), and returns that block with one column appended per
-    subtree.  step(t, at, lam, state, row) computes the components of a
+    subtree.  step(lam, t, at, state, row) computes the components of a
     (B, d) state from one row of it, reading each hoisted subtree from
     its column.  interval is None when nothing is hoisted, and step then
     takes the delayed states themselves.  A domain error is raised by
@@ -159,40 +157,64 @@ def compile_stage(k: int, s: int, f, g, h=None):
     for part in parts:
         _state_free_subtrees(part, {"t", "lam", *xd, *yd}, hoisted)
     step = dsl.compile_function([dsl.Expr(part, frozenset()) for part in parts],
-                                ["t", "at", "lam", x + y, xd + yd + hoisted]).__wrapped__
+                                ["lam", "t", "at", x + y, xd + yd + hoisted]).__wrapped__
     if not hoisted:
         return None, step
     columns = [dsl.Expr(node, frozenset()) for node in [dsl.Var(v) for v in xd + yd] + hoisted]
-    return dsl.compile_function(columns, ["t", "lam", xd + yd]).__wrapped__, step
+    return dsl.compile_function(columns, ["lam", "t", xd + yd]).__wrapped__, step
+
+
+def _per_row(fn: Callable, timed: bool) -> Callable:
+    """fn, a field of one state (after a float time when timed), as a batch
+    callable (see BatchField) that calls it once per (time, row) pair."""
+    def per_row(*args):
+        t, states = (args[0], args[1:]) if timed else (None, args)
+        shape = states[0].shape[:-1]
+        if isinstance(t, np.ndarray) and t.ndim:
+            shape = np.broadcast_shapes(t.shape, shape)
+        if not shape:
+            return np.asarray(fn(*args), dtype=float).reshape(-1)
+        n = math.prod(shape)
+        full = [s if s.shape[:-1] == shape else np.broadcast_to(s, shape + s.shape[-1:]) for s in states]
+        rows = [s.reshape(n, s.shape[-1]) for s in full]
+        if timed:
+            rows.insert(0, np.broadcast_to(t, shape).ravel() if np.ndim(t) else itertools.repeat(t))
+        out = np.array([np.asarray(fn(*row), dtype=float).reshape(-1) for row in zip(*rows)])
+        return out.reshape(shape + out.shape[1:])
+    per_row.__wrapped__ = fn
+    return per_row
 
 
 def eval_batch(fn: Callable, t, *states) -> np.ndarray:
-    """Evaluate fn(t, *states), or fn(*states) when t is None.
-
-    The states have shape (n_i,) for one point, or (B, n_i) for a batch of
-    B points; t is a float, or an array that broadcasts against the batch
-    axes.  The result has the broadcast batch shape plus one component
-    axis.  A BatchField takes it all in one call; any other callable is
-    called once per (time, row) pair.
-    """
+    """fn(t, *states), or fn(*states) when t is None, in one call of a batch
+    callable (a BatchField's fn).  States of shape (n_i,) or (B, n_i) and a
+    float t or an array broadcasting against the batch axes give the
+    broadcast batch shape plus one component axis; a result that ignores t
+    is broadcast to it."""
     lead = () if t is None else (t,)
-    if isinstance(fn, BatchField):
-        out = np.asarray(fn.fn(*lead, *states), dtype=float)
-        if isinstance(t, np.ndarray) and out.ndim <= t.ndim:  # a field that ignores t
-            out = np.broadcast_to(out, np.broadcast_shapes(t.shape, out.shape[:-1]) + out.shape[-1:])
-        return out
-    shape = states[0].shape[:-1]
-    if isinstance(t, np.ndarray) and t.ndim:
-        shape = np.broadcast_shapes(t.shape, shape)
-    if not shape:
-        return np.asarray(fn(*lead, *states), dtype=float).reshape(-1)
-    n = math.prod(shape)
-    full = [s if s.shape[:-1] == shape else np.broadcast_to(s, shape + s.shape[-1:]) for s in states]
-    rows = [s.reshape(n, s.shape[-1]) for s in full]
-    if t is not None:
-        rows.insert(0, np.broadcast_to(t, shape).ravel() if np.ndim(t) else itertools.repeat(t))
-    out = np.array([np.asarray(fn(*args), dtype=float).reshape(-1) for args in zip(*rows)])
-    return out.reshape(shape + out.shape[1:])
+    out = np.asarray(fn(*lead, *states), dtype=float)
+    if isinstance(t, np.ndarray) and out.ndim <= t.ndim:  # a field that ignores t
+        out = np.broadcast_to(out, np.broadcast_shapes(t.shape, out.shape[:-1]) + out.shape[-1:])
+    return out
+
+
+def _as_batch_field(fn: Callable, timed: bool, k: int, s: int) -> BatchField:
+    """fn as a BatchField of itself when, on 3 seeded rows of states (at a
+    float time and at a (2, 1) column of times when timed), eval_batch of
+    it gives the shape and bytes of its per-row calls; else, or when the
+    probe raises, as a BatchField of _per_row(fn, timed)."""
+    per_row = _per_row(fn, timed)
+    rng = np.random.default_rng(0)
+    states = [rng.uniform(-1.0, 1.0, (3, n)) for n in (k, s, k, s)[:4 if timed else 2]]
+    times = (float(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0, (2, 1))) if timed else (None,)
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # float(array) warns, and a filter may make that an error
+            pairs = [(eval_batch(per_row, t, *states), eval_batch(fn, t, *states)) for t in times]
+    except (TypeError, ValueError, IndexError, ArithmeticError):
+        return BatchField(per_row)
+    same = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+    return BatchField(fn if same else per_row)
 
 
 @lru_cache(maxsize=16)
@@ -417,9 +439,9 @@ class CoupledProblem:
     """The full parametrized delay system (fields, coefficient, period, delay).
 
     The delay is normalized into (0, T] at construction.  f and h may be
-    None when absent (k = 0, or no delayed perturbation of y).  The fields
-    are evaluated through eval_batch: a BatchField takes a whole batch of
-    states in one call, any other callable one state at a time.
+    None when absent (k = 0, or no delayed perturbation of y).  Each field
+    is any callable; construction stores it as a BatchField, decided once
+    (_as_batch_field), and eval_f, eval_g and eval_h make one call of it.
     """
 
     dim_x: int
@@ -455,6 +477,9 @@ class CoupledProblem:
                 "the methods of this package require <a> != 0"
             )
         object.__setattr__(self, "abar", abar)
+        for name, timed in (("f", True), ("g", False), ("h", True)):  # decided once per field
+            if (fn := getattr(self, name)) is not None and not isinstance(fn, BatchField):
+                object.__setattr__(self, name, _as_batch_field(fn, timed, k, s))
         self._check_time_periodicity()
 
     def _check_time_periodicity(self):
@@ -486,7 +511,7 @@ class CoupledProblem:
         built on first use; None unless every field present is a
         BatchField with exprs."""
         fields = (self.f, self.g, self.h)
-        if any(fn is not None and getattr(fn, "exprs", None) is None for fn in fields):
+        if any(fn is not None and fn.exprs is None for fn in fields):
             return None
         return compile_stage(self.dim_x, self.dim_y, *(fn and fn.exprs for fn in fields))
 
@@ -494,12 +519,12 @@ class CoupledProblem:
         """f at one state (1-d arguments) or a batch of rows (see eval_batch)."""
         if self.f is None:
             return np.zeros(np.shape(x)[:-1] + (0,))
-        return eval_batch(self.f, t, x, y, xd, yd)
+        return eval_batch(self.f.fn, t, x, y, xd, yd)
 
     def eval_g(self, x, y) -> np.ndarray:
-        return eval_batch(self.g, None, x, y)
+        return eval_batch(self.g.fn, None, x, y)
 
     def eval_h(self, t, x, y, xd, yd) -> np.ndarray:
         if self.h is None:
             return np.zeros(np.shape(y)[:-1] + (self.dim_y,))
-        return eval_batch(self.h, t, x, y, xd, yd)
+        return eval_batch(self.h.fn, t, x, y, xd, yd)

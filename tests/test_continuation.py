@@ -24,6 +24,7 @@ from ddebranch.continuation import (
     TERMINATION_NEWTON,
 )
 from ddebranch.errors import InvalidParameterError
+from ddebranch.problem import BatchField, _per_row
 
 from conftest import TWO_PI, fold_problem, lambdas, periodic, scalar_problem, sup_distance, unit_drive_problem
 
@@ -71,6 +72,16 @@ class TestTerminations:
             # The constant solution below the fold.
             y = p.history.values[0, 0]
             assert y - y ** 3 == pytest.approx(p.lam, abs=1e-8)
+
+    def test_numpy_fold_branch_matches_g_row_by_row(self):
+        # The NumPy g takes the batch in one call (h = 1 does not and runs
+        # row by row); forcing g row by row changes no bit of the branch.
+        prob = fold_problem("numpy")
+        assert not hasattr(prob.g.fn, "__wrapped__") and hasattr(prob.h.fn, "__wrapped__")
+        rows = dataclasses.replace(prob, g=BatchField(_per_row(prob.g.fn, timed=False)))
+        cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
+        branches = [continue_branch(p, [0.0], 1.0, cfg) for p in (prob, rows)]
+        assert branches[0].to_json() == branches[1].to_json()
 
     def test_first_step_failing_at_h_min_keeps_the_origin_alone(self):
         prob = unit_drive_problem(lambda x, y: y - y ** 3)

@@ -417,10 +417,10 @@ class TestCompiled:
                 want_node = hoisted_node or next((n for n in field_nodes if n is not None), None)
                 with np.errstate(all="ignore"):  # as inside a sweep
                     block, stage_node = (delayed[None], None) if interval is None else attempt(
-                        interval, t, lam, delayed[None])
+                        interval, lam, t, delayed[None])
                     in_interval = stage_node is not None
                     if not in_interval:
-                        got, stage_node = attempt(step, t, at, lam, state, block[0])
+                        got, stage_node = attempt(step, lam, t, at, state, block[0])
                     if want_node is None:
                         want = np.concatenate([lam * fv, at * gv[None] + lam * hv if with_h else at * gv[None]],
                                               axis=-1)

@@ -134,8 +134,8 @@ class TestDenseOutput:
 
 class TestBatch:
     def _delay_problem(self, batch_field):
-        # x' = lam * sin(yd), y' = a(t) (x - y), as a row-by-row callable or
-        # as a field that takes the batch in one call.
+        # x' = lam * sin(yd), y' = a(t) (x - y), with NumPy callables that
+        # the problem finds take a batch, or declared a BatchField.
         def f(t, x, y, xd, yd):
             return np.sin(yd)
 
@@ -146,6 +146,16 @@ class TestBatch:
             a=periodic(lambda t: -1.0 + 0.5 * math.sin(t)),
             period=TWO_PI, delay=1.0,
         )
+
+    @staticmethod
+    def _float_delay_problem():
+        # The same system on Python floats: both fields run row by row.
+        f = lambda t, x, y, xd, yd: [math.sin(yd[0])]
+        g = lambda x, y: [float(x[0]) - float(y[0])]
+        prob = CoupledProblem(dim_x=1, dim_y=1, f=f, g=g, a=periodic(lambda t: -1.0 + 0.5 * math.sin(t)),
+                              period=TWO_PI, delay=1.0)
+        assert prob.f.fn.__wrapped__ is f and prob.g.fn.__wrapped__ is g
+        return prob
 
     @staticmethod
     def _assert_rows_match_single_runs(prob, mu):
@@ -170,6 +180,13 @@ class TestBatch:
     def test_mu_half_rows_match_single_runs(self, batch_field):
         # The averaged drive of all rows is one average_f call per stage.
         prob = dataclasses.replace(self._delay_problem(batch_field), n_quad=16)
+        self._assert_rows_match_single_runs(prob, 0.5)
+
+    def test_float_rows_match_single_runs(self):
+        self._assert_rows_match_single_runs(self._float_delay_problem(), 1.0)
+
+    def test_mu_half_float_rows_match_single_runs(self):
+        prob = dataclasses.replace(self._float_delay_problem(), n_quad=16)
         self._assert_rows_match_single_runs(prob, 0.5)
 
     def test_mu_half_sunflower_rows_match_single_runs(self, sunflower):
@@ -396,6 +413,7 @@ class TestAgainstScalarReads:
         "spd-9": (lambda: _dsl_problem(*_FORCED), 0.5, 9),
         "a-with-exp": (lambda: _dsl_problem(*_FORCED, a="-1 + 0.3*exp(cos(t))"), 0.5, 8),
         "callable": (lambda: TestBatch()._delay_problem(False), 0.8, 8),
+        "float-callable": (TestBatch._float_delay_problem, 0.8, 8),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -403,7 +421,7 @@ class TestAgainstScalarReads:
     def test_bit_identical(self, case, rows):
         make, lam, spd = self.CASES[case]
         prob = make()
-        assert (prob.stage is None) == (case == "callable")
+        assert (prob.stage is None) == case.endswith("callable")
         shape = (13, prob.dim) if rows is None else (13, rows, prob.dim)
         init = History.from_values(np.random.default_rng(11).uniform(-0.5, 0.5, shape), prob.delay)
         traj = integrate(prob, lam, 1.0, init, TWO_PI, steps_per_delay=spd)

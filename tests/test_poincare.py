@@ -297,15 +297,18 @@ class TestBatchedJacobian:
         self._assert_matches_column_loop(problem, 0.5, 1.0, _wavy_history(8))
 
     def test_sunflower_row_by_row_fields(self, sunflower):
-        # The reduced sunflower system written as plain single-state callables.
+        # The reduced sunflower system written as plain single-state
+        # callables: f reads floats, so the problem calls it row by row.
         sigma = sunflower.sigma.sigma
+
+        def f(t, x, y, xd, yd):
+            return np.array([math.sin(yd[0]) / sigma(t)])
+
         problem = CoupledProblem(
-            dim_x=1, dim_y=1,
-            f=lambda t, x, y, xd, yd: np.array([math.sin(yd[0]) / sigma(t)]),
-            g=lambda x, y: np.array([x[0] - y[0]]),
+            dim_x=1, dim_y=1, f=f, g=lambda x, y: np.array([x[0] - y[0]]),
             a=sigma, period=TWO_PI, delay=1.0,
         )
-        assert not isinstance(problem.f, BatchField)
+        assert problem.f.fn.__wrapped__ is f  # the per-row adapter of f
         self._assert_matches_column_loop(problem, 0.5, 1.0, _wavy_history(8))
 
     def test_mu_half(self, sunflower):

@@ -1,6 +1,7 @@
 """Problem data model: delay normalization, quadrature, boxes, histories."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -9,12 +10,14 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import ddebranch
-from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, normalize_delay
+from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar, integrate, normalize_delay
+from ddebranch import problem as problem_module
+from ddebranch.config import load_problem
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.problem import (_hermite, _hermite_array, _sample_at,
+from ddebranch.problem import (BatchField, _hermite, _hermite_array, _sample_at,
                                _simpson_rule, quadrature_times, simpson_mean)
 
-from conftest import TWO_PI, history_at, periodic, scalar_problem
+from conftest import FOLD_PROBLEM, TWO_PI, fold_problem, history_at, periodic, scalar_problem, unit_drive_problem
 
 
 class TestNormalizeDelay:
@@ -425,3 +428,80 @@ class TestCoupledProblem:
         prob = scalar_problem(lambda y: y)
         assert prob.abar == pytest.approx(-1.0, abs=1e-10)
 
+
+class TestFieldContract:
+    """Each field is a BatchField after construction: one given as a
+    BatchField is kept, any other callable is its own batch function when
+    the probe batch gives its per-row results bit for bit, and row by row
+    (problem._per_row, which keeps the callable as __wrapped__) otherwise."""
+
+    def test_numpy_g_takes_a_batch_once_per_stage(self):
+        calls = []
+
+        def g(x, y):
+            calls.append(len(y))
+            return y - y ** 3
+
+        prob = unit_drive_problem(g)
+        assert prob.g.fn is g
+        calls.clear()
+        init = History.from_values(np.random.default_rng(2).uniform(-0.5, 0.5, (9, 3, 1)), 1.0)
+        integrate(prob, 0.3, 1.0, init, TWO_PI, steps_per_delay=8)
+        assert calls == [3] * 205  # 615 calls of one row each, row by row
+
+    def test_fields_that_do_not_take_a_batch_run_row_by_row(self):
+        # fold_problem("float") reads floats, its h = 1 ignores the batch,
+        # and the row-mixing g returns the batch shape by coincidence (3
+        # rows of s = 3 components) but other values.
+        rotate = lambda x, y: np.array([y[1], y[2], y[0]])
+        mixed = CoupledProblem(dim_x=0, dim_y=3, g=rotate, a=PeriodicFn1D.constant(-1.0, TWO_PI),
+                               period=TWO_PI, delay=1.0)
+        fold = fold_problem("float")
+        assert mixed.g.fn.__wrapped__ is rotate
+        x = np.zeros((4, 0))
+        for prob in (fold, mixed):
+            g = prob.g.fn.__wrapped__
+            y = np.random.default_rng(5).uniform(-1.0, 1.0, (4, prob.dim_y))
+            want = np.array([g(x[i], y[i]) for i in range(4)], dtype=float)
+            assert prob.eval_g(x, y).tobytes() == want.tobytes()
+        assert hasattr(fold.h.fn, "__wrapped__")
+        assert fold.eval_h(0.5, x, np.ones((4, 1)), x, np.ones((4, 1))).tolist() == [[1.0]] * 4
+
+    def test_field_raising_at_the_probe_runs_row_by_row(self):
+        g = lambda x, y: [math.log(y[0] - 1.0)]
+        prob = CoupledProblem(dim_x=0, dim_y=1, g=g, a=PeriodicFn1D.constant(-1.0, TWO_PI),
+                              period=TWO_PI, delay=1.0)
+        assert prob.g.fn.__wrapped__ is g
+        assert prob.eval_g(np.zeros((2, 0)), np.array([[2.0], [1.0 + math.e]])).tolist() == [[0.0], [1.0]]
+
+    def test_replace_keeps_each_stored_field(self):
+        calls = []
+
+        def g(x, y):
+            calls.append(1)
+            return y - y ** 3
+
+        prob = unit_drive_problem(g)
+        calls.clear()
+        replaced = dataclasses.replace(prob, n_quad=32)
+        assert calls == []
+        assert replaced.g is prob.g and replaced.h is prob.h
+
+    @pytest.mark.parametrize("block", [
+        FOLD_PROBLEM,
+        {"preset": "sunflower"},
+        {"preset": "classic-sunflower", "alpha": 6.0, "beta": -1.0, "r": 1.0},
+    ])
+    def test_config_problems_keep_their_own_batch_fields(self, block, monkeypatch):
+        # The DSL and the Lienard-reduced presets build BatchFields, so no
+        # problem a config or a benchmark workload builds probes a field.
+        def no_probe(fn, timed):
+            raise AssertionError(f"probed {fn}")
+
+        monkeypatch.setattr(problem_module, "_per_row", no_probe)
+        prob = load_problem({"problem": block, "numerics": {"n_quad": 16}}).coupled
+        replaced = dataclasses.replace(prob, n_quad=32)
+        for name in ("f", "g", "h"):
+            field = getattr(prob, name)
+            assert field is None or isinstance(field, BatchField)
+            assert getattr(replaced, name) is field
