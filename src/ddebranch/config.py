@@ -217,11 +217,10 @@ def load_problem(config: dict) -> LoadedProblem:
         phi_src = block.get("phi", "sin(yd1)")
         a = _load_periodic_expr(a_src, T, "problem.a")
         (phi_e,) = _parse_exprs(phi_src, {"y1", "yd1"}, "problem.phi")
-        phi = dsl.compile_function(phi_e, ["y1", "yd1"])
-        from .presets import sunflower_setup
+        from .presets import dsl_phi, sunflower_setup
 
         try:
-            setup = sunflower_setup(a, phi, T, r)
+            setup = sunflower_setup(a, dsl_phi(phi_e), T, r)
             coupled = replace(setup.coupled, n_quad=n_quad)
         except DdeBranchError as exc:
             raise ConfigError(f"problem: {exc}") from exc

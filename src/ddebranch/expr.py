@@ -81,11 +81,16 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Call:
-    fn: str
+    """A function node: fn names a function of FUNCTIONS, or is a bound
+    Python function of one argument, which the parser never builds (see
+    lienard.lienard_reduce)."""
+
+    fn: Union[str, Callable]
     arg: "Node"
 
     def __str__(self):
-        return f"{self.fn}({self.arg})"
+        name = self.fn if isinstance(self.fn, str) else getattr(self.fn, "__name__", "fn")
+        return f"{name}({self.arg})"
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]
@@ -295,8 +300,10 @@ def _fail_where(bad, value, message: str, node: Node):
 
 def _call(node: Call, x):
     """A function node on an array or a float, with the language's domain
-    checks made on every element."""
+    checks made on every element; a bound function is applied unchecked."""
     fn = node.fn
+    if not isinstance(fn, str):
+        return fn(x)
     if fn == "log":
         _fail_where(x <= 0.0, x, "log of nonpositive value", node)
     elif fn == "sqrt":

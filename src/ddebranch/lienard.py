@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import expr as dsl
 from .errors import InvalidParameterError, ZeroAverageError
 from .problem import (
     BatchField,
@@ -203,6 +204,10 @@ def verify_sigma(a: PeriodicFn1D, sigma, n_check: int = 256) -> float:
     return float(np.max(np.abs(_sample_at(a, ts) - sdot / s + s)))
 
 
+def _identity(y):
+    return y
+
+
 @dataclass(frozen=True)
 class _Autonomous:
     """The perturbation f(t, y, yd) = phi(y, yd), which ignores t."""
@@ -226,7 +231,7 @@ class ScalarDelayProblem:
     f: Callable[[float, float, float], float]
     period: float
     delay: float
-    G: Callable[[float], float] = staticmethod(lambda y: y)
+    G: Callable[[float], float] = staticmethod(_identity)
 
     def __post_init__(self):
         object.__setattr__(self, "delay", normalize_delay(self.delay, self.period))
@@ -235,7 +240,9 @@ class ScalarDelayProblem:
 
     @classmethod
     def from_phi(cls, a: PeriodicFn1D, phi, period: float, delay: float) -> "ScalarDelayProblem":
-        """Autonomous perturbation phi(y, yd), the sunflower-like shape."""
+        """Autonomous perturbation phi(y, yd), the sunflower-like shape:
+        a callable, or a BatchField of one with its DSL expression in y1
+        and yd1 (presets.dsl_phi)."""
         return cls(a=a, f=_Autonomous(phi), period=period, delay=delay)
 
 
@@ -270,12 +277,30 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     RK4 stage time although stages come in pairs at one time (k2 and k3,
     k4 and the node slope), and on the last array of times, so the mu < 1
     averaged drive samples it on the quadrature grid once, not per stage.
+
+    When phi carries its DSL expression (a BatchField, as the sunflower
+    presets build it) and G is the default identity, f and g also carry
+    the expressions phi/gamma(t) and x1 - y1, with gamma(t) a node bound
+    to a read of gamma through _sample_at, so the problem at mu = 1 and
+    lambda != 0 runs its compiled stage (CoupledProblem.stage), which
+    reads gamma once per delay interval on its block of stage times.  The
+    callables above stay each field's fn, for mu < 1, lambda = 0 and the
+    averaged fields.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
     G = sdp.G
+    f_exprs = g_exprs = None
     if isinstance(f, _Autonomous):
         phi = f.phi
+        if isinstance(phi, BatchField) and phi.exprs is not None and G is _identity:
+            def gamma_at(t):
+                return _sample_at(gamma, t)
+
+            (phi_e,) = phi.exprs
+            over_gamma = dsl.BinOp("/", phi_e.root, dsl.Call(gamma_at, dsl.Var("t")))
+            f_exprs = [dsl.Expr(over_gamma, phi_e.allowed_vars | {"t"})]
+            g_exprs = [dsl.parse("x1 - y1", {"x1", "y1"})]
         drive = lambda t, y, yd: _sample_at(phi, y, yd)
     else:
         drive = lambda t, y, yd: _sample_at(f, t, y, yd)
@@ -305,8 +330,8 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     return CoupledProblem(
         dim_x=1,
         dim_y=1,
-        f=BatchField(f_c),
-        g=BatchField(g_c),
+        f=BatchField(f_c, f_exprs),
+        g=BatchField(g_c, g_exprs),
         h=None,
         a=gamma,
         period=sdp.period,

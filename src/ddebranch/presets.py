@@ -6,6 +6,9 @@
 * "classic-sunflower": constant coefficients alpha, beta, delay r; the
   damping becomes a = -alpha/r and the parameter value lam = -beta/r with
   phi(y, yd) = sin(yd).
+
+Both build phi from the DSL (dsl_phi), so their reduced problems run the
+compiled stage at mu = 1 (lienard.lienard_reduce).
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import expr as dsl
 from .errors import InvalidParameterError
 from .lienard import ScalarDelayProblem, SigmaResult, lienard_reduce, sigma_transform
-from .problem import CoupledProblem, PeriodicFn1D
+from .problem import BatchField, CoupledProblem, PeriodicFn1D
 
 
 @dataclass(frozen=True)
@@ -29,13 +33,20 @@ class SunflowerSetup:
     coupled: CoupledProblem
 
 
+def dsl_phi(phi_e: dsl.Expr) -> BatchField:
+    """phi(y, yd) from its DSL expression in y1 and yd1: the compiled
+    function, carrying the expression."""
+    return BatchField(dsl.compile_function(phi_e, ["y1", "yd1"]), [phi_e])
+
+
 def sunflower_setup(
     a: PeriodicFn1D,
     phi: Callable[[float, float], float],
     period: float,
     delay: float,
 ) -> SunflowerSetup:
-    """Reduce y'' = a(t) y' + lam * phi(y, y(t-r)) to the planar system."""
+    """Reduce y'' = a(t) y' + lam * phi(y, y(t-r)) to the planar system;
+    phi is a callable or a dsl_phi."""
     scalar = ScalarDelayProblem.from_phi(a, phi, period, delay)
     sig = sigma_transform(a)
     coupled = lienard_reduce(scalar, sig.sigma)
@@ -67,5 +78,5 @@ def classic_sunflower_setup(
     if a0 == 0.0:
         raise InvalidParameterError("alpha must be nonzero (<a> != 0 required)")
     a = PeriodicFn1D.constant(a0, period)
-    setup = sunflower_setup(a, lambda y, yd: np.sin(yd), period, delay)
+    setup = sunflower_setup(a, dsl_phi(dsl.parse("sin(yd1)", {"y1", "yd1"})), period, delay)
     return setup, lam

@@ -96,10 +96,11 @@ class BatchField:
     one axis of k components: (k,) for 1-d states at a float t.  Every
     CoupledProblem field is one (see _as_batch_field); the DSL and the
     Lienard reduction (hence the presets) build theirs as BatchFields,
-    which skips the probe.  exprs are the DSL expressions fn was compiled
-    from (None when fn is a Python callable): a problem whose fields all
-    carry them compiles its whole right-hand side into a compiled stage
-    (CoupledProblem.stage).
+    which skips the probe.  exprs are DSL expressions that compute fn's
+    values bit for bit (None when there are none: fn is a Python
+    callable), such as those fn was compiled from: a problem whose fields
+    all carry them compiles its whole right-hand side into a compiled
+    stage (CoupledProblem.stage).
     """
 
     __slots__ = ("fn", "exprs")
@@ -107,6 +108,9 @@ class BatchField:
     def __init__(self, fn: Callable, exprs=None):
         self.fn = fn
         self.exprs = exprs
+
+    def __call__(self, *args):  # a BatchField is also the callable fn
+        return self.fn(*args)
 
 
 def state_columns(k: int, s: int):
@@ -135,8 +139,10 @@ def compile_stage(k: int, s: int, f, g, h=None):
 
     Its components are lam * f_i and at * g_j (+ lam * h_j), the
     operations eval_f, eval_g and eval_h and their combination make.
-    Every maximal subtree of them that reads no x, y or at (only t, xd,
-    yd and lam), such as sin(yd1) + 0.5*cos(t), is hoisted:
+    The expressions come from the DSL, or from lienard_reduce, whose f
+    holds the bound node sigma(t) (see expr.Call).  Every maximal subtree
+    of them that reads no x, y or at (only t, xd, yd and lam), such as
+    sin(yd1) + 0.5*cos(t) or lam*(sin(yd1)/sigma(t)), is hoisted:
     interval(lam, t, delayed) evaluates them all at once on a delay
     interval's block of stage times and delayed states, (R, 1) and
     (R, B, d), and returns that block with one column appended per
@@ -190,19 +196,24 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
     callable (a BatchField's fn).  States of shape (n_i,) or (B, n_i) and a
     float t or an array broadcasting against the batch axes give the
     broadcast batch shape plus one component axis; a result that ignores t
-    is broadcast to it."""
+    or the batch is broadcast to it."""
     lead = () if t is None else (t,)
     out = np.asarray(fn(*lead, *states), dtype=float)
-    if isinstance(t, np.ndarray) and out.ndim <= t.ndim:  # a field that ignores t
-        out = np.broadcast_to(out, np.broadcast_shapes(t.shape, out.shape[:-1]) + out.shape[-1:])
+    batch = states[0].shape[:-1]
+    if isinstance(t, np.ndarray) and t.ndim:
+        if out.ndim <= t.ndim:  # a field that ignores t
+            out = np.broadcast_to(out, np.broadcast_shapes(t.shape, batch) + out.shape[-1:])
+    elif out.shape[:-1] != batch:  # a field that ignores the batch
+        out = np.broadcast_to(out, batch + out.shape[-1:])
     return out
 
 
 def _as_batch_field(fn: Callable, timed: bool, k: int, s: int) -> BatchField:
     """fn as a BatchField of itself when, on 3 seeded rows of states (at a
     float time and at a (2, 1) column of times when timed), eval_batch of
-    it gives the shape and bytes of its per-row calls; else, or when the
-    probe raises, as a BatchField of _per_row(fn, timed)."""
+    it, which broadcasts a result that ignores t or the batch, gives the
+    shape and bytes of its per-row calls; else, or when the probe raises,
+    as a BatchField of _per_row(fn, timed)."""
     per_row = _per_row(fn, timed)
     rng = np.random.default_rng(0)
     states = [rng.uniform(-1.0, 1.0, (3, n)) for n in (k, s, k, s)[:4 if timed else 2]]

@@ -1,10 +1,10 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
 must a field-by-field right-hand side that stops counting its field calls,
-a DSL problem's sweep that stops making one call of its compiled stage's
-step part per RK4 stage and one of its interval part per delay interval,
-or that makes many more Python calls per sweep of the
-benchmark's forced problem, or an averaged drive that rebuilds its
+a sweep of the benchmark's forced problem or sunflower preset that stops
+making one call of its compiled stage's step part per RK4 stage and one
+of its interval part per delay interval, or that makes many more Python
+calls, or an averaged drive that rebuilds its
 quadrature grid or re-reads gamma on it at every stage of the benchmark's
 mu < 1 sweep, or that reads gamma more than once per float stage time, or
 that reads the coefficient a other than once per sweep on every stage time.
@@ -38,11 +38,12 @@ def _load(name):
     return module
 
 
-def _forced_sweep():
-    """One RK4 sweep of the seed-0 forced-branch problem over a batch of 19
+def _config_sweep(workload):
+    """One RK4 sweep at lambda = 0.5 of the seed-0 problem of a CLI
+    workload (forced-branch or sunflower-verify-index) over a batch of 19
     random histories, as integrate's positional and keyword arguments.
     205 right-hand-side stages: 51 steps of 4, plus the slope at node 0."""
-    params, _ = _load("workloads").make_inputs("forced-branch", 0)
+    params, _ = _load("workloads").make_inputs(workload, 0)
     problem = config.load_problem(params["config"]).coupled
     values = np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 2))
     init = History.from_values(values, problem.delay)
@@ -124,12 +125,14 @@ def test_traced_callable_sweep_counts_one_f_and_one_g_call_per_stage():
     assert tracer.metrics()["problem.rhs_evals"] == 410
 
 
-def test_traced_forced_sweep_makes_one_stage_call_per_stage():
-    # Every field of the forced problem comes from the DSL: each stage is
-    # one call of the step part of the problem's compiled stage and no
-    # field call, and its state-free part is one call of the interval
-    # part per delay interval: 7 for 51 steps of 8 per interval.
-    args, kwargs = _forced_sweep()
+@pytest.mark.parametrize("workload", ["forced-branch", "sunflower-verify-index"])
+def test_traced_config_sweep_makes_one_stage_call_per_stage(workload):
+    # Every field of the forced problem comes from the DSL, and so do the
+    # sunflower preset's phi/sigma(t) and x1 - y1: each stage is one call
+    # of the step part of the problem's compiled stage and no field call,
+    # and its state-free part is one call of the interval part per delay
+    # interval: 7 for 51 steps of 8 per interval.
+    args, kwargs = _config_sweep(workload)
     problem = args[0]
     calls = {"interval": [], "step": []}
 
@@ -146,15 +149,8 @@ def test_traced_forced_sweep_makes_one_stage_call_per_stage():
     assert tracer.counts["problem.eval_f"] == tracer.counts["problem.eval_g"] == 0
 
 
-def test_sweep_makes_at_most_323_python_calls():
-    # Python calls outside NumPy in one sweep after a warm-up: 6 383 when
-    # each field walked a closure tree per component, 2 895 with one
-    # generated function per field, two field calls per stage and a
-    # scalar delayed read per step, 1 616 with one stage call per stage
-    # that evaluated sin(yd1) and cos(t) each time, 1 043 when each
-    # stage read the coefficient a at its own float time, 535 when a
-    # lambda moved lam into place for each call of the step.
-    args, kwargs = _forced_sweep()
+def _python_calls(args, kwargs):
+    """The Python calls outside NumPy in one sweep, after a warm-up."""
     integrator.integrate(*args, **kwargs)
     numpy_dir = os.path.dirname(np.__file__)
     calls = []
@@ -168,7 +164,23 @@ def test_sweep_makes_at_most_323_python_calls():
         integrator.integrate(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    assert len(calls) <= 323
+    return calls
+
+
+def test_sweep_makes_at_most_323_python_calls():
+    # 6 383 when each field walked a closure tree per component, 2 895
+    # with one generated function per field, two field calls per stage
+    # and a scalar delayed read per step, 1 616 with one stage call per
+    # stage that evaluated sin(yd1) and cos(t) each time, 1 043 when each
+    # stage read the coefficient a at its own float time, 535 when a
+    # lambda moved lam into place for each call of the step.
+    assert len(_python_calls(*_config_sweep("forced-branch"))) <= 323
+
+
+def test_preset_sweep_makes_at_most_364_python_calls():
+    # 3 362 when the sunflower preset ran every stage through lienard's
+    # f_c and g_c by eval_batch, reading sigma at each float stage time.
+    assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 364
 
 
 def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):

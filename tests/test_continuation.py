@@ -73,12 +73,14 @@ class TestTerminations:
             y = p.history.values[0, 0]
             assert y - y ** 3 == pytest.approx(p.lam, abs=1e-8)
 
-    def test_numpy_fold_branch_matches_g_row_by_row(self):
-        # The NumPy g takes the batch in one call (h = 1 does not and runs
-        # row by row); forcing g row by row changes no bit of the branch.
+    def test_numpy_fold_branch_matches_g_and_h_row_by_row(self):
+        # The NumPy g takes the batch in one call, and h = 1, which ignores
+        # the batch, is broadcast to it; forcing both row by row changes no
+        # bit of the branch.
         prob = fold_problem("numpy")
-        assert not hasattr(prob.g.fn, "__wrapped__") and hasattr(prob.h.fn, "__wrapped__")
-        rows = dataclasses.replace(prob, g=BatchField(_per_row(prob.g.fn, timed=False)))
+        assert not hasattr(prob.g.fn, "__wrapped__") and not hasattr(prob.h.fn, "__wrapped__")
+        rows = dataclasses.replace(prob, g=BatchField(_per_row(prob.g.fn, timed=False)),
+                                   h=BatchField(_per_row(prob.h.fn, timed=True)))
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
         branches = [continue_branch(p, [0.0], 1.0, cfg) for p in (prob, rows)]
         assert branches[0].to_json() == branches[1].to_json()

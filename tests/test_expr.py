@@ -446,6 +446,27 @@ class TestCompiled:
         assert math.isnan(ev("1e999*x", x=0.0))
         assert ev("2*pi*x", x=0.5) == math.pi
 
+    def test_bound_function_node_is_applied_unchecked_and_hoisted(self):
+        # A Call may hold a Python function of one argument (the Lienard
+        # reduction binds sigma so): it is applied as it is, with no domain
+        # check, and a call reading only t is evaluated per interval.
+        def tan(t):
+            return np.tan(t)
+
+        node = BinOp("/", Call("sin", Var("yd1")), Call(tan, Var("t")))
+        assert str(node) == "(sin(yd1) / tan(t))"
+        e = dsl.Expr(node, frozenset({"t", "yd1"}))
+        assert dsl.compile_function(e, ["t", "yd1"])(np.pi / 4, 1.0) == math.sin(1.0) / np.tan(np.pi / 4)
+        assert math.isnan(dsl.compile_function(dsl.Expr(Call(tan, Var("t")), frozenset({"t"})), ["t"])(math.inf))
+        interval, _ = compile_stage(1, 1, [e], [dsl.parse("x1 - y1", {"x1", "y1"})])
+        t = np.array([[0.5], [0.75]])
+        delayed = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, 2))
+        block = interval(2.0, t, delayed)  # xd1, yd1, then lam*(sin(yd1)/tan(t)) as one column
+        assert block.shape == (2, 3, 3)
+        assert block[..., 2].tobytes() == (2.0 * (np.sin(delayed[..., 1]) / np.tan(t))).tobytes()
+        with pytest.raises(ExprNameError):
+            dsl.parse("tan(t)", {"t"})
+
 
 class TestRoundTrip:
     def test_pretty_print_round_trip(self):

@@ -29,7 +29,6 @@ from ddebranch.errors import (
     TranslationUndefinedError,
 )
 from ddebranch.poincare import _newton_fixed_point, _residual
-from ddebranch.problem import BatchField
 
 from conftest import (TWO_PI, damped_newton, fd_jacobian, fold_problem, periodic, scalar_problem,
                       sup_distance)
@@ -288,12 +287,15 @@ class TestBatchedJacobian:
 
     def test_forced_dsl_problem(self):
         problem = _forced_problem()
-        assert isinstance(problem.f, BatchField) and isinstance(problem.g, BatchField)
+        assert problem.stage is not None
         self._assert_matches_column_loop(problem, 0.7, 1.0, _wavy_history(8))
 
     def test_sunflower_batch_fields(self, sunflower):
+        # The reference sunflower's phi is a NumPy callable: f and g are
+        # lienard_reduce's own batch functions, not _per_row adapters.
         problem = sunflower.coupled
-        assert isinstance(problem.f, BatchField) and isinstance(problem.g, BatchField)
+        assert problem.f.fn.__qualname__ == "lienard_reduce.<locals>.f_c"
+        assert problem.g.fn.__qualname__ == "lienard_reduce.<locals>.g_c"
         self._assert_matches_column_loop(problem, 0.5, 1.0, _wavy_history(8))
 
     def test_sunflower_row_by_row_fields(self, sunflower):

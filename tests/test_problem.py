@@ -14,7 +14,7 @@ from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar
 from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.problem import (BatchField, _hermite, _hermite_array, _sample_at,
+from ddebranch.problem import (_hermite, _hermite_array, _sample_at,
                                _simpson_rule, quadrature_times, simpson_mean)
 
 from conftest import FOLD_PROBLEM, TWO_PI, fold_problem, history_at, periodic, scalar_problem, unit_drive_problem
@@ -450,9 +450,10 @@ class TestFieldContract:
         assert calls == [3] * 205  # 615 calls of one row each, row by row
 
     def test_fields_that_do_not_take_a_batch_run_row_by_row(self):
-        # fold_problem("float") reads floats, its h = 1 ignores the batch,
-        # and the row-mixing g returns the batch shape by coincidence (3
-        # rows of s = 3 components) but other values.
+        # fold_problem("float")'s g reads floats, and the row-mixing g
+        # returns the batch shape by coincidence (3 rows of s = 3
+        # components) but other values.  Its h = 1 ignores the batch: its
+        # broadcast gives the per-row values, so it is kept.
         rotate = lambda x, y: np.array([y[1], y[2], y[0]])
         mixed = CoupledProblem(dim_x=0, dim_y=3, g=rotate, a=PeriodicFn1D.constant(-1.0, TWO_PI),
                                period=TWO_PI, delay=1.0)
@@ -464,8 +465,24 @@ class TestFieldContract:
             y = np.random.default_rng(5).uniform(-1.0, 1.0, (4, prob.dim_y))
             want = np.array([g(x[i], y[i]) for i in range(4)], dtype=float)
             assert prob.eval_g(x, y).tobytes() == want.tobytes()
-        assert hasattr(fold.h.fn, "__wrapped__")
+        assert not hasattr(fold.h.fn, "__wrapped__")
         assert fold.eval_h(0.5, x, np.ones((4, 1)), x, np.ones((4, 1))).tolist() == [[1.0]] * 4
+
+    def test_field_ignoring_the_batch_is_kept_and_broadcast(self):
+        calls = []
+
+        def h(t, x, y, xd, yd):
+            calls.append(np.shape(y))
+            return np.ones(1)
+
+        prob = CoupledProblem(dim_x=0, dim_y=1, g=lambda x, y: y - y ** 3, h=h,
+                              a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0)
+        assert prob.h.fn is h
+        assert prob.eval_h(0.5, np.zeros((4, 0)), np.ones((4, 1)), np.zeros((4, 0)), np.ones((4, 1))).shape == (4, 1)
+        calls.clear()
+        init = History.from_values(np.random.default_rng(2).uniform(-0.5, 0.5, (9, 3, 1)), 1.0)
+        integrate(prob, 0.3, 1.0, init, TWO_PI, steps_per_delay=8)
+        assert calls == [(3, 1)] * 205
 
     def test_field_raising_at_the_probe_runs_row_by_row(self):
         g = lambda x, y: [math.log(y[0] - 1.0)]
@@ -493,15 +510,55 @@ class TestFieldContract:
         {"preset": "classic-sunflower", "alpha": 6.0, "beta": -1.0, "r": 1.0},
     ])
     def test_config_problems_keep_their_own_batch_fields(self, block, monkeypatch):
-        # The DSL and the Lienard-reduced presets build BatchFields, so no
-        # problem a config or a benchmark workload builds probes a field.
+        # The DSL and the Lienard-reduced presets build BatchFields, with
+        # their expressions, so no problem a config or a benchmark
+        # workload builds probes a field, and each has a compiled stage.
         def no_probe(fn, timed):
             raise AssertionError(f"probed {fn}")
 
         monkeypatch.setattr(problem_module, "_per_row", no_probe)
         prob = load_problem({"problem": block, "numerics": {"n_quad": 16}}).coupled
         replaced = dataclasses.replace(prob, n_quad=32)
+        assert prob.stage is not None
         for name in ("f", "g", "h"):
-            field = getattr(prob, name)
-            assert field is None or isinstance(field, BatchField)
-            assert getattr(replaced, name) is field
+            assert getattr(replaced, name) is getattr(prob, name)
+
+
+def _stage_times(t_end: float, h: float) -> np.ndarray:
+    """integrate's stage times for a step h: its nodes, and the midpoint
+    t0 + 0.5*(t1 - t0) of each step."""
+    n = int(np.floor(t_end / h + 1e-9))
+    times = np.append(np.arange(n + 1) * h, t_end)
+    stage_t = np.empty(2 * len(times) - 1)
+    stage_t[0::2] = times
+    stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
+    return stage_t
+
+
+class TestPresetStage:
+    """The sunflower presets carry phi/sigma(t) and x1 - y1 as DSL
+    expressions, and their compiled stage gives the field path's bits."""
+
+    @pytest.mark.parametrize("block", [
+        {"preset": "sunflower"},
+        {"preset": "sunflower", "phi": "sin(yd1) - 0.1*y1"},
+        {"preset": "classic-sunflower", "alpha": 6.0, "beta": -1.0, "r": 1.0},
+    ])
+    def test_sweep_equals_the_field_path(self, block):
+        problem = load_problem({"problem": block, "numerics": {"n_quad": 64}}).coupled
+        assert problem.stage is not None
+        init = History.from_values(np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 2)), problem.delay)
+        compiled = integrate(problem, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
+        vars(problem)["stage"] = None
+        fields = integrate(problem, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
+        assert compiled.states.tobytes() == fields.states.tobytes()
+        assert compiled.slopes.tobytes() == fields.slopes.tobytes()
+
+    def test_sigma_reads_the_same_bits_at_a_float_and_in_an_array(self):
+        # The field path reads sigma at each float stage time, the stage
+        # on the column of a delay interval's stage times.
+        sigma = load_problem({"problem": {"preset": "sunflower"}}).sigma.sigma
+        ts = _stage_times(TWO_PI, 1.0 / 8)
+        assert len(ts) == 103
+        floats = np.array([sigma(t) for t in ts.tolist()])
+        assert floats.tobytes() == sigma(ts).tobytes() == sigma(ts[:, None]).ravel().tobytes()
