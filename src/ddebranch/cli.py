@@ -189,6 +189,8 @@ def cmd_branch(config: dict, out: Path, args) -> int:
     if cfg.domain is not None:
         _check_dim(cfg.domain.dim, loaded.coupled.dim, "branch.domain")
     lambda_max = _number(block, "lambda_max", "branch")
+    if not lambda_max >= 0:
+        raise ConfigError(f"branch.lambda_max: must be >= 0, got {block['lambda_max']}")
     branch = continue_branch(loaded.coupled, origin, lambda_max, cfg)
     csv_path = out / "branch.csv"
     branch.to_csv(csv_path)

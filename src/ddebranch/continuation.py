@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -127,6 +128,15 @@ def _min_dist_to_trivial(values: np.ndarray, zeros) -> float:
     return best
 
 
+def _secant(u, lam, u_prev, lam_prev, lam_to):
+    """The predictor at lam_to from the point u at lam: u continued along
+    the secant through the point u_prev at lam_prev, or u itself while
+    there is no such point."""
+    if u_prev is not None and lam - lam_prev > 1e-14:
+        return u + (u - u_prev) * ((lam_to - lam) / (lam - lam_prev))
+    return u.copy()
+
+
 def continue_branch(
     problem: CoupledProblem,
     origin,
@@ -135,9 +145,19 @@ def continue_branch(
 ) -> Branch:
     """Trace a branch of T-periodic solutions from a trivial point.
 
-    origin must be an approximate zero of nu (|nu| <= 1e-8); a warning (not
-    an error) is appropriate when the local degree vanishes, since the
-    existence theorems only back branches from nonzero-degree zeros.
+    origin must be an approximate zero of nu (|nu| <= 1e-8), and
+    lambda_max >= 0.  The local degree at origin is not checked: the
+    existence theorems only back branches from zeros of nonzero degree,
+    but a branch from any zero is traced, without a warning.
+
+    Each attempt is one Newton solve (poincare._newton_fixed_point) from
+    the secant predictor.  On a problem with a compiled stage, whose rows
+    cost little next to its calls, every sweep of an attempt also carries
+    the block of the next attempt's predictor at its lambda: the secant
+    from the attempt's current request, which is the next predictor should
+    that request converge and be kept.  The next attempt then starts from
+    that answer and skips its first sweep, and computes the same bits as
+    without the look-ahead.
     """
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     dim = problem.dim
@@ -147,6 +167,8 @@ def continue_branch(
         raise InvalidParameterError(
             f"domain box dimension {cfg.domain.dim} does not match problem dimension {dim}"
         )
+    if not lambda_max >= 0:
+        raise InvalidParameterError(f"lambda_max must be >= 0, got {lambda_max}")
     nu = nu_field(problem)
     nu0 = float(np.max(np.abs(nu(origin))))
     if nu0 > 1e-8:
@@ -165,7 +187,7 @@ def continue_branch(
             min_dist_to_trivial=_min_dist_to_trivial(hist0.values, zeros),
         )
     ]
-    if lambda_max <= 0:
+    if lambda_max == 0:
         return Branch(points=points, origin=origin, termination=TERMINATION_LAMBDA_MAX)
 
     lam = 0.0
@@ -173,26 +195,37 @@ def continue_branch(
     u_prev = None
     u_last = points[0].history.values.ravel().copy()
     lam_prev = None
+    nxt = None  # the last attempt's look-ahead: this one's predictor, with R and J_R there
     termination = TERMINATION_MAX_POINTS
 
     while len(points) < cfg.max_points:
         lam_next = min(lam + h, lambda_max)
-        # Predictor: previous history, secant once two points exist.
-        if u_prev is not None and lam_prev is not None and lam - lam_prev > 1e-14:
-            u_pred = u_last + (u_last - u_prev) * ((lam_next - lam) / (lam - lam_prev))
+        if nxt is None:
+            u_pred, first = _secant(u_last, lam, u_prev, lam_prev, lam_next), None
         else:
-            u_pred = u_last.copy()
+            u_pred, first = nxt[0], nxt[1:]
+        # Look ahead where rows cost little (a compiled stage) and another
+        # attempt can follow: should this one's point be kept, the next is
+        # at lam_after (the step rule below), from the secant through this
+        # point and the last.
+        ahead = None
+        if (problem.stage is not None and lam_next < lambda_max - 1e-14
+                and len(points) + 1 < cfg.max_points):
+            lam_after = min(lam_next + min(2.0 * h, cfg.h_max, lambda_max - lam_next), lambda_max)
+            ahead = (lam_after, partial(_secant, lam=lam_next, u_prev=u_last, lam_prev=lam,
+                                        lam_to=lam_after))
         # The corrector integrates unconstrained; the domain box is checked
         # against the converged history below so an exit is reported as
         # left_domain rather than as a Newton failure.
-        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg)
+        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg, first, ahead)
+        nxt = out[3] if out is not None and ahead is not None else None
         if out is None:
             if h > cfg.h_min:
                 h = max(0.5 * h, cfg.h_min)
                 continue
             termination = TERMINATION_NEWTON
             break
-        u_new, rnorm, _ = out
+        u_new, rnorm = out[0], out[1]
         hist = History.from_values(u_new.reshape(cfg.m + 1, dim), problem.delay)
         sup_norm = float(np.max(np.abs(u_new)))
         if sup_norm > _SUP_NORM_BLOWUP:

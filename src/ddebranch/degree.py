@@ -18,9 +18,10 @@ The damped Newton (newton_steps) asks at each point it visits for the
 residual and its Jacobian, so every iterate steps with the Jacobian at
 itself.  newton_lockstep answers any number of solves with one batched call
 per round and forms each Jacobian itself, as the forward-difference quotient
-of that call's rows: it is the package's one Newton driver and its one
+of that call's rows, the block a solve carries for the next one (its
+look-ahead) included: it is the package's one Newton driver and its one
 Jacobian site, and it refines jacobian-nd's zeros and the translation
-operator's fixed points (poincare).
+operator's fixed points (poincare, continuation).
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
 minimum sampled boundary norm is reported as admissibility_margin so callers
@@ -249,7 +250,7 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
     return (u, rnorm, J) if rnorm <= tol else None
 
 
-def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):
+def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=None, ahead=None):
     """newton_steps on F(u) = 0 from each seed in seeds, all advanced in
     lockstep; returns one (u, residual_norm, J) or None per seed.
 
@@ -263,36 +264,79 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int):
     TranslationUndefinedError is rerun block by block, so that the error
     reaches just the solves whose own rows (Jacobian rows included) raise
     it.
+
+    first, when given, holds one item per seed: the answer (F(u0), J(u0))
+    at the seed u0 itself, which then takes no call, or None.
+
+    ahead, given only with one seed, is a pair (predict, FG) that looks
+    one solve ahead: each round's call also carries the block of the point
+    v = predict(u) of the round's request u, as FG(rows, block), one call
+    that returns F(rows) stacked on G(block) for a second residual G.  A
+    converged solve then returns (u, residual_norm, J, nxt), where nxt is
+    (v, G(v), J_G(v)) from the block of its last request, formed as J(u)
+    is: the answer at the seed of a solve of G from v.  nxt is None when
+    that request took no call with a look-ahead block: the first request
+    answered from first, or any request after a call with the block
+    raised TranslationUndefinedError.  Such a call is rerun without it,
+    and the solve looks ahead no more.
     """
 
-    def sweep(rows):
+    def block(u):
+        return np.vstack([u, u + fd_step * np.eye(u.size)])
+
+    def quotient(rows):
+        return rows[0], ((rows[1:] - rows[0]) / fd_step).T
+
+    def sweep(call, *rows):
         try:
-            return F(rows)
+            return call(*rows)
         except TranslationUndefinedError as exc:
             return exc
 
     solves = [newton_steps(u0, tol, max_iter) for u0 in seeds]
     results = [None] * len(solves)
-    requests = {i: next(solve) for i, solve in enumerate(solves)}
+    requests = {}
+    nxt = None
+
+    def answer(i, pair):
+        """Send solve i the pair (F(u), J(u)) or throw in the error."""
+        try:
+            if isinstance(pair, TranslationUndefinedError):
+                requests[i] = solves[i].throw(pair)
+            else:
+                requests[i] = solves[i].send(pair)
+        except StopIteration as stop:
+            out = stop.value
+            results[i] = out + (nxt,) if ahead is not None and out is not None else out
+            del requests[i]
+
+    for i, solve in enumerate(solves):
+        requests[i] = next(solve)
+        if first is not None and first[i] is not None:
+            answer(i, first[i])
+    predict, FG = (None, None) if ahead is None else ahead
     while requests:
-        blocks = [np.vstack([u, u + fd_step * np.eye(u.size)]) for u in requests.values()]
-        merged = sweep(np.vstack(blocks))
+        blocks = [block(u) for u in requests.values()]
+        rows = np.vstack(blocks)
+        merged, nxt = None, None
+        if predict is not None:
+            (u,) = requests.values()
+            v = predict(u)
+            both = sweep(FG, rows, block(v))
+            if isinstance(both, TranslationUndefinedError):
+                predict = None
+            else:
+                merged, nxt = both[:len(rows)], (v, *quotient(both[len(rows):]))
+        if merged is None:
+            merged = sweep(F, rows)
         if not isinstance(merged, TranslationUndefinedError):
             answers = np.split(merged, len(blocks))
         elif len(blocks) == 1:
             answers = [merged]
         else:
-            answers = [sweep(b) for b in blocks]
-        for i, answer in zip(list(requests), answers):
-            try:
-                if isinstance(answer, TranslationUndefinedError):
-                    requests[i] = solves[i].throw(answer)
-                else:
-                    J = ((answer[1:] - answer[0]) / fd_step).T
-                    requests[i] = solves[i].send((answer[0], J))
-            except StopIteration as stop:
-                results[i] = stop.value
-                del requests[i]
+            answers = [sweep(F, b) for b in blocks]
+        for i, out in zip(list(requests), answers):
+            answer(i, out if isinstance(out, TranslationUndefinedError) else quotient(out))
     return results
 
 

@@ -335,7 +335,7 @@ def _power(node: BinOp, lhs, rhs):
 
 #: What generated code calls, by the names it calls them.
 _RUNTIME = {
-    "asarray": np.asarray, "empty": np.empty, "ndim": np.ndim,
+    "asarray": np.asarray, "empty": np.empty, "shape": np.shape,
     "broadcast_shapes": np.broadcast_shapes, "fail_where": _fail_where,
     "call": _call, "power": _power,
 }
@@ -421,9 +421,9 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
         tail = [f"return {values[0]}"]
     else:
         tail = [f"batch = {states[0]}.shape[:-1]"]
-        for a in scalars:
-            tail += [f"if type({a}) is not float and ndim({a}):",
-                     f"    batch = broadcast_shapes(asarray({a}).shape, batch)"]
+        for a in scalars:  # an array that already has the batch shape needs no broadcast
+            tail += [f"if type({a}) is not float and getattr({a}, 'shape', None) != batch:",
+                     f"    batch = broadcast_shapes(shape({a}), batch)"]
         tail.append(f"out = empty(batch + ({len(values)},))")
         tail += [f"out[..., {j}] = {v}" for j, v in enumerate(values)]
         tail.append("return out")

@@ -95,7 +95,24 @@ def _check_state(t: float, state: np.ndarray):
         raise BlowupError(t, norm, BLOWUP_THRESHOLD)
 
 
-def _make_rhs(problem: CoupledProblem, lam: float, mu: float):
+def _row_lambdas(problem: CoupledProblem, lam, mu: float, rows: int) -> np.ndarray:
+    """lam, one value per row of a sweep of rows histories, as a float
+    array.  Only the compiled stage takes it (mu = 1, every field from the
+    DSL), and every value must be positive: lambda = 0 runs the field
+    path."""
+    if problem.stage is None or mu < 1.0:
+        raise InvalidParameterError(
+            "lambda per row needs the compiled stage: mu = 1 and every field from the DSL"
+        )
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (rows,):
+        raise InvalidParameterError(f"lambda per row has shape {lam.shape}, not ({rows},)")
+    if not np.all(lam > 0.0):
+        raise InvalidParameterError(f"lambda per row must be > 0, got {float(np.min(lam))}")
+    return lam
+
+
+def _make_rhs(problem: CoupledProblem, lam, mu: float):
     """(prepare, rhs): rhs(t, at, state, delayed) is the coupled
     right-hand side on a (B, d) batch of states sharing t, at the value
     at of the coefficient a there, and prepare(ts, block), when not None,
@@ -106,13 +123,15 @@ def _make_rhs(problem: CoupledProblem, lam: float, mu: float):
     runs its generated stage (CoupledProblem.stage): prepare evaluates the
     state-free subtrees of the whole interval in one call, and each RK4
     stage is one call of the step, both with lam bound by partial.
-    Otherwise prepare is None and the fields are evaluated one by one
-    through eval_batch: the only path for Python callables, for mu < 1
-    and for lambda = 0.  Neither reads a: integrate reads it once."""
-    stage = problem.stage if lam != 0.0 and mu >= 1.0 else None
+    lam may be a (B,) array, one value per row: integrate passes one only
+    to the stage.  Otherwise prepare is None and the fields are evaluated
+    one by one through eval_batch: the only path for Python callables,
+    for mu < 1 and for lambda = 0.  Neither reads a: integrate reads it
+    once."""
+    stage = problem.stage if mu >= 1.0 and (np.ndim(lam) or lam != 0.0) else None
     if stage is not None:
         interval, step = stage
-        lam = float(lam)
+        lam = lam if np.ndim(lam) else float(lam)
         return None if interval is None else partial(interval, lam), partial(step, lam)
     k = problem.dim_x
     abar = problem.abar
@@ -143,7 +162,7 @@ def _make_rhs(problem: CoupledProblem, lam: float, mu: float):
 
 def integrate(
     problem: CoupledProblem,
-    lam: float,
+    lam,
     mu: float,
     init: History,
     t_end: float,
@@ -159,7 +178,10 @@ def integrate(
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
     exactly as it would be alone, and a blowup of any row ends the sweep.
-    One history is the batch of one.
+    One history is the batch of one.  lam may then also be a (B,) array,
+    one value per row, each row again exactly as it would be alone at its
+    own lambda: only the compiled stage takes one (_row_lambdas), and any
+    other sweep given one raises InvalidParameterError.
 
     The delayed values of steps j .. j + steps_per_delay - 1 are read in
     one _hermite_array call at every j that is a multiple of
@@ -173,7 +195,7 @@ def integrate(
     np.errstate: NumPy's floating-point warnings are silenced, and a state
     that is inf, nan or above BLOWUP_THRESHOLD raises BlowupError.
     """
-    if lam < 0:
+    if not np.ndim(lam) and lam < 0:
         raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
     if not 0.0 <= mu <= 1.0:
         raise InvalidParameterError(f"mu must be in [0, 1], got {mu}")
@@ -188,6 +210,8 @@ def integrate(
         )
     single = init.values.ndim == 2
     batch = History(init.delay, init.values[:, None]) if single else init
+    if np.ndim(lam):
+        lam = _row_lambdas(problem, lam, mu, batch.values.shape[1])
     h = r / steps_per_delay
     prepare, rhs = _make_rhs(problem, lam, mu)
 
@@ -215,12 +239,13 @@ def integrate(
     stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
     tau = stage_t - r
     no_reads = [None] * len(stage_t)  # as many rows as the sweep reads
+    no_delay = not np.ndim(lam) and lam == 0.0
 
     def read(j: int):
         """The rows rhs reads at stage_t[2j : 2j + 2 steps_per_delay + 1]:
         the delayed values there, read from the history at j = 0 and from
         nodes 0 .. j after, prepared when the right-hand side prepares."""
-        if lam == 0.0:  # the right-hand side reads no delayed value
+        if no_delay:  # the right-hand side reads no delayed value
             return no_reads
         rows = slice(2 * j, 2 * (j + steps_per_delay) + 1)
         nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])

@@ -74,7 +74,7 @@ class FixedPointRecord:
 
 def translate(
     problem: CoupledProblem,
-    lam: float,
+    lam,
     mu: float,
     init: History,
     cfg: TranslationConfig,
@@ -82,8 +82,9 @@ def translate(
     """Apply the translation operator: integrate to T and resample the
     solution on [T - r, T] onto the m-node history grid.
 
-    init may be a batch of histories (see integrate); the image is then the
-    batch of their images.  A sweep that blows up, or whose fields fail to
+    init may be a batch of histories, and lam then a float or an array of
+    one lambda per history (see integrate); the image is the batch of
+    their images.  A sweep that blows up, or whose fields fail to
     evaluate (an ExprEvalError of the DSL, an ArithmeticError such as a
     float overflow of a Python callable), raises TranslationUndefinedError:
     the input lies outside the operator's domain.
@@ -99,28 +100,45 @@ def translate(
 
 def _residual(problem, lam, mu, u, cfg):
     """R(u) = translate(u) - u on flattened node values: u has shape (n,),
-    or (B, n) for B inputs translated in one sweep."""
+    or (B, n) for B inputs translated in one sweep, where lam may be a
+    (B,) array of one lambda per row (see integrate)."""
     nodes = np.moveaxis(u.reshape(u.shape[:-1] + (cfg.m + 1, problem.dim)), -2, 0)
     init = History.from_values(nodes, problem.delay)
     out = translate(problem, lam, mu, init, cfg)
     return np.moveaxis(out.values, 0, -2).reshape(u.shape) - u
 
 
-def _solve_lockstep(problem, lam, mu, seeds, cfg):
+def _solve_lockstep(problem, lam, mu, seeds, cfg, first=None, ahead=None):
     """newton_lockstep on R from each flattened seed: one (u, residual_norm,
     J_R) or None per seed.  A Newton round of all seeds is one _residual
-    sweep, whose rows do not interact, so each seed ends as it would alone."""
+    sweep, whose rows do not interact, so each seed ends as it would alone.
+
+    first is newton_lockstep's.  ahead, a pair (lam_ahead, predict) for
+    one seed, looks one solve ahead: each sweep also carries the block of
+    predict(u) at lam_ahead, one lambda per row, and a converged solve
+    also returns the answer at that point (newton_lockstep's nxt)."""
+    look = None
+    if ahead is not None:
+        lam_ahead, predict = ahead
+
+        def both(rows, block):
+            lams = np.repeat([lam, lam_ahead], [len(rows), len(block)])
+            return _residual(problem, lams, mu, np.vstack([rows, block]), cfg)
+
+        look = (predict, both)
     return newton_lockstep(
         lambda rows: _residual(problem, lam, mu, rows, cfg),
-        seeds, cfg.fd_step, cfg.newton_tol, _NEWTON_MAX_ITER,
+        seeds, cfg.fd_step, cfg.newton_tol, _NEWTON_MAX_ITER, first, look,
     )
 
 
-def _newton_fixed_point(problem, lam, mu, u0, cfg):
+def _newton_fixed_point(problem, lam, mu, u0, cfg, first=None, ahead=None):
     """One damped Newton solve of R from u0 (a lockstep solve of one seed);
     returns (u, residual_norm, J_R) on convergence, J_R the Jacobian at u,
-    and None on failure."""
-    return _solve_lockstep(problem, lam, mu, [u0], cfg)[0]
+    and None on failure.  first, when given, is the answer (R(u0), J_R(u0))
+    at u0; with ahead (see _solve_lockstep) a converged solve returns
+    (u, residual_norm, J_R, nxt)."""
+    return _solve_lockstep(problem, lam, mu, [u0], cfg, first and [first], ahead)[0]
 
 
 def _record_from_solution(problem, u, rnorm, J_R, cfg) -> FixedPointRecord:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddebranch import Box, CoupledProblem, PeriodicFn1D
-from ddebranch.config import load_problem
+from ddebranch import Box, CoupledProblem, PeriodicFn1D, continuation
+from ddebranch.config import continuation_config, load_problem
 from ddebranch.degree import newton_steps
 from ddebranch.errors import TranslationUndefinedError
 from ddebranch.presets import SunflowerSetup, default_sunflower
-from ddebranch.problem import _hermite
+from ddebranch.poincare import _newton_fixed_point
+from ddebranch.problem import History, _hermite
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +124,74 @@ def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int)
                 u = steps.send((r, J))
     except StopIteration as stop:
         return stop.value
+
+
+def sequential_branch(problem, origin, lambda_max, cfg):
+    """continue_branch without its look-ahead: each attempt is one
+    _newton_fixed_point from the secant predictor, answered by its own
+    sweeps alone.  The reference the look-ahead tracer must match bit for
+    bit."""
+    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    zeros = continuation._trivial_zeros(problem, origin, cfg.domain)
+
+    def point(lam, values, residual):
+        hist = History.from_values(values.reshape(cfg.m + 1, problem.dim), problem.delay)
+        return continuation.BranchPoint(
+            lam=lam, history=hist, residual=residual, sup_norm=float(np.max(np.abs(values))),
+            min_dist_to_trivial=continuation._min_dist_to_trivial(hist.values, zeros))
+
+    u_last = History.constant(origin, problem.delay, m=cfg.m).values.ravel()
+    points = [point(0.0, u_last, 0.0)]
+    lam, h, u_prev, lam_prev = 0.0, cfg.h0, None, None
+    termination = continuation.TERMINATION_MAX_POINTS
+    while len(points) < cfg.max_points:
+        lam_next = min(lam + h, lambda_max)
+        if u_prev is not None and lam - lam_prev > 1e-14:
+            u_pred = u_last + (u_last - u_prev) * ((lam_next - lam) / (lam - lam_prev))
+        else:
+            u_pred = u_last.copy()
+        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg)
+        if out is None:
+            if h > cfg.h_min:
+                h = max(0.5 * h, cfg.h_min)
+                continue
+            termination = continuation.TERMINATION_NEWTON
+            break
+        new = point(lam_next, out[0], out[1])
+        if new.sup_norm > continuation._SUP_NORM_BLOWUP:
+            termination = continuation.TERMINATION_BLOWUP
+            break
+        if cfg.domain is not None and not cfg.domain.contains(new.history.values):
+            termination = continuation.TERMINATION_LEFT_DOMAIN
+            break
+        u_prev, lam_prev, u_last, lam = u_last, lam, out[0], lam_next
+        points.append(new)
+        if lam >= lambda_max - 1e-14:
+            termination = continuation.TERMINATION_LAMBDA_MAX
+            break
+        h = min(2.0 * h, cfg.h_max, lambda_max - lam)
+    return continuation.Branch(points=points, origin=origin, termination=termination)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """A fresh copy of the benchmark's module perfbench/<name>.py."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def forced_branch_run(seed):
+    """The problem, origin, lambda_max and ContinuationConfig of the
+    benchmark's forced-branch workload at seed, as its CLI call loads them."""
+    params, _ = perfbench_module("workloads").make_inputs("forced-branch", seed)
+    config = params["config"]
+    block = config["branch"]
+    return (load_problem(config).coupled, block["origin"], block["lambda_max"],
+            continuation_config(config))
 
 
 def box(lower, upper) -> Box:

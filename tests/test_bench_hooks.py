@@ -7,16 +7,16 @@ of its interval part per delay interval, or that makes many more Python
 calls, or an averaged drive that rebuilds its
 quadrature grid or re-reads gamma on it at every stage of the benchmark's
 mu < 1 sweep, or that reads gamma more than once per float stage time, or
-that reads the coefficient a other than once per sweep on every stage time.
+that reads the coefficient a other than once per sweep on every stage time,
+or a branch whose attempts stop looking ahead (more sweeps on the forced
+branch) or start where rows are not cheap (on a fold without a stage).
 And every workload, at the full size the benchmark runs, must pass its own
 output check."""
 
 import dataclasses
-import importlib.util
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,22 +28,14 @@ from ddebranch.fields import FieldHandle
 from ddebranch.lienard import lienard_reduce
 from ddebranch.problem import CoupledProblem, History, PeriodicFn1D
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import fold_problem, forced_branch_run, perfbench_module
 
 def _config_sweep(workload):
     """One RK4 sweep at lambda = 0.5 of the seed-0 problem of a CLI
     workload (forced-branch or sunflower-verify-index) over a batch of 19
     random histories, as integrate's positional and keyword arguments.
     205 right-hand-side stages: 51 steps of 4, plus the slope at node 0."""
-    params, _ = _load("workloads").make_inputs(workload, 0)
+    params, _ = perfbench_module("workloads").make_inputs(workload, 0)
     problem = config.load_problem(params["config"]).coupled
     values = np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 2))
     init = History.from_values(values, problem.delay)
@@ -55,7 +47,7 @@ def _homotopy_sweep(gamma_calls):
     (amplitude, period, delay, lambda and n_quad from the workload) over a
     batch of 19 random histories, as integrate's arguments.  Its sigma is
     wrapped so that gamma_calls gets the shape of every time it is read at."""
-    params, _ = _load("workloads").make_inputs("sunflower-homotopy", 0)
+    params, _ = perfbench_module("workloads").make_inputs("sunflower-homotopy", 0)
     b, T = params["b"], params["T"]
     a = PeriodicFn1D(eval=lambda t: -1.0 + b * math.sin(t), period=T)
     setup = presets.sunflower_setup(a, lambda y, yd: math.sin(yd), T, params["r"])
@@ -85,7 +77,7 @@ def _bindings():
 
 
 def test_tracer_installs_and_restores_every_patch():
-    tracer = _load("spans").Tracer()
+    tracer = perfbench_module("spans").Tracer()
     before = _bindings()
     try:
         tracer.install()
@@ -105,7 +97,7 @@ def test_tracer_installs_and_restores_every_patch():
 
 
 def _traced_sweep(args, kwargs):
-    tracer = _load("spans").Tracer()
+    tracer = perfbench_module("spans").Tracer()
     try:
         tracer.install()
         integrator.integrate(*args, **kwargs)
@@ -183,6 +175,44 @@ def test_preset_sweep_makes_at_most_364_python_calls():
     assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 364
 
 
+def _traced_branch(problem, origin, lambda_max, cfg):
+    """The tracer's layer metrics of one continue_branch call."""
+    tracer = perfbench_module("spans").Tracer()
+    try:
+        tracer.install()
+        continuation.continue_branch(problem, origin, lambda_max, cfg)
+    finally:
+        tracer.uninstall()
+    return tracer.metrics()
+
+
+def test_forced_branch_makes_33_integrations_in_11_attempts():
+    # 43 when each of the 11 attempts ran its own first sweep (4 rounds
+    # each, minus 1): now the sweeps of each attempt but the last also
+    # answer the next attempt's first request.
+    metrics = _traced_branch(*forced_branch_run(0))
+    assert metrics["integrator.integrations"] == 33
+    assert metrics["continuation.attempts"] == metrics["poincare.newton_solves"] == 11
+    assert metrics["continuation.points"] == 12
+
+
+_FOLD_CFG = continuation.ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
+
+
+def test_dsl_fold_run_makes_at_most_58_integrations():
+    # 57 without the look-ahead.  It saves the first sweeps of the
+    # attempts at 0.2, 0.3 and 0.4; four sweeps past the fold raise with
+    # the look-ahead block in them and are rerun without it.
+    metrics = _traced_branch(fold_problem("dsl"), [0.0], 1.0, _FOLD_CFG)
+    assert metrics["integrator.integrations"] <= 58
+
+
+def test_numpy_fold_run_keeps_its_57_integrations():
+    # No compiled stage, so no look-ahead: the sequential tracer's count.
+    metrics = _traced_branch(fold_problem("numpy"), [0.0], 1.0, _FOLD_CFG)
+    assert metrics["integrator.integrations"] == 57
+
+
 def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):
     # Every mu < 1 stage averages f on the same quadrature times: 205
     # stages, each of which read gamma on the grid and built it anew.
@@ -211,12 +241,12 @@ def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):
     assert len(grids) <= 1
 
 
-@pytest.mark.parametrize("workload", _load("workloads").WORKLOADS)
+@pytest.mark.parametrize("workload", perfbench_module("workloads").WORKLOADS)
 def test_workload_passes_its_check_at_full_size(workload, tmp_path):
     # The pins only the benchmark checked before: 12 branch points and the
     # final sup_norm of the forced branch, the sunflower index identity and
     # the homotopy's fixed point and its index.
-    workloads = _load("workloads")
+    workloads = perfbench_module("workloads")
     params, expect = workloads.make_inputs(workload, 0)
     config_path = workloads.prepare(params, tmp_path)
     output, problem, _ = workloads.solve(params, config_path, tmp_path)

@@ -539,6 +539,8 @@ class TestConfigValidation:
          "branch.domain: dimension 2 does not match problem dimension 1"),
         ("branch", {"branch": dict(CUBIC_BRANCH, lambda_max=0, domain=BOX_3D)},
          "branch.domain: dimension 3 does not match problem dimension 1"),
+        ("branch", {"branch": dict(CUBIC_BRANCH, lambda_max=-1)},
+         "branch.lambda_max: must be >= 0, got -1"),
         ("verify-index", {"verify_index": dict(CUBIC_RUNS["verify_index"], box=BOX_2D)},
          "verify_index.box: dimension 2 does not match problem dimension 1"),
     ])

@@ -17,6 +17,7 @@ from ddebranch import (
     translate,
 )
 from ddebranch import continuation
+from ddebranch.config import load_problem
 from ddebranch.continuation import (
     TERMINATION_BLOWUP,
     TERMINATION_LAMBDA_MAX,
@@ -26,7 +27,17 @@ from ddebranch.continuation import (
 from ddebranch.errors import InvalidParameterError
 from ddebranch.problem import BatchField, _per_row
 
-from conftest import TWO_PI, fold_problem, lambdas, periodic, scalar_problem, sup_distance, unit_drive_problem
+from conftest import (
+    TWO_PI,
+    fold_problem,
+    forced_branch_run,
+    lambdas,
+    periodic,
+    scalar_problem,
+    sequential_branch,
+    sup_distance,
+    unit_drive_problem,
+)
 
 FAST = ContinuationConfig(h0=0.05, h_max=0.05, m=16, steps_per_delay=16)
 
@@ -103,6 +114,42 @@ class TestTerminations:
         np.testing.assert_allclose([p.sup_norm for p in branch.points], [0.0, 4e5, 8e5], rtol=1e-12)
 
 
+class TestLookAhead:
+    """On a problem with a compiled stage, each attempt's sweeps also
+    answer the next attempt's first request; the branch must be that of
+    the sequential tracer (conftest.sequential_branch) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    def test_forced_branch_matches_sequential(self, seed):
+        # The benchmark's forced-branch run, m = steps_per_delay = 8.
+        run = forced_branch_run(seed)
+        assert run[0].stage is not None
+        branch = continue_branch(*run)
+        assert len(branch.points) == 12
+        assert branch.to_json() == sequential_branch(*run).to_json()
+
+    def test_dsl_fold_matches_sequential(self):
+        # Sweeps past the fold raise with the look-ahead block in them.
+        prob = fold_problem("dsl")
+        assert prob.stage is not None
+        cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
+        branch = continue_branch(prob, [0.0], 1.0, cfg)
+        assert branch.termination == TERMINATION_NEWTON
+        assert branch.to_json() == sequential_branch(prob, [0.0], 1.0, cfg).to_json()
+
+    def test_sunflower_preset_matches_sequential(self):
+        # phi = sin(yd1) keeps the zero (pi, pi) of nu a constant solution
+        # at every lambda, up to the roundoff of sin(pi).
+        prob = load_problem({"problem": {"preset": "sunflower", "a": "-1 + 0.5*sin(t)",
+                                         "phi": "sin(yd1)"}, "numerics": {"n_quad": 64}}).coupled
+        assert prob.stage is not None
+        cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.05, h_max=0.2)
+        origin = [math.pi, math.pi]
+        branch = continue_branch(prob, origin, 1.0, cfg)
+        assert branch.termination == TERMINATION_LAMBDA_MAX
+        assert branch.to_json() == sequential_branch(prob, origin, 1.0, cfg).to_json()
+
+
 class TestValidation:
     def test_origin_must_be_nu_zero(self):
         prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)
@@ -119,6 +166,13 @@ class TestValidation:
             ContinuationConfig(h0=0.5, h_max=0.25)
         with pytest.raises(InvalidParameterError):
             ContinuationConfig(h0=1e-7, h_min=1e-6)
+
+    def test_negative_lambda_max_rejected(self):
+        # lambda_max = 0 is the origin alone (test_lambda_max_zero); below
+        # it no branch point exists, as integrate rejects lambda < 0.
+        prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)
+        with pytest.raises(InvalidParameterError, match="lambda_max must be >= 0, got -1"):
+            continue_branch(prob, [0.0], -1.0, FAST)
 
     def test_domain_dimension_checked(self):
         # Also by the branch that ends at its origin (lambda_max = 0).

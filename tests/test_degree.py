@@ -18,8 +18,14 @@ from ddebranch import (
     nu_field,
     v_lambda_field,
 )
-from ddebranch.degree import DegreeReport, _boundary_samples
-from ddebranch.errors import AdmissibilityError, DegeneracyError, InvalidParameterError, ResolutionError
+from ddebranch.degree import DegreeReport, _boundary_samples, newton_lockstep
+from ddebranch.errors import (
+    AdmissibilityError,
+    DegeneracyError,
+    InvalidParameterError,
+    ResolutionError,
+    TranslationUndefinedError,
+)
 from ddebranch.problem import CoupledProblem, PeriodicFn1D
 
 from conftest import SUITE_FIELDS, TWO_PI, box, damped_newton, fd_jacobian
@@ -193,6 +199,61 @@ class TestDampedNewton:
         out = damped_newton(lambda u: u, lambda u, r: np.zeros((2, 2)), np.array([1.0, 1.0]),
                             1e-12, 5)
         assert out is None
+
+
+def _counted(fn, calls):
+    """fn, appending the number of rows of each call to calls."""
+    def call(*blocks):
+        calls.append(sum(len(b) for b in blocks))
+        return fn(*blocks)
+    return call
+
+
+class TestLockstepLookAhead:
+    """newton_lockstep's first answers and look-ahead block, on F(u) = u^3 - 2
+    and the next system G(u) = u^3 - 3, componentwise in R^2 (blocks of 3
+    rows)."""
+
+    F = staticmethod(lambda rows: rows ** 3 - 2.0)
+    G = staticmethod(lambda rows: rows ** 3 - 3.0)
+    SEED = np.array([1.0, 1.5])
+
+    @staticmethod
+    def _solve(F, seed, first=None, ahead=None):
+        return newton_lockstep(F, [seed], 1e-6, 1e-12, 25, first, ahead)[0]
+
+    def test_look_ahead_answers_the_next_solve(self):
+        F, G = self.F, self.G
+        plain_calls, calls = [], []
+        plain = self._solve(_counted(F, plain_calls), self.SEED)
+        both = _counted(lambda rows, block: np.vstack([F(rows), G(block)]), calls)
+        u, rnorm, J, nxt = self._solve(F, self.SEED, ahead=(lambda u: 1.1 * u, both))
+        assert calls == [6] * len(plain_calls)
+        assert [u.tobytes(), rnorm, J.tobytes()] == [plain[0].tobytes(), plain[1], plain[2].tobytes()]
+        v, r_v, J_v = nxt
+        assert np.array_equal(v, 1.1 * u)
+        assert np.array_equal(r_v, G(v))
+        assert np.array_equal(J_v, fd_jacobian(G, v, G(v), 1e-6))
+        # The solve of G from v that starts from that answer skips one call.
+        alone_calls, started_calls = [], []
+        alone = self._solve(_counted(G, alone_calls), v)
+        started = self._solve(_counted(G, started_calls), v, first=[(r_v, J_v)])
+        assert len(started_calls) == len(alone_calls) - 1
+        assert all(np.array_equal(a, b) for a, b in zip(started, alone))
+
+    def test_undefined_look_ahead_block_is_dropped(self):
+        # The first call with the look-ahead block raises: it is rerun
+        # without the block, and the solve looks ahead no more.
+        def both(rows, block):
+            raise TranslationUndefinedError("the look-ahead block is undefined")
+
+        plain_calls, calls = [], []
+        plain = self._solve(_counted(self.F, plain_calls), self.SEED)
+        out = self._solve(_counted(self.F, calls), self.SEED,
+                          ahead=(lambda u: u + 10.0, _counted(both, calls)))
+        assert calls == [6] + plain_calls
+        assert out[3] is None
+        assert all(np.array_equal(a, b) for a, b in zip(out[:3], plain))
 
 
 class TestCrossMethod:

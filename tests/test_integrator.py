@@ -428,3 +428,44 @@ class TestAgainstScalarReads:
         states, slopes = _reference_integrate(prob, lam, init, TWO_PI, spd)
         assert traj.states.tobytes() == states.tobytes()
         assert traj.slopes.tobytes() == slopes.tobytes()
+
+
+class TestLambdaPerRow:
+    """The compiled stage takes one lambda per row: a sweep whose rows
+    carry two lambdas is, row for row, the two sweeps at one lambda each."""
+
+    @pytest.mark.parametrize("make", [
+        # lam * (sin(yd1) + 0.5*cos(t)) reads no state: it is hoisted, and
+        # lam is read per delay interval.
+        lambda: _dsl_problem(*_FORCED),
+        # lam * (sin(yd1) - 0.2*x1) and lam * (0.3*xd1 - 0.2*y1*cos(t))
+        # read x and y: lam is read at every RK4 stage.
+        lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"], ["0.3*xd1 - 0.2*y1*cos(t)"]),
+    ])
+    def test_two_lambdas_equal_their_single_sweeps(self, make):
+        prob = make()
+        assert prob.stage is not None
+        values = np.random.default_rng(5).uniform(-0.5, 0.5, (9, 6, prob.dim))
+        lam = np.repeat([0.5, 0.7], 3)
+        traj = integrate(prob, lam, 1.0, History.from_values(values, prob.delay), TWO_PI, 8)
+        for rows, one in ((slice(0, 3), 0.5), (slice(3, 6), 0.7)):
+            want = integrate(prob, one, 1.0, History.from_values(values[:, rows], prob.delay), TWO_PI, 8)
+            assert traj.states[:, rows].tobytes() == want.states.tobytes()
+            assert traj.slopes[:, rows].tobytes() == want.slopes.tobytes()
+
+    def test_field_path_rejects_lambda_per_row(self):
+        init = History.from_values(np.zeros((9, 2, 2)), 1.0)
+        lam = np.array([0.5, 0.7])
+        with pytest.raises(InvalidParameterError, match="compiled stage"):
+            integrate(TestBatch()._delay_problem(True), lam, 1.0, init, TWO_PI, 8)
+        with pytest.raises(InvalidParameterError, match="compiled stage"):
+            integrate(_dsl_problem(*_FORCED), lam, 0.5, init, TWO_PI, 8)
+
+    @pytest.mark.parametrize("lam, message", [
+        ([0.5, 0.7, 0.9], r"shape \(3,\), not \(2,\)"),
+        ([0.5, 0.0], "must be > 0, got 0.0"),
+    ])
+    def test_lambda_per_row_checked(self, lam, message):
+        init = History.from_values(np.zeros((9, 2, 2)), 1.0)
+        with pytest.raises(InvalidParameterError, match=message):
+            integrate(_dsl_problem(*_FORCED), np.array(lam), 1.0, init, TWO_PI, 8)
