@@ -70,6 +70,10 @@ def cmd_integrate(config: dict, out: Path, args) -> int:
     _check_keys(block, _INTEGRATE_KEYS, "integrate")
     lam = _number(block, "lambda", "integrate", default=0.0)
     mu = _number(block, "mu", "integrate", default=1.0)
+    if not lam >= 0:
+        raise ConfigError(f"integrate.lambda: must be >= 0, got {block['lambda']}")
+    if not 0 <= mu <= 1:
+        raise ConfigError(f"integrate.mu: must be in [0, 1], got {block['mu']}")
     t_end = _number(block, "t_end", "integrate", positive=True)
     resolution = _integer(block, "resolution", "integrate", default=400, positive=True)
     problem = load_problem(config).coupled

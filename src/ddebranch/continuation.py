@@ -151,13 +151,13 @@ def continue_branch(
     but a branch from any zero is traced, without a warning.
 
     Each attempt is one Newton solve (poincare._newton_fixed_point) from
-    the secant predictor.  On a problem with a compiled stage, whose rows
-    cost little next to its calls, every sweep of an attempt also carries
-    the block of the next attempt's predictor at its lambda: the secant
-    from the attempt's current request, which is the next predictor should
-    that request converge and be kept.  The next attempt then starts from
-    that answer and skips its first sweep, and computes the same bits as
-    without the look-ahead.
+    the secant predictor.  On a problem whose fields all carry DSL
+    expressions, whose rows cost little next to its calls, every sweep of
+    an attempt also carries the block of the next attempt's predictor at
+    its lambda: the secant from the attempt's current request, which is
+    the next predictor should that request converge and be kept.  The
+    next attempt then starts from that answer and skips its first sweep,
+    and computes the same bits as without the look-ahead.
     """
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     dim = problem.dim
@@ -197,6 +197,7 @@ def continue_branch(
     lam_prev = None
     nxt = None  # the last attempt's look-ahead: this one's predictor, with R and J_R there
     termination = TERMINATION_MAX_POINTS
+    look_ahead = all(fn is None or fn.exprs is not None for fn in (problem.f, problem.g, problem.h))
 
     while len(points) < cfg.max_points:
         lam_next = min(lam + h, lambda_max)
@@ -204,13 +205,11 @@ def continue_branch(
             u_pred, first = _secant(u_last, lam, u_prev, lam_prev, lam_next), None
         else:
             u_pred, first = nxt[0], nxt[1:]
-        # Look ahead where rows cost little (a compiled stage) and another
-        # attempt can follow: should this one's point be kept, the next is
-        # at lam_after (the step rule below), from the secant through this
-        # point and the last.
+        # Look ahead where rows cost little and another attempt can follow:
+        # should this one's point be kept, the next is at lam_after (the
+        # step rule below), from the secant through this point and the last.
         ahead = None
-        if (problem.stage is not None and lam_next < lambda_max - 1e-14
-                and len(points) + 1 < cfg.max_points):
+        if look_ahead and lam_next < lambda_max - 1e-14 and len(points) + 1 < cfg.max_points:
             lam_after = min(lam_next + min(2.0 * h, cfg.h_max, lambda_max - lam_next), lambda_max)
             ahead = (lam_after, partial(_secant, lam=lam_next, u_prev=u_last, lam_prev=lam,
                                         lam_to=lam_after))

@@ -93,7 +93,20 @@ class Call:
         return f"{name}({self.arg})"
 
 
-Node = Union[Num, Var, Neg, BinOp, Call]
+@dataclass(frozen=True, eq=False)
+class Leaf:
+    """Component j of the call owner.<method>(*args) of a Python field
+    (see problem.compile_stage), made once per owner and method and looked
+    up at the call.  Each arg names an argument or a column group (see
+    compile_function), or is passed as it is.  The parser never builds one."""
+
+    owner: object
+    method: str
+    args: tuple
+    j: int
+
+
+Node = Union[Num, Var, Neg, BinOp, Call, Leaf]
 
 
 @dataclass(frozen=True)
@@ -130,6 +143,8 @@ def _collect_vars(node: Node, out: Set[str], bound=()):
         _collect_vars(node.right, out, bound)
     elif isinstance(node, Call):
         _collect_vars(node.arg, out, bound)
+    elif isinstance(node, Leaf):
+        out.update(a for a in node.args if isinstance(a, str))
 
 
 _DIGITS = "0123456789"  # str.isdigit also takes non-ASCII digits, which float() rejects
@@ -341,12 +356,13 @@ _RUNTIME = {
 }
 
 
-def _emit(node: Node, names: Dict[Union[str, int], str], ns: dict, lines: list) -> str:
+def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     """Append to lines the statements computing node; return the name of
     its value.  names maps each variable to its local, and the id of each
     subtree given as an argument column to that column's local (a subtree
     so bound is read, not computed); ns gains every constant (k<i>) and
-    operation node (n<i>) the statements refer to."""
+    operation node (n<i>) the statements refer to; (id(owner), method)
+    maps to the local of that Leaf call."""
     if id(node) in names:
         return names[id(node)]
     if isinstance(node, Var):
@@ -357,7 +373,14 @@ def _emit(node: Node, names: Dict[Union[str, int], str], ns: dict, lines: list) 
         return f"k{i}"
     ns[f"n{i}"] = node
     v = f"v{i}"
-    if isinstance(node, Neg):
+    if isinstance(node, Leaf):
+        call = (id(node.owner), node.method)
+        if call not in names:
+            args = ", ".join(names[a] if isinstance(a, str) else f"n{i}.args[{j}]" for j, a in enumerate(node.args))
+            lines.append(f"r{i} = n{i}.owner.{node.method}({args})")
+            names[call] = f"r{i}"
+        lines.append(f"{v} = {names[call]}[..., {node.j}]")
+    elif isinstance(node, Neg):
         lines.append(f"{v} = -{_emit(node.operand, names, ns, lines)}")
     elif isinstance(node, Call):
         x = _emit(node.arg, names, ns, lines)
@@ -369,7 +392,7 @@ def _emit(node: Node, names: Dict[Union[str, int], str], ns: dict, lines: list) 
         if op == "^":
             lines.append(f"{v} = power(n{i}, {lhs}, {rhs})")
         else:
-            if op == "/":
+            if op == "/" and not (isinstance(node.right, Num) and node.right.value != 0.0):  # a nonzero constant cannot be 0
                 lines.append(f"fail_where({rhs} == 0.0, {rhs}, 'division by zero: divisor', n{i})")
             lines.append(f"{v} = {lhs} {op} {rhs}")
     return v
@@ -384,6 +407,8 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     of the expressions: each is substituted, by identity, with its column,
     which holds that subtree's value computed beforehand (see
     problem.compile_stage), and is neither computed nor checked again.
+    A dict of such lists names column groups, each of which a Leaf
+    argument may name: that slice of the columns.
     Given one Expr the function returns its value; given a list, an array
     of the batch shape of the first state argument, broadcast against any
     array name argument, plus one axis of len(exprs) components.
@@ -397,32 +422,40 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     name in the function's globals.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
-    bound = {id(col) for arg in args if not isinstance(arg, str) for col in arg if not isinstance(col, str)}
+    groups = [arg if isinstance(arg, (str, dict)) else {None: arg} for arg in args]
+    bound = {id(col) for arg in groups if isinstance(arg, dict)
+             for cols in arg.values() for col in cols if not isinstance(col, str)}
     used: Set[str] = set()
     for root in roots:
         _collect_vars(root, used, bound)
     ns = dict(_RUNTIME)
     params = [f"a{i}" for i in range(len(args))]
     head, names, states, scalars = [], {}, [], []
-    for a, arg in zip(params, args):
+    for a, arg in zip(params, groups):
         if isinstance(arg, str):
             names[arg] = a
             scalars.append(a)
             continue
         states.append(a)
         head.append(f"{a} = asarray({a}, dtype=float)")
-        for j, col in enumerate(arg):
-            if not isinstance(col, str) or col in used:
-                names[col if isinstance(col, str) else id(col)] = f"{a}c{j}"
-                head.append(f"{a}c{j} = {a}[..., {j}]")
+        j = 0
+        for group, cols in arg.items():
+            if group in used:
+                names[group] = f"{a}g{j}"
+                head.append(f"{a}g{j} = {a}[..., {j}:{j + len(cols)}]")
+            for col in cols:
+                if not isinstance(col, str) or col in used:
+                    names[col if isinstance(col, str) else id(col)] = f"{a}c{j}"
+                    head.append(f"{a}c{j} = {a}[..., {j}]")
+                j += 1
     body = []
     values = [_emit(root, names, ns, body) for root in roots]
     if isinstance(exprs, Expr):
         tail = [f"return {values[0]}"]
     else:
         tail = [f"batch = {states[0]}.shape[:-1]"]
-        for a in scalars:  # an array that already has the batch shape needs no broadcast
-            tail += [f"if type({a}) is not float and getattr({a}, 'shape', None) != batch:",
+        for a in scalars:  # a scalar, or an array that already has the batch shape, needs no broadcast
+            tail += [f"if type({a}) is not float and getattr({a}, 'shape', ()) not in ((), batch):",
                      f"    batch = broadcast_shapes(shape({a}), batch)"]
         tail.append(f"out = empty(batch + ({len(values)},))")
         tail += [f"out[..., {j}] = {v}" for j, v in enumerate(values)]

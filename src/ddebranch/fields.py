@@ -12,8 +12,8 @@ home of that setting, and dataclasses.replace(problem, n_quad=...) changes
 it.  w_f takes one f call on n_quad + 1 times against a batch of points:
 cheap for an f that takes a batch, (n_quad + 1) calls per point for one
 that the problem calls row by row.  The quadrature times and Simpson
-weights are built once per (period, n_quad) and shared by every call; the
-mu < 1 right-hand side makes one w_f call per RK4 stage through make_wf.
+weights are built once per (period, n_quad) and shared by every call, as
+the mu < 1 compiled stage's one leaf call of average_f per RK4 stage.
 nu and v_lam (nu scaled per component) are FieldHandles, so a batch of N
 points costs one w_f and one g call.
 """
@@ -81,7 +81,9 @@ def average_f(problem: CoupledProblem, p, q) -> np.ndarray:
 
 def make_wf(problem: CoupledProblem):
     """The averaged drive (p, q) -> w_f(p, q) of the mu-homotopy, on one
-    point or a batch (see average_f); it keeps no state."""
+    point or a batch (see average_f); it keeps no state.  No sweep calls
+    it: it stays only because the benchmark's tracer (perfbench/spans.py)
+    wraps it, until the benchmark drops its w_f metrics (ROADMAP item 1)."""
     return lambda p, q: average_f(problem, p, q)
 
 

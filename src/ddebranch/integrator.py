@@ -6,14 +6,17 @@ already-completed segment (or the initial history) and every multiple of r
 is a segment boundary, keeping the derivative discontinuities of the
 solution aligned with segment joints.  So the delayed reads of a whole
 delay interval lie on the history or on finished nodes, and are read in
-one call at its start; the part of a DSL right-hand side that reads no
-current state is evaluated on them there, once per interval
-(problem.compile_stage).  Delayed reads and dense output use the package's
-one Hermite evaluator (problem._hermite_array) and its node snap.
+one call at its start; the part of the right-hand side that reads no
+current state is evaluated on them there, once per interval.  Delayed
+reads and dense output use the package's one Hermite evaluator
+(problem._hermite_array) and its node snap.
 
-integrate holds the package's one RK4 loop.  The delay-free flows
-(flow_unperturbed, flow_averaged) are integrate at lambda = 0 from the
-constant history at each point, and take a batch of points as one sweep.
+integrate holds the package's one RK4 loop, and its one right-hand side
+is the problem's compiled stage (CoupledProblem.stage_at), in which a
+Python field and the mu-homotopy's averaged drive are leaf nodes.  The
+delay-free flows (flow_unperturbed, flow_averaged) are integrate at
+lambda = 0 from the constant history at each point, and take a batch of
+points as one sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from functools import partial
 import numpy as np
 
 from .errors import BlowupError, InvalidParameterError
-from .fields import make_wf
 from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _sample_at
 
 BLOWUP_THRESHOLD = 1e9
@@ -95,71 +97,6 @@ def _check_state(t: float, state: np.ndarray):
         raise BlowupError(t, norm, BLOWUP_THRESHOLD)
 
 
-def _row_lambdas(problem: CoupledProblem, lam, mu: float, rows: int) -> np.ndarray:
-    """lam, one value per row of a sweep of rows histories, as a float
-    array.  Only the compiled stage takes it (mu = 1, every field from the
-    DSL), and every value must be positive: lambda = 0 runs the field
-    path."""
-    if problem.stage is None or mu < 1.0:
-        raise InvalidParameterError(
-            "lambda per row needs the compiled stage: mu = 1 and every field from the DSL"
-        )
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (rows,):
-        raise InvalidParameterError(f"lambda per row has shape {lam.shape}, not ({rows},)")
-    if not np.all(lam > 0.0):
-        raise InvalidParameterError(f"lambda per row must be > 0, got {float(np.min(lam))}")
-    return lam
-
-
-def _make_rhs(problem: CoupledProblem, lam, mu: float):
-    """(prepare, rhs): rhs(t, at, state, delayed) is the coupled
-    right-hand side on a (B, d) batch of states sharing t, at the value
-    at of the coefficient a there, and prepare(ts, block), when not None,
-    turns a delay interval's (R, B, d) block of delayed states at its
-    (R, 1) stage times into the block whose rows rhs reads.
-
-    At lambda != 0 and mu = 1, a problem whose fields all come from the DSL
-    runs its generated stage (CoupledProblem.stage): prepare evaluates the
-    state-free subtrees of the whole interval in one call, and each RK4
-    stage is one call of the step, both with lam bound by partial.
-    lam may be a (B,) array, one value per row: integrate passes one only
-    to the stage.  Otherwise prepare is None and the fields are evaluated
-    one by one through eval_batch: the only path for Python callables,
-    for mu < 1 and for lambda = 0.  Neither reads a: integrate reads it
-    once."""
-    stage = problem.stage if mu >= 1.0 and (np.ndim(lam) or lam != 0.0) else None
-    if stage is not None:
-        interval, step = stage
-        lam = lam if np.ndim(lam) else float(lam)
-        return None if interval is None else partial(interval, lam), partial(step, lam)
-    k = problem.dim_x
-    abar = problem.abar
-    wf = make_wf(problem) if mu < 1.0 else None
-
-    def rhs(t, at, state, delayed):
-        x, y = state[:, :k], state[:, k:]
-        dy = at * problem.eval_g(x, y)
-        if lam != 0.0:
-            xd, yd = delayed[:, :k], delayed[:, k:]
-            if mu >= 1.0:
-                dx = lam * problem.eval_f(t, x, y, xd, yd)
-                if problem.h is not None:
-                    dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
-            else:
-                drive = (1.0 - mu) * (at / abar) * wf(x, y)
-                if mu > 0.0:
-                    drive = mu * problem.eval_f(t, x, y, xd, yd) + drive
-                    if problem.h is not None:
-                        dy = dy + lam * mu * problem.eval_h(t, x, y, xd, yd)
-                dx = lam * drive
-        else:
-            dx = np.zeros((len(state), k))
-        return np.concatenate([dx, dy], axis=1)
-
-    return None, rhs
-
-
 def integrate(
     problem: CoupledProblem,
     lam,
@@ -171,23 +108,21 @@ def integrate(
     """Integrate the coupled system forward from a history by RK4 steps.
 
     Fixed step h = r / steps_per_delay; the final step is shortened to land
-    exactly on t_end.  When mu < 1 the averaged drive w_f (fields.make_wf)
-    enters the x-equation, evaluated for the whole batch in one call per
-    stage.
+    exactly on t_end.  Every RK4 stage is one call of the step part of the
+    problem's compiled stage at (lam, mu), for the whole batch.
 
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
     exactly as it would be alone, and a blowup of any row ends the sweep.
-    One history is the batch of one.  lam may then also be a (B,) array,
-    one value per row, each row again exactly as it would be alone at its
-    own lambda: only the compiled stage takes one (_row_lambdas), and any
-    other sweep given one raises InvalidParameterError.
+    One history is the batch of one.  lam is a finite float >= 0, or a
+    (B,) array of finite values > 0, one per row, each row again exactly
+    as it would be alone at its own lambda.
 
     The delayed values of steps j .. j + steps_per_delay - 1 are read in
     one _hermite_array call at every j that is a multiple of
     steps_per_delay, and the right-hand side's state-free part is
-    evaluated on them there, once per delay interval (_make_rhs's
-    prepare), at the stage times t0 + 0.5*dt and t1 of the loop's own
+    evaluated on them there, once per delay interval (the stage's interval
+    part), at the stage times t0 + 0.5*dt and t1 of the loop's own
     arithmetic.  So a domain error of that part is raised at the start of
     its interval.  The coefficient a, which reads t alone, is read once
     per sweep, in one _sample_at call on every stage time, and each stage
@@ -195,8 +130,6 @@ def integrate(
     np.errstate: NumPy's floating-point warnings are silenced, and a state
     that is inf, nan or above BLOWUP_THRESHOLD raises BlowupError.
     """
-    if not np.ndim(lam) and lam < 0:
-        raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
     if not 0.0 <= mu <= 1.0:
         raise InvalidParameterError(f"mu must be in [0, 1], got {mu}")
     if t_end <= 0:
@@ -211,13 +144,18 @@ def integrate(
     single = init.values.ndim == 2
     batch = History(init.delay, init.values[:, None]) if single else init
     if np.ndim(lam):
-        lam = _row_lambdas(problem, lam, mu, batch.values.shape[1])
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != batch.values.shape[1:2] or not np.all(np.isfinite(lam) & (lam > 0.0)):
+            raise InvalidParameterError(f"lambda per row must be {batch.values.shape[1]} finite values > 0, got {lam}")
+    elif not (math.isfinite(lam) and lam >= 0):
+        raise InvalidParameterError(f"lambda must be finite and >= 0, got {lam}")
     h = r / steps_per_delay
-    prepare, rhs = _make_rhs(problem, lam, mu)
+    interval, step = problem.stage_at(lam, mu)
+    prepare = partial(interval, lam)
+    rhs = partial(step, lam, float(mu))
 
     n_full = int(np.floor(t_end / h + 1e-9))
-    partial = t_end - n_full * h
-    has_partial = partial > 1e-12 * max(1.0, t_end)
+    has_partial = t_end - n_full * h > 1e-12 * max(1.0, t_end)
 
     n_nodes = n_full + 1 + (1 if has_partial else 0)
     times = np.empty(n_nodes)
@@ -238,19 +176,14 @@ def integrate(
     stage_t[0::2] = times
     stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
     tau = stage_t - r
-    no_reads = [None] * len(stage_t)  # as many rows as the sweep reads
-    no_delay = not np.ndim(lam) and lam == 0.0
 
     def read(j: int):
         """The rows rhs reads at stage_t[2j : 2j + 2 steps_per_delay + 1]:
         the delayed values there, read from the history at j = 0 and from
-        nodes 0 .. j after, prepared when the right-hand side prepares."""
-        if no_delay:  # the right-hand side reads no delayed value
-            return no_reads
+        nodes 0 .. j after, and prepared by the stage's interval part."""
         rows = slice(2 * j, 2 * (j + steps_per_delay) + 1)
         nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
-        block = _hermite_array(*nodes, tau[rows])
-        return block if prepare is None else prepare(stage_t[rows, None], block)
+        return prepare(stage_t[rows, None], _hermite_array(*nodes, tau[rows]))
 
     with np.errstate(all="ignore"):
         at = _sample_at(problem.a, stage_t).tolist()  # a at every stage time

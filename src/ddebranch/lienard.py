@@ -281,11 +281,11 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     When phi carries its DSL expression (a BatchField, as the sunflower
     presets build it) and G is the default identity, f and g also carry
     the expressions phi/gamma(t) and x1 - y1, with gamma(t) a node bound
-    to a read of gamma through _sample_at, so the problem at mu = 1 and
-    lambda != 0 runs its compiled stage (CoupledProblem.stage), which
-    reads gamma once per delay interval on its block of stage times.  The
-    callables above stay each field's fn, for mu < 1, lambda = 0 and the
-    averaged fields.
+    to a read of gamma through _sample_at, so the problem's compiled stage
+    (CoupledProblem.stage_at) inlines them and reads gamma once per delay
+    interval on its block of stage times.  The callables above stay each
+    field's fn, for the averaged drive and fields; without the
+    expressions each is one leaf of the stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f

@@ -7,8 +7,8 @@
   damping becomes a = -alpha/r and the parameter value lam = -beta/r with
   phi(y, yd) = sin(yd).
 
-Both build phi from the DSL (dsl_phi), so their reduced problems run the
-compiled stage at mu = 1 (lienard.lienard_reduce).
+Both build phi from the DSL (dsl_phi), so the compiled stage of their
+reduced problems inlines phi's expression (lienard.lienard_reduce).
 """
 
 from __future__ import annotations

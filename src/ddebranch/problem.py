@@ -15,7 +15,7 @@ import itertools
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -98,9 +98,9 @@ class BatchField:
     Lienard reduction (hence the presets) build theirs as BatchFields,
     which skips the probe.  exprs are DSL expressions that compute fn's
     values bit for bit (None when there are none: fn is a Python
-    callable), such as those fn was compiled from: a problem whose fields
-    all carry them compiles its whole right-hand side into a compiled
-    stage (CoupledProblem.stage).
+    callable), such as those fn was compiled from.  The compiled stage
+    (CoupledProblem.stage_at) inlines them, and calls a field without
+    them once per RK4 stage, as Leaf nodes.
     """
 
     __slots__ = ("fn", "exprs")
@@ -120,8 +120,8 @@ def state_columns(k: int, s: int):
 
 def _state_free_subtrees(node, free, out: list):
     """Append to out, left to right, the maximal subtrees of node that are
-    operations reading no variable outside free."""
-    if isinstance(node, (dsl.Num, dsl.Var)):
+    operations reading no variable outside free (a Leaf never is one)."""
+    if isinstance(node, (dsl.Num, dsl.Var, dsl.Leaf)):
         return
     if dsl.Expr(node, frozenset()).free_vars() <= free:
         out.append(node)
@@ -132,40 +132,58 @@ def _state_free_subtrees(node, free, out: list):
         _state_free_subtrees(node.operand if isinstance(node, dsl.Neg) else node.arg, free, out)
 
 
-def compile_stage(k: int, s: int, f, g, h=None):
-    """The right-hand side at mu = 1 from the expressions of f (k of them,
-    or None when k = 0), g and h (s each; h may be None), split by the
-    method of steps into two bare generated functions (interval, step).
+def compile_stage(k: int, s: int, f, g, h=None, drive=None):
+    """The right-hand side from the expressions of f (k of them), g and h
+    (s each; f and h may be None), split by the method of steps into two
+    bare generated functions (interval, step).
 
-    Its components are lam * f_i and at * g_j (+ lam * h_j), the
-    operations eval_f, eval_g and eval_h and their combination make.
-    The expressions come from the DSL, or from lienard_reduce, whose f
-    holds the bound node sigma(t) (see expr.Call).  Every maximal subtree
-    of them that reads no x, y or at (only t, xd, yd and lam), such as
-    sin(yd1) + 0.5*cos(t) or lam*(sin(yd1)/sigma(t)), is hoisted:
-    interval(lam, t, delayed) evaluates them all at once on a delay
-    interval's block of stage times and delayed states, (R, 1) and
-    (R, B, d), and returns that block with one column appended per
-    subtree.  step(lam, t, at, state, row) computes the components of a
-    (B, d) state from one row of it, reading each hoisted subtree from
-    its column.  interval is None when nothing is hoisted, and step then
-    takes the delayed states themselves.  A domain error is raised by
-    the first failing hoisted node, else by f's nodes before g's and g's
-    before h's.  The DSL cannot name at or lam, so they clash with no
-    field variable."""
-    at, lam = dsl.Var("at"), dsl.Var("lam")
-    parts = [dsl.BinOp("*", lam, e.root) for e in f or ()]
-    for j, e in enumerate(g):
-        part = dsl.BinOp("*", at, e.root)
-        parts.append(part if h is None else dsl.BinOp("+", part, dsl.BinOp("*", lam, h[j].root)))
+    Its components are lam * f_i (0 when f is None) and at * g_j
+    (+ lam * h_j); with drive = (wf, abar), they are
+    lam * (mu * f_i + (1 - mu) * (at / abar) * wf_i) (no mu * f_i when f
+    is None) and at * g_j (+ (lam * mu) * h_j): the operations, in order,
+    of evaluating the fields one by one.  A Python field, and the averaged
+    drive wf, is given as the Leaf of its first component.  Every maximal
+    subtree that reads only t, xd, yd and lam, such as
+    lam*(sin(yd1)/sigma(t)), is hoisted: interval(lam, t, delayed)
+    evaluates them all on a delay interval's block of stage times and
+    delayed states, (R, 1) and (R, B, d), and returns that block with one
+    column appended per subtree.  step(lam, mu, t, at, state, row)
+    computes the components of a (B, d) state from one row of it, reading
+    each hoisted subtree from its column.  A Leaf is never hoisted: a
+    Python field may read state the DSL cannot see.  A domain error is
+    raised by the first failing hoisted node, else by f's nodes before
+    g's and g's before h's.  The DSL cannot name at, lam or mu."""
+    at, lam, mu = dsl.Var("at"), dsl.Var("lam"), dsl.Var("mu")
+
+    def mul(left, right):
+        return dsl.BinOp("*", left, right)
+
+    def roots(given, n):
+        return [replace(given, j=j) for j in range(n)] if isinstance(given, dsl.Leaf) else [e.root for e in given]
+
+    f, h = (None if e is None else roots(e, n) for e, n in ((f, k), (h, s)))
+    if drive is None:
+        parts = [dsl.Num(0.0)] * k if f is None else [mul(lam, e) for e in f]
+        lam_h = lam
+    else:
+        scale = mul(dsl.BinOp("-", dsl.Num(1.0), mu), dsl.BinOp("/", at, dsl.Num(drive[1])))
+        parts = [mul(scale, w) for w in roots(drive[0], k)]
+        if f is not None:
+            parts = [dsl.BinOp("+", mul(mu, e), w) for e, w in zip(f, parts)]
+        parts = [mul(lam, w) for w in parts]
+        lam_h = mul(lam, mu)
+    for j, e in enumerate(roots(g, s)):
+        part = mul(at, e)
+        parts.append(part if h is None else dsl.BinOp("+", part, mul(lam_h, h[j])))
     x, y, xd, yd = state_columns(k, s)
     hoisted = []
     for part in parts:
         _state_free_subtrees(part, {"t", "lam", *xd, *yd}, hoisted)
     step = dsl.compile_function([dsl.Expr(part, frozenset()) for part in parts],
-                                ["lam", "t", "at", x + y, xd + yd + hoisted]).__wrapped__
-    if not hoisted:
-        return None, step
+                                ["lam", "mu", "t", "at", {"x": x, "y": y},
+                                 {"xd": xd, "yd": yd, "hoisted": hoisted}]).__wrapped__
+    if not hoisted:  # the rows are the delayed states themselves, and nothing is compiled
+        return (lambda lam, t, delayed: delayed), step
     columns = [dsl.Expr(node, frozenset()) for node in [dsl.Var(v) for v in xd + yd] + hoisted]
     return dsl.compile_function(columns, ["lam", "t", xd + yd]).__wrapped__, step
 
@@ -516,15 +534,25 @@ class CoupledProblem:
     def dim(self) -> int:
         return self.dim_x + self.dim_y
 
-    @cached_property
-    def stage(self) -> Optional[tuple]:
-        """compile_stage of this problem's own fields, (interval, step),
-        built on first use; None unless every field present is a
-        BatchField with exprs."""
-        fields = (self.f, self.g, self.h)
-        if any(fn is not None and fn.exprs is None for fn in fields):
-            return None
-        return compile_stage(self.dim_x, self.dim_y, *(fn and fn.exprs for fn in fields))
+    def stage_at(self, lam, mu) -> tuple:
+        """compile_stage for integrate at lam and mu, once per regime: g
+        alone at a scalar lam = 0, else f and h at mu > 0 and the drive at
+        mu < 1.  A field enters as its DSL expressions or as one eval_f,
+        eval_g or eval_h call, the drive as one fields.average_f call."""
+        regime = (False, False) if np.ndim(lam) == 0 and lam == 0.0 else (mu > 0.0, mu < 1.0)
+        stages = vars(self).setdefault("_stages", {})  # per problem, as a cached_property
+        if regime not in stages:
+            from . import fields  # which imports this module
+
+            def part(name, args, on=True):
+                fn = getattr(self, name)
+                return None if fn is None or not on else fn.exprs or dsl.Leaf(self, f"eval_{name}", args, 0)
+
+            timed = ("t", "x", "y", "xd", "yd")
+            wf = (dsl.Leaf(fields, "average_f", (self, "x", "y"), 0), self.abar) if regime[1] else None
+            stages[regime] = compile_stage(self.dim_x, self.dim_y, part("f", timed, regime[0]),
+                                           part("g", ("x", "y")), part("h", timed, regime[0]), wf)
+        return stages[regime]
 
     def eval_f(self, t, x, y, xd, yd) -> np.ndarray:
         """f at one state (1-d arguments) or a batch of rows (see eval_batch)."""

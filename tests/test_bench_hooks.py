@@ -1,17 +1,17 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
-must a field-by-field right-hand side that stops counting its field calls,
-a sweep of the benchmark's forced problem or sunflower preset that stops
-making one call of its compiled stage's step part per RK4 stage and one
-of its interval part per delay interval, or that makes many more Python
-calls, or an averaged drive that rebuilds its
-quadrature grid or re-reads gamma on it at every stage of the benchmark's
-mu < 1 sweep, or that reads gamma more than once per float stage time, or
-that reads the coefficient a other than once per sweep on every stage time,
-or a branch whose attempts stop looking ahead (more sweeps on the forced
-branch) or start where rows are not cheap (on a fold without a stage).
-And every workload, at the full size the benchmark runs, must pass its own
-output check."""
+must a stage whose Python fields stop calling the methods the tracer
+counts, a sweep of the benchmark's forced problem or sunflower preset that
+stops making one call of its compiled stage's step part per RK4 stage and
+one of its interval part per delay interval, a sweep of those, of the
+homotopy or of a Python fold field that makes more Python calls than it
+did, or an averaged drive that rebuilds its quadrature grid or re-reads
+gamma on it at every stage of the benchmark's mu < 1 sweep, or that reads
+gamma more than once per float stage time, or that reads the coefficient a
+other than once per sweep on every stage time, or a branch whose attempts
+stop looking ahead (more sweeps on the forced branch) or start where rows
+are not cheap (on a fold with a Python field).  And every workload, at
+the full size the benchmark runs, must pass its own output check."""
 
 import dataclasses
 import math
@@ -24,6 +24,7 @@ import pytest
 # Every module Tracer.install imports, so that it loads none of its own.
 from ddebranch import config, continuation, degree, expr, fields, integrator, lienard, poincare  # noqa: F401
 from ddebranch import presets
+from ddebranch import problem as problem_module
 from ddebranch.fields import FieldHandle
 from ddebranch.lienard import lienard_reduce
 from ddebranch.problem import CoupledProblem, History, PeriodicFn1D
@@ -107,9 +108,9 @@ def _traced_sweep(args, kwargs):
 
 
 def test_traced_callable_sweep_counts_one_f_and_one_g_call_per_stage():
-    # The sunflower problem's fields are Python callables, so its mu = 1
-    # sweep evaluates them one by one through CoupledProblem.eval_f and
-    # eval_g, the methods the tracer counts.
+    # The sunflower problem's fields are Python callables, so each is a
+    # leaf of its compiled stage, one call of CoupledProblem.eval_f or
+    # eval_g per stage: the methods the tracer counts.
     args, kwargs = _homotopy_sweep([])
     tracer = _traced_sweep((*args[:2], 1.0, *args[3:]), kwargs)
     assert tracer.counts["problem.eval_f"] == 205
@@ -118,14 +119,13 @@ def test_traced_callable_sweep_counts_one_f_and_one_g_call_per_stage():
 
 
 @pytest.mark.parametrize("workload", ["forced-branch", "sunflower-verify-index"])
-def test_traced_config_sweep_makes_one_stage_call_per_stage(workload):
+def test_traced_config_sweep_makes_one_stage_call_per_stage(workload, monkeypatch):
     # Every field of the forced problem comes from the DSL, and so do the
     # sunflower preset's phi/sigma(t) and x1 - y1: each stage is one call
     # of the step part of the problem's compiled stage and no field call,
     # and its state-free part is one call of the interval part per delay
     # interval: 7 for 51 steps of 8 per interval.
     args, kwargs = _config_sweep(workload)
-    problem = args[0]
     calls = {"interval": [], "step": []}
 
     def counted(name, fn):
@@ -134,7 +134,9 @@ def test_traced_config_sweep_makes_one_stage_call_per_stage(workload):
             return fn(*stage_args)
         return call
 
-    vars(problem)["stage"] = tuple(counted(name, fn) for name, fn in zip(calls, problem.stage))
+    compile_stage = problem_module.compile_stage
+    monkeypatch.setattr(problem_module, "compile_stage",
+                        lambda *a: tuple(counted(name, fn) for name, fn in zip(calls, compile_stage(*a))))
     tracer = _traced_sweep(args, kwargs)
     assert len(calls["step"]) == 205
     assert len(calls["interval"]) == 7
@@ -175,6 +177,19 @@ def test_preset_sweep_makes_at_most_364_python_calls():
     assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 364
 
 
+def test_homotopy_sweep_makes_at_most_13512_python_calls():
+    # The count of the field-by-field right-hand side the leaves replaced:
+    # a leaf stage must not cost more calls than it did.
+    assert len(_python_calls(*_homotopy_sweep([]))) <= 13512
+
+
+def test_python_fold_sweep_makes_at_most_1720_python_calls():
+    # As above, on 19 rows of the fold problem's NumPy g and constant h.
+    problem = fold_problem("numpy")
+    init = History.from_values(np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 1)), problem.delay)
+    assert len(_python_calls((problem, 0.3, 1.0, init, 2.0 * math.pi), {"steps_per_delay": 8})) <= 1720
+
+
 def _traced_branch(problem, origin, lambda_max, cfg):
     """The tracer's layer metrics of one continue_branch call."""
     tracer = perfbench_module("spans").Tracer()
@@ -208,7 +223,8 @@ def test_dsl_fold_run_makes_at_most_58_integrations():
 
 
 def test_numpy_fold_run_keeps_its_57_integrations():
-    # No compiled stage, so no look-ahead: the sequential tracer's count.
+    # A Python g, whose rows are not cheap, so no look-ahead: the
+    # sequential tracer's count.
     metrics = _traced_branch(fold_problem("numpy"), [0.0], 1.0, _FOLD_CFG)
     assert metrics["integrator.integrations"] == 57
 

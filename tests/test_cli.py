@@ -541,6 +541,12 @@ class TestConfigValidation:
          "branch.domain: dimension 3 does not match problem dimension 1"),
         ("branch", {"branch": dict(CUBIC_BRANCH, lambda_max=-1)},
          "branch.lambda_max: must be >= 0, got -1"),
+        ("integrate", {"integrate": {"t_end": 1.0, "lambda": -0.5}},
+         "integrate.lambda: must be >= 0, got -0.5"),
+        ("integrate", {"integrate": {"t_end": 1.0, "mu": 1.5}},
+         "integrate.mu: must be in [0, 1], got 1.5"),
+        ("integrate", {"integrate": {"t_end": 1.0, "mu": -1}},
+         "integrate.mu: must be in [0, 1], got -1"),
         ("verify-index", {"verify_index": dict(CUBIC_RUNS["verify_index"], box=BOX_2D)},
          "verify_index.box: dimension 2 does not match problem dimension 1"),
     ])

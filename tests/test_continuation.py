@@ -115,15 +115,15 @@ class TestTerminations:
 
 
 class TestLookAhead:
-    """On a problem with a compiled stage, each attempt's sweeps also
-    answer the next attempt's first request; the branch must be that of
-    the sequential tracer (conftest.sequential_branch) bit for bit."""
+    """On a problem whose fields all carry DSL expressions, each attempt's
+    sweeps also answer the next attempt's first request; the branch must
+    be that of the sequential tracer (conftest.sequential_branch) bit for
+    bit."""
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_forced_branch_matches_sequential(self, seed):
         # The benchmark's forced-branch run, m = steps_per_delay = 8.
         run = forced_branch_run(seed)
-        assert run[0].stage is not None
         branch = continue_branch(*run)
         assert len(branch.points) == 12
         assert branch.to_json() == sequential_branch(*run).to_json()
@@ -131,7 +131,6 @@ class TestLookAhead:
     def test_dsl_fold_matches_sequential(self):
         # Sweeps past the fold raise with the look-ahead block in them.
         prob = fold_problem("dsl")
-        assert prob.stage is not None
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
         branch = continue_branch(prob, [0.0], 1.0, cfg)
         assert branch.termination == TERMINATION_NEWTON
@@ -142,7 +141,6 @@ class TestLookAhead:
         # at every lambda, up to the roundoff of sin(pi).
         prob = load_problem({"problem": {"preset": "sunflower", "a": "-1 + 0.5*sin(t)",
                                          "phi": "sin(yd1)"}, "numerics": {"n_quad": 64}}).coupled
-        assert prob.stage is not None
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.05, h_max=0.2)
         origin = [math.pi, math.pi]
         branch = continue_branch(prob, origin, 1.0, cfg)

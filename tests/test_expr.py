@@ -420,7 +420,7 @@ class TestCompiled:
                         interval, lam, t, delayed[None])
                     in_interval = stage_node is not None
                     if not in_interval:
-                        got, stage_node = attempt(step, lam, t, at, state, block[0])
+                        got, stage_node = attempt(step, lam, 1.0, t, at, state, block[0])
                     if want_node is None:
                         want = np.concatenate([lam * fv, at * gv[None] + lam * hv if with_h else at * gv[None]],
                                               axis=-1)

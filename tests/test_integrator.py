@@ -12,15 +12,18 @@ from ddebranch import (
     CoupledProblem,
     History,
     PeriodicFn1D,
+    average_f,
     flow_averaged,
     flow_unperturbed,
     integrate,
+    presets,
 )
 from ddebranch.errors import BlowupError, InvalidParameterError
+from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
 from ddebranch.problem import BatchField, _hermite
 
-from conftest import TWO_PI, history_at, periodic, scalar_problem
+from conftest import TWO_PI, fold_problem, history_at, periodic, scalar_problem
 
 
 def _exp_problem():
@@ -226,8 +229,9 @@ class TestFailureModes:
     def test_parameter_validation(self):
         prob = _exp_problem()
         init = History.constant([1.0], 1.0, m=8)
-        with pytest.raises(InvalidParameterError):
-            integrate(prob, -0.1, 1.0, init, 1.0, 16)
+        for lam in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match=f"lambda must be finite and >= 0, got {lam}"):
+                integrate(prob, lam, 1.0, init, 1.0, 16)
         with pytest.raises(InvalidParameterError):
             integrate(prob, 0.0, 1.5, init, 1.0, 16)
         with pytest.raises(InvalidParameterError):
@@ -331,12 +335,14 @@ class TestFlowBatches:
                 flow(prob, [0.1, 0.2], -1.0)
 
 
-def _reference_integrate(problem, lam, init, t_end, steps_per_delay):
-    """The RK4 sweep at mu = 1 as the package once ran it: f, g and h
-    evaluated one by one through eval_batch, and each delayed value read
-    at its own time by a scalar _hermite call, from the history for
-    tau <= 0 and from the finished nodes otherwise.  Returns (states,
-    slopes)."""
+def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0):
+    """The RK4 sweep as the package once ran it: f, g and h evaluated one
+    by one through eval_batch, with x' = 0 and no h at lambda = 0, and at
+    mu < 1 the drive lam * (mu * f + (1 - mu) * (a/<a>) * w_f), with h
+    weighted by lam * mu and both f and h left out at mu = 0; and each
+    delayed value read at its own time by a scalar _hermite call, from the
+    history for tau <= 0 and from the finished nodes otherwise.  Returns
+    (states, slopes)."""
     k = problem.dim_x
     single = init.values.ndim == 2
     batch = History(init.delay, init.values[:, None]) if single else init
@@ -350,10 +356,17 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay):
         if lam == 0.0:
             return np.concatenate([np.zeros((len(state), k)), dy], axis=1)
         xd, yd = delayed[:, :k], delayed[:, k:]
-        dx = lam * problem.eval_f(t, x, y, xd, yd)
-        if problem.h is not None:
-            dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
-        return np.concatenate([dx, dy], axis=1)
+        if mu >= 1.0:
+            dx = lam * problem.eval_f(t, x, y, xd, yd)
+            if problem.h is not None:
+                dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
+            return np.concatenate([dx, dy], axis=1)
+        drive = (1.0 - mu) * (at / problem.abar) * average_f(problem, x, y)
+        if mu > 0.0:
+            drive = mu * problem.eval_f(t, x, y, xd, yd) + drive
+            if problem.h is not None:
+                dy = dy + lam * mu * problem.eval_h(t, x, y, xd, yd)
+        return np.concatenate([lam * drive, dy], axis=1)
 
     n_full = int(np.floor(t_end / h + 1e-9))
     has_partial = t_end - n_full * h > 1e-12 * max(1.0, t_end)
@@ -396,76 +409,136 @@ def _dsl_problem(k, s, f, g, h=None, r=1.0, a="-1 + 0.5*sin(t)"):
 _FORCED = (1, 1, ["sin(yd1) + 0.5*cos(t)"], ["x1 - y1"])
 
 
+def _mixed_problem():
+    # The forced problem with a Python g: f is inlined into the compiled
+    # stage, and g is a leaf of it.
+    return dataclasses.replace(_dsl_problem(*_FORCED), g=lambda x, y: x - y)
+
+
+def _float_phi_problem():
+    # The sunflower-homotopy workload's problem: phi = math.sin(yd) takes
+    # floats only, so f evaluates it element by element.
+    a = periodic(lambda t: -1.0 + 0.5 * math.sin(t))
+    setup = presets.sunflower_setup(a, lambda y, yd: math.sin(yd), TWO_PI, 1.0)
+    return dataclasses.replace(setup.coupled, n_quad=16)
+
+
+#: One problem of each kind a sweep compiles differently: all DSL, a
+#: preset, DSL and Python fields mixed, batch and float-only callables.
+_KINDS = {
+    "forced": lambda: _dsl_problem(*_FORCED),
+    "preset": lambda: load_problem({"problem": {"preset": "sunflower"}, "numerics": {"n_quad": 64}}).coupled,
+    "mixed": _mixed_problem,
+    "callable": lambda: dataclasses.replace(TestBatch()._delay_problem(False), n_quad=16),
+    "float-phi": _float_phi_problem,
+}
+
+
 class TestAgainstScalarReads:
     """The sweep's states and slopes are bit for bit those of the
-    reference loop: the compiled stage, the per-interval reads and the
-    one read of a per sweep change no bit of the arithmetic."""
+    reference loop: the compiled stage, its leaves, the per-interval reads
+    and the one read of a per sweep change no bit of the arithmetic, in
+    every regime of (lambda, mu)."""
 
     CASES = {
-        "forced": (lambda: _dsl_problem(*_FORCED), 0.5, 8),
-        "forced-lambda-0": (lambda: _dsl_problem(*_FORCED), 0.0, 8),
+        "forced": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8),
         "with-h": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
-                                        ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 8),
+                                        ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 1.0, 8),
+        "with-h-mu-0.5": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
+                                               ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 0.5, 8),
         "k0-s2": (lambda: _dsl_problem(0, 2, None, ["y2", "-y1 - 0.1*y2^3"],
-                                       ["0", "sin(yd1) + 0.2*cos(t)"]), 0.6, 8),
-        "r-equals-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI), 0.5, 8),
-        "r-above-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI + 1.0), 0.5, 8),
-        "spd-9": (lambda: _dsl_problem(*_FORCED), 0.5, 9),
-        "a-with-exp": (lambda: _dsl_problem(*_FORCED, a="-1 + 0.3*exp(cos(t))"), 0.5, 8),
-        "callable": (lambda: TestBatch()._delay_problem(False), 0.8, 8),
-        "float-callable": (TestBatch._float_delay_problem, 0.8, 8),
+                                       ["0", "sin(yd1) + 0.2*cos(t)"]), 0.6, 1.0, 8),
+        "python-h-mu-0.5": (lambda: fold_problem("numpy"), 0.3, 0.5, 8),
+        # 1 - mu is not a power of 2, so the order of (1 - mu) * (a/<a>) * w_f
+        # shows in the bits.
+        "with-h-mu-0.3": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
+                                               ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 0.3, 8),
+        "r-equals-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI), 0.5, 1.0, 8),
+        "r-above-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI + 1.0), 0.5, 1.0, 8),
+        "spd-9": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 9),
+        "a-with-exp": (lambda: _dsl_problem(*_FORCED, a="-1 + 0.3*exp(cos(t))"), 0.5, 1.0, 8),
+        "callable": (lambda: TestBatch()._delay_problem(False), 0.8, 1.0, 8),
+        "float-callable": (TestBatch._float_delay_problem, 0.8, 1.0, 8),
+        **{f"{kind}-{regime}": (make, lam, mu, 8) for kind, make in _KINDS.items()
+           for regime, lam, mu in (("mu-0", 0.5, 0.0), ("mu-0.5", 0.5, 0.5), ("lambda-0", 0.0, 1.0))},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("rows", [None, 3])
     def test_bit_identical(self, case, rows):
-        make, lam, spd = self.CASES[case]
+        make, lam, mu, spd = self.CASES[case]
         prob = make()
-        assert (prob.stage is None) == case.endswith("callable")
         shape = (13, prob.dim) if rows is None else (13, rows, prob.dim)
         init = History.from_values(np.random.default_rng(11).uniform(-0.5, 0.5, shape), prob.delay)
-        traj = integrate(prob, lam, 1.0, init, TWO_PI, steps_per_delay=spd)
-        states, slopes = _reference_integrate(prob, lam, init, TWO_PI, spd)
+        traj = integrate(prob, lam, mu, init, TWO_PI, steps_per_delay=spd)
+        states, slopes = _reference_integrate(prob, lam, init, TWO_PI, spd, mu)
         assert traj.states.tobytes() == states.tobytes()
         assert traj.slopes.tobytes() == slopes.tobytes()
 
 
-class TestLambdaPerRow:
-    """The compiled stage takes one lambda per row: a sweep whose rows
-    carry two lambdas is, row for row, the two sweeps at one lambda each."""
+def test_stage_is_compiled_once_per_regime(monkeypatch):
+    # lambda = 0, mu = 1, 0 < mu < 1 and mu = 0, whatever lam's value or
+    # shape, and whatever the value of mu inside (0, 1).
+    calls = []
+    compile_stage = problem_module.compile_stage
+    monkeypatch.setattr(problem_module, "compile_stage", lambda *a: calls.append(a) or compile_stage(*a))
+    prob = _KINDS["callable"]()
+    for lam, mu in ((0.5, 1.0), (np.array([0.5, 0.7]), 1.0), (0.5, 0.5), (0.7, 0.3), (0.5, 0.0),
+                    (np.array([0.5]), 0.0), (0.0, 0.5), (0.0, 1.0)):
+        assert prob.stage_at(lam, mu) is prob.stage_at(lam, mu)
+    assert len(calls) == 4
 
-    @pytest.mark.parametrize("make", [
+
+def test_python_field_is_one_call_per_stage_for_all_its_components():
+    calls = []
+
+    def g(x, y):  # a rotation of y, called on the whole batch
+        calls.append(y.shape)
+        return y[..., ::-1] * [1.0, -1.0]
+
+    prob = CoupledProblem(dim_x=0, dim_y=2, g=g, a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0)
+    calls.clear()
+    init = History.from_values(np.random.default_rng(2).uniform(-0.5, 0.5, (9, 3, 2)), 1.0)
+    for lam in (0.0, 0.5):
+        integrate(prob, lam, 1.0, init, TWO_PI, steps_per_delay=8)
+    assert calls == [(3, 2)] * 410
+
+
+class TestLambdaPerRow:
+    """integrate takes one lambda per row: a sweep whose rows carry two
+    lambdas is, row for row, the two sweeps at one lambda each."""
+
+    @pytest.mark.parametrize("make, mu", [
         # lam * (sin(yd1) + 0.5*cos(t)) reads no state: it is hoisted, and
         # lam is read per delay interval.
-        lambda: _dsl_problem(*_FORCED),
+        (lambda: _dsl_problem(*_FORCED), 1.0),
         # lam * (sin(yd1) - 0.2*x1) and lam * (0.3*xd1 - 0.2*y1*cos(t))
         # read x and y: lam is read at every RK4 stage.
-        lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"], ["0.3*xd1 - 0.2*y1*cos(t)"]),
+        (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"], ["0.3*xd1 - 0.2*y1*cos(t)"]), 1.0),
+        # Python fields are leaves of the stage, and so is the averaged
+        # drive at mu < 1.
+        (_KINDS["callable"], 1.0),
+        (_KINDS["forced"], 0.5),
+        (_KINDS["float-phi"], 0.5),
+        (_KINDS["callable"], 0.0),
     ])
-    def test_two_lambdas_equal_their_single_sweeps(self, make):
+    def test_two_lambdas_equal_their_single_sweeps(self, make, mu):
         prob = make()
-        assert prob.stage is not None
         values = np.random.default_rng(5).uniform(-0.5, 0.5, (9, 6, prob.dim))
         lam = np.repeat([0.5, 0.7], 3)
-        traj = integrate(prob, lam, 1.0, History.from_values(values, prob.delay), TWO_PI, 8)
+        traj = integrate(prob, lam, mu, History.from_values(values, prob.delay), TWO_PI, 8)
         for rows, one in ((slice(0, 3), 0.5), (slice(3, 6), 0.7)):
-            want = integrate(prob, one, 1.0, History.from_values(values[:, rows], prob.delay), TWO_PI, 8)
+            want = integrate(prob, one, mu, History.from_values(values[:, rows], prob.delay), TWO_PI, 8)
             assert traj.states[:, rows].tobytes() == want.states.tobytes()
             assert traj.slopes[:, rows].tobytes() == want.slopes.tobytes()
 
-    def test_field_path_rejects_lambda_per_row(self):
-        init = History.from_values(np.zeros((9, 2, 2)), 1.0)
-        lam = np.array([0.5, 0.7])
-        with pytest.raises(InvalidParameterError, match="compiled stage"):
-            integrate(TestBatch()._delay_problem(True), lam, 1.0, init, TWO_PI, 8)
-        with pytest.raises(InvalidParameterError, match="compiled stage"):
-            integrate(_dsl_problem(*_FORCED), lam, 0.5, init, TWO_PI, 8)
-
     @pytest.mark.parametrize("lam, message", [
-        ([0.5, 0.7, 0.9], r"shape \(3,\), not \(2,\)"),
-        ([0.5, 0.0], "must be > 0, got 0.0"),
+        ([0.5, 0.7, 0.9], r"got \[0.5 0.7 0.9\]"),
+        ([0.5, 0.0], r"got \[0.5 0. \]"),
+        ([0.5, math.nan], r"got \[0.5 nan\]"),
+        ([math.inf, 0.5], r"got \[inf 0.5\]"),
     ])
     def test_lambda_per_row_checked(self, lam, message):
         init = History.from_values(np.zeros((9, 2, 2)), 1.0)
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidParameterError, match="lambda per row must be 2 finite values > 0, " + message):
             integrate(_dsl_problem(*_FORCED), np.array(lam), 1.0, init, TWO_PI, 8)

@@ -115,6 +115,14 @@ class TestFindFixedPoints:
         assert by_value[1] == -1
         assert by_value[-1] == -1
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1e-3])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        # A nan lambda made every sweep blow up, and the solve returned no
+        # fixed point instead of an error.
+        seeds = [History.constant([0.0], 1.0, m=16)]
+        with pytest.raises(InvalidParameterError, match="lambda must be finite and >= 0"):
+            find_fixed_points(cubic_problem(), lam, seeds, CFG)
+
     def test_empty_seed_list(self):
         prob = cubic_problem()
         assert find_fixed_points(prob, 0.0, [], CFG) == []
@@ -287,7 +295,6 @@ class TestBatchedJacobian:
 
     def test_forced_dsl_problem(self):
         problem = _forced_problem()
-        assert problem.stage is not None
         self._assert_matches_column_loop(problem, 0.7, 1.0, _wavy_history(8))
 
     def test_sunflower_batch_fields(self, sunflower):

@@ -14,7 +14,7 @@ from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar
 from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.problem import (_hermite, _hermite_array, _sample_at,
+from ddebranch.problem import (BatchField, _hermite, _hermite_array, _sample_at,
                                _simpson_rule, quadrature_times, simpson_mean)
 
 from conftest import FOLD_PROBLEM, TWO_PI, fold_problem, history_at, periodic, scalar_problem, unit_drive_problem
@@ -512,15 +512,16 @@ class TestFieldContract:
     def test_config_problems_keep_their_own_batch_fields(self, block, monkeypatch):
         # The DSL and the Lienard-reduced presets build BatchFields, with
         # their expressions, so no problem a config or a benchmark
-        # workload builds probes a field, and each has a compiled stage.
+        # workload builds probes a field, and its compiled stage calls no
+        # Python field.
         def no_probe(fn, timed):
             raise AssertionError(f"probed {fn}")
 
         monkeypatch.setattr(problem_module, "_per_row", no_probe)
         prob = load_problem({"problem": block, "numerics": {"n_quad": 16}}).coupled
         replaced = dataclasses.replace(prob, n_quad=32)
-        assert prob.stage is not None
         for name in ("f", "g", "h"):
+            assert getattr(prob, name) is None or getattr(prob, name).exprs is not None
             assert getattr(replaced, name) is getattr(prob, name)
 
 
@@ -537,7 +538,8 @@ def _stage_times(t_end: float, h: float) -> np.ndarray:
 
 class TestPresetStage:
     """The sunflower presets carry phi/sigma(t) and x1 - y1 as DSL
-    expressions, and their compiled stage gives the field path's bits."""
+    expressions, and their compiled stage gives the bits of the fields'
+    own callables, called as leaves of the stage."""
 
     @pytest.mark.parametrize("block", [
         {"preset": "sunflower"},
@@ -546,17 +548,17 @@ class TestPresetStage:
     ])
     def test_sweep_equals_the_field_path(self, block):
         problem = load_problem({"problem": block, "numerics": {"n_quad": 64}}).coupled
-        assert problem.stage is not None
         init = History.from_values(np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 2)), problem.delay)
         compiled = integrate(problem, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
-        vars(problem)["stage"] = None
-        fields = integrate(problem, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
+        callables = dataclasses.replace(problem, f=BatchField(problem.f.fn), g=BatchField(problem.g.fn))
+        fields = integrate(callables, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
         assert compiled.states.tobytes() == fields.states.tobytes()
         assert compiled.slopes.tobytes() == fields.slopes.tobytes()
 
     def test_sigma_reads_the_same_bits_at_a_float_and_in_an_array(self):
-        # The field path reads sigma at each float stage time, the stage
-        # on the column of a delay interval's stage times.
+        # The fields' callables read sigma at each float stage time, the
+        # stage's expressions on the column of a delay interval's stage
+        # times.
         sigma = load_problem({"problem": {"preset": "sunflower"}}).sigma.sigma
         ts = _stage_times(TWO_PI, 1.0 / 8)
         assert len(ts) == 103
