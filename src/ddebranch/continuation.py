@@ -22,6 +22,7 @@ import numpy as np
 from .degree import degree_auto
 from .errors import AdmissibilityError, DegeneracyError, InvalidParameterError
 from .fields import nu_field
+from .integrator import _check_count
 from .poincare import TranslationConfig, _newton_fixed_point
 from .problem import Box, CoupledProblem, History
 
@@ -49,8 +50,7 @@ class ContinuationConfig(TranslationConfig):
     def __post_init__(self):
         if not 0 < self.h_min <= self.h0 <= self.h_max:
             raise InvalidParameterError("need 0 < h_min <= h0 <= h_max")
-        if self.max_points < 1:
-            raise InvalidParameterError(f"max_points must be >= 1, got {self.max_points}")
+        _check_count("max_points", self.max_points, 1)
         super().__post_init__()
 
 

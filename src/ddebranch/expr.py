@@ -398,7 +398,7 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     return v
 
 
-def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Callable:
+def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence, out: bool = False) -> Callable:
     """Compile expressions once into one generated Python function of args.
 
     Each entry of args is a variable name, bound to that argument, or a
@@ -411,7 +411,11 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     argument may name: that slice of the columns.
     Given one Expr the function returns its value; given a list, an array
     of the batch shape of the first state argument, broadcast against any
-    array name argument, plus one axis of len(exprs) components.
+    array name argument, plus one axis of len(exprs) components.  With
+    out=True the function takes that array as one more, last argument,
+    writes the components into it and returns it, and reads its state
+    arguments as they are, so each must be a float array (the RK4 stages
+    of problem.compile_stage, each written into a buffer of the sweep).
 
     Values are as compile_expr describes; every expression is evaluated
     under one np.errstate.  The returned function's __wrapped__ is the
@@ -429,7 +433,7 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     for root in roots:
         _collect_vars(root, used, bound)
     ns = dict(_RUNTIME)
-    params = [f"a{i}" for i in range(len(args))]
+    params = [f"a{i}" for i in range(len(args))] + ["out"] * out
     head, names, states, scalars = [], {}, [], []
     for a, arg in zip(params, groups):
         if isinstance(arg, str):
@@ -437,7 +441,8 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
             scalars.append(a)
             continue
         states.append(a)
-        head.append(f"{a} = asarray({a}, dtype=float)")
+        if not out:
+            head.append(f"{a} = asarray({a}, dtype=float)")
         j = 0
         for group, cols in arg.items():
             if group in used:
@@ -453,11 +458,13 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     if isinstance(exprs, Expr):
         tail = [f"return {values[0]}"]
     else:
-        tail = [f"batch = {states[0]}.shape[:-1]"]
-        for a in scalars:  # a scalar, or an array that already has the batch shape, needs no broadcast
-            tail += [f"if type({a}) is not float and getattr({a}, 'shape', ()) not in ((), batch):",
-                     f"    batch = broadcast_shapes(shape({a}), batch)"]
-        tail.append(f"out = empty(batch + ({len(values)},))")
+        tail = []
+        if not out:
+            tail.append(f"batch = {states[0]}.shape[:-1]")
+            for a in scalars:  # a scalar, or an array that already has the batch shape, needs no broadcast
+                tail += [f"if type({a}) is not float and getattr({a}, 'shape', ()) not in ((), batch):",
+                         f"    batch = broadcast_shapes(shape({a}), batch)"]
+            tail.append(f"out = empty(batch + ({len(values)},))")
         tail += [f"out[..., {j}] = {v}" for j, v in enumerate(values)]
         tail.append("return out")
     source = "\n".join([f"def fn({', '.join(params)}):", *("    " + line for line in head + body + tail)])

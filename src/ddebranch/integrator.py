@@ -5,15 +5,20 @@ The step is h = r / steps_per_delay, so every delayed read lands inside an
 already-completed segment (or the initial history) and every multiple of r
 is a segment boundary, keeping the derivative discontinuities of the
 solution aligned with segment joints.  So the delayed reads of a whole
-delay interval lie on the history or on finished nodes, and are read in
-one call at its start; the part of the right-hand side that reads no
-current state is evaluated on them there, once per interval.  Delayed
-reads and dense output use the package's one Hermite evaluator
-(problem._hermite_array) and its node snap.
+delay interval lie on the history or on finished nodes, and are read at
+its start; the part of the right-hand side that reads no current state is
+evaluated on them there, once per interval.  Past the first interval
+those reads are the finished nodes one delay back, as slices, and the
+midpoints of their segments, in one call of the Hermite cubic
+(problem._hermite_eval) on weights computed once per sweep with the
+segment arithmetic of the package's one Hermite evaluator
+(problem._hermite_array), which reads the history, a last interval
+holding a shortened step, and dense output, with its node snap.
 
 integrate holds the package's one RK4 loop, and its one right-hand side
 is the problem's compiled stage (CoupledProblem.stage_at), in which a
-Python field and the mu-homotopy's averaged drive are leaf nodes.  The
+Python field and the mu-homotopy's averaged drive are leaf nodes.  Each
+stage writes its slopes into a buffer allocated once per sweep.  The
 delay-free flows (flow_unperturbed, flow_averaged) are integrate at
 lambda = 0 from the constant history at each point, and take a batch of
 points as one sweep.
@@ -29,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BlowupError, InvalidParameterError
-from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _sample_at
+from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _hermite_eval, _hermite_weights, _sample_at
 
 BLOWUP_THRESHOLD = 1e9
 #: The flows take a step of at most t / FLOW_STEPS.
@@ -90,11 +95,21 @@ class Trajectory:
                 writer.writerow([f"{t:.12g}"] + [f"{v:.15g}" for v in row])
 
 
-def _check_state(t: float, state: np.ndarray):
-    """Blowup check on one state, or on every row of a batch."""
-    norm = float(np.abs(state).max()) if state.size else 0.0
+def _check_count(name: str, value, least: int):
+    """Raise InvalidParameterError unless value is an int (Python or
+    NumPy, not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_state(t: float, state: np.ndarray, scratch: np.ndarray):
+    """Blowup check on every row of a batch, its |state| written into
+    scratch."""
+    norm = np.maximum.reduce(np.absolute(state, out=scratch), axis=None)
     if not norm <= BLOWUP_THRESHOLD:  # also catches inf and nan
-        raise BlowupError(t, norm, BLOWUP_THRESHOLD)
+        raise BlowupError(t, float(norm), BLOWUP_THRESHOLD)
 
 
 def integrate(
@@ -107,9 +122,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate the coupled system forward from a history by RK4 steps.
 
-    Fixed step h = r / steps_per_delay; the final step is shortened to land
-    exactly on t_end.  Every RK4 stage is one call of the step part of the
-    problem's compiled stage at (lam, mu), for the whole batch.
+    Fixed step h = r / steps_per_delay (an integer >= 8); the final step is
+    shortened to land exactly on t_end.  Every RK4 stage is one call of the
+    step part of the problem's compiled stage at (lam, mu), for the whole
+    batch, which writes its slopes into a buffer allocated once per sweep,
+    or, at a node, into the trajectory's slopes.
 
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
@@ -118,24 +135,30 @@ def integrate(
     (B,) array of finite values > 0, one per row, each row again exactly
     as it would be alone at its own lambda.
 
-    The delayed values of steps j .. j + steps_per_delay - 1 are read in
-    one _hermite_array call at every j that is a multiple of
-    steps_per_delay, and the right-hand side's state-free part is
-    evaluated on them there, once per delay interval (the stage's interval
-    part), at the stage times t0 + 0.5*dt and t1 of the loop's own
-    arithmetic.  So a domain error of that part is raised at the start of
-    its interval.  The coefficient a, which reads t alone, is read once
-    per sweep, in one _sample_at call on every stage time, and each stage
-    gets its value as a Python float.  The sweep runs under one
-    np.errstate: NumPy's floating-point warnings are silenced, and a state
-    that is inf, nan or above BLOWUP_THRESHOLD raises BlowupError.
+    The delayed values of steps j .. j + steps_per_delay - 1 are read at
+    every j that is a multiple of steps_per_delay.  At j = 0, and in a last
+    interval holding a shortened step, they are one _hermite_array call on
+    the history or the finished nodes.  Otherwise they are the nodes
+    j - steps_per_delay .. j themselves, as slices, and the cubic of each
+    of their segments at its midpoint, in one _hermite_eval call.  Its
+    weights depend on the segment alone, and are computed once per sweep
+    for every segment, with the segment arithmetic of _hermite_array and
+    so its bits.  The right-hand
+    side's state-free part is evaluated on them there, once per delay
+    interval (the stage's interval part), at the stage times t0 + 0.5*dt
+    and t1 of the loop's own arithmetic.  So a domain error of that part
+    is raised at the start of its interval.  The coefficient a, which
+    reads t alone, is read once per sweep, in one _sample_at call on every
+    stage time, and each stage gets its value as a Python float.  The sweep
+    runs under one np.errstate: NumPy's floating-point warnings are
+    silenced, and a state that is inf, nan or above BLOWUP_THRESHOLD raises
+    BlowupError, checked before its node's slope is computed.
     """
     if not 0.0 <= mu <= 1.0:
         raise InvalidParameterError(f"mu must be in [0, 1], got {mu}")
     if t_end <= 0:
         raise InvalidParameterError(f"t_end must be positive, got {t_end}")
-    if steps_per_delay < 8:
-        raise InvalidParameterError(f"steps_per_delay must be >= 8, got {steps_per_delay}")
+    _check_count("steps_per_delay", steps_per_delay, 8)
     r = problem.delay
     if abs(init.delay - r) > 1e-12 * max(1.0, r):
         raise InvalidParameterError(
@@ -149,7 +172,8 @@ def integrate(
             raise InvalidParameterError(f"lambda per row must be {batch.values.shape[1]} finite values > 0, got {lam}")
     elif not (math.isfinite(lam) and lam >= 0):
         raise InvalidParameterError(f"lambda must be finite and >= 0, got {lam}")
-    h = r / steps_per_delay
+    spd = steps_per_delay
+    h = r / spd
     interval, step = problem.stage_at(lam, mu)
     prepare = partial(interval, lam)
     rhs = partial(step, lam, float(mu))
@@ -176,38 +200,58 @@ def integrate(
     stage_t[0::2] = times
     stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
     tau = stage_t - r
+    # The Hermite weights of the delayed read at the midpoint of each step
+    # past the first interval, by the segment k it falls in (k = 0 ..
+    # n_steps - spd - 1), with the arithmetic of _hermite_array.
+    left = times[:max(n_steps - spd, 0)]
+    width = times[1:len(left) + 1] - left
+    col = (-1,) + (1,) * (states.ndim - 1)
+    weights = np.array(_hermite_weights(((tau[2 * spd + 1::2][:len(left)] - left) / width).reshape(col),
+                                        width.reshape(col)))
 
     def read(j: int):
-        """The rows rhs reads at stage_t[2j : 2j + 2 steps_per_delay + 1]:
-        the delayed values there, read from the history at j = 0 and from
-        nodes 0 .. j after, and prepared by the stage's interval part."""
-        rows = slice(2 * j, 2 * (j + steps_per_delay) + 1)
-        nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
-        return prepare(stage_t[rows, None], _hermite_array(*nodes, tau[rows]))
+        """The rows rhs reads at stage_t[2j : 2j + 2 spd + 1]: the delayed
+        values there, prepared by the stage's interval part."""
+        rows = slice(2 * j, 2 * (j + spd) + 1)
+        if j and not (has_partial and j + spd >= n_steps):
+            # Steps j .. j + n - 1 read nodes lo .. lo + n and the midpoints
+            # of the n segments between them.
+            n, lo = min(spd, n_steps - j), j - spd
+            block = np.empty((2 * n + 1,) + states.shape[1:])
+            block[0::2] = states[lo:lo + n + 1]
+            block[1::2] = _hermite_eval(weights[:, lo:lo + n], states[lo:lo + n], slopes[lo:lo + n],
+                                        states[lo + 1:lo + n + 1], slopes[lo + 1:lo + n + 1])
+        else:
+            nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
+            block = _hermite_array(*nodes, tau[rows])
+        return prepare(stage_t[rows, None], block)
 
     with np.errstate(all="ignore"):
         at = _sample_at(problem.a, stage_t).tolist()  # a at every stage time
         state = batch.terminal()
-        _check_state(0.0, state)
+        # The stage inputs, the slopes k2, k3, k4, and |y1| for the blowup check.
+        y_in, k2, k3, k4, scratch = np.empty((5,) + state.shape)
+        _check_state(0.0, state, scratch)
         states[0] = state
         delayed = read(0)
-        slopes[0] = rhs(0.0, at[0], state, delayed[0])
+        rhs(0.0, at[0], state, delayed[0], slopes[0])
         for j in range(n_steps):
-            i = 2 * (j % steps_per_delay)
+            i = 2 * (j % spd)
             if i == 0 and j:
                 delayed = read(j)
             t0, t1 = node_times[j], node_times[j + 1]
             dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
             a_half, a_end = at[2 * j + 1], at[2 * j + 2]
-            y0 = states[j]
-            k1 = slopes[j]
-            k2 = rhs(t0 + 0.5 * dt, a_half, y0 + 0.5 * dt * k1, delayed[i + 1])
-            k3 = rhs(t0 + 0.5 * dt, a_half, y0 + 0.5 * dt * k2, delayed[i + 1])
-            k4 = rhs(t1, a_end, y0 + dt * k3, delayed[i + 2])
-            y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_state(t1, y1)
-            states[j + 1] = y1
-            slopes[j + 1] = rhs(t1, a_end, y1, delayed[i + 2])
+            y0, k1, y1 = states[j], slopes[j], states[j + 1]
+            rhs(t0 + 0.5 * dt, a_half, np.add(y0, np.multiply(0.5 * dt, k1, out=y_in), out=y_in), delayed[i + 1], k2)
+            rhs(t0 + 0.5 * dt, a_half, np.add(y0, np.multiply(0.5 * dt, k2, out=y_in), out=y_in), delayed[i + 1], k3)
+            rhs(t1, a_end, np.add(y0, np.multiply(dt, k3, out=y_in), out=y_in), delayed[i + 2], k4)
+            np.add(y0, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=y1)
+            # _check_state inline: no Python call per step.
+            norm = np.maximum.reduce(np.absolute(y1, out=scratch), axis=None)
+            if not norm <= BLOWUP_THRESHOLD:
+                raise BlowupError(t1, float(norm), BLOWUP_THRESHOLD)
+            rhs(t1, a_end, y1, delayed[i + 2], slopes[j + 1])
 
     if single:
         states, slopes = states[:, 0], slopes[:, 0]

@@ -278,19 +278,21 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     k4 and the node slope), and on the last array of times, so the mu < 1
     averaged drive samples it on the quadrature grid once, not per stage.
 
-    When phi carries its DSL expression (a BatchField, as the sunflower
-    presets build it) and G is the default identity, f and g also carry
-    the expressions phi/gamma(t) and x1 - y1, with gamma(t) a node bound
-    to a read of gamma through _sample_at, so the problem's compiled stage
-    (CoupledProblem.stage_at) inlines them and reads gamma once per delay
-    interval on its block of stage times.  The callables above stay each
-    field's fn, for the averaged drive and fields; without the
-    expressions each is one leaf of the stage.
+    When G is the default identity, g also carries the expression
+    x1 - y1, the same operation as its callable.  When phi carries its DSL
+    expression too (a BatchField, as the sunflower presets build it), so
+    does f: phi/gamma(t), with gamma(t) a node bound to a read of gamma
+    through _sample_at.  The problem's compiled stage
+    (CoupledProblem.stage_at) inlines those expressions, and reads gamma
+    once per delay interval on its block of stage times.  The callables
+    above stay each field's fn, for the averaged drive and fields; without
+    the expressions each is one leaf of the stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
     G = sdp.G
-    f_exprs = g_exprs = None
+    f_exprs = None
+    g_exprs = [dsl.parse("x1 - y1", {"x1", "y1"})] if G is _identity else None
     if isinstance(f, _Autonomous):
         phi = f.phi
         if isinstance(phi, BatchField) and phi.exprs is not None and G is _identity:
@@ -300,7 +302,6 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
             (phi_e,) = phi.exprs
             over_gamma = dsl.BinOp("/", phi_e.root, dsl.Call(gamma_at, dsl.Var("t")))
             f_exprs = [dsl.Expr(over_gamma, phi_e.allowed_vars | {"t"})]
-            g_exprs = [dsl.parse("x1 - y1", {"x1", "y1"})]
         drive = lambda t, y, yd: _sample_at(phi, y, yd)
     else:
         drive = lambda t, y, yd: _sample_at(f, t, y, yd)

@@ -31,7 +31,7 @@ from .errors import (
     TranslationUndefinedError,
 )
 from .fields import nu_field
-from .integrator import integrate
+from .integrator import _check_count, integrate
 from .problem import Box, CoupledProblem, History
 
 #: The iteration cap of every Newton solve of R.
@@ -48,14 +48,12 @@ class TranslationConfig:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        if self.m < 8:
-            raise InvalidParameterError(f"m must be >= 8, got {self.m}")
+        _check_count("m", self.m, 8)
         if self.newton_tol <= 0:
             raise InvalidParameterError("newton_tol must be positive")
         if self.fd_step <= 0:
             raise InvalidParameterError(f"fd_step must be positive, got {self.fd_step}")
-        if self.steps_per_delay < 8:
-            raise InvalidParameterError(f"steps_per_delay must be >= 8, got {self.steps_per_delay}")
+        _check_count("steps_per_delay", self.steps_per_delay, 8)
 
 
 @dataclass(frozen=True)

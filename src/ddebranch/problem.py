@@ -147,12 +147,14 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None):
     lam*(sin(yd1)/sigma(t)), is hoisted: interval(lam, t, delayed)
     evaluates them all on a delay interval's block of stage times and
     delayed states, (R, 1) and (R, B, d), and returns that block with one
-    column appended per subtree.  step(lam, mu, t, at, state, row)
-    computes the components of a (B, d) state from one row of it, reading
-    each hoisted subtree from its column.  A Leaf is never hoisted: a
-    Python field may read state the DSL cannot see.  A domain error is
-    raised by the first failing hoisted node, else by f's nodes before
-    g's and g's before h's.  The DSL cannot name at, lam or mu."""
+    column appended per subtree.  step(lam, mu, t, at, state, row, out)
+    computes the components of a (B, d) float array state from one row of
+    that block (a float array too), reading each hoisted subtree from its
+    column, writes them into out, a (B, d) array that is none of its
+    inputs, and returns out.  A Leaf is never hoisted: a Python field may
+    read state the DSL cannot see.  A domain error is raised by the first
+    failing hoisted node, else by f's nodes before g's and g's before
+    h's.  The DSL cannot name at, lam or mu."""
     at, lam, mu = dsl.Var("at"), dsl.Var("lam"), dsl.Var("mu")
 
     def mul(left, right):
@@ -181,7 +183,7 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None):
         _state_free_subtrees(part, {"t", "lam", *xd, *yd}, hoisted)
     step = dsl.compile_function([dsl.Expr(part, frozenset()) for part in parts],
                                 ["lam", "mu", "t", "at", {"x": x, "y": y},
-                                 {"xd": xd, "yd": yd, "hoisted": hoisted}]).__wrapped__
+                                 {"xd": xd, "yd": yd, "hoisted": hoisted}], out=True).__wrapped__
     if not hoisted:  # the rows are the delayed states themselves, and nothing is compiled
         return (lambda lam, t, delayed: delayed), step
     columns = [dsl.Expr(node, frozenset()) for node in [dsl.Var(v) for v in xd + yd] + hoisted]
@@ -323,15 +325,22 @@ class Box:
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
 
-def _hermite_eval(u, dt, y0, d0, y1, d1):
-    """Cubic Hermite value on one segment; u in [0,1], dt segment length."""
+def _hermite_weights(u, dt):
+    """The weights of y0, d0, y1 and d1 in the cubic Hermite value at u in
+    [0, 1] on a segment of length dt (see _hermite_eval)."""
     u2 = u * u
     u3 = u2 * u
     h00 = 2.0 * u3 - 3.0 * u2 + 1.0
     h10 = u3 - 2.0 * u2 + u
     h01 = -2.0 * u3 + 3.0 * u2
     h11 = u3 - u2
-    return y0 * h00 + d0 * (dt * h10) + y1 * h01 + d1 * (dt * h11)
+    return h00, dt * h10, h01, dt * h11
+
+
+def _hermite_eval(weights, y0, d0, y1, d1):
+    """Cubic Hermite value on one segment, from its _hermite_weights."""
+    h00, dh10, h01, dh11 = weights
+    return y0 * h00 + d0 * dh10 + y1 * h01 + d1 * dh11
 
 
 _NODE_SNAP = 1e-9  # a read this close to a node, in units of its segment, is at the node
@@ -354,7 +363,7 @@ def _hermite(grid, values, derivs, t):
         u = (t - g0) / dt
         if u < _NODE_SNAP or u > 1.0 - _NODE_SNAP:
             return values[i if u < 0.5 else i + 1].copy()
-        return _hermite_eval(u, dt, values[i], derivs[i], values[i + 1], derivs[i + 1])
+        return _hermite_eval(_hermite_weights(u, dt), values[i], derivs[i], values[i + 1], derivs[i + 1])
     return _hermite_array(grid, values, derivs, t)
 
 
@@ -374,7 +383,7 @@ def _hermite_array(grid, values, derivs, t):
     if len(inner):
         i = i[inner]
         col = (len(i),) + (1,) * (values.ndim - 1)
-        out[inner] = _hermite_eval(u[inner].reshape(col), dt[inner].reshape(col),
+        out[inner] = _hermite_eval(_hermite_weights(u[inner].reshape(col), dt[inner].reshape(col)),
                                    values[i], derivs[i], values[i + 1], derivs[i + 1])
     return out.reshape(t.shape + values.shape[1:])
 

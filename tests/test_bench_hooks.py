@@ -107,15 +107,17 @@ def _traced_sweep(args, kwargs):
     return tracer
 
 
-def test_traced_callable_sweep_counts_one_f_and_one_g_call_per_stage():
-    # The sunflower problem's fields are Python callables, so each is a
-    # leaf of its compiled stage, one call of CoupledProblem.eval_f or
-    # eval_g per stage: the methods the tracer counts.
+def test_traced_callable_sweep_counts_one_f_call_and_no_g_call_per_stage():
+    # The sunflower problem's phi is a Python callable, so its f is a leaf
+    # of the compiled stage, one call of CoupledProblem.eval_f per stage:
+    # a method the tracer counts.  Its g is x1 - y1 whatever phi is, and
+    # carries that expression, so the stage inlines it: no eval_g call
+    # (205 when g was a leaf too).
     args, kwargs = _homotopy_sweep([])
     tracer = _traced_sweep((*args[:2], 1.0, *args[3:]), kwargs)
     assert tracer.counts["problem.eval_f"] == 205
-    assert tracer.counts["problem.eval_g"] == 205
-    assert tracer.metrics()["problem.rhs_evals"] == 410
+    assert tracer.counts["problem.eval_g"] == 0
+    assert tracer.metrics()["problem.rhs_evals"] == 205
 
 
 @pytest.mark.parametrize("workload", ["forced-branch", "sunflower-verify-index"])
@@ -161,20 +163,23 @@ def _python_calls(args, kwargs):
     return calls
 
 
-def test_sweep_makes_at_most_323_python_calls():
+def test_sweep_makes_at_most_271_python_calls():
     # 6 383 when each field walked a closure tree per component, 2 895
     # with one generated function per field, two field calls per stage
     # and a scalar delayed read per step, 1 616 with one stage call per
     # stage that evaluated sin(yd1) and cos(t) each time, 1 043 when each
     # stage read the coefficient a at its own float time, 535 when a
-    # lambda moved lam into place for each call of the step.
-    assert len(_python_calls(*_config_sweep("forced-branch"))) <= 323
+    # lambda moved lam into place for each call of the step, 323 with a
+    # Python blowup check per step and a _hermite_array read per interval.
+    assert len(_python_calls(*_config_sweep("forced-branch"))) <= 271
 
 
-def test_preset_sweep_makes_at_most_364_python_calls():
+def test_preset_sweep_makes_at_most_320_python_calls():
     # 3 362 when the sunflower preset ran every stage through lienard's
-    # f_c and g_c by eval_batch, reading sigma at each float stage time.
-    assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 364
+    # f_c and g_c by eval_batch, reading sigma at each float stage time,
+    # 364 with a Python blowup check per step and a _hermite_array read
+    # per interval.
+    assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 320
 
 
 def test_homotopy_sweep_makes_at_most_13512_python_calls():

@@ -165,6 +165,12 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             ContinuationConfig(h0=1e-7, h_min=1e-6)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_max_points_must_be_an_integer(self, bad):
+        with pytest.raises(InvalidParameterError, match=f"max_points must be an integer, got {bad!r}"):
+            ContinuationConfig(max_points=bad)
+        assert ContinuationConfig(max_points=np.int64(3)).max_points == 3
+
     def test_negative_lambda_max_rejected(self):
         # lambda_max = 0 is the origin alone (test_lambda_max_zero); below
         # it no branch point exists, as integrate rejects lambda < 0.

@@ -355,9 +355,10 @@ class TestCompiled:
 
     def test_stage_matches_field_path_on_random_asts(self):
         # compile_stage of random f, g and h (k = s = 1), its interval part
-        # on a one-row block and then its step part, against the fields
-        # compiled one by one and combined as lam * f and at * g (+ lam * h),
-        # all at one (1, 1) array t: equal bit for bit, or raising
+        # on a one-row block and then its step part, which writes into and
+        # returns the array it is given, against the fields compiled one by
+        # one and combined as lam * f and at * g (+ lam * h), all at one
+        # (1, 1) array t: equal bit for bit, or raising
         # ExprEvalError naming the node the stage's order makes first.  The
         # interval part evaluates the maximal subtrees reading only t, xd1
         # and yd1 (of f, then g, then h), so one of those that fails is
@@ -420,7 +421,9 @@ class TestCompiled:
                         interval, lam, t, delayed[None])
                     in_interval = stage_node is not None
                     if not in_interval:
-                        got, stage_node = attempt(step, lam, 1.0, t, at, state, block[0])
+                        out = np.empty((1,) + state.shape)  # the batch shape of t against the state's
+                        got, stage_node = attempt(step, lam, 1.0, t, at, state, block[0], out)
+                        assert stage_node is not None or got is out
                     if want_node is None:
                         want = np.concatenate([lam * fv, at * gv[None] + lam * hv if with_h else at * gv[None]],
                                               axis=-1)

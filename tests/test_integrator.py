@@ -210,8 +210,20 @@ class TestFailureModes:
         # y' = y^2 from y(0) = 1 escapes in finite time.
         prob = scalar_problem(lambda y: y * y, a_fn=lambda t: 1.0)
         init = History.constant([1.0], 1.0, m=8)
-        with pytest.raises(BlowupError):
+        with pytest.raises(BlowupError) as exc:
             integrate(prob, 0.0, 1.0, init, 40.0, steps_per_delay=16)
+        assert (exc.value.t, exc.value.norm) == (1.0625, 1616456246882.6692)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_blowup_is_checked_before_the_node_slope(self, rows):
+        # The same escape with a g whose sqrt fails once y1 passes 2e9:
+        # the state past the threshold raises BlowupError before its node
+        # slope is computed, and so before the sqrt sees it.
+        prob = _dsl_problem(0, 1, None, ["y1^2 + 0*sqrt(2e9 - y1)"], a="1")
+        init = History(1.0, np.ones((9, 1) if rows is None else (9, rows, 1)))
+        with pytest.raises(BlowupError) as exc:
+            integrate(prob, 0.0, 1.0, init, 40.0, steps_per_delay=16)
+        assert (exc.value.t, exc.value.norm) == (1.0625, 1616456246882.6692)
 
     def test_overflow_is_a_blowup_and_warns_nothing(self):
         # y' = -(y - y^3) + lam from y = 1e5: y**3 overflows in the field
@@ -236,6 +248,12 @@ class TestFailureModes:
             integrate(prob, 0.0, 1.5, init, 1.0, 16)
         with pytest.raises(InvalidParameterError):
             integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=4)
+        for spd in (8.5, 16.0, True):
+            with pytest.raises(InvalidParameterError, match=f"steps_per_delay must be an integer, got {spd!r}"):
+                integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=spd)
+        want = integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=16)
+        for spd in (np.int64(16), np.int32(16)):
+            assert integrate(prob, 0.0, 1.0, init, 1.0, steps_per_delay=spd).states.tobytes() == want.states.tobytes()
         with pytest.raises(InvalidParameterError):
             integrate(prob, 0.0, 1.0, History.constant([1.0], 0.5, m=8), 1.0, 16)
 
@@ -461,17 +479,30 @@ class TestAgainstScalarReads:
         "float-callable": (TestBatch._float_delay_problem, 0.8, 1.0, 8),
         **{f"{kind}-{regime}": (make, lam, mu, 8) for kind, make in _KINDS.items()
            for regime, lam, mu in (("mu-0", 0.5, 0.0), ("mu-0.5", 0.5, 0.5), ("lambda-0", 0.0, 1.0))},
+        # The edges of the delayed reads, as (make, lam, mu, spd, m, t_end).
+        # r = 0.7 is not dyadic, so t - r is not exactly a node: the read
+        # snaps to it.
+        "r-0.7": (lambda: _dsl_problem(*_FORCED, r=0.7), 0.5, 1.0, 8),
+        "r-0.7-with-h": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
+                                              ["0.3*xd1 - 0.2*y1*cos(t)"], r=0.7), 0.7, 1.0, 8),
+        # The benchmark's sizes: 9 history nodes and 8 steps per delay.
+        "m-8-spd-8": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8, 8, TWO_PI),
+        # 44 steps of 0.125: a last interval of 4 steps, none of them shortened.
+        "short-last-interval": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8, 12, 5.5),
+        # Every delayed value is read from the history.
+        "t-end-below-r": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8, 12, 0.6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("rows", [None, 3])
     def test_bit_identical(self, case, rows):
-        make, lam, mu, spd = self.CASES[case]
+        make, lam, mu, spd, m, t_end = (self.CASES[case] + (12, TWO_PI))[:6]
         prob = make()
-        shape = (13, prob.dim) if rows is None else (13, rows, prob.dim)
+        shape = (m + 1, prob.dim) if rows is None else (m + 1, rows, prob.dim)
         init = History.from_values(np.random.default_rng(11).uniform(-0.5, 0.5, shape), prob.delay)
-        traj = integrate(prob, lam, mu, init, TWO_PI, steps_per_delay=spd)
-        states, slopes = _reference_integrate(prob, lam, init, TWO_PI, spd, mu)
+        traj = integrate(prob, lam, mu, init, t_end, steps_per_delay=spd)
+        assert traj.t_end == t_end
+        states, slopes = _reference_integrate(prob, lam, init, t_end, spd, mu)
         assert traj.states.tobytes() == states.tobytes()
         assert traj.slopes.tobytes() == slopes.tobytes()
 

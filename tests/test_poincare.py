@@ -247,6 +247,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match=field):
             ContinuationConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["m", "steps_per_delay"])
+    @pytest.mark.parametrize("bad", [8.5, 16.0, True])
+    def test_counts_must_be_integers(self, field, bad):
+        # A float, even an integral one, or a bool is rejected here rather
+        # than as a bare TypeError inside the first sweep.
+        for cls in (TranslationConfig, ContinuationConfig):
+            with pytest.raises(InvalidParameterError, match=f"{field} must be an integer, got {bad!r}"):
+                cls(**{field: bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TranslationConfig(m=np.int64(9), steps_per_delay=np.int32(12))
+        assert (cfg.m, cfg.steps_per_delay) == (9, 12)
+
     def test_every_setting_is_a_numerics_key(self):
         names = [f.name for f in dataclasses.fields(TranslationConfig)]
         assert names == ["m", "steps_per_delay", "newton_tol", "fd_step"]
