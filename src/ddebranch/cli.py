@@ -220,27 +220,36 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command, then the shared options
+    (--seed-grid is the degree command's alone; see main)."""
     parser = argparse.ArgumentParser(
         prog="ddebranch",
         description="Periodic solutions of periodically perturbed coupled delay "
         "differential equations: integration, degree, sigma transform, index "
         "identity checks, and branch continuation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--quiet", action="store_true")
-        if name == "degree":
-            p.add_argument("--seed-grid", type=int, default=None,
-                           help="resolution of the degree method: n_check (sign-1d), "
-                           "n_boundary (winding-2d) or grid_per_axis (jacobian-nd)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
+    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--seed-grid", default=None,
+                        help="degree only: resolution of the degree method, n_check (sign-1d), "
+                        "n_boundary (winding-2d) or grid_per_axis (jacobian-nd)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed_grid is not None:
+        # The command is checked before the value, so any value given to
+        # another command gets the same answer.
+        if args.command != "degree":
+            parser.error(f"--seed-grid is accepted only by degree, not {args.command}")
+        try:
+            args.seed_grid = int(args.seed_grid)
+        except ValueError:
+            parser.error(f"argument --seed-grid: invalid int value: {args.seed_grid!r}")
     try:
         config = load_config(args.config)
         out = Path(args.out)

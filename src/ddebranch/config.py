@@ -19,7 +19,8 @@ from .continuation import ContinuationConfig
 from .errors import ConfigError, DdeBranchError, ExprError, InvalidParameterError
 from .lienard import SigmaResult
 from .poincare import TranslationConfig
-from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D, state_columns
+from .problem import DEFAULT_N_QUAD, BatchField, Box, CoupledProblem, PeriodicFn1D
+from .stage import state_columns
 
 _TOP_KEYS = {"problem", "numerics", "integrate", "degree", "sigma", "verify_index", "branch"}
 #: The problem keys, besides "preset", of each preset (None: an explicit problem).

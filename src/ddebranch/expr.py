@@ -96,7 +96,7 @@ class Call:
 @dataclass(frozen=True, eq=False)
 class Leaf:
     """Component j of the call owner.<method>(*args) of a Python field
-    (see problem.compile_stage), made once per owner and method and looked
+    (see stage.compile_stage), made once per owner and method and looked
     up at the call.  Each arg names an argument or a column group (see
     compile_function), or is passed as it is.  The parser never builds one."""
 
@@ -398,32 +398,44 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     return v
 
 
-def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence, out: bool = False) -> Callable:
+def emit(roots: Sequence[Node], names: Mapping, ns: dict):
+    """The statements computing each root, as (lines, value names): _emit
+    on each, with the Leaf calls of this one evaluation.  names maps each
+    variable, column group and bound subtree (by id) to its local; ns
+    gains the constants and nodes the lines refer to (see define)."""
+    names, lines = dict(names), []
+    return lines, [_emit(root, names, ns, lines) for root in roots]
+
+
+def define(source: str, ns: dict) -> Callable:
+    """Compile source that defines a function named fn, once, with the
+    runtime and ns (a dict emit filled) as its globals; returns fn."""
+    ns = {**_RUNTIME, **ns}
+    exec(compile(source, "<ddebranch.expr>", "exec"), ns)
+    return ns["fn"]
+
+
+def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Callable:
     """Compile expressions once into one generated Python function of args.
 
     Each entry of args is a variable name, bound to that argument, or a
     list of names, bound to the columns [..., j] of that argument: a state
     array, maybe with leading batch axes.  Such a list may also hold nodes
     of the expressions: each is substituted, by identity, with its column,
-    which holds that subtree's value computed beforehand (see
-    problem.compile_stage), and is neither computed nor checked again.
-    A dict of such lists names column groups, each of which a Leaf
-    argument may name: that slice of the columns.
+    which holds that subtree's value computed beforehand, and is neither
+    computed nor checked again.  A dict of such lists names column groups,
+    each of which a Leaf argument may name: that slice of the columns.
     Given one Expr the function returns its value; given a list, an array
     of the batch shape of the first state argument, broadcast against any
-    array name argument, plus one axis of len(exprs) components.  With
-    out=True the function takes that array as one more, last argument,
-    writes the components into it and returns it, and reads its state
-    arguments as they are, so each must be a float array (the RK4 stages
-    of problem.compile_stage, each written into a buffer of the sweep).
+    array name argument, plus one axis of len(exprs) components.
 
     Values are as compile_expr describes; every expression is evaluated
     under one np.errstate.  The returned function's __wrapped__ is the
     bare generated function, for callers that run under an errstate of
-    their own (problem.compile_stage, called inside an integrator sweep).
-    The source is built from the AST alone: the locals are generated
-    names, and the constants, nodes and functions it uses are bound by
-    name in the function's globals.
+    their own.  The source is built from the AST alone (emit, define):
+    the locals are generated names, and the constants, nodes and
+    functions it uses are bound by name in the function's globals.
+    stage.compile_stage builds its RK4 kernel from the same pieces.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
     groups = [arg if isinstance(arg, (str, dict)) else {None: arg} for arg in args]
@@ -432,8 +444,7 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence, out: bo
     used: Set[str] = set()
     for root in roots:
         _collect_vars(root, used, bound)
-    ns = dict(_RUNTIME)
-    params = [f"a{i}" for i in range(len(args))] + ["out"] * out
+    params = [f"a{i}" for i in range(len(args))]
     head, names, states, scalars = [], {}, [], []
     for a, arg in zip(params, groups):
         if isinstance(arg, str):
@@ -441,8 +452,7 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence, out: bo
             scalars.append(a)
             continue
         states.append(a)
-        if not out:
-            head.append(f"{a} = asarray({a}, dtype=float)")
+        head.append(f"{a} = asarray({a}, dtype=float)")
         j = 0
         for group, cols in arg.items():
             if group in used:
@@ -453,23 +463,21 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence, out: bo
                     names[col if isinstance(col, str) else id(col)] = f"{a}c{j}"
                     head.append(f"{a}c{j} = {a}[..., {j}]")
                 j += 1
-    body = []
-    values = [_emit(root, names, ns, body) for root in roots]
+    ns: dict = {}
+    body, values = emit(roots, names, ns)
     if isinstance(exprs, Expr):
         tail = [f"return {values[0]}"]
     else:
-        tail = []
-        if not out:
-            tail.append(f"batch = {states[0]}.shape[:-1]")
-            for a in scalars:  # a scalar, or an array that already has the batch shape, needs no broadcast
-                tail += [f"if type({a}) is not float and getattr({a}, 'shape', ()) not in ((), batch):",
-                         f"    batch = broadcast_shapes(shape({a}), batch)"]
-            tail.append(f"out = empty(batch + ({len(values)},))")
+        tail = [f"batch = {states[0]}.shape[:-1]"]
+        for a in scalars:  # a scalar, or an array that already has the batch shape, needs no broadcast
+            tail += [f"if type({a}) is not float and getattr({a}, 'shape', ()) not in ((), batch):",
+                     f"    batch = broadcast_shapes(shape({a}), batch)"]
+        tail.append(f"out = empty(batch + ({len(values)},))")
         tail += [f"out[..., {j}] = {v}" for j, v in enumerate(values)]
         tail.append("return out")
     source = "\n".join([f"def fn({', '.join(params)}):", *("    " + line for line in head + body + tail)])
-    exec(compile(source, "<ddebranch.expr>", "exec"), ns)
-    return np.errstate(all="ignore")(ns["fn"])
+    fn = define(source, ns)
+    return np.errstate(all="ignore")(fn)
 
 
 def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:

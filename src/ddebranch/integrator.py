@@ -10,18 +10,23 @@ its start; the part of the right-hand side that reads no current state is
 evaluated on them there, once per interval.  Past the first interval
 those reads are the finished nodes one delay back, as slices, and the
 midpoints of their segments, in one call of the Hermite cubic
-(problem._hermite_eval) on weights computed once per sweep with the
-segment arithmetic of the package's one Hermite evaluator
-(problem._hermite_array), which reads the history, a last interval
-holding a shortened step, and dense output, with its node snap.
+(problem._hermite_eval).
+
+What depends on the time grid alone is a SweepPlan, built once per
+problem and grid (CoupledProblem.plan_at) and shared by its sweeps: the
+nodes and stage times, the coefficient a on them, the part of the
+right-hand side that reads t alone on them, and the segment arithmetic of
+the package's one Hermite evaluator (problem._hermite_lookup) for the
+delayed reads of the history, of a last interval holding a shortened step
+and of the midpoints, and for translate's resample.
 
 integrate holds the package's one RK4 loop, and its one right-hand side
-is the problem's compiled stage (CoupledProblem.stage_at), in which a
-Python field and the mu-homotopy's averaged drive are leaf nodes.  Each
-stage writes its slopes into a buffer allocated once per sweep.  The
-delay-free flows (flow_unperturbed, flow_averaged) are integrate at
-lambda = 0 from the constant history at each point, and take a batch of
-points as one sweep.
+is the problem's compiled stage (CoupledProblem.stage_at,
+stage.compile_stage), in which a Python field and the mu-homotopy's
+averaged drive are leaf nodes: one call of its generated kernel is one
+whole RK4 step.  The delay-free flows (flow_unperturbed, flow_averaged)
+are integrate at lambda = 0 from the constant history at each point, and
+take a batch of points as one sweep.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import BlowupError, InvalidParameterError
-from .problem import CoupledProblem, History, PeriodicFn1D, _hermite_array, _hermite_eval, _hermite_weights, _sample_at
+from .problem import (CoupledProblem, History, PeriodicFn1D, Stage, _hermite_array, _hermite_eval,
+                      _hermite_lookup, _hermite_weights, _sample_at)
 
 BLOWUP_THRESHOLD = 1e9
 #: The flows take a step of at most t / FLOW_STEPS.
@@ -95,6 +100,80 @@ class Trajectory:
                 writer.writerow([f"{t:.12g}"] + [f"{v:.15g}" for v in row])
 
 
+class SweepPlan:
+    """The part of an integrate sweep that depends on its time grid alone:
+    the problem's delay r and coefficient a, t_end, steps_per_delay and
+    the history grid (delay and m).  Built once per grid (plan_at) and
+    read by every sweep on it.
+
+    times are the nodes (read-only; node_times as Python floats): steps of
+    h = r / steps_per_delay, the last one shortened to land on t_end.
+    Stage time 2 j is node j, 2 j + 1 the midpoint of step j, and at holds
+    a at each, as Python floats.  A delayed block holds the delayed values
+    at the stage times of one delay interval, tau = stage time - r: at
+    most rows of them.  first reads those of the first interval off the
+    history grid, last those of a last interval holding a shortened step
+    off the finished nodes (None when there is none); past the first
+    interval, the midpoint of step j reads segment j - steps_per_delay
+    with the Hermite weights in weights (4, segments, 1, 1).  Each is the
+    segment arithmetic of _hermite_array, so has its bits.
+    """
+
+    def __init__(self, problem: CoupledProblem, t_end: float, steps_per_delay: int, delay: float, m: int):
+        r, spd = problem.delay, steps_per_delay
+        h = r / spd
+        n_full = int(np.floor(t_end / h + 1e-9))
+        has_partial = t_end - n_full * h > 1e-12 * max(1.0, t_end)
+        times = np.empty(n_full + 1 + has_partial)
+        times[: n_full + 1] = np.arange(n_full + 1) * h
+        if has_partial:
+            times[-1] = t_end
+        n_steps = len(times) - 1
+        stage_t = np.empty(2 * n_steps + 1)
+        stage_t[0::2] = times
+        stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
+        tau = stage_t - r
+        left = times[:max(n_steps - spd, 0)]
+        width = times[1:len(left) + 1] - left
+        col = (-1, 1, 1)
+        with np.errstate(all="ignore"):
+            self.at = _sample_at(problem.a, stage_t).tolist()
+            self.weights = np.array(_hermite_weights(((tau[2 * spd + 1::2][:len(left)] - left) / width).reshape(col),
+                                                     width.reshape(col)))
+        self.rows = 2 * min(spd, n_steps) + 1
+        self.first = _hermite_lookup(np.linspace(-delay, 0.0, m + 1), tau[:self.rows])
+        last = spd * ((n_steps - 1) // spd)  # the start of the last interval
+        self.last = _hermite_lookup(times[:last + 1], tau[2 * last:]) if has_partial and last else None
+        times.flags.writeable = stage_t.flags.writeable = False
+        self.times, self.node_times, self.stage_times = times, times.tolist(), stage_t
+        self.n_steps, self.delay, self.t_end = n_steps, r, t_end
+        self.key = (t_end, steps_per_delay, delay, m)
+        self._blocks, self._resamples = {}, {}
+
+    def time_block(self, stage: Stage) -> np.ndarray:
+        """stage.times on every stage time, once per stage: the (N, 1, n)
+        block its interval part reads.  A domain error of a subtree that
+        reads t alone is raised here, before a sweep's first step."""
+        block = self._blocks.get(stage)
+        if block is None:
+            with np.errstate(all="ignore"):
+                block = self._blocks[stage] = stage.times(self.stage_times[:, None, None])
+        return block
+
+    def resample(self, m: int):
+        """The lookup of the m + 1 times t_end + linspace(-r, 0, m + 1) on
+        the nodes, once per m: translate's image.  They are read from the
+        t_end asked for, as Trajectory.eval is given them, not from the
+        last node, which can be an ulp short of it.  They lie in [0, t_end],
+        and a time 0 reads node 0, the history's last value, as
+        Trajectory.eval reads it off the history."""
+        look = self._resamples.get(m)
+        if look is None:
+            times = self.t_end + np.linspace(-self.delay, 0.0, m + 1)
+            look = self._resamples[m] = _hermite_lookup(self.times, times)
+        return look
+
+
 def _check_count(name: str, value, least: int):
     """Raise InvalidParameterError unless value is an int (Python or
     NumPy, not a bool) >= least."""
@@ -123,10 +202,12 @@ def integrate(
     """Integrate the coupled system forward from a history by RK4 steps.
 
     Fixed step h = r / steps_per_delay (an integer >= 8); the final step is
-    shortened to land exactly on t_end.  Every RK4 stage is one call of the
-    step part of the problem's compiled stage at (lam, mu), for the whole
-    batch, which writes its slopes into a buffer allocated once per sweep,
-    or, at a node, into the trajectory's slopes.
+    shortened to land exactly on t_end.  Each RK4 step is one call of the
+    kernel of the problem's compiled stage at (lam, mu) (CoupledProblem.
+    stage_at, stage.compile_stage), for the whole batch: its three stage
+    inputs, four stage evaluations, update, blowup check and node slope.
+    The kernel's column views of this sweep's buffers and of the
+    trajectory's states and slopes are bound once per sweep.
 
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
@@ -135,22 +216,26 @@ def integrate(
     (B,) array of finite values > 0, one per row, each row again exactly
     as it would be alone at its own lambda.
 
+    Everything that depends on the time grid alone is the problem's
+    SweepPlan of this grid (CoupledProblem.plan_at), built once and shared
+    by every sweep on it: the nodes and stage times, the coefficient a at
+    every stage time (which reads t alone), the segment lookups of the
+    delayed reads and, per compiled stage, every subtree of the right-hand
+    side that reads t alone (such as 0.5*cos(t) or sigma(t)) on every
+    stage time.  So a domain error of a or of such a subtree is raised
+    before the first step.
+
     The delayed values of steps j .. j + steps_per_delay - 1 are read at
-    every j that is a multiple of steps_per_delay.  At j = 0, and in a last
-    interval holding a shortened step, they are one _hermite_array call on
-    the history or the finished nodes.  Otherwise they are the nodes
-    j - steps_per_delay .. j themselves, as slices, and the cubic of each
-    of their segments at its midpoint, in one _hermite_eval call.  Its
-    weights depend on the segment alone, and are computed once per sweep
-    for every segment, with the segment arithmetic of _hermite_array and
-    so its bits.  The right-hand
-    side's state-free part is evaluated on them there, once per delay
-    interval (the stage's interval part), at the stage times t0 + 0.5*dt
-    and t1 of the loop's own arithmetic.  So a domain error of that part
-    is raised at the start of its interval.  The coefficient a, which
-    reads t alone, is read once per sweep, in one _sample_at call on every
-    stage time, and each stage gets its value as a Python float.  The sweep
-    runs under one np.errstate: NumPy's floating-point warnings are
+    every j that is a multiple of steps_per_delay, into one block per
+    sweep.  At j = 0, and in a last interval holding a shortened step,
+    they are the history or the finished nodes read by the plan's lookups
+    (_hermite_array's arithmetic).  Otherwise they are the nodes j -
+    steps_per_delay .. j themselves, as slices, and the cubic of each of
+    their segments at its midpoint, in one _hermite_eval call on the
+    plan's weights.  The right-hand side's state-free part is evaluated on
+    them there, once per delay interval (the stage's interval part), so
+    its domain errors are raised at the start of their interval.  The
+    sweep runs under one np.errstate: NumPy's floating-point warnings are
     silenced, and a state that is inf, nan or above BLOWUP_THRESHOLD raises
     BlowupError, checked before its node's slope is computed.
     """
@@ -173,89 +258,47 @@ def integrate(
     elif not (math.isfinite(lam) and lam >= 0):
         raise InvalidParameterError(f"lambda must be finite and >= 0, got {lam}")
     spd = steps_per_delay
-    h = r / spd
-    interval, step = problem.stage_at(lam, mu)
-    prepare = partial(interval, lam)
-    rhs = partial(step, lam, float(mu))
-
-    n_full = int(np.floor(t_end / h + 1e-9))
-    has_partial = t_end - n_full * h > 1e-12 * max(1.0, t_end)
-
-    n_nodes = n_full + 1 + (1 if has_partial else 0)
-    times = np.empty(n_nodes)
-    times[: n_full + 1] = np.arange(n_full + 1) * h
-    if has_partial:
-        times[-1] = t_end
-    shape = (n_nodes,) + batch.values.shape[1:]
+    stage = problem.stage_at(lam, mu)
+    plan = problem.plan_at(t_end, spd, batch)
+    n_steps = plan.n_steps
+    shape = (n_steps + 1,) + batch.values.shape[1:]
     states = np.empty(shape)
     slopes = np.empty(shape)
+    block = np.empty((plan.rows,) + shape[1:-1] + (stage.width,))
+    delayed = block[..., :shape[-1]]
+    work = np.empty((5,) + shape[1:])  # the stage input, k2, k3, k4 and |state|
 
-    # Python floats: fields see a float time, the same value as the node.
-    node_times = times.tolist()
-    # The stage times: 0 for the slope at node 0, then the midpoint and the
-    # end of step j at stage_t[2j + 1] and stage_t[2j + 2].  a is read at
-    # them, and the delayed values at tau = stage_t - r.
-    n_steps = n_nodes - 1
-    stage_t = np.empty(2 * n_steps + 1)
-    stage_t[0::2] = times
-    stage_t[1::2] = times[:-1] + 0.5 * np.diff(times)
-    tau = stage_t - r
-    # The Hermite weights of the delayed read at the midpoint of each step
-    # past the first interval, by the segment k it falls in (k = 0 ..
-    # n_steps - spd - 1), with the arithmetic of _hermite_array.
-    left = times[:max(n_steps - spd, 0)]
-    width = times[1:len(left) + 1] - left
-    col = (-1,) + (1,) * (states.ndim - 1)
-    weights = np.array(_hermite_weights(((tau[2 * spd + 1::2][:len(left)] - left) / width).reshape(col),
-                                        width.reshape(col)))
-
-    def read(j: int):
-        """The rows rhs reads at stage_t[2j : 2j + 2 spd + 1]: the delayed
-        values there, prepared by the stage's interval part."""
-        rows = slice(2 * j, 2 * (j + spd) + 1)
-        if j and not (has_partial and j + spd >= n_steps):
-            # Steps j .. j + n - 1 read nodes lo .. lo + n and the midpoints
-            # of the n segments between them.
-            n, lo = min(spd, n_steps - j), j - spd
-            block = np.empty((2 * n + 1,) + states.shape[1:])
-            block[0::2] = states[lo:lo + n + 1]
-            block[1::2] = _hermite_eval(weights[:, lo:lo + n], states[lo:lo + n], slopes[lo:lo + n],
-                                        states[lo + 1:lo + n + 1], slopes[lo + 1:lo + n + 1])
+    def read(j: int, n: int):
+        """The delayed values of steps j .. j + n - 1 into the block."""
+        if j == 0:
+            delayed[:2 * n + 1] = plan.first.apply(batch.values, batch.derivs)
+        elif plan.last is not None and j + spd >= n_steps:
+            delayed[:2 * n + 1] = plan.last.apply(states, slopes)
         else:
-            nodes = (batch.grid, batch.values, batch.derivs) if j == 0 else (times[:j + 1], states[:j + 1], slopes[:j + 1])
-            block = _hermite_array(*nodes, tau[rows])
-        return prepare(stage_t[rows, None], block)
+            # Nodes lo .. lo + n and the midpoints of the n segments between them.
+            lo = j - spd
+            delayed[0:2 * n + 1:2] = states[lo:lo + n + 1]
+            delayed[1:2 * n:2] = _hermite_eval(plan.weights[:, lo:lo + n], states[lo:lo + n], slopes[lo:lo + n],
+                                               states[lo + 1:lo + n + 1], slopes[lo + 1:lo + n + 1])
 
     with np.errstate(all="ignore"):
-        at = _sample_at(problem.a, stage_t).tolist()  # a at every stage time
+        interval, slope, step = stage.bind(lam, float(mu), plan.time_block(stage), plan.at, plan.node_times,
+                                           block, states, slopes, work, BLOWUP_THRESHOLD)
         state = batch.terminal()
-        # The stage inputs, the slopes k2, k3, k4, and |y1| for the blowup check.
-        y_in, k2, k3, k4, scratch = np.empty((5,) + state.shape)
-        _check_state(0.0, state, scratch)
+        _check_state(0.0, state, work[4])
         states[0] = state
-        delayed = read(0)
-        rhs(0.0, at[0], state, delayed[0], slopes[0])
-        for j in range(n_steps):
-            i = 2 * (j % spd)
-            if i == 0 and j:
-                delayed = read(j)
-            t0, t1 = node_times[j], node_times[j + 1]
-            dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
-            a_half, a_end = at[2 * j + 1], at[2 * j + 2]
-            y0, k1, y1 = states[j], slopes[j], states[j + 1]
-            rhs(t0 + 0.5 * dt, a_half, np.add(y0, np.multiply(0.5 * dt, k1, out=y_in), out=y_in), delayed[i + 1], k2)
-            rhs(t0 + 0.5 * dt, a_half, np.add(y0, np.multiply(0.5 * dt, k2, out=y_in), out=y_in), delayed[i + 1], k3)
-            rhs(t1, a_end, np.add(y0, np.multiply(dt, k3, out=y_in), out=y_in), delayed[i + 2], k4)
-            np.add(y0, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=y1)
-            # _check_state inline: no Python call per step.
-            norm = np.maximum.reduce(np.absolute(y1, out=scratch), axis=None)
-            if not norm <= BLOWUP_THRESHOLD:
-                raise BlowupError(t1, float(norm), BLOWUP_THRESHOLD)
-            rhs(t1, a_end, y1, delayed[i + 2], slopes[j + 1])
+        for j0 in range(0, n_steps, spd):
+            n = min(spd, n_steps - j0)
+            read(j0, n)
+            interval(2 * j0, 2 * n + 1)
+            if j0 == 0:
+                slope(0, 0)
+            for j in range(j0, j0 + n):
+                step(j, 2 * (j - j0))
 
     if single:
         states, slopes = states[:, 0], slopes[:, 0]
-    return Trajectory(init=init, times=times, states=states, slopes=slopes, dim_x=problem.dim_x)
+    return Trajectory(init=init, times=plan.times, states=states, slopes=slopes, dim_x=problem.dim_x)
 
 
 def flow_unperturbed(problem: CoupledProblem, point, t: float) -> np.ndarray:

@@ -284,9 +284,9 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     does f: phi/gamma(t), with gamma(t) a node bound to a read of gamma
     through _sample_at.  The problem's compiled stage
     (CoupledProblem.stage_at) inlines those expressions, and reads gamma
-    once per delay interval on its block of stage times.  The callables
-    above stay each field's fn, for the averaged drive and fields; without
-    the expressions each is one leaf of the stage.
+    once per sweep grid, on all its stage times (integrator.SweepPlan).
+    The callables above stay each field's fn, for the averaged drive and
+    fields; without the expressions each is one leaf of the stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f

@@ -82,18 +82,21 @@ def translate(
 
     init may be a batch of histories, and lam then a float or an array of
     one lambda per history (see integrate); the image is the batch of
-    their images.  A sweep that blows up, or whose fields fail to
-    evaluate (an ExprEvalError of the DSL, an ArithmeticError such as a
-    float overflow of a Python callable), raises TranslationUndefinedError:
-    the input lies outside the operator's domain.
+    their images.  The resample is Trajectory.eval at T + linspace(-r, 0,
+    m + 1), bit for bit, on the segment lookup the sweep's plan
+    (CoupledProblem.plan_at) holds for it.  A sweep that blows up, or
+    whose fields fail to evaluate (an ExprEvalError of the DSL, an
+    ArithmeticError such as a float overflow of a Python callable),
+    raises TranslationUndefinedError: the input lies outside the
+    operator's domain.
     """
     T = problem.period
-    r = problem.delay
     try:
         traj = integrate(problem, lam, mu, init, T, cfg.steps_per_delay)
     except (BlowupError, ExprEvalError, ArithmeticError) as exc:
         raise TranslationUndefinedError(str(exc)) from exc
-    return History(r, traj.eval(T + np.linspace(-r, 0.0, cfg.m + 1)))
+    resample = problem.plan_at(T, cfg.steps_per_delay, init).resample(cfg.m)
+    return History(problem.delay, resample.apply(traj.states, traj.slopes))
 
 
 def _residual(problem, lam, mu, u, cfg):

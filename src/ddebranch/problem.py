@@ -15,14 +15,15 @@ import itertools
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import expr as dsl
 from .errors import InvalidParameterError, ZeroAverageError
+from .stage import Stage, compile_stage
 
 DEFAULT_N_QUAD = 1024
 
@@ -111,83 +112,6 @@ class BatchField:
 
     def __call__(self, *args):  # a BatchField is also the callable fn
         return self.fn(*args)
-
-
-def state_columns(k: int, s: int):
-    """The DSL's component names of x, y, xd and yd, one list each."""
-    return [[f"{p}{j + 1}" for j in range(n)] for p, n in zip(("x", "y", "xd", "yd"), (k, s, k, s))]
-
-
-def _state_free_subtrees(node, free, out: list):
-    """Append to out, left to right, the maximal subtrees of node that are
-    operations reading no variable outside free (a Leaf never is one)."""
-    if isinstance(node, (dsl.Num, dsl.Var, dsl.Leaf)):
-        return
-    if dsl.Expr(node, frozenset()).free_vars() <= free:
-        out.append(node)
-    elif isinstance(node, dsl.BinOp):
-        _state_free_subtrees(node.left, free, out)
-        _state_free_subtrees(node.right, free, out)
-    else:
-        _state_free_subtrees(node.operand if isinstance(node, dsl.Neg) else node.arg, free, out)
-
-
-def compile_stage(k: int, s: int, f, g, h=None, drive=None):
-    """The right-hand side from the expressions of f (k of them), g and h
-    (s each; f and h may be None), split by the method of steps into two
-    bare generated functions (interval, step).
-
-    Its components are lam * f_i (0 when f is None) and at * g_j
-    (+ lam * h_j); with drive = (wf, abar), they are
-    lam * (mu * f_i + (1 - mu) * (at / abar) * wf_i) (no mu * f_i when f
-    is None) and at * g_j (+ (lam * mu) * h_j): the operations, in order,
-    of evaluating the fields one by one.  A Python field, and the averaged
-    drive wf, is given as the Leaf of its first component.  Every maximal
-    subtree that reads only t, xd, yd and lam, such as
-    lam*(sin(yd1)/sigma(t)), is hoisted: interval(lam, t, delayed)
-    evaluates them all on a delay interval's block of stage times and
-    delayed states, (R, 1) and (R, B, d), and returns that block with one
-    column appended per subtree.  step(lam, mu, t, at, state, row, out)
-    computes the components of a (B, d) float array state from one row of
-    that block (a float array too), reading each hoisted subtree from its
-    column, writes them into out, a (B, d) array that is none of its
-    inputs, and returns out.  A Leaf is never hoisted: a Python field may
-    read state the DSL cannot see.  A domain error is raised by the first
-    failing hoisted node, else by f's nodes before g's and g's before
-    h's.  The DSL cannot name at, lam or mu."""
-    at, lam, mu = dsl.Var("at"), dsl.Var("lam"), dsl.Var("mu")
-
-    def mul(left, right):
-        return dsl.BinOp("*", left, right)
-
-    def roots(given, n):
-        return [replace(given, j=j) for j in range(n)] if isinstance(given, dsl.Leaf) else [e.root for e in given]
-
-    f, h = (None if e is None else roots(e, n) for e, n in ((f, k), (h, s)))
-    if drive is None:
-        parts = [dsl.Num(0.0)] * k if f is None else [mul(lam, e) for e in f]
-        lam_h = lam
-    else:
-        scale = mul(dsl.BinOp("-", dsl.Num(1.0), mu), dsl.BinOp("/", at, dsl.Num(drive[1])))
-        parts = [mul(scale, w) for w in roots(drive[0], k)]
-        if f is not None:
-            parts = [dsl.BinOp("+", mul(mu, e), w) for e, w in zip(f, parts)]
-        parts = [mul(lam, w) for w in parts]
-        lam_h = mul(lam, mu)
-    for j, e in enumerate(roots(g, s)):
-        part = mul(at, e)
-        parts.append(part if h is None else dsl.BinOp("+", part, mul(lam_h, h[j])))
-    x, y, xd, yd = state_columns(k, s)
-    hoisted = []
-    for part in parts:
-        _state_free_subtrees(part, {"t", "lam", *xd, *yd}, hoisted)
-    step = dsl.compile_function([dsl.Expr(part, frozenset()) for part in parts],
-                                ["lam", "mu", "t", "at", {"x": x, "y": y},
-                                 {"xd": xd, "yd": yd, "hoisted": hoisted}], out=True).__wrapped__
-    if not hoisted:  # the rows are the delayed states themselves, and nothing is compiled
-        return (lambda lam, t, delayed: delayed), step
-    columns = [dsl.Expr(node, frozenset()) for node in [dsl.Var(v) for v in xd + yd] + hoisted]
-    return dsl.compile_function(columns, ["lam", "t", xd + yd]).__wrapped__, step
 
 
 def _per_row(fn: Callable, timed: bool) -> Callable:
@@ -367,10 +291,33 @@ def _hermite(grid, values, derivs, t):
     return _hermite_array(grid, values, derivs, t)
 
 
-def _hermite_array(grid, values, derivs, t):
-    """_hermite at an array t, from one segment lookup.  As in _hermite, a
-    t that snaps to a node reads that node's value itself, and only the
-    other times evaluate the cubic."""
+class _HermiteLookup(NamedTuple):
+    """The segment arithmetic of _hermite_array on a grid at times t, done
+    once (_hermite_lookup): for each time the node it snaps to (or the left
+    end of its segment), the times that evaluate the cubic, their segments
+    and weights.  apply reads any node values and slopes on that grid."""
+
+    shape: tuple
+    take: np.ndarray
+    inner: np.ndarray
+    left: np.ndarray
+    weights: tuple
+
+    def apply(self, values, derivs):
+        """The interpolant of values and derivs, of shape (len(grid), ...),
+        at the lookup's times: t.shape + values.shape[1:]."""
+        out = values[self.take]
+        inner, i = self.inner, self.left
+        if len(inner):
+            col = (len(i),) + (1,) * (values.ndim - 1)
+            out[inner] = _hermite_eval([w.reshape(col) for w in self.weights],
+                                       values[i], derivs[i], values[i + 1], derivs[i + 1])
+        return out.reshape(self.shape + values.shape[1:])
+
+
+def _hermite_lookup(grid, t) -> _HermiteLookup:
+    """The _HermiteLookup of the times t on grid, with _hermite's node
+    snap."""
     grid = np.asarray(grid, dtype=float)
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
@@ -378,14 +325,15 @@ def _hermite_array(grid, values, derivs, t):
     g0 = grid[i]
     dt = grid[i + 1] - g0
     u = (ts - g0) / dt
-    out = values[i + (u > 0.5)]
     inner = np.flatnonzero(~((u < _NODE_SNAP) | (u > 1.0 - _NODE_SNAP)))  # not snapped; a nan t too
-    if len(inner):
-        i = i[inner]
-        col = (len(i),) + (1,) * (values.ndim - 1)
-        out[inner] = _hermite_eval(_hermite_weights(u[inner].reshape(col), dt[inner].reshape(col)),
-                                   values[i], derivs[i], values[i + 1], derivs[i + 1])
-    return out.reshape(t.shape + values.shape[1:])
+    return _HermiteLookup(t.shape, i + (u > 0.5), inner, i[inner], _hermite_weights(u[inner], dt[inner]))
+
+
+def _hermite_array(grid, values, derivs, t):
+    """_hermite at an array t, from one segment lookup (_HermiteLookup).
+    As in _hermite, a t that snaps to a node reads that node's value
+    itself, and only the other times evaluate the cubic."""
+    return _hermite_lookup(grid, t).apply(values, derivs)
 
 
 def _node_array(values) -> np.ndarray:
@@ -395,6 +343,19 @@ def _node_array(values) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else np.atleast_2d(values)
 
 
+@lru_cache(maxsize=16)
+def _not_a_knot_matrix(m: int) -> np.ndarray:
+    """The (m+1) x (m+1) system of _not_a_knot_slopes: built once per m,
+    read-only."""
+    A = np.zeros((m + 1, m + 1))
+    i = np.arange(1, m)
+    A[i, i - 1] = A[i, i + 1] = 1.0
+    A[i, i] = 4.0
+    A[0, :2] = A[m, m:m - 2:-1] = 1.0, 2.0
+    A.flags.writeable = False
+    return A
+
+
 def _not_a_knot_slopes(history: "History") -> np.ndarray:
     """A history's node slopes (History.derivs): those of the not-a-knot
     cubic spline through its node values.
@@ -402,20 +363,16 @@ def _not_a_knot_slopes(history: "History") -> np.ndarray:
     On the uniform grid, in units of the spacing h = delay/m, the slopes
     solve s_{i-1} + 4 s_i + s_{i+1} = 3 (D_{i-1} + D_i) at interior nodes
     (D_i = (v_{i+1} - v_i)/h) and s_0 + 2 s_1 = (5 D_0 + D_1)/2 with its
-    mirror image at the ends: one dense solve against all B*d columns.
+    mirror image at the ends: one dense solve against all B*d columns, of
+    the matrix _not_a_knot_matrix builds once per m.
     """
     values, m = history.values, history.m
     delta = np.diff(values, axis=0).reshape(m, -1) / (history.delay / m)
-    A = np.zeros((m + 1, m + 1))
-    i = np.arange(1, m)
-    A[i, i - 1] = A[i, i + 1] = 1.0
-    A[i, i] = 4.0
-    A[0, :2] = A[m, m:m - 2:-1] = 1.0, 2.0
     b = np.empty((m + 1, delta.shape[1]))
     b[1:m] = 3.0 * (delta[:-1] + delta[1:])
     b[0] = 0.5 * (5.0 * delta[0] + delta[1])
     b[m] = 0.5 * (5.0 * delta[-1] + delta[-2])
-    return np.linalg.solve(A, b).reshape(values.shape)
+    return np.linalg.solve(_not_a_knot_matrix(m), b).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -543,7 +500,7 @@ class CoupledProblem:
     def dim(self) -> int:
         return self.dim_x + self.dim_y
 
-    def stage_at(self, lam, mu) -> tuple:
+    def stage_at(self, lam, mu) -> Stage:
         """compile_stage for integrate at lam and mu, once per regime: g
         alone at a scalar lam = 0, else f and h at mu > 0 and the drive at
         mu < 1.  A field enters as its DSL expressions or as one eval_f,
@@ -562,6 +519,19 @@ class CoupledProblem:
             stages[regime] = compile_stage(self.dim_x, self.dim_y, part("f", timed, regime[0]),
                                            part("g", ("x", "y")), part("h", timed, regime[0]), wf)
         return stages[regime]
+
+    def plan_at(self, t_end: float, steps_per_delay: int, history: History):
+        """integrator.SweepPlan from history's grid to t_end: the problem
+        keeps the plan of the last grid it was asked for (every sweep of a
+        branch, a Newton solve or a translate shares one) and builds a new
+        one when the grid changes."""
+        key = (t_end, steps_per_delay, history.delay, history.m)
+        plan = vars(self).get("_plan")
+        if plan is None or plan.key != key:
+            from .integrator import SweepPlan  # which imports this module
+
+            plan = vars(self)["_plan"] = SweepPlan(self, *key)  # per problem, as stage_at's stages
+        return plan
 
     def eval_f(self, t, x, y, xd, yd) -> np.ndarray:
         """f at one state (1-d arguments) or a batch of rows (see eval_batch)."""

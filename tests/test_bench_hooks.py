@@ -2,16 +2,19 @@
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
 must a stage whose Python fields stop calling the methods the tracer
 counts, a sweep of the benchmark's forced problem or sunflower preset that
-stops making one call of its compiled stage's step part per RK4 stage and
-one of its interval part per delay interval, a sweep of those, of the
-homotopy or of a Python fold field that makes more Python calls than it
-did, or an averaged drive that rebuilds its quadrature grid or re-reads
-gamma on it at every stage of the benchmark's mu < 1 sweep, or that reads
-gamma more than once per float stage time, or that reads the coefficient a
-other than once per sweep on every stage time, or a branch whose attempts
-stop looking ahead (more sweeps on the forced branch) or start where rows
-are not cheap (on a fold with a Python field).  And every workload, at
-the full size the benchmark runs, must pass its own output check."""
+stops making one call of its compiled stage's RK4 kernel per step, one of
+its interval part per delay interval and one of its time-only part per
+sweep grid, a sweep of those, of the homotopy or of a Python fold field
+that makes more Python calls than it did, a CLI request that compiles
+more generated functions than it did, or an averaged drive that rebuilds
+its quadrature grid or re-reads gamma on it at every stage of the
+benchmark's mu < 1 sweep, or that reads gamma more than once per float
+stage time, or that reads the coefficient a other than once per sweep on
+every stage time, or a branch whose attempts stop looking ahead (more
+sweeps on the forced branch) or start where rows are not cheap (on a fold
+with a Python field), or that builds more than one sweep plan.  And every
+workload, at the full size the benchmark runs, must pass its own output
+check."""
 
 import dataclasses
 import math
@@ -121,28 +124,64 @@ def test_traced_callable_sweep_counts_one_f_call_and_no_g_call_per_stage():
 
 
 @pytest.mark.parametrize("workload", ["forced-branch", "sunflower-verify-index"])
-def test_traced_config_sweep_makes_one_stage_call_per_stage(workload, monkeypatch):
+def test_traced_config_sweep_makes_one_kernel_call_per_rk4_step(workload, monkeypatch):
     # Every field of the forced problem comes from the DSL, and so do the
-    # sunflower preset's phi/sigma(t) and x1 - y1: each stage is one call
-    # of the step part of the problem's compiled stage and no field call,
-    # and its state-free part is one call of the interval part per delay
-    # interval: 7 for 51 steps of 8 per interval.
+    # sunflower preset's phi/sigma(t) and x1 - y1: each RK4 step is one
+    # call of the kernel of the problem's compiled stage, which inlines
+    # its four stage evaluations and its node slope, and makes no field
+    # call; node 0's slope is one call more (205 stage calls, 4 per step
+    # and node 0's slope, when each stage was a call of its own).  The
+    # state-free part is one call of the interval part per delay interval,
+    # 7 for 51 steps of 8 per interval, and the part that reads t alone
+    # one call on the sweep's grid.
     args, kwargs = _config_sweep(workload)
-    calls = {"interval": [], "step": []}
+    calls = {"times": [], "interval": [], "slope": [], "step": []}
 
     def counted(name, fn):
         def call(*stage_args):
-            calls[name].append(stage_args[0])
+            calls[name].append(stage_args)
             return fn(*stage_args)
         return call
 
     compile_stage = problem_module.compile_stage
-    monkeypatch.setattr(problem_module, "compile_stage",
-                        lambda *a: tuple(counted(name, fn) for name, fn in zip(calls, compile_stage(*a))))
+
+    def counted_stage(*a):
+        stage = compile_stage(*a)
+
+        def bind(*bind_args):
+            return tuple(counted(name, fn) for name, fn in zip(("interval", "slope", "step"), stage.bind(*bind_args)))
+
+        return stage._replace(times=counted("times", stage.times), bind=bind)
+
+    monkeypatch.setattr(problem_module, "compile_stage", counted_stage)
     tracer = _traced_sweep(args, kwargs)
-    assert len(calls["step"]) == 205
+    assert [j for j, i in calls["step"]] == list(range(51))
+    assert len(calls["slope"]) == 1
     assert len(calls["interval"]) == 7
+    assert len(calls["times"]) == 1
     assert tracer.counts["problem.eval_f"] == tracer.counts["problem.eval_g"] == 0
+
+
+@pytest.mark.parametrize("workload, most", [("forced-branch", 5), ("sunflower-verify-index", 4)])
+def test_cli_request_compiles_at_most_as_many_functions(workload, most, tmp_path, monkeypatch):
+    # Each generated function is one compile of its source, about 0.1 to
+    # 1 ms: the forced problem's a, f and g, and its stage's time-only
+    # part and RK4 kernel; the preset's a and phi, and its stage's two.
+    # 5 and 4 also when the stage compiled an interval part and a
+    # per-stage step.
+    workloads = perfbench_module("workloads")
+    params, _ = workloads.make_inputs(workload, 0)
+    config_path = workloads.prepare(params, tmp_path)
+    sources = []
+
+    def counted(source, *a, **kw):
+        sources.append(source)
+        return compile(source, *a, **kw)
+
+    monkeypatch.setattr(expr, "compile", counted, raising=False)
+    code, _, _ = workloads.solve(params, config_path, tmp_path)
+    assert code == 0
+    assert 0 < len(sources) <= most
 
 
 def _python_calls(args, kwargs):
@@ -163,23 +202,25 @@ def _python_calls(args, kwargs):
     return calls
 
 
-def test_sweep_makes_at_most_271_python_calls():
+def test_sweep_makes_at_most_101_python_calls():
     # 6 383 when each field walked a closure tree per component, 2 895
     # with one generated function per field, two field calls per stage
     # and a scalar delayed read per step, 1 616 with one stage call per
     # stage that evaluated sin(yd1) and cos(t) each time, 1 043 when each
     # stage read the coefficient a at its own float time, 535 when a
     # lambda moved lam into place for each call of the step, 323 with a
-    # Python blowup check per step and a _hermite_array read per interval.
-    assert len(_python_calls(*_config_sweep("forced-branch"))) <= 271
+    # Python blowup check per step and a _hermite_array read per interval,
+    # 271 with one stage call per RK4 stage.  The warm-up sweep builds the
+    # sweep plan that this one reads, as every sweep of a branch does.
+    assert len(_python_calls(*_config_sweep("forced-branch"))) <= 101
 
 
-def test_preset_sweep_makes_at_most_320_python_calls():
+def test_preset_sweep_makes_at_most_108_python_calls():
     # 3 362 when the sunflower preset ran every stage through lienard's
     # f_c and g_c by eval_batch, reading sigma at each float stage time,
     # 364 with a Python blowup check per step and a _hermite_array read
-    # per interval.
-    assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 320
+    # per interval, 320 with one stage call per RK4 stage.
+    assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 108
 
 
 def test_homotopy_sweep_makes_at_most_13512_python_calls():
@@ -204,6 +245,21 @@ def _traced_branch(problem, origin, lambda_max, cfg):
     finally:
         tracer.uninstall()
     return tracer.metrics()
+
+
+def test_forced_branch_builds_one_sweep_plan(monkeypatch):
+    # Its 33 sweeps share one grid: T, 8 steps per delay and m = 8.
+    built = []
+
+    class Counted(integrator.SweepPlan):
+        def __init__(self, *args):
+            built.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(integrator, "SweepPlan", Counted)
+    problem, origin, lambda_max, cfg = forced_branch_run(0)
+    continuation.continue_branch(problem, origin, lambda_max, cfg)
+    assert built == [(problem.period, 8, problem.delay, 8)]
 
 
 def test_forced_branch_makes_33_integrations_in_11_attempts():

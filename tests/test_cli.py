@@ -221,6 +221,15 @@ class TestDegree:
         assert code == EXIT_NUMERICAL
         assert "n_check must be >= 8, got 1" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    def test_seed_grid_must_be_an_integer(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "degree", {
+                "degree": {"field": "expr", "exprs": ["p"], "vars": ["p"],
+                           "box": {"lower": [-1.0], "upper": [1.0]}},
+            }, extra=("--seed-grid", "abc"))
+        assert exc.value.code == 2
+        assert "argument --seed-grid: invalid int value: 'abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method, exprs, vars_, lower, upper, needs, got", [
         ("sign-1d", ["p - 0.3", "q + 0.2"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], 1, 2),
         ("winding-2d", ["p - 0.3"], ["p"], [-1.0], [1.0], 2, 1),
@@ -273,13 +282,21 @@ class TestVerifyIndex:
         assert payload["lhs_sum"] == payload["rhs"] == -1
         assert payload["config"]["verify_index"]["lambda"] == 1e-3
 
-    def test_seed_grid_not_accepted(self, tmp_path, capsys):
+    def _seed_grid_rejected(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "verify-index", {
                 "problem": CUBIC_PROBLEM,
                 "verify_index": {"lambda": 1e-3, "box": {"lower": [-2.0], "upper": [2.0]}},
-            }, extra=("--seed-grid", "4"))
+            }, extra=("--seed-grid", value))
         assert exc.value.code == 2
+        assert "--seed-grid is accepted only by degree, not verify-index" in capsys.readouterr().err
+
+    def test_seed_grid_not_accepted(self, tmp_path, capsys):
+        self._seed_grid_rejected(tmp_path, capsys, "4")
+
+    def test_seed_grid_not_accepted_whatever_its_value(self, tmp_path, capsys):
+        # The command is checked before the value is parsed.
+        self._seed_grid_rejected(tmp_path, capsys, "abc")
 
 
 class TestBranch:

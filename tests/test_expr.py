@@ -14,7 +14,7 @@ from ddebranch.errors import (
     ExprSyntaxError,
 )
 from ddebranch.expr import BinOp, Call, Neg, Num, Var
-from ddebranch.problem import compile_stage, state_columns
+from ddebranch.stage import compile_stage, state_columns
 
 
 def ev(source, allowed=(), **bindings):
@@ -354,17 +354,18 @@ class TestCompiled:
         assert 0 < n_raised < 50  # of 25 functions at two times each
 
     def test_stage_matches_field_path_on_random_asts(self):
-        # compile_stage of random f, g and h (k = s = 1), its interval part
-        # on a one-row block and then its step part, which writes into and
-        # returns the array it is given, against the fields compiled one by
-        # one and combined as lam * f and at * g (+ lam * h), all at one
-        # (1, 1) array t: equal bit for bit, or raising
-        # ExprEvalError naming the node the stage's order makes first.  The
-        # interval part evaluates the maximal subtrees reading only t, xd1
-        # and yd1 (of f, then g, then h), so one of those that fails is
-        # named first, by the interval part; then the step part names f's
-        # node before g's and g's before h's, while the field path
-        # evaluates g before f.
+        # compile_stage of random f, g and h (k = s = 1) at one node: its
+        # time-only part at a (1, 1, 1) array of the time, its interval
+        # part on a one-row block and then its node slope, which writes
+        # into the slopes it is bound to, against the fields compiled one
+        # by one and combined as lam * f and at * g (+ lam * h), all at
+        # one (1, 1) array t: equal bit for bit, or raising ExprEvalError
+        # naming the node the stage's order makes first.  The time-only
+        # part evaluates the maximal subtrees reading only t, within those
+        # reading only t, xd1 and yd1 (of f, then g, then h), so one of
+        # them that fails is named first; then the interval part the
+        # latter; then the node slope names f's node before g's and g's
+        # before h's, while the field path evaluates g before f.
         x, y, xd, yd = state_columns(1, 1)
         renames = ({"a": "xd1", "b": "y1", "c": "t"}, {"a": "x1", "b": "y1", "c": "x1"},
                    {"a": "yd1", "b": "x1", "c": "t"})
@@ -379,32 +380,50 @@ class TestCompiled:
             except ExprEvalError as exc:
                 return None, exc.node
 
-        def state_free(node):
-            # The maximal operation subtrees reading only t, xd1 and yd1.
+        def maximal(node, free):
+            # The maximal operation subtrees reading only variables in free.
             if isinstance(node, (Num, Var)):
                 return []
-            if dsl.Expr(node, frozenset()).free_vars() <= {"t", "xd1", "yd1"}:
+            if dsl.Expr(node, frozenset()).free_vars() <= free:
                 return [node]
             kids = (node.left, node.right) if isinstance(node, BinOp) else (
                 (node.operand,) if isinstance(node, Neg) else (node.arg,))
-            return [sub for kid in kids for sub in state_free(kid)]
+            return [sub for kid in kids for sub in maximal(kid, free)]
 
-        def first_hoisted_error(exprs):
+        def first_error(exprs, timed):
             for e in exprs:
-                for sub in state_free(e.root):
-                    fn = dsl.compile_function(dsl.Expr(sub, frozenset()), ["t", xd + yd])
-                    node = attempt(fn, t, delayed[None])[1]
-                    if node is not None:
-                        return node
+                for hoisted in maximal(e.root, {"t", "xd1", "yd1"}):
+                    for sub in maximal(hoisted, {"t"}) if timed else [hoisted]:
+                        fn = dsl.compile_function(dsl.Expr(sub, frozenset()), ["t", xd + yd])
+                        node = attempt(fn, t, delayed[None])[1]
+                        if node is not None:
+                            return node
             return None
+
+        def node_slope(stage):
+            # The stage's phase that raised (or None) and the node it named,
+            # else the slopes it wrote.
+            block, node = attempt(stage.times, t[..., None])
+            if node is not None:
+                return "times", node, None
+            D = np.empty((1,) + delayed.shape[:-1] + (stage.width,))
+            D[..., :2] = delayed
+            S, K = state[None].copy(), np.empty((1,) + state.shape)
+            interval, slope, _ = stage.bind(lam, 1.0, block, [at], [float(t[0, 0])], D, S, K,
+                                            np.empty((5,) + state.shape), 1e9)
+            for phase, fn, fn_args in (("interval", interval, (0, 1)), ("slope", slope, (0, 0))):
+                node = attempt(fn, *fn_args)[1]
+                if node is not None:
+                    return phase, node, None
+            return None, None, K[0]
 
         roots = _random_asts()
         sources = [[str(_rename(root, names)) for root, names in zip(roots[i:i + 3], renames)]
                    for i in range(len(roots) - 2)]
         # The corpus has no f and g that both fail outside the state-free
-        # subtrees; this one does.
-        sources.append(["sqrt(y1 - 9)", "log(x1 - 9)", "yd1 - t"])
-        outcomes = {"equal": 0, "hoisted": 0, "hoisted before a field's first": 0,
+        # subtrees, and no time-only subtree that fails; these do.
+        sources += [["sqrt(y1 - 9)", "log(x1 - 9)", "yd1 - t"], ["sqrt(xd1) + log(t - 1)", "x1", "yd1"]]
+        outcomes = {"equal": 0, "timed": 0, "hoisted": 0, "hoisted before a field's first": 0,
                     "f before g": 0, "same node": 0}
         for triple in sources:
             f, g, h = ([dsl.parse(src, set(names.values()))] for src, names in zip(triple, renames))
@@ -412,25 +431,23 @@ class TestCompiled:
                                           for e in (f, h))
             gv, g_node = attempt(dsl.compile_function(g, [x, y]), *args[1:3])
             for with_h in (False, True):
-                interval, step = compile_stage(1, 1, f, g, h if with_h else None)
-                hoisted_node = first_hoisted_error(f + g + h * with_h)
+                exprs = f + g + h * with_h
+                timed_node, hoisted_node = first_error(exprs, True), first_error(exprs, False)
                 field_nodes = [f_node, g_node] + [h_node] * with_h
-                want_node = hoisted_node or next((n for n in field_nodes if n is not None), None)
+                want_node = timed_node or hoisted_node or next((n for n in field_nodes if n is not None), None)
                 with np.errstate(all="ignore"):  # as inside a sweep
-                    block, stage_node = (delayed[None], None) if interval is None else attempt(
-                        interval, lam, t, delayed[None])
-                    in_interval = stage_node is not None
-                    if not in_interval:
-                        out = np.empty((1,) + state.shape)  # the batch shape of t against the state's
-                        got, stage_node = attempt(step, lam, 1.0, t, at, state, block[0], out)
-                        assert stage_node is not None or got is out
+                    phase, stage_node, got = node_slope(compile_stage(1, 1, f, g, h if with_h else None))
                     if want_node is None:
                         want = np.concatenate([lam * fv, at * gv[None] + lam * hv if with_h else at * gv[None]],
                                               axis=-1)
-                assert stage_node is want_node and in_interval == (hoisted_node is not None)
+                assert stage_node is want_node
+                assert phase == ("times" if timed_node else "interval" if hoisted_node else
+                                 "slope" if want_node else None)
                 if want_node is None:
                     assert got.tobytes() == want.tobytes()
                     outcomes["equal"] += 1
+                elif timed_node is not None:
+                    outcomes["timed"] += 1
                 elif hoisted_node is not None:
                     first_field = next(n for n in [g_node, f_node, h_node] if n is not None)
                     outcomes["hoisted" if first_field is hoisted_node else "hoisted before a field's first"] += 1
@@ -461,11 +478,17 @@ class TestCompiled:
         e = dsl.Expr(node, frozenset({"t", "yd1"}))
         assert dsl.compile_function(e, ["t", "yd1"])(np.pi / 4, 1.0) == math.sin(1.0) / np.tan(np.pi / 4)
         assert math.isnan(dsl.compile_function(dsl.Expr(Call(tan, Var("t")), frozenset({"t"})), ["t"])(math.inf))
-        interval, _ = compile_stage(1, 1, [e], [dsl.parse("x1 - y1", {"x1", "y1"})])
+        stage = compile_stage(1, 1, [e], [dsl.parse("x1 - y1", {"x1", "y1"})])
         t = np.array([[0.5], [0.75]])
+        times = stage.times(t[..., None])  # t, then tan(t): the subtree that reads t alone
+        assert times.shape == (2, 1, 2) and times[..., 1].tobytes() == np.tan(t).tobytes()
         delayed = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, 2))
-        block = interval(2.0, t, delayed)  # xd1, yd1, then lam*(sin(yd1)/tan(t)) as one column
-        assert block.shape == (2, 3, 3)
+        block = np.empty((2, 3, stage.width))  # xd1, yd1, then lam*(sin(yd1)/tan(t)) as one column
+        block[..., :2] = delayed
+        assert stage.width == 3
+        buffers = np.empty((2, 3, 2))
+        interval, _, _ = stage.bind(2.0, 1.0, times, [], [], block, buffers, buffers, np.empty((5, 3, 2)), 1e9)
+        interval(0, 2)
         assert block[..., 2].tobytes() == (2.0 * (np.sin(delayed[..., 1]) / np.tan(t))).tobytes()
         with pytest.raises(ExprNameError):
             dsl.parse("tan(t)", {"t"})

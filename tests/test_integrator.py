@@ -18,7 +18,7 @@ from ddebranch import (
     integrate,
     presets,
 )
-from ddebranch.errors import BlowupError, InvalidParameterError
+from ddebranch.errors import BlowupError, ExprEvalError, InvalidParameterError
 from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
 from ddebranch.problem import BatchField, _hermite
@@ -355,7 +355,8 @@ class TestFlowBatches:
 
 def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0):
     """The RK4 sweep as the package once ran it: f, g and h evaluated one
-    by one through eval_batch, with x' = 0 and no h at lambda = 0, and at
+    by one through eval_batch, with x' = 0 and no h at lambda = 0 (lam may
+    also be a (B,) array, one lambda per row), and at
     mu < 1 the drive lam * (mu * f + (1 - mu) * (a/<a>) * w_f), with h
     weighted by lam * mu and both f and h left out at mu = 0; and each
     delayed value read at its own time by a scalar _hermite call, from the
@@ -366,12 +367,14 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0):
     batch = History(init.delay, init.values[:, None]) if single else init
     r = problem.delay
     h = r / steps_per_delay
+    off = np.ndim(lam) == 0 and lam == 0.0
+    lam = lam[:, None] if np.ndim(lam) else lam  # one lambda per row
 
     def rhs(t, state, delayed):
         x, y = state[:, :k], state[:, k:]
         at = float(problem.a(t))
         dy = at * problem.eval_g(x, y)
-        if lam == 0.0:
+        if off:
             return np.concatenate([np.zeros((len(state), k)), dy], axis=1)
         xd, yd = delayed[:, :k], delayed[:, k:]
         if mu >= 1.0:
@@ -491,12 +494,19 @@ class TestAgainstScalarReads:
         "short-last-interval": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8, 12, 5.5),
         # Every delayed value is read from the history.
         "t-end-below-r": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8, 12, 0.6),
+        # One lambda per row (a tuple, cut to the rows): lam*(sin(yd1) +
+        # 0.5*cos(t)) and lam*(sin(yd1)/sigma(t)), hoisted, read lam per row.
+        "forced-per-row-lambda": (_KINDS["forced"], (0.5, 0.7, 0.9), 1.0, 8),
+        "preset-per-row-lambda": (_KINDS["preset"], (0.5, 0.7, 0.9), 1.0, 8),
+        "preset-per-row-lambda-mu-0.5": (_KINDS["preset"], (0.5, 0.7, 0.9), 0.5, 8),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("rows", [None, 3])
     def test_bit_identical(self, case, rows):
         make, lam, mu, spd, m, t_end = (self.CASES[case] + (12, TWO_PI))[:6]
+        if isinstance(lam, tuple):
+            lam = np.array(lam[:rows or 1])
         prob = make()
         shape = (m + 1, prob.dim) if rows is None else (m + 1, rows, prob.dim)
         init = History.from_values(np.random.default_rng(11).uniform(-0.5, 0.5, shape), prob.delay)
@@ -533,6 +543,64 @@ def test_python_field_is_one_call_per_stage_for_all_its_components():
     for lam in (0.0, 0.5):
         integrate(prob, lam, 1.0, init, TWO_PI, steps_per_delay=8)
     assert calls == [(3, 2)] * 410
+
+
+class TestSweepPlan:
+    """A problem keeps the time-grid part of its sweeps (CoupledProblem.
+    plan_at): a sweep on a kept plan, or on a problem made from another by
+    dataclasses.replace, has the bits of one on a freshly built problem."""
+
+    def test_replaced_coefficient_is_not_read_from_a_stale_plan(self):
+        init = History.from_values(np.random.default_rng(8).uniform(-0.5, 0.5, (9, 3, 2)), 1.0)
+        prob = _dsl_problem(*_FORCED)
+        integrate(prob, 0.5, 1.0, init, TWO_PI, 8)
+        a = "-1 + 0.3*cos(t)"
+        replaced = dataclasses.replace(prob, a=_dsl_problem(*_FORCED, a=a).a)
+        got = integrate(replaced, 0.5, 1.0, init, TWO_PI, 8)
+        want = integrate(_dsl_problem(*_FORCED, a=a), 0.5, 1.0, init, TWO_PI, 8)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.slopes.tobytes() == want.slopes.tobytes()
+
+    def test_each_regime_reads_its_own_time_block(self):
+        # One plan serves every regime of a problem, and each regime's
+        # stage has its own subtrees that read t alone: none at mu = 0 or
+        # lambda = 0 (no f or h), h's cos(t) at mu = 0.5 and mu = 1.
+        def make():
+            return _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"], ["0.3*xd1 - 0.2*y1*cos(t)"])
+
+        prob = dataclasses.replace(make(), n_quad=16)
+        init = History.from_values(np.random.default_rng(10).uniform(-0.5, 0.5, (9, 3, 2)), 1.0)
+        for lam, mu in ((0.5, 0.0), (0.5, 1.0), (0.0, 1.0), (0.7, 0.5)):
+            got = integrate(prob, lam, mu, init, TWO_PI, 8)
+            want = integrate(dataclasses.replace(make(), n_quad=16), lam, mu, init, TWO_PI, 8)
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.slopes.tobytes() == want.slopes.tobytes()
+        assert vars(prob)["_plan"].key == (TWO_PI, 8, 1.0, 8)
+
+    def test_flows_at_many_times_read_their_own_plans(self):
+        # Each new time replaces the problem's plan; the first ones again,
+        # each against a freshly built problem.
+        points = np.random.default_rng(9).uniform(-0.5, 0.5, (3, 2))
+        prob = _dsl_problem(*_FORCED)
+        ts = [0.3 * (i + 1) for i in range(4)]
+        for t in ts + ts[:2] + ts[1:2]:
+            want = flow_unperturbed(_dsl_problem(*_FORCED), points, t)
+            assert flow_unperturbed(prob, points, t).tobytes() == want.tobytes()
+            assert vars(prob)["_plan"].t_end == t
+
+    def test_time_only_domain_error_is_raised_before_the_first_step(self):
+        # log(cos(t) + 0.99) fails near t = pi, between the times the
+        # periodicity check reads: the sweep's plan raises it, naming the
+        # node, before the blowup check of the initial state.
+        prob = _dsl_problem(1, 1, ["sin(yd1) + log(cos(t) + 0.99)"], ["x1 - y1"], a="-1")
+        node = prob.f.exprs[0].root.right
+        for init in (History.constant([0.1, 0.2], 1.0, m=8), History.constant([0.1, 2e9], 1.0, m=8)):
+            with pytest.raises(ExprEvalError) as exc:
+                integrate(prob, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
+            assert exc.value.node is node
+            assert str(exc.value).startswith("log of nonpositive value -")
+        # A sweep that ends before the failing times reads none of them.
+        integrate(prob, 0.5, 1.0, History.constant([0.1, 0.2], 1.0, m=8), 2.5, steps_per_delay=8)
 
 
 class TestLambdaPerRow:

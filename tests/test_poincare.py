@@ -16,6 +16,7 @@ from ddebranch import (
     TranslationConfig,
     continue_branch,
     find_fixed_points,
+    integrate,
     translate,
     verify_index_identity,
 )
@@ -90,6 +91,55 @@ class TestTranslate:
         with pytest.raises(TranslationUndefinedError) as exc:
             translate(prob, 1.0, 1.0, init, CFG)
         assert isinstance(exc.value.__cause__, cause)
+
+
+class TestTranslateResample:
+    """translate's image is Trajectory.eval of its sweep at T + linspace(-r,
+    0, m + 1), bit for bit, read on the lookup of the sweep's plan."""
+
+    @pytest.mark.parametrize("period, delay, m, rows, last", [
+        # T = 2r: every resample time is a node of the sweep, and snaps.
+        (2.0, 1.0, 8, None, "node"), (2.0, 1.0, 8, 3, "node"),
+        # T = 2 pi: the last step is shortened, and the resample times
+        # fall inside segments.
+        (TWO_PI, 1.0, 8, None, "inside"), (TWO_PI, 1.0, 12, 3, "inside"),
+        # T = 3r within rounding: no step is shortened, but the last node,
+        # 24 * (0.7 / 8), is one ulp short of T, and the resample times
+        # are read from T, as Trajectory.eval is given them (m = 12: most
+        # fall inside segments, where one ulp of t moves the cubic).
+        (2.1, 0.7, 12, None, "past"), (2.1, 0.7, 12, 3, "past"),
+    ])
+    def test_image_is_the_trajectory_read(self, period, delay, m, rows, last):
+        w = 2.0 * math.pi / period
+        problem = load_problem({"problem": {
+            "dims": {"k": 1, "s": 1}, "T": period, "r": delay,
+            "a": f"-1 + 0.5*sin({w}*t)", "f": [f"sin(yd1) + 0.5*cos({w}*t)"], "g": ["x1 - y1"],
+        }}).coupled
+        shape = (m + 1, 2) if rows is None else (m + 1, rows, 2)
+        init = History.from_values(np.random.default_rng(4).uniform(-0.5, 0.5, shape), delay)
+        cfg = TranslationConfig(m=m, steps_per_delay=8)
+        image = translate(problem, 0.5, 1.0, init, cfg)
+        traj = integrate(problem, 0.5, 1.0, init, period, 8)
+        times = period + np.linspace(-delay, 0.0, m + 1)
+        want = traj.eval(times)
+        assert image.values.shape == want.shape
+        assert image.values.tobytes() == want.tobytes()
+        kind = "node" if np.isin(times, traj.times).all() else "past" if traj.times[-1] < period else "inside"
+        assert kind == last
+
+    def test_time_only_domain_error_surfaces_as_undefined(self):
+        # log(cos(t) + 0.99) fails on (pi - 0.14, pi + 0.14), between the
+        # times the problem's periodicity check reads: the sweep's plan
+        # raises it before the first step.
+        problem = load_problem({"problem": {
+            "dims": {"k": 1, "s": 1}, "T": TWO_PI, "r": 1.0,
+            "a": "-1", "f": ["sin(yd1) + log(cos(t) + 0.99)"], "g": ["x1 - y1"],
+        }}).coupled
+        with pytest.raises(TranslationUndefinedError) as exc:
+            translate(problem, 0.5, 1.0, History.constant([0.1, 0.2], 1.0, m=8),
+                      TranslationConfig(m=8, steps_per_delay=8))
+        assert isinstance(exc.value.__cause__, ExprEvalError)
+        assert str(exc.value).endswith(" in 'log((cos(t) + 0.99))'")
 
 
 class TestFindFixedPoints:

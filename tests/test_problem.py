@@ -191,10 +191,11 @@ def test_no_silently_swallowed_broad_exceptions():
 
 def test_one_hermite_evaluator():
     # Every piecewise-cubic read (histories, trajectories, sigma) goes
-    # through problem._hermite and problem._hermite_array; no other
+    # through problem._hermite or problem._hermite_lookup (which
+    # _hermite_array and the integrator's sweep plans use); no other
     # function looks up a segment itself.
     package = Path(ddebranch.__file__).parent
-    allowed = {("problem.py", "_hermite"), ("problem.py", "_hermite_array")}
+    allowed = {("problem.py", "_hermite"), ("problem.py", "_hermite_lookup")}
     offenders = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
