@@ -17,9 +17,8 @@ compile_function() is the one evaluator: it compiles a list of parsed
 expressions into one generated Python function, built from the AST alone,
 that evaluates every function and '^' by the NumPy ufuncs of FUNCTIONS,
 on floats and arrays alike, and raises ExprEvalError naming the node.
-compile_expr() is that function called with an env mapping, and
-evaluate() is compile_expr on float bindings.  The test suite keeps a tree
-walk over the AST, on Python's math functions, as the reference the
+evaluate() is that function on float bindings.  The test suite keeps a
+tree walk over the AST, on Python's math functions, as the reference the
 generated functions are checked against.
 """
 
@@ -97,8 +96,9 @@ class Call:
 class Leaf:
     """Component j of the call owner.<method>(*args) of a Python field
     (see stage.compile_stage), made once per owner and method and looked
-    up at the call.  Each arg names an argument or a column group (see
-    compile_function), or is passed as it is.  The parser never builds one."""
+    up at the call.  Each arg names a variable or a column group that
+    the caller of emit binds (see stage.compile_stage), or is passed as it
+    is.  The parser never builds one."""
 
     owner: object
     method: str
@@ -124,9 +124,6 @@ class Expr:
         out: Set[str] = set()
         _collect_vars(self.root, out)
         return out
-
-    def __call__(self, **bindings):
-        return evaluate(self, bindings)
 
 
 def _collect_vars(node: Node, out: Set[str], bound=()):
@@ -359,10 +356,10 @@ _RUNTIME = {
 def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     """Append to lines the statements computing node; return the name of
     its value.  names maps each variable to its local, and the id of each
-    subtree given as an argument column to that column's local (a subtree
-    so bound is read, not computed); ns gains every constant (k<i>) and
-    operation node (n<i>) the statements refer to; (id(owner), method)
-    maps to the local of that Leaf call."""
+    subtree bound to a column (a hoisted subtree of stage.compile_stage)
+    to that column's local (a subtree so bound is read, not computed); ns
+    gains every constant (k<i>) and operation node (n<i>) the statements
+    refer to; (id(owner), method) maps to the local of that Leaf call."""
     if id(node) in names:
         return names[id(node)]
     if isinstance(node, Var):
@@ -420,49 +417,47 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
 
     Each entry of args is a variable name, bound to that argument, or a
     list of names, bound to the columns [..., j] of that argument: a state
-    array, maybe with leading batch axes.  Such a list may also hold nodes
-    of the expressions: each is substituted, by identity, with its column,
-    which holds that subtree's value computed beforehand, and is neither
-    computed nor checked again.  A dict of such lists names column groups,
-    each of which a Leaf argument may name: that slice of the columns.
-    Given one Expr the function returns its value; given a list, an array
-    of the batch shape of the first state argument, broadcast against any
-    array name argument, plus one axis of len(exprs) components.
+    array, maybe with leading batch axes.  Given one Expr the function
+    returns its value; given a list, an array of the batch shape of the
+    first state argument, broadcast against any array name argument, plus
+    one axis of len(exprs) components.
 
-    Values are as compile_expr describes; every expression is evaluated
-    under one np.errstate.  The returned function's __wrapped__ is the
-    bare generated function, for callers that run under an errstate of
-    their own.  The source is built from the AST alone (emit, define):
-    the locals are generated names, and the constants, nodes and
-    functions it uses are bound by name in the function's globals.
-    stage.compile_stage builds its RK4 kernel from the same pieces.
+    Arguments are floats or arrays; arrays broadcast against each other,
+    and a value has their broadcast shape.  Functions and '^' are the
+    NumPy ufuncs of FUNCTIONS on floats and arrays alike, so a float and
+    the same value in an array give the same bits.  Domain errors raise
+    ExprEvalError naming the node: log of x <= 0, sqrt of x < 0, sin or
+    cos of an infinite value, division by zero, zero to a negative power,
+    a finite negative base to a finite non-integer power, and exp or '^'
+    overflowing from finite operands (on arrays: if any element is such
+    an input), checked on the arguments explicitly.  Underflow and inf/nan
+    from the other operations pass through, so NumPy's floating-point
+    warnings, which flag just those values, are silenced: every expression
+    is evaluated under one np.errstate.  The returned function's
+    __wrapped__ is the bare generated function, for callers that run under
+    an errstate of their own.  The source is built from the AST alone
+    (emit, define): the locals are generated names, and the constants,
+    nodes and functions it uses are bound by name in the function's
+    globals.  stage.compile_stage builds its RK4 kernel from the same
+    pieces.
     """
     roots = [exprs.root] if isinstance(exprs, Expr) else [e.root for e in exprs]
-    groups = [arg if isinstance(arg, (str, dict)) else {None: arg} for arg in args]
-    bound = {id(col) for arg in groups if isinstance(arg, dict)
-             for cols in arg.values() for col in cols if not isinstance(col, str)}
     used: Set[str] = set()
     for root in roots:
-        _collect_vars(root, used, bound)
+        _collect_vars(root, used)
     params = [f"a{i}" for i in range(len(args))]
     head, names, states, scalars = [], {}, [], []
-    for a, arg in zip(params, groups):
+    for a, arg in zip(params, args):
         if isinstance(arg, str):
             names[arg] = a
             scalars.append(a)
             continue
         states.append(a)
         head.append(f"{a} = asarray({a}, dtype=float)")
-        j = 0
-        for group, cols in arg.items():
-            if group in used:
-                names[group] = f"{a}g{j}"
-                head.append(f"{a}g{j} = {a}[..., {j}:{j + len(cols)}]")
-            for col in cols:
-                if not isinstance(col, str) or col in used:
-                    names[col if isinstance(col, str) else id(col)] = f"{a}c{j}"
-                    head.append(f"{a}c{j} = {a}[..., {j}]")
-                j += 1
+        for j, col in enumerate(arg):
+            if col in used:
+                names[col] = f"{a}c{j}"
+                head.append(f"{a}c{j} = {a}[..., {j}]")
     ns: dict = {}
     body, values = emit(roots, names, ns)
     if isinstance(exprs, Expr):
@@ -480,37 +475,14 @@ def compile_function(exprs: Union[Expr, Sequence[Expr]], args: Sequence) -> Call
     return np.errstate(all="ignore")(fn)
 
 
-def compile_expr(e: Expr) -> Callable[[Mapping[str, object]], object]:
-    """Compile the AST once into a function env -> value (compile_function).
-
-    env maps each variable to a float or an array; arrays broadcast against
-    each other, and the value has their broadcast shape.  Functions and '^'
-    are the NumPy ufuncs of FUNCTIONS on floats and arrays alike, so a
-    float and the same value in an array give the same bits.  Domain
-    errors raise ExprEvalError naming the node: log of x <= 0, sqrt of
-    x < 0, sin or cos of an infinite value, division by zero, zero to a
-    negative power, a finite negative base to a finite non-integer power,
-    and exp or '^' overflowing from finite operands (on arrays: if any
-    element is such an input), checked on the arguments explicitly.
-    Underflow and inf/nan from the other operations pass through, so
-    NumPy's floating-point warnings, which flag just those values, are
-    silenced.  A variable env lacks is an ExprEvalError too.
-    """
-    names = sorted(e.free_vars())
-    fn = compile_function(e, names)
-
-    def compiled(env):
-        try:
-            values = [env[name] for name in names]
-        except KeyError as exc:
-            raise ExprEvalError(f"unbound variable '{exc.args[0]}'", Var(exc.args[0])) from None
-        return fn(*values)
-
-    return compiled
-
-
 def evaluate(e: Expr, bindings: Dict[str, float]) -> float:
     """IEEE double evaluation of e under the given bindings, each cast to
-    float: compile_expr's function on floats, with its ExprEvalErrors, as
-    a float."""
-    return float(compile_expr(e)({name: float(v) for name, v in bindings.items()}))
+    float: compile_function's function of e's variables, with its
+    ExprEvalErrors, as a float.  A variable bindings lacks is an
+    ExprEvalError too."""
+    env = {name: float(v) for name, v in bindings.items()}
+    names = sorted(e.free_vars())
+    for name in names:
+        if name not in env:
+            raise ExprEvalError(f"unbound variable '{name}'", Var(name))
+    return float(compile_function(e, names)(*(env[name] for name in names)))

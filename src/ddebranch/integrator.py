@@ -206,8 +206,9 @@ def integrate(
     kernel of the problem's compiled stage at (lam, mu) (CoupledProblem.
     stage_at, stage.compile_stage), for the whole batch: its three stage
     inputs, four stage evaluations, update, blowup check and node slope.
-    The kernel's column views of this sweep's buffers and of the
-    trajectory's states and slopes are bound once per sweep.
+    Node 0's slope is one more call, which skips the rest.  The kernel's
+    column views of this sweep's buffers and of the trajectory's states
+    and slopes are bound once per sweep.
 
     init may be a batch of B histories (values of shape (m+1, B, d)): the
     batch is integrated in one sweep as a (B, d) state array, each row
@@ -282,8 +283,8 @@ def integrate(
                                                states[lo + 1:lo + n + 1], slopes[lo + 1:lo + n + 1])
 
     with np.errstate(all="ignore"):
-        interval, slope, step = stage.bind(lam, float(mu), plan.time_block(stage), plan.at, plan.node_times,
-                                           block, states, slopes, work, BLOWUP_THRESHOLD)
+        interval, step = stage.bind(lam, float(mu), plan.time_block(stage), plan.at, plan.node_times,
+                                    block, states, slopes, work, BLOWUP_THRESHOLD)
         state = batch.terminal()
         _check_state(0.0, state, work[4])
         states[0] = state
@@ -292,7 +293,7 @@ def integrate(
             read(j0, n)
             interval(2 * j0, 2 * n + 1)
             if j0 == 0:
-                slope(0, 0)
+                step(-1, -2)  # node 0's slope alone
             for j in range(j0, j0 + n):
                 step(j, 2 * (j - j0))
 

@@ -10,14 +10,14 @@ zeta' = -zeta*a - 1.  With it, the scalar second-order delay equation
 
     y'' = a(t) y' + lam * phi(y(t), y(t-r))
 
-(and more generally y'' = (gamma'/gamma - gamma*g(y)) y' + lam*f(t, y, yd))
-reduces to the planar first-order coupled system
+(and more generally y'' = (gamma'/gamma - gamma) y' + lam*f(t, y, yd),
+whose coefficient is a(t) at gamma = sigma) reduces to the planar
+first-order coupled system
 
     x' = lam * f(t, y, y(t-r)) / gamma(t),
-    y' = (x - G(y)) * gamma(t),
+    y' = (x - y) * gamma(t),
 
-with G a primitive of g, which is exactly the shape the rest of the
-package integrates.
+which is exactly the shape the rest of the package integrates.
 """
 
 from __future__ import annotations
@@ -204,10 +204,6 @@ def verify_sigma(a: PeriodicFn1D, sigma, n_check: int = 256) -> float:
     return float(np.max(np.abs(_sample_at(a, ts) - sdot / s + s)))
 
 
-def _identity(y):
-    return y
-
-
 @dataclass(frozen=True)
 class _Autonomous:
     """The perturbation f(t, y, yd) = phi(y, yd), which ignores t."""
@@ -220,18 +216,13 @@ class _Autonomous:
 
 @dataclass(frozen=True)
 class ScalarDelayProblem:
-    """The scalar second-order delay equation y'' = a y' + lam f(t, y, yd).
-
-    G is the primitive, with G(0) = 0, of the damping shape g that the
-    Lienard reduction uses; primitive_of(g) builds it.  The default G(y) = y
-    (g = 1) matches the sunflower-like equation.
-    """
+    """The scalar second-order delay equation y'' = a y' + lam f(t, y, yd),
+    the sunflower-like equation when f is phi(y, yd) (from_phi)."""
 
     a: PeriodicFn1D
     f: Callable[[float, float, float], float]
     period: float
     delay: float
-    G: Callable[[float], float] = staticmethod(_identity)
 
     def __post_init__(self):
         object.__setattr__(self, "delay", normalize_delay(self.delay, self.period))
@@ -246,19 +237,6 @@ class ScalarDelayProblem:
         return cls(a=a, f=_Autonomous(phi), period=period, delay=delay)
 
 
-def primitive_of(g, n: int = 128) -> Callable[[float], float]:
-    """Numerical primitive of a scalar function with G(0) = 0 (Simpson)."""
-
-    def G(y: float) -> float:
-        y = float(y)
-        if y == 0.0:
-            return 0.0
-        ts = np.linspace(0.0, y, n + 1)
-        return y * float(simpson_mean(_sample_at(g, ts)))
-
-    return G
-
-
 def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
     vals = _sample_at(gamma, np.linspace(0.0, gamma.period, n, endpoint=False))
     if np.min(np.abs(vals)) < 1e-12 or vals.max() * vals.min() < 0:
@@ -267,7 +245,8 @@ def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
 
 def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProblem:
     """Rewrite the scalar equation as the planar coupled system (k = s = 1),
-    whose f and g are BatchFields calling f, G and gamma through _sample_at.
+    whose f and g are BatchFields: f calls f and gamma through _sample_at,
+    and g is x1 - y1.
 
     An autonomous perturbation phi(y, yd) (ScalarDelayProblem.from_phi) is
     called once per state row and divided by gamma on the time grid by
@@ -278,24 +257,22 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     k4 and the node slope), and on the last array of times, so the mu < 1
     averaged drive samples it on the quadrature grid once, not per stage.
 
-    When G is the default identity, g also carries the expression
-    x1 - y1, the same operation as its callable.  When phi carries its DSL
-    expression too (a BatchField, as the sunflower presets build it), so
-    does f: phi/gamma(t), with gamma(t) a node bound to a read of gamma
-    through _sample_at.  The problem's compiled stage
-    (CoupledProblem.stage_at) inlines those expressions, and reads gamma
-    once per sweep grid, on all its stage times (integrator.SweepPlan).
+    g also carries the expression x1 - y1, the same operation as its
+    callable.  When phi carries its DSL expression (a BatchField, as the
+    sunflower presets build it), so does f: phi/gamma(t), with gamma(t) a
+    node bound to a read of gamma through _sample_at.  The problem's
+    compiled stage (CoupledProblem.stage_at) inlines those expressions, and
+    reads gamma once per sweep grid, on all its stage times
+    (integrator.SweepPlan).
     The callables above stay each field's fn, for the averaged drive and
     fields; without the expressions each is one leaf of the stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
-    G = sdp.G
     f_exprs = None
-    g_exprs = [dsl.parse("x1 - y1", {"x1", "y1"})] if G is _identity else None
     if isinstance(f, _Autonomous):
         phi = f.phi
-        if isinstance(phi, BatchField) and phi.exprs is not None and G is _identity:
+        if isinstance(phi, BatchField) and phi.exprs is not None:
             def gamma_at(t):
                 return _sample_at(gamma, t)
 
@@ -326,13 +303,13 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
         return (drive(t, y[..., 0], yd[..., 0]) / gt)[..., None]
 
     def g_c(x, y):
-        return (x[..., 0] - _sample_at(G, y[..., 0]))[..., None]
+        return (x[..., 0] - y[..., 0])[..., None]
 
     return CoupledProblem(
         dim_x=1,
         dim_y=1,
         f=BatchField(f_c, f_exprs),
-        g=BatchField(g_c, g_exprs),
+        g=BatchField(g_c, [dsl.parse("x1 - y1", {"x1", "y1"})]),
         h=None,
         a=gamma,
         period=sdp.period,

@@ -2,7 +2,8 @@
 
 * "sunflower": the second-order equation y'' = a(t) y' + lam * phi(y, yd)
   with a periodic damping coefficient, reduced to the planar coupled system
-  through the sigma transform (G(y) = y).
+  x' = lam * phi / sigma(t), y' = (x - y) * sigma(t) through the sigma
+  transform.
 * "classic-sunflower": constant coefficients alpha, beta, delay r; the
   damping becomes a = -alpha/r and the parameter value lam = -beta/r with
   phi(y, yd) = sin(yd).

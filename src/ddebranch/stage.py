@@ -38,7 +38,7 @@ def _state_free_subtrees(node, free, out: list):
 class Stage(NamedTuple):
     """A compiled right-hand side (compile_stage): times, the generated
     function of its time-only subtrees; bind, the generated factory of a
-    sweep's interval part, node slope and RK4 kernel; width, the columns of
+    sweep's interval part and RK4 kernel; width, the columns of
     a delayed block (the d delayed state components, then one per hoisted
     subtree)."""
 
@@ -55,33 +55,31 @@ def fn(lam, mu, T, at, nt, D, S, K, work, threshold):
     {once}
     def interval(lo, n):
         {interval}
-    def slope(j, i):
-        t = nt[j]
-        a = at[2 * j]
-        {slope}
     def step(j, i):
-        t0 = nt[j]
         t1 = nt[j + 1]
-        dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
-        th = t0 + 0.5 * dt
-        ah = at[2 * j + 1]
         ae = at[2 * j + 2]
-        y0 = S[j]
-        K1 = K[j]
-        y1 = S[j + 1]
-        {rows}
-        add(y0, multiply(0.5 * dt, K1, out=Y), out=Y)
-        {k2}
-        add(y0, multiply(0.5 * dt, K2, out=Y), out=Y)
-        {k3}
-        add(y0, multiply(dt, K3, out=Y), out=Y)
-        {k4}
-        add(y0, (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4), out=y1)
-        norm = maximum.reduce(absolute(y1, out=scratch), axis=None)
-        if not norm <= threshold:  # also catches inf and nan
-            raise BlowupError(t1, float(norm), threshold)
+        {end}
+        if j >= 0:
+            t0 = nt[j]
+            dt = t1 - t0  # exact (Sterbenz), so t0 + dt is t1
+            th = t0 + 0.5 * dt
+            ah = at[2 * j + 1]
+            y0 = S[j]
+            K1 = K[j]
+            y1 = S[j + 1]
+            {mid}
+            add(y0, multiply(0.5 * dt, K1, out=Y), out=Y)
+            {k2}
+            add(y0, multiply(0.5 * dt, K2, out=Y), out=Y)
+            {k3}
+            add(y0, multiply(dt, K3, out=Y), out=Y)
+            {k4}
+            add(y0, (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4), out=y1)
+            norm = maximum.reduce(absolute(y1, out=scratch), axis=None)
+            if not norm <= threshold:  # also catches inf and nan
+                raise BlowupError(t1, float(norm), threshold)
         {node}
-    return interval, slope, step
+    return interval, step
 """
 
 
@@ -110,20 +108,20 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     sweep, column views of the block T of times, of the delayed block D
     (R, B, width), of the states and slopes S and K (n_nodes, B, d), and of
     the (5, B, d) work buffers (the stage input, k2, k3, k4 and the |state|
-    scratch), and returns three closures:
+    scratch), and returns two closures:
 
     * interval(lo, n) evaluates the hoisted subtrees on rows :n of D and
       rows lo .. lo + n - 1 of T, into D's hoisted columns;
-    * slope(j, i) writes the right-hand side at node j (time nt[j],
-      coefficient at[2 j], delayed row i) into K[j];
     * step(j, i) is one whole RK4 step from node j, its delayed rows i + 1
       (midpoint) and i + 2 (end): the three stage inputs, the four stage
       evaluations, the update into S[j + 1], the blowup check of that
       state (BlowupError unless its largest |component| is <= threshold)
-      and then its node slope into K[j + 1].
+      and then its node slope into K[j + 1] (time nt[j + 1], coefficient
+      at[2 j + 2], delayed row i + 2).  step(-1, -2) is node 0's slope
+      alone: everything before the node slope is skipped for j < 0.
 
-    The five stage evaluations (node 0's slope, k2, k3, k4 and the node
-    slope) are inlined, each a copy of the stage's generated lines.
+    The four stage evaluations (k2, k3, k4 and the node slope) are
+    inlined, each a copy of the stage's generated lines.
 
     A domain error is raised by the first failing time-only node, when
     times is called, then by the first failing hoisted node, then by f's
@@ -219,16 +217,16 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
         + columns("D", [*interval_row.values(), *range(d, d + len(hoisted)), *row.values()])
         + columns("S", state.values()) + columns("Y", state.values())
         + [line for array in ("K", "K2", "K3", "K4") for line in columns(array, range(d))],
-        "slope": rows("N", "S", state.values(), "j") + rows("R", "D", row.values(), "i")
-        + stage("t", "a", "N", "R", [f"K_{c}[j]" for c in range(d)]),
         "interval": interval or ["pass"],
-        "rows": rows("RH", "D", row.values(), "i + 1") + rows("RE", "D", row.values(), "i + 2"),
+        "end": rows("RE", "D", row.values(), "i + 2"),
+        "mid": rows("RH", "D", row.values(), "i + 1"),
         "k2": stage("th", "ah", "Y", "RH", [f"K2_{c}[...]" for c in range(d)]),
         "k3": stage("th", "ah", "Y", "RH", [f"K3_{c}[...]" for c in range(d)]),
         "k4": stage("t1", "ae", "Y", "RE", [f"K4_{c}[...]" for c in range(d)]),
         "node": rows("N", "S", state.values(), "j + 1")
         + stage("t1", "ae", "N", "RE", [f"K_{c}[j + 1]" for c in range(d)]),
     }
-    source = _KERNEL.format(**{key: ("\n" + " " * (4 if key == "once" else 8)).join(lines)
+    indent = {"once": 4, "interval": 8, "end": 8, "node": 8}  # the rest is under `if j >= 0`
+    source = _KERNEL.format(**{key: ("\n" + " " * indent.get(key, 12)).join(lines)
                                for key, lines in parts_of.items()})
     return Stage(times, dsl.define(source, ns), d + len(hoisted))

@@ -19,6 +19,7 @@ check."""
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -129,13 +130,13 @@ def test_traced_config_sweep_makes_one_kernel_call_per_rk4_step(workload, monkey
     # sunflower preset's phi/sigma(t) and x1 - y1: each RK4 step is one
     # call of the kernel of the problem's compiled stage, which inlines
     # its four stage evaluations and its node slope, and makes no field
-    # call; node 0's slope is one call more (205 stage calls, 4 per step
-    # and node 0's slope, when each stage was a call of its own).  The
-    # state-free part is one call of the interval part per delay interval,
-    # 7 for 51 steps of 8 per interval, and the part that reads t alone
-    # one call on the sweep's grid.
+    # call; node 0's slope is one call more, step(-1, -2) (205 stage
+    # calls, 4 per step and node 0's slope, when each stage was a call of
+    # its own).  The state-free part is one call of the interval part per
+    # delay interval, 7 for 51 steps of 8 per interval, and the part that
+    # reads t alone one call on the sweep's grid.
     args, kwargs = _config_sweep(workload)
-    calls = {"times": [], "interval": [], "slope": [], "step": []}
+    calls = {"times": [], "interval": [], "step": []}
 
     def counted(name, fn):
         def call(*stage_args):
@@ -149,26 +150,32 @@ def test_traced_config_sweep_makes_one_kernel_call_per_rk4_step(workload, monkey
         stage = compile_stage(*a)
 
         def bind(*bind_args):
-            return tuple(counted(name, fn) for name, fn in zip(("interval", "slope", "step"), stage.bind(*bind_args)))
+            return tuple(counted(name, fn) for name, fn in zip(("interval", "step"), stage.bind(*bind_args)))
 
         return stage._replace(times=counted("times", stage.times), bind=bind)
 
     monkeypatch.setattr(problem_module, "compile_stage", counted_stage)
     tracer = _traced_sweep(args, kwargs)
-    assert [j for j, i in calls["step"]] == list(range(51))
-    assert len(calls["slope"]) == 1
+    assert calls["step"][0] == (-1, -2)
+    assert [j for j, i in calls["step"]] == list(range(-1, 51))
     assert len(calls["interval"]) == 7
     assert len(calls["times"]) == 1
     assert tracer.counts["problem.eval_f"] == tracer.counts["problem.eval_g"] == 0
 
 
-@pytest.mark.parametrize("workload, most", [("forced-branch", 5), ("sunflower-verify-index", 4)])
-def test_cli_request_compiles_at_most_as_many_functions(workload, most, tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload, most, most_bytes", [
+    ("forced-branch", 5, 2926), ("sunflower-verify-index", 4, 2305), ("sunflower-homotopy", 1, 3496)])
+def test_cli_request_compiles_at_most_as_many_functions(workload, most, most_bytes, tmp_path, monkeypatch):
     # Each generated function is one compile of its source, about 0.1 to
-    # 1 ms: the forced problem's a, f and g, and its stage's time-only
-    # part and RK4 kernel; the preset's a and phi, and its stage's two.
-    # 5 and 4 also when the stage compiled an interval part and a
-    # per-stage step.
+    # 1 ms, and Python's compile costs about 0.36 us per source byte: the
+    # forced problem's a, f and g, and its stage's time-only part and RK4
+    # kernel; the preset's a and phi, and its stage's two; the homotopy's
+    # kernel alone (its stage is leaves and x1 - y1).  5 and 4 also when
+    # the stage compiled an interval part and a per-stage step.  3 018,
+    # 2 397 and 3 884 bytes when the kernel held a fifth stage copy, node
+    # 0's slope, as a closure of its own.  The kernel holds four: k2, k3,
+    # k4 and the node slope, each writing its column 0 once, and at
+    # mu = 0.5 each calling the averaged drive's average_f once.
     workloads = perfbench_module("workloads")
     params, _ = workloads.make_inputs(workload, 0)
     config_path = workloads.prepare(params, tmp_path)
@@ -179,9 +186,14 @@ def test_cli_request_compiles_at_most_as_many_functions(workload, most, tmp_path
         return compile(source, *a, **kw)
 
     monkeypatch.setattr(expr, "compile", counted, raising=False)
-    code, _, _ = workloads.solve(params, config_path, tmp_path)
-    assert code == 0
+    output, _, _ = workloads.solve(params, config_path, tmp_path)
+    assert output == 0 if config_path else len(output) == 1
     assert 0 < len(sources) <= most
+    assert sum(map(len, sources)) <= most_bytes
+    kernels = [source for source in sources if source.startswith("def fn(lam, mu, T, at, nt, D, S, K, work,")]
+    assert len(kernels) == 1
+    assert len(re.findall(r"\bK\d?_0\[[^\]]*\] = ", kernels[0])) == 4
+    assert kernels[0].count(".average_f(") == (4 if workload == "sunflower-homotopy" else 0)
 
 
 def _python_calls(args, kwargs):

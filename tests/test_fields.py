@@ -18,7 +18,7 @@ from ddebranch import (
 
 from ddebranch.config import load_problem
 from ddebranch.errors import InvalidParameterError
-from ddebranch.lienard import ScalarDelayProblem, lienard_reduce, primitive_of, sigma_transform
+from ddebranch.lienard import ScalarDelayProblem, lienard_reduce, sigma_transform
 from ddebranch.presets import default_sunflower
 from ddebranch.problem import simpson_mean
 
@@ -114,12 +114,11 @@ def _forced_dsl_problem():
 
 
 def _scalar_only_lienard_problem():
-    # math.sin rejects arrays and primitive_of's G takes one float, so the
-    # reduced fields fall back to element-wise calls.
+    # math.sin and math.cos reject arrays, so the reduced f falls back to
+    # element-wise calls.
     a = periodic(lambda t: -1.0 + 0.4 * math.sin(t))
-    g = lambda y: 1.0 + y * y
     sdp = ScalarDelayProblem(a=a, f=lambda t, y, yd: math.sin(yd) + 0.3 * math.cos(t),
-                             period=TWO_PI, delay=1.0, G=primitive_of(g))
+                             period=TWO_PI, delay=1.0)
     return lienard_reduce(sdp, sigma_transform(a, 256).sigma)
 
 

@@ -19,8 +19,7 @@ from ddebranch import (
     verify_sigma,
 )
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.lienard import (_SIGMA_CELLS, ScalarDelayProblem, _check_nonvanishing, _cumulative_simpson,
-                               primitive_of)
+from ddebranch.lienard import _SIGMA_CELLS, ScalarDelayProblem, _check_nonvanishing, _cumulative_simpson
 from ddebranch.problem import DEFAULT_N_QUAD, _sample_at, quadrature_times, simpson_mean
 
 from conftest import TWO_PI, periodic
@@ -46,7 +45,7 @@ def lienard_residual(traj, sdp: ScalarDelayProblem, gamma: PeriodicFn1D, lam: fl
     """Sup residual of y'' = a(t) y' + lam f(t, y, y(t-r)) along a trajectory
     of the reduced planar system, over one period.
 
-    y'' comes from a fourth-order centered difference of y' = (x - G(y)) *
+    y'' comes from a fourth-order centered difference of y' = (x - y) *
     gamma(t) at the RK4 nodes.  Nodes whose stencil straddles a delay
     breakpoint (a multiple of r, where the third derivative jumps) are
     skipped: the difference quotient loses its order there while the
@@ -63,7 +62,7 @@ def lienard_residual(traj, sdp: ScalarDelayProblem, gamma: PeriodicFn1D, lam: fl
     states = traj.states
     ydot = np.array(
         [
-            (states[i, 0] - float(sdp.G(states[i, 1]))) * float(gamma(times[i]))
+            (states[i, 0] - float(states[i, 1])) * float(gamma(times[i]))
             for i in range(n_uniform + 1)
         ]
     )
@@ -316,18 +315,6 @@ class TestWbar:
     def test_vanishing_gamma_rejected(self):
         with pytest.raises(InvalidParameterError):
             wbar(lambda t, y, yd: y, periodic(math.sin), TWO_PI)
-
-
-class TestPrimitive:
-    def test_constant_derivative(self):
-        G = primitive_of(lambda y: 1.0)
-        assert G(3.0) == pytest.approx(3.0, abs=1e-12)
-        assert G(0.0) == 0.0
-
-    def test_linear_derivative(self):
-        G = primitive_of(lambda y: y)
-        assert G(2.0) == pytest.approx(2.0, abs=1e-10)
-        assert G(-3.0) == pytest.approx(4.5, abs=1e-10)
 
 
 class TestLienardReduction:
