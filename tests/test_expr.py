@@ -70,6 +70,32 @@ class TestParsingAndEvaluation:
         e = dsl.parse("x1*sin(t) + yd1", {"x1", "t", "yd1", "y1"})
         assert e.free_vars() == {"x1", "t", "yd1"}
 
+    def test_evaluate_casts_bindings_and_ignores_extra_ones(self):
+        # Ints and NumPy scalars are cast to float, a binding the
+        # expression does not read is ignored, and the value is a float.
+        e = dsl.parse("a / b", {"a", "b", "c"})
+        value = dsl.evaluate(e, {"a": 1, "b": np.float32(4.0), "c": math.inf})
+        assert type(value) is float and value == 0.25
+
+    def test_compile_function_binds_names_and_state_columns(self):
+        # A name is bound to its argument, a list of names to the columns
+        # of a state array; a list of expressions gives one column each,
+        # over the state's batch shape broadcast against the name's array.
+        # Each entry equals evaluate at that row, bit for bit.
+        exprs = [dsl.parse(source, {"s", "x1", "y1"}) for source in ("x1*s + y1", "sin(y1) - s", "2")]
+        fn = dsl.compile_function(exprs, ["s", ["x1", "y1"]])
+        state = np.array([[0.5, -1.25], [2.0, 0.75], [-3.0, 1.5]])
+        for s, shape in ((0.3, (3, 3)), (np.array([[0.3], [-0.7]]), (2, 3, 3))):
+            out = fn(s, state)
+            assert out.shape == shape
+            rows = np.broadcast_to(np.asarray(s, dtype=float), shape[:-1])
+            for index in np.ndindex(*shape[:-1]):
+                x1, y1 = state[index[-1]]
+                env = {"s": float(rows[index]), "x1": float(x1), "y1": float(y1)}
+                assert out[index].tolist() == [dsl.evaluate(e, env) for e in exprs]
+        single = dsl.compile_function(exprs[0], ["s", ["x1", "y1"]])
+        assert single(0.3, state).tolist() == fn(0.3, state)[:, 0].tolist()
+
 
 class TestErrors:
     def test_incomplete_expression_offset(self):

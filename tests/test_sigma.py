@@ -18,6 +18,7 @@ from ddebranch import (
     sigma_transform,
     verify_sigma,
 )
+from ddebranch import expr as dsl
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
 from ddebranch.lienard import _SIGMA_CELLS, ScalarDelayProblem, _check_nonvanishing, _cumulative_simpson
 from ddebranch.problem import DEFAULT_N_QUAD, _sample_at, quadrature_times, simpson_mean
@@ -331,6 +332,20 @@ class TestLienardReduction:
         assert prob.h is None
         # g(x, y) = x - G(y) with G(y) = y.
         assert float(prob.eval_g(np.array([0.7]), np.array([0.2]))[0]) == pytest.approx(0.5)
+
+    def test_g_callable_and_expression_are_x_minus_y(self):
+        # g is x1 - y1 twice, as the callable that fields and the averaged
+        # drive call and as the expression the compiled stage inlines: on
+        # a batch of states both give x - y bit for bit.
+        sdp, sigma = self._setup()
+        g = lienard_reduce(sdp, sigma).g
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(2, 4, 5, 1)) * 10.0 ** rng.integers(-3, 4, size=(2, 4, 5, 1))
+        want = (x[..., 0] - y[..., 0]).tobytes()
+        assert g.fn(x, y)[..., 0].tobytes() == want
+        (e,) = g.exprs
+        assert e.free_vars() == {"x1", "y1"}
+        assert dsl.compile_function(g.exprs, [["x1"], ["y1"]])(x, y)[..., 0].tobytes() == want
 
     def test_nu_matches_wbar(self):
         sdp, sigma = self._setup()
