@@ -95,10 +95,10 @@ class Call:
 @dataclass(frozen=True, eq=False)
 class Leaf:
     """Component j of the call owner.<method>(*args) of a Python field
-    (see stage.compile_stage), made once per owner and method and looked
-    up at the call.  Each arg names a variable or a column group that
-    the caller of emit binds (see stage.compile_stage), or is passed as it
-    is.  The parser never builds one."""
+    (see stage.compile_stage), made once per owner, method and args and
+    looked up at the call.  Each arg names a variable or a column group
+    that the caller of emit binds, or is passed as it is.  The parser
+    never builds one."""
 
     owner: object
     method: str
@@ -359,7 +359,8 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     subtree bound to a column (a hoisted subtree of stage.compile_stage)
     to that column's local (a subtree so bound is read, not computed); ns
     gains every constant (k<i>) and operation node (n<i>) the statements
-    refer to; (id(owner), method) maps to the local of that Leaf call."""
+    refer to; (id(owner), method, args: locals or ids) maps to the local
+    of that Leaf call."""
     if id(node) in names:
         return names[id(node)]
     if isinstance(node, Var):
@@ -371,7 +372,7 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     ns[f"n{i}"] = node
     v = f"v{i}"
     if isinstance(node, Leaf):
-        call = (id(node.owner), node.method)
+        call = (id(node.owner), node.method, tuple(names[a] if isinstance(a, str) else id(a) for a in node.args))
         if call not in names:
             args = ", ".join(names[a] if isinstance(a, str) else f"n{i}.args[{j}]" for j, a in enumerate(node.args))
             lines.append(f"r{i} = n{i}.owner.{node.method}({args})")
@@ -397,7 +398,7 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
 
 def emit(roots: Sequence[Node], names: Mapping, ns: dict):
     """The statements computing each root, as (lines, value names): _emit
-    on each, with the Leaf calls of this one evaluation.  names maps each
+    on each, with one call per Leaf owner, method and args.  names maps each
     variable, column group and bound subtree (by id) to its local; ns
     gains the constants and nodes the lines refer to (see define)."""
     names, lines = dict(names), []

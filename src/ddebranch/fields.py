@@ -12,9 +12,9 @@ home of that setting, and dataclasses.replace(problem, n_quad=...) changes
 it.  w_f takes one f call on n_quad + 1 times against a batch of points:
 cheap for an f that takes a batch, (n_quad + 1) calls per point for one
 that the problem calls row by row.  The quadrature times and Simpson
-weights are built once per (period, n_quad) and shared by every call, as
-the mu < 1 compiled stage's one leaf call of average_f per RK4 stage.
-nu and v_lam (nu scaled per component) are FieldHandles, so a batch of N
+weights are built once per (period, n_quad) and shared by every call.  The
+mu < 1 stage calls average_f only for an f with no separated form.  nu
+and v_lam (nu scaled per component) are FieldHandles, so a batch of N
 points costs one w_f and one g call.
 """
 
@@ -68,8 +68,8 @@ def average_f(problem: CoupledProblem, p, q) -> np.ndarray:
     shapes (B, k) and (B, s); the result has shape (k,) or (B, k).  f is
     called once, on the quadrature times as a column against the batch.
     The times and the Simpson weights are built once per (period,
-    problem.n_quad) (problem.quadrature_times).
-    """
+    problem.n_quad) (problem.quadrature_times): the oracle of the mu < 1
+    stage's separated drive."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if problem.dim_x == 0 or problem.f is None:
         return np.zeros(p.shape[:-1] + (0,))

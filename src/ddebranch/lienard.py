@@ -254,8 +254,9 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     reduced problem's coefficient a, which integrate reads on its own.  f
     keeps gamma at the last float time, so it reads gamma once per distinct
     RK4 stage time although stages come in pairs at one time (k2 and k3,
-    k4 and the node slope), and on the last array of times, so the mu < 1
-    averaged drive samples it on the quadrature grid once, not per stage.
+    k4 and the node slope).  Its separated form (1/gamma(t)) * phi(y, yd)
+    lets the mu < 1 stage read w_f as <1/gamma> * phi(y, y), reading gamma
+    on the quadrature grid once, when the stage is built.
 
     g also carries the expression x1 - y1, the same operation as its
     callable.  When phi carries its DSL expression (a BatchField, as the
@@ -264,12 +265,12 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     compiled stage (CoupledProblem.stage_at) inlines those expressions, and
     reads gamma once per sweep grid, on all its stage times
     (integrator.SweepPlan).
-    The callables above stay each field's fn, for the averaged drive and
+    The callables above stay each field's fn, for average_f and the
     fields; without the expressions each is one leaf of the stage.
     """
     _check_nonvanishing(gamma)
     f = sdp.f
-    f_exprs = None
+    f_exprs = form = None
     if isinstance(f, _Autonomous):
         phi = f.phi
         if isinstance(phi, BatchField) and phi.exprs is not None:
@@ -280,35 +281,30 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
             over_gamma = dsl.BinOp("/", phi_e.root, dsl.Call(gamma_at, dsl.Var("t")))
             f_exprs = [dsl.Expr(over_gamma, phi_e.allowed_vars | {"t"})]
         drive = lambda t, y, yd: _sample_at(phi, y, yd)
+        form = (lambda t: 1.0 / _sample_at(gamma, t),
+                lambda x, y, xd, yd: _sample_at(phi, y[..., 0], yd[..., 0])[..., None])
     else:
         drive = lambda t, y, yd: _sample_at(f, t, y, yd)
-    # (time, gamma there) for the last float time and the last array of
-    # times.  Every averaged-drive stage passes average_f's one array of
-    # quadrature times.  An array is matched by its dtype, shape and bytes,
-    # kept as a private copy: the caller's array may have been written to
-    # since.
-    last = [(None, None), (None, None)]
+    last = [None, None]  # the last float time and gamma there
 
     def f_c(t, x, y, xd, yd):
         if isinstance(t, float):
-            if t != last[0][0]:
-                last[0] = (t, float(gamma(t)))
-            gt = last[0][1]
+            if t != last[0]:
+                last[:] = t, float(gamma(t))
+            gt = last[1]
         else:
-            t = np.asarray(t)
-            key = (t.dtype, t.shape, t.tobytes())
-            if key != last[1][0]:
-                last[1] = (key, _sample_at(gamma, t))
-            gt = last[1][1]
+            gt = _sample_at(gamma, t)
         return (drive(t, y[..., 0], yd[..., 0]) / gt)[..., None]
 
     def g_c(x, y):
         return (x[..., 0] - y[..., 0])[..., None]
 
+    f_field = BatchField(f_c, f_exprs)
+    f_field.form = form
     return CoupledProblem(
         dim_x=1,
         dim_y=1,
-        f=BatchField(f_c, f_exprs),
+        f=f_field,
         g=BatchField(g_c, [dsl.parse("x1 - y1", {"x1", "y1"})]),
         h=None,
         a=gamma,

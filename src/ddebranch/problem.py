@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import InvalidParameterError, ZeroAverageError
-from .stage import Stage, compile_stage
+from .stage import Stage, averaged, compile_stage
 
 DEFAULT_N_QUAD = 1024
 
@@ -101,14 +101,14 @@ class BatchField:
     values bit for bit (None when there are none: fn is a Python
     callable), such as those fn was compiled from.  The compiled stage
     (CoupledProblem.stage_at) inlines them, and calls a field without
-    them once per RK4 stage, as Leaf nodes.
+    them once per RK4 stage, as Leaf nodes.  form is None or a separated
+    form (c, phi), fn = c(t) * phi(x, y, xd, yd) (lienard_reduce sets it).
     """
 
-    __slots__ = ("fn", "exprs")
+    __slots__ = ("fn", "exprs", "form")
 
     def __init__(self, fn: Callable, exprs=None):
-        self.fn = fn
-        self.exprs = exprs
+        self.fn, self.exprs, self.form = fn, exprs, None
 
     def __call__(self, *args):  # a BatchField is also the callable fn
         return self.fn(*args)
@@ -504,21 +504,38 @@ class CoupledProblem:
         """compile_stage for integrate at lam and mu, once per regime: g
         alone at a scalar lam = 0, else f and h at mu > 0 and the drive at
         mu < 1.  A field enters as its DSL expressions or as one eval_f,
-        eval_g or eval_h call, the drive as one fields.average_f call."""
+        eval_g or eval_h call.  The drive is w_f = sum_k <c_k> phi_k(x, y,
+        x, y), each <c_k> a Simpson mean on quadrature_times, by f's
+        separated form: stage.averaged of its expressions, or its form
+        (c, phi) as one leaf call; else it is one fields.average_f call."""
         regime = (False, False) if np.ndim(lam) == 0 and lam == 0.0 else (mu > 0.0, mu < 1.0)
         stages = vars(self).setdefault("_stages", {})  # per problem, as a cached_property
         if regime not in stages:
-            from . import fields  # which imports this module
-
             def part(name, args, on=True):
                 fn = getattr(self, name)
                 return None if fn is None or not on else fn.exprs or dsl.Leaf(self, f"eval_{name}", args, 0)
 
             timed = ("t", "x", "y", "xd", "yd")
-            wf = (dsl.Leaf(fields, "average_f", (self, "x", "y"), 0), self.abar) if regime[1] else None
-            stages[regime] = compile_stage(self.dim_x, self.dim_y, part("f", timed, regime[0]),
-                                           part("g", ("x", "y")), part("h", timed, regime[0]), wf)
+            stages[regime] = compile_stage(self.dim_x, self.dim_y, part("f", timed, regime[0]), part("g", ("x", "y")),
+                                           part("h", timed, regime[0]), self._drive() if regime[1] else None)
         return stages[regime]
+
+    def _drive(self):
+        """The averaged drive of compile_stage (see stage_at)."""
+        def average(fn):  # the period mean of each column of fn
+            with np.errstate(all="ignore"):
+                return simpson_mean(fn(quadrature_times(self.period, self.n_quad)[:, None, None]))[0]
+
+        f, cs = self.f, []
+        wf = [averaged(e.root, cs) for e in f.exprs] if f is not None and f.exprs else [None]
+        if None not in wf:
+            return [dsl.Expr(w, frozenset()) for w in wf], self.abar, cs, average
+        if f is not None and f.form is not None:
+            mean, phi = float(average(f.form[0])[0]), f.form[1]
+            return dsl.Leaf(lambda x, y: mean * phi(x, y, x, y), "__call__", ("x", "y"), 0), self.abar, [], None
+        from . import fields  # which imports this module
+
+        return dsl.Leaf(fields, "average_f", (self, "x", "y"), 0), self.abar, [], None
 
     def plan_at(self, t_end: float, steps_per_delay: int, history: History):
         """integrator.SweepPlan from history's grid to t_end: the problem

@@ -1,7 +1,7 @@
-"""The compiled right-hand side of the coupled system (compile_stage):
-its DSL expressions, with Python fields and the mu-homotopy's averaged
-drive as Leaf nodes, split by the method of steps into a part that reads
-t alone, a part evaluated once per delay interval and a generated RK4
+"""The compiled right-hand side of the coupled system (compile_stage): its
+DSL expressions, Python fields as Leaf nodes and the averaged drive by f's
+separated form (averaged), split by the method of steps into a part that
+reads t alone, a part evaluated once per delay interval and a generated RK4
 kernel.  CoupledProblem.stage_at compiles it once per problem and regime.
 """
 
@@ -33,6 +33,47 @@ def _state_free_subtrees(node, free, out: list):
         _state_free_subtrees(node.right, free, out)
     else:
         _state_free_subtrees(node.operand if isinstance(node, dsl.Neg) else node.arg, free, out)
+
+
+def _reads(node):
+    return dsl.Expr(node, frozenset()).free_vars()
+
+
+def _undelayed(node):
+    """node with each xd<i>, yd<j> read as x<i>, y<j> (node itself if none)."""
+    if isinstance(node, dsl.Var):
+        return dsl.Var(node.name[0] + node.name[2:]) if node.name[1:2] == "d" else node
+    kids = {key: _undelayed(getattr(node, key)) for key in ("operand", "left", "right", "arg") if hasattr(node, key)}
+    return replace(node, **kids) if any(kids[key] is not getattr(node, key) for key in kids) else node
+
+
+def _masked(node, timed: bool):
+    """The product or quotient node with 1 for each factor that reads t
+    (timed False) or that does not (timed True), and no product by 1."""
+    if not (isinstance(node, dsl.BinOp) and node.op in "*/"):
+        return node if ("t" in _reads(node)) == timed else dsl.Num(1.0)
+    left, right, one = _masked(node.left, timed), _masked(node.right, timed), dsl.Num(1.0)
+    return left if right == one else right if left == one and node.op == "*" else replace(node, left=left, right=right)
+
+
+def averaged(node, cs: list):
+    """The period average of an f component at (t, x, y, x, y) by its
+    separated form, a node in x, y and c<i>, the mean of the node cs[i]
+    that reads t alone, which it appends.  node must be a sum (+, -, unary
+    -) of terms that read no t (as they are), t alone (one mean), or a
+    product or quotient of such factors (<c> * phi); else None."""
+    read = _reads(node)
+    if "t" not in read:
+        return _undelayed(node)
+    if read == {"t"}:
+        cs.append(node)
+        return dsl.Var(f"c{len(cs) - 1}")
+    if isinstance(node, dsl.Neg) or (isinstance(node, dsl.BinOp) and node.op in "+-"):
+        kids = {key: averaged(getattr(node, key), cs) for key in ("operand", "left", "right") if hasattr(node, key)}
+        return None if any(kid is None for kid in kids.values()) else replace(node, **kids)
+    if not (isinstance(node, dsl.BinOp) and node.op in "*/") or _reads(_masked(node, True)) != {"t"}:
+        return None  # such as sin(t*y1), or a product with a factor t*y1
+    return dsl.BinOp("*", averaged(_masked(node, True), cs), _undelayed(_masked(node, False)))
 
 
 class Stage(NamedTuple):
@@ -89,13 +130,15 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     most two generated functions (see Stage).
 
     Its components are lam * f_i (0 when f is None) and at * g_j
-    (+ lam * h_j); with drive = (wf, abar), they are
+    (+ lam * h_j); with drive = (wf, abar, cs, average), they are
     lam * (mu * f_i + (1 - mu) * (at / abar) * wf_i) (no mu * f_i when f
     is None) and at * g_j (+ (lam * mu) * h_j): the operations, in order,
-    of evaluating the fields one by one.  A Python field, and the averaged
-    drive wf, is given as the Leaf of its first component: a call inside
-    the generated code, never hoisted, since a Python field may read state
-    the DSL cannot see.
+    of evaluating the fields one by one.  wf_i may read c<i>, the mean of
+    the node cs[i] that reads t alone (averaged): a last column of the
+    time part, which average(times) averages once, here.  A Python field,
+    and a wf without that form, is given as the Leaf of its first
+    component: a call inside the generated code, never hoisted, since a
+    Python field may read state the DSL cannot see.
 
     Every maximal subtree that reads only t, xd, yd and lam, such as
     lam*(sin(yd1)/sigma(t)), is hoisted: evaluated once per delay interval
@@ -124,9 +167,9 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     inlined, each a copy of the stage's generated lines.
 
     A domain error is raised by the first failing time-only node, when
-    times is called, then by the first failing hoisted node, then by f's
-    nodes before g's and g's before h's.  The DSL cannot name at, lam or
-    mu."""
+    times is called (with cs, first by average), then by the first
+    failing hoisted node, then by f's nodes before g's and g's before h's.
+    The DSL cannot name at, lam, mu or c<i>."""
     at, lam, mu = dsl.Var("at"), dsl.Var("lam"), dsl.Var("mu")
 
     def mul(left, right):
@@ -136,12 +179,13 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
         return [replace(given, j=j) for j in range(n)] if isinstance(given, dsl.Leaf) else [e.root for e in given]
 
     f, h = (None if e is None else roots(e, n) for e, n in ((f, k), (h, s)))
+    wf, abar, cs, average = drive or (None, None, [], None)
     if drive is None:
         parts = [dsl.Num(0.0)] * k if f is None else [mul(lam, e) for e in f]
         lam_h = lam
     else:
-        scale = mul(dsl.BinOp("-", dsl.Num(1.0), mu), dsl.BinOp("/", at, dsl.Num(drive[1])))
-        parts = [mul(scale, w) for w in roots(drive[0], k)]
+        scale = mul(dsl.BinOp("-", dsl.Num(1.0), mu), dsl.BinOp("/", at, dsl.Num(abar)))
+        parts = [mul(scale, w) for w in roots(wf, k)]
         if f is not None:
             parts = [dsl.BinOp("+", mul(mu, e), w) for e, w in zip(f, parts)]
         parts = [mul(lam, w) for w in parts]
@@ -156,12 +200,13 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     for node in hoisted:
         _state_free_subtrees(node, {"t"}, timed)
     d = k + s
-    if timed:
-        times = dsl.compile_function([dsl.Expr(node, frozenset()) for node in [dsl.Var("t")] + timed],
+    if timed or cs:
+        times = dsl.compile_function([dsl.Expr(node, frozenset()) for node in [dsl.Var("t")] + timed + cs],
                                      [["t"]]).__wrapped__
     else:
         def times(t):
             return t
+    means = {f"c{i}": float(m) for i, m in enumerate(average(times)[1 + len(timed):] if cs else [])}
 
     def used(nodes, bound):
         out: set = set()
@@ -182,7 +227,7 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     interval_row = {v: cols[v] for v in xd + yd if v in in_interval}
     interval_t = ({"t": 0} if "t" in in_interval else {}) | {id(n): c + 1 for c, n in enumerate(timed)}
     ns = {"add": np.add, "multiply": np.multiply, "maximum": np.maximum, "absolute": np.absolute,
-          "BlowupError": BlowupError}
+          "BlowupError": BlowupError, **means}
 
     def name(array, col):
         return f"{array}_{col}" if isinstance(col, int) else f"{array}_{col[0]}to{col[1]}"
@@ -204,7 +249,8 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     def stage(t, a, s_local, r_local, targets):
         """One stage evaluation at time t and coefficient a, from the state
         and delayed row columns bound as s_local and r_local."""
-        names = {"lam": "lam", "mu": "mu", "t": t, "at": a, **{v: name(s_local, c) for v, c in state.items()},
+        names = {"lam": "lam", "mu": "mu", "t": t, "at": a, **{c: c for c in means},
+                 **{v: name(s_local, c) for v, c in state.items()},
                  **{v: name(r_local, c) for v, c in row.items()}}
         return evaluate(parts, names, targets)
 

@@ -523,6 +523,28 @@ class TestCompiled:
         with pytest.raises(ExprNameError):
             dsl.parse("tan(t)", {"t"})
 
+    def test_one_leaf_call_per_owner_method_and_arguments(self):
+        # Leaves of one owner's method in one evaluation share a call only
+        # when they pass the same arguments: phi on (y, yd) and on (y, y)
+        # are two calls, and a second leaf on (y, yd) reads the first's.
+        calls = []
+
+        class Owner:
+            def phi(self, y, yd):
+                calls.append((y.tolist(), yd.tolist()))
+                return np.stack([y + 2.0 * yd, y - yd], axis=-1)
+
+        owner = Owner()
+        roots = [dsl.Leaf(owner, "phi", ("y", "yd"), 0), dsl.Leaf(owner, "phi", ("y", "y"), 0),
+                 dsl.Leaf(owner, "phi", ("y", "yd"), 1)]
+        ns = {}
+        lines, values = dsl.emit(roots, {"y": "a", "yd": "b"}, ns)
+        fn = dsl.define("\n".join(["def fn(a, b):", *("    " + line for line in lines),
+                                   f"    return {', '.join(values)}"]), ns)
+        got = fn(np.array([1.0]), np.array([10.0]))
+        assert [v.tolist() for v in got] == [[21.0], [3.0], [-9.0]]
+        assert calls == [([1.0], [10.0]), ([1.0], [1.0])]
+
 
 class TestRoundTrip:
     def test_pretty_print_round_trip(self):

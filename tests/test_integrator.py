@@ -19,9 +19,12 @@ from ddebranch import (
     presets,
 )
 from ddebranch.errors import BlowupError, ExprEvalError, InvalidParameterError
+from ddebranch import expr as dsl
+from ddebranch import fields
 from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
-from ddebranch.problem import BatchField, _hermite
+from ddebranch.problem import BatchField, _hermite, quadrature_times, simpson_mean
+from ddebranch.stage import averaged
 
 from conftest import TWO_PI, fold_problem, history_at, periodic, scalar_problem
 
@@ -353,15 +356,17 @@ class TestFlowBatches:
                 flow(prob, [0.1, 0.2], -1.0)
 
 
-def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0):
+def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0, wf=None):
     """The RK4 sweep as the package once ran it: f, g and h evaluated one
     by one through eval_batch, with x' = 0 and no h at lambda = 0 (lam may
     also be a (B,) array, one lambda per row), and at
     mu < 1 the drive lam * (mu * f + (1 - mu) * (a/<a>) * w_f), with h
     weighted by lam * mu and both f and h left out at mu = 0; and each
     delayed value read at its own time by a scalar _hermite call, from the
-    history for tau <= 0 and from the finished nodes otherwise.  Returns
-    (states, slopes)."""
+    history for tau <= 0 and from the finished nodes otherwise.  w_f is
+    wf(problem, x, y) when given (a separated drive), else average_f.
+    Returns (states, slopes)."""
+    wf = wf or average_f
     k = problem.dim_x
     single = init.values.ndim == 2
     batch = History(init.delay, init.values[:, None]) if single else init
@@ -382,7 +387,7 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0):
             if problem.h is not None:
                 dy = dy + lam * problem.eval_h(t, x, y, xd, yd)
             return np.concatenate([dx, dy], axis=1)
-        drive = (1.0 - mu) * (at / problem.abar) * average_f(problem, x, y)
+        drive = (1.0 - mu) * (at / problem.abar) * wf(problem, x, y)
         if mu > 0.0:
             drive = mu * problem.eval_f(t, x, y, xd, yd) + drive
             if problem.h is not None:
@@ -428,6 +433,7 @@ def _dsl_problem(k, s, f, g, h=None, r=1.0, a="-1 + 0.5*sin(t)"):
 
 
 _FORCED = (1, 1, ["sin(yd1) + 0.5*cos(t)"], ["x1 - y1"])
+_WITH_H = (1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"], ["0.3*xd1 - 0.2*y1*cos(t)"])
 
 
 def _mixed_problem():
@@ -455,6 +461,40 @@ _KINDS = {
 }
 
 
+def _nonseparable_problem():
+    # sin(t*y1) is not T-periodic in t, so sin(sin(t)*y1) stands for it.
+    return dataclasses.replace(_dsl_problem(1, 1, ["sin(sin(t)*y1) - 0.2*x1"], ["x1 - y1"]), n_quad=16)
+
+
+def _mean(problem, c):
+    """The Simpson mean of c(t) on the problem's quadrature times."""
+    ts = quadrature_times(problem.period, problem.n_quad)[:, None, None]
+    return simpson_mean(c(ts))[0, 0]
+
+
+def _forced_wf(problem, x, y):  # f = sin(yd1) + 0.5*cos(t)
+    return np.sin(y) + _mean(problem, lambda t: 0.5 * np.cos(t))
+
+
+def _lienard_wf(phi):
+    """A Lienard problem's a is gamma, so its f is phi(y, yd) * (1/a(t))."""
+    return lambda problem, x, y: _mean(problem, lambda t: 1.0 / problem.a(t)) * phi(y)
+
+
+#: The averaged drive w_f(p, q) of each case (by its name before "-mu-")
+#: whose f is separable, by hand: the mean of the factor that reads t,
+#: times the other factor per row.  An f that reads no t is read at
+#: (p, q, p, q).
+_SEPARATED = {
+    "forced": _forced_wf,
+    "mixed": _forced_wf,
+    "preset": _lienard_wf(np.sin),
+    "preset-per-row-lambda": _lienard_wf(np.sin),
+    "float-phi": _lienard_wf(lambda y: np.array([[math.sin(v)] for v in y[:, 0]])),
+    "with-h": lambda problem, x, y: np.sin(y) - 0.2 * x,  # f = sin(yd1) - 0.2*x1
+}
+
+
 class TestAgainstScalarReads:
     """The sweep's states and slopes are bit for bit those of the
     reference loop: the compiled stage, its leaves, the per-interval reads
@@ -463,17 +503,16 @@ class TestAgainstScalarReads:
 
     CASES = {
         "forced": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8),
-        "with-h": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
-                                        ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 1.0, 8),
-        "with-h-mu-0.5": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
-                                               ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 0.5, 8),
+        "with-h": (lambda: _dsl_problem(*_WITH_H), 0.7, 1.0, 8),
+        "with-h-mu-0.5": (lambda: _dsl_problem(*_WITH_H), 0.7, 0.5, 8),
         "k0-s2": (lambda: _dsl_problem(0, 2, None, ["y2", "-y1 - 0.1*y2^3"],
                                        ["0", "sin(yd1) + 0.2*cos(t)"]), 0.6, 1.0, 8),
         "python-h-mu-0.5": (lambda: fold_problem("numpy"), 0.3, 0.5, 8),
         # 1 - mu is not a power of 2, so the order of (1 - mu) * (a/<a>) * w_f
         # shows in the bits.
-        "with-h-mu-0.3": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
-                                               ["0.3*xd1 - 0.2*y1*cos(t)"]), 0.7, 0.3, 8),
+        "with-h-mu-0.3": (lambda: _dsl_problem(*_WITH_H), 0.7, 0.3, 8),
+        # sin(sin(t)*y1) has no separated form: its drive is average_f's.
+        "nonseparable-mu-0.5": (_nonseparable_problem, 0.7, 0.5, 8),
         "r-equals-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI), 0.5, 1.0, 8),
         "r-above-T": (lambda: _dsl_problem(*_FORCED, r=TWO_PI + 1.0), 0.5, 1.0, 8),
         "spd-9": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 9),
@@ -486,8 +525,7 @@ class TestAgainstScalarReads:
         # r = 0.7 is not dyadic, so t - r is not exactly a node: the read
         # snaps to it.
         "r-0.7": (lambda: _dsl_problem(*_FORCED, r=0.7), 0.5, 1.0, 8),
-        "r-0.7-with-h": (lambda: _dsl_problem(1, 1, ["sin(yd1) - 0.2*x1"], ["x1 - y1"],
-                                              ["0.3*xd1 - 0.2*y1*cos(t)"], r=0.7), 0.7, 1.0, 8),
+        "r-0.7-with-h": (lambda: _dsl_problem(*_WITH_H, r=0.7), 0.7, 1.0, 8),
         # The benchmark's sizes: 9 history nodes and 8 steps per delay.
         "m-8-spd-8": (lambda: _dsl_problem(*_FORCED), 0.5, 1.0, 8, 8, TWO_PI),
         # 44 steps of 0.125: a last interval of 4 steps, none of them shortened.
@@ -512,7 +550,7 @@ class TestAgainstScalarReads:
         init = History.from_values(np.random.default_rng(11).uniform(-0.5, 0.5, shape), prob.delay)
         traj = integrate(prob, lam, mu, init, t_end, steps_per_delay=spd)
         assert traj.t_end == t_end
-        states, slopes = _reference_integrate(prob, lam, init, t_end, spd, mu)
+        states, slopes = _reference_integrate(prob, lam, init, t_end, spd, mu, _SEPARATED.get(case.split("-mu-")[0]))
         assert traj.states.tobytes() == states.tobytes()
         assert traj.slopes.tobytes() == slopes.tobytes()
 
@@ -601,6 +639,60 @@ class TestSweepPlan:
             assert str(exc.value).startswith("log of nonpositive value -")
         # A sweep that ends before the failing times reads none of them.
         integrate(prob, 0.5, 1.0, History.constant([0.1, 0.2], 1.0, m=8), 2.5, steps_per_delay=8)
+
+
+class TestSeparatedDrive:
+    """The mu < 1 stage reads w_f by f's separated form, sum_k <c_k> *
+    phi_k(p, q, p, q), one Simpson mean per factor c_k that reads t: it
+    agrees with average_f's per-point quadrature, which it no longer
+    calls.  An f without that form keeps the average_f leaf."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _dsl_problem(*_FORCED),
+        lambda: _dsl_problem(*_WITH_H),
+        lambda: _dsl_problem(1, 1, ["cos(t)*sin(yd1) - y1/(2 + sin(t))"], ["x1 - y1"]),
+        lambda: _dsl_problem(1, 1, ["(2 + cos(t))*sin(yd1)/(2 + sin(t))"], ["x1 - y1"]),  # two factors read t
+        _KINDS["preset"],  # phi/sigma(t), phi = sin(yd1) from the DSL
+        _float_phi_problem,  # phi = math.sin(yd), a Python callable
+    ], ids=["forced", "with-h", "quotient", "product", "preset", "float-phi"])
+    def test_matches_average_f(self, make, monkeypatch):
+        # At mu = 0 and lam = 1, node 0's x slope is (a(0)/<a>) * w_f at
+        # the constant history's value.
+        prob = make()
+        points = np.random.default_rng(4).uniform(0.2, 1.0, (7, 2)) * [1.0, -1.0]
+        calls = []
+        monkeypatch.setattr(fields, "average_f", lambda *a: calls.append(a) or average_f(*a))
+        traj = integrate(prob, 1.0, 0.0, History.from_values(np.tile(points, (9, 1, 1)), prob.delay), 0.1, 8)
+        got = traj.slopes[0, :, :1] / (prob.a(0.0) / prob.abar)
+        want = average_f(prob, points[:, :1], points[:, 1:])
+        assert calls == []
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_nonseparable_f_keeps_the_average_f_leaf(self, monkeypatch):
+        # sin(t*y1) is neither a sum nor a product of factors that read t
+        # alone or no t.  (TestAgainstScalarReads's nonseparable-mu-0.5
+        # checks the bits of such a sweep.)
+        assert averaged(dsl.parse("sin(t*y1)", {"t", "y1"}).root, []) is None
+        assert averaged(dsl.parse("sin(yd1) + cos(t)*(t + y1)", {"t", "y1", "yd1"}).root, []) is None
+        calls = []
+        monkeypatch.setattr(fields, "average_f", lambda *a: calls.append(a) or average_f(*a))
+        prob = _nonseparable_problem()
+        integrate(prob, 0.5, 0.5, History.constant([0.1, 0.2], prob.delay, m=8), TWO_PI, 8)
+        assert len(calls) == 205  # one per RK4 stage and one for node 0
+
+    @pytest.mark.parametrize("mu", [0.5, 0.0])
+    def test_time_only_factor_domain_error_names_its_node(self, mu):
+        # log(cos(t) + 0.99) fails near t = pi, a quadrature time: its mean
+        # is taken when the stage is built, so the error, naming the node,
+        # comes before the first step and the initial blowup check (at
+        # mu = 0 it came after them when each stage called average_f).
+        prob = _dsl_problem(1, 1, ["sin(yd1) * log(cos(t) + 0.99)"], ["x1 - y1"], a="-1")
+        node = prob.f.exprs[0].root.right
+        for init in (History.constant([0.1, 0.2], 1.0, m=8), History.constant([0.1, 2e9], 1.0, m=8)):
+            with pytest.raises(ExprEvalError) as exc:
+                integrate(prob, 0.5, mu, init, TWO_PI, steps_per_delay=8)
+            assert exc.value.node is node
+            assert str(exc.value).startswith("log of nonpositive value -")
 
 
 class TestLambdaPerRow:
