@@ -4,8 +4,8 @@ discretized translation-operator index, the sigma/Lienard reduction of
 sunflower-like equations, and branch continuation."""
 
 from .continuation import Branch, BranchPoint, ContinuationConfig, continue_branch
-from .degree import DegreeReport, degree_1d, degree_2d_winding, degree_auto, degree_nd_jacobian
-from .fields import FieldHandle, average_f, make_wf, nu_field, v_lambda_field
+from .degree import DegreeReport, degree_auto
+from .fields import FieldHandle, average_f, nu_field
 from .integrator import Trajectory, flow_averaged, flow_unperturbed, integrate
 from .lienard import (
     ScalarDelayProblem,
@@ -50,21 +50,16 @@ __all__ = [
     "average_f",
     "average_scalar",
     "continue_branch",
-    "degree_1d",
-    "degree_2d_winding",
     "degree_auto",
-    "degree_nd_jacobian",
     "find_fixed_points",
     "flow_averaged",
     "flow_unperturbed",
     "integrate",
     "lienard_reduce",
-    "make_wf",
     "normalize_delay",
     "nu_field",
     "sigma_transform",
     "translate",
-    "v_lambda_field",
     "verify_index_identity",
     "verify_sigma",
 ]

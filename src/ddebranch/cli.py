@@ -33,11 +33,11 @@ from .config import (
     _VERIFY_KEYS,
 )
 from .continuation import continue_branch
-from .degree import DEGREE_METHODS, auto_method
+from .degree import MIN_CELLS, degree_auto
 from .errors import ConfigError, DdeBranchError, ExprError
 from .fields import FieldHandle, nu_field
 from .integrator import integrate
-from .lienard import sigma_transform
+from .lienard import sigma_transform, verify_sigma
 from .poincare import verify_index_identity
 from .problem import History
 
@@ -126,22 +126,13 @@ def cmd_degree(config: dict, out: Path, args) -> int:
         raise ConfigError(f"degree.negate: expected true or false, got {negate!r}")
     if negate:
         fn = fn.negated()
-    method = block.get("method", "auto")
-    if method == "auto":
-        method = auto_method(dim)
-    if method not in DEGREE_METHODS:
-        raise ConfigError(f"degree.method: unknown method {method!r}")
-    run, resolution, needs = DEGREE_METHODS[method]
-    if needs not in (None, dim):
-        raise ConfigError(f"degree.method: {method!r} needs box dimension {needs}, got {dim}")
-    kwargs = {} if args.seed_grid is None else {resolution: args.seed_grid}
-    report = run(fn, box, **kwargs)
+    report = degree_auto(fn, box) if args.seed_grid is None else degree_auto(fn, box, cells=args.seed_grid)
     payload = report.to_dict()
     payload["config"] = config
     path = out / "degree.json"
     _write_json(path, payload)
     if not args.quiet:
-        print(f"degree = {report.degree} ({report.method}); wrote {path}")
+        print(f"degree = {report.degree}; wrote {path}")
     return EXIT_OK
 
 
@@ -156,6 +147,7 @@ def cmd_sigma(config: dict, out: Path, args) -> int:
         "c0": result.c0,
         "sign": result.sign,
         "avg_sigma": result.avg_sigma,
+        "residual": verify_sigma(loaded.a, result.sigma),
     }
     if loaded.default_lambda is not None:
         payload["lambda"] = loaded.default_lambda
@@ -233,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--seed-grid", default=None,
-                        help="degree only: resolution of the degree method, n_check (sign-1d), "
-                        "n_boundary (winding-2d) or grid_per_axis (jacobian-nd)")
+                        help="degree only: cells per face axis of the boundary and per axis of the "
+                        f"zero search (default 16, at least {MIN_CELLS})")
     return parser
 
 
@@ -250,6 +242,8 @@ def main(argv=None) -> int:
             args.seed_grid = int(args.seed_grid)
         except ValueError:
             parser.error(f"argument --seed-grid: invalid int value: {args.seed_grid!r}")
+        if args.seed_grid < MIN_CELLS:
+            parser.error(f"argument --seed-grid: must be >= {MIN_CELLS}, got {args.seed_grid}")
     try:
         config = load_config(args.config)
         out = Path(args.out)

@@ -31,7 +31,7 @@ _PRESET_KEYS = {
 }
 _PROBLEM_KEYS = {"preset"}.union(*_PRESET_KEYS.values())
 _INTEGRATE_KEYS = {"lambda", "mu", "t_end", "init", "resolution"}
-_DEGREE_KEYS = {"field", "exprs", "vars", "box", "method", "negate"}
+_DEGREE_KEYS = {"field", "exprs", "vars", "box", "negate"}
 _VERIFY_KEYS = {"lambda", "box"}
 _BOX_KEYS = {"lower", "upper"}
 

@@ -12,7 +12,7 @@ failure (fold encounter), or exit from the declared domain box.
 from __future__ import annotations
 
 import csv
-import json
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional
@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .degree import degree_auto
-from .errors import AdmissibilityError, DegeneracyError, InvalidParameterError
+from .errors import AdmissibilityError, InvalidParameterError, ResolutionError
 from .fields import nu_field
 from .integrator import _check_count
 from .poincare import TranslationConfig, _newton_fixed_point
@@ -101,23 +101,21 @@ class Branch:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), allow_nan=False)
-
 
 def _trivial_zeros(problem: CoupledProblem, origin: np.ndarray, domain: Optional[Box]):
-    """Zeros of nu to measure triviality against: degree-module zeros over
-    the domain box when available, the branch origin otherwise.
-
-    A planar box is skipped: its winding-number degree locates no zeros.
-    """
-    if domain is not None and domain.dim != 2:
+    """Zeros of nu to measure triviality against: the degree's zeros over the
+    domain box when it finds any, the branch origin otherwise.  A domain
+    whose degree fails (AdmissibilityError, ResolutionError) falls back to
+    the origin with a RuntimeWarning that names the error."""
+    if domain is not None:
         try:
             report = degree_auto(nu_field(problem), domain)
+        except (AdmissibilityError, ResolutionError) as exc:
+            warnings.warn(f"zeros of nu over the domain not found ({type(exc).__name__}: {exc}); "
+                          "measuring triviality against the origin", RuntimeWarning, stacklevel=3)
+        else:
             if report.zeros:
                 return [np.array(z["point"]) for z in report.zeros]
-        except (AdmissibilityError, DegeneracyError):
-            pass
     return [np.atleast_1d(origin)]
 
 

@@ -1,18 +1,35 @@
-"""Brouwer degree of a vector field on a box.
+"""Brouwer degree of a vector field on a box: degree_auto, one method in
+every dimension.
 
-Three computation paths:
+The degree is Stenger's boundary formula (Stenger, Numer. Math. 25, 1975).
+Each face of the box is split into a grid of cells, each cell into Kuhn
+simplices, and each (n-1)-simplex is oriented by the outward normal; then
 
-* sign-1d: endpoint signs on an interval, with interior zeros located by a
-  sign-change scan plus bisection of all brackets together;
-* winding-2d: total winding of the field along the positively oriented box
-  boundary, with automatic boundary refinement;
-* jacobian-nd: grid search for sign-change cells, refinement of all
-  candidates by the package's one lockstep Newton, degree as the sum of
-  Jacobian determinant signs over the refined zeros.
+    deg = sum over the simplices of det[sgn F(v_1); ...; sgn F(v_n)] / (2^n n!),
 
-Every method turns its field into a FieldHandle once, at entry
-(_as_handle: any other callable is called once per point), and then
-evaluates it only on (N, n) point sets.
+once every simplex has a component of F of one sign, nonzero, at all its n
+vertices (the refinement test follows Kearfott, Numer. Math. 32, 1979; the
+grid is doubled until it holds).  In the sum a component that is exactly 0
+counts as +1: that is the sign of F + eps (1, ..., 1) for eps > 0 below
+every nonzero sampled |F_i| and the admissibility margin, a field of the
+same degree.  A 0 never witnesses the
+refinement test: F_1 = (x - a)(x - b) is 0 at two adjacent vertices a and b
+and negative between them, where F_1 + eps changes sign twice.  In 1-d the
+formula is the endpoint rule (sgn F(b) - sgn F(a)) / 2, and in 2-d it
+counts what the winding number counts.
+
+Zeros come from one search in every dimension: the box's grid in one
+call, every cell whose corners straddle 0 in every component refined by
+newton_lockstep, each zero given the sign of det J (0 where it is too small
+to carry one).  They only populate the report: the degree is the boundary
+formula's, so a cluster of zeros in one cell or a non-hyperbolic zero
+cannot change it.
+
+degree_auto turns its field into a FieldHandle once, at entry (_as_handle:
+any other callable is called once per point), and then evaluates it only on
+(N, n) point sets: one call for the box's grid, whose faces are also the
+first boundary pass, one per further boundary pass and one per Newton
+round.
 
 The damped Newton (newton_steps) asks at each point it visits for the
 residual and its Jacobian, so every iterate steps with the Jacobian at
@@ -20,7 +37,7 @@ itself.  newton_lockstep answers any number of solves with one batched call
 per round and forms each Jacobian itself, as the forward-difference quotient
 of that call's rows, the block a solve carries for the next one (its
 look-ahead) included: it is the package's one Newton driver and its one
-Jacobian site, and it refines jacobian-nd's zeros and the translation
+Jacobian site, and it refines the degree's zeros and the translation
 operator's fixed points (poincare, continuation).
 
 Admissibility (no zeros on the boundary) is certified on samples only; the
@@ -31,15 +48,14 @@ can judge the certificate.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .errors import (
     AdmissibilityError,
-    DegeneracyError,
     InvalidParameterError,
     ResolutionError,
     TranslationUndefinedError,
@@ -47,40 +63,34 @@ from .errors import (
 from .fields import FieldHandle
 from .problem import Box, _per_row
 
-_BOUNDARY_ZERO_TOL = 1e-14
+MIN_CELLS = 4
 _MARGIN_MIN = 1e-10
 _MAX_BOUNDARY_SAMPLES = 2 ** 20
 _NEWTON_HALVINGS = 10
-_NEWTON_TOL = 1e-10  # jacobian-nd's sup-norm residual for a refined zero
+_NEWTON_TOL = 1e-10  # sup-norm residual of a refined zero
 
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Result of a degree computation."""
+    """Result of degree_auto: the degree, the least sampled |F| on the
+    boundary, and the zeros of the search, each {"point", "jacobian_sign"}."""
 
     degree: int
     admissibility_margin: float
-    method: str
-    zeros: Optional[List[dict]] = None
+    zeros: List[dict]
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "degree": int(self.degree),
             "admissibility_margin": float(self.admissibility_margin),
-            "method": self.method,
-        }
-        if self.zeros is not None:
-            payload["zeros"] = [
+            "zeros": [
                 {
                     "point": [float(v) for v in z["point"]],
                     "jacobian_sign": int(z["jacobian_sign"]),
                 }
                 for z in self.zeros
-            ]
-        return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
+            ],
+        }
 
 
 def _as_handle(fn, dim: int) -> FieldHandle:
@@ -100,105 +110,116 @@ def _as_handle(fn, dim: int) -> FieldHandle:
     return FieldHandle(dim=dim, eval=_per_row(point, timed=False))
 
 
-def degree_1d(fn, interval, n_check: int = 256) -> DegreeReport:
-    """Degree of a scalar field on an interval from endpoint signs.
+def _lattice(k: int, size: int) -> np.ndarray:
+    """Every point of {0, ..., size - 1}^k, one row each, in C order."""
+    return np.indices((size,) * k).reshape(k, -1).T if k else np.zeros((1, 0), dtype=int)
 
-    The degree is (sign f(b) - sign f(a)) / 2; the interior zeros only
-    populate the report.  One call scans n_check + 1 (n_check >= 8) points
-    for sign changes; the K brackets are bisected together in 80 calls of
-    K points, and one call of 2K points gives the central-difference
-    slopes.  A scan without sign change makes no further call.
+
+def _boundary_complex(n: int, cells: int):
+    """The boundary of the unit n-cube's grid of cells^n cells, Kuhn-split,
+    as (vertices, simplices, orientation).
+
+    vertices holds each face's (cells + 1)^(n-1) grid points as integer
+    coordinates, face by face (axis 0 at 0, axis 0 at cells, axis 1 at
+    0, ...), so a point on an edge of the cube is listed once per face.
+    Each row of simplices is the n vertex rows of one (n-1)-simplex: a face
+    cell's lowest corner, then one unit step along each other axis in the
+    order of a permutation, (n-1)! simplices per cell.  orientation is +1
+    where the outward normal followed by the simplex's steps is a positive
+    basis of R^n, else -1: the normal's sign, times (-1)^axis (the normal's
+    axis moved in front of the others), times the permutation's sign."""
+    m = n - 1
+    corners = _lattice(m, cells)
+    perms = np.array(list(itertools.permutations(range(m))), dtype=int).reshape(math.factorial(m), m)
+    steps = np.eye(m, dtype=int)[perms]  # (P, m, m): the steps of each permutation, in order
+    walks = np.concatenate([np.zeros((len(perms), 1, m), dtype=int), np.cumsum(steps, axis=1)], axis=1)
+    local = ((corners[:, None, None, :] + walks) @ ((cells + 1) ** np.arange(m - 1, -1, -1))).reshape(-1, n)
+    turns = np.tile(np.linalg.det(steps), len(corners))  # the sign of each simplex's permutation
+    face = _lattice(m, cells + 1)
+    vertices = np.empty((2 * n, len(face), n), dtype=int)
+    for axis in range(n):
+        vertices[2 * axis:2 * axis + 2, :, axis] = [[0], [cells]]
+        vertices[2 * axis:2 * axis + 2, :, np.arange(n) != axis] = face
+    simplices = local + len(face) * np.arange(2 * n)[:, None, None]
+    orientation = np.array([(-1.0) ** (axis + 1 - side) for axis in range(n) for side in (0, 1)])
+    return vertices.reshape(-1, n), simplices.reshape(-1, n), np.outer(orientation, turns).ravel()
+
+
+def degree_auto(fn, box: Box, cells: int = 16) -> DegreeReport:
+    """Degree of fn on box by Stenger's boundary formula, with its zeros.
+
+    One call evaluates the (cells + 1)^n grid of the box.  Its faces are
+    the first boundary pass, with `cells` cells per face axis; a pass fails
+    with AdmissibilityError where the least |F| on it is below 1e-10, and
+    the next pass, one call on the faces alone, doubles the cells until
+    every boundary simplex has a component of one sign, nonzero, at all its
+    vertices, or fails with ResolutionError once it would take more than
+    2^20 samples.  The refinement ends for an admissible F: near a vertex
+    some component is nonzero and keeps its sign.
+
+    The zero search refines every cell of the grid whose 2^n corner values
+    take both signs, or touch 0, in every component: newton_lockstep from
+    all their centres together, one call per round.  In cell order, a zero
+    outside the box or within 1e-6 * scale of a kept one is dropped; a kept
+    zero's jacobian_sign is the sign of det J at it, or 0 where
+    |det J| < 1e-5 * scale.  cells is at least MIN_CELLS.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise InvalidParameterError(f"interval requires a < b, got ({a}, {b})")
-    if n_check < 8:
-        raise InvalidParameterError(f"n_check must be >= 8, got {n_check}")
-    field = _as_handle(fn, 1)
+    if cells < MIN_CELLS:
+        raise InvalidParameterError(f"cells must be >= {MIN_CELLS}, got {cells}")
+    n, scale = box.dim, box.scale
+    field = _as_handle(fn, n)
 
-    def f(x):
-        return field(x[:, None])[:, 0]
+    def axes(size):
+        return [np.linspace(box.lower[i], box.upper[i], size + 1) for i in range(n)]
 
-    xs = np.linspace(a, b, n_check + 1)
-    vals = f(xs)
-    fa, fb = float(vals[0]), float(vals[-1])  # linspace keeps both ends exact
-    margin = min(abs(fa), abs(fb))
-    if margin <= _BOUNDARY_ZERO_TOL:
-        raise AdmissibilityError(
-            f"field vanishes at an interval endpoint (|f| = {margin:.2e})"
-        )
-    deg = (int(np.sign(fb)) - int(np.sign(fa))) // 2
+    def points(grid, index):
+        return np.column_stack([grid[i][index[:, i]] for i in range(n)])
 
-    v0, v1 = vals[:-1], vals[1:]
-    (cells,) = np.nonzero(~((v0 == 0.0) | (v0 * v1 > 0.0)))
-    zeros = []
-    if cells.size:
-        lo, hi, flo = xs[cells], xs[cells + 1], v0[cells]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            left = flo * fm <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            flo = np.where(left, flo, fm)
-        roots = 0.5 * (lo + hi)
-        step = (b - a) * 1e-7
-        ends = f(np.concatenate([roots + step, roots - step])).reshape(2, -1)
-        slopes = (ends[0] - ends[1]) / (2.0 * step)
-        zeros = [{"point": [root], "jacobian_sign": int(np.sign(slope))}
-                 for root, slope in zip(roots, slopes)]
-    return DegreeReport(degree=deg, admissibility_margin=margin, method="sign-1d", zeros=zeros)
-
-
-def _boundary_loop(box: Box, n: int) -> np.ndarray:
-    """n points along the positively oriented boundary of a planar box."""
-    lo, hi = box.lower, box.upper
-    per_side = n // 4
-    t = np.linspace(0.0, 1.0, per_side, endpoint=False)
-    bottom = np.column_stack([lo[0] + t * (hi[0] - lo[0]), np.full(per_side, lo[1])])
-    right = np.column_stack([np.full(per_side, hi[0]), lo[1] + t * (hi[1] - lo[1])])
-    top = np.column_stack([hi[0] - t * (hi[0] - lo[0]), np.full(per_side, hi[1])])
-    left = np.column_stack([np.full(per_side, lo[0]), hi[1] - t * (hi[1] - lo[1])])
-    return np.vstack([bottom, right, top, left])
-
-
-def degree_2d_winding(fn, box: Box, n_boundary: int = 1024) -> DegreeReport:
-    """Degree of a planar field as the winding number along the box boundary.
-
-    Angle increments between consecutive boundary samples are accumulated
-    via atan2 and each must stay below pi/2; otherwise the sample count is
-    doubled, up to 2^20 points.
-    """
-    if box.dim != 2:
-        raise InvalidParameterError(f"winding method needs a planar box, got dim {box.dim}")
-    if n_boundary < 256:
-        raise InvalidParameterError(f"n_boundary must be >= 256, got {n_boundary}")
-    field = _as_handle(fn, 2)
-    n = n_boundary
+    grid = axes(cells)
+    values = field(points(grid, _lattice(n, cells + 1))).reshape((cells + 1,) * n + (n,))
+    size = cells
     while True:
-        pts = _boundary_loop(box, n)
-        vals = field(pts)
-        norms = np.hypot(vals[:, 0], vals[:, 1])
-        margin = float(norms.min())
-        if margin < _MARGIN_MIN:
+        vertices, simplices, orientation = _boundary_complex(n, size)
+        on = values[tuple(vertices.T)] if size == cells else field(points(axes(size), vertices))
+        margin = float(np.linalg.norm(on, axis=1).min())
+        if not margin >= _MARGIN_MIN:  # also a nan, which no refinement resolves
             raise AdmissibilityError(
-                f"field norm {margin:.2e} on the boundary is below {_MARGIN_MIN:.0e}"
+                f"field norm {margin:.2e} on the boundary sample grid is below {_MARGIN_MIN:.0e}"
             )
-        nxt = np.roll(vals, -1, axis=0)
-        cross = vals[:, 0] * nxt[:, 1] - vals[:, 1] * nxt[:, 0]
-        dot = vals[:, 0] * nxt[:, 0] + vals[:, 1] * nxt[:, 1]
-        incr = np.arctan2(cross, dot)
-        if np.max(np.abs(incr)) < 0.5 * np.pi:
-            total = float(incr.sum())
-            deg = int(round(total / (2.0 * np.pi)))
-            return DegreeReport(
-                degree=deg, admissibility_margin=margin, method="winding-2d", zeros=None
-            )
-        if n * 2 > _MAX_BOUNDARY_SAMPLES:
+        strict = np.sign(on)[simplices]  # (K, n, n): one sign vector per vertex, 0 at a 0
+        if ((strict == strict[:, :1]).all(axis=1) & (strict[:, 0] != 0.0)).any(axis=1).all():
+            break
+        if 2 * n * (2 * size + 1) ** (n - 1) > _MAX_BOUNDARY_SAMPLES:
             raise ResolutionError(
-                "winding increments stayed >= pi/2 at maximum boundary refinement"
+                f"a boundary simplex still has no component of one sign at {size} cells per face axis"
             )
-        n *= 2
+        size *= 2
+    signs = np.where(strict == 0.0, 1.0, strict)
+    degree = int(round(float(orientation @ np.linalg.det(signs)) / (2 ** n * math.factorial(n))))
+
+    corners = np.stack([
+        values[tuple(slice(o, o + cells) for o in offset)]
+        for offset in itertools.product((0, 1), repeat=n)
+    ])
+    straddles = (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+    candidates = np.argwhere(straddles.all(axis=-1))
+    centres = [0.5 * (ax[:-1] + ax[1:]) for ax in grid]
+    seeds = np.column_stack([centres[i][candidates[:, i]] for i in range(n)])
+
+    zeros: List[dict] = []
+    for out in newton_lockstep(field, seeds, 1e-6 * scale, _NEWTON_TOL, 60):
+        if out is None:
+            continue
+        z, _, J = out
+        if not box.contains(z, tol=1e-9 * scale) or any(math.dist(z, k["point"]) < 1e-6 * scale for k in zeros):
+            continue
+        det = float(np.linalg.det(J))
+        # Newton stops once |F| <= _NEWTON_TOL, so at a zero of odd local degree
+        # the iterate can stall at |z - z*| ~ _NEWTON_TOL^(1/3) where det J is
+        # small but not yet at roundoff; the cutoff sits well above that.
+        sign = int(np.sign(det)) if abs(det) >= 1e-5 * scale else 0
+        zeros.append({"point": z.tolist(), "jacobian_sign": sign})
+    return DegreeReport(degree=degree, admissibility_margin=margin, zeros=zeros)
 
 
 def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
@@ -221,13 +242,13 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
     """
 
     def size(r):
-        return float(np.linalg.norm(r, ord=np.inf))
+        return float(np.abs(r).max())
 
     u = u0.copy()
     try:
         res, J = yield u
+        rnorm = size(res)
         for _ in range(max_iter):
-            rnorm = size(res)
             if rnorm <= tol:
                 break
             step = np.linalg.solve(J, -res)
@@ -236,15 +257,15 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
                 trial = u + alpha * step
                 try:
                     res_new, J_new = yield trial
-                    if size(res_new) < rnorm:
+                    trial_norm = size(res_new)
+                    if trial_norm < rnorm:
                         break
                 except TranslationUndefinedError:
                     pass
                 alpha *= 0.5
             else:
                 return None
-            u, res, J = trial, res_new, J_new
-        rnorm = size(res)
+            u, res, J, rnorm = trial, res_new, J_new, trial_norm
     except (TranslationUndefinedError, np.linalg.LinAlgError):
         return None
     return (u, rnorm, J) if rnorm <= tol else None
@@ -282,10 +303,14 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=N
     """
 
     def block(u):
-        return np.vstack([u, u + fd_step * np.eye(u.size)])
+        """The rows u, u + fd_step * e_1, ... of u, or of each point of a stack."""
+        rows = np.repeat(u[..., None, :], u.shape[-1] + 1, axis=-2)
+        rows[..., 1:, :] += fd_step * np.eye(u.shape[-1])
+        return rows
 
     def quotient(rows):
-        return rows[0], ((rows[1:] - rows[0]) / fd_step).T
+        """(F(u), J(u)) from the values of a block, or of each of a stack."""
+        return rows[..., 0, :], np.swapaxes((rows[..., 1:, :] - rows[..., :1, :]) / fd_step, -1, -2)
 
     def sweep(call, *rows):
         try:
@@ -316,8 +341,8 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=N
             answer(i, first[i])
     predict, FG = (None, None) if ahead is None else ahead
     while requests:
-        blocks = [block(u) for u in requests.values()]
-        rows = np.vstack(blocks)
+        blocks = block(np.array(list(requests.values())))
+        rows = blocks.reshape(-1, blocks.shape[-1])
         merged, nxt = None, None
         if predict is not None:
             (u,) = requests.values()
@@ -330,118 +355,10 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=N
         if merged is None:
             merged = sweep(F, rows)
         if not isinstance(merged, TranslationUndefinedError):
-            answers = np.split(merged, len(blocks))
-        elif len(blocks) == 1:
-            answers = [merged]
+            pairs = zip(*quotient(merged.reshape(blocks.shape)))
         else:
-            answers = [sweep(F, b) for b in blocks]
-        for i, out in zip(list(requests), answers):
-            answer(i, out if isinstance(out, TranslationUndefinedError) else quotient(out))
+            outs = [merged] if len(blocks) == 1 else [sweep(F, b) for b in blocks]
+            pairs = [out if isinstance(out, TranslationUndefinedError) else quotient(out) for out in outs]
+        for i, pair in zip(list(requests), pairs):
+            answer(i, pair)
     return results
-
-
-def _boundary_samples(box: Box, per_axis: int) -> np.ndarray:
-    """Sample grid on all faces of an n-dimensional box."""
-    n = box.dim
-    axes = [np.linspace(box.lower[i], box.upper[i], per_axis) for i in range(n)]
-    pts = []
-    for face_axis in range(n):
-        for side in (box.lower[face_axis], box.upper[face_axis]):
-            grids = [axes[i] if i != face_axis else np.array([side]) for i in range(n)]
-            mesh = np.meshgrid(*grids, indexing="ij")
-            pts.append(np.column_stack([m.ravel() for m in mesh]))
-    return np.vstack(pts)
-
-
-def degree_nd_jacobian(fn, box: Box, grid_per_axis: int = 16) -> DegreeReport:
-    """Degree as the sum of Jacobian signs over Newton-refined zeros.
-
-    The field is sampled in one call each on the boundary faces and on a
-    grid of grid_per_axis cells per axis.  A candidate cell's 2^n corner
-    values (shifted slices of the grid values) take both signs, or touch 0,
-    in every component.  newton_lockstep refines all candidates' centres
-    together, one call per round.  In cell order, a zero outside the box
-    or within 1e-6 * scale of a kept one is dropped; a kept zero's sign is
-    that of det J at the converged point.  Fails with DegeneracyError on a
-    non-hyperbolic zero (fall back to the winding method when n = 2).
-    """
-    if grid_per_axis < 8:
-        raise InvalidParameterError(f"grid_per_axis must be >= 8, got {grid_per_axis}")
-    n = box.dim
-    scale = box.scale
-    field = _as_handle(fn, n)
-
-    bpts = _boundary_samples(box, grid_per_axis + 1)
-    bvals = field(bpts)
-    margin = float(np.sqrt((bvals[:, None, :] @ bvals[:, :, None])[:, 0, 0]).min())
-    if margin < _MARGIN_MIN:
-        raise AdmissibilityError(
-            f"field norm {margin:.2e} on the boundary sample grid is below {_MARGIN_MIN:.0e}"
-        )
-
-    axes = [np.linspace(box.lower[i], box.upper[i], grid_per_axis + 1) for i in range(n)]
-    grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = field(grid_pts.reshape(-1, n)).reshape(grid_pts.shape)
-
-    corners = np.stack([
-        vals[tuple(slice(o, o + grid_per_axis) for o in offset)]
-        for offset in itertools.product((0, 1), repeat=n)
-    ])
-    straddles = (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
-    cells = np.argwhere(straddles.all(axis=-1))
-    centres = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
-    seeds = np.column_stack([centres[i][cells[:, i]] for i in range(n)])
-    outs = newton_lockstep(field, seeds, 1e-6 * scale, _NEWTON_TOL, 60)
-
-    dedupe = 1e-6 * scale
-    zeros: List[np.ndarray] = []
-    signs: List[int] = []
-    for out in outs:
-        if out is None:
-            continue
-        z, _, J = out
-        if not box.contains(z, tol=1e-9 * scale):
-            continue
-        if any(np.linalg.norm(z - zk) < dedupe for zk in zeros):
-            continue
-        det = float(np.linalg.det(J))
-        # Newton stops once |F| <= _NEWTON_TOL, so at a zero of odd local degree
-        # the iterate can stall at |z - z*| ~ _NEWTON_TOL^(1/3) where det J is
-        # small but not yet at roundoff; the threshold must sit well above that.
-        if abs(det) < 1e-5 * scale:
-            raise DegeneracyError(
-                f"non-hyperbolic zero at {z.tolist()} (|det J| = {abs(det):.2e}); "
-                "fall back to degree_2d_winding when n = 2"
-            )
-        zeros.append(z)
-        signs.append(int(np.sign(det)))
-
-    report_zeros = [
-        {"point": z.tolist(), "jacobian_sign": s} for z, s in zip(zeros, signs)
-    ]
-    return DegreeReport(
-        degree=int(sum(signs)),
-        admissibility_margin=margin,
-        method="jacobian-nd",
-        zeros=report_zeros,
-    )
-
-
-#: Each degree method by name: its call on a box, the keyword of its
-#: resolution, and the box dimension it needs (None: any).
-DEGREE_METHODS = {
-    "sign-1d": (lambda fn, box, **kw: degree_1d(fn, (box.lower[0], box.upper[0]), **kw), "n_check", 1),
-    "winding-2d": (degree_2d_winding, "n_boundary", 2),
-    "jacobian-nd": (degree_nd_jacobian, "grid_per_axis", None),
-}
-
-
-def auto_method(dim: int) -> str:
-    """The first method in DEGREE_METHODS that takes dimension dim."""
-    return next(name for name, (_, _, needs) in DEGREE_METHODS.items() if needs in (dim, None))
-
-
-def degree_auto(fn, box: Box, **kwargs) -> DegreeReport:
-    """Dispatch on dimension: 1 -> sign-1d, 2 -> winding-2d, else jacobian-nd."""
-    run, _, _ = DEGREE_METHODS[auto_method(box.dim)]
-    return run(fn, box, **kwargs)

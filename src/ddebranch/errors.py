@@ -30,11 +30,11 @@ class AdmissibilityError(DdeBranchError):
 
 
 class DegeneracyError(DdeBranchError):
-    """A zero or fixed point is too close to non-hyperbolic to carry a sign."""
+    """A fixed point is too close to non-hyperbolic to carry a sign."""
 
 
 class ResolutionError(DdeBranchError):
-    """Boundary refinement hit its cap without resolving the winding."""
+    """Boundary refinement hit its cap without resolving the boundary signs."""
 
 
 class TranslationUndefinedError(DdeBranchError):

@@ -1,11 +1,10 @@
 """Averaged perturbation field and the finite-dimensional fields built on it.
 
-The zeros and Brouwer degree of these fields govern every existence
-statement verified by the rest of the package:
+The zeros and Brouwer degree of nu govern every existence statement
+verified by the rest of the package:
 
     w_f(p, q) = (1/T) * integral_0^T f(t, p, q, p, q) dt
     nu(p, q)  = (w_f(p, q), g(p, q))
-    v_lam     = ((lam/<a>) * w_f, lam * g)
 
 Every average takes problem.n_quad Simpson cells: the problem is the one
 home of that setting, and dataclasses.replace(problem, n_quad=...) changes
@@ -13,9 +12,8 @@ it.  w_f takes one f call on n_quad + 1 times against a batch of points:
 cheap for an f that takes a batch, (n_quad + 1) calls per point for one
 that the problem calls row by row.  The quadrature times and Simpson
 weights are built once per (period, n_quad) and shared by every call.  The
-mu < 1 stage calls average_f only for an f with no separated form.  nu
-and v_lam (nu scaled per component) are FieldHandles, so a batch of N
-points costs one w_f and one g call.
+mu < 1 stage calls average_f only for an f with no separated form.  nu is a
+FieldHandle, so a batch of N points costs one w_f and one g call.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroAverageError
+from .errors import InvalidParameterError
 from .problem import CoupledProblem, quadrature_times, simpson_mean
 
 
@@ -96,15 +94,3 @@ def nu_field(problem: CoupledProblem) -> FieldHandle:
         return np.concatenate([average_f(problem, p, q), problem.eval_g(p, q)], axis=-1)
 
     return FieldHandle(dim=problem.dim, eval=ev)
-
-
-def v_lambda_field(problem: CoupledProblem, lam: float) -> FieldHandle:
-    """The scaled field ((lam/<a>) * w_f, lam * g) of the degree
-    cross-checks: nu's values times lam/<a> (w_f) and lam (g) per component."""
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    if abs(problem.abar) < 1e-12:
-        raise ZeroAverageError("v_lambda requires <a> != 0")
-    nu = nu_field(problem)
-    scale = np.repeat([lam / problem.abar, lam], [problem.dim_x, problem.dim_y])
-    return FieldHandle(dim=problem.dim, eval=lambda z: nu.eval(z) * scale)

@@ -210,8 +210,9 @@ def verify_index_identity(
     """Check ind(Q_T^lam, V) = sign(<a>)^s * deg(-nu, V) on the box V.
 
     The left side sums discrete indices over fixed points found from a seed
-    grid (refined zeros of nu plus a 3-per-axis lattice); the right side
-    comes from the degree module.  lam must be chosen small by the caller.
+    grid: a 3-per-axis lattice, then each zero of -nu that degree_auto finds
+    farther than 1e-6 * scale (sup norm) from every earlier seed.  The right
+    side is degree_auto's degree.  lam must be chosen small by the caller.
     """
     if box.dim != problem.dim:
         raise InvalidParameterError(
@@ -221,12 +222,12 @@ def verify_index_identity(
     deg_report = degree_auto(nu.negated(), box)
     rhs = int(np.sign(problem.abar)) ** problem.dim_y * deg_report.degree
 
-    seeds = []
-    if deg_report.zeros:
-        for z in deg_report.zeros:
-            seeds.append(History.constant(np.array(z["point"]), problem.delay, m=cfg.m))
-    for point in _lattice_points(box):
-        seeds.append(History.constant(point, problem.delay, m=cfg.m))
+    points = _lattice_points(box)
+    for z in deg_report.zeros:
+        zero = np.array(z["point"])
+        if all(float(np.max(np.abs(zero - p))) > 1e-6 * box.scale for p in points):
+            points.append(zero)
+    seeds = [History.constant(point, problem.delay, m=cfg.m) for point in points]
 
     records = find_fixed_points(problem, lam, seeds, cfg)
     inside = [rec for rec in records if box.contains(rec.history.values)]

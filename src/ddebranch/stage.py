@@ -134,8 +134,8 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     lam * (mu * f_i + (1 - mu) * (at / abar) * wf_i) (no mu * f_i when f
     is None) and at * g_j (+ (lam * mu) * h_j): the operations, in order,
     of evaluating the fields one by one.  wf_i may read c<i>, the mean of
-    the node cs[i] that reads t alone (averaged): a last column of the
-    time part, which average(times) averages once, here.  A Python field,
+    the node cs[i] that reads t alone (averaged): a column of the time
+    part, which average(times) averages once, here.  A Python field,
     and a wf without that form, is given as the Leaf of its first
     component: a call inside the generated code, never hoisted, since a
     Python field may read state the DSL cannot see.
@@ -145,7 +145,9 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     on that interval's rows.  Within those, every maximal subtree that
     reads t alone, such as sigma(t), is evaluated once per sweep grid:
     times(t), on the stage times t as an (N, 1, 1) array, returns an
-    (N, 1, 1 + n) block holding t and those n subtrees, one column each.
+    (N, 1, 1 + n) block holding t and those subtrees and the cs: one
+    column per distinct node, matched by node equality, so a subtree that
+    is also a c<i> node, or that recurs, is evaluated once.
 
     bind(lam, mu, T, at, nt, D, S, K, work, threshold) binds, once per
     sweep, column views of the block T of times, of the delayed block D
@@ -200,13 +202,14 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     for node in hoisted:
         _state_free_subtrees(node, {"t"}, timed)
     d = k + s
-    if timed or cs:
-        times = dsl.compile_function([dsl.Expr(node, frozenset()) for node in [dsl.Var("t")] + timed + cs],
-                                     [["t"]]).__wrapped__
+    column = {node: c for c, node in enumerate(dict.fromkeys([dsl.Var("t")] + timed + cs))}
+    if len(column) > 1:
+        times = dsl.compile_function([dsl.Expr(node, frozenset()) for node in column], [["t"]]).__wrapped__
     else:
         def times(t):
             return t
-    means = {f"c{i}": float(m) for i, m in enumerate(average(times)[1 + len(timed):] if cs else [])}
+    averages = average(times) if cs else None
+    means = {f"c{i}": float(averages[column[node]]) for i, node in enumerate(cs)}
 
     def used(nodes, bound):
         out: set = set()
@@ -225,7 +228,7 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     row = ({v: cols[v] for v in [*xd, *yd, "xd", "yd"] if v in in_stage}
            | {id(n): d + c for c, n in enumerate(hoisted)})
     interval_row = {v: cols[v] for v in xd + yd if v in in_interval}
-    interval_t = ({"t": 0} if "t" in in_interval else {}) | {id(n): c + 1 for c, n in enumerate(timed)}
+    interval_t = ({"t": 0} if "t" in in_interval else {}) | {id(n): column[n] for n in timed}
     ns = {"add": np.add, "multiply": np.multiply, "maximum": np.maximum, "absolute": np.absolute,
           "BlowupError": BlowupError, **means}
 

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddebranch import Box, CoupledProblem, PeriodicFn1D, continuation
+from ddebranch import Box, CoupledProblem, FieldHandle, PeriodicFn1D, continuation, nu_field
 from ddebranch.config import continuation_config, load_problem
 from ddebranch.degree import newton_steps
-from ddebranch.errors import TranslationUndefinedError
+from ddebranch.errors import InvalidParameterError, TranslationUndefinedError, ZeroAverageError
 from ddebranch.presets import SunflowerSetup, default_sunflower
 from ddebranch.poincare import _newton_fixed_point
 from ddebranch.problem import History, _hermite
@@ -215,3 +216,21 @@ SUITE_FIELDS = [
     ("stretch", lambda z: np.array([2.0 * z[0] + z[1], z[1]]), box([-1, -1], [1, 1]), 1),
     ("hyperbola", lambda z: np.array([z[0] ** 2 - z[1] ** 2 - 0.5, 2.0 * z[0] * z[1]]), box([-1.2, -1.2], [1.2, 1.2]), 2),
 ]
+
+
+def branch_json(branch) -> str:
+    """A branch as the JSON text of its to_json_dict: two branches are the
+    same bits where their texts are equal."""
+    return json.dumps(branch.to_json_dict(), allow_nan=False)
+
+
+def v_lambda_field(problem: CoupledProblem, lam: float) -> FieldHandle:
+    """The scaled field v_lam = ((lam/<a>) * w_f, lam * g) of the degree
+    cross-checks: nu's values times lam/<a> (w_f) and lam (g) per component."""
+    if lam <= 0:
+        raise InvalidParameterError(f"lambda must be positive, got {lam}")
+    if abs(problem.abar) < 1e-12:
+        raise ZeroAverageError("v_lambda requires <a> != 0")
+    nu = nu_field(problem)
+    scale = np.repeat([lam / problem.abar, lam], [problem.dim_x, problem.dim_y])
+    return FieldHandle(dim=problem.dim, eval=lambda z: nu.eval(z) * scale)

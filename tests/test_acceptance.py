@@ -16,21 +16,20 @@ from ddebranch import (
     TranslationConfig,
     average_scalar,
     continue_branch,
-    degree_1d,
-    degree_2d_winding,
-    degree_nd_jacobian,
+    degree_auto,
     flow_averaged,
     flow_unperturbed,
     integrate,
     normalize_delay,
     sigma_transform,
     translate,
-    v_lambda_field,
     verify_index_identity,
 )
 from ddebranch.poincare import _newton_fixed_point
 
-from conftest import SUITE_FIELDS, TWO_PI, box, lambdas, periodic, scalar_problem, sup_distance
+from conftest import (
+    SUITE_FIELDS, TWO_PI, box, lambdas, periodic, scalar_problem, sup_distance, v_lambda_field,
+)
 from test_sigma import lienard_residual
 
 SQRT3 = math.sqrt(3.0)
@@ -74,17 +73,17 @@ class TestAcceptance:
 
     def test_3_degree_suite(self):
         t0 = time.perf_counter()
-        assert degree_1d(math.sin, (-1.0, 1.0)).degree == 1
-        assert degree_1d(lambda p: p, (-1.0, 1.0)).degree == 1
-        assert degree_2d_winding(lambda z: z, box([-1, -1], [1, 1])).degree == 1
-        assert degree_nd_jacobian(lambda z: z, box([-1, -1, -1], [1, 1, 1])).degree == 1
+        assert degree_auto(math.sin, box([-1.0], [1.0])).degree == 1
+        assert degree_auto(lambda p: p, box([-1.0], [1.0])).degree == 1
+        assert degree_auto(lambda z: z, box([-1, -1], [1, 1])).degree == 1
+        assert degree_auto(lambda z: z, box([-1, -1, -1], [1, 1, 1])).degree == 1
         nu = lambda z: np.array([z[1] / SQRT3, z[0] - z[1]])
         b2 = box([-1, -1], [1, 1])
-        assert degree_2d_winding(nu, b2).degree == -1
-        assert degree_nd_jacobian(nu, b2).degree == -1
+        assert degree_auto(nu, b2).degree == -1
         for name, fn, b, expected in SUITE_FIELDS:
-            assert degree_2d_winding(fn, b).degree == expected, name
-            assert degree_nd_jacobian(fn, b).degree == expected, name
+            report = degree_auto(fn, b)
+            assert report.degree == expected, name
+            assert sum(z["jacobian_sign"] for z in report.zeros) == expected, name
         # Scaling law deg(-v_lam) = deg(-v_1).
         prob = CoupledProblem(
             dim_x=1, dim_y=1,
@@ -93,12 +92,12 @@ class TestAcceptance:
             a=PeriodicFn1D.constant(-1.0, TWO_PI), period=TWO_PI, delay=1.0, n_quad=16,
         )
         degs = {
-            lam: degree_2d_winding(v_lambda_field(prob, lam).negated(), b2).degree
+            lam: degree_auto(v_lambda_field(prob, lam).negated(), b2).degree
             for lam in (0.1, 1.0, 10.0)
         }
         assert degs[0.1] == degs[1.0] == degs[10.0]
         _report(3, "degree suite",
-                f"12 fields agree across methods, scaling law holds in {time.perf_counter()-t0:.2f}s")
+                f"12 fields agree with their zeros' signs, scaling law holds in {time.perf_counter()-t0:.2f}s")
 
     def test_4_flow_coincidence(self):
         t0 = time.perf_counter()

@@ -120,20 +120,19 @@ class TestDegree:
         payload = json.loads((out / "degree.json").read_text())
         assert payload["degree"] == 1
 
-    @pytest.mark.parametrize("exprs, vars_, lower, upper, method, degree", [
+    @pytest.mark.parametrize("exprs, vars_, lower, upper, degree", [
         # Negation keeps the degree of a planar field and flips it in 3-d.
-        (["q/sqrt(3)", "p - q"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], "auto", -1),
-        (["p", "q", "r - 0.25"], ["p", "q", "r"], [-1.0] * 3, [1.0] * 3, "auto", -1),
+        (["q/sqrt(3)", "p - q"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], -1),
+        (["p", "q", "r - 0.25"], ["p", "q", "r"], [-1.0] * 3, [1.0] * 3, -1),
         # A constant component is broadcast over the batch of points.
-        (["p - q", "1"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], "auto", 0),
-        (["0.5", "p - q"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], "jacobian-nd", 0),
+        (["p - q", "1"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], 0),
+        (["0.5", "p - q"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], 0),
     ])
-    def test_negated_and_constant_components(self, tmp_path, exprs, vars_, lower, upper,
-                                             method, degree):
+    def test_negated_and_constant_components(self, tmp_path, exprs, vars_, lower, upper, degree):
         code, out = run(tmp_path, "degree", {
             "degree": {
                 "field": "expr", "exprs": exprs, "vars": vars_, "negate": True,
-                "box": {"lower": lower, "upper": upper}, "method": method,
+                "box": {"lower": lower, "upper": upper},
             },
         })
         assert code == EXIT_OK
@@ -200,26 +199,35 @@ class TestDegree:
         assert code == EXIT_CONFIG
         assert "n_quad must be even and >= 8, got 7" in json.loads(capsys.readouterr().err)["error"]["message"]
 
-    def test_seed_grid_sets_the_method_resolution(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "degree", {
+    def test_seed_grid_sets_the_cells(self, tmp_path):
+        # --seed-grid is degree_auto's cells: the same degree and zero at the
+        # floor and at twice the default, the zero search's grid the finer.
+        config = {
             "degree": {
                 "field": "expr", "exprs": ["q/sqrt(3)", "p - q"], "vars": ["p", "q"],
-                "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "method": "jacobian-nd",
+                "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
             },
-        }, extra=("--seed-grid", "4"))
-        assert code == EXIT_NUMERICAL
-        assert "grid_per_axis must be >= 8, got 4" in json.loads(capsys.readouterr().err)["error"]["message"]
+        }
+        for cells in ("4", "32"):
+            (tmp_path / cells).mkdir()
+            code, out = run(tmp_path / cells, "degree", config, extra=("--seed-grid", cells))
+            assert code == EXIT_OK
+            payload = json.loads((out / "degree.json").read_text())
+            assert payload["degree"] == -1
+            (zero,) = payload["zeros"]
+            assert max(abs(v) for v in zero["point"]) < 1e-9
 
-    def test_seed_grid_floor_for_sign_1d(self, tmp_path, capsys):
-        # One scan cell would skip the zero scan and report no zeros of p - p^3.
-        code, _ = run(tmp_path, "degree", {
-            "degree": {
-                "field": "expr", "exprs": ["p - p^3"], "vars": ["p"],
-                "box": {"lower": [-2.0], "upper": [2.0]},
-            },
-        }, extra=("--seed-grid", "1"))
-        assert code == EXIT_NUMERICAL
-        assert "n_check must be >= 8, got 1" in json.loads(capsys.readouterr().err)["error"]["message"]
+    @pytest.mark.parametrize("value", ["3", "0", "-16"])
+    def test_seed_grid_below_the_floor_is_a_config_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "degree", {
+                "degree": {
+                    "field": "expr", "exprs": ["p - p^3"], "vars": ["p"],
+                    "box": {"lower": [-2.0], "upper": [2.0]},
+                },
+            }, extra=("--seed-grid", value))
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument --seed-grid: must be >= 4, got {value}" in capsys.readouterr().err
 
     def test_seed_grid_must_be_an_integer(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -230,23 +238,19 @@ class TestDegree:
         assert exc.value.code == 2
         assert "argument --seed-grid: invalid int value: 'abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method, exprs, vars_, lower, upper, needs, got", [
-        ("sign-1d", ["p - 0.3", "q + 0.2"], ["p", "q"], [-1.0, -1.0], [1.0, 1.0], 1, 2),
-        ("winding-2d", ["p - 0.3"], ["p"], [-1.0], [1.0], 2, 1),
-    ])
-    def test_method_box_dimension_mismatch_exits_2(
-        self, tmp_path, capsys, method, exprs, vars_, lower, upper, needs, got
-    ):
+    @pytest.mark.parametrize("method", ["sign-1d", "winding-2d", "jacobian-nd", "auto"])
+    def test_method_key_is_unknown(self, tmp_path, capsys, method):
+        # One method runs in every dimension, so a degree block takes no method.
         code, _ = run(tmp_path, "degree", {
             "degree": {
-                "field": "expr", "exprs": exprs, "vars": vars_,
-                "box": {"lower": lower, "upper": upper}, "method": method,
+                "field": "expr", "exprs": ["p - 0.3", "q + 0.2"], "vars": ["p", "q"],
+                "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "method": method,
             },
         })
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigError"
-        assert f"'{method}' needs box dimension {needs}, got {got}" in err["message"]
+        assert "degree: unknown key(s) ['method']" in err["message"]
 
 
 class TestSigma:
@@ -256,6 +260,7 @@ class TestSigma:
         payload = json.loads((out / "sigma.json").read_text())
         assert payload["sign"] == 1
         assert abs(payload["avg_sigma"] - 1.0) < 1e-8
+        assert 0.0 <= payload["residual"] <= 1e-6
         lines = (out / "sigma.csv").read_text().strip().splitlines()
         assert lines[0] == "t,sigma"
 

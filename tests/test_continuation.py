@@ -14,6 +14,7 @@ from ddebranch import (
     History,
     TranslationConfig,
     continue_branch,
+    degree_auto,
     translate,
 )
 from ddebranch import continuation
@@ -29,6 +30,7 @@ from ddebranch.problem import BatchField, _per_row
 
 from conftest import (
     TWO_PI,
+    branch_json,
     fold_problem,
     forced_branch_run,
     lambdas,
@@ -94,7 +96,7 @@ class TestTerminations:
                                    h=BatchField(_per_row(prob.h.fn, timed=True)))
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
         branches = [continue_branch(p, [0.0], 1.0, cfg) for p in (prob, rows)]
-        assert branches[0].to_json() == branches[1].to_json()
+        assert branch_json(branches[0]) == branch_json(branches[1])
 
     def test_first_step_failing_at_h_min_keeps_the_origin_alone(self):
         prob = unit_drive_problem(lambda x, y: y - y ** 3)
@@ -126,7 +128,7 @@ class TestLookAhead:
         run = forced_branch_run(seed)
         branch = continue_branch(*run)
         assert len(branch.points) == 12
-        assert branch.to_json() == sequential_branch(*run).to_json()
+        assert branch_json(branch) == branch_json(sequential_branch(*run))
 
     def test_dsl_fold_matches_sequential(self):
         # Sweeps past the fold raise with the look-ahead block in them.
@@ -134,7 +136,7 @@ class TestLookAhead:
         cfg = ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
         branch = continue_branch(prob, [0.0], 1.0, cfg)
         assert branch.termination == TERMINATION_NEWTON
-        assert branch.to_json() == sequential_branch(prob, [0.0], 1.0, cfg).to_json()
+        assert branch_json(branch) == branch_json(sequential_branch(prob, [0.0], 1.0, cfg))
 
     def test_sunflower_preset_matches_sequential(self):
         # phi = sin(yd1) keeps the zero (pi, pi) of nu a constant solution
@@ -145,7 +147,7 @@ class TestLookAhead:
         origin = [math.pi, math.pi]
         branch = continue_branch(prob, origin, 1.0, cfg)
         assert branch.termination == TERMINATION_LAMBDA_MAX
-        assert branch.to_json() == sequential_branch(prob, origin, 1.0, cfg).to_json()
+        assert branch_json(branch) == branch_json(sequential_branch(prob, origin, 1.0, cfg))
 
 
 class TestValidation:
@@ -228,14 +230,13 @@ class TestGenuineSolutions:
         prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)
         b1 = continue_branch(prob, [0.0], 0.2, FAST)
         b2 = continue_branch(prob, [0.0], 0.2, FAST)
-        assert b1.to_json() == b2.to_json()
+        assert branch_json(b1) == branch_json(b2)
 
 
 class TestTrivialZeros:
-    def test_planar_domain_makes_no_degree_call(self, monkeypatch):
-        # A planar box's winding-number degree locates no zeros, so the
-        # branch is measured against its origin without computing one.
-        prob = CoupledProblem(
+    @staticmethod
+    def _forced_planar():
+        return CoupledProblem(
             dim_x=1,
             dim_y=1,
             f=lambda t, x, y, xd, yd: np.array([math.sin(yd[0]) + 0.5 * math.cos(t)]),
@@ -245,24 +246,46 @@ class TestTrivialZeros:
             delay=1.0,
             n_quad=64,
         )
+
+    def test_planar_domain_measures_against_the_zeros_of_nu(self, monkeypatch):
+        # A planar box is treated as any other: its degree's zero search finds
+        # nu's zero at the origin, and the branch is measured against it.
+        prob = self._forced_planar()
         cfg = ContinuationConfig(
             h0=0.05, h_max=0.05, m=8, steps_per_delay=8,
             domain=Box(lower=[-2, -2], upper=[2, 2]),
         )
         reference = continue_branch(prob, [0.0, 0.0], 0.1, dataclasses.replace(cfg, domain=None))
 
-        calls = []
+        reports = []
 
-        def no_degree(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("degree_auto was called")
+        def recorded(*args, **kwargs):
+            reports.append(degree_auto(*args, **kwargs))
+            return reports[-1]
 
-        monkeypatch.setattr(continuation, "degree_auto", no_degree)
+        monkeypatch.setattr(continuation, "degree_auto", recorded)
         branch = continue_branch(prob, [0.0, 0.0], 0.1, cfg)
-        assert calls == []
+        (report,) = reports
+        (zero,) = report.zeros
+        assert np.max(np.abs(zero["point"])) <= 1e-9
         assert branch.termination == TERMINATION_LAMBDA_MAX
         assert branch.points[-1].min_dist_to_trivial > 0.0
-        assert branch.to_json() == reference.to_json()
+        assert [p.lam for p in branch.points] == [p.lam for p in reference.points]
+        for p, q in zip(branch.points, reference.points):
+            assert p.history.values.tobytes() == q.history.values.tobytes()
+            assert abs(p.min_dist_to_trivial - q.min_dist_to_trivial) <= 1e-9
+
+    def test_inadmissible_domain_warns_and_falls_back_to_the_origin(self):
+        # nu = y - y^2 vanishes at y = 1, on the domain's boundary: the degree
+        # fails, and the branch is measured against its origin with a warning
+        # that names the error.
+        prob = scalar_problem(lambda y: y - y * y, a_fn=lambda t: -1.0)
+        cfg = ContinuationConfig(h0=0.05, h_max=0.05, m=8, steps_per_delay=8,
+                                 domain=Box(lower=[-1.0], upper=[1.0]))
+        reference = continue_branch(prob, [0.0], 0.1, dataclasses.replace(cfg, domain=None))
+        with pytest.warns(RuntimeWarning, match="AdmissibilityError"):
+            branch = continue_branch(prob, [0.0], 0.1, cfg)
+        assert branch_json(branch) == branch_json(reference)
 
 
 class TestExports:

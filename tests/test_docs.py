@@ -70,3 +70,20 @@ def test_code_references_resolve():
             missing.append(f"{cls_name}.{member}")
     assert members >= 2
     assert missing == []
+
+
+def test_every_export_is_named_in_the_readme_or_used_by_another_module():
+    # An export that only the tests call does not belong in ddebranch.__all__:
+    # each name is named in the README or used by a module of the package
+    # other than its own (__init__ aside).
+    text = README.read_text()
+    package = Path(ddebranch.__file__).parent
+    sources = {path.stem: path.read_text() for path in package.glob("*.py") if path.stem != "__init__"}
+    unused = []
+    for name in ddebranch.__all__:
+        home = getattr(ddebranch, name).__module__.rsplit(".", 1)[-1]
+        word = re.compile(rf"\b{name}\b")
+        if not word.search(text) and not any(word.search(src) for mod, src in sources.items() if mod != home):
+            unused.append(name)
+    assert len(ddebranch.__all__) >= 20
+    assert unused == []

@@ -11,18 +11,17 @@ from ddebranch import (
     FieldHandle,
     PeriodicFn1D,
     average_f,
-    make_wf,
     nu_field,
-    v_lambda_field,
 )
 
 from ddebranch.config import load_problem
 from ddebranch.errors import InvalidParameterError
+from ddebranch.fields import make_wf
 from ddebranch.lienard import ScalarDelayProblem, lienard_reduce, sigma_transform
 from ddebranch.presets import default_sunflower
 from ddebranch.problem import simpson_mean
 
-from conftest import TWO_PI, box, periodic
+from conftest import TWO_PI, box, periodic, v_lambda_field
 
 
 def coupled(f, g=None, a_fn=None, period=TWO_PI):
@@ -172,11 +171,11 @@ class TestNuField:
         assert float(out[1]) == pytest.approx(-0.3, abs=1e-14)
 
     def test_reported_zero_satisfies_both_residuals(self):
-        from ddebranch import degree_nd_jacobian
+        from ddebranch import degree_auto
 
         prob = coupled(_ex_f)
         nu = nu_field(dataclasses.replace(prob, n_quad=64))
-        report = degree_nd_jacobian(nu, box([-1, -1], [1, 1]), grid_per_axis=8)
+        report = degree_auto(nu, box([-1, -1], [1, 1]), cells=8)
         assert report.zeros
         for z in report.zeros:
             res = nu(np.array(z["point"]))

@@ -668,6 +668,20 @@ class TestSeparatedDrive:
         assert calls == []
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    def test_time_part_holds_each_node_once(self):
+        # At mu = 0.5 the forced f's 0.5*cos(t) is both a hoisted subtree of
+        # f and w_f's factor c0: the time part gives it one column, which
+        # the sweeps and the mean of c0 both read.
+        prob = _dsl_problem(*_FORCED)
+        t = np.linspace(0.0, TWO_PI, 9)[:, None, None]
+        for mu, width in ((1.0, 2), (0.5, 2)):
+            block = prob.stage_at(0.7, mu).times(t)
+            assert block.shape == (9, 1, width)
+            columns = [block[..., c].tobytes() for c in range(width)]
+            assert len(set(columns)) == width
+            assert columns[0] == t[..., 0].tobytes()
+            assert np.array_equal(block[..., 1], 0.5 * np.cos(t[..., 0]))
+
     def test_nonseparable_f_keeps_the_average_f_leaf(self, monkeypatch):
         # sin(t*y1) is neither a sum nor a product of factors that read t
         # alone or no t.  (TestAgainstScalarReads's nonseparable-mu-0.5

@@ -255,6 +255,22 @@ class TestIndexIdentity:
         assert report["n_fixed_points"] == 3
         assert report["sign_abar"] == -1
 
+    def test_seeds_are_the_lattice_then_the_zeros_off_it(self, monkeypatch):
+        # On [-1.5, 1.5] the lattice is -0.75, 0 and 0.75: the zero at 0 is
+        # on it and adds no seed, the zeros at -1 and 1 are added after it.
+        prob = cubic_problem()
+        seeds = []
+
+        def recorded(problem, lam, histories, cfg):
+            seeds.extend(float(h.values[0, 0]) for h in histories)
+            return find_fixed_points(problem, lam, histories, cfg)
+
+        monkeypatch.setattr(poincare, "find_fixed_points", recorded)
+        report = verify_index_identity(prob, 1e-3, Box(lower=[-1.5], upper=[1.5]), CFG)
+        assert seeds[:3] == [-0.75, 0.0, 0.75]
+        assert np.allclose(sorted(seeds[3:]), [-1.0, 1.0], atol=1e-9)
+        assert report["pass"] and report["n_fixed_points"] == 3
+
     def test_lambda_zero_smoke_case(self):
         prob = cubic_problem()
         report = verify_index_identity(prob, 0.0, Box(lower=[-2.0], upper=[2.0]), CFG)
