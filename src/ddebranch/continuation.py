@@ -2,8 +2,10 @@
 
 Starting from a trivial point (lambda = 0, constant history at a zero of
 the nu field), the tracer steps lambda monotonically, predicts the next
-history (secant once two points exist), corrects by Newton on the
-fixed-point residual of the translation operator, and adapts the step.
+history (the Lagrange polynomial in lambda through the last four kept
+points), corrects by full Newton steps on the fixed-point residual of the
+translation operator, and adapts the step: a corrector step that does not
+lower the residual fails the attempt, which retries at half the step.
 The termination tag records the computational reading of the branch
 closure being noncompact: lambda exhausted, sup-norm blowup, Newton
 failure (fold encounter), or exit from the declared domain box.
@@ -14,7 +16,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -126,13 +127,24 @@ def _min_dist_to_trivial(values: np.ndarray, zeros) -> float:
     return best
 
 
-def _secant(u, lam, u_prev, lam_prev, lam_to):
-    """The predictor at lam_to from the point u at lam: u continued along
-    the secant through the point u_prev at lam_prev, or u itself while
-    there is no such point."""
-    if u_prev is not None and lam - lam_prev > 1e-14:
-        return u + (u - u_prev) * ((lam_to - lam) / (lam - lam_prev))
-    return u.copy()
+#: The predictor interpolates this many kept points, the origin included.
+_PREDICTOR_POINTS = 4
+#: Step lengths per corrector iterate (newton_steps' trials): full steps only.
+_CORRECTOR_TRIALS = 1
+
+
+def _predict(lams, us, lam_to):
+    """The predictor at lam_to: the Lagrange polynomial in lambda through
+    the points us[i] at lams[i], the last _PREDICTOR_POINTS kept ones.  It
+    is us[0] itself for one point and the secant for two."""
+    pred = np.zeros_like(us[0])
+    for i, (lam_i, u_i) in enumerate(zip(lams, us)):
+        weight = 1.0
+        for j, lam_j in enumerate(lams):
+            if j != i:
+                weight *= (lam_to - lam_j) / (lam_i - lam_j)
+        pred += weight * u_i
+    return pred
 
 
 def continue_branch(
@@ -149,10 +161,17 @@ def continue_branch(
     but a branch from any zero is traced, without a warning.
 
     Each attempt is one Newton solve (poincare._newton_fixed_point) from
-    the secant predictor.  On a problem whose fields all carry DSL
-    expressions, whose rows cost little next to its calls, every sweep of
-    an attempt also carries the block of the next attempt's predictor at
-    its lambda: the secant from the attempt's current request, which is
+    the predictor _predict, the polynomial in lambda through the last
+    (at most four) kept points, origin included.  The solve takes full
+    Newton steps only (_CORRECTOR_TRIALS): a step that does not lower the
+    residual fails it, and the attempt is retried at half the step, down
+    to h_min; the step doubles, up to h_max, after each kept point.  The
+    step in lambda is the corrector's only globalization.
+
+    On a problem whose fields all carry DSL expressions, whose rows cost
+    little next to its calls, every sweep of an attempt also carries the
+    block of the next attempt's predictor at its lambda: the polynomial
+    through the kept points and the attempt's current request, which is
     the next predictor should that request converge and be kept.  The
     next attempt then starts from that answer and skips its first sweep,
     and computes the same bits as without the look-ahead.
@@ -190,9 +209,7 @@ def continue_branch(
 
     lam = 0.0
     h = cfg.h0
-    u_prev = None
-    u_last = points[0].history.values.ravel().copy()
-    lam_prev = None
+    lams, us = [0.0], [points[0].history.values.ravel()]  # the predictor's points
     nxt = None  # the last attempt's look-ahead: this one's predictor, with R and J_R there
     termination = TERMINATION_MAX_POINTS
     look_ahead = all(fn is None or fn.exprs is not None for fn in (problem.f, problem.g, problem.h))
@@ -200,21 +217,21 @@ def continue_branch(
     while len(points) < cfg.max_points:
         lam_next = min(lam + h, lambda_max)
         if nxt is None:
-            u_pred, first = _secant(u_last, lam, u_prev, lam_prev, lam_next), None
+            u_pred, first = _predict(lams, us, lam_next), None
         else:
             u_pred, first = nxt[0], nxt[1:]
         # Look ahead where rows cost little and another attempt can follow:
         # should this one's point be kept, the next is at lam_after (the
-        # step rule below), from the secant through this point and the last.
+        # step rule below), predicted through the kept points and this one.
         ahead = None
         if look_ahead and lam_next < lambda_max - 1e-14 and len(points) + 1 < cfg.max_points:
             lam_after = min(lam_next + min(2.0 * h, cfg.h_max, lambda_max - lam_next), lambda_max)
-            ahead = (lam_after, partial(_secant, lam=lam_next, u_prev=u_last, lam_prev=lam,
-                                        lam_to=lam_after))
+            ls, vs = lams[1 - _PREDICTOR_POINTS:] + [lam_next], us[1 - _PREDICTOR_POINTS:]
+            ahead = (lam_after, lambda u: _predict(ls, vs + [u], lam_after))
         # The corrector integrates unconstrained; the domain box is checked
         # against the converged history below so an exit is reported as
         # left_domain rather than as a Newton failure.
-        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg, first, ahead)
+        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg, first, ahead, _CORRECTOR_TRIALS)
         nxt = out[3] if out is not None and ahead is not None else None
         if out is None:
             if h > cfg.h_min:
@@ -231,8 +248,8 @@ def continue_branch(
         if cfg.domain is not None and not cfg.domain.contains(hist.values):
             termination = TERMINATION_LEFT_DOMAIN
             break
-        u_prev, lam_prev = u_last, lam
-        u_last, lam = u_new, lam_next
+        lam = lam_next
+        lams, us = lams[1 - _PREDICTOR_POINTS:] + [lam], us[1 - _PREDICTOR_POINTS:] + [u_new]
         points.append(
             BranchPoint(
                 lam=lam,

@@ -66,7 +66,7 @@ from .problem import Box, _per_row
 MIN_CELLS = 4
 _MARGIN_MIN = 1e-10
 _MAX_BOUNDARY_SAMPLES = 2 ** 20
-_NEWTON_HALVINGS = 10
+_NEWTON_TRIALS = 10  # step lengths a cold Newton iterate tries: 1, 1/2, ..., 2^-9
 _NEWTON_TOL = 1e-10  # sup-norm residual of a refined zero
 
 
@@ -162,11 +162,17 @@ def degree_auto(fn, box: Box, cells: int = 16) -> DegreeReport:
     all their centres together, one call per round.  In cell order, a zero
     outside the box or within 1e-6 * scale of a kept one is dropped; a kept
     zero's jacobian_sign is the sign of det J at it, or 0 where
-    |det J| < 1e-5 * scale.  cells is at least MIN_CELLS.
+    |det J| < 1e-5 * scale.  cells is at least MIN_CELLS, and the grid's
+    (cells + 1)^n points are at most 2^20 (cells <= 100 in 3-d).
     """
+    n, scale = box.dim, box.scale
     if cells < MIN_CELLS:
         raise InvalidParameterError(f"cells must be >= {MIN_CELLS}, got {cells}")
-    n, scale = box.dim, box.scale
+    if (cells + 1) ** n > _MAX_BOUNDARY_SAMPLES:
+        raise InvalidParameterError(
+            f"cells = {cells} asks for {(cells + 1) ** n} grid points in {n}-d, "
+            f"more than {_MAX_BOUNDARY_SAMPLES}"
+        )
     field = _as_handle(fn, n)
 
     def axes(size):
@@ -222,18 +228,25 @@ def degree_auto(fn, box: Box, cells: int = 16) -> DegreeReport:
     return DegreeReport(degree=degree, admissibility_margin=margin, zeros=zeros)
 
 
-def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
+def newton_steps(u0: np.ndarray, tol: float, max_iter: int, trials: int = _NEWTON_TRIALS):
     """Damped Newton on a residual R(u) = 0 from u0, as a generator that
     asks for the values it needs; residual norms are sup norms.
 
     Every request is a point u, to be sent the pair (R(u), J(u)) with J the
     Jacobian of R at u; a point where either is undefined gets
-    TranslationUndefinedError thrown in instead.  Each iterate takes the
-    full step solve(J, -R) at its own Jacobian, halved up to 10 times until
-    the residual decreases; the first trial that decreases it becomes the
-    next iterate, together with the pair it was sent.  A trial point whose
-    pair is undefined counts as not decreasing the residual.  No decreasing
-    trial, an undefined starting point or a singular Jacobian is a failure.
+    TranslationUndefinedError thrown in instead.  Each iterate tries the
+    full step solve(J, -R) at its own Jacobian, then its halves, `trials`
+    step lengths in all (1, 1/2, ..., 2^(1 - trials)), until the residual
+    decreases; the first trial that decreases it becomes the next iterate,
+    together with the pair it was sent.  A trial point whose pair is
+    undefined counts as not decreasing the residual.  No decreasing trial,
+    an undefined starting point or a singular Jacobian is a failure.
+
+    A cold solve, from a seed that may lie far from any zero, keeps the
+    default 10 trials.  A continuation corrector starts from a predictor
+    close to its zero and passes trials=1: full steps only, so a step that
+    does not lower the residual fails the solve at once, and the tracer's
+    own globalization, a smaller continuation step, takes over.
 
     The generator returns (u, residual_norm, J) once residual_norm <= tol,
     with J the Jacobian at u, or None.  Since it only asks for values, one
@@ -253,7 +266,7 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
                 break
             step = np.linalg.solve(J, -res)
             alpha = 1.0
-            for _ in range(_NEWTON_HALVINGS):
+            for _ in range(trials):
                 trial = u + alpha * step
                 try:
                     res_new, J_new = yield trial
@@ -271,9 +284,11 @@ def newton_steps(u0: np.ndarray, tol: float, max_iter: int):
     return (u, rnorm, J) if rnorm <= tol else None
 
 
-def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=None, ahead=None):
+def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=None, ahead=None,
+                    trials: int = _NEWTON_TRIALS):
     """newton_steps on F(u) = 0 from each seed in seeds, all advanced in
-    lockstep; returns one (u, residual_norm, J) or None per seed.
+    lockstep, each with `trials` step lengths per iterate; returns one
+    (u, residual_norm, J) or None per seed.
 
     F maps (B, n) points to their (B, n) residuals.  Each round, every
     unfinished solve's request u is one block of 1 + n rows, u and the
@@ -318,7 +333,7 @@ def newton_lockstep(F, seeds, fd_step: float, tol: float, max_iter: int, first=N
         except TranslationUndefinedError as exc:
             return exc
 
-    solves = [newton_steps(u0, tol, max_iter) for u0 in seeds]
+    solves = [newton_steps(u0, tol, max_iter, trials) for u0 in seeds]
     results = [None] * len(solves)
     requests = {}
     nxt = None

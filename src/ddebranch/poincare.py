@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .degree import degree_auto, newton_lockstep
+from .degree import _NEWTON_TRIALS, degree_auto, newton_lockstep
 from .errors import (
     BlowupError,
     DegeneracyError,
@@ -109,10 +109,11 @@ def _residual(problem, lam, mu, u, cfg):
     return np.moveaxis(out.values, 0, -2).reshape(u.shape) - u
 
 
-def _solve_lockstep(problem, lam, mu, seeds, cfg, first=None, ahead=None):
-    """newton_lockstep on R from each flattened seed: one (u, residual_norm,
-    J_R) or None per seed.  A Newton round of all seeds is one _residual
-    sweep, whose rows do not interact, so each seed ends as it would alone.
+def _solve_lockstep(problem, lam, mu, seeds, cfg, first=None, ahead=None, trials=_NEWTON_TRIALS):
+    """newton_lockstep on R from each flattened seed, with `trials` step
+    lengths per iterate: one (u, residual_norm, J_R) or None per seed.  A
+    Newton round of all seeds is one _residual sweep, whose rows do not
+    interact, so each seed ends as it would alone.
 
     first is newton_lockstep's.  ahead, a pair (lam_ahead, predict) for
     one seed, looks one solve ahead: each sweep also carries the block of
@@ -129,17 +130,18 @@ def _solve_lockstep(problem, lam, mu, seeds, cfg, first=None, ahead=None):
         look = (predict, both)
     return newton_lockstep(
         lambda rows: _residual(problem, lam, mu, rows, cfg),
-        seeds, cfg.fd_step, cfg.newton_tol, _NEWTON_MAX_ITER, first, look,
+        seeds, cfg.fd_step, cfg.newton_tol, _NEWTON_MAX_ITER, first, look, trials,
     )
 
 
-def _newton_fixed_point(problem, lam, mu, u0, cfg, first=None, ahead=None):
+def _newton_fixed_point(problem, lam, mu, u0, cfg, first=None, ahead=None, trials=_NEWTON_TRIALS):
     """One damped Newton solve of R from u0 (a lockstep solve of one seed);
     returns (u, residual_norm, J_R) on convergence, J_R the Jacobian at u,
     and None on failure.  first, when given, is the answer (R(u0), J_R(u0))
     at u0; with ahead (see _solve_lockstep) a converged solve returns
-    (u, residual_norm, J_R, nxt)."""
-    return _solve_lockstep(problem, lam, mu, [u0], cfg, first and [first], ahead)[0]
+    (u, residual_norm, J_R, nxt).  trials is newton_steps': the
+    continuation corrector passes 1, full steps only."""
+    return _solve_lockstep(problem, lam, mu, [u0], cfg, first and [first], ahead, trials)[0]
 
 
 def _record_from_solution(problem, u, rnorm, J_R, cfg) -> FixedPointRecord:

@@ -12,7 +12,7 @@ import pytest
 
 from ddebranch import Box, CoupledProblem, FieldHandle, PeriodicFn1D, continuation, nu_field
 from ddebranch.config import continuation_config, load_problem
-from ddebranch.degree import newton_steps
+from ddebranch.degree import _NEWTON_TRIALS, newton_steps
 from ddebranch.errors import InvalidParameterError, TranslationUndefinedError, ZeroAverageError
 from ddebranch.presets import SunflowerSetup, default_sunflower
 from ddebranch.poincare import _newton_fixed_point
@@ -102,9 +102,11 @@ def fd_jacobian(F, u: np.ndarray, f0: np.ndarray, step: float) -> np.ndarray:
     return ((F(u + step * np.eye(u.size)) - f0) / step).T
 
 
-def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int):
-    """newton_steps on residual(u) = 0 from u0, driven one solve at a time
-    by callables: the reference for the package's lockstep driver.
+def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int,
+                  trials: int = _NEWTON_TRIALS):
+    """newton_steps on residual(u) = 0 from u0, with `trials` step lengths
+    per iterate, driven one solve at a time by callables: the reference for
+    the package's lockstep driver.
 
     Each request u is answered with r = residual(u) and then jacobian(u, r);
     a TranslationUndefinedError either raises is thrown into the solve.
@@ -112,7 +114,7 @@ def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int)
     convergence, with J = jacobian(u, residual(u)) at the returned u, and
     None on failure.
     """
-    steps = newton_steps(u0, tol, max_iter)
+    steps = newton_steps(u0, tol, max_iter, trials)
     try:
         u = next(steps)
         while True:
@@ -129,9 +131,10 @@ def damped_newton(residual, jacobian, u0: np.ndarray, tol: float, max_iter: int)
 
 def sequential_branch(problem, origin, lambda_max, cfg):
     """continue_branch without its look-ahead: each attempt is one
-    _newton_fixed_point from the secant predictor, answered by its own
-    sweeps alone.  The reference the look-ahead tracer must match bit for
-    bit."""
+    _newton_fixed_point from the tracer's own predictor (continuation.
+    _predict through the last kept points) with its corrector's trials,
+    answered by its own sweeps alone.  The reference the look-ahead tracer
+    must match bit for bit."""
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     zeros = continuation._trivial_zeros(problem, origin, cfg.domain)
 
@@ -141,17 +144,16 @@ def sequential_branch(problem, origin, lambda_max, cfg):
             lam=lam, history=hist, residual=residual, sup_norm=float(np.max(np.abs(values))),
             min_dist_to_trivial=continuation._min_dist_to_trivial(hist.values, zeros))
 
-    u_last = History.constant(origin, problem.delay, m=cfg.m).values.ravel()
-    points = [point(0.0, u_last, 0.0)]
-    lam, h, u_prev, lam_prev = 0.0, cfg.h0, None, None
+    u0 = History.constant(origin, problem.delay, m=cfg.m).values.ravel()
+    points = [point(0.0, u0, 0.0)]
+    lam, h, lams, us = 0.0, cfg.h0, [0.0], [u0]
     termination = continuation.TERMINATION_MAX_POINTS
     while len(points) < cfg.max_points:
         lam_next = min(lam + h, lambda_max)
-        if u_prev is not None and lam - lam_prev > 1e-14:
-            u_pred = u_last + (u_last - u_prev) * ((lam_next - lam) / (lam - lam_prev))
-        else:
-            u_pred = u_last.copy()
-        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg)
+        keep = continuation._PREDICTOR_POINTS
+        u_pred = continuation._predict(lams[-keep:], us[-keep:], lam_next)
+        out = _newton_fixed_point(problem, lam_next, 1.0, u_pred, cfg,
+                                  trials=continuation._CORRECTOR_TRIALS)
         if out is None:
             if h > cfg.h_min:
                 h = max(0.5 * h, cfg.h_min)
@@ -165,7 +167,9 @@ def sequential_branch(problem, origin, lambda_max, cfg):
         if cfg.domain is not None and not cfg.domain.contains(new.history.values):
             termination = continuation.TERMINATION_LEFT_DOMAIN
             break
-        u_prev, lam_prev, u_last, lam = u_last, lam, out[0], lam_next
+        lam = lam_next
+        lams.append(lam)
+        us.append(out[0])
         points.append(new)
         if lam >= lambda_max - 1e-14:
             termination = continuation.TERMINATION_LAMBDA_MAX

@@ -293,7 +293,7 @@ def _traced_branch(problem, origin, lambda_max, cfg):
 
 
 def test_forced_branch_builds_one_sweep_plan(monkeypatch):
-    # Its 33 sweeps share one grid: T, 8 steps per delay and m = 8.
+    # Its 25 sweeps share one grid: T, 8 steps per delay and m = 8.
     built = []
 
     class Counted(integrator.SweepPlan):
@@ -307,12 +307,14 @@ def test_forced_branch_builds_one_sweep_plan(monkeypatch):
     assert built == [(problem.period, 8, problem.delay, 8)]
 
 
-def test_forced_branch_makes_33_integrations_in_11_attempts():
+def test_forced_branch_makes_25_integrations_in_11_attempts():
     # 43 when each of the 11 attempts ran its own first sweep (4 rounds
-    # each, minus 1): now the sweeps of each attempt but the last also
-    # answer the next attempt's first request.
+    # each, minus 1), then 33 once the sweeps of each attempt but the last
+    # also answered the next attempt's first request.  25 since the
+    # predictor is the cubic through the last four points: its requests
+    # start closer, and an attempt takes one round fewer.
     metrics = _traced_branch(*forced_branch_run(0))
-    assert metrics["integrator.integrations"] == 33
+    assert metrics["integrator.integrations"] == 25
     assert metrics["continuation.attempts"] == metrics["poincare.newton_solves"] == 11
     assert metrics["continuation.points"] == 12
 
@@ -320,19 +322,42 @@ def test_forced_branch_makes_33_integrations_in_11_attempts():
 _FOLD_CFG = continuation.ContinuationConfig(m=8, steps_per_delay=8, h0=0.1, h_max=0.1, h_min=0.05)
 
 
-def test_dsl_fold_run_makes_at_most_58_integrations():
-    # 57 without the look-ahead.  It saves the first sweeps of the
-    # attempts at 0.2, 0.3 and 0.4; four sweeps past the fold raise with
-    # the look-ahead block in them and are rerun without it.
+def test_dsl_fold_run_makes_at_most_18_integrations():
+    # 58 when a failing corrector halved its Newton step up to 10 times
+    # per iterate; now a step that does not lower the residual fails the
+    # attempt.  The look-ahead saves the first sweeps of the attempts at
+    # 0.2, 0.3 and 0.4; four sweeps past the fold raise with the
+    # look-ahead block in them and are rerun without it.
     metrics = _traced_branch(fold_problem("dsl"), [0.0], 1.0, _FOLD_CFG)
-    assert metrics["integrator.integrations"] <= 58
+    assert metrics["integrator.integrations"] <= 18
 
 
-def test_numpy_fold_run_keeps_its_57_integrations():
+def test_numpy_fold_run_makes_17_integrations():
     # A Python g, whose rows are not cheap, so no look-ahead: the
-    # sequential tracer's count.
+    # sequential tracer's count, 57 before the corrector took full
+    # steps only.
     metrics = _traced_branch(fold_problem("numpy"), [0.0], 1.0, _FOLD_CFG)
-    assert metrics["integrator.integrations"] == 57
+    assert metrics["integrator.integrations"] == 17
+
+
+@pytest.mark.parametrize("form", ["dsl", "numpy"])
+def test_fold_run_at_default_steps_fails_fast(form):
+    # The default steps halve h towards h_min = 1e-6 at the fold
+    # lam* = 2/(3 sqrt 3) = 0.38490018.  Each failed attempt ends at its
+    # first step that does not lower the residual: 774 (DSL) and 758
+    # (NumPy) sweeps when each iterate could halve its step 10 times,
+    # 123 and 121 now, with the same points.
+    cfg = continuation.ContinuationConfig(m=8, steps_per_delay=8)
+    tracer = perfbench_module("spans").Tracer()
+    try:
+        tracer.install()
+        branch = continuation.continue_branch(fold_problem(form), [0.0], 1.0, cfg)
+    finally:
+        tracer.uninstall()
+    assert branch.termination == continuation.TERMINATION_NEWTON
+    assert len(branch.points) == 14
+    assert branch.points[-1].lam == pytest.approx(0.38489976, abs=1e-8)
+    assert tracer.metrics()["integrator.integrations"] <= 125
 
 
 def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):

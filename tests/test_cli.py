@@ -229,6 +229,17 @@ class TestDegree:
         assert exc.value.code == EXIT_CONFIG
         assert f"argument --seed-grid: must be >= 4, got {value}" in capsys.readouterr().err
 
+    def test_seed_grid_above_the_sample_cap_exits_with_the_message(self, tmp_path, capsys):
+        # 1025^3 grid points in 3-d: refused before the grid is built.
+        code, _ = run(tmp_path, "degree", {
+            "degree": {"field": "expr", "exprs": ["p", "q", "w"], "vars": ["p", "q", "w"],
+                       "box": {"lower": [-1.0] * 3, "upper": [1.0] * 3}},
+        }, extra=("--seed-grid", "1024"))
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "InvalidParameterError"
+        assert "more than 1048576" in err["message"]
+
     def test_seed_grid_must_be_an_integer(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "degree", {

@@ -150,6 +150,34 @@ class TestLookAhead:
         assert branch_json(branch) == branch_json(sequential_branch(prob, origin, 1.0, cfg))
 
 
+class TestManufacturedBranch:
+    """y' = -y + lam (0.5 y(t - 1) + cos t), 2 pi-periodic: the branch from
+    y = 0 is y = Re(Y e^{it}) with Y = lam / (i + 1 - 0.5 lam e^{-i}), so
+    every point's history has a closed form to be compared with."""
+
+    PROBLEM = {"problem": {"dims": {"k": 0, "s": 1}, "T": TWO_PI, "r": 1.0, "a": "-1",
+                           "g": ["y1"], "h": ["0.5*yd1 + cos(t)"]}}
+
+    def _max_error(self, m):
+        cfg = ContinuationConfig(m=m, steps_per_delay=m, h0=0.05, h_max=0.1)
+        branch = continue_branch(load_problem(self.PROBLEM).coupled, [0.0], 1.0, cfg)
+        assert branch.termination == TERMINATION_LAMBDA_MAX
+        theta = np.linspace(-1.0, 0.0, m + 1)
+        error = 0.0
+        for p in branch.points:
+            Y = p.lam / (1j + 1.0 - 0.5 * p.lam * np.exp(-1j))
+            exact = (Y * np.exp(1j * theta)).real
+            error = max(error, float(np.max(np.abs(p.history.values[:, 0] - exact))))
+        return error
+
+    def test_every_point_matches_the_closed_form_at_fourth_order(self):
+        # Measured 1.06e-6, 7.0e-8 and 3.6e-9: orders 3.9 and 4.3.
+        errors = [self._max_error(m) for m in (8, 16, 32)]
+        assert errors[0] <= 1.5e-6
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert orders.min() >= 3.5
+
+
 class TestValidation:
     def test_origin_must_be_nu_zero(self):
         prob = scalar_problem(lambda y: y, a_fn=lambda t: -1.0)

@@ -196,6 +196,15 @@ class TestHigherDimensions:
         with pytest.raises(InvalidParameterError):
             degree_auto(lambda z: z, _CUBE, cells=2)
 
+    def test_grid_above_2_20_points_rejected_before_any_call(self):
+        # 1025^3 = 1.1e9 grid points; 101^3 is the largest 3-d grid.
+        field, calls = _counting(FieldHandle(dim=3, eval=lambda Z: Z))
+        with pytest.raises(InvalidParameterError, match="cells = 1024 asks for 1076890625 grid points"):
+            degree_auto(field, _CUBE, cells=1024)
+        with pytest.raises(InvalidParameterError):
+            degree_auto(field, _CUBE, cells=101)
+        assert calls == []
+
 
 class TestBoundaryFormula:
     """The cases a sum of signs over sampled zeros gets wrong, and the
@@ -284,8 +293,8 @@ class TestBoundaryFormula:
 class TestDampedNewton:
     def test_no_retry_after_the_halvings(self):
         # On u -> u with the wrong-sign J = -I every damped step moves away
-        # from the zero: the start and its 10 halved trials are requested,
-        # then the solve gives up.  With J = I it lands on the zero and
+        # from the zero: the start and its 10 trials (the full step and 9
+        # halvings) are requested, then the solve gives up.  With J = I it lands on the zero and
         # returns the Jacobian formed there.
         start = np.array([1.0, -0.5])
         requests = []
@@ -309,6 +318,22 @@ class TestDampedNewton:
         assert np.array_equal(u, [0.0, 0.0])
         assert rnorm == 0.0
         assert np.array_equal(formed[-1][0], u) and J is formed[-1][1]
+
+    def test_full_steps_only_fail_at_the_first_step_that_does_not_decrease(self):
+        # trials=1, the continuation corrector's: the start and the full
+        # step are requested, then the solve gives up.  With J = I the full
+        # step lands on the zero.
+        start = np.array([1.0, -0.5])
+        requests = []
+
+        def residual(u):
+            requests.append(u.copy())
+            return u
+
+        assert damped_newton(residual, lambda u, r: -np.eye(2), start, 1e-12, 5, trials=1) is None
+        assert len(requests) == 2
+        out = damped_newton(lambda u: u, lambda u, r: np.eye(2), start, 1e-12, 5, trials=1)
+        assert out is not None and np.array_equal(out[0], [0.0, 0.0])
 
     def test_jacobian_bit_equal_to_fd_jacobian_at_returned_point(self):
         field = lambda z: np.array([math.sin(z[1]) / math.sqrt(3.0), z[0] - z[1] + 0.1])
