@@ -167,18 +167,10 @@ def continuation_config(config: dict) -> ContinuationConfig:
 
 
 def _load_periodic_expr(source: str, period: float, path: str) -> PeriodicFn1D:
-    """The coefficient a from its DSL source: a float at a scalar t, else
-    an array of t's shape (a constant expression is broadcast)."""
+    """The coefficient a from its DSL source: the compiled function,
+    declared to take arrays of t (a BatchField, not probed)."""
     (e,) = _parse_exprs(source, {"t"}, path)
-    fn = dsl.compile_function(e, ["t"])
-
-    def ev(t):
-        v = fn(t)
-        if np.ndim(t) == 0:
-            return float(v)
-        return v if np.shape(v) == np.shape(t) else np.full(np.shape(t), v)
-
-    return PeriodicFn1D(eval=ev, period=period)
+    return PeriodicFn1D(eval=BatchField(dsl.compile_function(e, ["t"])), period=period)
 
 
 def load_problem(config: dict) -> LoadedProblem:

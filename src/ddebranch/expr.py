@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Mapping, Sequence, Set, Union
+from typing import Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class BinOp:
 @dataclass(frozen=True)
 class Call:
     """A function node: fn names a function of FUNCTIONS, or is a bound
-    Python function of one argument, which the parser never builds (see
-    lienard.lienard_reduce)."""
+    Python function of one argument, applied unchecked, which the parser
+    never builds: lienard.lienard_reduce's gamma(t), a PeriodicFn1D."""
 
     fn: Union[str, Callable]
     arg: "Node"
@@ -95,15 +95,16 @@ class Call:
 @dataclass(frozen=True, eq=False)
 class Leaf:
     """Component j of the call owner.<method>(*args) of a Python field
-    (see stage.compile_stage), made once per owner, method and args and
-    looked up at the call.  Each arg names a variable or a column group
-    that the caller of emit binds, or is passed as it is.  The parser
-    never builds one."""
+    (see stage.compile_stage), or with j None the value of the call, such
+    as a Python phi(y1, yd1) of lienard.lienard_reduce: made once per
+    owner, method and args and looked up at the call.  Each arg names a
+    variable or a column group that the caller of emit binds, or is passed
+    as it is.  The parser never builds one."""
 
     owner: object
     method: str
     args: tuple
-    j: int
+    j: Optional[int] = None
 
 
 Node = Union[Num, Var, Neg, BinOp, Call, Leaf]
@@ -377,7 +378,7 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
             args = ", ".join(names[a] if isinstance(a, str) else f"n{i}.args[{j}]" for j, a in enumerate(node.args))
             lines.append(f"r{i} = n{i}.owner.{node.method}({args})")
             names[call] = f"r{i}"
-        lines.append(f"{v} = {names[call]}[..., {node.j}]")
+        lines.append(f"{v} = {names[call]}" + ("" if node.j is None else f"[..., {node.j}]"))
     elif isinstance(node, Neg):
         lines.append(f"{v} = -{_emit(node.operand, names, ns, lines)}")
     elif isinstance(node, Call):

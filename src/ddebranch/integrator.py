@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BlowupError, InvalidParameterError
 from .problem import (CoupledProblem, History, PeriodicFn1D, Stage, _hermite_array, _hermite_eval,
-                      _hermite_lookup, _hermite_weights, _sample_at)
+                      _hermite_lookup, _hermite_weights)
 
 BLOWUP_THRESHOLD = 1e9
 #: The flows take a step of at most t / FLOW_STEPS.
@@ -137,7 +137,7 @@ class SweepPlan:
         width = times[1:len(left) + 1] - left
         col = (-1, 1, 1)
         with np.errstate(all="ignore"):
-            self.at = _sample_at(problem.a, stage_t).tolist()
+            self.at = problem.a(stage_t).tolist()
             self.weights = np.array(_hermite_weights(((tau[2 * spd + 1::2][:len(left)] - left) / width).reshape(col),
                                                      width.reshape(col)))
         self.rows = 2 * min(spd, n_steps) + 1

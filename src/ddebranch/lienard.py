@@ -31,6 +31,7 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import InvalidParameterError, ZeroAverageError
+from .integrator import _check_count
 from .problem import (
     BatchField,
     CoupledProblem,
@@ -38,9 +39,9 @@ from .problem import (
     average_scalar,
     normalize_delay,
     simpson_mean,
-    _hermite,
+    _as_array_fn,
+    _broadcast_call,
     _hermite_array,
-    _sample_at,
 )
 
 _SIGMA_CELLS = 2048
@@ -101,7 +102,7 @@ def _zeta_periodic(a: PeriodicFn1D, n_cells: int):
     T = a.period
     n2 = 2 * n_cells
     grid = np.linspace(0.0, T, n2 + 1)
-    avals = _sample_at(a, grid)
+    avals = a(grid)
     zeta, c0, abar = _zeta_from_samples(avals, T, T / n2)
     return grid, avals, zeta, c0, abar
 
@@ -128,18 +129,9 @@ def _zeta_from_samples(avals: np.ndarray, T: float, h2: float):
 def _periodic_hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> PeriodicFn1D:
     """The periodic cubic Hermite interpolant of node values and slopes on
     grid (grid[0] = 0, grid[-1] = T): t is reduced into [0, T] and read by
-    problem._hermite, with its node snap.  A scalar t bisects a list copy of
-    the grid and returns a float; an array t goes through _hermite_array."""
+    problem._hermite_array, with its node snap, at a scalar t too."""
     T = float(grid[-1])
-    nodes = grid.tolist()
-
-    def evaluate(t):
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return float(_hermite(nodes, values, slopes, float(t) % T))
-        t = np.mod(np.asarray(t, dtype=float), T)
-        return _hermite_array(grid, values, slopes, t)
-
-    return PeriodicFn1D(eval=evaluate, period=T)
+    return PeriodicFn1D(eval=BatchField(lambda t: _hermite_array(grid, values, slopes, np.mod(t, T))), period=T)
 
 
 def sigma_transform(a: PeriodicFn1D, n_cells: int = _SIGMA_CELLS) -> SigmaResult:
@@ -149,9 +141,11 @@ def sigma_transform(a: PeriodicFn1D, n_cells: int = _SIGMA_CELLS) -> SigmaResult
     midpoints), not the problem's n_quad; the CLI and the presets use 2048.
     Its node slopes need no solve: the identity itself gives
     sigma' = sigma (a + sigma) from the samples of a that built zeta.  sigma
-    is read by the package's one Hermite evaluator (problem._hermite) and
-    its node snap, like a history, with t reduced modulo T.
+    is read by the package's one Hermite evaluator (problem._hermite_array) and
+    its node snap, like a history, with t reduced modulo T.  n_cells is an
+    integer >= 4: 2 n_cells Simpson cells, even and >= 8.
     """
+    _check_count("n_cells", n_cells, 4)
     grid, avals, zeta, c0, abar = _zeta_periodic(a, n_cells)
     if np.min(np.abs(zeta)) < 1e-12:
         raise InvalidParameterError(
@@ -188,20 +182,24 @@ def sigma_transform(a: PeriodicFn1D, n_cells: int = _SIGMA_CELLS) -> SigmaResult
 
 
 def verify_sigma(a: PeriodicFn1D, sigma, n_check: int = 256) -> float:
-    """Max residual of a - sigma'/sigma + sigma over n_check sample times,
-    each function read on arrays of them through _sample_at.
+    """Max residual of a - sigma'/sigma + sigma over n_check (an integer
+    >= 1) sample times, each function read on arrays of them; a sigma that
+    is not a PeriodicFn1D is made one, with a's period.
 
     sigma' is taken by centered differences with step T / 2^16.
     """
+    _check_count("n_check", n_check, 1)
     T = a.period
+    if not isinstance(sigma, PeriodicFn1D):
+        sigma = PeriodicFn1D(eval=sigma, period=T)
     step = T / 2 ** 16
     ts = np.linspace(0.0, T, n_check, endpoint=False)
-    s = _sample_at(sigma, ts)
+    s = sigma(ts)
     zeros = np.flatnonzero(np.abs(s) < 1e-14)
     if len(zeros):
         raise InvalidParameterError(f"sigma vanishes at t={ts[zeros[0]]:.6g}")
-    sdot = (_sample_at(sigma, ts + step) - _sample_at(sigma, ts - step)) / (2.0 * step)
-    return float(np.max(np.abs(_sample_at(a, ts) - sdot / s + s)))
+    sdot = (sigma(ts + step) - sigma(ts - step)) / (2.0 * step)
+    return float(np.max(np.abs(a(ts) - sdot / s + s)))
 
 
 @dataclass(frozen=True)
@@ -238,73 +236,56 @@ class ScalarDelayProblem:
 
 
 def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
-    vals = _sample_at(gamma, np.linspace(0.0, gamma.period, n, endpoint=False))
+    vals = gamma(np.linspace(0.0, gamma.period, n, endpoint=False))
     if np.min(np.abs(vals)) < 1e-12 or vals.max() * vals.min() < 0:
         raise InvalidParameterError("gamma must be nonvanishing (and sign-definite)")
 
 
 def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProblem:
     """Rewrite the scalar equation as the planar coupled system (k = s = 1),
-    whose f and g are BatchFields: f calls f and gamma through _sample_at,
-    and g is x1 - y1.
+    x' = lam * f / gamma(t), y' = (x - y) * gamma(t), whose f and g are
+    BatchFields with expressions; gamma is also its coefficient a.
 
-    An autonomous perturbation phi(y, yd) (ScalarDelayProblem.from_phi) is
-    called once per state row and divided by gamma on the time grid by
-    broadcasting, not called once per (time, row) pair.  gamma is also the
-    reduced problem's coefficient a, which integrate reads on its own.  f
-    keeps gamma at the last float time, so it reads gamma once per distinct
-    RK4 stage time although stages come in pairs at one time (k2 and k3,
-    k4 and the node slope).  Its separated form (1/gamma(t)) * phi(y, yd)
-    lets the mu < 1 stage read w_f as <1/gamma> * phi(y, y), reading gamma
-    on the quadrature grid once, when the stage is built.
-
-    g also carries the expression x1 - y1, the same operation as its
-    callable.  When phi carries its DSL expression (a BatchField, as the
-    sunflower presets build it), so does f: phi/gamma(t), with gamma(t) a
-    node bound to a read of gamma through _sample_at.  The problem's
-    compiled stage (CoupledProblem.stage_at) inlines those expressions, and
-    reads gamma once per sweep grid, on all its stage times
-    (integrator.SweepPlan).
-    The callables above stay each field's fn, for average_f and the
-    fields; without the expressions each is one leaf of the stage.
+    f's expression is phi/gamma(t) for an autonomous phi(y, yd)
+    (ScalarDelayProblem.from_phi), else f(t, y, yd)/gamma(t), with gamma(t)
+    the node dsl.Call(gamma, t).  A phi or f that carries its DSL
+    expression (a BatchField, as presets.dsl_phi builds it) is inlined; a
+    Python one is decided once (problem._as_array_fn) and enters as the
+    Leaf of its call, phi(y1, yd1) or f(t, y1, yd1).  The problem's compiled
+    stage (CoupledProblem.stage_at) reads gamma once per sweep grid, on all
+    its stage times (integrator.SweepPlan), and at mu < 1 reads the drive
+    of phi/gamma(t) as <1/gamma> * phi(y1, y1) (stage.averaged); that of an
+    f that reads t stays fields.average_f.  g is x1 - y1, as expression and
+    callable.  f's callable, which eval_f and average_f call, divides
+    phi(y, yd) or f(t, y, yd), broadcast to the states' shape, by gamma(t).
     """
     _check_nonvanishing(gamma)
     f = sdp.f
-    f_exprs = form = None
     if isinstance(f, _Autonomous):
-        phi = f.phi
-        if isinstance(phi, BatchField) and phi.exprs is not None:
-            def gamma_at(t):
-                return _sample_at(gamma, t)
-
-            (phi_e,) = phi.exprs
-            over_gamma = dsl.BinOp("/", phi_e.root, dsl.Call(gamma_at, dsl.Var("t")))
-            f_exprs = [dsl.Expr(over_gamma, phi_e.allowed_vars | {"t"})]
-        drive = lambda t, y, yd: _sample_at(phi, y, yd)
-        form = (lambda t: 1.0 / _sample_at(gamma, t),
-                lambda x, y, xd, yd: _sample_at(phi, y[..., 0], yd[..., 0])[..., None])
+        given, args = f.phi, ("y1", "yd1")
+        fn = _as_array_fn(given, (-1.0, 1.0), (-1.0, 1.0))
+        drive = lambda t, y, yd: _broadcast_call(fn, y, yd)
     else:
-        drive = lambda t, y, yd: _sample_at(f, t, y, yd)
-    last = [None, None]  # the last float time and gamma there
+        given, args = f, ("t", "y1", "yd1")
+        fn = _as_array_fn(given, (0.0, sdp.period), (-1.0, 1.0), (-1.0, 1.0))
+        drive = lambda t, y, yd: _broadcast_call(fn, t, y, yd)
+    if isinstance(given, BatchField) and given.exprs is not None:
+        (e,) = given.exprs
+        root = e.root
+    else:
+        root = dsl.Leaf(fn, "__call__", args)
+    f_expr = dsl.Expr(dsl.BinOp("/", root, dsl.Call(gamma, dsl.Var("t"))), frozenset({"t", *args}))
 
     def f_c(t, x, y, xd, yd):
-        if isinstance(t, float):
-            if t != last[0]:
-                last[:] = t, float(gamma(t))
-            gt = last[1]
-        else:
-            gt = _sample_at(gamma, t)
-        return (drive(t, y[..., 0], yd[..., 0]) / gt)[..., None]
+        return (drive(t, y[..., 0], yd[..., 0]) / gamma(t))[..., None]
 
     def g_c(x, y):
         return (x[..., 0] - y[..., 0])[..., None]
 
-    f_field = BatchField(f_c, f_exprs)
-    f_field.form = form
     return CoupledProblem(
         dim_x=1,
         dim_y=1,
-        f=f_field,
+        f=BatchField(f_c, [f_expr]),
         g=BatchField(g_c, [dsl.parse("x1 - y1", {"x1", "y1"})]),
         h=None,
         a=gamma,

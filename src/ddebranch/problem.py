@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -52,10 +51,14 @@ def normalize_delay(r: float, T: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicFn1D:
-    """A real-valued T-periodic function of time: a call is a call of
-    eval, at a float or an array t."""
+    """A real-valued T-periodic function of time.  eval is decided once, at
+    construction (_as_array_fn): kept when it takes arrays of t, else
+    replaced by its per-point loop.  A BatchField eval is declared to take
+    them and is not probed, as the package's own are (the DSL coefficient,
+    sigma and constant).  A call at a scalar t is a call of eval, as a
+    float; at an array t it is one call of eval, broadcast to t's shape."""
 
     eval: Callable[[float], float]
     period: float
@@ -63,55 +66,95 @@ class PeriodicFn1D:
     def __post_init__(self):
         if self.period <= 0:
             raise InvalidParameterError(f"period must be positive, got {self.period}")
+        object.__setattr__(self, "eval", _as_array_fn(self.eval, (0.0, self.period)))
 
     def __call__(self, t):
-        return self.eval(t)
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return float(self.eval(t))
+        return _broadcast_call(self.eval, t)
 
     @classmethod
     def constant(cls, value: float, period: float) -> "PeriodicFn1D":
-        return cls(eval=lambda t, _v=float(value): _v * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else _v, period=period)
-
-
-def _sample_at(fn, *args) -> np.ndarray:
-    """Evaluate a scalar function at the broadcast of its arguments: in one
-    array call (a result that ignores an argument is broadcast), or element
-    by element on Python floats for a callable that only takes scalars."""
-    shape = np.broadcast(*args).shape
-    try:
-        out = np.asarray(fn(*args), dtype=float)
-        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-    except (TypeError, ValueError):
-        pass  # on arrays math.sin raises TypeError, `if t < 1` ValueError
-    full = [a if isinstance(a, np.ndarray) and a.shape == shape else np.broadcast_to(a, shape) for a in args]
-    columns = [a.ravel().tolist() for a in full]
-    points = itertools.starmap(fn, zip(*columns))
-    return np.fromiter(points, dtype=float, count=math.prod(shape)).reshape(shape)
+        return cls(eval=BatchField(lambda t, _v=float(value): _v), period=period)
 
 
 class BatchField:
-    """Declares that the field callable fn takes a leading batch axis.
+    """Declares that the callable fn takes arrays, so that it is not
+    probed (_decide).
 
-    Given states of shape (B, n_i) and a time t that is a float or an array
-    broadcasting against the batch axes (as the (n_quad+1, 1) times of
-    average_f), fn returns the values with the broadcast batch shape plus
-    one axis of k components: (k,) for 1-d states at a float t.  Every
-    CoupledProblem field is one (see _as_batch_field); the DSL and the
-    Lienard reduction (hence the presets) build theirs as BatchFields,
-    which skips the probe.  exprs are DSL expressions that compute fn's
-    values bit for bit (None when there are none: fn is a Python
-    callable), such as those fn was compiled from.  The compiled stage
-    (CoupledProblem.stage_at) inlines them, and calls a field without
-    them once per RK4 stage, as Leaf nodes.  form is None or a separated
-    form (c, phi), fn = c(t) * phi(x, y, xd, yd) (lienard_reduce sets it).
+    A field's fn takes states of shape (B, n_i) and a time t that is a
+    float or an array broadcasting against the batch axes (as the
+    (n_quad+1, 1) times of average_f), and returns the values with the
+    broadcast batch shape plus one axis of k components: (k,) for 1-d
+    states at a float t.  Every CoupledProblem field is one (see
+    _as_batch_field); the DSL and the Lienard reduction (hence the presets)
+    build theirs as BatchFields.  A BatchField eval of a PeriodicFn1D, or a
+    BatchField phi or f of lienard_reduce, takes arrays that broadcast
+    against each other (see _as_array_fn).  exprs are DSL expressions that
+    compute fn's values bit for bit (None when there are none: fn is a
+    Python callable), such as those fn was compiled from.  The compiled
+    stage (CoupledProblem.stage_at) inlines a field's, and calls a field
+    without them once per RK4 stage, as Leaf nodes.
     """
 
-    __slots__ = ("fn", "exprs", "form")
+    __slots__ = ("fn", "exprs")
 
     def __init__(self, fn: Callable, exprs=None):
-        self.fn, self.exprs, self.form = fn, exprs, None
+        self.fn, self.exprs = fn, exprs
 
     def __call__(self, *args):  # a BatchField is also the callable fn
         return self.fn(*args)
+
+
+def _decide(fn: Callable, per_point: Callable, call: Callable, samples) -> Callable:
+    """The one rule for a Python callable, decided once: fn itself when, on
+    each tuple of arguments in samples, call(fn, *args), which broadcasts a
+    result that ignores an argument, has the shape and bytes of
+    call(per_point, *args), fn's loop over points; else, or when the probe
+    raises, per_point."""
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # float(array) warns, and a filter may make that an error
+            pairs = [(call(per_point, *args), call(fn, *args)) for args in samples]
+    except (TypeError, ValueError, IndexError, ArithmeticError):
+        return per_point
+    same = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+    return fn if same else per_point
+
+
+def _broadcast_call(fn: Callable, *args) -> np.ndarray:
+    """fn(*args) as a float array of the broadcast shape of args: a result
+    that ignores an argument is broadcast (a read-only view)."""
+    out = np.asarray(fn(*args), dtype=float)
+    shape = np.broadcast(*args).shape
+    return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def _per_point(fn: Callable) -> Callable:
+    """fn, a real function of reals, called on Python floats once per
+    element of the broadcast of its arguments (once at scalars)."""
+    def per_point(*args):
+        shape = np.broadcast(*args).shape
+        if not shape:
+            return fn(*map(float, args))
+        full = [a if isinstance(a, np.ndarray) and a.shape == shape else np.broadcast_to(a, shape) for a in args]
+        points = itertools.starmap(fn, zip(*(a.ravel().tolist() for a in full)))
+        return np.fromiter(points, dtype=float, count=math.prod(shape)).reshape(shape)
+    per_point.__wrapped__ = fn
+    return per_point
+
+
+def _as_array_fn(fn: Callable, *ranges) -> Callable:
+    """fn, a real function of len(ranges) reals, as a function of arrays
+    that broadcast against each other, decided once (_decide) on fixed
+    arguments in ranges (a row of 3 each, by the golden-ratio sequence,
+    then the first as a (2, 1) column): fn itself or _per_point(fn).  A
+    BatchField is declared, and its fn is kept unprobed."""
+    if isinstance(fn, BatchField):
+        return fn.fn
+    u = np.mod(np.arange(1, 3 * len(ranges) + 1) * 0.6180339887498949, 1.0).reshape(-1, 3)  # numpy.random costs 5 MiB, 10 ms
+    row = [lo + (hi - lo) * v for (lo, hi), v in zip(ranges, u)]
+    return _decide(fn, _per_point(fn), _broadcast_call, [row, [row[0][:2, None], *row[1:]]])
 
 
 def _per_row(fn: Callable, timed: bool) -> Callable:
@@ -153,23 +196,14 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
 
 
 def _as_batch_field(fn: Callable, timed: bool, k: int, s: int) -> BatchField:
-    """fn as a BatchField of itself when, on 3 seeded rows of states (at a
-    float time and at a (2, 1) column of times when timed), eval_batch of
-    it, which broadcasts a result that ignores t or the batch, gives the
-    shape and bytes of its per-row calls; else, or when the probe raises,
-    as a BatchField of _per_row(fn, timed)."""
-    per_row = _per_row(fn, timed)
+    """fn as a BatchField of itself or of _per_row(fn, timed), decided once
+    (_decide) through eval_batch, which broadcasts a result that ignores t
+    or the batch, on 3 seeded rows of states (at a float time and at a
+    (2, 1) column of times when timed)."""
     rng = np.random.default_rng(0)
     states = [rng.uniform(-1.0, 1.0, (3, n)) for n in (k, s, k, s)[:4 if timed else 2]]
     times = (float(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0, (2, 1))) if timed else (None,)
-    try:
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # float(array) warns, and a filter may make that an error
-            pairs = [(eval_batch(per_row, t, *states), eval_batch(fn, t, *states)) for t in times]
-    except (TypeError, ValueError, IndexError, ArithmeticError):
-        return BatchField(per_row)
-    same = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
-    return BatchField(fn if same else per_row)
+    return BatchField(_decide(fn, _per_row(fn, timed), eval_batch, [(t, *states) for t in times]))
 
 
 @lru_cache(maxsize=16)
@@ -214,7 +248,7 @@ def simpson_mean(values: np.ndarray):
 def average_scalar(fn: PeriodicFn1D, n_quad: int = DEFAULT_N_QUAD) -> float:
     """Average of a periodic function over one period by composite Simpson,
     on the cached quadrature_times."""
-    return float(simpson_mean(_sample_at(fn, quadrature_times(fn.period, n_quad))))
+    return float(simpson_mean(fn(quadrature_times(fn.period, n_quad))))
 
 
 @dataclass(frozen=True)
@@ -270,27 +304,6 @@ def _hermite_eval(weights, y0, d0, y1, d1):
 _NODE_SNAP = 1e-9  # a read this close to a node, in units of its segment, is at the node
 
 
-def _hermite(grid, values, derivs, t):
-    """Piecewise cubic Hermite interpolant of node values and slopes at t.
-
-    grid is any increasing sequence of nodes; values and derivs have shape
-    (len(grid), ...).  A t within _NODE_SNAP of a node reads that node's own
-    value exactly, and a t outside the grid the nearer end node.  A scalar
-    t bisects the grid and returns shape values.shape[1:]; an array t
-    returns t.shape + values.shape[1:] (see _hermite_array).
-    """
-    if isinstance(t, float) or np.ndim(t) == 0:
-        t = float(t)
-        i = min(max(bisect_right(grid, t) - 1, 0), len(grid) - 2)
-        g0 = float(grid[i])
-        dt = float(grid[i + 1]) - g0
-        u = (t - g0) / dt
-        if u < _NODE_SNAP or u > 1.0 - _NODE_SNAP:
-            return values[i if u < 0.5 else i + 1].copy()
-        return _hermite_eval(_hermite_weights(u, dt), values[i], derivs[i], values[i + 1], derivs[i + 1])
-    return _hermite_array(grid, values, derivs, t)
-
-
 class _HermiteLookup(NamedTuple):
     """The segment arithmetic of _hermite_array on a grid at times t, done
     once (_hermite_lookup): for each time the node it snaps to (or the left
@@ -316,8 +329,8 @@ class _HermiteLookup(NamedTuple):
 
 
 def _hermite_lookup(grid, t) -> _HermiteLookup:
-    """The _HermiteLookup of the times t on grid, with _hermite's node
-    snap."""
+    """The _HermiteLookup of the times t on grid, with _hermite_array's
+    node snap."""
     grid = np.asarray(grid, dtype=float)
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
@@ -330,9 +343,15 @@ def _hermite_lookup(grid, t) -> _HermiteLookup:
 
 
 def _hermite_array(grid, values, derivs, t):
-    """_hermite at an array t, from one segment lookup (_HermiteLookup).
-    As in _hermite, a t that snaps to a node reads that node's value
-    itself, and only the other times evaluate the cubic."""
+    """Piecewise cubic Hermite interpolant of node values and slopes at the
+    times t, from one segment lookup (_HermiteLookup): the package's one
+    Hermite evaluator.
+
+    grid is any increasing sequence of nodes; values and derivs have shape
+    (len(grid), ...), and the result t.shape + values.shape[1:].  A t within
+    _NODE_SNAP of a node reads that node's own value itself, and a t
+    outside the grid the nearer end node; only the other times evaluate
+    the cubic."""
     return _hermite_lookup(grid, t).apply(values, derivs)
 
 
@@ -485,7 +504,7 @@ class CoupledProblem:
         ts = np.linspace(0.0, T, _PERIODICITY_SAMPLES, endpoint=False)
         both = np.concatenate([ts, ts + T])
         p, q = 0.5 * np.ones(self.dim_x), 0.5 * np.ones(self.dim_y)
-        reads = {f"coefficient a is not {T}-periodic": _sample_at(self.a, both)[:, None]}
+        reads = {f"coefficient a is not {T}-periodic": self.a(both)[:, None]}
         for name, fn, ev in (("f", self.f, self.eval_f), ("h", self.h, self.eval_h)):
             if fn is not None:
                 reads[f"field {name} is not {T}-periodic in t"] = ev(both, p, q, p, q)
@@ -505,9 +524,10 @@ class CoupledProblem:
         alone at a scalar lam = 0, else f and h at mu > 0 and the drive at
         mu < 1.  A field enters as its DSL expressions or as one eval_f,
         eval_g or eval_h call.  The drive is w_f = sum_k <c_k> phi_k(x, y,
-        x, y), each <c_k> a Simpson mean on quadrature_times, by f's
-        separated form: stage.averaged of its expressions, or its form
-        (c, phi) as one leaf call; else it is one fields.average_f call."""
+        x, y), each <c_k> a Simpson mean on quadrature_times, by the
+        separated form of f's expressions (stage.averaged), whose phi_k may
+        be Leaf calls of a Python phi; else it is one fields.average_f
+        call."""
         regime = (False, False) if np.ndim(lam) == 0 and lam == 0.0 else (mu > 0.0, mu < 1.0)
         stages = vars(self).setdefault("_stages", {})  # per problem, as a cached_property
         if regime not in stages:
@@ -530,9 +550,6 @@ class CoupledProblem:
         wf = [averaged(e.root, cs) for e in f.exprs] if f is not None and f.exprs else [None]
         if None not in wf:
             return [dsl.Expr(w, frozenset()) for w in wf], self.abar, cs, average
-        if f is not None and f.form is not None:
-            mean, phi = float(average(f.form[0])[0]), f.form[1]
-            return dsl.Leaf(lambda x, y: mean * phi(x, y, x, y), "__call__", ("x", "y"), 0), self.abar, [], None
         from . import fields  # which imports this module
 
         return dsl.Leaf(fields, "average_f", (self, "x", "y"), 0), self.abar, [], None

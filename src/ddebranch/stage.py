@@ -40,9 +40,13 @@ def _reads(node):
 
 
 def _undelayed(node):
-    """node with each xd<i>, yd<j> read as x<i>, y<j> (node itself if none)."""
+    """node with each xd<i>, yd<j> read as x<i>, y<j>, as a variable or as
+    the argument of a Leaf (node itself if none)."""
     if isinstance(node, dsl.Var):
         return dsl.Var(node.name[0] + node.name[2:]) if node.name[1:2] == "d" else node
+    if isinstance(node, dsl.Leaf):
+        args = tuple(_undelayed(dsl.Var(a)).name if isinstance(a, str) else a for a in node.args)
+        return replace(node, args=args) if args != node.args else node
     kids = {key: _undelayed(getattr(node, key)) for key in ("operand", "left", "right", "arg") if hasattr(node, key)}
     return replace(node, **kids) if any(kids[key] is not getattr(node, key) for key in kids) else node
 
@@ -61,7 +65,10 @@ def averaged(node, cs: list):
     separated form, a node in x, y and c<i>, the mean of the node cs[i]
     that reads t alone, which it appends.  node must be a sum (+, -, unary
     -) of terms that read no t (as they are), t alone (one mean), or a
-    product or quotient of such factors (<c> * phi); else None."""
+    product or quotient of such factors (<c> * phi); else None.  A Leaf is
+    such a factor by the variables it is called with: a Python phi(y1,
+    yd1) of lienard_reduce reads no t, so phi/gamma(t) gives <1/gamma> *
+    phi(y1, y1), and a Python f(t, y1, yd1) reads t with the state."""
     read = _reads(node)
     if "t" not in read:
         return _undelayed(node)
@@ -137,8 +144,9 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     the node cs[i] that reads t alone (averaged): a column of the time
     part, which average(times) averages once, here.  A Python field,
     and a wf without that form, is given as the Leaf of its first
-    component: a call inside the generated code, never hoisted, since a
-    Python field may read state the DSL cannot see.
+    component, and an expression may hold the Leaf of a Python function
+    (lienard_reduce's phi): a call inside the generated code, never
+    hoisted, since Python code may read state the DSL cannot see.
 
     Every maximal subtree that reads only t, xd, yd and lam, such as
     lam*(sin(yd1)/sigma(t)), is hoisted: evaluated once per delay interval

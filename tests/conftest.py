@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from ddebranch.degree import _NEWTON_TRIALS, newton_steps
 from ddebranch.errors import InvalidParameterError, TranslationUndefinedError, ZeroAverageError
 from ddebranch.presets import SunflowerSetup, default_sunflower
 from ddebranch.poincare import _newton_fixed_point
-from ddebranch.problem import History, _hermite
+from ddebranch.problem import _NODE_SNAP, History, _hermite_array, _hermite_eval, _hermite_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,10 +43,28 @@ def scalar_problem(g_scalar, a_fn=None, period=TWO_PI, delay=1.0, h=None) -> Cou
     )
 
 
+def hermite_at(grid, values, derivs, t):
+    """The cubic Hermite interpolant of node values and slopes on grid at
+    t: the package's evaluator (problem._hermite_array) at an array t, and
+    at a scalar t a read of one segment written out here, the reference:
+    bisect the grid, read a node within _NODE_SNAP of t (the nearer end
+    node outside the grid), else the cubic; shape values.shape[1:]."""
+    if not (isinstance(t, float) or np.ndim(t) == 0):
+        return _hermite_array(grid, values, derivs, t)
+    t = float(t)
+    i = min(max(bisect_right(grid, t) - 1, 0), len(grid) - 2)
+    g0 = float(grid[i])
+    dt = float(grid[i + 1]) - g0
+    u = (t - g0) / dt
+    if u < _NODE_SNAP or u > 1.0 - _NODE_SNAP:
+        return values[i if u < 0.5 else i + 1].copy()
+    return _hermite_eval(_hermite_weights(u, dt), values[i], derivs[i], values[i + 1], derivs[i + 1])
+
+
 def history_at(history, theta):
-    """A history's interpolant at theta (a float or an array) in [-r, 0],
-    read by the package's Hermite evaluator: exact at the nodes."""
-    return _hermite(history.grid, history.values, history.derivs, theta)
+    """A history's interpolant at theta (a float or an array) in [-r, 0]
+    (hermite_at): exact at the nodes."""
+    return hermite_at(history.grid, history.values, history.derivs, theta)
 
 
 def sup_distance(h1, h2) -> float:

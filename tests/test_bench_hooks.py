@@ -1,16 +1,18 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name; a rename or deletion that breaks it must fail here, in tier 1.  So
-must a stage whose Python fields stop calling the methods the tracer
-counts, a sweep of the benchmark's forced problem or sunflower preset that
+must a stage that starts calling a field the tracer counts where it calls
+the homotopy's Python phi, a float-only a or phi that gets more than one
+array call per homotopy request, a sweep of the benchmark's forced problem
+or sunflower preset that
 stops making one call of its compiled stage's RK4 kernel per step, one of
 its interval part per delay interval and one of its time-only part per
 sweep grid, a sweep of those (the forced problem's at mu = 0.5 too), of
 the homotopy or of a Python fold field that makes more Python calls than
 it did, a CLI request that compiles more generated functions than it
 did, a separable averaged drive that calls a quadrature per stage, or an
-averaged drive that reads gamma on the quadrature grid other than once,
-when its stage is built, or builds that grid more than once, or that
-reads gamma more than once per float stage time, or that reads the
+averaged drive that reads gamma on the quadrature grid other than by its
+stage's time part, when the stage is built, or builds that grid more than
+once, or that reads gamma at a float stage time, or that reads the
 coefficient a other than once per sweep on every stage time, or a branch
 whose attempts stop looking ahead (more sweeps on the forced branch) or
 start where rows are not cheap (on a fold with a Python field), or that
@@ -22,6 +24,7 @@ import math
 import os
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -48,15 +51,16 @@ def _config_sweep(workload):
     return (problem, 0.5, 1.0, init, 2.0 * math.pi), {"steps_per_delay": 8}
 
 
-def _homotopy_sweep(gamma_calls):
+def _homotopy_sweep(gamma_calls, phi=lambda y, yd: math.sin(yd)):
     """One RK4 sweep at mu = 0.5 of the seed-0 sunflower-homotopy problem
-    (amplitude, period, delay, lambda and n_quad from the workload) over a
-    batch of 19 random histories, as integrate's arguments.  Its sigma is
-    wrapped so that gamma_calls gets the shape of every time it is read at."""
+    (amplitude, period, delay, lambda and n_quad from the workload; phi
+    too, unless given) over a batch of 19 random histories, as integrate's
+    arguments.  Its sigma is wrapped so that gamma_calls gets the shape of
+    every time it is read at."""
     params, _ = perfbench_module("workloads").make_inputs("sunflower-homotopy", 0)
     b, T = params["b"], params["T"]
     a = PeriodicFn1D(eval=lambda t: -1.0 + b * math.sin(t), period=T)
-    setup = presets.sunflower_setup(a, lambda y, yd: math.sin(yd), T, params["r"])
+    setup = presets.sunflower_setup(a, phi, T, params["r"])
     sigma = setup.sigma.sigma
 
     def counted(t):
@@ -112,17 +116,26 @@ def _traced_sweep(args, kwargs):
     return tracer
 
 
-def test_traced_callable_sweep_counts_one_f_call_and_no_g_call_per_stage():
-    # The sunflower problem's phi is a Python callable, so its f is a leaf
-    # of the compiled stage, one call of CoupledProblem.eval_f per stage:
-    # a method the tracer counts.  Its g is x1 - y1 whatever phi is, and
-    # carries that expression, so the stage inlines it: no eval_g call
-    # (205 when g was a leaf too).
-    args, kwargs = _homotopy_sweep([])
-    tracer = _traced_sweep((*args[:2], 1.0, *args[3:]), kwargs)
-    assert tracer.counts["problem.eval_f"] == 205
-    assert tracer.counts["problem.eval_g"] == 0
-    assert tracer.metrics()["problem.rhs_evals"] == 205
+def test_traced_callable_sweep_calls_phi_and_no_field_per_stage():
+    # The sunflower problem's phi is a Python callable, so its f is the
+    # expression phi(y1, yd1)/sigma(t), phi a Leaf of the compiled stage,
+    # and its g is x1 - y1 whatever phi is: the stage calls neither
+    # CoupledProblem.eval_f nor eval_g, the methods the tracer counts (205
+    # eval_f calls, one per stage, when f was a leaf; 205 eval_g calls
+    # when g was one too).  At mu = 0.5 each of the 205 stages calls phi
+    # twice: in f, then in the drive <1/sigma> * phi(y1, y1).
+    calls = []
+
+    def phi(y, yd):
+        calls.append(y is yd)
+        return np.sin(yd)
+
+    args, kwargs = _homotopy_sweep([], phi)
+    calls.clear()  # phi was probed once, when the problem was built
+    tracer = _traced_sweep(args, kwargs)
+    assert tracer.counts["problem.eval_f"] == tracer.counts["problem.eval_g"] == 0
+    assert tracer.metrics()["problem.rhs_evals"] == 0
+    assert calls == [False, True] * 205
 
 
 @pytest.mark.parametrize("workload", ["forced-branch", "sunflower-verify-index"])
@@ -165,21 +178,23 @@ def test_traced_config_sweep_makes_one_kernel_call_per_rk4_step(workload, monkey
 
 
 @pytest.mark.parametrize("workload, most, most_bytes", [
-    ("forced-branch", 5, 2926), ("sunflower-verify-index", 4, 2305), ("sunflower-homotopy", 1, 3440)])
+    ("forced-branch", 5, 2926), ("sunflower-verify-index", 4, 2305), ("sunflower-homotopy", 2, 3967)])
 def test_cli_request_compiles_at_most_as_many_functions(workload, most, most_bytes, tmp_path, monkeypatch):
     # Each generated function is one compile of its source, about 0.1 to
     # 1 ms, and Python's compile costs about 0.36 us per source byte: the
     # forced problem's a, f and g, and its stage's time-only part and RK4
     # kernel; the preset's a and phi, and its stage's two; the homotopy's
-    # kernel alone (its stage is leaves and x1 - y1).  5 and 4 also when
-    # the stage compiled an interval part and a per-stage step.  3 018,
-    # 2 397 and 3 884 bytes when the kernel held a fifth stage copy, node
-    # 0's slope, as a closure of its own; 3 496 for the homotopy when its
-    # averaged drive was an average_f call.  The kernel holds four stage
-    # copies: k2, k3, k4 and the node slope, each writing its column 0
-    # once, and at mu = 0.5 each calling the averaged drive's leaf, <1/sigma>
-    # * phi(y, y) from the Lienard f's separated form, once (average_f
-    # each, a quadrature per stage, before).
+    # stage's two, its time part holding sigma(t) and <1/sigma> (1
+    # function of 3 440 bytes when f was an eval_f leaf and the drive
+    # <1/sigma> * phi(y, y) a leaf of f's separated form).  5 and 4 also
+    # when the stage compiled an interval part and a per-stage step.
+    # 3 018, 2 397 and 3 884 bytes when the kernel held a fifth stage copy,
+    # node 0's slope, as a closure of its own; 3 496 for the homotopy when
+    # its averaged drive was an average_f call.  The kernel holds four
+    # stage copies: k2, k3, k4 and the node slope, each writing its column
+    # 0 once, and in the homotopy's each calling its Python phi twice, as
+    # the Leaf phi(y1, yd1) of f and phi(y1, y1) of the drive <1/sigma> *
+    # phi(y1, y1) (average_f each, a quadrature per stage, before).
     workloads = perfbench_module("workloads")
     params, _ = workloads.make_inputs(workload, 0)
     config_path = workloads.prepare(params, tmp_path)
@@ -198,7 +213,27 @@ def test_cli_request_compiles_at_most_as_many_functions(workload, most, most_byt
     assert len(kernels) == 1
     assert len(re.findall(r"\bK\d?_0\[[^\]]*\] = ", kernels[0])) == 4
     assert kernels[0].count(".average_f(") == 0
-    assert kernels[0].count(".__call__(") == (4 if workload == "sunflower-homotopy" else 0)
+    assert kernels[0].count(".__call__(") == (8 if workload == "sunflower-homotopy" else 0)
+
+
+def test_float_only_a_and_phi_get_one_array_call_each_per_homotopy_request(tmp_path, monkeypatch):
+    # The workload's a(t) and phi(y, yd) call math.sin, which takes no
+    # array: each is decided once, by the probe's one array call, and
+    # then called on floats alone.  2 and 412 array calls per request when
+    # every call of a and phi tried an array first (problem._sample_at).
+    workloads = perfbench_module("workloads")
+    arrays = []
+
+    def sin(x):
+        if isinstance(x, np.ndarray):
+            arrays.append(sys._getframe(1).f_code.co_varnames)  # ("t",) in a, ("y", "yd") in phi
+        return math.sin(x)
+
+    monkeypatch.setattr(workloads, "math", types.SimpleNamespace(**{**vars(math), "sin": sin}))
+    params, expect = workloads.make_inputs("sunflower-homotopy", 0)
+    output, problem, _ = workloads.solve(params, None, tmp_path)
+    assert workloads.check("sunflower-homotopy", params, expect, problem, output, tmp_path) is None
+    assert sorted(arrays) == [("t",), ("y", "yd")]
 
 
 def _python_calls(args, kwargs):
@@ -240,11 +275,14 @@ def test_preset_sweep_makes_at_most_108_python_calls():
     assert len(_python_calls(*_config_sweep("sunflower-verify-index"))) <= 108
 
 
-def test_homotopy_sweep_makes_at_most_11361_python_calls():
+def test_homotopy_sweep_makes_at_most_10132_python_calls():
     # 13 512 for the field-by-field right-hand side the leaves replaced,
     # 12 181 when the averaged drive was an average_f leaf, a quadrature
-    # per stage: now each stage calls <1/sigma> * phi(y, y).
-    assert len(_python_calls(*_homotopy_sweep([]))) <= 11361
+    # per stage, 11 361 when f was an eval_f leaf that read sigma at each
+    # float stage time: now each stage calls phi(y1, yd1) and <1/sigma> *
+    # phi(y1, y1), the float-only phi's per-point loop, and reads sigma(t)
+    # from the time part.
+    assert len(_python_calls(*_homotopy_sweep([]))) <= 10132
 
 
 def test_mu_half_config_sweep_makes_at_most_511_python_calls(monkeypatch):
@@ -361,10 +399,11 @@ def test_fold_run_at_default_steps_fails_fast(form):
 
 
 def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):
-    # The mu < 1 stage reads <1/gamma> on the quadrature grid once, when
-    # it is built, and never per stage: 205 stages each read gamma on the
-    # grid and built it anew, and then each called average_f on a grid
-    # built once, whose gamma f_c kept for the next call.
+    # The mu < 1 stage reads <1/gamma> on the quadrature grid when it is
+    # built, by its time part, and never per stage: 205 stages each read
+    # gamma on the grid and built it anew, and then each called average_f
+    # on a grid built once, whose gamma f_c kept for the next call.  The
+    # time part's columns gamma(t) and 1/gamma(t) each read gamma.
     gamma_calls = []
     args, kwargs = _homotopy_sweep(gamma_calls)
     problem = args[0]
@@ -379,15 +418,15 @@ def test_averaged_drive_sweep_reads_gamma_and_builds_its_grid_once(monkeypatch):
     monkeypatch.setattr(np, "linspace", counted_linspace)
     gamma_calls.clear()
     problem.stage_at(args[1], args[2])
-    assert gamma_calls == [(problem.n_quad + 1, 1, 1)]
+    assert gamma_calls == [(problem.n_quad + 1, 1)] * 2
     gamma_calls.clear()
     integrator.integrate(*args, **kwargs)
     # The problem's a is gamma, which integrate reads once on all 103 stage
-    # times (51 steps, 2 new times each, plus t = 0); f reads it once per
-    # distinct float stage time.
-    floats = gamma_calls.count(())
-    assert 0 < floats <= 103 and gamma_calls.count((103,)) == 1
-    assert len(gamma_calls) == floats + 1
+    # times (51 steps, 2 new times each, plus t = 0), and f's gamma(t) is a
+    # column of the time part, read on them as a column: no read at a float
+    # stage time is left (up to 103, once per distinct one, when f was a
+    # leaf that kept gamma at the last float time).
+    assert gamma_calls == [(103,), (103, 1), (103, 1)]
     assert len(grids) <= 1
 
 

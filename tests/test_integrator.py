@@ -23,10 +23,10 @@ from ddebranch import expr as dsl
 from ddebranch import fields
 from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
-from ddebranch.problem import BatchField, _hermite, quadrature_times, simpson_mean
+from ddebranch.problem import BatchField, quadrature_times, simpson_mean
 from ddebranch.stage import averaged
 
-from conftest import TWO_PI, fold_problem, history_at, periodic, scalar_problem
+from conftest import TWO_PI, fold_problem, hermite_at, history_at, periodic, scalar_problem
 
 
 def _exp_problem():
@@ -362,7 +362,7 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0, wf=
     also be a (B,) array, one lambda per row), and at
     mu < 1 the drive lam * (mu * f + (1 - mu) * (a/<a>) * w_f), with h
     weighted by lam * mu and both f and h left out at mu = 0; and each
-    delayed value read at its own time by a scalar _hermite call, from the
+    delayed value read at its own time by a scalar hermite_at call, from the
     history for tau <= 0 and from the finished nodes otherwise.  w_f is
     wf(problem, x, y) when given (a separated drive), else average_f.
     Returns (states, slopes)."""
@@ -406,7 +406,7 @@ def _reference_integrate(problem, lam, init, t_end, steps_per_delay, mu=1.0, wf=
     def past(tau):
         if tau <= 0.0:
             return history_at(batch, tau)
-        return _hermite(node_times, states, slopes, tau)
+        return hermite_at(node_times, states, slopes, tau)
 
     states[0] = batch.terminal()
     slopes[0] = rhs(0.0, states[0], past(-r))

@@ -14,10 +14,12 @@ from ddebranch import Box, CoupledProblem, History, PeriodicFn1D, average_scalar
 from ddebranch import problem as problem_module
 from ddebranch.config import load_problem
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
-from ddebranch.problem import (BatchField, _hermite, _hermite_array, _sample_at,
-                               _simpson_rule, quadrature_times, simpson_mean)
+from ddebranch.lienard import ScalarDelayProblem, lienard_reduce, sigma_transform
+from ddebranch.presets import default_sunflower
+from ddebranch.problem import BatchField, _hermite_array, _simpson_rule, quadrature_times, simpson_mean
 
-from conftest import FOLD_PROBLEM, TWO_PI, fold_problem, history_at, periodic, scalar_problem, unit_drive_problem
+from conftest import (FOLD_PROBLEM, TWO_PI, fold_problem, hermite_at, history_at, periodic, scalar_problem,
+                      unit_drive_problem)
 
 
 class TestNormalizeDelay:
@@ -109,14 +111,17 @@ class TestQuadratureCache:
             assert ts.tobytes() == np.linspace(0.0, period, n + 1).tobytes()
 
     def test_bad_n_quad_raises_before_a_is_sampled(self):
+        # a is probed once, when it is built; the count starts after that.
         calls = []
 
         def a(t):
             calls.append(t)
             return -1.0 + 0.0 * np.asarray(t)
 
+        coefficient = periodic(a)
+        calls.clear()
         with pytest.raises(InvalidParameterError, match="n_quad must be even and >= 8, got 7"):
-            CoupledProblem(dim_x=0, dim_y=1, g=lambda x, y: y, a=periodic(a), period=TWO_PI,
+            CoupledProblem(dim_x=0, dim_y=1, g=lambda x, y: y, a=coefficient, period=TWO_PI,
                            delay=1.0, n_quad=7)
         assert calls == []
 
@@ -147,8 +152,8 @@ class TestSimpsonMean:
 
 
 def _sample_inputs():
-    """(t, y) argument pairs for _sample_at: a column against a row, a
-    Python float beside an array, and arrays that already have the
+    """Argument pairs of a function of two reals: a column against a row,
+    a Python float beside an array, and arrays that already have the
     broadcast shape (each alone, and both)."""
     ts = np.linspace(0.0, 1.0, 4)[:, None]
     ys = np.array([0.5, -1.0, 2.0])
@@ -157,21 +162,62 @@ def _sample_inputs():
             (full_t.copy(), full_y.copy()), (ts, full_y.copy())]
 
 
-class TestSampleAt:
-    def test_scalar_only_callable_broadcasts_elementwise(self):
-        fn = lambda t, y: math.sin(y) * t if t < 0.5 else y
-        for ts, ys in _sample_inputs():
-            shape = np.broadcast_shapes(np.shape(ts), np.shape(ys))
-            got = _sample_at(fn, ts, ys)
-            want = np.array([fn(float(t), float(y)) for t, y in np.broadcast(ts, ys)]).reshape(shape)
+def _scalar_only(u, v):
+    """A function of two floats that no array call can take."""
+    return math.sin(v) * u if u < 0.5 else v
+
+
+def _reduced_phi(phi):
+    """phi as lienard_reduce decided it: the callable of the Leaf
+    phi(y1, yd1) in its f's expression phi/gamma(t)."""
+    sdp = ScalarDelayProblem.from_phi(PeriodicFn1D.constant(-1.0, TWO_PI), phi, TWO_PI, 1.0)
+    problem = lienard_reduce(sdp, periodic(lambda t: 2.0 + math.sin(t)))
+    (e,) = problem.f.exprs
+    return problem, e.root.left.owner
+
+
+class TestDecidedCallables:
+    """A Python a(t) or phi(y, yd) is decided once: kept when it takes
+    arrays, else called per point on Python floats; a result that ignores
+    an argument is broadcast to the arguments' shape."""
+
+    def test_scalar_only_coefficient_is_called_per_point(self):
+        fn = lambda t: _scalar_only(t, 2.0 * t)
+        a = periodic(fn)
+        for t in (np.linspace(0.0, 1.0, 4)[:, None], np.array([0.25, 0.75]), np.array(0.3), 0.6):
+            want = np.array([fn(float(u)) for u in np.ravel(t)]).reshape(np.shape(t))
+            assert np.shape(a(t)) == np.shape(t)
+            assert np.array_equal(a(t), want)
+
+    def test_coefficient_ignoring_t_is_broadcast(self):
+        for fn in (lambda t: 2.5, lambda t: np.float64(2.5)):
+            a = periodic(fn)
+            for ts, _ in _sample_inputs():
+                assert np.array_equal(a(np.asarray(ts)), np.full(np.shape(ts), 2.5))
+
+    def test_scalar_only_phi_is_called_per_point(self):
+        problem, phi = _reduced_phi(_scalar_only)
+        for ys, yds in _sample_inputs():
+            shape = np.broadcast_shapes(np.shape(ys), np.shape(yds))
+            want = np.array([_scalar_only(float(y), float(yd)) for y, yd in np.broadcast(ys, yds)]).reshape(shape)
+            got = phi(ys, yds)
             assert got.shape == shape
             assert np.array_equal(got, want)
+        ts = quadrature_times(TWO_PI, 16)[:, None]
+        y, yd = np.array([[0.3], [0.7]]), np.array([[-0.4], [1.2]])
+        want = np.array([_scalar_only(0.3, -0.4), _scalar_only(0.7, 1.2)]) / problem.a(ts)  # a is gamma
+        assert problem.eval_f(ts, y, y, yd, yd).tobytes() == want[..., None].tobytes()
 
-    def test_result_ignoring_an_argument_is_broadcast(self):
-        for ts, ys in _sample_inputs():
-            got = _sample_at(lambda t, y: np.sin(y), ts, ys)
-            shape = np.broadcast_shapes(np.shape(ts), np.shape(ys))
-            assert np.array_equal(got, np.broadcast_to(np.sin(ys), shape))
+    def test_phi_ignoring_an_argument_is_kept_and_broadcast(self):
+        # np.sin(yd) ignores y, and 0.5 both arguments: each takes arrays,
+        # so it is kept, and f broadcasts its value to the states' shape.
+        y = np.array([[0.3], [0.7], [-0.1]])
+        for fn in (lambda y, yd: np.sin(yd), lambda y, yd: 0.5):
+            problem, phi = _reduced_phi(fn)
+            assert phi is fn
+            got = problem.eval_f(1.5, y, y, y, y)
+            assert got.shape == (3, 1)
+            assert np.array_equal(got[:, 0], np.broadcast_to(fn(y[:, 0], y[:, 0]), (3,)) / (2.0 + math.sin(1.5)))
 
 
 def test_no_silently_swallowed_broad_exceptions():
@@ -189,13 +235,38 @@ def test_no_silently_swallowed_broad_exceptions():
     assert offenders == []
 
 
+def test_one_probe_catches_type_error():
+    # Every Python callable is decided once, by problem._decide, the one
+    # place that catches the TypeError of an array call a callable cannot
+    # take (problem._sample_at caught it again on every call, 412 times in
+    # a sunflower-homotopy request).  The one other is degree._as_handle's
+    # 1-d argument rule (a row's float, else the row), out of this rule's
+    # scope.
+    package = Path(ddebranch.__file__).parent
+    allowed = {("problem.py", "_decide"), ("degree.py", "_as_handle")}
+    catches = {"TypeError", "Exception", "BaseException"}
+    found, offenders = set(), []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or getattr(t, "id", None) in catches for t in types):
+                    where = (path.name, getattr(top, "name", None))
+                    (found.add if where in allowed else offenders.append)(where)
+    assert offenders == []
+    assert found == allowed
+
+
 def test_one_hermite_evaluator():
     # Every piecewise-cubic read (histories, trajectories, sigma) goes
-    # through problem._hermite or problem._hermite_lookup (which
-    # _hermite_array and the integrator's sweep plans use); no other
-    # function looks up a segment itself.
+    # through problem._hermite_lookup (which _hermite_array and the
+    # integrator's sweep plans use); no other function looks up a segment
+    # itself.  The scalar read that bisected the grid (problem._hermite,
+    # for sigma at a float time) is the tests' reference now.
     package = Path(ddebranch.__file__).parent
-    allowed = {("problem.py", "_hermite"), ("problem.py", "_hermite_lookup")}
+    allowed = {("problem.py", "_hermite_lookup")}
     offenders = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -327,7 +398,7 @@ class TestHermite:
         grid, values, derivs = data
         ts = np.random.default_rng(12).uniform(grid[0], grid[-1], 500)
         want = CubicHermiteSpline(grid, values, derivs)(ts)
-        got = _hermite(grid, values, derivs, ts)
+        got = _hermite_array(grid, values, derivs, ts)
         assert got.shape == (500, 3, 2)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -337,8 +408,9 @@ class TestHermite:
         for j, g in enumerate(grid):
             left, right = h[max(j - 1, 0)], h[min(j, len(h) - 1)]
             for t in (g, g - 1e-10 * left, g + 1e-10 * right):
-                assert np.array_equal(_hermite(grid, values, derivs, float(t)), values[j])
-                assert np.array_equal(_hermite(grid, values, derivs, np.array([t]))[0], values[j])
+                assert np.array_equal(hermite_at(grid, values, derivs, float(t)), values[j])
+                assert np.array_equal(_hermite_array(grid, values, derivs, float(t)), values[j])
+                assert np.array_equal(_hermite_array(grid, values, derivs, np.array([t]))[0], values[j])
 
     def test_array_node_read_copies_the_node(self, data):
         # As the scalar read does: the cubic at u = 0 would add a +0.0 slope
@@ -351,11 +423,14 @@ class TestHermite:
             assert got.tobytes() == values[3:6].tobytes()
 
     def test_scalar_bit_equal_to_array(self, data):
+        # The evaluator at each float time, and the scalar reference read
+        # (conftest.hermite_at), give the bits of one array read.
         grid, values, derivs = data
         ts = np.concatenate([grid, np.random.default_rng(13).uniform(grid[0], grid[-1], 200)])
-        rows = _hermite(grid, values, derivs, ts)
+        rows = _hermite_array(grid, values, derivs, ts)
         for t, row in zip(ts, rows):
-            assert _hermite(grid, values, derivs, float(t)).tobytes() == row.tobytes()
+            assert _hermite_array(grid, values, derivs, float(t)).tobytes() == row.tobytes()
+            assert hermite_at(grid, values, derivs, float(t)).tobytes() == row.tobytes()
 
 
     def test_zero_dimensional_t_reads_one_row(self, data):
@@ -512,13 +587,14 @@ class TestFieldContract:
     ])
     def test_config_problems_keep_their_own_batch_fields(self, block, monkeypatch):
         # The DSL and the Lienard-reduced presets build BatchFields, with
-        # their expressions, so no problem a config or a benchmark
-        # workload builds probes a field, and its compiled stage calls no
-        # Python field.
-        def no_probe(fn, timed):
+        # their expressions, and declare their coefficient a and sigma as
+        # BatchFields too, so no problem a config or a benchmark workload
+        # builds probes a callable, and its compiled stage calls no Python
+        # field.
+        def no_probe(fn, *args):
             raise AssertionError(f"probed {fn}")
 
-        monkeypatch.setattr(problem_module, "_per_row", no_probe)
+        monkeypatch.setattr(problem_module, "_decide", no_probe)
         prob = load_problem({"problem": block, "numerics": {"n_quad": 16}}).coupled
         replaced = dataclasses.replace(prob, n_quad=32)
         for name in ("f", "g", "h"):
@@ -537,24 +613,48 @@ def _stage_times(t_end: float, h: float) -> np.ndarray:
     return stage_t
 
 
+def _python_f_problem() -> CoupledProblem:
+    """The forced sunflower y'' = a y' + lam (sin(yd) + 0.5 cos t) from a
+    Python f that reads t, reduced by its sigma."""
+    a = periodic(lambda t: -1.0 + 0.5 * np.sin(t))
+    sdp = ScalarDelayProblem(a=a, f=lambda t, y, yd: np.sin(yd) + 0.5 * np.cos(t), period=TWO_PI, delay=1.0)
+    return lienard_reduce(sdp, sigma_transform(a).sigma)
+
+
+_LIENARD_PROBLEMS = {
+    "sunflower": lambda: load_problem({"problem": {"preset": "sunflower"}}).coupled,
+    "sunflower-phi": lambda: load_problem({"problem": {"preset": "sunflower", "phi": "sin(yd1) - 0.1*y1"}}).coupled,
+    "classic-sunflower": lambda: load_problem(
+        {"problem": {"preset": "classic-sunflower", "alpha": 6.0, "beta": -1.0, "r": 1.0}}).coupled,
+    "python-phi": lambda: default_sunflower().coupled,
+    "python-f": _python_f_problem,
+}
+
+
 class TestPresetStage:
     """The sunflower presets carry phi/sigma(t) and x1 - y1 as DSL
-    expressions, and their compiled stage gives the bits of the fields'
-    own callables, called as leaves of the stage."""
+    expressions, and a Python phi or f enters f's expression as a Leaf;
+    the compiled stage gives the bits of the fields' own callables, called
+    as leaves of the stage."""
 
-    @pytest.mark.parametrize("block", [
-        {"preset": "sunflower"},
-        {"preset": "sunflower", "phi": "sin(yd1) - 0.1*y1"},
-        {"preset": "classic-sunflower", "alpha": 6.0, "beta": -1.0, "r": 1.0},
-    ])
-    def test_sweep_equals_the_field_path(self, block):
-        problem = load_problem({"problem": block, "numerics": {"n_quad": 64}}).coupled
+    @pytest.mark.parametrize("mu", [1.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(_LIENARD_PROBLEMS))
+    def test_sweep_equals_the_field_path(self, name, mu):
+        # At mu = 0.5 a phi/sigma(t) drive is <1/sigma> * phi(y, y), and the
+        # fields' average_f, the mean of phi(y, y)/sigma(t), agrees with it
+        # to within a few ulps; an f that reads t has average_f's drive
+        # both ways, so the same bits.
+        problem = dataclasses.replace(_LIENARD_PROBLEMS[name](), n_quad=64)
         init = History.from_values(np.random.default_rng(0).uniform(-0.3, 0.3, (9, 19, 2)), problem.delay)
-        compiled = integrate(problem, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
+        compiled = integrate(problem, 0.5, mu, init, TWO_PI, steps_per_delay=8)
         callables = dataclasses.replace(problem, f=BatchField(problem.f.fn), g=BatchField(problem.g.fn))
-        fields = integrate(callables, 0.5, 1.0, init, TWO_PI, steps_per_delay=8)
-        assert compiled.states.tobytes() == fields.states.tobytes()
-        assert compiled.slopes.tobytes() == fields.slopes.tobytes()
+        fields = integrate(callables, 0.5, mu, init, TWO_PI, steps_per_delay=8)
+        if mu == 1.0 or name == "python-f":
+            assert compiled.states.tobytes() == fields.states.tobytes()
+            assert compiled.slopes.tobytes() == fields.slopes.tobytes()
+        else:
+            np.testing.assert_allclose(compiled.states, fields.states, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(compiled.slopes, fields.slopes, rtol=0.0, atol=1e-14)
 
     def test_sigma_reads_the_same_bits_at_a_float_and_in_an_array(self):
         # The fields' callables read sigma at each float stage time, the

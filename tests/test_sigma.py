@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from ddebranch import (
 from ddebranch import expr as dsl
 from ddebranch.errors import InvalidParameterError, ZeroAverageError
 from ddebranch.lienard import _SIGMA_CELLS, ScalarDelayProblem, _check_nonvanishing, _cumulative_simpson
-from ddebranch.problem import DEFAULT_N_QUAD, _sample_at, quadrature_times, simpson_mean
+from ddebranch.problem import DEFAULT_N_QUAD, quadrature_times, simpson_mean
 
 from conftest import TWO_PI, periodic
 
@@ -33,11 +34,11 @@ def wbar(f, gamma: PeriodicFn1D, T: float, n_quad: int = DEFAULT_N_QUAD) -> Call
     """The averaged scalar field q -> (1/T) integral f(t, q, q) / gamma(t) dt."""
     _check_nonvanishing(gamma)
     ts = quadrature_times(T, n_quad)
-    gvals = _sample_at(gamma, ts)
+    gvals = gamma(ts)
 
     def wb(q: float) -> float:
         q = float(q)
-        return float(simpson_mean(_sample_at(f, ts, q, q) / gvals))
+        return float(simpson_mean(np.array([f(t, q, q) for t in ts.tolist()], dtype=float) / gvals))
 
     return wb
 
@@ -100,7 +101,7 @@ def _zeta_grid(a: PeriodicFn1D, n_cells: int, c: Optional[float] = None):
     n2 = 2 * n_cells
     h2 = T / n2
     grid = np.linspace(0.0, T, n2 + 1)
-    avals = _sample_at(a, grid)
+    avals = a(grid)
     A = _cumulative_simpson(avals, h2)
     abar = A[-1] / T
     if abs(abar) < 1e-12:
@@ -174,6 +175,17 @@ class TestSigmaTransform:
         assert zeta_endpoint_gap(a, result.c0 + 1e-3) > 1e-4
         assert zeta_endpoint_gap(a, result.c0 - 1e-3) > 1e-4
 
+    @pytest.mark.parametrize("n_cells, message", [
+        (0, "must be >= 4, got 0"), (2, "must be >= 4, got 2"), (3, "must be >= 4, got 3"),
+        (-4, "must be >= 4, got -4"), (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    ])
+    def test_bad_n_cells_raises_naming_it(self, n_cells, message):
+        # 2 * n_cells Simpson cells, even and >= 8.  0 raised
+        # ZeroDivisionError, 2 and 3 named n_quad, -4 and 2.5 raised NumPy's
+        # ValueError and a TypeError.
+        with pytest.raises(InvalidParameterError, match=f"^n_cells {re.escape(message)}$"):
+            sigma_transform(PeriodicFn1D.constant(-2.0, TWO_PI), n_cells)
+
     def test_csv_export(self, tmp_path):
         result = sigma_transform(PeriodicFn1D.constant(-2.0, TWO_PI))
         path = tmp_path / "sigma.csv"
@@ -216,7 +228,7 @@ class TestSigmaInterpolant:
         a, result = _sigma_of(name)
         grid, values = result.grid, result.values
         T = grid[-1]
-        slopes = values * (_sample_at(a, grid) + values)
+        slopes = values * (a(grid) + values)
         slopes[-1] = slopes[0]
         oracle = CubicHermiteSpline(grid, values, slopes)
         ts = _read_times(T, grid)
@@ -249,7 +261,8 @@ class TestSigmaInterpolant:
     def test_positive_average_samples_a_once(self):
         # The reflection atilde(t) = -a(T - t) reuses the samples of a; the
         # oracle builds sigma of the reflected function itself (<atilde> < 0)
-        # and maps it back: sigma_a(t) = -sigma_atilde(T - t).
+        # and maps it back: sigma_a(t) = -sigma_atilde(T - t).  a is
+        # probed once, when it is built; the count starts after that.
         calls = []
 
         def counted(t):
@@ -257,6 +270,7 @@ class TestSigmaInterpolant:
             return _COEFFICIENTS["positive"](t)
 
         a = periodic(counted)
+        calls.clear()
         result = sigma_transform(a)
         assert calls == [1]
         reflected = sigma_transform(periodic(lambda t: -_COEFFICIENTS["positive"](TWO_PI - t)))
@@ -282,6 +296,14 @@ class TestVerifySigma:
         a = periodic(lambda t: -1.0 + 0.5 * math.sin(t))
         result = sigma_transform(a)
         assert verify_sigma(a, result.sigma) <= 1e-6
+
+    @pytest.mark.parametrize("n_check, message", [
+        (0, "must be >= 1, got 0"), (-3, "must be >= 1, got -3"), (2.0, "must be an integer, got 2.0"),
+    ])
+    def test_bad_n_check_raises_naming_it(self, n_check, message):
+        # 0 raised NumPy's "zero-size array" ValueError.
+        with pytest.raises(InvalidParameterError, match=f"^n_check {re.escape(message)}$"):
+            verify_sigma(PeriodicFn1D.constant(-2.0, TWO_PI), lambda t: 2.0, n_check)
 
     def test_vanishing_sigma_rejected(self):
         # Float-only sigmas, read element by element: the first sample time
@@ -373,9 +395,9 @@ class TestLienardReduction:
             lienard_reduce(sdp, periodic(math.sin))
 
     def test_f_reads_gamma_afresh_on_every_new_time_array(self):
-        # f keeps gamma on the last array of times; a new grid, a grid of
-        # the same shape with other values, and an array written to in
-        # place since the last call must each be read afresh.
+        # f keeps no gamma from call to call: a new grid, a grid of the
+        # same shape with other values, a float and an array written to in
+        # place since the last call are each read afresh.
         sdp, sigma = self._setup()
         prob = lienard_reduce(sdp, sigma)
         y = np.array([[0.3], [-0.7], [1.1]])
@@ -387,7 +409,7 @@ class TestLienardReduction:
             if i == len(grids) - 1:
                 moving *= 0.5
             got = prob.eval_f(t, y, y, yd, yd)
-            want = (_sample_at(sdp.f.phi, y[:, 0], yd[:, 0]) / _sample_at(sigma, t))[..., None]
+            want = (np.array([math.sin(v) for v in yd[:, 0].tolist()]) / sigma(t))[..., None]
             assert got.tobytes() == want.tobytes(), i
 
     def test_round_trip_residual(self):
