@@ -207,6 +207,8 @@ def continue_branch(
     if lambda_max == 0:
         return Branch(points=points, origin=origin, termination=TERMINATION_LAMBDA_MAX)
 
+    target = lambda lam, h: min(lam + h, lambda_max)  # an attempt's lambda, from the point kept at lam
+    grown = lambda lam, h: min(2.0 * h, cfg.h_max, lambda_max - lam)  # the step after a point kept at lam
     lam = 0.0
     h = cfg.h0
     lams, us = [0.0], [points[0].history.values.ravel()]  # the predictor's points
@@ -215,17 +217,17 @@ def continue_branch(
     look_ahead = all(fn is None or fn.exprs is not None for fn in (problem.f, problem.g, problem.h))
 
     while len(points) < cfg.max_points:
-        lam_next = min(lam + h, lambda_max)
+        lam_next = target(lam, h)
         if nxt is None:
             u_pred, first = _predict(lams, us, lam_next), None
         else:
             u_pred, first = nxt[0], nxt[1:]
         # Look ahead where rows cost little and another attempt can follow:
         # should this one's point be kept, the next is at lam_after (the
-        # step rule below), predicted through the kept points and this one.
+        # step rule), predicted through the kept points and this one.
         ahead = None
         if look_ahead and lam_next < lambda_max - 1e-14 and len(points) + 1 < cfg.max_points:
-            lam_after = min(lam_next + min(2.0 * h, cfg.h_max, lambda_max - lam_next), lambda_max)
+            lam_after = target(lam_next, grown(lam_next, h))
             ls, vs = lams[1 - _PREDICTOR_POINTS:] + [lam_next], us[1 - _PREDICTOR_POINTS:]
             ahead = (lam_after, lambda u: _predict(ls, vs + [u], lam_after))
         # The corrector integrates unconstrained; the domain box is checked
@@ -262,5 +264,5 @@ def continue_branch(
         if lam >= lambda_max - 1e-14:
             termination = TERMINATION_LAMBDA_MAX
             break
-        h = min(2.0 * h, cfg.h_max, lambda_max - lam)
+        h = grown(lam, h)
     return Branch(points=points, origin=origin, termination=termination)

@@ -25,11 +25,11 @@ to carry one).  They only populate the report: the degree is the boundary
 formula's, so a cluster of zeros in one cell or a non-hyperbolic zero
 cannot change it.
 
-degree_auto turns its field into a FieldHandle once, at entry (_as_handle:
-any other callable is called once per point), and then evaluates it only on
-(N, n) point sets: one call for the box's grid, whose faces are also the
-first boundary pass, one per further boundary pass and one per Newton
-round.
+degree_auto turns its field into a FieldHandle once, at entry
+(_as_handle: any other callable is decided by the one probe), and then
+evaluates it only on (N, n) point sets: one call for the box's grid,
+whose faces are also the first boundary pass, one per further boundary
+pass and one per Newton round.
 
 The damped Newton (newton_steps) asks at each point it visits for the
 residual and its Jacobian, so every iterate steps with the Jacobian at
@@ -61,7 +61,7 @@ from .errors import (
     TranslationUndefinedError,
 )
 from .fields import FieldHandle
-from .problem import Box, _per_row
+from .problem import Box, _decide, _golden, _per_row
 
 MIN_CELLS = 4
 _MARGIN_MIN = 1e-10
@@ -93,21 +93,25 @@ class DegreeReport:
         }
 
 
-def _as_handle(fn, dim: int) -> FieldHandle:
-    """fn as a FieldHandle on R^dim: a FieldHandle as it is, any other
-    callable called on each (dim,) row by the fields' loop, _per_row.  In 1-d
-    fn gets the row's float first, the row on TypeError or IndexError."""
+def _as_handle(fn, box: Box) -> FieldHandle:
+    """fn as a FieldHandle on the box: a FieldHandle as it is, any other
+    callable decided once (problem._decide, on 3 points of the box): fn on
+    (N, n) point sets, or _per_row's call per (n,) row, which in 1-d
+    passes the row's float, or the row if fn raised TypeError or
+    IndexError on the box's lower corner as a float."""
     if isinstance(fn, FieldHandle):
         return fn
     point = fn
-    if dim == 1:
-        def point(z):
-            try:
-                return fn(z[0])
-            except (TypeError, IndexError):
-                return fn(z)
-
-    return FieldHandle(dim=dim, eval=_per_row(point, timed=False))
+    if box.dim == 1:
+        try:
+            fn(float(box.lower[0]))
+        except (TypeError, IndexError):
+            pass
+        else:
+            point = lambda z: fn(z[0])
+    samples = box.lower + (box.upper - box.lower) * _golden(3, box.dim)
+    call = lambda f, z: np.asarray(f(z), dtype=float)
+    return FieldHandle(box.dim, _decide(fn, _per_row(point, timed=False), call, [(samples,)]))
 
 
 def _lattice(k: int, size: int) -> np.ndarray:
@@ -173,7 +177,7 @@ def degree_auto(fn, box: Box, cells: int = 16) -> DegreeReport:
             f"cells = {cells} asks for {(cells + 1) ** n} grid points in {n}-d, "
             f"more than {_MAX_BOUNDARY_SAMPLES}"
         )
-    field = _as_handle(fn, n)
+    field = _as_handle(fn, box)
 
     def axes(size):
         return [np.linspace(box.lower[i], box.upper[i], size + 1) for i in range(n)]

@@ -80,26 +80,25 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Call:
-    """A function node: fn names a function of FUNCTIONS, or is a bound
-    Python function of one argument, applied unchecked, which the parser
-    never builds: lienard.lienard_reduce's gamma(t), a PeriodicFn1D."""
+    """A function node: fn names a function of FUNCTIONS, applied with
+    the language's domain checks.  Python code enters as a Leaf."""
 
-    fn: Union[str, Callable]
+    fn: str
     arg: "Node"
 
     def __str__(self):
-        name = self.fn if isinstance(self.fn, str) else getattr(self.fn, "__name__", "fn")
-        return f"{name}({self.arg})"
+        return f"{self.fn}({self.arg})"
 
 
 @dataclass(frozen=True, eq=False)
 class Leaf:
     """Component j of the call owner.<method>(*args) of a Python field
     (see stage.compile_stage), or with j None the value of the call, such
-    as a Python phi(y1, yd1) of lienard.lienard_reduce: made once per
-    owner, method and args and looked up at the call.  Each arg names a
-    variable or a column group that the caller of emit binds, or is passed
-    as it is.  The parser never builds one."""
+    as a Python phi(y1, yd1) or gamma(t) of lienard.lienard_reduce (method
+    "__call__"): made once per owner, method and args, unchecked.  Each
+    arg names a variable or a column group that the caller of emit binds,
+    which the Leaf reads, or is passed as it is.  The parser never builds
+    one."""
 
     owner: object
     method: str
@@ -313,10 +312,8 @@ def _fail_where(bad, value, message: str, node: Node):
 
 def _call(node: Call, x):
     """A function node on an array or a float, with the language's domain
-    checks made on every element; a bound function is applied unchecked."""
+    checks made on every element."""
     fn = node.fn
-    if not isinstance(fn, str):
-        return fn(x)
     if fn == "log":
         _fail_where(x <= 0.0, x, "log of nonpositive value", node)
     elif fn == "sqrt":
@@ -361,7 +358,7 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
     to that column's local (a subtree so bound is read, not computed); ns
     gains every constant (k<i>) and operation node (n<i>) the statements
     refer to; (id(owner), method, args: locals or ids) maps to the local
-    of that Leaf call."""
+    of that Leaf call: with j None the call's own local."""
     if id(node) in names:
         return names[id(node)]
     if isinstance(node, Var):
@@ -376,9 +373,12 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
         call = (id(node.owner), node.method, tuple(names[a] if isinstance(a, str) else id(a) for a in node.args))
         if call not in names:
             args = ", ".join(names[a] if isinstance(a, str) else f"n{i}.args[{j}]" for j, a in enumerate(node.args))
-            lines.append(f"r{i} = n{i}.owner.{node.method}({args})")
-            names[call] = f"r{i}"
-        lines.append(f"{v} = {names[call]}" + ("" if node.j is None else f"[..., {node.j}]"))
+            method = "" if node.method == "__call__" else f".{node.method}"
+            names[call] = v if node.j is None else f"r{i}"
+            lines.append(f"{names[call]} = n{i}.owner{method}({args})")
+        if node.j is None:
+            return names[call]
+        lines.append(f"{v} = {names[call]}[..., {node.j}]")
     elif isinstance(node, Neg):
         lines.append(f"{v} = -{_emit(node.operand, names, ns, lines)}")
     elif isinstance(node, Call):
@@ -399,7 +399,8 @@ def _emit(node: Node, names: dict, ns: dict, lines: list) -> str:
 
 def emit(roots: Sequence[Node], names: Mapping, ns: dict):
     """The statements computing each root, as (lines, value names): _emit
-    on each, with one call per Leaf owner, method and args.  names maps each
+    on each, with one call per Leaf owner, method and args (n<i>.owner(...)
+    for the method "__call__"), shared by every root.  names maps each
     variable, column group and bound subtree (by id) to its local; ns
     gains the constants and nodes the lines refer to (see define)."""
     names, lines = dict(names), []

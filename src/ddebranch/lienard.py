@@ -235,8 +235,8 @@ class ScalarDelayProblem:
         return cls(a=a, f=_Autonomous(phi), period=period, delay=delay)
 
 
-def _check_nonvanishing(gamma: PeriodicFn1D, n: int = 512):
-    vals = gamma(np.linspace(0.0, gamma.period, n, endpoint=False))
+def _check_nonvanishing(gamma: PeriodicFn1D):
+    vals = gamma(np.linspace(0.0, gamma.period, 512, endpoint=False))
     if np.min(np.abs(vals)) < 1e-12 or vals.max() * vals.min() < 0:
         raise InvalidParameterError("gamma must be nonvanishing (and sign-definite)")
 
@@ -247,17 +247,18 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
     BatchFields with expressions; gamma is also its coefficient a.
 
     f's expression is phi/gamma(t) for an autonomous phi(y, yd)
-    (ScalarDelayProblem.from_phi), else f(t, y, yd)/gamma(t), with gamma(t)
-    the node dsl.Call(gamma, t).  A phi or f that carries its DSL
-    expression (a BatchField, as presets.dsl_phi builds it) is inlined; a
-    Python one is decided once (problem._as_array_fn) and enters as the
-    Leaf of its call, phi(y1, yd1) or f(t, y1, yd1).  The problem's compiled
+    (ScalarDelayProblem.from_phi), else f(t, y, yd)/gamma(t).  A phi or f
+    that carries its DSL expression (a BatchField, as presets.dsl_phi
+    builds it) is inlined; a Python one is decided once
+    (problem._as_array_fn) and enters as the Leaf of its call, phi(y1, yd1)
+    or f(t, y1, yd1), as gamma does, gamma(t).  The problem's compiled
     stage (CoupledProblem.stage_at) reads gamma once per sweep grid, on all
-    its stage times (integrator.SweepPlan), and at mu < 1 reads the drive
-    of phi/gamma(t) as <1/gamma> * phi(y1, y1) (stage.averaged); that of an
-    f that reads t stays fields.average_f.  g is x1 - y1, as expression and
-    callable.  f's callable, which eval_f and average_f call, divides
-    phi(y, yd) or f(t, y, yd), broadcast to the states' shape, by gamma(t).
+    its stage times, and at mu < 1 reads the drive of phi/gamma(t) as
+    <1/gamma> * phi(y1, y1) (stage.averaged), <1/gamma> by the same gamma
+    call; that of an f that reads t stays fields.average_f.  g is x1 - y1,
+    as expression and callable.  f's callable, which eval_f and average_f
+    call, divides phi(y, yd) or f(t, y, yd), broadcast to the states'
+    shape, by gamma(t).
     """
     _check_nonvanishing(gamma)
     f = sdp.f
@@ -274,7 +275,7 @@ def lienard_reduce(sdp: ScalarDelayProblem, gamma: PeriodicFn1D) -> CoupledProbl
         root = e.root
     else:
         root = dsl.Leaf(fn, "__call__", args)
-    f_expr = dsl.Expr(dsl.BinOp("/", root, dsl.Call(gamma, dsl.Var("t"))), frozenset({"t", *args}))
+    f_expr = dsl.Expr(dsl.BinOp("/", root, dsl.Leaf(gamma, "__call__", ("t",))), frozenset({"t", *args}))
 
     def f_c(t, x, y, xd, yd):
         return (drive(t, y[..., 0], yd[..., 0]) / gamma(t))[..., None]

@@ -195,9 +195,9 @@ def find_fixed_points(
     return records
 
 
-def _lattice_points(box: Box, per_axis: int = 3) -> List[np.ndarray]:
+def _lattice_points(box: Box) -> List[np.ndarray]:
     axes = [
-        np.linspace(box.lower[i], box.upper[i], per_axis + 2)[1:-1]
+        np.linspace(box.lower[i], box.upper[i], 5)[1:-1]
         for i in range(box.dim)
     ]
     return [np.array(point) for point in itertools.product(*axes)]

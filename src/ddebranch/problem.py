@@ -144,16 +144,26 @@ def _per_point(fn: Callable) -> Callable:
     return per_point
 
 
+def _golden(rows: int, cols: int) -> np.ndarray:
+    """The probe's samples in [0, 1): row k (from 1) is k * g^-(c + 1) mod
+    1, c < cols, for the root g > 1 of g^(cols + 1) = g + 1: k / phi mod 1
+    in cols dimensions (Roberts), whose columns do not move together, as
+    blocks of one sequence do.  numpy.random costs 5 MiB and 10 ms."""
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (cols + 1))
+    return np.mod(np.arange(1, rows + 1)[:, None] * g ** -np.arange(1.0, cols + 1), 1.0)
+
+
 def _as_array_fn(fn: Callable, *ranges) -> Callable:
     """fn, a real function of len(ranges) reals, as a function of arrays
     that broadcast against each other, decided once (_decide) on fixed
-    arguments in ranges (a row of 3 each, by the golden-ratio sequence,
-    then the first as a (2, 1) column): fn itself or _per_point(fn).  A
-    BatchField is declared, and its fn is kept unprobed."""
+    arguments in ranges (a row of 3 each, a column of _golden, then the
+    first as a (2, 1) column): fn itself or _per_point(fn).  A BatchField
+    is declared, and its fn is kept unprobed."""
     if isinstance(fn, BatchField):
         return fn.fn
-    u = np.mod(np.arange(1, 3 * len(ranges) + 1) * 0.6180339887498949, 1.0).reshape(-1, 3)  # numpy.random costs 5 MiB, 10 ms
-    row = [lo + (hi - lo) * v for (lo, hi), v in zip(ranges, u)]
+    row = [lo + (hi - lo) * v for (lo, hi), v in zip(ranges, _golden(3, len(ranges)).T)]
     return _decide(fn, _per_point(fn), _broadcast_call, [row, [row[0][:2, None], *row[1:]]])
 
 
@@ -198,11 +208,12 @@ def eval_batch(fn: Callable, t, *states) -> np.ndarray:
 def _as_batch_field(fn: Callable, timed: bool, k: int, s: int) -> BatchField:
     """fn as a BatchField of itself or of _per_row(fn, timed), decided once
     (_decide) through eval_batch, which broadcasts a result that ignores t
-    or the batch, on 3 seeded rows of states (at a float time and at a
-    (2, 1) column of times when timed)."""
-    rng = np.random.default_rng(0)
-    states = [rng.uniform(-1.0, 1.0, (3, n)) for n in (k, s, k, s)[:4 if timed else 2]]
-    times = (float(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0, (2, 1))) if timed else (None,)
+    or the batch, on 3 rows of states in [-1, 1) by _golden (at a float
+    time and at a (2, 1) column of times in [0, 1) when timed)."""
+    sizes = (k, s, k, s)[:4 if timed else 2]
+    u = _golden(3, sum(sizes) + 1)
+    states = np.split(2.0 * u[:, :-1] - 1.0, np.cumsum(sizes)[:-1], axis=1)
+    times = (float(u[0, -1]), u[1:, -1:]) if timed else (None,)
     return BatchField(_decide(fn, _per_row(fn, timed), eval_batch, [(t, *states) for t in times]))
 
 

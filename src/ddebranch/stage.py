@@ -1,5 +1,5 @@
 """The compiled right-hand side of the coupled system (compile_stage): its
-DSL expressions, Python fields as Leaf nodes and the averaged drive by f's
+DSL expressions, Python code as Leaf nodes and the averaged drive by f's
 separated form (averaged), split by the method of steps into a part that
 reads t alone, a part evaluated once per delay interval and a generated RK4
 kernel.  CoupledProblem.stage_at compiles it once per problem and regime.
@@ -23,15 +23,15 @@ def state_columns(k: int, s: int):
 
 def _state_free_subtrees(node, free, out: list):
     """Append to out, left to right, the maximal subtrees of node that are
-    operations reading no variable outside free (a Leaf never is one)."""
-    if isinstance(node, (dsl.Num, dsl.Var, dsl.Leaf)):
+    operations (a Leaf too) reading no variable outside free."""
+    if isinstance(node, (dsl.Num, dsl.Var)):
         return
     if dsl.Expr(node, frozenset()).free_vars() <= free:
         out.append(node)
     elif isinstance(node, dsl.BinOp):
         _state_free_subtrees(node.left, free, out)
         _state_free_subtrees(node.right, free, out)
-    else:
+    elif not isinstance(node, dsl.Leaf):
         _state_free_subtrees(node.operand if isinstance(node, dsl.Neg) else node.arg, free, out)
 
 
@@ -145,17 +145,18 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
     part, which average(times) averages once, here.  A Python field,
     and a wf without that form, is given as the Leaf of its first
     component, and an expression may hold the Leaf of a Python function
-    (lienard_reduce's phi): a call inside the generated code, never
-    hoisted, since Python code may read state the DSL cannot see.
+    (lienard_reduce's phi(y1, yd1) and gamma(t)).
 
     Every maximal subtree that reads only t, xd, yd and lam, such as
     lam*(sin(yd1)/sigma(t)), is hoisted: evaluated once per delay interval
-    on that interval's rows.  Within those, every maximal subtree that
-    reads t alone, such as sigma(t), is evaluated once per sweep grid:
-    times(t), on the stage times t as an (N, 1, 1) array, returns an
-    (N, 1, 1 + n) block holding t and those subtrees and the cs: one
-    column per distinct node, matched by node equality, so a subtree that
-    is also a c<i> node, or that recurs, is evaluated once.
+    on that interval's rows; a Leaf reads the variables it is called with,
+    so gamma(t) is hoisted and phi(y1, yd1) is called in each stage.
+    Within those, every maximal subtree that reads t alone, such as
+    sigma(t), is evaluated once per sweep grid: times(t), on the stage
+    times t as an (N, 1, 1) array, returns an (N, 1, 1 + n) block holding
+    t and those subtrees and the cs: one column per distinct node, matched
+    by node equality, so a subtree that is also a c<i> node, or that
+    recurs, is evaluated once, and columns share a Leaf call (emit).
 
     bind(lam, mu, T, at, nt, D, S, K, work, threshold) binds, once per
     sweep, column views of the block T of times, of the delayed block D

@@ -547,6 +547,34 @@ class TestFieldHandleBatch:
         degree_auto(FieldHandle(dim=2, eval=lambda Z: ev(Z) + [0.1, 0.2]), _SQUARE)
         assert calls[0] == 17 * 17
 
+    def test_plain_callable_is_decided_once(self):
+        # A plain callable is decided at entry: in 1-d by one float call at
+        # the box's lower corner, then by the one probe (problem._decide) on
+        # 3 points and their batch, 5 calls at most; a NumPy callable is
+        # then called once per point set, as its FieldHandle is.  Before,
+        # each point of a 1-d callable tried its float and then its row (33
+        # failing float calls for z[0]**2 - 0.25), and every callable was
+        # called point by point (73 calls for p - p*p*p, 397 for the
+        # planar field).
+        def counted(fn):
+            calls = []
+
+            def call(z):
+                calls.append(z)
+                return fn(z)
+            return call, calls
+
+        fn, calls = counted(lambda z: z[0] ** 2 - 0.25)
+        assert degree_auto(fn, box([-1.0], [0.0])).degree == -1
+        assert sum(isinstance(z, float) for z in calls) <= 1
+        for fn, b, most in [(lambda p: p - p * p * p, box([-2.0], [2.0]), 6),
+                            (lambda z: np.stack([z[..., 0] ** 2 - z[..., 1], z[..., 1] - 0.1], -1), _SQUARE, 9)]:
+            plain, calls = counted(fn)
+            handle, handle_calls = counted(fn)
+            assert degree_auto(plain, b).to_dict() == degree_auto(FieldHandle(b.dim, handle), b).to_dict()
+            assert len(handle_calls) == most
+            assert len(calls) <= most + 5
+
     def test_per_point_eval_rejected(self):
         field = FieldHandle(dim=2, eval=lambda z: np.array([z[1], z[0] - z[1]]))
         with pytest.raises(InvalidParameterError):

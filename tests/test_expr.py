@@ -497,17 +497,21 @@ class TestCompiled:
         assert ev("2*pi*x", x=0.5) == math.pi
 
     def test_bound_function_node_is_applied_unchecked_and_hoisted(self):
-        # A Call may hold a Python function of one argument (the Lienard
-        # reduction binds sigma so): it is applied as it is, with no domain
-        # check, and a call reading only t is evaluated per interval.
+        # A Python function enters as the Leaf of its call (the Lienard
+        # reduction binds sigma so, as gamma(t)): it is applied as it is,
+        # with no domain check, and a Leaf called with t alone is hoisted
+        # like any node that reads t alone, a column of the time part.  A
+        # Call held the function, with a hoisting rule of its own, until
+        # every Python function became a Leaf.
         def tan(t):
             return np.tan(t)
 
-        node = BinOp("/", Call("sin", Var("yd1")), Call(tan, Var("t")))
-        assert str(node) == "(sin(yd1) / tan(t))"
+        leaf = dsl.Leaf(tan, "__call__", ("t",))
+        node = BinOp("/", Call("sin", Var("yd1")), leaf)
         e = dsl.Expr(node, frozenset({"t", "yd1"}))
+        assert e.free_vars() == {"t", "yd1"}
         assert dsl.compile_function(e, ["t", "yd1"])(np.pi / 4, 1.0) == math.sin(1.0) / np.tan(np.pi / 4)
-        assert math.isnan(dsl.compile_function(dsl.Expr(Call(tan, Var("t")), frozenset({"t"})), ["t"])(math.inf))
+        assert math.isnan(dsl.compile_function(dsl.Expr(leaf, frozenset({"t"})), ["t"])(math.inf))
         stage = compile_stage(1, 1, [e], [dsl.parse("x1 - y1", {"x1", "y1"})])
         t = np.array([[0.5], [0.75]])
         times = stage.times(t[..., None])  # t, then tan(t): the subtree that reads t alone

@@ -240,8 +240,9 @@ def test_one_probe_catches_type_error():
     # place that catches the TypeError of an array call a callable cannot
     # take (problem._sample_at caught it again on every call, 412 times in
     # a sunflower-homotopy request).  The one other is degree._as_handle's
-    # 1-d argument rule (a row's float, else the row), out of this rule's
-    # scope.
+    # 1-d argument rule (a row's float, else the row): one float call on
+    # the box's lower corner, at entry (it tried the float and caught its
+    # error again at every point before).
     package = Path(ddebranch.__file__).parent
     allowed = {("problem.py", "_decide"), ("degree.py", "_as_handle")}
     catches = {"TypeError", "Exception", "BaseException"}

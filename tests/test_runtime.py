@@ -55,3 +55,31 @@ def test_runs_without_scipy(tmp_path):
     assert report == {"code": EXIT_OK, "scipy": []}
     assert json.loads((tmp_path / "out" / "branch.json").read_text())["n_points"] >= 2
 
+
+
+_PROBE_SCRIPT = """
+import sys
+
+import numpy as np
+from ddebranch import Box, CoupledProblem, PeriodicFn1D, degree_auto
+
+problem = CoupledProblem(
+    dim_x=1, dim_y=1, f=lambda t, x, y, xd, yd: np.sin(yd) + 0.5 * np.cos(t), g=lambda x, y: x - y,
+    a=PeriodicFn1D(lambda t: -1.0 + 0.5 * np.sin(t), 2 * np.pi), period=2 * np.pi, delay=1.0,
+)
+assert degree_auto(lambda z: z[0] ** 2 - 0.25, Box([-1.0], [0.0])).degree == -1
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_probes_leave_numpy_random_unimported():
+    # The probes of fields, coefficients and the degree's plain callables
+    # draw their samples from one golden-ratio sequence (problem._golden).
+    # A problem with NumPy Python fields imported numpy.random, about 5 MiB
+    # and 10 ms, when _as_batch_field drew its states from a seeded
+    # generator.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PROBE_SCRIPT], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
