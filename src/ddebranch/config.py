@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from dataclasses import asdict, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def _vector_field(exprs, k, s, with_time) -> BatchField:
     return BatchField(dsl.compile_function(exprs, ["t", *states] if with_time else states[:2]), exprs)
 
 
-@dataclass(frozen=True)
-class LoadedProblem:
+class LoadedProblem(NamedTuple):
     """A problem resolved from config: the coupled system, its coefficient
     a, and the sigma transform of a sunflower preset and the parameter value
     lam = -beta/r of the classic-sunflower preset."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class ContinuationConfig(TranslationConfig):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     lam: float
     history: History
     residual: float
@@ -64,8 +63,7 @@ class BranchPoint:
     min_dist_to_trivial: float
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     points: List[BranchPoint]
     origin: np.ndarray
     termination: str

@@ -49,8 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -70,8 +69,7 @@ _NEWTON_TRIALS = 10  # step lengths a cold Newton iterate tries: 1, 1/2, ..., 2^
 _NEWTON_TOL = 1e-10  # sup-norm residual of a refined zero
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Result of degree_auto: the degree, the least sampled |F| on the
     boundary, and the zeros of the search, each {"point", "jacobian_sign"}."""
 

@@ -25,8 +25,7 @@ generated functions are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Union
+from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -44,32 +43,28 @@ FUNCTIONS = {
 CONSTANTS = {"pi": math.pi}
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
     def __str__(self):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Node"
 
     def __str__(self):
         return f"(-{self.operand})"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Node"
     right: "Node"
@@ -78,8 +73,7 @@ class BinOp:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     """A function node: fn names a function of FUNCTIONS, applied with
     the language's domain checks.  Python code enters as a Leaf."""
 
@@ -90,34 +84,43 @@ class Call:
         return f"{self.fn}({self.arg})"
 
 
-@dataclass(frozen=True, eq=False)
-class Leaf:
+class Leaf(NamedTuple):
     """Component j of the call owner.<method>(*args) of a Python field
     (see stage.compile_stage), or with j None the value of the call, such
     as a Python phi(y1, yd1) or gamma(t) of lienard.lienard_reduce (method
     "__call__"): made once per owner, method and args, unchecked.  Each
     arg names a variable or a column group that the caller of emit binds,
     which the Leaf reads, or is passed as it is.  The parser never builds
-    one."""
+    one.  Two Leaves are equal only when they are the same node."""
 
     owner: object
     method: str
     args: tuple
     j: Optional[int] = None
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __str__(self):
+        """name(args) or name.method(args)[j]: each name the object's
+        __name__ or class name, each variable its own name."""
+        name = lambda o: o if isinstance(o, str) else getattr(o, "__name__", type(o).__name__)
+        method = "" if self.method == "__call__" else f".{self.method}"
+        index = "" if self.j is None else f"[{self.j}]"
+        return f"{name(self.owner)}{method}({', '.join(map(name, self.args))}){index}"
+
 
 Node = Union[Num, Var, Neg, BinOp, Call, Leaf]
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """A parsed, immutable expression with its declared variable set."""
 
     root: Node
     allowed_vars: FrozenSet[str]
 
     def __str__(self):
-        """Fully parenthesized rendering; parse(str(e)) reproduces the AST."""
+        """Fully parenthesized rendering; parse(str(e)) reproduces the AST
+        of an expression that holds no Leaf."""
         return str(self.root)
 
     def free_vars(self) -> Set[str]:

@@ -18,8 +18,7 @@ FieldHandle, so a batch of N points costs one w_f and one g call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .errors import InvalidParameterError
 from .problem import CoupledProblem, quadrature_times, simpson_mean
 
 
-@dataclass(frozen=True)
-class FieldHandle:
+class FieldHandle(NamedTuple):
     """A vector field R^n -> R^n, evaluated a batch of points at a time.
 
     eval takes an (N, n) array of points and returns the (N, n) array of

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,7 @@ BLOWUP_THRESHOLD = 1e9
 FLOW_STEPS = 2048
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Dense piecewise-cubic solution on [-r, t_end].
 
     On [-r, 0] evaluation delegates to the initial history, reproducing its

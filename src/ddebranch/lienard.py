@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def _cumulative_simpson(values: np.ndarray, h2: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SigmaResult:
+class SigmaResult(NamedTuple):
     """The sigma-transform of a coefficient: grid-backed sigma plus diagnostics."""
 
     sigma: PeriodicFn1D
@@ -202,8 +201,7 @@ def verify_sigma(a: PeriodicFn1D, sigma, n_check: int = 256) -> float:
     return float(np.max(np.abs(a(ts) - sdot / s + s)))
 
 
-@dataclass(frozen=True)
-class _Autonomous:
+class _Autonomous(NamedTuple):
     """The perturbation f(t, y, yd) = phi(y, yd), which ignores t."""
 
     phi: Callable[[float, float], float]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class TranslationConfig:
         _check_count("steps_per_delay", self.steps_per_delay, 8)
 
 
-@dataclass(frozen=True)
-class FixedPointRecord:
+class FixedPointRecord(NamedTuple):
     """A converged fixed point of the discretized translation operator."""
 
     history: History

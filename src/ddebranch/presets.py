@@ -14,8 +14,7 @@ reduced problems inlines phi's expression (lienard.lienard_reduce).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .lienard import ScalarDelayProblem, SigmaResult, lienard_reduce, sigma_tran
 from .problem import BatchField, CoupledProblem, PeriodicFn1D
 
 
-@dataclass(frozen=True)
-class SunflowerSetup:
+class SunflowerSetup(NamedTuple):
     """A reduced sunflower-like problem together with its ingredients."""
 
     scalar: ScalarDelayProblem

@@ -262,7 +262,7 @@ def average_scalar(fn: PeriodicFn1D, n_quad: int = DEFAULT_N_QUAD) -> float:
     return float(simpson_mean(fn(quadrature_times(fn.period, n_quad))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box, the computational stand-in for open working sets."""
 
@@ -405,7 +405,7 @@ def _not_a_knot_slopes(history: "History") -> np.ndarray:
     return np.linalg.solve(_not_a_knot_matrix(m), b).reshape(values.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class History:
     """A sampled function on [-r, 0] with cubic Hermite interpolation.
 

@@ -7,7 +7,6 @@ kernel.  CoupledProblem.stage_at compiles it once per problem and regime.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,9 +45,9 @@ def _undelayed(node):
         return dsl.Var(node.name[0] + node.name[2:]) if node.name[1:2] == "d" else node
     if isinstance(node, dsl.Leaf):
         args = tuple(_undelayed(dsl.Var(a)).name if isinstance(a, str) else a for a in node.args)
-        return replace(node, args=args) if args != node.args else node
+        return node._replace(args=args) if args != node.args else node
     kids = {key: _undelayed(getattr(node, key)) for key in ("operand", "left", "right", "arg") if hasattr(node, key)}
-    return replace(node, **kids) if any(kids[key] is not getattr(node, key) for key in kids) else node
+    return node._replace(**kids) if any(kids[key] is not getattr(node, key) for key in kids) else node
 
 
 def _masked(node, timed: bool):
@@ -57,7 +56,7 @@ def _masked(node, timed: bool):
     if not (isinstance(node, dsl.BinOp) and node.op in "*/"):
         return node if ("t" in _reads(node)) == timed else dsl.Num(1.0)
     left, right, one = _masked(node.left, timed), _masked(node.right, timed), dsl.Num(1.0)
-    return left if right == one else right if left == one and node.op == "*" else replace(node, left=left, right=right)
+    return left if right == one else right if left == one and node.op == "*" else node._replace(left=left, right=right)
 
 
 def averaged(node, cs: list):
@@ -77,7 +76,7 @@ def averaged(node, cs: list):
         return dsl.Var(f"c{len(cs) - 1}")
     if isinstance(node, dsl.Neg) or (isinstance(node, dsl.BinOp) and node.op in "+-"):
         kids = {key: averaged(getattr(node, key), cs) for key in ("operand", "left", "right") if hasattr(node, key)}
-        return None if any(kid is None for kid in kids.values()) else replace(node, **kids)
+        return None if any(kid is None for kid in kids.values()) else node._replace(**kids)
     if not (isinstance(node, dsl.BinOp) and node.op in "*/") or _reads(_masked(node, True)) != {"t"}:
         return None  # such as sin(t*y1), or a product with a factor t*y1
     return dsl.BinOp("*", averaged(_masked(node, True), cs), _undelayed(_masked(node, False)))
@@ -187,7 +186,7 @@ def compile_stage(k: int, s: int, f, g, h=None, drive=None) -> Stage:
         return dsl.BinOp("*", left, right)
 
     def roots(given, n):
-        return [replace(given, j=j) for j in range(n)] if isinstance(given, dsl.Leaf) else [e.root for e in given]
+        return [given._replace(j=j) for j in range(n)] if isinstance(given, dsl.Leaf) else [e.root for e in given]
 
     f, h = (None if e is None else roots(e, n) for e, n in ((f, k), (h, s)))
     wf, abar, cs, average = drive or (None, None, [], None)

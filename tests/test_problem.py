@@ -318,6 +318,13 @@ class TestBox:
             assert b.contains(values, tol=tol) is want
             assert all(b.contains(v, tol=tol) for v in values) is want
 
+    def test_equality_is_identity_and_a_box_hashes(self):
+        # A generated __eq__ compared the bound arrays, and == raised
+        # ValueError (the truth value of an array); the hash raised TypeError.
+        b, twin = Box([0.0, 0.0], [1.0, 1.0]), Box([0.0, 0.0], [1.0, 1.0])
+        assert b == b and b != twin
+        assert len({b, twin, b}) == 2
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidParameterError):
             Box(lower=[0.0], upper=[0.0])
@@ -338,6 +345,12 @@ class TestHistory:
         assert hist.m == 16
         assert np.array_equal(hist.terminal(), [1.0, -2.0])
         assert np.array_equal(history_at(hist, -0.37), [1.0, -2.0])
+
+    def test_equality_is_identity_and_a_history_hashes(self):
+        # As for Box: a generated __eq__ compared the value arrays and raised.
+        hist, twin = History.constant([0.0], delay=1.0, m=8), History.constant([0.0], delay=1.0, m=8)
+        assert hist == hist and hist != twin
+        assert len({hist, twin, hist}) == 2
 
     def test_interpolation_accuracy(self):
         # Cubic interpolation of a smooth function on 33 nodes.

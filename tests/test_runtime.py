@@ -83,3 +83,31 @@ def test_probes_leave_numpy_random_unimported():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_RECORD_SCRIPT = """
+import dataclasses, json, sys
+
+import ddebranch.cli, ddebranch.presets
+
+found = [obj for name, module in list(sys.modules.items()) if name.split(".")[0] == "ddebranch"
+         for obj in vars(module).values()
+         if isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)]
+plain = sorted(cls.__qualname__ for cls in found if "__post_init__" not in vars(cls))
+print(json.dumps({"dataclasses": len(found), "plain": plain}))
+"""
+
+
+def test_every_dataclass_validates_its_fields():
+    # A record whose fields need no check is a NamedTuple: a frozen
+    # dataclass generates and compiles six methods, about 1 ms of every
+    # request's import, and a NamedTuple costs about 0.2 ms.  A class
+    # stays a dataclass only when its __post_init__ validates or
+    # normalizes its fields.  Run in a fresh interpreter, so that the
+    # classes are those a request loads.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _RECORD_SCRIPT], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["dataclasses"] > 0 and report["plain"] == []
